@@ -137,6 +137,10 @@ type flashMap struct {
 	// oracle arms the differential mapping oracle (tests): panic on the
 	// first coherence divergence instead of reporting it.
 	oracle bool
+	// evictOracle, when set (tests only), is the reference eviction choice
+	// every fmEnforceCap decision is checked against: the victim, or -1 for
+	// a flush. A divergence panics.
+	evictOracle func() int32
 }
 
 func (fm *flashMap) isCached(lun int64) bool { return fm.cached[lun>>6]&(1<<(uint64(lun)&63)) != 0 }
@@ -488,27 +492,39 @@ func (f *FTL) fillTP(tvpn int, demanded int64) {
 // the page covers and usually cleans much of the window with it). With
 // cleanWindow == 1 this is exactly the basic layer's strict-LRU eviction.
 // Runs only at top level.
+//
+// The window search resumes where the previous one stopped: removing a clean
+// victim found at depth d leaves the d tail-most entries dirty and in place,
+// so the next search starts at the victim's LRU predecessor, still at depth
+// d, instead of proving them dirty again. Between two flushes every window
+// entry is examined at most once — amortised O(1) per eviction instead of
+// O(cleanWindow). A flush, or GC it triggers, can reorder the LRU, so the
+// cursor restarts from the tail after each one. The victim sequence is the
+// from-the-tail scan's exactly (evictOracle checks it in tests).
 func (f *FTL) fmEnforceCap() {
 	fm := &f.fm
+	cur, depth := fm.lruTail, 0
 	for fm.cachedCount > fm.cap {
-		victim := fm.lruTail
-		if fm.isDirty(int64(victim)) {
-			victim = -1
-			for l, scanned := fm.lruPrev[fm.lruTail], 1; l >= 0 && scanned < fm.cleanWindow; l, scanned = fm.lruPrev[l], scanned+1 {
-				if !fm.isDirty(int64(l)) {
-					victim = l
-					break
-				}
+		for cur >= 0 && depth < fm.cleanWindow && fm.isDirty(int64(cur)) {
+			cur, depth = fm.lruPrev[cur], depth+1
+		}
+		victim := cur // -1 when the search ran off the LRU head: all dirty
+		if depth == fm.cleanWindow {
+			victim = -1 // the whole window is dirty
+		}
+		if fm.evictOracle != nil {
+			if want := fm.evictOracle(); want != victim {
+				panic(fmt.Sprintf("ftl: CMT eviction diverged from window scan: resumed search %d, scan %d", victim, want))
 			}
 		}
 		if victim < 0 {
 			fm.flushing = true
 			f.flushTP(fm.tvpnOf(int64(fm.lruTail)), inject.SiteTransEvict)
 			fm.flushing = false
-			// The flush (or GC it triggered) may have reordered the LRU;
-			// re-evaluate from the tail rather than assuming the victim.
+			cur, depth = fm.lruTail, 0
 			continue
 		}
+		cur = fm.lruPrev[victim]
 		fm.remove(int64(victim))
 		f.stats.CMTEvictions++
 	}

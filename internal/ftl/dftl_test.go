@@ -58,7 +58,8 @@ func settleCMT(e *sim.Engine, f *FTL) {
 // all three GC policies and three seeds, the flash-resident mapping table
 // runs with the mapping oracle armed — every CMT miss asserts the
 // translation-page copy of the entry equals the live map, panicking at the
-// faulting access on the first divergence — while the victim-oracle
+// faulting access on the first divergence, and every CMT eviction checked
+// against the window-scan reference (armEvictOracle) — while the victim-oracle
 // workload drives skewed overwrites, trims, remaps, syncs and background
 // GC. The FTL must keep every dftl invariant (CMT/LRU/directory coherence,
 // full-sweep stored-vs-live agreement), survive a lossless SPOR rebuild of
@@ -73,6 +74,7 @@ func TestMappingOracle(t *testing.T) {
 				cfg.GCPolicy = pol
 				e, arr, f := newDFTL(t, cfg)
 				f.EnableMapOracle()
+				armEvictOracle(f)
 
 				rng := benchRNG(0xa0761d6478bd642f ^ uint64(seed)*0xe7037ed1a0b428db)
 				oracleWorkload(t, e, f, &rng, 2048)
@@ -106,6 +108,7 @@ func TestMappingOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				f2.EnableMapOracle()
+				armEvictOracle(f2)
 				if err := f2.CheckInvariants(); err != nil {
 					t.Fatalf("restored FTL: %v", err)
 				}
@@ -224,12 +227,14 @@ func TestTransGCCrashConsistency(t *testing.T) {
 // FuzzCMTEviction lets the fuzzer pick the CMT bound, the writeback batch
 // size, the remap-aware knobs (page-fill, clean-window depth, checkpoint-cut
 // batching) and the workload shape, then replays the oracle workload with
-// the mapping oracle armed: any divergence between the flash-resident table
-// and the live map panics at the faulting access, any structural break fails
-// CheckInvariants, and the SPOR rebuild must stay lossless. Sub-floor CMT
-// bounds exercise the clamp; batch size 1 forces a writeback per dirtied
-// translation page; the knob axes cover the legacy configuration (fill off,
-// window 1, batch off) through deep clean-window search.
+// the mapping and eviction oracles armed: any divergence between the
+// flash-resident table and the live map, or between an eviction decision
+// and the from-the-tail window scan, panics at the faulting step; any
+// structural break fails CheckInvariants, and the SPOR rebuild must stay
+// lossless. Sub-floor CMT bounds exercise the clamp; batch size 1 forces a
+// writeback per dirtied translation page; the knob axes cover the legacy
+// configuration (fill off, window 1, batch off) through deep clean-window
+// search.
 func FuzzCMTEviction(f *testing.F) {
 	f.Add(uint64(1), uint16(1), uint16(96), uint16(1024), false, uint8(0), false)
 	f.Add(uint64(2), uint16(700), uint16(8), uint16(512), true, uint8(1), true)
@@ -251,6 +256,7 @@ func FuzzCMTEviction(f *testing.F) {
 		cfg.CMTNoBatch = noBatch
 		e, _, ftl := newDFTL(t, cfg)
 		ftl.EnableMapOracle()
+		armEvictOracle(ftl)
 
 		rng := benchRNG(seed | 1)
 		oracleWorkload(t, e, ftl, &rng, int(rounds)%1536+64)

@@ -250,14 +250,111 @@ func TestDFTLSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// dirtyTailFTL builds clean-first eviction's worst case: a CMT at its bound
+// whose LRU tail is a run of cleanWindow-1 dirty entries, which nothing
+// touches again, so it stays pinned at the tail. step issues one page-fill
+// miss on the next translation page in rotation (a whole page of clean
+// inserts), and the cap enforcement that follows evicts a page's worth of
+// clean entries from just behind the dirty run, never flushing. A search
+// that restarted from the tail for every victim would walk the dirty run
+// once per eviction.
+func dirtyTailFTL(tb testing.TB) (*FTL, func()) {
+	tb.Helper()
+	cfg := dftlCfg()
+	cfg.CMTEntries = 2048
+	cfg.MetaFlushEntries = 1 << 30 // no threshold flushes
+	e := sim.NewEngine()
+	arr, err := nand.New(e, dftlWideGeo(), fastTim())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, err := New(e, arr, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	unit := int64(f.unit)
+	epp := int64(f.fm.entriesPerTP)
+	numTPs := f.fm.numTPs
+	// One mapped lun per translation page, then persist them all: every
+	// page has a flash-resident copy, so every miss charges a fetch and
+	// page-fills.
+	for tvpn := 0; tvpn < numTPs; tvpn++ {
+		f.Write(int64(tvpn)*epp*unit, unit, TagHostData, StreamData)
+	}
+	f.Sync(StreamData, TagHostData)
+	e.Run()
+	persistTPs(tb, e, f)
+	uncacheClean(f)
+
+	// The dirty run: the first entries into an empty CMT end up at its tail.
+	fm := &f.fm
+	fm.flushing = true
+	for lun := int64(1); lun < int64(fm.cleanWindow); lun++ {
+		f.fmWrite(lun)
+	}
+	fm.flushing = false
+
+	tvpn := 0
+	step := func() {
+		tvpn = tvpn%(numTPs-1) + 1 // every page but the dirty run's
+		lun := int64(tvpn) * epp
+		f.fmEnterCmd()
+		f.fmAccessRange(lun, lun, false, nil)
+		f.fmExitCmd()
+		e.Run()
+	}
+	for fm.cachedCount < fm.cap { // fill to the bound
+		step()
+	}
+	return f, step
+}
+
+// TestDFTLDirtyTailAllocs pins the dirty-tail eviction path: page-fill
+// misses under a pinned dirty LRU tail evict clean entries only — no flush,
+// the dirty run stays at the tail — and allocate nothing.
+func TestDFTLDirtyTailAllocs(t *testing.T) {
+	f, step := dirtyTailFTL(t)
+	step() // warm the event heap
+	flushes, evictions := f.stats.TransFlushes, f.stats.CMTEvictions
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("dirty-tail page-fill + eviction path allocates %.2f/op, want 0", n)
+	}
+	if f.stats.TransFlushes != flushes {
+		t.Fatalf("dirty-tail evictions flushed %d translation pages, want 0", f.stats.TransFlushes-flushes)
+	}
+	if f.stats.CMTEvictions == evictions {
+		t.Fatal("no evictions: the path under test never ran")
+	}
+	depth := 0
+	for l := f.fm.lruTail; l >= 0 && f.fm.isDirty(int64(l)); l = f.fm.lruPrev[l] {
+		depth++
+	}
+	if depth != f.fm.cleanWindow-1 {
+		t.Fatalf("dirty run at the LRU tail is %d entries, want %d", depth, f.fm.cleanWindow-1)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // BenchmarkDFTLHostPath drives the dftl host lookup path with a skewed
 // hit/miss/evict/flush mix: hot hits stay CMT-resident, cold reads miss and
 // page-fill, writes dirty entries toward the writeback threshold, and the
 // bounded CMT forces steady capacity eviction. ns/op and allocs/op here are
 // the evidence that the incremental dirty index removed the per-flush
-// O(numTPs) scan from the hot path.
+// O(numTPs) scan from the hot path. dirty-tail isolates page-fill misses
+// under a pinned dirty LRU tail (dirtyTailFTL): the resumed clean-first
+// search's case.
 func BenchmarkDFTLHostPath(b *testing.B) {
 	b.Run("opt", func(b *testing.B) { benchDFTLHostPath(b, dftlCfg()) })
+	b.Run("dirty-tail", func(b *testing.B) {
+		_, step := dirtyTailFTL(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+	})
 	b.Run("legacy", func(b *testing.B) {
 		cfg := dftlCfg()
 		cfg.CMTNoFill = true

@@ -408,9 +408,9 @@ type FTL struct {
 	vix      *victimIndex
 	gcVictim int
 
-	// victimOracle, when set (tests only), makes every pickVictim verify
-	// the index against the retained linear scan and panic on divergence.
-	victimOracle bool
+	// victimOracle, when set (tests only), is the reference victim selection
+	// every pickVictim result is checked against; a divergence panics.
+	victimOracle func(maxValid int) int
 
 	// partial[s] is the frontier index of stream s holding a partially
 	// filled page, or -1 — appendSlot's "finish the open page first" rule
@@ -1378,61 +1378,17 @@ func (f *FTL) collectVictim() bool {
 // or -1 if no closed block has fewer than maxValid valid slots. Fully
 // invalid blocks always win regardless of policy (free space at zero
 // migration cost). Selection runs on the incrementally maintained victim
-// index (victim.go); pickVictimScan is the O(totalBlocks) reference the
-// index provably matches, retained as the differential-test oracle.
+// index (victim.go); tests check it against the O(totalBlocks) linear scan
+// through victimOracle.
 func (f *FTL) pickVictim(maxValid int) int {
 	v := f.pick(maxValid)
-	if f.victimOracle {
-		if s := f.pickVictimScan(maxValid); s != v {
+	if f.victimOracle != nil {
+		if s := f.victimOracle(maxValid); s != v {
 			panic(fmt.Sprintf("ftl: victim index diverged from scan: policy %s maxValid %d index %d scan %d",
 				f.cfg.GCPolicy, maxValid, v, s))
 		}
 	}
 	return v
-}
-
-// pickVictimScan is the linear-scan reference implementation of victim
-// selection: ascending block index, first-encountered block wins ties.
-func (f *FTL) pickVictimScan(maxValid int) int {
-	best := -1
-	bestValid := int32(maxValid)
-	var bestWear uint32
-	var bestScore float64
-	var bestSeq int64
-	slotsPerBlock := int32(f.pagesPerBlk * f.slotsPerPage)
-	for b := 0; b < f.totalBlocks; b++ {
-		if f.state[b] != blockClosed {
-			continue
-		}
-		v := f.validCount[b]
-		if v >= int32(maxValid) {
-			continue
-		}
-		switch f.cfg.GCPolicy {
-		case GCCostBenefit:
-			if v == 0 { // free space at zero cost always wins
-				return b
-			}
-			age := float64(f.closeClock - f.closedSeq[b] + 1)
-			score := float64(slotsPerBlock-v) / float64(2*v) * age
-			if best < 0 || score > bestScore {
-				best, bestScore = b, score
-			}
-		case GCFIFO:
-			if v == 0 {
-				return b
-			}
-			if best < 0 || f.closedSeq[b] < bestSeq {
-				best, bestSeq = b, f.closedSeq[b]
-			}
-		default: // GCGreedy
-			w := f.array.EraseCount(b)
-			if best < 0 || v < bestValid || (v == bestValid && w < bestWear) {
-				best, bestValid, bestWear = b, v, w
-			}
-		}
-	}
-	return best
 }
 
 // collectBlock migrates the valid slots of block b and erases it.

@@ -30,6 +30,8 @@ import (
 //  6. In dftl mode (Config.FlashMap) the cached mapping table, its LRU, the
 //     global translation directory and the flash-resident entry copies are
 //     mutually consistent — see fmCheckInvariants in dftl.go.
+//  7. A slot's bit in the recovery log's alias bitmap is set exactly when
+//     the slot has alias records.
 func (f *FTL) CheckInvariants() error {
 	const maxViolations = 8
 	var violations []string
@@ -179,6 +181,8 @@ func (f *FTL) CheckInvariants() error {
 	if f.fm.enabled {
 		f.fmCheckInvariants(report)
 	}
+	// 7: the recovery log's alias bitmap mirrors its alias map.
+	f.rlog.checkAliased(report)
 	for s := Stream(0); s < numStreams; s++ {
 		want := -1
 		for i := range f.fronts[s] {

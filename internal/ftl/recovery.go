@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/checkin-kv/checkin/internal/sim"
 )
@@ -36,6 +37,11 @@ type recoveryLog struct {
 	seq     uint64
 	oob     []oobRecord           // indexed by slot id; seq 0 = never written
 	aliases map[int64][]oobRecord // slot id → alias bindings from remaps
+	// aliased holds one bit per slot, set exactly when the slot is a key of
+	// aliases. The write, erase and GC-copy paths test it before touching
+	// the map: almost every slot they see has no alias, and a bit test is
+	// far cheaper than the map delete or lookup that would miss.
+	aliased []uint64
 	trims   []trimExtent
 	tp      []int64 // pid → tvpn of the live translation page it holds (-1)
 }
@@ -44,6 +50,7 @@ func newRecoveryLog(totalSlots int64) *recoveryLog {
 	return &recoveryLog{
 		oob:     make([]oobRecord, totalSlots),
 		aliases: make(map[int64][]oobRecord),
+		aliased: make([]uint64, (totalSlots+63)/64),
 	}
 }
 
@@ -52,13 +59,46 @@ func (r *recoveryLog) next() uint64 {
 	return r.seq
 }
 
+func (r *recoveryLog) hasAliases(sid int64) bool {
+	return r.aliased[sid>>6]&(1<<(uint64(sid)&63)) != 0
+}
+
+// aliasesOf returns sid's alias records (nil when it has none) without a
+// map lookup for the common alias-free slot. The result shares storage
+// with the log.
+func (r *recoveryLog) aliasesOf(sid int64) []oobRecord {
+	if !r.hasAliases(sid) {
+		return nil
+	}
+	return r.aliases[sid]
+}
+
+func (r *recoveryLog) dropAliases(sid int64) {
+	if r.hasAliases(sid) {
+		delete(r.aliases, sid)
+		r.aliased[sid>>6] &^= 1 << (uint64(sid) & 63)
+	}
+}
+
+// resetAliases installs recs as the whole alias log (copied) and rebuilds
+// the bitmap from its keys.
+func (r *recoveryLog) resetAliases(recs map[int64][]oobRecord) {
+	clear(r.aliased)
+	r.aliases = make(map[int64][]oobRecord, len(recs))
+	for sid, rs := range recs {
+		r.aliases[sid] = append([]oobRecord(nil), rs...)
+		r.aliased[sid>>6] |= 1 << (uint64(sid) & 63)
+	}
+}
+
 func (r *recoveryLog) noteWrite(sid, lun int64) {
 	r.oob[sid] = oobRecord{lun: lun, seq: r.next()}
-	delete(r.aliases, sid)
+	r.dropAliases(sid)
 }
 
 func (r *recoveryLog) noteAlias(sid, lun int64) {
 	r.aliases[sid] = append(r.aliases[sid], oobRecord{lun: lun, seq: r.next()})
+	r.aliased[sid>>6] |= 1 << (uint64(sid) & 63)
 }
 
 func (r *recoveryLog) noteTrim(first, last int64) {
@@ -66,9 +106,9 @@ func (r *recoveryLog) noteTrim(first, last int64) {
 }
 
 func (r *recoveryLog) noteErase(base, slots int64) {
+	clear(r.oob[base : base+slots])
 	for s := base; s < base+slots; s++ {
-		r.oob[s] = oobRecord{}
-		delete(r.aliases, s)
+		r.dropAliases(s)
 	}
 }
 
@@ -83,12 +123,13 @@ func (r *recoveryLog) noteErase(base, slots int64) {
 // fresh-seq copy of stale data would outrank the already-recorded new
 // write on SPOR replay.
 func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
+	oldAliases := r.aliasesOf(oldSid)
 	seqOf := func(lun int64) uint64 {
 		var best uint64
 		if rec := r.oob[oldSid]; rec.seq != 0 && rec.lun == lun {
 			best = rec.seq
 		}
-		for _, a := range r.aliases[oldSid] {
+		for _, a := range oldAliases {
 			if a.lun == lun && a.seq > best {
 				best = a.seq
 			}
@@ -100,9 +141,10 @@ func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
 			r.oob[newSid] = oobRecord{lun: rec.lun, seq: s}
 		}
 	}
-	for i, a := range r.aliases[newSid] {
+	newAliases := r.aliasesOf(newSid)
+	for i, a := range newAliases {
 		if s := seqOf(a.lun); s != 0 {
-			r.aliases[newSid][i].seq = s
+			newAliases[i].seq = s
 		}
 	}
 	r.clearSlot(oldSid)
@@ -114,7 +156,24 @@ func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
 // in the bad-block table, which SPOR excludes).
 func (r *recoveryLog) clearSlot(sid int64) {
 	r.oob[sid] = oobRecord{}
-	delete(r.aliases, sid)
+	r.dropAliases(sid)
+}
+
+// checkAliased reports any disagreement between the alias bitmap and the
+// alias map's key set: every key's bit is set, and no other bit is.
+func (r *recoveryLog) checkAliased(report func(format string, args ...any)) {
+	for sid := range r.aliases {
+		if !r.hasAliases(sid) {
+			report("slot %d has alias records but its aliased bit is clear", sid)
+		}
+	}
+	set := 0
+	for _, w := range r.aliased {
+		set += bits.OnesCount64(w)
+	}
+	if set != len(r.aliases) {
+		report("%d aliased bits set but %d slots have alias records", set, len(r.aliases))
+	}
 }
 
 // noteTransWrite records that physical page pid now holds the live
@@ -215,7 +274,7 @@ func (f *FTL) VerifySPOR() *SPORReport {
 			if rec := f.rlog.oob[sid]; rec.seq != 0 {
 				bind(rec.lun, sid, rec.seq)
 			}
-			for _, rec := range f.rlog.aliases[sid] {
+			for _, rec := range f.rlog.aliasesOf(sid) {
 				bind(rec.lun, sid, rec.seq)
 				rep.AliasBindings++
 			}

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -115,6 +116,77 @@ func TestSPORRandomTraffic(t *testing.T) {
 	}, &quick.Config{MaxCount: 20})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// aliasedSlots lists the slots whose alias bit is set, ascending.
+func aliasedSlots(r *recoveryLog) []int64 {
+	var sids []int64
+	for sid := int64(0); sid < int64(len(r.oob)); sid++ {
+		if r.hasAliases(sid) {
+			sids = append(sids, sid)
+		}
+	}
+	return sids
+}
+
+// TestRestoreResetsAliasBitmap pins Restore's alias-bitmap rebuild: the
+// bitmap is derived state, so restoring a snapshot onto an FTL whose own
+// remaps left alias bits behind must clear every stale bit and set exactly
+// the restored log's slots. CheckInvariants enforces the bit ⇔ map-key
+// agreement; the explicit slot lists pin it without relying on the checker.
+func TestRestoreResetsAliasBitmap(t *testing.T) {
+	const dataOff = 65536
+	e, f := newSmall(t, smallCfg())
+	f.Write(0, 8192, TagHostJournal, StreamJournal)
+	f.Sync(StreamJournal, TagHostJournal)
+	e.Run()
+	clean, err := f.Snapshot() // no remaps yet: an empty alias log
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Remap(0, dataOff, 4096)
+	e.Run()
+	aliased, err := f.Snapshot() // the first 4 KB's slots carry aliases
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := aliasedSlots(f.rlog)
+	if len(want) == 0 {
+		t.Fatal("remap set no alias bits")
+	}
+
+	// Stale bits on a restore target: remap a different extent, so the
+	// live bitmap holds bits the aliased snapshot does not.
+	f.Remap(4096, dataOff+4096, 4096)
+	e.Run()
+	if len(aliasedSlots(f.rlog)) <= len(want) {
+		t.Fatal("second remap set no further alias bits")
+	}
+	if err := f.Restore(aliased); err != nil {
+		t.Fatal(err)
+	}
+	if got := aliasedSlots(f.rlog); !slices.Equal(got, want) {
+		t.Fatalf("restored alias bits %v, want exactly %v", got, want)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := f.Restore(clean); err != nil {
+		t.Fatal(err)
+	}
+	if got := aliasedSlots(f.rlog); len(got) != 0 || len(f.rlog.aliases) != 0 {
+		t.Fatalf("restore of an alias-free snapshot left bits %v and %d alias records", got, len(f.rlog.aliases))
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The checker itself catches a bit without a record.
+	f.rlog.aliased[0] |= 1
+	if err := f.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted an aliased bit with no alias records")
 	}
 }
 

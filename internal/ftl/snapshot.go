@@ -224,10 +224,7 @@ func (f *FTL) Restore(st *FTLState) error {
 
 	f.rlog.seq = st.rlogSeq
 	copy(f.rlog.oob, st.rlogOOB)
-	f.rlog.aliases = make(map[int64][]oobRecord, len(st.rlogAliases))
-	for sid, recs := range st.rlogAliases {
-		f.rlog.aliases[sid] = append([]oobRecord(nil), recs...)
-	}
+	f.rlog.resetAliases(st.rlogAliases)
 	f.rlog.trims = append(f.rlog.trims[:0], st.rlogTrims...)
 
 	if f.fm.enabled {

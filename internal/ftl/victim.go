@@ -27,8 +27,9 @@ import (
 // ones, and cheapCount counts members below the background-GC threshold so
 // the deallocator's HasCheapVictim probe is O(1).
 //
-// Equivalence with the retained linear scan (pickVictimScan) is argued
-// per-policy in pick and enforced by TestVictimIndexOracle.
+// Equivalence with the linear scan (pickVictimScan, a test-only reference
+// in victim_test.go) is argued per-policy in pick and enforced by
+// TestVictimIndexOracle.
 type victimIndex struct {
 	policy GCPolicy
 

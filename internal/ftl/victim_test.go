@@ -8,6 +8,51 @@ import (
 	"github.com/checkin-kv/checkin/internal/sim"
 )
 
+// pickVictimScan is the linear-scan reference implementation of victim
+// selection: ascending block index, first-encountered block wins ties. The
+// victim index (victim.go) must match it pick for pick.
+func (f *FTL) pickVictimScan(maxValid int) int {
+	best := -1
+	bestValid := int32(maxValid)
+	var bestWear uint32
+	var bestScore float64
+	var bestSeq int64
+	slotsPerBlock := int32(f.pagesPerBlk * f.slotsPerPage)
+	for b := 0; b < f.totalBlocks; b++ {
+		if f.state[b] != blockClosed {
+			continue
+		}
+		v := f.validCount[b]
+		if v >= int32(maxValid) {
+			continue
+		}
+		switch f.cfg.GCPolicy {
+		case GCCostBenefit:
+			if v == 0 { // free space at zero cost always wins
+				return b
+			}
+			age := float64(f.closeClock - f.closedSeq[b] + 1)
+			score := float64(slotsPerBlock-v) / float64(2*v) * age
+			if best < 0 || score > bestScore {
+				best, bestScore = b, score
+			}
+		case GCFIFO:
+			if v == 0 {
+				return b
+			}
+			if best < 0 || f.closedSeq[b] < bestSeq {
+				best, bestSeq = b, f.closedSeq[b]
+			}
+		default: // GCGreedy
+			w := f.array.EraseCount(b)
+			if best < 0 || v < bestValid || (v == bestValid && w < bestWear) {
+				best, bestValid, bestWear = b, v, w
+			}
+		}
+	}
+	return best
+}
+
 // crossCheckVictims compares the index-based selection against the retained
 // linear-scan reference across the full spread of thresholds callers use
 // (foreground 1<<30, background slots/4, plus edge values), and the O(1)
@@ -27,7 +72,7 @@ func crossCheckVictims(t *testing.T, f *FTL) {
 
 // oracleWorkload drives a deterministic mix of skewed overwrites, trims and
 // remaps with periodic syncs and background GC. The FTL runs with
-// victimOracle set, so *every* victim selection along the way — foreground,
+// victimOracle armed, so *every* victim selection along the way — foreground,
 // background, forced — is verified against the scan reference in pickVictim.
 func oracleWorkload(t *testing.T, e *sim.Engine, f *FTL, rng *benchRNG, rounds int) {
 	t.Helper()
@@ -108,7 +153,7 @@ func TestVictimIndexOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f.victimOracle = true
+				f.victimOracle = f.pickVictimScan
 
 				rng := benchRNG(0x9e3779b97f4a7c15 ^ uint64(seed)*0xbf58476d1ce4e5b9)
 				oracleWorkload(t, e, f, &rng, 2048)
@@ -132,7 +177,7 @@ func TestVictimIndexOracle(t *testing.T) {
 				if err := f2.Restore(st); err != nil {
 					t.Fatal(err)
 				}
-				f2.victimOracle = true
+				f2.victimOracle = f2.pickVictimScan
 				if err := f2.CheckInvariants(); err != nil {
 					t.Fatalf("restored FTL: %v", err)
 				}
@@ -150,7 +195,7 @@ func TestVictimIndexWearLevel(t *testing.T) {
 	cfg := smallCfg()
 	cfg.WearDeltaThreshold = 2
 	e, f := newSmall(t, cfg)
-	f.victimOracle = true
+	f.victimOracle = f.pickVictimScan
 	f.Write(65536, 32768, TagHostData, StreamData)
 	f.Sync(StreamData, TagHostData)
 	e.Run()
