@@ -289,19 +289,31 @@ func (en *Engine) Get(p *sim.Proc, key int64) {
 			en.hostCache.insert(key)
 		}
 	}()
+	// Entry objects are recycled once their table's checkpoint retires it,
+	// so a laid-out log's placement (final from then on) is read before the
+	// process yields.
 	if e := en.jr.JMT().Latest(key); e != nil {
 		if !e.committed {
 			// still in the engine's memory buffer: no device access
 			return
 		}
+		off, n := e.off, int64(e.payload)
 		p.Sleep(en.cfg.HostIOOverhead)
-		p.Wait(en.dev.Read(e.off, int64(e.payload)))
+		p.Wait(en.dev.Read(off, n))
 		return
 	}
 	if en.ckptSnapshot != nil {
 		if e := en.ckptSnapshot.Latest(key); e != nil {
+			off, n, laidOut := e.off, int64(e.payload), e.stored > 0
 			p.Sleep(en.cfg.HostIOOverhead)
-			p.Wait(en.dev.Read(e.off, int64(e.payload)))
+			if !laidOut {
+				// The cut is still laying this log out; the read takes
+				// wherever it landed. Its table cannot retire before the
+				// checkpoint's own host overhead and device commands have
+				// run, which outlasts this sleep.
+				off = e.off
+			}
+			p.Wait(en.dev.Read(off, n))
 			return
 		}
 	}
@@ -350,7 +362,7 @@ func (en *Engine) Put(p *sim.Proc, key int64, size int) { en.Update(p, key, size
 // so Sync matters only to callers pacing explicit durability epochs (the
 // cross-engine equivalence oracle).
 func (en *Engine) Sync(p *sim.Proc) {
-	for en.jr.commitInFlight || len(en.jr.pending) > 0 {
+	for en.jr.commitInFlight || en.jr.hasPending() {
 		if en.jr.inFlightDone != nil {
 			p.Wait(en.jr.inFlightDone)
 		} else {
@@ -453,6 +465,7 @@ func (en *Engine) TriggerCheckpoint() *sim.Future {
 			}
 		}
 		en.ckptSnapshot = nil
+		en.jr.retire(snap.jmt)
 		en.metrics.noteCheckpoint(p.Now() - start)
 		en.cfg.Tracer.Emit(p.Now(), trace.KindCheckpointEnd, int64(p.Now()-start), "")
 		en.ckptRunning = false

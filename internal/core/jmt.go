@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // LogType classifies a journal log's stored format (Algorithm 2).
 type LogType uint8
 
@@ -53,54 +55,90 @@ type jmtEntry struct {
 }
 
 // JMT is the journal mapping table for one journal half: an append-only
-// entry log plus a latest-version index.
+// entry log plus a latest-version index. Keys are record numbers, dense in
+// [0, Keys), so the index is a key-indexed slice of log positions: Latest,
+// on every query, is two bounds-checked loads, and the index holds no
+// pointers for the garbage collector to scan.
 type JMT struct {
 	entries []*jmtEntry
-	latest  map[int64]*jmtEntry
-	live    int // entries with old == false
+	latest  []int32 // key → log position+1 of its newest entry, 0 = none
+	live    int     // entries with old == false
 }
 
-// NewJMT returns an empty table.
-func NewJMT() *JMT {
-	return &JMT{latest: make(map[int64]*jmtEntry)}
+// NewJMT returns an empty table whose index grows to the largest key added.
+func NewJMT() *JMT { return &JMT{} }
+
+// newJMT returns an empty table indexing keys [0, keys) without growth.
+func newJMT(keys int64) *JMT {
+	return &JMT{latest: make([]int32, keys)}
 }
 
 // Add appends a new entry, marking any previous entry for the same key OLD.
 func (t *JMT) Add(e *jmtEntry) {
-	if prev, ok := t.latest[e.key]; ok {
-		prev.old = true
+	if e.key >= int64(len(t.latest)) {
+		t.latest = append(t.latest, make([]int32, e.key+1-int64(len(t.latest)))...)
+	}
+	if p := t.latest[e.key]; p != 0 {
+		t.entries[p-1].old = true
 		t.live--
 	}
 	t.entries = append(t.entries, e)
-	t.latest[e.key] = e
+	t.latest[e.key] = int32(len(t.entries))
 	t.live++
 }
 
-// clone returns a deep copy of the table. The latest index points at the
-// same entry objects as the append log, so cloning goes through an identity
-// map: each source entry is copied exactly once and the copy is shared by
-// both structures, preserving the aliasing Add relies on when it flips a
-// previous entry's OLD flag.
+// newEntry returns a zeroed entry for the next Add: the object a reset left
+// at the log's next position when there is one, else a fresh one. A table
+// reused across checkpoint cuts thus appends without allocating once it has
+// held as many entries before.
+func (t *JMT) newEntry() *jmtEntry {
+	if n := len(t.entries); n < cap(t.entries) {
+		if e := t.entries[:n+1][n]; e != nil {
+			*e = jmtEntry{}
+			return e
+		}
+	}
+	return new(jmtEntry)
+}
+
+// reset empties the table in O(entries) for reuse by a later cut. The
+// entry objects stay behind the log's length for newEntry to hand out
+// again, so nothing may still reference them: the table's checkpoint has
+// finished and every commit of its half has completed.
+func (t *JMT) reset() {
+	for _, e := range t.entries {
+		t.latest[e.key] = 0
+	}
+	t.entries = t.entries[:0]
+	t.live = 0
+}
+
+// clone returns a deep copy of the table. The index holds log positions,
+// not entry pointers, so it copies as is and keeps naming the copies.
 func (t *JMT) clone() *JMT {
 	out := &JMT{
 		entries: make([]*jmtEntry, len(t.entries)),
-		latest:  make(map[int64]*jmtEntry, len(t.latest)),
+		latest:  slices.Clone(t.latest),
 		live:    t.live,
 	}
-	remap := make(map[*jmtEntry]*jmtEntry, len(t.entries))
+	copies := make([]jmtEntry, len(t.entries))
 	for i, e := range t.entries {
-		ce := *e
-		out.entries[i] = &ce
-		remap[e] = &ce
-	}
-	for k, e := range t.latest {
-		out.latest[k] = remap[e]
+		copies[i] = *e
+		out.entries[i] = &copies[i]
 	}
 	return out
 }
 
 // Latest returns the newest entry for key, or nil.
-func (t *JMT) Latest(key int64) *jmtEntry { return t.latest[key] }
+func (t *JMT) Latest(key int64) *jmtEntry {
+	if key < 0 || key >= int64(len(t.latest)) {
+		return nil
+	}
+	if p := t.latest[key]; p != 0 {
+		return t.entries[p-1]
+	}
+	return nil
+}
 
 // Entries returns the full append log (including OLD entries).
 func (t *JMT) Entries() []*jmtEntry { return t.entries }

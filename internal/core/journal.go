@@ -51,8 +51,15 @@ type journal struct {
 	head   int64 // bytes used in the active half
 
 	jmt *JMT
+	// spare is the table a finished checkpoint retired, reset and waiting
+	// to become the active table at the next cut (nil until one retires).
+	spare *JMT
 
-	pending        []*jmtEntry
+	// The buffered logs — appended, not yet laid out — are always the
+	// suffix jmt.entries[pendFrom:] of the active table's log. pendBytes
+	// upper-bounds the journal bytes they will need once laid out.
+	pendFrom       int
+	pendBytes      int64
 	nextBatch      *sim.Future
 	commitInFlight bool
 	inFlightDone   *sim.Future
@@ -79,7 +86,7 @@ func newJournal(eng *sim.Engine, dev *ssd.Device, layout *Layout, aligned bool, 
 		unit:     int64(dev.FTL().UnitSize()),
 		header:   header,
 		compress: compress,
-		jmt:      NewJMT(),
+		jmt:      newJMT(layout.Keys()),
 	}
 }
 
@@ -89,25 +96,28 @@ func (j *journal) UsedBytes() int64 { return j.head }
 
 // UsedFrac returns the active half's fill fraction.
 func (j *journal) UsedFrac() float64 {
-	return float64(j.head+j.pendingEstimate()) / float64(j.layout.JournalHalfBytes)
+	return float64(j.head+j.pendBytes) / float64(j.layout.JournalHalfBytes)
 }
 
-// pendingEstimate upper-bounds the journal bytes the buffered logs will
-// need once laid out.
-func (j *journal) pendingEstimate() int64 {
-	var sum int64
-	for _, e := range j.pending {
-		sum += roundUp(int64(e.payload)+j.header, j.unit) + j.unit
-	}
-	return sum
+// logEstimate upper-bounds the journal bytes one log of payload bytes needs
+// once laid out.
+func (j *journal) logEstimate(payload int) int64 {
+	return roundUp(int64(payload)+j.header, j.unit) + j.unit
 }
 
 // WouldOverflow reports whether appending a log of payload bytes risks
 // exceeding the active half.
 func (j *journal) WouldOverflow(payload int) bool {
-	need := roundUp(int64(payload)+j.header, j.unit) + j.unit
-	return j.head+j.pendingEstimate()+need > j.layout.JournalHalfBytes
+	return j.head+j.pendBytes+j.logEstimate(payload) > j.layout.JournalHalfBytes
 }
+
+// pending returns the buffered logs.
+func (j *journal) pending() []*jmtEntry {
+	return j.jmt.entries[j.pendFrom:len(j.jmt.entries):len(j.jmt.entries)]
+}
+
+// hasPending reports whether any log is buffered.
+func (j *journal) hasPending() bool { return j.pendFrom < len(j.jmt.entries) }
 
 // Append buffers a journal log for key at the given version and returns its
 // JMT entry plus a future that completes when the log's group commit is
@@ -117,15 +127,14 @@ func (j *journal) Append(key, version int64, payload int) (*jmtEntry, *sim.Futur
 	if payload > targetLen {
 		payload = targetLen
 	}
-	e := &jmtEntry{
-		key:       key,
-		version:   version,
-		payload:   payload,
-		targetOff: targetOff,
-		targetLen: targetLen,
-	}
+	e := j.jmt.newEntry()
+	e.key = key
+	e.version = version
+	e.payload = payload
+	e.targetOff = targetOff
+	e.targetLen = targetLen
 	j.jmt.Add(e)
-	j.pending = append(j.pending, e)
+	j.pendBytes += j.logEstimate(payload)
 	j.stats.Logs++
 	j.stats.PayloadBytes += uint64(payload)
 	if j.nextBatch == nil {
@@ -143,12 +152,12 @@ func (j *journal) Append(key, version int64, payload int) (*jmtEntry, *sim.Futur
 // with one device write, and flushes. Logs arriving during the in-flight
 // commit form the next batch (group commit).
 func (j *journal) startCommit() {
-	if len(j.pending) == 0 || j.commitInFlight {
+	if !j.hasPending() || j.commitInFlight {
 		return
 	}
-	batch := j.pending
+	batch := j.pending()
 	fut := j.nextBatch
-	j.pending = nil
+	j.pendFrom, j.pendBytes = len(j.jmt.entries), 0
 	j.nextBatch = nil
 
 	base := j.layout.JournalStart(j.active) + j.head
@@ -192,7 +201,7 @@ func (j *journal) commitBatch(batch []*jmtEntry, fut *sim.Future, base int64) in
 		j.commitInFlight = false
 		j.inFlightDone = nil
 		fut.Complete()
-		if !j.cutting && len(j.pending) > 0 {
+		if !j.cutting && j.hasPending() {
 			j.startCommit()
 		}
 	})
@@ -309,12 +318,16 @@ type ckptSnapshot struct {
 func (j *journal) CutForCheckpoint(p *sim.Proc) ckptSnapshot {
 	j.cutting = true
 	oldJmt, oldHalf, oldHead := j.jmt, j.active, j.head
-	oldPending, oldFut := j.pending, j.nextBatch
+	oldPending, oldFut := j.pending(), j.nextBatch
 
-	j.jmt = NewJMT()
+	if j.spare != nil {
+		j.jmt, j.spare = j.spare, nil
+	} else {
+		j.jmt = newJMT(j.layout.Keys())
+	}
 	j.active ^= 1
 	j.head = 0
-	j.pending = nil
+	j.pendFrom, j.pendBytes = 0, 0
 	j.nextBatch = nil
 
 	// wait for the batch already being written to the old half
@@ -337,10 +350,17 @@ func (j *journal) CutForCheckpoint(p *sim.Proc) ckptSnapshot {
 	j.tracer.Emit(j.eng.Now(), trace.KindJournalSwitch, int64(oldHalf), "")
 	j.injector.Hit(inject.SiteCheckpointCut)
 	// resume group commit on the new half
-	if len(j.pending) > 0 {
+	if j.hasPending() {
 		j.startCommit()
 	}
 	return ckptSnapshot{jmt: oldJmt, half: oldHalf, used: oldHead}
+}
+
+// retire hands back a cut table whose checkpoint has finished: it is reset
+// and becomes the active table at the next cut, entry objects included.
+func (j *journal) retire(t *JMT) {
+	t.reset()
+	j.spare = t
 }
 
 // Stats returns a snapshot of journaling counters.

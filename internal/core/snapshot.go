@@ -40,7 +40,7 @@ func (en *Engine) Snapshot() (*EngineState, error) {
 	switch {
 	case en.ckptRunning || en.ckptSnapshot != nil:
 		return nil, fmt.Errorf("core: snapshot during a checkpoint")
-	case en.jr.commitInFlight || en.jr.cutting || len(en.jr.pending) > 0:
+	case en.jr.commitInFlight || en.jr.cutting || en.jr.hasPending():
 		return nil, fmt.Errorf("core: snapshot with journal activity in flight")
 	case en.gateClosed:
 		return nil, fmt.Errorf("core: snapshot with the query gate closed")
@@ -94,7 +94,7 @@ func (en *Engine) Restore(s *EngineState) error {
 	en.jr.head = s.jrHead
 	en.jr.stats = s.jrStats
 	en.jr.jmt = s.jmt.clone()
-	en.jr.pending = nil
+	en.jr.pendFrom, en.jr.pendBytes = len(en.jr.jmt.entries), 0
 	en.jr.nextBatch = nil
 	en.jr.commitInFlight = false
 	en.jr.inFlightDone = nil

@@ -358,7 +358,7 @@ type FTL struct {
 	rev []int64
 	// extra reverse mappings for slots with refcnt > 1 (transient between
 	// checkpoint remap and journal trim)
-	revOverflow map[int64][]int64
+	revOverflow slotTable[int64]
 
 	state      []blockState
 	validCount []int32
@@ -441,11 +441,6 @@ type FTL struct {
 	copyFuts  []*sim.Future
 	syncFuts  []*sim.Future
 
-	// ovFree interns the small revOverflow slices: checkpoint remaps create
-	// and retire one per shared slot, and recycling them keeps remap-heavy
-	// runs from churning the allocator.
-	ovFree [][]int64
-
 	// fm is the DFTL-style flash-resident mapping layer (dftl.go); its zero
 	// value is the disabled layer (DRAM-resident mapping, the default).
 	fm flashMap
@@ -471,7 +466,6 @@ func New(eng *sim.Engine, array *nand.Array, cfg Config) (*FTL, error) {
 		slotsPerPage: geo.PageSize / cfg.UnitSize,
 		pagesPerBlk:  geo.PagesPerBlock,
 		totalBlocks:  geo.TotalBlocks(),
-		revOverflow:  make(map[int64][]int64),
 	}
 	physBytes := geo.TotalBytes()
 	f.logicalBytes = int64(float64(physBytes) / (1 + cfg.OverProvision))
@@ -641,35 +635,11 @@ func (f *FTL) shareSlot(lun, sid int64) {
 		panic("ftl: slot reference count overflow")
 	}
 	f.refcnt[sid]++
-	ov, ok := f.revOverflow[sid]
-	if !ok {
-		ov = f.takeOv()
-	}
-	f.revOverflow[sid] = append(ov, lun)
+	f.revOverflow.add(sid, lun)
 	f.rlog.noteAlias(sid, lun)
 	f.noteMapDirty(1)
 	if f.fm.enabled {
 		f.fmWrite(lun)
-	}
-}
-
-// takeOv returns an interned overflow slice (or a fresh one). Checkpoint
-// remaps create and retire one small slice per shared slot; recycling them
-// keeps remap-heavy runs from churning the allocator.
-func (f *FTL) takeOv() []int64 {
-	if n := len(f.ovFree); n > 0 {
-		ov := f.ovFree[n-1]
-		f.ovFree[n-1] = nil
-		f.ovFree = f.ovFree[:n-1]
-		return ov
-	}
-	return make([]int64, 0, 2)
-}
-
-// recycleOv returns an emptied overflow slice to the intern pool.
-func (f *FTL) recycleOv(ov []int64) {
-	if cap(ov) > 0 && len(f.ovFree) < 64 {
-		f.ovFree = append(f.ovFree, ov[:0])
 	}
 }
 
@@ -704,32 +674,19 @@ func (f *FTL) dropRef(sid, lun int64) {
 		return
 	}
 	f.refcnt[sid] = rc - 1
+	ov := f.revOverflow.get(sid)
 	if f.rev[sid] == lun {
-		// promote an overflow entry to primary
-		ov := f.revOverflow[sid]
+		// promote the last overflow entry to primary
 		f.rev[sid] = ov[len(ov)-1]
-		ov = ov[:len(ov)-1]
-		if len(ov) == 0 {
-			f.recycleOv(ov)
-			delete(f.revOverflow, sid)
-		} else {
-			f.revOverflow[sid] = ov
-		}
+		f.revOverflow.truncate(sid, len(ov)-1)
 		return
 	}
-	ov := f.revOverflow[sid]
 	for i, l := range ov {
 		if l == lun {
 			ov[i] = ov[len(ov)-1]
-			ov = ov[:len(ov)-1]
-			break
+			f.revOverflow.truncate(sid, len(ov)-1)
+			return
 		}
-	}
-	if len(ov) == 0 {
-		f.recycleOv(ov)
-		delete(f.revOverflow, sid)
-	} else {
-		f.revOverflow[sid] = ov
 	}
 }
 
@@ -741,7 +698,7 @@ func (f *FTL) lunsOf(sid int64) []int64 {
 		return nil
 	}
 	out := append(f.lunsBuf[:0], f.rev[sid])
-	out = append(out, f.revOverflow[sid]...)
+	out = append(out, f.revOverflow.get(sid)...)
 	f.lunsBuf = out
 	return out
 }
@@ -1470,10 +1427,7 @@ func (f *FTL) migrateLive(b int) {
 			f.noteMapDirty(1)
 		}
 		if f.refcnt[sid] > 1 {
-			if ov, ok := f.revOverflow[sid]; ok {
-				f.recycleOv(ov)
-				delete(f.revOverflow, sid)
-			}
+			f.revOverflow.drop(sid)
 		}
 		f.refcnt[sid] = 0
 		f.rev[sid] = -1

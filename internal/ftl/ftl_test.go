@@ -86,7 +86,7 @@ func checkInvariants(t *testing.T, f *FTL) {
 		if refs[int64(sid)] != rc {
 			t.Fatalf("slot %d refcnt %d but %d luns reference it", sid, rc, refs[int64(sid)])
 		}
-		want := 1 + len(f.revOverflow[int64(sid)])
+		want := 1 + len(f.revOverflow.get(int64(sid)))
 		if rc != want {
 			t.Fatalf("slot %d refcnt %d but primary+overflow = %d", sid, rc, want)
 		}

@@ -30,8 +30,9 @@ import (
 //  6. In dftl mode (Config.FlashMap) the cached mapping table, its LRU, the
 //     global translation directory and the flash-resident entry copies are
 //     mutually consistent — see fmCheckInvariants in dftl.go.
-//  7. A slot's bit in the recovery log's alias bitmap is set exactly when
-//     the slot has alias records.
+//  7. In both slot tables (the reverse-mapping overflow and the recovery
+//     log's alias records) every set index names a non-empty pooled slice
+//     of its own, and the set indexes account for every live pool entry.
 func (f *FTL) CheckInvariants() error {
 	const maxViolations = 8
 	var violations []string
@@ -52,7 +53,7 @@ func (f *FTL) CheckInvariants() error {
 			continue
 		}
 		found := f.rev[sid] == int64(lun)
-		for _, l := range f.revOverflow[sid] {
+		for _, l := range f.revOverflow.get(sid) {
 			if l == int64(lun) {
 				if found {
 					report("lun %d appears twice in slot %d's reverse mappings", lun, sid)
@@ -65,11 +66,11 @@ func (f *FTL) CheckInvariants() error {
 		}
 		refs[sid]++
 	}
-	for sid, ov := range f.revOverflow {
+	f.revOverflow.each(func(sid int64, ov []int64) {
 		if f.refcnt[sid] < 2 {
 			report("slot %d has %d overflow reverse mappings but refcnt %d", sid, len(ov), f.refcnt[sid])
 		}
-	}
+	})
 
 	// 2 (slot side) & 3: per-block accounting.
 	slotsPerBlock := f.pagesPerBlk * f.slotsPerPage
@@ -86,7 +87,7 @@ func (f *FTL) CheckInvariants() error {
 				continue
 			}
 			live++
-			if want := 1 + len(f.revOverflow[sid]); rc != want {
+			if want := 1 + len(f.revOverflow.get(sid)); rc != want {
 				report("slot %d refcnt %d but %d reverse mappings", sid, rc, want)
 			}
 			if n := refs[sid]; int(n) != rc {
@@ -181,8 +182,9 @@ func (f *FTL) CheckInvariants() error {
 	if f.fm.enabled {
 		f.fmCheckInvariants(report)
 	}
-	// 7: the recovery log's alias bitmap mirrors its alias map.
-	f.rlog.checkAliased(report)
+	// 7: both slot tables' dense indexes agree with their slice pools.
+	f.revOverflow.check("reverse overflow", report)
+	f.rlog.aliases.check("alias log", report)
 	for s := Stream(0); s < numStreams; s++ {
 		want := -1
 		for i := range f.fronts[s] {

@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/checkin-kv/checkin/internal/sim"
 )
@@ -35,23 +34,14 @@ type trimExtent struct {
 // the global translation directory after a sudden power-off.
 type recoveryLog struct {
 	seq     uint64
-	oob     []oobRecord           // indexed by slot id; seq 0 = never written
-	aliases map[int64][]oobRecord // slot id → alias bindings from remaps
-	// aliased holds one bit per slot, set exactly when the slot is a key of
-	// aliases. The write, erase and GC-copy paths test it before touching
-	// the map: almost every slot they see has no alias, and a bit test is
-	// far cheaper than the map delete or lookup that would miss.
-	aliased []uint64
+	oob     []oobRecord          // indexed by slot id; seq 0 = never written
+	aliases slotTable[oobRecord] // slot id → alias bindings from remaps
 	trims   []trimExtent
 	tp      []int64 // pid → tvpn of the live translation page it holds (-1)
 }
 
 func newRecoveryLog(totalSlots int64) *recoveryLog {
-	return &recoveryLog{
-		oob:     make([]oobRecord, totalSlots),
-		aliases: make(map[int64][]oobRecord),
-		aliased: make([]uint64, (totalSlots+63)/64),
-	}
+	return &recoveryLog{oob: make([]oobRecord, totalSlots)}
 }
 
 func (r *recoveryLog) next() uint64 {
@@ -59,37 +49,11 @@ func (r *recoveryLog) next() uint64 {
 	return r.seq
 }
 
-func (r *recoveryLog) hasAliases(sid int64) bool {
-	return r.aliased[sid>>6]&(1<<(uint64(sid)&63)) != 0
-}
+// aliasesOf returns sid's alias records (nil when it has none). The result
+// shares storage with the log.
+func (r *recoveryLog) aliasesOf(sid int64) []oobRecord { return r.aliases.get(sid) }
 
-// aliasesOf returns sid's alias records (nil when it has none) without a
-// map lookup for the common alias-free slot. The result shares storage
-// with the log.
-func (r *recoveryLog) aliasesOf(sid int64) []oobRecord {
-	if !r.hasAliases(sid) {
-		return nil
-	}
-	return r.aliases[sid]
-}
-
-func (r *recoveryLog) dropAliases(sid int64) {
-	if r.hasAliases(sid) {
-		delete(r.aliases, sid)
-		r.aliased[sid>>6] &^= 1 << (uint64(sid) & 63)
-	}
-}
-
-// resetAliases installs recs as the whole alias log (copied) and rebuilds
-// the bitmap from its keys.
-func (r *recoveryLog) resetAliases(recs map[int64][]oobRecord) {
-	clear(r.aliased)
-	r.aliases = make(map[int64][]oobRecord, len(recs))
-	for sid, rs := range recs {
-		r.aliases[sid] = append([]oobRecord(nil), rs...)
-		r.aliased[sid>>6] |= 1 << (uint64(sid) & 63)
-	}
-}
+func (r *recoveryLog) dropAliases(sid int64) { r.aliases.drop(sid) }
 
 func (r *recoveryLog) noteWrite(sid, lun int64) {
 	r.oob[sid] = oobRecord{lun: lun, seq: r.next()}
@@ -97,8 +61,7 @@ func (r *recoveryLog) noteWrite(sid, lun int64) {
 }
 
 func (r *recoveryLog) noteAlias(sid, lun int64) {
-	r.aliases[sid] = append(r.aliases[sid], oobRecord{lun: lun, seq: r.next()})
-	r.aliased[sid>>6] |= 1 << (uint64(sid) & 63)
+	r.aliases.add(sid, oobRecord{lun: lun, seq: r.next()})
 }
 
 func (r *recoveryLog) noteTrim(first, last int64) {
@@ -157,23 +120,6 @@ func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
 func (r *recoveryLog) clearSlot(sid int64) {
 	r.oob[sid] = oobRecord{}
 	r.dropAliases(sid)
-}
-
-// checkAliased reports any disagreement between the alias bitmap and the
-// alias map's key set: every key's bit is set, and no other bit is.
-func (r *recoveryLog) checkAliased(report func(format string, args ...any)) {
-	for sid := range r.aliases {
-		if !r.hasAliases(sid) {
-			report("slot %d has alias records but its aliased bit is clear", sid)
-		}
-	}
-	set := 0
-	for _, w := range r.aliased {
-		set += bits.OnesCount64(w)
-	}
-	if set != len(r.aliases) {
-		report("%d aliased bits set but %d slots have alias records", set, len(r.aliases))
-	}
 }
 
 // noteTransWrite records that physical page pid now holds the live

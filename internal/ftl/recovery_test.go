@@ -119,23 +119,24 @@ func TestSPORRandomTraffic(t *testing.T) {
 	}
 }
 
-// aliasedSlots lists the slots whose alias bit is set, ascending.
+// aliasedSlots lists the slots with an alias index set, ascending, probing
+// every slot rather than trusting the index's own iteration.
 func aliasedSlots(r *recoveryLog) []int64 {
 	var sids []int64
 	for sid := int64(0); sid < int64(len(r.oob)); sid++ {
-		if r.hasAliases(sid) {
+		if r.aliases.idx.Get(sid) != 0 {
 			sids = append(sids, sid)
 		}
 	}
 	return sids
 }
 
-// TestRestoreResetsAliasBitmap pins Restore's alias-bitmap rebuild: the
-// bitmap is derived state, so restoring a snapshot onto an FTL whose own
-// remaps left alias bits behind must clear every stale bit and set exactly
-// the restored log's slots. CheckInvariants enforces the bit ⇔ map-key
-// agreement; the explicit slot lists pin it without relying on the checker.
-func TestRestoreResetsAliasBitmap(t *testing.T) {
+// TestRestoreRebuildsAliasIndex pins Restore's alias-table rebuild:
+// restoring a snapshot onto an FTL whose own remaps left alias entries
+// behind must clear every stale index and set exactly the restored log's
+// slots. The explicit slot lists pin it without relying on the checker; the
+// tail plants a dangling index and expects CheckInvariants to reject it.
+func TestRestoreRebuildsAliasIndex(t *testing.T) {
 	const dataOff = 65536
 	e, f := newSmall(t, smallCfg())
 	f.Write(0, 8192, TagHostJournal, StreamJournal)
@@ -153,21 +154,21 @@ func TestRestoreResetsAliasBitmap(t *testing.T) {
 	}
 	want := aliasedSlots(f.rlog)
 	if len(want) == 0 {
-		t.Fatal("remap set no alias bits")
+		t.Fatal("remap set no alias entries")
 	}
 
-	// Stale bits on a restore target: remap a different extent, so the
-	// live bitmap holds bits the aliased snapshot does not.
+	// Stale entries on a restore target: remap a different extent, so the
+	// live table holds slots the aliased snapshot does not.
 	f.Remap(4096, dataOff+4096, 4096)
 	e.Run()
 	if len(aliasedSlots(f.rlog)) <= len(want) {
-		t.Fatal("second remap set no further alias bits")
+		t.Fatal("second remap set no further alias entries")
 	}
 	if err := f.Restore(aliased); err != nil {
 		t.Fatal(err)
 	}
 	if got := aliasedSlots(f.rlog); !slices.Equal(got, want) {
-		t.Fatalf("restored alias bits %v, want exactly %v", got, want)
+		t.Fatalf("restored alias slots %v, want exactly %v", got, want)
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -176,17 +177,18 @@ func TestRestoreResetsAliasBitmap(t *testing.T) {
 	if err := f.Restore(clean); err != nil {
 		t.Fatal(err)
 	}
-	if got := aliasedSlots(f.rlog); len(got) != 0 || len(f.rlog.aliases) != 0 {
-		t.Fatalf("restore of an alias-free snapshot left bits %v and %d alias records", got, len(f.rlog.aliases))
+	if got := aliasedSlots(f.rlog); len(got) != 0 || f.rlog.aliases.len() != 0 || f.rlog.aliases.idx.Chunks() != 0 {
+		t.Fatalf("restore of an alias-free snapshot left slots %v, %d indexed, %d chunks",
+			got, f.rlog.aliases.len(), f.rlog.aliases.idx.Chunks())
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The checker itself catches a bit without a record.
-	f.rlog.aliased[0] |= 1
+	// The checker itself catches an index naming no pooled slice.
+	f.rlog.aliases.idx.Set(0, int32(len(f.rlog.aliases.pool)+1))
 	if err := f.CheckInvariants(); err == nil {
-		t.Fatal("CheckInvariants accepted an aliased bit with no alias records")
+		t.Fatal("CheckInvariants accepted a dangling alias index")
 	}
 }
 

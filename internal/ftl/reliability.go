@@ -117,15 +117,12 @@ func (f *FTL) handleProgramFail(s Stream, idx int, inflight bool) {
 			// Bound slot: move every logical reference. luns is built by
 			// hand — not via lunsOf — because a caller (the GC migrate pass)
 			// may hold the shared scratch buffer across this call.
-			luns := append([]int64{f.rev[oldSid]}, f.revOverflow[oldSid]...)
+			luns := append([]int64{f.rev[oldSid]}, f.revOverflow.get(oldSid)...)
 			for _, lun := range luns {
 				f.l2p[lun] = -1
 			}
 			if rc > 1 {
-				if ov, ok := f.revOverflow[oldSid]; ok {
-					f.recycleOv(ov)
-					delete(f.revOverflow, oldSid)
-				}
+				f.revOverflow.drop(oldSid)
 			}
 			f.refcnt[oldSid] = 0
 			f.rev[oldSid] = -1

@@ -16,7 +16,7 @@ type FTLState struct {
 	l2p         []int64
 	refcnt      []uint8
 	rev         []int64
-	revOverflow map[int64][]int64
+	revOverflow slotLists[int64]
 
 	state      []blockState
 	validCount []int32
@@ -43,7 +43,7 @@ type FTLState struct {
 
 	rlogSeq     uint64
 	rlogOOB     []oobRecord
-	rlogAliases map[int64][]oobRecord
+	rlogAliases slotLists[oobRecord]
 	rlogTrims   []trimExtent
 	rlogTP      []int64
 
@@ -83,7 +83,7 @@ func (f *FTL) Snapshot() (*FTLState, error) {
 		l2p:         append([]int64(nil), f.l2p...),
 		refcnt:      append([]uint8(nil), f.refcnt...),
 		rev:         append([]int64(nil), f.rev...),
-		revOverflow: make(map[int64][]int64, len(f.revOverflow)),
+		revOverflow: f.revOverflow.capture(),
 
 		state:      append([]blockState(nil), f.state...),
 		validCount: append([]int32(nil), f.validCount...),
@@ -109,13 +109,10 @@ func (f *FTL) Snapshot() (*FTLState, error) {
 
 		rlogSeq:     f.rlog.seq,
 		rlogOOB:     append([]oobRecord(nil), f.rlog.oob...),
-		rlogAliases: make(map[int64][]oobRecord, len(f.rlog.aliases)),
+		rlogAliases: f.rlog.aliases.capture(),
 		rlogTrims:   append([]trimExtent(nil), f.rlog.trims...),
 
 		stats: f.stats,
-	}
-	for sid, luns := range f.revOverflow {
-		st.revOverflow[sid] = append([]int64(nil), luns...)
 	}
 	for i, blocks := range f.freeByDie {
 		st.freeByDie[i] = append([]int(nil), blocks...)
@@ -132,9 +129,6 @@ func (f *FTL) Snapshot() (*FTLState, error) {
 				fillTag:  fr.fillTag,
 			}
 		}
-	}
-	for sid, recs := range f.rlog.aliases {
-		st.rlogAliases[sid] = append([]oobRecord(nil), recs...)
 	}
 	if f.fm.enabled {
 		if f.fm.flushing {
@@ -172,10 +166,7 @@ func (f *FTL) Restore(st *FTLState) error {
 	copy(f.l2p, st.l2p)
 	copy(f.refcnt, st.refcnt)
 	copy(f.rev, st.rev)
-	f.revOverflow = make(map[int64][]int64, len(st.revOverflow))
-	for sid, luns := range st.revOverflow {
-		f.revOverflow[sid] = append([]int64(nil), luns...)
-	}
+	f.revOverflow.restore(st.revOverflow)
 
 	copy(f.state, st.state)
 	copy(f.validCount, st.validCount)
@@ -224,7 +215,7 @@ func (f *FTL) Restore(st *FTLState) error {
 
 	f.rlog.seq = st.rlogSeq
 	copy(f.rlog.oob, st.rlogOOB)
-	f.rlog.resetAliases(st.rlogAliases)
+	f.rlog.aliases.restore(st.rlogAliases)
 	f.rlog.trims = append(f.rlog.trims[:0], st.rlogTrims...)
 
 	if f.fm.enabled {

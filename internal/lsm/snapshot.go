@@ -125,7 +125,7 @@ func (en *Engine) Restore(s *EngineState) error {
 	en.w.head = s.walHead
 	en.w.seq = s.walSeq
 	en.w.stats = s.walStats
-	en.w.pending = nil
+	en.w.pending, en.w.pendBytes = nil, 0
 	en.w.nextBatch = nil
 	en.w.commitInFlight = false
 	en.w.inFlightDone = nil

@@ -48,7 +48,10 @@ type wal struct {
 	head   int64
 	seq    int64
 
-	pending        []*walRec
+	pending []*walRec
+	// pendBytes is the WAL bytes the pending records will occupy once laid
+	// out, kept as a running sum because every Update reads it twice.
+	pendBytes      int64
 	nextBatch      *sim.Future
 	commitInFlight bool
 	inFlightDone   *sim.Future
@@ -74,7 +77,7 @@ func (w *wal) halfStart(h int) int64 { return int64(h) * w.halfBytes }
 // UsedFrac returns the active half's fill fraction including buffered
 // records.
 func (w *wal) UsedFrac() float64 {
-	return float64(w.head+w.pendingEstimate()) / float64(w.halfBytes)
+	return float64(w.head+w.pendBytes) / float64(w.halfBytes)
 }
 
 func (w *wal) recStored(payload int) int64 {
@@ -84,19 +87,11 @@ func (w *wal) recStored(payload int) int64 {
 	return w.header + int64(payload)
 }
 
-func (w *wal) pendingEstimate() int64 {
-	var sum int64
-	for _, r := range w.pending {
-		sum += roundUp(w.recStored(r.payload), sector)
-	}
-	return sum
-}
-
 // WouldOverflow reports whether logging a payload of the given size risks
 // exceeding the active half.
 func (w *wal) WouldOverflow(payload int) bool {
 	need := roundUp(w.recStored(payload), sector) + sector
-	return w.head+w.pendingEstimate()+need > w.halfBytes
+	return w.head+w.pendBytes+need > w.halfBytes
 }
 
 // Append buffers a WAL record and returns it plus a future completing when
@@ -105,6 +100,7 @@ func (w *wal) Append(key, version int64, payload int) (*walRec, *sim.Future) {
 	w.seq++
 	r := &walRec{seq: w.seq, key: key, version: version, payload: payload}
 	w.pending = append(w.pending, r)
+	w.pendBytes += roundUp(w.recStored(payload), sector)
 	w.stats.Logs++
 	w.stats.PayloadBytes += uint64(payload)
 	if w.nextBatch == nil {
@@ -126,7 +122,7 @@ func (w *wal) startCommit() {
 	}
 	batch := w.pending
 	fut := w.nextBatch
-	w.pending = nil
+	w.pending, w.pendBytes = nil, 0
 	w.nextBatch = nil
 
 	base := w.halfStart(w.active) + w.head
@@ -200,7 +196,7 @@ func (w *wal) Seal(p *sim.Proc) (half int, used int64, maxSeq int64) {
 
 	w.active ^= 1
 	w.head = 0
-	w.pending = nil
+	w.pending, w.pendBytes = nil, 0
 	w.nextBatch = nil
 
 	for w.commitInFlight {

@@ -13,6 +13,7 @@ package ssd
 import (
 	"fmt"
 
+	"github.com/checkin-kv/checkin/internal/dense"
 	"github.com/checkin-kv/checkin/internal/ftl"
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
@@ -494,6 +495,9 @@ func (d *Device) ResumeDeallocator() {
 // next, so once the cache has been full the steady state allocates nothing —
 // unlike container/list, which pays one heap Element per insert (and boxed
 // the unit number on top). Churn-heavy workloads insert millions of times.
+// The unit → slot index is dense (slot+1, 0 = absent) and lazily chunked:
+// every host read and write probes it once per unit, and a chunk costs
+// memory only once a unit in its range has been cached.
 type unitCache struct {
 	capacity int64
 	units    []int64 // slot -> cached unit number
@@ -502,24 +506,41 @@ type unitCache struct {
 	head     int32   // most recently used, -1 when empty
 	tail     int32   // least recently used, -1 when empty
 	freeHead int32   // free-list head, -1 when none
-	index    map[int64]int32
+	index    dense.Index
 }
 
 func newUnitCache(capUnits int64) *unitCache {
 	if capUnits < 1 {
 		return nil
 	}
-	return &unitCache{capacity: capUnits, head: -1, tail: -1, freeHead: -1, index: make(map[int64]int32)}
+	return &unitCache{capacity: capUnits, head: -1, tail: -1, freeHead: -1}
 }
 
-// reset empties the cache, keeping slot-array capacity and map buckets for
+// reset empties the cache, keeping slot-array capacity and index chunks for
 // reuse (Restore repopulates immediately after).
 func (c *unitCache) reset() {
 	c.units = c.units[:0]
 	c.next = c.next[:0]
 	c.prev = c.prev[:0]
 	c.head, c.tail, c.freeHead = -1, -1, -1
-	clear(c.index)
+	c.index.Reset()
+}
+
+// slot returns u's slot, or -1 when u is not resident.
+func (c *unitCache) slot(u int64) int32 { return c.index.Get(u) - 1 }
+
+// insertFront makes u resident as the most recent entry (u must be absent).
+func (c *unitCache) insertFront(u int64) {
+	s := c.alloc(u)
+	c.pushFront(s)
+	c.index.Set(u, s+1)
+}
+
+// remove evicts resident slot s.
+func (c *unitCache) remove(s int32) {
+	c.unlink(s)
+	c.index.Clear(c.units[s])
+	c.release(s)
 }
 
 // alloc returns a slot for unit u, recycling from the free list when
@@ -590,7 +611,7 @@ func (d *Device) cacheLookup(off, n int64) int {
 	first, last := d.unitsOf(off, n)
 	miss := 0
 	for u := first; u <= last; u++ {
-		if s, ok := d.cache.index[u]; ok {
+		if s := d.cache.slot(u); s >= 0 {
 			d.cache.moveToFront(s)
 			d.stats.CacheHits++
 		} else {
@@ -607,18 +628,13 @@ func (d *Device) cacheInsert(off, n int64) {
 	}
 	first, last := d.unitsOf(off, n)
 	for u := first; u <= last; u++ {
-		if s, ok := d.cache.index[u]; ok {
+		if s := d.cache.slot(u); s >= 0 {
 			d.cache.moveToFront(s)
 			continue
 		}
-		s := d.cache.alloc(u)
-		d.cache.pushFront(s)
-		d.cache.index[u] = s
-		if int64(len(d.cache.index)) > d.cache.capacity {
-			old := d.cache.tail
-			d.cache.unlink(old)
-			delete(d.cache.index, d.cache.units[old])
-			d.cache.release(old)
+		d.cache.insertFront(u)
+		if int64(d.cache.index.Len()) > d.cache.capacity {
+			d.cache.remove(d.cache.tail)
 		}
 	}
 }
@@ -629,10 +645,8 @@ func (d *Device) cacheInvalidate(off, n int64) {
 	}
 	first, last := d.unitsOf(off, n)
 	for u := first; u <= last; u++ {
-		if s, ok := d.cache.index[u]; ok {
-			d.cache.unlink(s)
-			d.cache.release(s)
-			delete(d.cache.index, u)
+		if s := d.cache.slot(u); s >= 0 {
+			d.cache.remove(s)
 		}
 	}
 }
