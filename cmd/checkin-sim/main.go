@@ -115,9 +115,19 @@ func main() {
 		runCrashpoints(s, *seed, *site, *hit, profile.Name, *ftlmap, *engine, *compaction)
 		return
 	}
+	// Settings both the single-stack and the sharded mode honour.
+	cfg := checkin.DefaultConfig()
+	cfg.Strategy = s
+	cfg.Engine = *engine
+	cfg.Compaction = *compaction
+	cfg.MemtableEntries = *memtable
+	cfg.CheckpointInterval = *interval
+	cfg.Seed = *seed
+	cfg.Domains = *domains
+	cfg.FTLMap = *ftlmap
+	cfg = profile.Apply(cfg)
 	if *shards > 0 {
-		runSharded(s, profile, *shards, *tenants, *arrival, *cksched, *shardPar,
-			*admitRate, *queries, *interval, *seed, *domains, *ftlmap)
+		runSharded(cfg, *shards, *tenants, *arrival, *cksched, *shardPar, *admitRate, *queries)
 		return
 	}
 	var mix checkin.Mix
@@ -136,22 +146,12 @@ func main() {
 		fatal(fmt.Errorf("unknown distribution %q", *dist))
 	}
 
-	cfg := checkin.DefaultConfig()
-	cfg.Strategy = s
-	cfg.Engine = *engine
-	cfg.Compaction = *compaction
-	cfg.MemtableEntries = *memtable
 	cfg.Keys = *keys
-	cfg.CheckpointInterval = *interval
 	cfg.MappingUnit = *unit
-	cfg.Seed = *seed
 	cfg.LockDuringCheckpoint = *lock
-	cfg.Domains = *domains
-	cfg.FTLMap = *ftlmap
 	cfg.CMTFill = *cmtfill
 	cfg.CMTCleanWindow = *cmtcw
 	cfg.RemapBatch = *remapbatch
-	cfg = profile.Apply(cfg)
 	if *dumpTrace {
 		cfg.TraceCapacity = 10_000
 	}
@@ -321,21 +321,13 @@ func runCrashpoints(s checkin.Strategy, seed int64, siteName string, hit int, er
 // engine+SSD stacks under open-loop multi-tenant traffic with a cross-shard
 // checkpoint scheduling policy. The rendered report is deterministic; only
 // the trailing wall-time line varies between machines.
-func runSharded(s checkin.Strategy, profile checkin.ErrorProfile, shards, tenants int,
-	arrival, cksched, parallel string, admitRate float64, ops int64,
-	interval time.Duration, seed int64, domains, ftlmap string) {
+func runSharded(base checkin.Config, shards, tenants int,
+	arrival, cksched, parallel string, admitRate float64, ops int64) {
 	arr, err := shard.ParseArrival(arrival)
 	if err != nil {
 		fatal(err)
 	}
 	arr.Tenants = shard.DefaultTenants(tenants, 2000)
-	base := checkin.DefaultConfig()
-	base.Strategy = s
-	base.CheckpointInterval = interval
-	base.Seed = seed
-	base.Domains = domains
-	base.FTLMap = ftlmap
-	base = profile.Apply(base)
 	cfg := shard.Config{
 		Shards:          shards,
 		Base:            base,
@@ -344,7 +336,7 @@ func runSharded(s checkin.Strategy, profile checkin.ErrorProfile, shards, tenant
 		Sched:           cksched,
 		AdmitRatePerSec: admitRate,
 		Parallel:        parallel,
-		Seed:            seed,
+		Seed:            base.Seed,
 	}
 	db, err := shard.Open(cfg)
 	if err != nil {

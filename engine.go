@@ -19,26 +19,19 @@ import (
 // this interface, so backends are interchangeable per Config.Engine and
 // directly comparable on identical inputs.
 type HostEngine interface {
+	// The ops, checkpoint control and introspection the workload drivers
+	// use (core.Drive, the shard front end, the verification oracles).
+	core.Host
+
+	// Sync blocks until every write issued so far is durable.
+	Sync(p *sim.Proc)
+
 	// Load bulk-populates every record (the YCSB load phase).
 	Load()
 	// Run executes a measured workload phase.
 	Run(spec core.RunSpec) (*core.Metrics, error)
-
-	// Query operations, called from simulation processes.
-	Get(p *sim.Proc, key int64)
-	Put(p *sim.Proc, key int64, size int)
-	Update(p *sim.Proc, key int64, size int)
-	ReadModifyWrite(p *sim.Proc, key int64, size int)
-	Scan(p *sim.Proc, key int64, n int)
-	Delete(p *sim.Proc, key int64)
-	// Sync blocks until every write issued so far is durable.
-	Sync(p *sim.Proc)
-
-	// TriggerCheckpoint starts a checkpoint cut (journal) or flush epoch
-	// (LSM) unless one is already running; the future completes when the
-	// epoch does.
-	TriggerCheckpoint() *sim.Future
-	CheckpointRunning() bool
+	// Metrics exposes the last run's live collector.
+	Metrics() *core.Metrics
 
 	// SetCommitHook observes every (key, version) the instant it becomes
 	// durable — the crash-consistency oracle's model feed.
@@ -49,12 +42,6 @@ type HostEngine interface {
 	SimulateRecovery() *core.RecoveryReport
 	DurableVersions() []int64
 	InMemoryVersions() []int64
-
-	// Introspection.
-	Device() *ssd.Device
-	Sim() *sim.Engine
-	Metrics() *core.Metrics
-	JournalStats() core.JournalStats
 
 	// Snapshot-and-fork: the backend's mutable state as an opaque value.
 	// RestoreState must reject a value captured from a different backend.
@@ -87,39 +74,36 @@ func EngineNames() []string {
 	return names
 }
 
+// hostConfig maps the settings both backends share.
+func hostConfig(cfg Config, tracer *trace.Tracer) core.HostConfig {
+	h := core.DefaultConfig().HostConfig
+	h.Strategy = cfg.Strategy
+	h.Keys = cfg.Keys
+	h.Sizer = cfg.Records
+	h.JournalHalfBytes = int64(cfg.JournalHalfMB) << 20
+	h.CheckpointInterval = sim.VTime(cfg.CheckpointInterval.Nanoseconds())
+	h.JournalSoftFrac = cfg.JournalSoftFrac
+	h.LockDuringCheckpoint = cfg.LockDuringCheckpoint
+	h.AdaptiveLiveBudget = cfg.AdaptiveLiveBudget
+	h.Tracer = tracer
+	h.Injector = cfg.Injector
+	h.Seed = cfg.Seed
+	return h
+}
+
 func buildJournalEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trace.Tracer) (HostEngine, error) {
 	ecfg := core.DefaultConfig()
-	ecfg.Strategy = cfg.Strategy
-	ecfg.Keys = cfg.Keys
-	ecfg.Sizer = cfg.Records
-	ecfg.JournalHalfBytes = int64(cfg.JournalHalfMB) << 20
-	ecfg.CheckpointInterval = sim.VTime(cfg.CheckpointInterval.Nanoseconds())
-	ecfg.JournalSoftFrac = cfg.JournalSoftFrac
+	ecfg.HostConfig = hostConfig(cfg, tracer)
 	ecfg.CompressRatio = cfg.CompressRatio
-	ecfg.AdaptiveLiveBudget = cfg.AdaptiveLiveBudget
-	ecfg.Tracer = tracer
 	ecfg.HostCacheEntries = cfg.HostCacheEntries
-	ecfg.LockDuringCheckpoint = cfg.LockDuringCheckpoint
-	ecfg.Injector = cfg.Injector
-	ecfg.Seed = cfg.Seed
 	return core.NewEngine(eng, device, ecfg)
 }
 
 func buildLSMEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trace.Tracer) (HostEngine, error) {
 	lcfg := lsm.DefaultConfig()
-	lcfg.Strategy = cfg.Strategy
-	lcfg.Keys = cfg.Keys
-	lcfg.Sizer = cfg.Records
-	lcfg.WALHalfBytes = int64(cfg.JournalHalfMB) << 20
-	lcfg.WALSoftFrac = cfg.JournalSoftFrac
+	lcfg.HostConfig = hostConfig(cfg, tracer)
 	lcfg.MemtableEntries = cfg.MemtableEntries
 	lcfg.Policy = cfg.Compaction
-	lcfg.CheckpointInterval = sim.VTime(cfg.CheckpointInterval.Nanoseconds())
-	lcfg.LockDuringCheckpoint = cfg.LockDuringCheckpoint
-	lcfg.AdaptiveLiveBudget = cfg.AdaptiveLiveBudget
-	lcfg.Tracer = tracer
-	lcfg.Injector = cfg.Injector
-	lcfg.Seed = cfg.Seed
 	return lsm.New(eng, device, lcfg)
 }
 

@@ -1,0 +1,255 @@
+package core
+
+import (
+	"fmt"
+
+	"github.com/checkin-kv/checkin/internal/sim"
+	"github.com/checkin-kv/checkin/internal/ssd"
+	"github.com/checkin-kv/checkin/internal/stats"
+	"github.com/checkin-kv/checkin/internal/workload"
+)
+
+// Ops are the query operations of a host engine, called from simulation
+// processes.
+type Ops interface {
+	Get(p *sim.Proc, key int64)
+	Update(p *sim.Proc, key int64, size int)
+	Scan(p *sim.Proc, key int64, n int)
+	Delete(p *sim.Proc, key int64)
+}
+
+// Host is the contract between a host engine and whatever drives it: the
+// closed-loop driver (Drive), the sharded open-loop front end and the
+// verification oracles. The journal engine (this package) and the LSM
+// engine (internal/lsm) both implement it.
+type Host interface {
+	Ops
+
+	Sim() *sim.Engine
+	Device() *ssd.Device
+	JournalStats() JournalStats
+
+	// TriggerCheckpoint starts a checkpoint cut (journal) or flush epoch
+	// (LSM) unless one is already running; the future completes when the
+	// epoch does.
+	TriggerCheckpoint() *sim.Future
+	CheckpointRunning() bool
+	// CheckpointEpoch advances at every checkpoint start and finish, so a
+	// query that saw it move overlapped a checkpoint.
+	CheckpointEpoch() uint64
+	// LiveEntries is the checkpoint's pending work: live JMT entries
+	// (journal) or distinct memtable keys (LSM). AdaptiveLiveBudget
+	// compares against it.
+	LiveEntries() int
+}
+
+// Apply executes one workload operation against h. A read-modify-write is
+// a Get followed by an Update; an insert is an Update of a fresh key.
+func Apply(h Ops, p *sim.Proc, op workload.Op) {
+	switch op.Kind {
+	case workload.OpRead:
+		h.Get(p, op.Key)
+	case workload.OpUpdate, workload.OpInsert:
+		h.Update(p, op.Key, op.Size)
+	case workload.OpReadModifyWrite:
+		h.Get(p, op.Key)
+		h.Update(p, op.Key, op.Size)
+	case workload.OpScan:
+		h.Scan(p, op.Key, op.ScanLen)
+	case workload.OpDelete:
+		h.Delete(p, op.Key)
+	}
+}
+
+// RunSpec describes one measured workload phase.
+type RunSpec struct {
+	Threads      int
+	TotalQueries int64
+	Mix          workload.Mix
+	// Zipfian selects the key distribution (θ = 0.99) vs uniform.
+	Zipfian bool
+	// Latest selects YCSB's latest distribution (requests skew toward
+	// recently updated keys; pair with WorkloadD). Overrides Zipfian.
+	Latest bool
+	// DisableCheckpoints turns the periodic scheduler off (for baselines
+	// of the motivation study).
+	DisableCheckpoints bool
+
+	// SampleInterval enables timeline sampling at the given period
+	// (windowed throughput, checkpoint activity, die backlog, free
+	// blocks). Zero disables sampling.
+	SampleInterval sim.VTime
+
+	// Trace, when non-nil, replays a recorded operation stream instead of
+	// generating operations: every run sees byte-identical inputs, the
+	// strictest way to compare configurations. TotalQueries caps at the
+	// trace length; Mix and Zipfian are ignored.
+	Trace *workload.Trace
+}
+
+// Validate reports a descriptive error for unusable specs.
+func (rs RunSpec) Validate() error {
+	if rs.Threads < 1 {
+		return fmt.Errorf("core: Threads %d must be >= 1", rs.Threads)
+	}
+	if rs.TotalQueries < 1 {
+		return fmt.Errorf("core: TotalQueries %d must be >= 1", rs.TotalQueries)
+	}
+	if rs.Trace != nil {
+		return nil // mix is ignored under replay
+	}
+	return rs.Mix.Validate()
+}
+
+// Drive executes a closed-loop workload against h to completion: spec.Threads
+// client processes, an optional timeline sampler, the periodic checkpoint
+// ticker and the adaptive live-budget poll, then a drain of every straggling
+// process. metrics points at the engine's live collector; Drive installs a
+// fresh one there before the run, so checkpoint processes record into it,
+// and returns it. Both host engines' Run methods are this call.
+func Drive(h Host, metrics **Metrics, cfg HostConfig, spec RunSpec) (*Metrics, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	eng, dev := h.Sim(), h.Device()
+	m := NewMetrics()
+	*metrics = m
+	m.BeginWindow(dev, h.JournalStats(), eng.Now())
+
+	var dist workload.Distribution
+	var latest *workload.Latest
+	switch {
+	case spec.Latest:
+		latest = workload.NewLatest(cfg.Keys, 1024)
+		dist = latest
+	case spec.Zipfian:
+		dist = workload.NewZipfian(cfg.Keys, workload.DefaultTheta)
+	default:
+		dist = workload.Uniform{Keys: cfg.Keys}
+	}
+
+	// Under trace replay all clients pull from one shared replayer — the
+	// single-worker simulation makes this race-free and deterministic.
+	var replay *workload.Replayer
+	if spec.Trace != nil {
+		replay = workload.NewReplayer(spec.Trace)
+		if n := int64(len(spec.Trace.Ops)); spec.TotalQueries > n {
+			spec.TotalQueries = n
+		}
+	}
+
+	remaining := spec.TotalQueries
+	clientsLeft := spec.Threads
+	runDone := false
+	var endTime sim.VTime
+
+	rng := sim.NewRNG(cfg.Seed)
+	for t := 0; t < spec.Threads; t++ {
+		mix := spec.Mix
+		if replay != nil {
+			mix = workload.WorkloadA // unused under replay, must validate
+		}
+		name := fmt.Sprintf("client-%d", t)
+		gen, err := workload.NewGenerator(dist, cfg.Sizer, mix, rng.Split(name))
+		if err != nil {
+			return nil, err
+		}
+		eng.Go(name, func(p *sim.Proc) {
+			for remaining > 0 {
+				remaining--
+				var op workload.Op
+				if replay != nil {
+					op = replay.Next()
+				} else {
+					op = gen.Next()
+				}
+				start := p.Now()
+				epoch0 := h.CheckpointEpoch()
+				Apply(h, p, op)
+				if latest != nil && op.Kind == workload.OpUpdate {
+					latest.Note(op.Key)
+				}
+				during := h.CheckpointRunning() || h.CheckpointEpoch() != epoch0
+				m.NoteQuery(op, p.Now()-start, during)
+			}
+			clientsLeft--
+			if clientsLeft == 0 {
+				endTime = p.Now()
+				runDone = true
+			}
+		})
+	}
+
+	// timeline sampler
+	if spec.SampleInterval > 0 {
+		m.Timeline = stats.NewTimeline("kqps", "ckpt_active", "die_backlog_us", "free_blocks")
+		lastQueries := uint64(0)
+		start := eng.Now()
+		var sample func()
+		sample = func() {
+			if runDone {
+				return
+			}
+			now := eng.Now()
+			window := spec.SampleInterval.Seconds()
+			qps := float64(m.Queries-lastQueries) / window
+			lastQueries = m.Queries
+			active := 0.0
+			if h.CheckpointRunning() {
+				active = 1
+			}
+			backlog := dev.FTL().Array().MaxBacklog(now).Micros()
+			m.Timeline.Sample(uint64(now-start), qps/1e3, active, backlog,
+				float64(dev.FTL().FreeBlocks()))
+			eng.Schedule(spec.SampleInterval, sample)
+		}
+		eng.Schedule(spec.SampleInterval, sample)
+	}
+
+	// periodic checkpoint scheduler (event-based: no leaked process)
+	if !spec.DisableCheckpoints {
+		var tick func()
+		tick = func() {
+			if runDone {
+				return
+			}
+			if !h.CheckpointRunning() {
+				h.TriggerCheckpoint()
+			}
+			eng.Schedule(cfg.CheckpointInterval, tick)
+		}
+		eng.Schedule(cfg.CheckpointInterval, tick)
+
+		// bounded-work policy: poll the pending checkpoint work at a fine
+		// grain and checkpoint early whenever the budget is reached
+		if cfg.AdaptiveLiveBudget > 0 {
+			period := cfg.CheckpointInterval / 16
+			if period == 0 || period > 10*sim.Millisecond {
+				period = 10 * sim.Millisecond
+			}
+			var poll func()
+			poll = func() {
+				if runDone {
+					return
+				}
+				if !h.CheckpointRunning() && h.LiveEntries() >= cfg.AdaptiveLiveBudget {
+					h.TriggerCheckpoint()
+				}
+				eng.Schedule(period, poll)
+			}
+			eng.Schedule(period, poll)
+		}
+	}
+
+	for !runDone {
+		eng.RunUntil(eng.Now() + 50*sim.Millisecond)
+	}
+	// Drain the in-flight checkpoint and any straggling processes. A
+	// checkpoint (or LSM flush or compaction) is in progress only while
+	// its own process is live, so the process count covers all of them.
+	for guard := 0; eng.LiveProcs() > 0 && guard < 1_000_000; guard++ {
+		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
+	}
+	m.EndWindow(dev, h.JournalStats(), endTime)
+	return m, nil
+}

@@ -6,21 +6,23 @@ import (
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/ssd"
-	"github.com/checkin-kv/checkin/internal/stats"
 	"github.com/checkin-kv/checkin/internal/trace"
 	"github.com/checkin-kv/checkin/internal/workload"
 )
 
-// Config parameterizes the storage engine.
-type Config struct {
+// HostConfig holds the settings every host engine reads: the record
+// population, the write-ahead log's halves, the checkpoint cadence and the
+// strategy knobs. Config (journal engine) and lsm.Config embed it.
+type HostConfig struct {
 	Strategy Strategy
 
 	// Keys and Sizer define the record population.
 	Keys  int64
 	Sizer workload.Sizer
 
-	// JournalHalfBytes is the capacity of each journal half (the paper's
-	// journal-file cap: checkpointing triggers before a half fills).
+	// JournalHalfBytes is the capacity of each half of the write-ahead log
+	// (the paper's journal-file cap: a checkpoint or memtable flush rotates
+	// to the alternate half before the active one fills).
 	JournalHalfBytes int64
 
 	// CheckpointInterval triggers periodic checkpoints (60 s in the
@@ -36,74 +38,41 @@ type Config struct {
 	LockDuringCheckpoint bool
 
 	// InlineHeaderBytes is the per-log header of the conventional journal
-	// format.
+	// format (sector-aligned mode keeps descriptors host-side).
 	InlineHeaderBytes int64
 
-	// CompressRatio models Algorithm 2's compression of logs larger than
-	// the mapping unit.
-	CompressRatio float64
-
 	// Strategy tuning knobs.
-	CkptReadWindow int // baseline: in-flight reads/writes
-	CkptCoWWindow  int // ISC-A: in-flight CoW commands
-	MultiCoWBatch  int // ISC-B: pairs per command
-	CkptCmdBatch   int // ISC-C / Check-In: JMT entries per command
+	CkptCoWWindow int // ISC-A: in-flight CoW commands
+	MultiCoWBatch int // ISC-B: pairs per command
+	CkptCmdBatch  int // ISC-C / Check-In: entries per command
 
 	// HostIOOverhead is the host-side software cost of issuing one block
 	// I/O (syscall + block layer + driver). It is what makes per-log host
 	// round trips expensive and function offloading attractive (Fig. 4).
 	HostIOOverhead sim.VTime
 
-	// HostCacheEntries bounds an LRU of record values resident in host
-	// memory (the memtable / block cache of a real engine): reads of
-	// cached keys skip the device entirely. 0 disables the cache, which
-	// keeps the paper's device-centric read model; enable it to study how
-	// host caching shifts the bottleneck.
-	HostCacheEntries int
-
 	// Tracer, when non-nil, receives checkpoint and journal events.
 	Tracer *trace.Tracer
 
 	// Injector, when set, receives crash-injection hits at the engine-level
-	// sites (journal append/commit, checkpoint cut/apply). Nil in
-	// production.
+	// sites. Nil in production.
 	Injector *inject.Injector
 
 	// AdaptiveLiveBudget, when positive, adds a bounded-work checkpoint
 	// policy on top of the periodic interval: a checkpoint triggers as
-	// soon as the JMT accumulates this many live (latest-version)
-	// entries, capping per-checkpoint work regardless of skew. This is an
-	// extension beyond the paper's fixed-interval scheduler, motivated by
-	// its observation that the live-entry count — not the journal size —
-	// determines checkpoint cost.
+	// soon as the engine's pending checkpoint work (Host.LiveEntries)
+	// reaches this many entries, capping per-checkpoint work regardless of
+	// skew. This is an extension beyond the paper's fixed-interval
+	// scheduler, motivated by its observation that the live-entry count —
+	// not the journal size — determines checkpoint cost.
 	AdaptiveLiveBudget int
 
+	// Seed derives the closed-loop clients' operation streams.
 	Seed int64
 }
 
-// DefaultConfig returns engine defaults mirroring Table I's DBMS settings,
-// scaled to simulator-friendly sizes.
-func DefaultConfig() Config {
-	return Config{
-		Strategy:           StrategyCheckIn,
-		Keys:               50_000,
-		Sizer:              workload.NewMixSizer("default-small", []int{128, 256, 384, 512, 1024, 2048}, []int{2, 2, 1, 3, 1, 1}),
-		JournalHalfBytes:   32 << 20,
-		CheckpointInterval: sim.Second,
-		JournalSoftFrac:    0.7,
-		InlineHeaderBytes:  16,
-		CompressRatio:      0.85,
-		CkptReadWindow:     1024,
-		CkptCoWWindow:      128,
-		MultiCoWBatch:      64,
-		CkptCmdBatch:       128,
-		HostIOOverhead:     10 * sim.Microsecond,
-		Seed:               1,
-	}
-}
-
-// Validate reports a descriptive error for unusable configurations.
-func (c Config) Validate() error {
+// Validate reports a descriptive error for unusable shared settings.
+func (c HostConfig) Validate() error {
 	if c.Strategy >= numStrategies {
 		return fmt.Errorf("core: unknown strategy %d", c.Strategy)
 	}
@@ -119,11 +88,62 @@ func (c Config) Validate() error {
 	if c.JournalSoftFrac <= 0 || c.JournalSoftFrac >= 1 {
 		return fmt.Errorf("core: JournalSoftFrac %v out of (0,1)", c.JournalSoftFrac)
 	}
-	if c.CompressRatio <= 0 || c.CompressRatio > 1 {
-		return fmt.Errorf("core: CompressRatio %v out of (0,1]", c.CompressRatio)
-	}
 	if c.CheckpointInterval == 0 {
 		return fmt.Errorf("core: CheckpointInterval must be positive")
+	}
+	return nil
+}
+
+// Config parameterizes the journal storage engine.
+type Config struct {
+	HostConfig
+
+	// CompressRatio models Algorithm 2's compression of logs larger than
+	// the mapping unit.
+	CompressRatio float64
+
+	// CkptReadWindow bounds the baseline checkpoint's in-flight reads and
+	// writes.
+	CkptReadWindow int
+
+	// HostCacheEntries bounds an LRU of record values resident in host
+	// memory (the memtable / block cache of a real engine): reads of
+	// cached keys skip the device entirely. 0 disables the cache, which
+	// keeps the paper's device-centric read model; enable it to study how
+	// host caching shifts the bottleneck.
+	HostCacheEntries int
+}
+
+// DefaultConfig returns engine defaults mirroring Table I's DBMS settings,
+// scaled to simulator-friendly sizes.
+func DefaultConfig() Config {
+	return Config{
+		HostConfig: HostConfig{
+			Strategy:           StrategyCheckIn,
+			Keys:               50_000,
+			Sizer:              workload.NewMixSizer("default-small", []int{128, 256, 384, 512, 1024, 2048}, []int{2, 2, 1, 3, 1, 1}),
+			JournalHalfBytes:   32 << 20,
+			CheckpointInterval: sim.Second,
+			JournalSoftFrac:    0.7,
+			InlineHeaderBytes:  16,
+			CkptCoWWindow:      128,
+			MultiCoWBatch:      64,
+			CkptCmdBatch:       128,
+			HostIOOverhead:     10 * sim.Microsecond,
+			Seed:               1,
+		},
+		CompressRatio:  0.85,
+		CkptReadWindow: 1024,
+	}
+}
+
+// Validate reports a descriptive error for unusable configurations.
+func (c Config) Validate() error {
+	if err := c.HostConfig.Validate(); err != nil {
+		return err
+	}
+	if c.CompressRatio <= 0 || c.CompressRatio > 1 {
+		return fmt.Errorf("core: CompressRatio %v out of (0,1]", c.CompressRatio)
 	}
 	return nil
 }
@@ -159,7 +179,6 @@ type Engine struct {
 	hostCache *keyLRU
 
 	metrics *Metrics
-	rng     *sim.RNG
 }
 
 // NewEngine builds an engine over dev. The device's FTL mapping unit must
@@ -187,8 +206,7 @@ func NewEngine(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		durable: make([]int64, cfg.Keys),
 		ckpted:  make([]int64, cfg.Keys),
 		deleted: make([]bool, cfg.Keys),
-		metrics: newMetrics(),
-		rng:     sim.NewRNG(cfg.Seed),
+		metrics: NewMetrics(),
 	}
 	header := cfg.InlineHeaderBytes
 	if cfg.Strategy.SectorAligned() {
@@ -354,9 +372,6 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 	}
 }
 
-// Put is Update under the engine-agnostic host interface's name.
-func (en *Engine) Put(p *sim.Proc, key int64, size int) { en.Update(p, key, size) }
-
 // Sync blocks p until every journal log appended so far is durable — the
 // write-ahead group commits drain. Update already waits for its own commit,
 // so Sync matters only to callers pacing explicit durability epochs (the
@@ -369,12 +384,6 @@ func (en *Engine) Sync(p *sim.Proc) {
 			p.Sleep(sim.Microsecond) // batch buffered behind a checkpoint cut
 		}
 	}
-}
-
-// ReadModifyWrite executes YCSB-F's read-modify-write.
-func (en *Engine) ReadModifyWrite(p *sim.Proc, key int64, size int) {
-	en.Get(p, key)
-	en.Update(p, key, size)
 }
 
 // Scan executes a range read of n consecutive records starting at key
@@ -419,6 +428,13 @@ func (en *Engine) Delete(p *sim.Proc, key int64) {
 // CheckpointRunning reports whether a checkpoint is in progress.
 func (en *Engine) CheckpointRunning() bool { return en.ckptRunning }
 
+// CheckpointEpoch advances at every checkpoint start and finish.
+func (en *Engine) CheckpointEpoch() uint64 { return en.ckptEpoch }
+
+// LiveEntries returns the active JMT's live (latest-version) entry count:
+// the work the next checkpoint has to apply.
+func (en *Engine) LiveEntries() int { return en.jr.JMT().Live() }
+
 // TriggerCheckpoint starts a checkpoint unless one is already running, and
 // returns a future completing when the (possibly already running) checkpoint
 // finishes.
@@ -448,7 +464,7 @@ func (en *Engine) TriggerCheckpoint() *sim.Future {
 		snap := en.jr.CutForCheckpoint(p)
 		en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(snap.jmt.Live()),
 			fmt.Sprintf("entries=%d used=%dKB", snap.jmt.Len(), snap.used>>10))
-		en.metrics.noteLiveRatio(snap.jmt.LiveRatio())
+		en.metrics.NoteLiveRatio(snap.jmt.LiveRatio())
 		if snap.jmt.Live() > 0 {
 			en.ckpt.Run(p, en, snap)
 			// apply: the data area now holds the checkpointed versions
@@ -466,7 +482,7 @@ func (en *Engine) TriggerCheckpoint() *sim.Future {
 		}
 		en.ckptSnapshot = nil
 		en.jr.retire(snap.jmt)
-		en.metrics.noteCheckpoint(p.Now() - start)
+		en.metrics.NoteCheckpoint(p.Now() - start)
 		en.cfg.Tracer.Emit(p.Now(), trace.KindCheckpointEnd, int64(p.Now()-start), "")
 		en.ckptRunning = false
 		en.ckptEpoch++
@@ -479,203 +495,10 @@ func (en *Engine) TriggerCheckpoint() *sim.Future {
 	return done
 }
 
-// ---------------------------------------------------------------------------
-// workload runner
-
-// RunSpec describes one measured workload phase.
-type RunSpec struct {
-	Threads      int
-	TotalQueries int64
-	Mix          workload.Mix
-	// Zipfian selects the key distribution (θ = 0.99) vs uniform.
-	Zipfian bool
-	// Latest selects YCSB's latest distribution (requests skew toward
-	// recently updated keys; pair with WorkloadD). Overrides Zipfian.
-	Latest bool
-	// DisableCheckpoints turns the periodic scheduler off (for baselines
-	// of the motivation study).
-	DisableCheckpoints bool
-
-	// SampleInterval enables timeline sampling at the given period
-	// (windowed throughput, checkpoint activity, die backlog, free
-	// blocks). Zero disables sampling.
-	SampleInterval sim.VTime
-
-	// Trace, when non-nil, replays a recorded operation stream instead of
-	// generating operations: every run sees byte-identical inputs, the
-	// strictest way to compare configurations. TotalQueries caps at the
-	// trace length; Mix and Zipfian are ignored.
-	Trace *workload.Trace
-}
-
-// Validate reports a descriptive error for unusable specs.
-func (rs RunSpec) Validate() error {
-	if rs.Threads < 1 {
-		return fmt.Errorf("core: Threads %d must be >= 1", rs.Threads)
-	}
-	if rs.TotalQueries < 1 {
-		return fmt.Errorf("core: TotalQueries %d must be >= 1", rs.TotalQueries)
-	}
-	if rs.Trace != nil {
-		return nil // mix is ignored under replay
-	}
-	return rs.Mix.Validate()
-}
-
 // Run executes the workload to completion and returns the metrics. The
 // engine may be Run multiple times; metrics cover only the last run.
 func (en *Engine) Run(spec RunSpec) (*Metrics, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	en.metrics = newMetrics()
-	m := en.metrics
-	m.start(en)
-
-	var dist workload.Distribution
-	var latest *workload.Latest
-	switch {
-	case spec.Latest:
-		latest = workload.NewLatest(en.cfg.Keys, 1024)
-		dist = latest
-	case spec.Zipfian:
-		dist = workload.NewZipfian(en.cfg.Keys, workload.DefaultTheta)
-	default:
-		dist = workload.Uniform{Keys: en.cfg.Keys}
-	}
-
-	// Under trace replay all clients pull from one shared replayer — the
-	// single-worker simulation makes this race-free and deterministic.
-	var replay *workload.Replayer
-	if spec.Trace != nil {
-		replay = workload.NewReplayer(spec.Trace)
-		if n := int64(len(spec.Trace.Ops)); spec.TotalQueries > n {
-			spec.TotalQueries = n
-		}
-	}
-
-	remaining := spec.TotalQueries
-	clientsLeft := spec.Threads
-	runDone := false
-	var endTime sim.VTime
-
-	for t := 0; t < spec.Threads; t++ {
-		mix := spec.Mix
-		if replay != nil {
-			mix = workload.WorkloadA // unused under replay, must validate
-		}
-		gen, err := workload.NewGenerator(dist, en.cfg.Sizer, mix,
-			en.rng.Split(fmt.Sprintf("client-%d", t)))
-		if err != nil {
-			return nil, err
-		}
-		en.eng.Go(fmt.Sprintf("client-%d", t), func(p *sim.Proc) {
-			for remaining > 0 {
-				remaining--
-				var op workload.Op
-				if replay != nil {
-					op = replay.Next()
-				} else {
-					op = gen.Next()
-				}
-				start := p.Now()
-				epoch0 := en.ckptEpoch
-				switch op.Kind {
-				case workload.OpRead:
-					en.Get(p, op.Key)
-				case workload.OpUpdate:
-					en.Update(p, op.Key, op.Size)
-					if latest != nil {
-						latest.Note(op.Key)
-					}
-				case workload.OpReadModifyWrite:
-					en.ReadModifyWrite(p, op.Key, op.Size)
-				case workload.OpScan:
-					en.Scan(p, op.Key, op.ScanLen)
-				case workload.OpDelete:
-					en.Delete(p, op.Key)
-				}
-				during := en.ckptRunning || en.ckptEpoch != epoch0
-				m.noteQuery(op, p.Now()-start, during)
-			}
-			clientsLeft--
-			if clientsLeft == 0 {
-				endTime = p.Now()
-				runDone = true
-			}
-		})
-	}
-
-	// timeline sampler
-	if spec.SampleInterval > 0 {
-		m.Timeline = stats.NewTimeline("kqps", "ckpt_active", "die_backlog_us", "free_blocks")
-		lastQueries := uint64(0)
-		start := en.eng.Now()
-		var sample func()
-		sample = func() {
-			if runDone {
-				return
-			}
-			now := en.eng.Now()
-			window := spec.SampleInterval.Seconds()
-			qps := float64(m.Queries-lastQueries) / window
-			lastQueries = m.Queries
-			active := 0.0
-			if en.ckptRunning {
-				active = 1
-			}
-			backlog := en.dev.FTL().Array().MaxBacklog(now).Micros()
-			m.Timeline.Sample(uint64(now-start), qps/1e3, active, backlog,
-				float64(en.dev.FTL().FreeBlocks()))
-			en.eng.Schedule(spec.SampleInterval, sample)
-		}
-		en.eng.Schedule(spec.SampleInterval, sample)
-	}
-
-	// periodic checkpoint scheduler (event-based: no leaked process)
-	if !spec.DisableCheckpoints {
-		var tick func()
-		tick = func() {
-			if runDone {
-				return
-			}
-			if !en.ckptRunning {
-				en.TriggerCheckpoint()
-			}
-			en.eng.Schedule(en.cfg.CheckpointInterval, tick)
-		}
-		en.eng.Schedule(en.cfg.CheckpointInterval, tick)
-
-		// bounded-work policy: poll the live-entry count at a fine grain
-		// and checkpoint early whenever the budget is reached
-		if en.cfg.AdaptiveLiveBudget > 0 {
-			period := en.cfg.CheckpointInterval / 16
-			if period == 0 || period > 10*sim.Millisecond {
-				period = 10 * sim.Millisecond
-			}
-			var poll func()
-			poll = func() {
-				if runDone {
-					return
-				}
-				if !en.ckptRunning && en.jr.JMT().Live() >= en.cfg.AdaptiveLiveBudget {
-					en.TriggerCheckpoint()
-				}
-				en.eng.Schedule(period, poll)
-			}
-			en.eng.Schedule(period, poll)
-		}
-	}
-
-	for !runDone {
-		en.eng.RunUntil(en.eng.Now() + 50*sim.Millisecond)
-	}
-	// drain the in-flight checkpoint and any straggling processes
-	for guard := 0; (en.ckptRunning || en.eng.LiveProcs() > 0) && guard < 1_000_000; guard++ {
-		en.eng.RunUntil(en.eng.Now() + 10*sim.Millisecond)
-	}
-	m.finish(en, endTime)
-	return m, nil
+	return Drive(en, &en.metrics, en.cfg.HostConfig, spec)
 }
 
 // ---------------------------------------------------------------------------

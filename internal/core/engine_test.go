@@ -358,17 +358,17 @@ func TestDisableCheckpoints(t *testing.T) {
 }
 
 func TestMeanHelpers(t *testing.T) {
-	m := newMetrics()
+	m := NewMetrics()
 	if m.MeanCheckpointTime() != 0 || m.MeanLiveRatio() != 0 {
 		t.Error("empty metrics means should be 0")
 	}
-	m.noteCheckpoint(10 * sim.Millisecond)
-	m.noteCheckpoint(30 * sim.Millisecond)
+	m.NoteCheckpoint(10 * sim.Millisecond)
+	m.NoteCheckpoint(30 * sim.Millisecond)
 	if m.MeanCheckpointTime() != 20*sim.Millisecond {
 		t.Errorf("MeanCheckpointTime = %v", m.MeanCheckpointTime())
 	}
-	m.noteLiveRatio(0.4)
-	m.noteLiveRatio(0.6)
+	m.NoteLiveRatio(0.4)
+	m.NoteLiveRatio(0.6)
 	if r := m.MeanLiveRatio(); r < 0.499 || r > 0.501 {
 		t.Errorf("MeanLiveRatio = %v", r)
 	}
@@ -380,12 +380,12 @@ func TestMeanHelpers(t *testing.T) {
 func TestMetricsStreamingNoAllocs(t *testing.T) {
 	// Checkpoint and live-ratio accounting is O(1): arbitrarily long runs
 	// must not grow the metrics. (These used to append to unbounded slices.)
-	m := newMetrics()
+	m := NewMetrics()
 	if a := testing.AllocsPerRun(200, func() {
-		m.noteCheckpoint(3 * sim.Millisecond)
-		m.noteLiveRatio(0.25)
+		m.NoteCheckpoint(3 * sim.Millisecond)
+		m.NoteLiveRatio(0.25)
 	}); a != 0 {
-		t.Errorf("noteCheckpoint/noteLiveRatio allocate %v per call, want 0", a)
+		t.Errorf("NoteCheckpoint/NoteLiveRatio allocate %v per call, want 0", a)
 	}
 }
 

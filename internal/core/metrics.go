@@ -68,11 +68,8 @@ type Metrics struct {
 	JournalEnd   JournalStats
 }
 
-func newMetrics() *Metrics { return &Metrics{} }
-
-// NewMetrics returns an empty collector. Alternate host engines
-// (internal/lsm) construct their own and fill it through the exported
-// window/note methods so every backend reports through one format.
+// NewMetrics returns an empty collector. Every host engine fills one through
+// the window and note methods, so all backends report in one format.
 func NewMetrics() *Metrics { return &Metrics{} }
 
 // BeginWindow snapshots device, FTL and flash counters at the start of a
@@ -97,26 +94,8 @@ func (m *Metrics) EndWindow(dev *ssd.Device, jr JournalStats, endTime sim.VTime)
 	}
 }
 
-// NoteQuery records one finished query (exported for alternate engines).
+// NoteQuery records one finished query.
 func (m *Metrics) NoteQuery(op workload.Op, lat sim.VTime, duringCkpt bool) {
-	m.noteQuery(op, lat, duringCkpt)
-}
-
-// NoteCheckpoint records one finished checkpoint's duration.
-func (m *Metrics) NoteCheckpoint(d sim.VTime) { m.noteCheckpoint(d) }
-
-// NoteLiveRatio records a live-entry ratio sample at a checkpoint.
-func (m *Metrics) NoteLiveRatio(r float64) { m.noteLiveRatio(r) }
-
-func (m *Metrics) start(en *Engine) {
-	m.BeginWindow(en.dev, en.jr.Stats(), en.eng.Now())
-}
-
-func (m *Metrics) finish(en *Engine, endTime sim.VTime) {
-	m.EndWindow(en.dev, en.jr.Stats(), endTime)
-}
-
-func (m *Metrics) noteQuery(op workload.Op, lat sim.VTime, duringCkpt bool) {
 	m.Queries++
 	m.AllLat.Record(uint64(lat))
 	isWrite := op.Kind != workload.OpRead && op.Kind != workload.OpScan
@@ -136,11 +115,11 @@ func (m *Metrics) noteQuery(op workload.Op, lat sim.VTime, duringCkpt bool) {
 	}
 }
 
-func (m *Metrics) noteCheckpoint(d sim.VTime) {
-	m.CkptDur.Record(uint64(d))
-}
+// NoteCheckpoint records one finished checkpoint's duration.
+func (m *Metrics) NoteCheckpoint(d sim.VTime) { m.CkptDur.Record(uint64(d)) }
 
-func (m *Metrics) noteLiveRatio(r float64) {
+// NoteLiveRatio records a live-entry ratio sample at a checkpoint.
+func (m *Metrics) NoteLiveRatio(r float64) {
 	m.LiveRatioSum += r
 	m.LiveRatioCount++
 }

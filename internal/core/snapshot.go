@@ -113,7 +113,7 @@ func (en *Engine) Restore(s *EngineState) error {
 			en.hostCache.index[k] = en.hostCache.ll.PushFront(k)
 		}
 	}
-	en.metrics = newMetrics()
+	en.metrics = NewMetrics()
 	return nil
 }
 

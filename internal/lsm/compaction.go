@@ -110,7 +110,7 @@ func (d *director) pickLeveled(en *Engine) *compactionJob {
 		}
 		for _, r := range en.levels[level+1] {
 			job.inputs = append(job.inputs, r)
-			job.levels = append(job.levels, level + 1)
+			job.levels = append(job.levels, level+1)
 		}
 		return job
 	}

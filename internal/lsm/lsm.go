@@ -43,9 +43,7 @@ import (
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/ssd"
-	"github.com/checkin-kv/checkin/internal/stats"
 	"github.com/checkin-kv/checkin/internal/trace"
-	"github.com/checkin-kv/checkin/internal/workload"
 )
 
 // Policy names a compaction policy.
@@ -61,18 +59,12 @@ const maxLevels = 8
 // baseLevel is the bottom of the hierarchy.
 const baseLevel = maxLevels - 1
 
-// Config parameterizes the LSM engine.
+// Config parameterizes the LSM engine. The embedded host settings carry the
+// same meaning as for the journal engine; JournalHalfBytes sizes each WAL
+// half, and a memtable flush seals the active half at the latest when it
+// passes JournalSoftFrac.
 type Config struct {
-	Strategy core.Strategy
-
-	Keys  int64
-	Sizer workload.Sizer
-
-	// WALHalfBytes is the capacity of each WAL half; a memtable flush seals
-	// the active half and the alternate takes over, so a flush triggers at
-	// the latest when the active half passes WALSoftFrac.
-	WALHalfBytes int64
-	WALSoftFrac  float64
+	core.HostConfig
 
 	// MemtableEntries triggers a flush when the memtable holds this many
 	// distinct keys (0 → 4096).
@@ -80,71 +72,24 @@ type Config struct {
 
 	// Policy selects the compaction policy: "leveled" (default) or "tiered".
 	Policy string
-
-	// CheckpointInterval paces periodic flush+publish epochs, mirroring the
-	// journal engine's checkpoint scheduler.
-	CheckpointInterval sim.VTime
-
-	// LockDuringCheckpoint stalls query admission while a flush epoch runs.
-	LockDuringCheckpoint bool
-
-	// InlineHeaderBytes is the per-record header of the conventional WAL
-	// format (sector-aligned mode keeps descriptors host-side).
-	InlineHeaderBytes int64
-
-	// Strategy tuning knobs, same semantics as the journal engine's.
-	CkptCoWWindow int // ISC-A: in-flight CoW commands
-	MultiCoWBatch int // ISC-B: pairs per command
-	CkptCmdBatch  int // ISC-C / Check-In: remap entries per command
-
-	// HostIOOverhead is the host software cost of issuing one block I/O.
-	HostIOOverhead sim.VTime
-
-	// AdaptiveLiveBudget, when positive, flushes as soon as the memtable
-	// accumulates this many distinct dirty keys.
-	AdaptiveLiveBudget int
-
-	Tracer   *trace.Tracer
-	Injector *inject.Injector
-	Seed     int64
 }
 
 // DefaultConfig returns LSM defaults aligned with core.DefaultConfig.
 func DefaultConfig() Config {
 	return Config{
-		Strategy:           core.StrategyCheckIn,
-		Keys:               50_000,
-		Sizer:              workload.NewMixSizer("default-small", []int{128, 256, 384, 512, 1024, 2048}, []int{2, 2, 1, 3, 1, 1}),
-		WALHalfBytes:       32 << 20,
-		WALSoftFrac:        0.7,
-		MemtableEntries:    4096,
-		Policy:             PolicyLeveled,
-		CheckpointInterval: sim.Second,
-		InlineHeaderBytes:  16,
-		CkptCoWWindow:      128,
-		MultiCoWBatch:      64,
-		CkptCmdBatch:       128,
-		HostIOOverhead:     10 * sim.Microsecond,
-		Seed:               1,
+		HostConfig:      core.DefaultConfig().HostConfig,
+		MemtableEntries: 4096,
+		Policy:          PolicyLeveled,
 	}
 }
 
 // Validate reports a descriptive error for unusable configurations.
 func (c Config) Validate() error {
-	if c.Keys < 1 {
-		return fmt.Errorf("lsm: need at least one key")
+	if err := c.HostConfig.Validate(); err != nil {
+		return err
 	}
-	if c.Sizer == nil {
-		return fmt.Errorf("lsm: Sizer is required")
-	}
-	if c.WALHalfBytes < 1<<16 || c.WALHalfBytes%sector != 0 {
-		return fmt.Errorf("lsm: WALHalfBytes %d must be a sector multiple >= 64KiB", c.WALHalfBytes)
-	}
-	if c.WALSoftFrac <= 0 || c.WALSoftFrac >= 1 {
-		return fmt.Errorf("lsm: WALSoftFrac %v out of (0,1)", c.WALSoftFrac)
-	}
-	if c.CheckpointInterval == 0 {
-		return fmt.Errorf("lsm: CheckpointInterval must be positive")
+	if c.JournalHalfBytes%sector != 0 {
+		return fmt.Errorf("lsm: JournalHalfBytes %d must be a sector multiple", c.JournalHalfBytes)
 	}
 	switch c.Policy {
 	case "", PolicyLeveled, PolicyTiered:
@@ -227,7 +172,6 @@ type Engine struct {
 	remapTotals ssd.RemapStats
 	metrics     *core.Metrics
 	st          Stats
-	rng         *sim.RNG
 }
 
 // New builds an LSM engine over dev. The device's FTL mapping unit must
@@ -253,10 +197,9 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		durable:  make([]int64, cfg.Keys),
 		deleted:  make([]bool, cfg.Keys),
 		metrics:  core.NewMetrics(),
-		rng:      sim.NewRNG(cfg.Seed),
 	}
 	// Space layout: two WAL halves, two manifest slots, then the run area.
-	en.manifestStart = 2 * cfg.WALHalfBytes
+	en.manifestStart = 2 * cfg.JournalHalfBytes
 	en.manifestSlot = 256 << 10
 	runStart := en.manifestStart + 2*en.manifestSlot
 	runEnd := dev.LogicalBytes()
@@ -280,7 +223,7 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 	if cfg.Strategy.SectorAligned() {
 		header = 0
 	}
-	en.w = newWAL(eng, dev, cfg.WALHalfBytes, cfg.Strategy.SectorAligned(), header)
+	en.w = newWAL(eng, dev, cfg.JournalHalfBytes, cfg.Strategy.SectorAligned(), header)
 	en.w.tracer = cfg.Tracer
 	en.w.injector = cfg.Injector
 	en.w.onCommit = func(r *walRec) {
@@ -291,7 +234,7 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 			en.onCommit(r.key, r.version)
 		}
 	}
-	en.director = newDirector(cfg.Policy, cfg.WALHalfBytes)
+	en.director = newDirector(cfg.Policy, cfg.JournalHalfBytes)
 	return en, nil
 }
 
@@ -478,19 +421,10 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 	en.mem[key] = &memEntry{version: v, size: size, rec: rec}
 	en.cfg.Injector.Hit(inject.SiteWALAppend)
 	if !en.flushRunning &&
-		(len(en.mem) >= en.memLimit || en.w.UsedFrac() > en.cfg.WALSoftFrac) {
+		(len(en.mem) >= en.memLimit || en.w.UsedFrac() > en.cfg.JournalSoftFrac) {
 		en.TriggerCheckpoint()
 	}
 	p.Wait(commit)
-}
-
-// Put is Update under the host interface's name.
-func (en *Engine) Put(p *sim.Proc, key int64, size int) { en.Update(p, key, size) }
-
-// ReadModifyWrite executes YCSB-F's read-modify-write.
-func (en *Engine) ReadModifyWrite(p *sim.Proc, key int64, size int) {
-	en.Get(p, key)
-	en.Update(p, key, size)
 }
 
 // Scan executes a range read of n consecutive records starting at key: one
@@ -564,6 +498,13 @@ func (en *Engine) Sync(p *sim.Proc) {
 
 // CheckpointRunning reports whether a flush epoch is in progress.
 func (en *Engine) CheckpointRunning() bool { return en.flushRunning }
+
+// CheckpointEpoch advances at every flush epoch start and finish.
+func (en *Engine) CheckpointEpoch() uint64 { return en.ckptEpoch }
+
+// LiveEntries returns the memtable's distinct-key count: the work the next
+// flush epoch has to install.
+func (en *Engine) LiveEntries() int { return len(en.mem) }
 
 // TriggerCheckpoint starts a flush epoch unless one is already running:
 // seal the memtable, drain the sealed WAL half, install the sorted run via
@@ -795,157 +736,11 @@ func (en *Engine) publishManifest(p *sim.Proc, floor int64) {
 	en.cfg.Injector.Hit(inject.SiteManifestPublish)
 }
 
-// ---------------------------------------------------------------------------
-// workload runner
-
-// Run executes the workload to completion and returns the metrics. Mirrors
-// the journal engine's runner loop (clients, timeline sampler, periodic
-// checkpoint scheduler, drain) so both backends measure identically.
+// Run executes the workload to completion and returns the metrics, through
+// the same closed-loop driver as the journal engine so both backends
+// measure identically.
 func (en *Engine) Run(spec core.RunSpec) (*core.Metrics, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	en.metrics = core.NewMetrics()
-	m := en.metrics
-	m.BeginWindow(en.dev, en.w.Stats(), en.eng.Now())
-
-	var dist workload.Distribution
-	var latest *workload.Latest
-	switch {
-	case spec.Latest:
-		latest = workload.NewLatest(en.cfg.Keys, 1024)
-		dist = latest
-	case spec.Zipfian:
-		dist = workload.NewZipfian(en.cfg.Keys, workload.DefaultTheta)
-	default:
-		dist = workload.Uniform{Keys: en.cfg.Keys}
-	}
-
-	var replay *workload.Replayer
-	if spec.Trace != nil {
-		replay = workload.NewReplayer(spec.Trace)
-		if n := int64(len(spec.Trace.Ops)); spec.TotalQueries > n {
-			spec.TotalQueries = n
-		}
-	}
-
-	remaining := spec.TotalQueries
-	clientsLeft := spec.Threads
-	runDone := false
-	var endTime sim.VTime
-
-	for t := 0; t < spec.Threads; t++ {
-		mix := spec.Mix
-		if replay != nil {
-			mix = workload.WorkloadA // unused under replay, must validate
-		}
-		gen, err := workload.NewGenerator(dist, en.cfg.Sizer, mix,
-			en.rng.Split(fmt.Sprintf("client-%d", t)))
-		if err != nil {
-			return nil, err
-		}
-		en.eng.Go(fmt.Sprintf("client-%d", t), func(p *sim.Proc) {
-			for remaining > 0 {
-				remaining--
-				var op workload.Op
-				if replay != nil {
-					op = replay.Next()
-				} else {
-					op = gen.Next()
-				}
-				start := p.Now()
-				epoch0 := en.ckptEpoch
-				switch op.Kind {
-				case workload.OpRead:
-					en.Get(p, op.Key)
-				case workload.OpUpdate:
-					en.Update(p, op.Key, op.Size)
-					if latest != nil {
-						latest.Note(op.Key)
-					}
-				case workload.OpReadModifyWrite:
-					en.ReadModifyWrite(p, op.Key, op.Size)
-				case workload.OpScan:
-					en.Scan(p, op.Key, op.ScanLen)
-				case workload.OpDelete:
-					en.Delete(p, op.Key)
-				}
-				during := en.flushRunning || en.ckptEpoch != epoch0
-				m.NoteQuery(op, p.Now()-start, during)
-			}
-			clientsLeft--
-			if clientsLeft == 0 {
-				endTime = p.Now()
-				runDone = true
-			}
-		})
-	}
-
-	if spec.SampleInterval > 0 {
-		m.Timeline = stats.NewTimeline("kqps", "ckpt_active", "die_backlog_us", "free_blocks")
-		lastQueries := uint64(0)
-		start := en.eng.Now()
-		var sample func()
-		sample = func() {
-			if runDone {
-				return
-			}
-			now := en.eng.Now()
-			window := spec.SampleInterval.Seconds()
-			qps := float64(m.Queries-lastQueries) / window
-			lastQueries = m.Queries
-			active := 0.0
-			if en.flushRunning {
-				active = 1
-			}
-			backlog := en.dev.FTL().Array().MaxBacklog(now).Micros()
-			m.Timeline.Sample(uint64(now-start), qps/1e3, active, backlog,
-				float64(en.dev.FTL().FreeBlocks()))
-			en.eng.Schedule(spec.SampleInterval, sample)
-		}
-		en.eng.Schedule(spec.SampleInterval, sample)
-	}
-
-	if !spec.DisableCheckpoints {
-		var tick func()
-		tick = func() {
-			if runDone {
-				return
-			}
-			if !en.flushRunning {
-				en.TriggerCheckpoint()
-			}
-			en.eng.Schedule(en.cfg.CheckpointInterval, tick)
-		}
-		en.eng.Schedule(en.cfg.CheckpointInterval, tick)
-
-		if en.cfg.AdaptiveLiveBudget > 0 {
-			period := en.cfg.CheckpointInterval / 16
-			if period == 0 || period > 10*sim.Millisecond {
-				period = 10 * sim.Millisecond
-			}
-			var poll func()
-			poll = func() {
-				if runDone {
-					return
-				}
-				if !en.flushRunning && len(en.mem) >= en.cfg.AdaptiveLiveBudget {
-					en.TriggerCheckpoint()
-				}
-				en.eng.Schedule(period, poll)
-			}
-			en.eng.Schedule(period, poll)
-		}
-	}
-
-	for !runDone {
-		en.eng.RunUntil(en.eng.Now() + 50*sim.Millisecond)
-	}
-	for guard := 0; (en.flushRunning || en.compacting || en.eng.LiveProcs() > 0) && guard < 1_000_000; guard++ {
-		en.eng.RunUntil(en.eng.Now() + 10*sim.Millisecond)
-	}
-	m.EndWindow(en.dev, en.w.Stats(), endTime)
-	return m, nil
+	return core.Drive(en, &en.metrics, en.cfg.HostConfig, spec)
 }
 
 // ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ func newTestEngine(t *testing.T, s core.Strategy, mut func(*Config)) (*sim.Engin
 	cfg.Strategy = s
 	cfg.Keys = 2000
 	cfg.Sizer = workload.FixedSizer{Size: 512}
-	cfg.WALHalfBytes = 2 << 20
+	cfg.JournalHalfBytes = 2 << 20
 	cfg.MemtableEntries = 256
 	cfg.CheckpointInterval = 50 * sim.Millisecond
 	if mut != nil {
@@ -211,9 +211,9 @@ func TestCompactionFoldsLevelZero(t *testing.T) {
 
 func TestWALBackpressureTriggersFlush(t *testing.T) {
 	e, en := newTestEngine(t, core.StrategyCheckIn, func(c *Config) {
-		c.WALHalfBytes = 1 << 18 // 256KB: ~500 sector records
+		c.JournalHalfBytes = 1 << 18 // 256KB: ~500 sector records
 		c.MemtableEntries = 1 << 20
-		c.WALSoftFrac = 0.99 // only hard back-pressure
+		c.JournalSoftFrac = 0.99 // only hard back-pressure
 	})
 	en.Load()
 	runProc(e, func(p *sim.Proc) {

@@ -20,7 +20,7 @@ import (
 type shardRunner struct {
 	id   int
 	db   *checkin.DB
-	en   *core.Engine
+	en   checkin.HostEngine
 	eng  *sim.Engine
 	base sim.VTime // domain clock at run start; arrivals are offsets from it
 
@@ -70,8 +70,8 @@ func newShardRunner(id int, db *checkin.DB, tenants int, workers int) *shardRunn
 	s := &shardRunner{
 		id:      id,
 		db:      db,
-		en:      db.Engine(),
-		eng:     db.Engine().Sim(),
+		en:      db.Host(),
+		eng:     db.Sim(),
 		tenants: make([]tenantAcct, tenants),
 	}
 	s.base = s.eng.Now()
@@ -121,18 +121,7 @@ func (s *shardRunner) startWorkers(n int) {
 }
 
 func (s *shardRunner) exec(p *sim.Proc, po pendingOp) {
-	switch po.op.Kind {
-	case workload.OpRead:
-		s.en.Get(p, po.op.Key)
-	case workload.OpUpdate, workload.OpInsert:
-		s.en.Update(p, po.op.Key, po.op.Size)
-	case workload.OpReadModifyWrite:
-		s.en.ReadModifyWrite(p, po.op.Key, po.op.Size)
-	case workload.OpScan:
-		s.en.Scan(p, po.op.Key, po.op.ScanLen)
-	case workload.OpDelete:
-		s.en.Delete(p, po.op.Key)
-	}
+	core.Apply(s.en, p, po.op)
 	now := p.Now()
 	// Open-loop latency: completion minus *arrival*, so queueing delay —
 	// the thing overload and checkpoint stalls actually cost a client —

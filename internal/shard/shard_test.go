@@ -7,6 +7,7 @@ import (
 	"time"
 
 	checkin "github.com/checkin-kv/checkin"
+	"github.com/checkin-kv/checkin/internal/lsm"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/workload"
 )
@@ -205,6 +206,43 @@ func TestShardedDeterminismMatrix(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 		if one != off {
 			t.Fatalf("%s: GOMAXPROCS=1 output differs:\n--- gomaxprocs=1 ---\n%s\n--- baseline ---\n%s", sched, one, off)
+		}
+	}
+}
+
+// TestShardedLSMEngine: shards drive whichever host engine Base.Engine
+// selects. Under the LSM engine every scheduling policy completes, every
+// admitted op is served, each shard runs flush epochs, and the report is
+// byte-identical with shard parallelism on and off.
+func TestShardedLSMEngine(t *testing.T) {
+	for _, sched := range Scheds() {
+		render := func(parallel string) string {
+			cfg := testConfig(2, sched)
+			cfg.Base.Engine = "lsm"
+			cfg.Parallel = parallel
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", sched, err)
+			}
+			if _, ok := s.shards[0].en.(*lsm.Engine); !ok {
+				t.Fatalf("%s: shard engine is %T, want *lsm.Engine", sched, s.shards[0].en)
+			}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", sched, err)
+			}
+			if rep.Done != rep.Admitted {
+				t.Fatalf("%s: done %d != admitted %d", sched, rep.Done, rep.Admitted)
+			}
+			for _, sr := range rep.ShardRows {
+				if sr.Checkpoints == 0 {
+					t.Fatalf("%s: shard %d ran no flush epochs", sched, sr.ID)
+				}
+			}
+			return rep.String()
+		}
+		if off, on := render("off"), render("on"); off != on {
+			t.Fatalf("%s: parallel on/off outputs differ:\n--- off ---\n%s\n--- on ---\n%s", sched, off, on)
 		}
 	}
 }
