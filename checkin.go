@@ -583,11 +583,15 @@ func (db *DB) Run(spec RunSpec) (*Metrics, error) { return db.host.Run(spec) }
 
 // SimulateRecovery models a crash at the current instant and returns what a
 // restarted instance would reconstruct from the checkpoint and journal.
-func (db *DB) SimulateRecovery() *RecoveryReport { return db.host.SimulateRecovery() }
+func (db *DB) SimulateRecovery() *RecoveryReport {
+	rep := db.host.Recovery()
+	core.TimeRecovery(db.eng, db.device, rep)
+	return rep
+}
 
 // DurableVersions returns per-key durable versions (ground truth for
 // recovery validation).
-func (db *DB) DurableVersions() []int64 { return db.host.DurableVersions() }
+func (db *DB) DurableVersions() []int64 { return db.host.Recovery().Durable }
 
 // Host exposes the storage engine behind the backend-agnostic interface.
 func (db *DB) Host() HostEngine { return db.host }

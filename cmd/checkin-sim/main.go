@@ -237,17 +237,11 @@ func main() {
 
 	if *doRecover {
 		rep := db.SimulateRecovery()
-		ok := 0
-		durable := db.DurableVersions()
-		for k, v := range durable {
-			if rep.Recovered[k] == v {
-				ok++
-			}
-		}
+		diverged := rep.Diverged()
 		fmt.Printf("\nrecovery: %d/%d keys match durable state, %d logs replayed, %v recovery time\n",
-			ok, len(durable), rep.ReplayedLogs, rep.RecoveryTime)
-		if ok != len(durable) {
-			fatal(fmt.Errorf("recovery mismatch: %d keys diverged", len(durable)-ok))
+			len(rep.Durable)-diverged, len(rep.Durable), rep.ReplayedLogs, rep.RecoveryTime)
+		if diverged > 0 {
+			fatal(fmt.Errorf("recovery mismatch: %d keys diverged", diverged))
 		}
 	}
 }

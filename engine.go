@@ -37,11 +37,10 @@ type HostEngine interface {
 	// durable — the crash-consistency oracle's model feed.
 	SetCommitHook(fn func(key, version int64))
 
-	// Recovery truth.
-	RecoveredVersions() []int64
-	SimulateRecovery() *core.RecoveryReport
-	DurableVersions() []int64
-	InMemoryVersions() []int64
+	// Recovery reports, without advancing simulated time, what a crash
+	// at this instant recovers next to the durable and in-memory version
+	// truth, plus the device reads of the recovery scan.
+	Recovery() *core.RecoveryReport
 
 	// Snapshot-and-fork: the backend's mutable state as an opaque value.
 	// RestoreState must reject a value captured from a different backend.

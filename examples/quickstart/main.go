@@ -55,15 +55,9 @@ func run(w io.Writer, keys int64, threads int, queries int64) error {
 	// a restarted instance rebuilds from the last checkpoint plus the
 	// committed journal logs.
 	rep := db.SimulateRecovery()
-	durable := db.DurableVersions()
-	mismatches := 0
-	for k, v := range durable {
-		if rep.Recovered[k] != v {
-			mismatches++
-		}
-	}
+	mismatches := rep.Diverged()
 	fmt.Fprintf(w, "\ncrash recovery: %d logs replayed in %v, %d/%d keys match the durable state\n",
-		rep.ReplayedLogs, rep.RecoveryTime, len(durable)-mismatches, len(durable))
+		rep.ReplayedLogs, rep.RecoveryTime, len(rep.Durable)-mismatches, len(rep.Durable))
 	if mismatches > 0 {
 		return fmt.Errorf("recovery diverged on %d keys", mismatches)
 	}

@@ -57,14 +57,7 @@ func run(w io.Writer, keys, scaleDiv int64) error {
 
 		// Pull the plug.
 		rep := db.SimulateRecovery()
-		durable := db.DurableVersions()
-
-		mismatch := 0
-		for k, v := range durable {
-			if rep.Recovered[k] != v {
-				mismatch++
-			}
-		}
+		mismatch := rep.Diverged()
 		fmt.Fprintf(w, "%s:\n", sc.name)
 		fmt.Fprintf(w, "  keys restored from checkpoint : %d\n", rep.FromCheckpoint)
 		fmt.Fprintf(w, "  journal logs replayed         : %d (%d KB read)\n",

@@ -21,7 +21,7 @@
 //     (deferred to an immediate scheduler slot so mid-event call chains
 //     have restored their invariants) the harness validates:
 //
-//     1. host recovery — Engine.RecoveredVersions() (checkpoint + committed
+//     1. host recovery — HostEngine.Recovery() (checkpoint + committed
 //     journal replay) equals the model's committed versions, exactly;
 //     2. device SPOR — ftl.VerifySPOR() rebuilds the mapping table from
 //     OOB records with zero mismatches (volatile write-buffer loss is
@@ -252,7 +252,7 @@ func Build(strategy checkin.Strategy, seed int64, opts Options, inj *inject.Inje
 // Validate performs the three crash-point checks against db's current
 // state. It is pure — callable from inside a simulation event.
 func Validate(db *checkin.DB, model *Model) error {
-	recovered := db.Host().RecoveredVersions()
+	recovered := db.Host().Recovery().Recovered
 	want := model.Committed()
 	diffs := 0
 	var first string
@@ -460,7 +460,7 @@ func FinalVersions(strategy checkin.Strategy, seed int64, tr *checkin.Trace, opt
 	if err != nil {
 		return nil, err
 	}
-	return db.Host().InMemoryVersions(), nil
+	return db.Host().Recovery().InMemory, nil
 }
 
 // EpochSignatures is the cross-backend differential driver: one client
@@ -490,7 +490,7 @@ func EpochSignatures(strategy checkin.Strategy, seed int64, tr *checkin.Trace, o
 			if (i+1)%epochEvery == 0 {
 				host.Sync(p)
 				p.Wait(host.TriggerCheckpoint())
-				sig := host.RecoveredVersions()
+				sig := host.Recovery().Recovered
 				// Every epoch's recovered state must already equal the
 				// model's committed prefix (after Sync they coincide).
 				for k := range sig {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
@@ -158,10 +159,10 @@ type Engine struct {
 	jr     *journal
 	ckpt   checkpointer
 
-	// version truth: in-memory, durable (journaled+committed), and
-	// checkpointed (data area) — the recovery model.
+	// version truth: in-memory and checkpointed (data area); the journal
+	// keeps the durable (journaled+committed) versions — the recovery
+	// model.
 	version []int64
-	durable []int64
 	ckpted  []int64
 	deleted []bool
 
@@ -203,7 +204,6 @@ func NewEngine(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		layout:  layout,
 		version: make([]int64, cfg.Keys),
-		durable: make([]int64, cfg.Keys),
 		ckpted:  make([]int64, cfg.Keys),
 		deleted: make([]bool, cfg.Keys),
 		metrics: NewMetrics(),
@@ -213,8 +213,8 @@ func NewEngine(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		header = 0 // Check-In keeps log descriptors in the JMT, not inline
 	}
 	en.jr = newJournal(eng, dev, layout, cfg.Strategy.SectorAligned(), header, cfg.CompressRatio)
-	en.jr.tracer = cfg.Tracer
-	en.jr.injector = cfg.Injector
+	en.jr.cfg.Tracer = cfg.Tracer
+	en.jr.cfg.Injector = cfg.Injector
 	if cfg.HostCacheEntries > 0 {
 		en.hostCache = newKeyLRU(cfg.HostCacheEntries)
 	}
@@ -244,7 +244,7 @@ func (en *Engine) RemapTotals() ssd.RemapStats { return en.remapTotals }
 // group commit becomes durable (before the waiting client wakes). The
 // crash-consistency reference model (internal/check) uses it to track the
 // committed prefix.
-func (en *Engine) SetCommitHook(fn func(key, version int64)) { en.jr.onCommit = fn }
+func (en *Engine) SetCommitHook(fn func(key, version int64)) { en.jr.SetCommitHook(fn) }
 
 // ---------------------------------------------------------------------------
 // load phase
@@ -278,7 +278,7 @@ func (en *Engine) Load() {
 	}
 	for k := range en.version {
 		en.version[k] = 1
-		en.durable[k] = 1
+		en.jr.durable[k] = 1
 		en.ckpted[k] = 1
 	}
 }
@@ -367,24 +367,13 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 		en.TriggerCheckpoint()
 	}
 	p.Wait(commit)
-	if v > en.durable[key] {
-		en.durable[key] = v
-	}
 }
 
 // Sync blocks p until every journal log appended so far is durable — the
 // write-ahead group commits drain. Update already waits for its own commit,
 // so Sync matters only to callers pacing explicit durability epochs (the
 // cross-engine equivalence oracle).
-func (en *Engine) Sync(p *sim.Proc) {
-	for en.jr.commitInFlight || en.jr.hasPending() {
-		if en.jr.inFlightDone != nil {
-			p.Wait(en.jr.inFlightDone)
-		} else {
-			p.Sleep(sim.Microsecond) // batch buffered behind a checkpoint cut
-		}
-	}
-}
+func (en *Engine) Sync(p *sim.Proc) { en.jr.Sync(p) }
 
 // Scan executes a range read of n consecutive records starting at key
 // (YCSB-E). The data-area portion is one sequential device read; records
@@ -504,102 +493,24 @@ func (en *Engine) Run(spec RunSpec) (*Metrics, error) {
 // ---------------------------------------------------------------------------
 // crash recovery
 
-// RecoveryReport describes a simulated crash-recovery pass.
-type RecoveryReport struct {
-	Recovered        []int64 // per-key recovered version
-	ReplayedLogs     int
-	FromCheckpoint   int64 // keys restored purely from the last checkpoint
-	RecoveryTime     sim.VTime
-	JournalBytesRead int64
-}
-
-// recoverReport is the pure core of SimulateRecovery: what a restarted
-// instance would reconstruct from the last checkpoint plus committed journal
-// logs, with no simulated time charged. Safe to call from inside an engine
-// event (the crash-injection harness does).
-func (en *Engine) recoverReport() *RecoveryReport {
-	rep := &RecoveryReport{Recovered: make([]int64, en.cfg.Keys)}
-	copy(rep.Recovered, en.ckpted)
-	for k := range rep.Recovered {
-		if rep.Recovered[k] > 0 {
-			rep.FromCheckpoint++
-		}
-	}
-	replay := func(t *JMT) {
+// Recovery reports what a restarted instance would reconstruct after a
+// crash at the current instant: the last checkpoint (the data area) plus
+// every committed journal log (Section III-G). A half being checkpointed
+// still has its logs on flash until the deallocate lands, so both tables
+// replay. Pure — no simulated time passes, so it is safe to call from
+// inside an engine event (the crash-injection harness does).
+func (en *Engine) Recovery() *RecoveryReport {
+	rep := NewRecoveryReport(slices.Clone(en.ckpted), en.jr.durable, en.version)
+	for _, t := range []*JMT{en.ckptSnapshot, en.jr.JMT()} {
 		if t == nil {
-			return
+			continue
 		}
 		for _, e := range t.Entries() {
-			if !e.committed {
-				continue // lost with the crash
-			}
-			rep.ReplayedLogs++
-			rep.JournalBytesRead += int64(e.stored)
-			if e.version > rep.Recovered[e.key] {
-				rep.Recovered[e.key] = e.version
+			if e.committed { // uncommitted logs are lost with the crash
+				rep.Replay(e.key, e.version, e.stored)
 			}
 		}
 	}
-	// A half being checkpointed still has its logs on flash until the
-	// deallocate lands, so both tables replay.
-	replay(en.ckptSnapshot)
-	replay(en.jr.JMT())
+	rep.ScanLog(en.jr.HalfStart(en.jr.active), en.layout.JournalHalfBytes)
 	return rep
-}
-
-// RecoveredVersions returns the per-key versions a crash at the current
-// instant would recover to (host replay), without modeling recovery time.
-func (en *Engine) RecoveredVersions() []int64 {
-	return en.recoverReport().Recovered
-}
-
-// SimulateRecovery models a crash at the current instant: all volatile
-// state (memtable, uncommitted logs) is lost; the data structure is rebuilt
-// from the last checkpoint plus committed journal logs (Section III-G).
-// The engine itself is left untouched — the report is what a restarted
-// instance would reconstruct.
-func (en *Engine) SimulateRecovery() *RecoveryReport {
-	rep := en.recoverReport()
-
-	// Model the recovery read time: the journal is scanned sequentially.
-	start := en.eng.Now()
-	done := false
-	var finished sim.VTime
-	en.eng.Go("recovery", func(p *sim.Proc) {
-		const chunk = 256 << 10
-		for off := int64(0); off < rep.JournalBytesRead; off += chunk {
-			n := int64(chunk)
-			if off+n > rep.JournalBytesRead {
-				n = rep.JournalBytesRead - off
-			}
-			half := en.layout.JournalStart(en.jr.active)
-			end := half + off + n
-			if end > half+en.layout.JournalHalfBytes {
-				break
-			}
-			p.Wait(en.dev.Read(half+off, n))
-		}
-		finished = p.Now()
-		done = true
-	})
-	for !done {
-		en.eng.RunUntil(en.eng.Now() + 10*sim.Millisecond)
-	}
-	rep.RecoveryTime = finished - start
-	return rep
-}
-
-// DurableVersions returns a copy of the per-key durable versions — what a
-// correct recovery must reproduce.
-func (en *Engine) DurableVersions() []int64 {
-	out := make([]int64, len(en.durable))
-	copy(out, en.durable)
-	return out
-}
-
-// InMemoryVersions returns the per-key in-memory (volatile) versions.
-func (en *Engine) InMemoryVersions() []int64 {
-	out := make([]int64, len(en.version))
-	copy(out, en.version)
-	return out
 }

@@ -51,8 +51,8 @@ func TestUpdateThenGetUsesJournal(t *testing.T) {
 		en.Update(p, 7, 512)
 		en.Get(p, 7)
 	})
-	if en.version[7] != 2 || en.durable[7] != 2 {
-		t.Errorf("versions = %d/%d, want 2/2", en.version[7], en.durable[7])
+	if en.version[7] != 2 || en.jr.durable[7] != 2 {
+		t.Errorf("versions = %d/%d, want 2/2", en.version[7], en.jr.durable[7])
 	}
 	if en.jr.JMT().Latest(7) == nil {
 		t.Error("journal has no entry for the updated key")
@@ -255,6 +255,13 @@ func TestLockDuringCheckpointStallsQueries(t *testing.T) {
 	}
 }
 
+// simulateRecovery is DB.SimulateRecovery for a bare engine.
+func simulateRecovery(en *Engine) *RecoveryReport {
+	rep := en.Recovery()
+	TimeRecovery(en.eng, en.dev, rep)
+	return rep
+}
+
 func TestRecoveryMatchesDurableVersions(t *testing.T) {
 	for _, s := range Strategies {
 		s := s
@@ -264,8 +271,8 @@ func TestRecoveryMatchesDurableVersions(t *testing.T) {
 			if _, err := en.Run(RunSpec{Threads: 4, TotalQueries: 4000, Mix: workload.WorkloadA, Zipfian: true}); err != nil {
 				t.Fatal(err)
 			}
-			rep := en.SimulateRecovery()
-			durable := en.DurableVersions()
+			rep := simulateRecovery(en)
+			durable := rep.Durable
 			for k := range durable {
 				if rep.Recovered[k] != durable[k] {
 					t.Fatalf("key %d: recovered v%d, durable v%d",
@@ -296,8 +303,8 @@ func TestRecoveryMidCheckpoint(t *testing.T) {
 	if !triggered {
 		t.Fatal("setup failed")
 	}
-	rep := en.SimulateRecovery()
-	durable := en.DurableVersions()
+	rep := simulateRecovery(en)
+	durable := en.jr.durable
 	for k := 0; k < 50; k++ {
 		if rep.Recovered[k] < durable[k] {
 			t.Fatalf("key %d: recovered v%d < durable v%d", k, rep.Recovered[k], durable[k])
@@ -318,12 +325,12 @@ func TestUncommittedUpdatesNotRecovered(t *testing.T) {
 	for !done {
 		e.RunUntil(e.Now() + sim.Microsecond)
 	}
-	rep := en.SimulateRecovery()
+	rep := simulateRecovery(en)
 	if rep.Recovered[9] != 1 {
 		t.Errorf("uncommitted update recovered: v%d", rep.Recovered[9])
 	}
-	if en.InMemoryVersions()[9] != 2 {
-		t.Errorf("in-memory version = %d, want 2", en.InMemoryVersions()[9])
+	if rep.InMemory[9] != 2 {
+		t.Errorf("in-memory version = %d, want 2", rep.InMemory[9])
 	}
 }
 
@@ -588,8 +595,8 @@ func TestDeleteJournalsTombstone(t *testing.T) {
 	if !en.deleted[42] {
 		t.Error("deleted flag not set")
 	}
-	if en.version[42] != 2 || en.durable[42] != 2 {
-		t.Errorf("tombstone version = %d/%d, want 2/2", en.version[42], en.durable[42])
+	if en.version[42] != 2 || en.jr.durable[42] != 2 {
+		t.Errorf("tombstone version = %d/%d, want 2/2", en.version[42], en.jr.durable[42])
 	}
 	e2 := en.jr.JMT().Latest(42)
 	if e2 == nil || e2.payload != tombstoneBytes {
@@ -599,7 +606,7 @@ func TestDeleteJournalsTombstone(t *testing.T) {
 	runProc(e, func(p *sim.Proc) {
 		p.Wait(en.TriggerCheckpoint())
 	})
-	rep := en.SimulateRecovery()
+	rep := simulateRecovery(en)
 	if rep.Recovered[42] != 2 {
 		t.Errorf("tombstone not recovered: v%d", rep.Recovered[42])
 	}

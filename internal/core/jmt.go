@@ -54,6 +54,12 @@ type jmtEntry struct {
 	committed bool // the log has been durably written
 }
 
+// Commit marks the log durable (its group commit completed).
+func (e *jmtEntry) Commit() (key, version int64) {
+	e.committed = true
+	return e.key, e.version
+}
+
 // JMT is the journal mapping table for one journal half: an append-only
 // entry log plus a latest-version index. Keys are record numbers, dense in
 // [0, Keys), so the index is a key-indexed slice of log positions: Latest,

@@ -128,8 +128,8 @@ func TestRandomCrashRecoveryProperty(t *testing.T) {
 			Mix: workload.WorkloadWO, Zipfian: true}); err != nil {
 			t.Fatal(err)
 		}
-		rep := en.SimulateRecovery()
-		for k, v := range en.DurableVersions() {
+		rep := simulateRecovery(en)
+		for k, v := range rep.Durable {
 			if rep.Recovered[k] != v {
 				t.Logf("seed %d, queries %d: key %d recovered v%d durable v%d",
 					seed, queries, k, rep.Recovered[k], v)

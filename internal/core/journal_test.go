@@ -90,8 +90,8 @@ func TestJournalConventionalLayout(t *testing.T) {
 	if e2.off != 516+16 {
 		t.Errorf("e2.off = %d, want 532", e2.off)
 	}
-	if j.UsedBytes() != 832 {
-		t.Errorf("UsedBytes = %d", j.UsedBytes())
+	if j.head != 832 {
+		t.Errorf("head = %d", j.head)
 	}
 	st := j.Stats()
 	if st.Logs != 2 || st.PayloadBytes != 800 || st.StoredBytes != 832 {
@@ -317,6 +317,6 @@ func TestWouldOverflow(t *testing.T) {
 	}
 	if !j.WouldOverflow(16384) {
 		t.Errorf("nearly full half (used %d of %d) does not report overflow",
-			j.UsedBytes(), l.JournalHalfBytes)
+			j.head, l.JournalHalfBytes)
 	}
 }

@@ -41,7 +41,7 @@ func TestCheckpointCutSnapshotVisibility(t *testing.T) {
 	}
 	observedWindow := false
 	validate := func() {
-		recovered := en.RecoveredVersions()
+		recovered := en.Recovery().Recovered
 		for k := range committed {
 			if recovered[k] != committed[k] {
 				t.Fatalf("during checkpoint cut: key %d recovered v%d, committed v%d (site ckpt-cut window)",

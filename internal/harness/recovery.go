@@ -42,11 +42,8 @@ func Recovery(o Opts) (*Table, error) {
 		db := rs[i].DB
 		rep := db.SimulateRecovery()
 		// validate before reporting: recovery must equal the durable state
-		for k, v := range db.DurableVersions() {
-			if rep.Recovered[k] != v {
-				t.Notes = append(t.Notes, s.String()+": RECOVERY MISMATCH (bug)")
-				break
-			}
+		if rep.Diverged() > 0 {
+			t.Notes = append(t.Notes, s.String()+": RECOVERY MISMATCH (bug)")
 		}
 		spor := db.SimulateSPOR()
 		t.AddRow(s.String(),

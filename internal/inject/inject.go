@@ -116,6 +116,10 @@ const (
 	NumSites
 )
 
+// NoSite names no site: Hit ignores it. A component that fires a site only
+// in some configurations passes it in the others.
+const NoSite = NumSites
+
 // String returns the site's stable name (used in reports and repro lines).
 func (s Site) String() string {
 	switch s {
@@ -229,7 +233,7 @@ func (in *Injector) Arm(target Site, skip int, deferFire func(func()), onCrash f
 // Hit records that execution passed site s, firing the armed crash callback
 // if this is the scheduled hit. Nil-safe: a nil injector is a no-op.
 func (in *Injector) Hit(s Site) {
-	if in == nil {
+	if in == nil || s == NoSite {
 		return
 	}
 	in.counts[s]++

@@ -134,7 +134,11 @@ type Engine struct {
 	runArea       extent
 	alloc         *allocator
 
-	w        *wal
+	// w is the write-ahead log; walLogs[h] holds the records logged to WAL
+	// half h since it last became active, and walSeq numbers them.
+	w        *core.GroupCommit[*walRec]
+	walLogs  [2][]*walRec
+	walSeq   int64
 	mem      map[int64]*memEntry
 	imm      map[int64]*memEntry // sealed memtable while its flush runs
 	memLimit int
@@ -147,13 +151,9 @@ type Engine struct {
 	durableFloor int64
 	manifestSeq  uint64
 
-	// walLive holds records above the durable floor (committed or not);
-	// recovery replays the committed ones over the manifest's runs.
-	walLive []*walRec
-
-	// version truth, mirroring the journal engine's recovery model.
+	// version truth, mirroring the journal engine's recovery model (the
+	// WAL keeps the durable versions).
 	version []int64
-	durable []int64
 	deleted []bool
 
 	flushRunning bool
@@ -166,8 +166,6 @@ type Engine struct {
 
 	gateClosed bool
 	gateOpen   *sim.Future
-
-	onCommit func(key, version int64)
 
 	remapTotals ssd.RemapStats
 	metrics     *core.Metrics
@@ -194,7 +192,6 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		memLimit: cfg.MemtableEntries,
 		mem:      make(map[int64]*memEntry),
 		version:  make([]int64, cfg.Keys),
-		durable:  make([]int64, cfg.Keys),
 		deleted:  make([]bool, cfg.Keys),
 		metrics:  core.NewMetrics(),
 	}
@@ -223,17 +220,16 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 	if cfg.Strategy.SectorAligned() {
 		header = 0
 	}
-	en.w = newWAL(eng, dev, cfg.JournalHalfBytes, cfg.Strategy.SectorAligned(), header)
-	en.w.tracer = cfg.Tracer
-	en.w.injector = cfg.Injector
-	en.w.onCommit = func(r *walRec) {
-		if r.version > en.durable[r.key] {
-			en.durable[r.key] = r.version
-		}
-		if en.onCommit != nil {
-			en.onCommit(r.key, r.version)
-		}
-	}
+	en.w = core.NewGroupCommit(eng, dev, walFormat{aligned: cfg.Strategy.SectorAligned(), header: header},
+		&en.walLogs[0], core.LogConfig{
+			Keys:       cfg.Keys,
+			HalfBytes:  cfg.JournalHalfBytes,
+			Slack:      sector,
+			CommitSite: inject.SiteWALCommit,
+			CutSite:    inject.NoSite,
+			Tracer:     cfg.Tracer,
+			Injector:   cfg.Injector,
+		})
 	en.director = newDirector(cfg.Policy, cfg.JournalHalfBytes)
 	return en, nil
 }
@@ -276,7 +272,7 @@ func (en *Engine) Levels() []int {
 
 // SetCommitHook installs fn to observe every WAL record the instant its
 // group commit becomes durable (the check oracle's model hook).
-func (en *Engine) SetCommitHook(fn func(key, version int64)) { en.onCommit = fn }
+func (en *Engine) SetCommitHook(fn func(key, version int64)) { en.w.SetCommitHook(fn) }
 
 // ---------------------------------------------------------------------------
 // load phase
@@ -302,9 +298,10 @@ func (en *Engine) Load() {
 	for !done {
 		en.eng.RunUntil(en.eng.Now() + 100*sim.Millisecond)
 	}
+	durable := en.w.Durable()
 	for k := range en.version {
 		en.version[k] = 1
-		en.durable[k] = 1
+		durable[k] = 1
 	}
 }
 
@@ -416,8 +413,12 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 	}
 	en.version[key]++
 	v := en.version[key]
-	rec, commit := en.w.Append(key, v, size)
-	en.walLive = append(en.walLive, rec)
+	en.walSeq++
+	rec := &walRec{seq: en.walSeq, key: key, version: v, payload: size}
+	log := &en.walLogs[en.w.Active()]
+	*log = append(*log, rec)
+	commit := en.w.Queue(size)
+	en.w.StartCommit()
 	en.mem[key] = &memEntry{version: v, size: size, rec: rec}
 	en.cfg.Injector.Hit(inject.SiteWALAppend)
 	if !en.flushRunning &&
@@ -483,15 +484,7 @@ func (en *Engine) Delete(p *sim.Proc, key int64) {
 }
 
 // Sync blocks p until every WAL record appended so far is durable.
-func (en *Engine) Sync(p *sim.Proc) {
-	for en.w.commitInFlight || len(en.w.pending) > 0 {
-		if en.w.inFlightDone != nil {
-			p.Wait(en.w.inFlightDone)
-		} else {
-			p.Sleep(sim.Microsecond) // batch buffered behind a seal
-		}
-	}
-}
+func (en *Engine) Sync(p *sim.Proc) { en.w.Sync(p) }
 
 // ---------------------------------------------------------------------------
 // flush epochs (the LSM's checkpoint)
@@ -524,19 +517,18 @@ func (en *Engine) TriggerCheckpoint() *sim.Future {
 	en.eng.Go("flush", func(p *sim.Proc) {
 		start := p.Now()
 		// Seal: the active memtable becomes immutable (still readable), new
-		// writes go to a fresh memtable and the rotated WAL half. When Seal
+		// writes go to a fresh memtable and the rotated WAL half, whose
+		// records the manifest floor has long covered. When the cut
 		// returns every sealed record is durable, so the flushed run holds
 		// only committed versions — recovery equivalence depends on this.
 		en.imm = en.mem
 		en.mem = make(map[int64]*memEntry)
-		half, used, maxSeq := en.w.Seal(p)
+		maxSeq := en.walSeq
+		fresh := &en.walLogs[en.w.Active()^1]
+		*fresh = (*fresh)[:0]
+		half, used := en.w.Cut(p, fresh)
 
-		sealedLogs := 0
-		for _, rec := range en.walLive {
-			if rec.seq <= maxSeq && rec.seq > en.durableFloor {
-				sealedLogs++
-			}
-		}
+		sealedLogs := len(en.walLogs[half])
 		en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(len(en.imm)),
 			fmt.Sprintf("entries=%d used=%dKB", sealedLogs, used>>10))
 		if sealedLogs > 0 {
@@ -553,7 +545,7 @@ func (en *Engine) TriggerCheckpoint() *sim.Future {
 			en.publishManifest(p, maxSeq)
 			// the sealed WAL half is fully superseded: deallocate it
 			if used > 0 {
-				p.Wait(en.dev.Deallocate(en.w.halfStart(half), roundUp(used, en.unit)))
+				p.Wait(en.dev.Deallocate(en.w.HalfStart(half), roundUp(used, en.unit)))
 			}
 		}
 		en.imm = nil
@@ -725,13 +717,6 @@ func (en *Engine) publishManifest(p *sim.Proc, floor int64) {
 	if floor >= 0 && floor > en.durableFloor {
 		en.durableFloor = floor
 	}
-	keep := make([]*walRec, 0, len(en.walLive))
-	for _, rec := range en.walLive {
-		if rec.seq > en.durableFloor {
-			keep = append(keep, rec)
-		}
-	}
-	en.walLive = keep
 	en.st.ManifestWrites++
 	en.cfg.Injector.Hit(inject.SiteManifestPublish)
 }
@@ -746,86 +731,29 @@ func (en *Engine) Run(spec core.RunSpec) (*core.Metrics, error) {
 // ---------------------------------------------------------------------------
 // crash recovery
 
-// recoverReport reconstructs what a restarted instance recovers: the last
+// Recovery reports what a restarted instance recovers: the last
 // durably-published manifest's runs, overlaid with committed WAL records
-// above the manifest floor. Pure — safe to call from inside an engine event.
-func (en *Engine) recoverReport() *core.RecoveryReport {
-	rep := &core.RecoveryReport{Recovered: make([]int64, en.cfg.Keys)}
+// above the manifest floor; the scan reads the manifest slot (runs open
+// from their footers, metadata-only), then the WAL tail. Pure — safe to
+// call from inside an engine event.
+func (en *Engine) Recovery() *core.RecoveryReport {
+	published := make([]int64, en.cfg.Keys)
 	for _, r := range en.durableRuns {
 		for i, k := range r.keys {
-			if r.vers[i] > rep.Recovered[k] {
-				rep.Recovered[k] = r.vers[i]
+			if r.vers[i] > published[k] {
+				published[k] = r.vers[i]
 			}
 		}
 	}
-	for _, v := range rep.Recovered {
-		if v > 0 {
-			rep.FromCheckpoint++
+	rep := core.NewRecoveryReport(published, en.w.Durable(), en.version)
+	for _, log := range en.walLogs {
+		for _, rec := range log {
+			if rec.committed && rec.seq > en.durableFloor {
+				rep.Replay(rec.key, rec.version, rec.stored)
+			}
 		}
 	}
-	for _, rec := range en.walLive {
-		if !rec.committed || rec.seq <= en.durableFloor {
-			continue
-		}
-		rep.ReplayedLogs++
-		rep.JournalBytesRead += int64(rec.stored)
-		if rec.version > rep.Recovered[rec.key] {
-			rep.Recovered[rec.key] = rec.version
-		}
-	}
+	rep.Reads = append(rep.Reads, core.ScanRead{Off: en.manifestStart + int64(en.manifestSeq%2)*en.manifestSlot, Len: sector})
+	rep.ScanLog(en.w.HalfStart(en.w.Active()), en.cfg.JournalHalfBytes)
 	return rep
-}
-
-// RecoveredVersions returns the per-key versions a crash at the current
-// instant would recover to.
-func (en *Engine) RecoveredVersions() []int64 {
-	return en.recoverReport().Recovered
-}
-
-// SimulateRecovery models a crash at the current instant: the manifest is
-// read, runs are opened from their footers (metadata-only), and the WAL
-// tail above the floor is scanned sequentially.
-func (en *Engine) SimulateRecovery() *core.RecoveryReport {
-	rep := en.recoverReport()
-
-	start := en.eng.Now()
-	done := false
-	var finished sim.VTime
-	en.eng.Go("recovery", func(p *sim.Proc) {
-		// manifest slot read, then the WAL tail scan
-		p.Wait(en.dev.Read(en.manifestStart+int64(en.manifestSeq%2)*en.manifestSlot, sector))
-		const chunk = 256 << 10
-		half := en.w.halfStart(en.w.active)
-		for off := int64(0); off < rep.JournalBytesRead; off += chunk {
-			n := int64(chunk)
-			if off+n > rep.JournalBytesRead {
-				n = rep.JournalBytesRead - off
-			}
-			if off+n > en.w.halfBytes {
-				break
-			}
-			p.Wait(en.dev.Read(half+off, n))
-		}
-		finished = p.Now()
-		done = true
-	})
-	for !done {
-		en.eng.RunUntil(en.eng.Now() + 10*sim.Millisecond)
-	}
-	rep.RecoveryTime = finished - start
-	return rep
-}
-
-// DurableVersions returns a copy of the per-key durable versions.
-func (en *Engine) DurableVersions() []int64 {
-	out := make([]int64, len(en.durable))
-	copy(out, en.durable)
-	return out
-}
-
-// InMemoryVersions returns the per-key in-memory (volatile) versions.
-func (en *Engine) InMemoryVersions() []int64 {
-	out := make([]int64, len(en.version))
-	copy(out, en.version)
-	return out
 }

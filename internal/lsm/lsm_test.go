@@ -104,7 +104,7 @@ func TestLoadBuildsBaseRun(t *testing.T) {
 	if en.st.ManifestWrites != 1 {
 		t.Errorf("manifest writes = %d, want 1", en.st.ManifestWrites)
 	}
-	rec := en.recoverReport()
+	rec := en.Recovery()
 	for k, v := range rec.Recovered {
 		if v != 1 {
 			t.Fatalf("recovered[%d] = %d after load, want 1", k, v)
@@ -134,7 +134,7 @@ func TestFlushAppliesVersionsAllStrategies(t *testing.T) {
 				t.Fatalf("level 0 holds %d runs, want 1", got)
 			}
 			// with the WAL floor advanced, recovery must come from the run
-			rec := en.recoverReport()
+			rec := en.Recovery()
 			if rec.Recovered[3] != 3 {
 				t.Errorf("recovered[3] = %d, want 3 (load 1 + 2 updates)", rec.Recovered[3])
 			}
@@ -156,7 +156,7 @@ func TestUncommittedTailIsNotRecovered(t *testing.T) {
 		en.Sync(p)
 	})
 	// committed but unflushed: replayed from the WAL
-	rec := en.recoverReport()
+	rec := en.Recovery()
 	if rec.Recovered[7] != 2 {
 		t.Fatalf("recovered[7] = %d, want 2", rec.Recovered[7])
 	}
@@ -164,8 +164,9 @@ func TestUncommittedTailIsNotRecovered(t *testing.T) {
 		t.Errorf("replayed %d logs, want 1", rec.ReplayedLogs)
 	}
 	// an appended-but-uncommitted record must not be recovered
-	en.walLive = append(en.walLive, &walRec{seq: en.w.seq + 1, key: 8, version: 99})
-	if got := en.recoverReport().Recovered[8]; got != 1 {
+	log := &en.walLogs[en.w.Active()]
+	*log = append(*log, &walRec{seq: en.walSeq + 1, key: 8, version: 99})
+	if got := en.Recovery().Recovered[8]; got != 1 {
 		t.Errorf("recovered[8] = %d, want 1 (uncommitted tail lost)", got)
 	}
 }
@@ -198,8 +199,8 @@ func TestCompactionFoldsLevelZero(t *testing.T) {
 				t.Errorf("level 0 still holds %d runs after compaction", len(en.levels[0]))
 			}
 			// version truth must survive the merges
-			rec := en.recoverReport()
-			versions := en.DurableVersions()
+			rec := en.Recovery()
+			versions := rec.Durable
 			for k, v := range versions {
 				if rec.Recovered[k] != v {
 					t.Fatalf("recovered[%d] = %d, durable = %d", k, rec.Recovered[k], v)
@@ -242,7 +243,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 		}
 		en.Sync(p)
 	})
-	before := en.recoverReport().Recovered
+	before := en.Recovery().Recovered
 	s, err := en.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -258,13 +259,13 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	if err := en.Restore(s); err != nil {
 		t.Fatal(err)
 	}
-	after := en.recoverReport().Recovered
+	after := en.Recovery().Recovered
 	for k := range before {
 		if before[k] != after[k] {
 			t.Fatalf("recovered[%d] = %d after restore, want %d", k, after[k], before[k])
 		}
 	}
-	if got := en.InMemoryVersions()[50]; got != 3 {
+	if got := en.version[50]; got != 3 {
 		t.Errorf("version[50] = %d after restore, want 3", got)
 	}
 }
@@ -341,7 +342,8 @@ func TestRunEngineSmoke(t *testing.T) {
 	if m.Checkpoints() == 0 && en.st.Flushes == 0 {
 		t.Error("run finished without any flush epoch")
 	}
-	rep := en.SimulateRecovery()
+	rep := en.Recovery()
+	core.TimeRecovery(en.eng, en.dev, rep)
 	if rep.RecoveryTime <= 0 {
 		t.Error("recovery charged no simulated time")
 	}

@@ -4,17 +4,18 @@ import (
 	"fmt"
 
 	"github.com/checkin-kv/checkin/internal/core"
+	"github.com/checkin-kv/checkin/internal/ssd"
 )
 
 // EngineState is a deep copy of the LSM engine's mutable state at a
 // quiescent instant. Runs are immutable after construction, so the level
 // hierarchy and durable run set are copied as pointer slices sharing the
 // run objects — a fork can never observe a mutation because none happen.
-// WAL records are snapshotted by value and relinked on restore so a fork's
-// memtable never aliases the template's records.
+// The active WAL half's records are snapshotted by value and relinked on
+// restore so a fork's memtable never aliases the template's records; the
+// other half holds only records the manifest floor covers.
 type EngineState struct {
 	version []int64
-	durable []int64
 	deleted []bool
 
 	levels      [maxLevels][]*run
@@ -24,19 +25,17 @@ type EngineState struct {
 	durableFloor int64
 	manifestSeq  uint64
 
-	walActive int
-	walHead   int64
-	walSeq    int64
-	walStats  core.JournalStats
-	walLive   []walRec
+	wal    core.LogState
+	walSeq int64
+	walLog []walRec
 
-	// mem maps key -> index into walLive (the memtable cell's record);
-	// -1 when the record fell below the floor snapshot (cannot happen for
-	// live memtable cells, but kept defensive).
+	// mem maps key -> index into walLog (the memtable cell's record);
+	// -1 when the record is not in the active half's log (cannot happen
+	// for live memtable cells, but kept defensive).
 	memIdx map[int64]int
 
 	ckptEpoch   uint64
-	remapTotals struct{ Remapped, RMWs, Skipped int }
+	remapTotals ssd.RemapStats
 	st          Stats
 	allocFree   []extent
 }
@@ -48,7 +47,7 @@ func (en *Engine) Snapshot() (*EngineState, error) {
 	switch {
 	case en.flushRunning || en.imm != nil:
 		return nil, fmt.Errorf("lsm: snapshot during a flush epoch")
-	case en.w.commitInFlight || en.w.sealing || len(en.w.pending) > 0:
+	case !en.w.Quiet():
 		return nil, fmt.Errorf("lsm: snapshot with WAL activity in flight")
 	case en.compacting:
 		return nil, fmt.Errorf("lsm: snapshot during a compaction")
@@ -57,7 +56,6 @@ func (en *Engine) Snapshot() (*EngineState, error) {
 	}
 	s := &EngineState{
 		version: append([]int64(nil), en.version...),
-		durable: append([]int64(nil), en.durable...),
 		deleted: append([]bool(nil), en.deleted...),
 
 		durableRuns: append([]*run(nil), en.durableRuns...),
@@ -66,27 +64,24 @@ func (en *Engine) Snapshot() (*EngineState, error) {
 		durableFloor: en.durableFloor,
 		manifestSeq:  en.manifestSeq,
 
-		walActive: en.w.active,
-		walHead:   en.w.head,
-		walSeq:    en.w.seq,
-		walStats:  en.w.stats,
+		wal:    en.w.State(),
+		walSeq: en.walSeq,
 
-		ckptEpoch: en.ckptEpoch,
-		st:        en.st,
-		allocFree: append([]extent(nil), en.alloc.free...),
+		ckptEpoch:   en.ckptEpoch,
+		remapTotals: en.remapTotals,
+		st:          en.st,
+		allocFree:   append([]extent(nil), en.alloc.free...),
 	}
-	s.remapTotals.Remapped = en.remapTotals.Remapped
-	s.remapTotals.RMWs = en.remapTotals.RMWs
-	s.remapTotals.Skipped = en.remapTotals.Skipped
 	for i := range en.levels {
 		s.levels[i] = append([]*run(nil), en.levels[i]...)
 	}
-	// value-snapshot the live WAL records, remembering which one each
-	// memtable cell points at
-	idxBySeq := make(map[int64]int, len(en.walLive))
-	s.walLive = make([]walRec, len(en.walLive))
-	for i, rec := range en.walLive {
-		s.walLive[i] = *rec
+	// value-snapshot the active half's WAL records, remembering which one
+	// each memtable cell points at
+	log := en.walLogs[en.w.Active()]
+	idxBySeq := make(map[int64]int, len(log))
+	s.walLog = make([]walRec, len(log))
+	for i, rec := range log {
+		s.walLog[i] = *rec
 		idxBySeq[rec.seq] = i
 	}
 	s.memIdx = make(map[int64]int, len(en.mem))
@@ -109,7 +104,6 @@ func (en *Engine) Restore(s *EngineState) error {
 		return fmt.Errorf("lsm: restore with %d keys into an engine with %d", len(s.version), len(en.version))
 	}
 	copy(en.version, s.version)
-	copy(en.durable, s.durable)
 	copy(en.deleted, s.deleted)
 
 	en.durableRuns = append([]*run(nil), s.durableRuns...)
@@ -121,35 +115,27 @@ func (en *Engine) Restore(s *EngineState) error {
 	en.durableFloor = s.durableFloor
 	en.manifestSeq = s.manifestSeq
 
-	en.w.active = s.walActive
-	en.w.head = s.walHead
-	en.w.seq = s.walSeq
-	en.w.stats = s.walStats
-	en.w.pending, en.w.pendBytes = nil, 0
-	en.w.nextBatch = nil
-	en.w.commitInFlight = false
-	en.w.inFlightDone = nil
-	en.w.sealing = false
-
-	en.walLive = make([]*walRec, len(s.walLive))
-	for i := range s.walLive {
-		rec := s.walLive[i] // copy
-		en.walLive[i] = &rec
+	en.walSeq = s.walSeq
+	en.walLogs = [2][]*walRec{}
+	log := &en.walLogs[s.wal.Active()]
+	*log = make([]*walRec, len(s.walLog))
+	for i := range s.walLog {
+		rec := s.walLog[i] // copy
+		(*log)[i] = &rec
 	}
+	en.w.Restore(s.wal, log)
 	en.mem = make(map[int64]*memEntry, len(s.memIdx))
 	for k, i := range s.memIdx {
 		if i < 0 {
 			continue
 		}
-		rec := en.walLive[i]
+		rec := (*log)[i]
 		en.mem[k] = &memEntry{version: rec.version, size: rec.payload, rec: rec}
 	}
 	en.imm = nil
 
 	en.ckptEpoch = s.ckptEpoch
-	en.remapTotals.Remapped = s.remapTotals.Remapped
-	en.remapTotals.RMWs = s.remapTotals.RMWs
-	en.remapTotals.Skipped = s.remapTotals.Skipped
+	en.remapTotals = s.remapTotals
 	en.st = s.st
 	en.alloc.free = append([]extent(nil), s.allocFree...)
 

@@ -14,7 +14,7 @@ func TestRunWithSnapshotsMatchesDirect(t *testing.T) {
 	ResetCaches()
 	t.Cleanup(ResetCaches)
 	jobs := []Job{tinyJob("a", 1), tinyJob("b", 2), tinyJob("c", 3)}
-	direct := Run(jobs, 2)
+	direct := RunWith(jobs, Options{Parallelism: 2})
 	snap := RunWith(jobs, Options{Parallelism: 2, Snapshots: true})
 	for i := range jobs {
 		if direct[i].Err != nil || snap[i].Err != nil {

@@ -96,19 +96,13 @@ func runJob(j Job, o Options) (res Result) {
 	return res
 }
 
-// Run executes jobs on a pool of parallelism worker goroutines and returns
-// one Result per job, in submission order. parallelism <= 0 selects
-// runtime.NumCPU(); parallelism 1 runs strictly sequentially on the calling
-// goroutine. Individual failures are reported per Result, never as a
-// partial slice: len(results) == len(jobs) always.
-//
-// Run uses no acceleration (every job loads privately) — see RunWith for
-// the snapshot-forking and memoizing variant.
-func Run(jobs []Job, parallelism int) []Result {
-	return RunWith(jobs, Options{Parallelism: parallelism})
-}
-
-// RunWith is Run with the acceleration layers described by o.
+// RunWith executes jobs on a pool of o.Parallelism worker goroutines and
+// returns one Result per job, in submission order. Parallelism <= 0 selects
+// runtime.NumCPU(); 1 runs strictly sequentially on the calling goroutine.
+// Individual failures are reported per Result, never as a partial slice:
+// len(results) == len(jobs) always. The acceleration layers described by o
+// (snapshot forking, memoizing) apply; the zero Options load every job
+// privately.
 func RunWith(jobs []Job, o Options) []Result {
 	parallelism := o.Parallelism
 	if parallelism <= 0 {
@@ -144,13 +138,8 @@ func RunWith(jobs []Job, o Options) []Result {
 	return results
 }
 
-// RunAll is Run plus fail-fast error collection: it returns the results
-// alongside the first (by submission order) job error, if any.
-func RunAll(jobs []Job, parallelism int) ([]Result, error) {
-	return RunAllWith(jobs, Options{Parallelism: parallelism})
-}
-
-// RunAllWith is RunWith plus fail-fast error collection.
+// RunAllWith is RunWith plus fail-fast error collection: it returns the
+// results alongside the first (by submission order) job error, if any.
 func RunAllWith(jobs []Job, o Options) ([]Result, error) {
 	results := RunWith(jobs, o)
 	for i := range results {

@@ -38,8 +38,8 @@ func TestRunOrderingAndDeterminism(t *testing.T) {
 		jobs[i] = tinyJob(fmt.Sprintf("job-%d", i), int64(i+1))
 	}
 
-	seq := Run(jobs, 1)
-	par := Run(jobs, 4)
+	seq := RunWith(jobs, Options{Parallelism: 1})
+	par := RunWith(jobs, Options{Parallelism: 4})
 	if len(seq) != len(jobs) || len(par) != len(jobs) {
 		t.Fatalf("result lengths %d/%d, want %d", len(seq), len(par), len(jobs))
 	}
@@ -67,7 +67,7 @@ func TestRunErrorPropagation(t *testing.T) {
 	jobs := []Job{tinyJob("good", 1), tinyJob("bad", 2), tinyJob("also-good", 3)}
 	jobs[1].Config.GCPolicy = "bogus-policy" // rejected by checkin.Open
 
-	results, err := RunAll(jobs, 2)
+	results, err := RunAllWith(jobs, Options{Parallelism: 2})
 	if err == nil {
 		t.Fatal("RunAll did not surface the job error")
 	}
@@ -106,7 +106,7 @@ func TestRunPanicContainment(t *testing.T) {
 	}
 
 	jobs := []Job{tinyJob("ok", 1), tinyJob("boom", 2), tinyJob("ok2", 3), tinyJob("proc-boom", 4)}
-	results := Run(jobs, 3)
+	results := RunWith(jobs, Options{Parallelism: 3})
 	for _, i := range []int{1, 3} {
 		err := results[i].Err
 		if err == nil || !strings.Contains(err.Error(), "panicked") {
@@ -129,18 +129,18 @@ func TestRunPanicContainment(t *testing.T) {
 func TestRunParallelismClamping(t *testing.T) {
 	// more workers than jobs, zero and negative parallelism must all work
 	for _, par := range []int{0, -3, 64} {
-		results := Run([]Job{tinyJob("solo", 1)}, par)
+		results := RunWith([]Job{tinyJob("solo", 1)}, Options{Parallelism: par})
 		if len(results) != 1 || results[0].Err != nil {
 			t.Fatalf("parallelism %d: %+v", par, results)
 		}
 	}
-	if out := Run(nil, 8); len(out) != 0 {
+	if out := RunWith(nil, Options{Parallelism: 8}); len(out) != 0 {
 		t.Fatalf("Run(nil) returned %d results", len(out))
 	}
 }
 
 func TestRunAllNilError(t *testing.T) {
-	results, err := RunAll([]Job{tinyJob("a", 1)}, 1)
+	results, err := RunAllWith([]Job{tinyJob("a", 1)}, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
