@@ -5,25 +5,25 @@ import (
 	"github.com/checkin-kv/checkin/internal/ssd"
 )
 
-// checkpointer executes one checkpoint over a journal snapshot. The five
-// implementations mirror the paper's configuration breakdown; all run in a
-// simulated process so they can overlap with query traffic.
-type checkpointer interface {
-	Run(p *sim.Proc, en *Engine, snap ckptSnapshot)
-}
-
-func newCheckpointer(s Strategy, cfg Config) checkpointer {
-	switch s {
-	case StrategyBaseline:
-		return &baselineCkpt{window: cfg.CkptReadWindow}
-	case StrategyISCA:
-		return &singleCoWCkpt{window: cfg.CkptCoWWindow}
-	case StrategyISCB:
-		return &multiCoWCkpt{batch: cfg.MultiCoWBatch}
-	case StrategyISCC, StrategyCheckIn:
-		return &remapCkpt{batch: cfg.CkptCmdBatch, aligned: s.SectorAligned()}
+// checkpointData moves a cut snapshot's live logs onto their data-area
+// targets with the configured strategy — the paper's configuration
+// breakdown. It runs in the checkpoint process, overlapping query traffic.
+func (en *Engine) checkpointData(p *sim.Proc, snap ckptSnapshot) {
+	switch s := en.cfg.Strategy; {
+	case s == StrategyBaseline:
+		en.baselineCheckpoint(p, snap)
+	case s.UsesRemap():
+		RemapBatched(p, en.dev, en.cfg.HostIOOverhead, en.cfg.CkptCmdBatch, en.remapRequests(snap), &en.remapTotals)
 	default:
-		panic("core: unknown strategy")
+		var pairs []ssd.CoWPair
+		for _, e := range latestEntries(snap) {
+			pairs = append(pairs, ssd.CoWPair{Src: e.off, Dst: e.targetOff, Len: int64(e.payload)})
+		}
+		if s == StrategyISCA {
+			CoWEach(p, en.dev, en.cfg.HostIOOverhead, en.cfg.CkptCoWWindow, pairs)
+		} else {
+			CoWBatched(p, en.dev, en.cfg.HostIOOverhead, en.cfg.MultiCoWBatch, pairs)
+		}
 	}
 }
 
@@ -39,17 +39,13 @@ func latestEntries(snap ckptSnapshot) []*jmtEntry {
 	return out
 }
 
-// baselineCkpt is conventional engine-side checkpointing: journal logs are
-// read into host memory through the block interface and the latest versions
-// are written back to their data-area targets, followed by a metadata
-// update (Figure 2(c) / Figure 4(a)).
-type baselineCkpt struct {
-	window int // in-flight I/O window while draining the journal
-}
-
-func (c *baselineCkpt) Run(p *sim.Proc, en *Engine, snap ckptSnapshot) {
+// baselineCheckpoint is conventional engine-side checkpointing: journal
+// logs are read into host memory through the block interface and the
+// latest versions are written back to their data-area targets, followed by
+// a metadata update (Figure 2(c) / Figure 4(a)).
+func (en *Engine) baselineCheckpoint(p *sim.Proc, snap ckptSnapshot) {
 	entries := latestEntries(snap)
-	w := c.window
+	w := en.cfg.CkptReadWindow // in-flight I/O window while draining the journal
 	if w < 1 {
 		w = 32
 	}
@@ -83,57 +79,67 @@ func (c *baselineCkpt) Run(p *sim.Proc, en *Engine, snap ckptSnapshot) {
 	p.Wait(en.dev.Flush(ssd.AreaData))
 }
 
-// singleCoWCkpt is ISC-A: one vendor-specific CoW command per journal log.
-// No data crosses the host link, but the command count equals the log count
-// and the queue depth becomes the bottleneck.
-type singleCoWCkpt struct {
-	window int
+// remapRequests ships the whole JMT, OLD entries included (the device
+// skips them per Algorithm 1). Sector-aligned FULL logs remap their whole
+// stored units onto the record's slot. Everything else (conventional logs,
+// merged partials) lands on the FTL's read-merge-write path; the length is
+// still rounded to whole units because a record owns its entire
+// unit-aligned slot — the old destination content never needs preserving.
+// That is why Check-In's sector-aligned format is what makes the remap
+// path effective.
+func (en *Engine) remapRequests(snap ckptSnapshot) []ssd.RemapEntry {
+	aligned := en.cfg.Strategy.SectorAligned()
+	unit := int64(en.dev.FTL().UnitSize())
+	reqs := make([]ssd.RemapEntry, 0, snap.jmt.Len())
+	for _, e := range snap.jmt.Entries() {
+		n := roundUp(int64(e.payload), unit)
+		if aligned && e.typ == LogFull {
+			n = int64(e.stored)
+		}
+		reqs = append(reqs, ssd.RemapEntry{Src: e.off, Dst: e.targetOff, Len: n, Old: e.old})
+	}
+	return reqs
 }
 
-func (c *singleCoWCkpt) Run(p *sim.Proc, en *Engine, snap ckptSnapshot) {
-	entries := latestEntries(snap)
-	w := c.window
-	if w < 1 {
-		w = 128
+// The device-side transfers below are shared by both engines: a journal
+// checkpoint copies or remaps the JMT's logs onto their data-area slots,
+// an LSM flush the sealed WAL records onto the new run's slots. No data
+// crosses the host link; each command costs the host overhead to issue.
+
+// CoWEach is ISC-A: one vendor-specific CoW command per pair, window
+// commands in flight. The command count equals the pair count, so the
+// queue depth becomes the bottleneck.
+func CoWEach(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, window int, pairs []ssd.CoWPair) {
+	if window < 1 {
+		window = 128
 	}
-	for i := 0; i < len(entries); i += w {
-		chunk := entries[i:min(i+w, len(entries))]
+	for i := 0; i < len(pairs); i += window {
+		chunk := pairs[i:min(i+window, len(pairs))]
 		futs := make([]*sim.Future, len(chunk))
-		for k, e := range chunk {
-			p.Sleep(en.cfg.HostIOOverhead)
-			futs[k] = en.dev.CoW(e.off, e.targetOff, int64(e.payload))
+		for k, c := range chunk {
+			p.Sleep(overhead)
+			futs[k] = dev.CoW(c.Src, c.Dst, c.Len)
 		}
 		p.WaitAll(futs)
 	}
-	p.Wait(en.dev.Flush(ssd.AreaData))
+	p.Wait(dev.Flush(ssd.AreaData))
 }
 
-// multiCoWCkpt is ISC-B: CoW pairs are batched into multi-CoW commands,
-// reducing command overhead to a negligible level and letting the device
-// schedule consecutive reads and consecutive writes.
-type multiCoWCkpt struct {
-	batch int
-}
-
-func (c *multiCoWCkpt) Run(p *sim.Proc, en *Engine, snap ckptSnapshot) {
-	entries := latestEntries(snap)
-	b := c.batch
-	if b < 1 {
-		b = 128
+// CoWBatched is ISC-B: the pairs ride in multi-CoW commands of batch
+// pairs, reducing command overhead to a negligible level and letting the
+// device schedule consecutive reads and consecutive writes.
+func CoWBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, batch int, pairs []ssd.CoWPair) {
+	if batch < 1 {
+		batch = 128
 	}
 	// At most two commands in flight: the device works on one batch while
 	// the next is queued, and host queries get service in between — a
 	// device that let one checkpoint command book every die for hundreds
 	// of milliseconds would starve the host.
 	var prev *sim.Future
-	for i := 0; i < len(entries); i += b {
-		chunk := entries[i:min(i+b, len(entries))]
-		pairs := make([]ssd.CoWPair, len(chunk))
-		for k, e := range chunk {
-			pairs[k] = ssd.CoWPair{Src: e.off, Dst: e.targetOff, Len: int64(e.payload)}
-		}
-		p.Sleep(en.cfg.HostIOOverhead)
-		cur := en.dev.MultiCoW(pairs)
+	for i := 0; i < len(pairs); i += batch {
+		p.Sleep(overhead)
+		cur := dev.MultiCoW(pairs[i:min(i+batch, len(pairs))])
 		if prev != nil {
 			p.Wait(prev)
 		}
@@ -142,58 +148,32 @@ func (c *multiCoWCkpt) Run(p *sim.Proc, en *Engine, snap ckptSnapshot) {
 	if prev != nil {
 		p.Wait(prev)
 	}
-	p.Wait(en.dev.Flush(ssd.AreaData))
+	p.Wait(dev.Flush(ssd.AreaData))
 }
 
-// remapCkpt serves both ISC-C and Check-In: the whole JMT (including OLD
-// entries, which the device skips per Algorithm 1) ships to the device in
-// checkpoint-request commands and the FTL checkpoints by remapping. Whether
-// entries remap purely or degrade to read-merge-writes depends on how the
-// journal laid the logs out — Check-In's sector-aligned format is what
-// makes the remap path effective.
-type remapCkpt struct {
-	batch   int
-	aligned bool
-}
-
-func (c *remapCkpt) Run(p *sim.Proc, en *Engine, snap ckptSnapshot) {
-	all := snap.jmt.Entries()
-	b := c.batch
-	if b < 1 {
-		b = 512
+// RemapBatched is ISC-C and Check-In: the requests ride in
+// checkpoint-request commands of batch entries and the FTL checkpoints by
+// remapping, adding each command's outcome to totals. Whether entries
+// remap purely or degrade to read-merge-writes depends on how the log laid
+// the records out.
+func RemapBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, batch int, reqs []ssd.RemapEntry, totals *ssd.RemapStats) {
+	if batch < 1 {
+		batch = 512
 	}
-	unit := int64(en.dev.FTL().UnitSize())
 	// The cut brackets tell the FTL's translation-metadata layer to defer
 	// dirty writeback across the remap burst and settle it once, densest
 	// page first, when the burst has drained (dftl mode; no-op otherwise).
-	en.dev.BeginCheckpointCut()
+	dev.BeginCheckpointCut()
 	var prev *sim.Future
-	for i := 0; i < len(all); i += b {
-		chunk := all[i:min(i+b, len(all))]
-		reqs := make([]ssd.RemapEntry, len(chunk))
-		for k, e := range chunk {
-			// Sector-aligned FULL logs remap their whole stored units
-			// onto the record's slot. Everything else (conventional
-			// logs, merged partials) lands on the FTL's read-merge-
-			// write path; the length is still rounded to whole units
-			// because a record owns its entire unit-aligned slot — the
-			// old destination content never needs preserving.
-			var n int64
-			if c.aligned && e.typ == LogFull {
-				n = int64(e.stored)
-			} else {
-				n = roundUp(int64(e.payload), unit)
-			}
-			reqs[k] = ssd.RemapEntry{Src: e.off, Dst: e.targetOff, Len: n, Old: e.old}
-		}
-		p.Sleep(en.cfg.HostIOOverhead)
-		res, fut := en.dev.CheckpointRequest(reqs)
+	for i := 0; i < len(reqs); i += batch {
+		p.Sleep(overhead)
+		res, fut := dev.CheckpointRequest(reqs[i:min(i+batch, len(reqs))])
 		fut.OnComplete(func() {
-			en.remapTotals.Remapped += res.Remapped
-			en.remapTotals.RMWs += res.RMWs
-			en.remapTotals.Skipped += res.Skipped
+			totals.Remapped += res.Remapped
+			totals.RMWs += res.RMWs
+			totals.Skipped += res.Skipped
 		})
-		// keep at most two checkpoint commands in flight (see multiCoW)
+		// keep at most two checkpoint commands in flight (see CoWBatched)
 		if prev != nil {
 			p.Wait(prev)
 		}
@@ -205,7 +185,7 @@ func (c *remapCkpt) Run(p *sim.Proc, en *Engine, snap ckptSnapshot) {
 	// Every remap command has been serviced: settle the deferred translation
 	// writeback before the durability barrier below, so the flush covers the
 	// translation pages too.
-	en.dev.EndCheckpointCut()
+	dev.EndCheckpointCut()
 	// durability barrier: any read-merge-write residue must hit flash
-	p.Wait(en.dev.Flush(ssd.AreaCheckpoint))
+	p.Wait(dev.Flush(ssd.AreaCheckpoint))
 }

@@ -157,7 +157,6 @@ type Engine struct {
 
 	layout *Layout
 	jr     *journal
-	ckpt   checkpointer
 
 	// version truth: in-memory and checkpointed (data area); the journal
 	// keeps the durable (journaled+committed) versions — the recovery
@@ -166,16 +165,10 @@ type Engine struct {
 	ckpted  []int64
 	deleted []bool
 
-	// checkpoint state
-	ckptRunning  bool
-	ckptEpoch    uint64
-	ckptDoneFut  *sim.Future
+	// checkpoint epochs and the query gate for LockDuringCheckpoint
+	Epochs
 	ckptSnapshot *JMT // old-half JMT readable while its checkpoint runs
 	remapTotals  ssd.RemapStats
-
-	// query gate for LockDuringCheckpoint
-	gateClosed bool
-	gateOpen   *sim.Future
 
 	hostCache *keyLRU
 
@@ -218,7 +211,7 @@ func NewEngine(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 	if cfg.HostCacheEntries > 0 {
 		en.hostCache = newKeyLRU(cfg.HostCacheEntries)
 	}
-	en.ckpt = newCheckpointer(cfg.Strategy, cfg)
+	en.Epochs = NewEpochs(eng, "checkpoint", cfg.HostConfig, en.checkpoint, nil)
 	return en, nil
 }
 
@@ -286,18 +279,10 @@ func (en *Engine) Load() {
 // ---------------------------------------------------------------------------
 // query paths (called from client processes)
 
-// gate blocks the process while query admission is locked (checkpoint
-// locking mode).
-func (en *Engine) gate(p *sim.Proc) {
-	for en.gateClosed {
-		p.Wait(en.gateOpen)
-	}
-}
-
 // Get executes a read query: the newest version lives either in the active
 // journal, in the journal half being checkpointed, or in the data area.
 func (en *Engine) Get(p *sim.Proc, key int64) {
-	en.gate(p)
+	en.Gate(p)
 	if en.hostCache != nil && en.hostCache.touch(key) {
 		en.metrics.HostCacheHits++
 		return // value resident in host memory
@@ -343,7 +328,7 @@ func (en *Engine) Get(p *sim.Proc, key int64) {
 // Update executes a write query: journal the new version (write-ahead) and
 // wait for its group commit.
 func (en *Engine) Update(p *sim.Proc, key int64, size int) {
-	en.gate(p)
+	en.Gate(p)
 	if en.dev.ReadOnly() {
 		// The device degraded to read-only (spare blocks exhausted): refuse
 		// the write instead of journaling an update that cannot persist.
@@ -363,7 +348,7 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 		en.hostCache.insert(key) // freshly written value stays in memory
 	}
 	_, commit := en.jr.Append(key, v, size)
-	if en.jr.UsedFrac() > en.cfg.JournalSoftFrac && !en.ckptRunning {
+	if en.jr.UsedFrac() > en.cfg.JournalSoftFrac && !en.running {
 		en.TriggerCheckpoint()
 	}
 	p.Wait(commit)
@@ -379,7 +364,7 @@ func (en *Engine) Sync(p *sim.Proc) { en.jr.Sync(p) }
 // (YCSB-E). The data-area portion is one sequential device read; records
 // whose newest version still lives in the journal are read individually.
 func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
-	en.gate(p)
+	en.Gate(p)
 	if n < 1 {
 		n = 1
 	}
@@ -414,74 +399,45 @@ func (en *Engine) Delete(p *sim.Proc, key int64) {
 // ---------------------------------------------------------------------------
 // checkpointing
 
-// CheckpointRunning reports whether a checkpoint is in progress.
-func (en *Engine) CheckpointRunning() bool { return en.ckptRunning }
-
-// CheckpointEpoch advances at every checkpoint start and finish.
-func (en *Engine) CheckpointEpoch() uint64 { return en.ckptEpoch }
-
 // LiveEntries returns the active JMT's live (latest-version) entry count:
 // the work the next checkpoint has to apply.
 func (en *Engine) LiveEntries() int { return en.jr.JMT().Live() }
 
-// TriggerCheckpoint starts a checkpoint unless one is already running, and
-// returns a future completing when the (possibly already running) checkpoint
-// finishes.
-func (en *Engine) TriggerCheckpoint() *sim.Future {
-	if en.ckptRunning {
-		return en.ckptDoneFut
-	}
-	en.ckptRunning = true
-	en.ckptEpoch++
-	en.ckptDoneFut = sim.NewFuture(en.eng)
-	done := en.ckptDoneFut
-	if en.cfg.LockDuringCheckpoint {
-		en.gateClosed = true
-		en.gateOpen = sim.NewFuture(en.eng)
-	}
-	en.eng.Go("checkpoint", func(p *sim.Proc) {
-		start := p.Now()
-		// Publish the snapshot BEFORE the cut: CutForCheckpoint rotates the
-		// active JMT synchronously but then yields waiting for the old
-		// half's tail flush, and during those waits the old half's
-		// committed logs must stay visible to Get() and to recovery — they
-		// are the newest durable versions until the checkpoint applies.
-		// (Assigning the snapshot only after the cut returned left a window
-		// where they were invisible to both; the ckpt-cut injection site
-		// caught it.)
-		en.ckptSnapshot = en.jr.JMT()
-		snap := en.jr.CutForCheckpoint(p)
-		en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(snap.jmt.Live()),
-			fmt.Sprintf("entries=%d used=%dKB", snap.jmt.Len(), snap.used>>10))
-		en.metrics.NoteLiveRatio(snap.jmt.LiveRatio())
-		if snap.jmt.Live() > 0 {
-			en.ckpt.Run(p, en, snap)
-			// apply: the data area now holds the checkpointed versions
-			for _, e := range snap.jmt.Entries() {
-				if !e.old && e.version > en.ckpted[e.key] {
-					en.ckpted[e.key] = e.version
-				}
-			}
-			en.cfg.Injector.Hit(inject.SiteCheckpointApply)
-			// the journal half is no longer needed: deallocate it
-			if snap.used > 0 {
-				trimLen := roundUp(snap.used, int64(en.dev.FTL().UnitSize()))
-				p.Wait(en.dev.Deallocate(en.layout.JournalStart(snap.half), trimLen))
+// checkpoint is one checkpoint epoch: cut the journal, apply the old
+// half's live logs to the data area with the configured strategy, and
+// deallocate the old half.
+func (en *Engine) checkpoint(p *sim.Proc, start sim.VTime) {
+	// Publish the snapshot BEFORE the cut: CutForCheckpoint rotates the
+	// active JMT synchronously but then yields waiting for the old
+	// half's tail flush, and during those waits the old half's
+	// committed logs must stay visible to Get() and to recovery — they
+	// are the newest durable versions until the checkpoint applies.
+	// (Assigning the snapshot only after the cut returned left a window
+	// where they were invisible to both; the ckpt-cut injection site
+	// caught it.)
+	en.ckptSnapshot = en.jr.JMT()
+	snap := en.jr.CutForCheckpoint(p)
+	en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(snap.jmt.Live()),
+		fmt.Sprintf("entries=%d used=%dKB", snap.jmt.Len(), snap.used>>10))
+	en.metrics.NoteLiveRatio(snap.jmt.LiveRatio())
+	if snap.jmt.Live() > 0 {
+		en.checkpointData(p, snap)
+		// apply: the data area now holds the checkpointed versions
+		for _, e := range snap.jmt.Entries() {
+			if !e.old && e.version > en.ckpted[e.key] {
+				en.ckpted[e.key] = e.version
 			}
 		}
-		en.ckptSnapshot = nil
-		en.jr.retire(snap.jmt)
-		en.metrics.NoteCheckpoint(p.Now() - start)
-		en.cfg.Tracer.Emit(p.Now(), trace.KindCheckpointEnd, int64(p.Now()-start), "")
-		en.ckptRunning = false
-		en.ckptEpoch++
-		if en.cfg.LockDuringCheckpoint {
-			en.gateClosed = false
-			en.gateOpen.Complete()
+		en.cfg.Injector.Hit(inject.SiteCheckpointApply)
+		// the journal half is no longer needed: deallocate it
+		if snap.used > 0 {
+			trimLen := roundUp(snap.used, int64(en.dev.FTL().UnitSize()))
+			p.Wait(en.dev.Deallocate(en.layout.JournalStart(snap.half), trimLen))
 		}
-		done.Complete()
-	})
-	return done
+	}
+	en.ckptSnapshot = nil
+	en.jr.retire(snap.jmt)
+	en.metrics.NoteCheckpoint(p.Now() - start)
 }
 
 // Run executes the workload to completion and returns the metrics. The

@@ -73,7 +73,7 @@ func TestCheckpointAppliesVersions(t *testing.T) {
 				fut := en.TriggerCheckpoint()
 				p.Wait(fut)
 			})
-			if en.ckptRunning {
+			if en.CheckpointRunning() {
 				t.Fatal("checkpoint still running")
 			}
 			if en.ckpted[3] != 3 {

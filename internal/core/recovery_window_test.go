@@ -55,7 +55,7 @@ func TestCheckpointCutSnapshotVisibility(t *testing.T) {
 			observedWindow = true
 			validate()
 		}
-		if step%500 == 100 && !en.ckptRunning {
+		if step%500 == 100 && !en.CheckpointRunning() {
 			en.TriggerCheckpoint()
 		}
 	}
@@ -63,7 +63,7 @@ func TestCheckpointCutSnapshotVisibility(t *testing.T) {
 		t.Fatal("test never observed the checkpoint-cut window; tune the workload")
 	}
 	// After the run drains, recovery still matches the committed prefix.
-	for guard := 0; (en.ckptRunning || e.LiveProcs() > 0) && guard < 100_000; guard++ {
+	for guard := 0; (en.CheckpointRunning() || e.LiveProcs() > 0) && guard < 100_000; guard++ {
 		e.RunUntil(e.Now() + sim.Millisecond)
 	}
 	validate()

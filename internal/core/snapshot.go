@@ -30,24 +30,22 @@ type EngineState struct {
 }
 
 // Snapshot captures the engine's mutable state. It must be called at a
-// quiescent instant: no checkpoint running, no commit in flight, no buffered
-// journal batch, no closed query gate. Anything else means live process
+// quiescent instant: no checkpoint running (so no closed query gate), no
+// commit in flight, no buffered journal batch. Anything else means live process
 // stacks reference this state and the capture would be unsound.
 func (en *Engine) Snapshot() (*EngineState, error) {
 	switch {
-	case en.ckptRunning || en.ckptSnapshot != nil:
+	case en.running || en.ckptSnapshot != nil:
 		return nil, fmt.Errorf("core: snapshot during a checkpoint")
 	case !en.jr.Quiet():
 		return nil, fmt.Errorf("core: snapshot with journal activity in flight")
-	case en.gateClosed:
-		return nil, fmt.Errorf("core: snapshot with the query gate closed")
 	}
 	s := &EngineState{
 		version: append([]int64(nil), en.version...),
 		ckpted:  append([]int64(nil), en.ckpted...),
 		deleted: append([]bool(nil), en.deleted...),
 
-		ckptEpoch:   en.ckptEpoch,
+		ckptEpoch:   en.epoch,
 		remapTotals: en.remapTotals,
 
 		log: en.jr.State(),
@@ -74,17 +72,13 @@ func (en *Engine) Restore(s *EngineState) error {
 	copy(en.ckpted, s.ckpted)
 	copy(en.deleted, s.deleted)
 
-	en.ckptEpoch = s.ckptEpoch
 	en.remapTotals = s.remapTotals
 
 	en.jr.jmt = s.jmt.clone()
 	en.jr.Restore(s.log, &en.jr.jmt.entries)
 
-	en.ckptRunning = false
-	en.ckptDoneFut = nil
+	en.ResetEpochs(s.ckptEpoch)
 	en.ckptSnapshot = nil
-	en.gateClosed = false
-	en.gateOpen = nil
 
 	if en.hostCache != nil {
 		en.hostCache.ll.Init()

@@ -156,16 +156,12 @@ type Engine struct {
 	version []int64
 	deleted []bool
 
-	flushRunning bool
-	ckptEpoch    uint64
-	flushDone    *sim.Future
+	// flush epochs and the query gate for LockDuringCheckpoint
+	core.Epochs
 
 	compacting  bool
 	compactDone *sim.Future
 	director    *director
-
-	gateClosed bool
-	gateOpen   *sim.Future
 
 	remapTotals ssd.RemapStats
 	metrics     *core.Metrics
@@ -231,6 +227,7 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 			Injector:   cfg.Injector,
 		})
 	en.director = newDirector(cfg.Policy, cfg.JournalHalfBytes)
+	en.Epochs = core.NewEpochs(eng, "flush", cfg.HostConfig, en.flush, en.maybeCompact)
 	return en, nil
 }
 
@@ -357,18 +354,12 @@ func (en *Engine) writeRunSequential(p *sim.Proc, r *run, area ssd.Area) {
 // ---------------------------------------------------------------------------
 // query paths (called from client processes)
 
-func (en *Engine) gate(p *sim.Proc) {
-	for en.gateClosed {
-		p.Wait(en.gateOpen)
-	}
-}
-
 // Get executes a read: active memtable, then the sealed (flushing)
 // memtable — both host memory — then runs newest-first. The host-resident
 // run index knows which run holds the key, so exactly one device read is
 // charged for an on-flash hit.
 func (en *Engine) Get(p *sim.Proc, key int64) {
-	en.gate(p)
+	en.Gate(p)
 	if _, ok := en.mem[key]; ok {
 		return
 	}
@@ -401,7 +392,7 @@ func (en *Engine) findNewest(key int64) (*run, int) {
 // Update executes a write: log to the WAL (write-ahead), install in the
 // memtable, and wait for the group commit.
 func (en *Engine) Update(p *sim.Proc, key int64, size int) {
-	en.gate(p)
+	en.Gate(p)
 	if en.dev.ReadOnly() {
 		en.metrics.RejectedWrites++
 		return
@@ -421,7 +412,7 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 	en.w.StartCommit()
 	en.mem[key] = &memEntry{version: v, size: size, rec: rec}
 	en.cfg.Injector.Hit(inject.SiteWALAppend)
-	if !en.flushRunning &&
+	if !en.CheckpointRunning() &&
 		(len(en.mem) >= en.memLimit || en.w.UsedFrac() > en.cfg.JournalSoftFrac) {
 		en.TriggerCheckpoint()
 	}
@@ -433,7 +424,7 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 // for keys whose newest version lives in an upper run (memtable hits are
 // host memory).
 func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
-	en.gate(p)
+	en.Gate(p)
 	if n < 1 {
 		n = 1
 	}
@@ -489,78 +480,49 @@ func (en *Engine) Sync(p *sim.Proc) { en.w.Sync(p) }
 // ---------------------------------------------------------------------------
 // flush epochs (the LSM's checkpoint)
 
-// CheckpointRunning reports whether a flush epoch is in progress.
-func (en *Engine) CheckpointRunning() bool { return en.flushRunning }
-
-// CheckpointEpoch advances at every flush epoch start and finish.
-func (en *Engine) CheckpointEpoch() uint64 { return en.ckptEpoch }
-
 // LiveEntries returns the memtable's distinct-key count: the work the next
 // flush epoch has to install.
 func (en *Engine) LiveEntries() int { return len(en.mem) }
 
-// TriggerCheckpoint starts a flush epoch unless one is already running:
-// seal the memtable, drain the sealed WAL half, install the sorted run via
-// the configured strategy, publish the manifest, and deallocate the half.
-func (en *Engine) TriggerCheckpoint() *sim.Future {
-	if en.flushRunning {
-		return en.flushDone
-	}
-	en.flushRunning = true
-	en.ckptEpoch++
-	en.flushDone = sim.NewFuture(en.eng)
-	done := en.flushDone
-	if en.cfg.LockDuringCheckpoint {
-		en.gateClosed = true
-		en.gateOpen = sim.NewFuture(en.eng)
-	}
-	en.eng.Go("flush", func(p *sim.Proc) {
-		start := p.Now()
-		// Seal: the active memtable becomes immutable (still readable), new
-		// writes go to a fresh memtable and the rotated WAL half, whose
-		// records the manifest floor has long covered. When the cut
-		// returns every sealed record is durable, so the flushed run holds
-		// only committed versions — recovery equivalence depends on this.
-		en.imm = en.mem
-		en.mem = make(map[int64]*memEntry)
-		maxSeq := en.walSeq
-		fresh := &en.walLogs[en.w.Active()^1]
-		*fresh = (*fresh)[:0]
-		half, used := en.w.Cut(p, fresh)
+// flush is one flush epoch: seal the memtable, drain the sealed WAL half,
+// install the sorted run via the configured strategy, publish the
+// manifest, and deallocate the half. A compaction check follows each
+// epoch.
+func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
+	// Seal: the active memtable becomes immutable (still readable), new
+	// writes go to a fresh memtable and the rotated WAL half, whose
+	// records the manifest floor has long covered. When the cut
+	// returns every sealed record is durable, so the flushed run holds
+	// only committed versions — recovery equivalence depends on this.
+	en.imm = en.mem
+	en.mem = make(map[int64]*memEntry)
+	maxSeq := en.walSeq
+	fresh := &en.walLogs[en.w.Active()^1]
+	*fresh = (*fresh)[:0]
+	half, used := en.w.Cut(p, fresh)
 
-		sealedLogs := len(en.walLogs[half])
-		en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(len(en.imm)),
-			fmt.Sprintf("entries=%d used=%dKB", sealedLogs, used>>10))
-		if sealedLogs > 0 {
-			en.metrics.NoteLiveRatio(float64(len(en.imm)) / float64(sealedLogs))
-		}
+	sealedLogs := len(en.walLogs[half])
+	en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(len(en.imm)),
+		fmt.Sprintf("entries=%d used=%dKB", sealedLogs, used>>10))
+	if sealedLogs > 0 {
+		en.metrics.NoteLiveRatio(float64(len(en.imm)) / float64(sealedLogs))
+	}
 
-		if len(en.imm) > 0 {
-			r := en.flushRun(p)
-			en.levels[0] = append(en.levels[0], r)
-			en.st.Flushes++
-			en.st.FlushedEntries += uint64(len(r.keys))
-			en.st.FlushedBytes += uint64(r.payload)
-			en.st.RunsCreated++
-			en.publishManifest(p, maxSeq)
-			// the sealed WAL half is fully superseded: deallocate it
-			if used > 0 {
-				p.Wait(en.dev.Deallocate(en.w.HalfStart(half), roundUp(used, en.unit)))
-			}
+	if len(en.imm) > 0 {
+		r := en.flushRun(p)
+		en.levels[0] = append(en.levels[0], r)
+		en.st.Flushes++
+		en.st.FlushedEntries += uint64(len(r.keys))
+		en.st.FlushedBytes += uint64(r.payload)
+		en.st.RunsCreated++
+		en.publishManifest(p, maxSeq)
+		// the sealed WAL half is fully superseded: deallocate it
+		if used > 0 {
+			p.Wait(en.dev.Deallocate(en.w.HalfStart(half), roundUp(used, en.unit)))
 		}
-		en.imm = nil
-		en.metrics.NoteCheckpoint(p.Now() - start)
-		en.cfg.Tracer.Emit(p.Now(), trace.KindCheckpointEnd, int64(p.Now()-start), "")
-		en.flushRunning = false
-		en.ckptEpoch++
-		if en.cfg.LockDuringCheckpoint {
-			en.gateClosed = false
-			en.gateOpen.Complete()
-		}
-		done.Complete()
-		en.maybeCompact()
-	})
-	return done
+	}
+	en.imm = nil
+	en.metrics.NoteCheckpoint(p.Now() - start)
 }
 
 // flushRun materializes the sealed memtable as a level-0 run using the
@@ -590,105 +552,35 @@ func (en *Engine) flushRun(p *sim.Proc) *run {
 	}
 	r := en.newRun(0, entries, false)
 
-	switch {
-	case en.cfg.Strategy == core.StrategyBaseline:
+	switch s := en.cfg.Strategy; {
+	case s == core.StrategyBaseline:
 		// host-side flush: the values sit in the memtable, stream them out
 		en.writeRunSequential(p, r, ssd.AreaCheckpoint)
-	case en.cfg.Strategy.UsesRemap():
-		en.flushByRemap(p, r, entries)
-	case en.cfg.Strategy == core.StrategyISCA:
-		en.flushByCoW(p, r, entries)
-	default: // ISC-B
-		en.flushByMultiCoW(p, r, entries)
+	case s.UsesRemap():
+		// Remap each record's WAL extent onto its run slot. Under the
+		// sector-aligned WAL format the source extents remap cleanly; the
+		// dense conventional format degrades to read-merge-writes in the
+		// FTL, exactly the ISC-C/Check-In distinction of the journal engine.
+		reqs := make([]ssd.RemapEntry, len(entries))
+		for j, e := range entries {
+			reqs[j] = ssd.RemapEntry{Src: en.imm[e.key].rec.off, Dst: r.offs[j], Len: roundUp(int64(e.size), sector)}
+		}
+		core.RemapBatched(p, en.dev, en.cfg.HostIOOverhead, en.cfg.CkptCmdBatch, reqs, &en.remapTotals)
+	default:
+		// ISC-A / ISC-B copy each record device-side from its WAL location
+		pairs := make([]ssd.CoWPair, len(entries))
+		for j, e := range entries {
+			rec := en.imm[e.key].rec
+			pairs[j] = ssd.CoWPair{Src: rec.off, Dst: r.offs[j], Len: int64(rec.payload)}
+		}
+		if s == core.StrategyISCA {
+			core.CoWEach(p, en.dev, en.cfg.HostIOOverhead, en.cfg.CkptCoWWindow, pairs)
+		} else {
+			core.CoWBatched(p, en.dev, en.cfg.HostIOOverhead, en.cfg.MultiCoWBatch, pairs)
+		}
 	}
 	en.cfg.Injector.Hit(inject.SiteMemFlush)
 	return r
-}
-
-// flushByCoW installs the run with one device CoW command per record,
-// copying from each record's WAL location (ISC-A).
-func (en *Engine) flushByCoW(p *sim.Proc, r *run, entries []runEntry) {
-	w := en.cfg.CkptCoWWindow
-	if w < 1 {
-		w = 128
-	}
-	for i := 0; i < len(entries); i += w {
-		hi := min(i+w, len(entries))
-		futs := make([]*sim.Future, 0, hi-i)
-		for j := i; j < hi; j++ {
-			rec := en.imm[entries[j].key].rec
-			p.Sleep(en.cfg.HostIOOverhead)
-			futs = append(futs, en.dev.CoW(rec.off, r.offs[j], int64(rec.payload)))
-		}
-		p.WaitAll(futs)
-	}
-	p.Wait(en.dev.Flush(ssd.AreaData))
-}
-
-// flushByMultiCoW batches the CoW pairs into multi-CoW commands (ISC-B).
-func (en *Engine) flushByMultiCoW(p *sim.Proc, r *run, entries []runEntry) {
-	b := en.cfg.MultiCoWBatch
-	if b < 1 {
-		b = 128
-	}
-	var prev *sim.Future
-	for i := 0; i < len(entries); i += b {
-		hi := min(i+b, len(entries))
-		pairs := make([]ssd.CoWPair, 0, hi-i)
-		for j := i; j < hi; j++ {
-			rec := en.imm[entries[j].key].rec
-			pairs = append(pairs, ssd.CoWPair{Src: rec.off, Dst: r.offs[j], Len: int64(rec.payload)})
-		}
-		p.Sleep(en.cfg.HostIOOverhead)
-		cur := en.dev.MultiCoW(pairs)
-		if prev != nil {
-			p.Wait(prev)
-		}
-		prev = cur
-	}
-	if prev != nil {
-		p.Wait(prev)
-	}
-	p.Wait(en.dev.Flush(ssd.AreaData))
-}
-
-// flushByRemap installs the run by remapping each record's WAL extent onto
-// its run slot with checkpoint-request commands (ISC-C / Check-In). Under
-// the sector-aligned WAL format the source extents remap cleanly; the dense
-// conventional format degrades to read-merge-writes in the FTL, exactly the
-// ISC-C/Check-In distinction of the journal engine.
-func (en *Engine) flushByRemap(p *sim.Proc, r *run, entries []runEntry) {
-	b := en.cfg.CkptCmdBatch
-	if b < 1 {
-		b = 512
-	}
-	en.dev.BeginCheckpointCut()
-	var prev *sim.Future
-	for i := 0; i < len(entries); i += b {
-		hi := min(i+b, len(entries))
-		reqs := make([]ssd.RemapEntry, 0, hi-i)
-		for j := i; j < hi; j++ {
-			rec := en.imm[entries[j].key].rec
-			slot := roundUp(int64(entries[j].size), sector)
-			reqs = append(reqs, ssd.RemapEntry{Src: rec.off, Dst: r.offs[j], Len: slot})
-		}
-		p.Sleep(en.cfg.HostIOOverhead)
-		res, fut := en.dev.CheckpointRequest(reqs)
-		fut.OnComplete(func() {
-			en.remapTotals.Remapped += res.Remapped
-			en.remapTotals.RMWs += res.RMWs
-			en.remapTotals.Skipped += res.Skipped
-		})
-		if prev != nil {
-			p.Wait(prev)
-		}
-		prev = fut
-	}
-	if prev != nil {
-		p.Wait(prev)
-	}
-	en.dev.EndCheckpointCut()
-	p.Wait(en.dev.Flush(ssd.AreaCheckpoint))
 }
 
 // publishManifest writes and flushes the alternate manifest slot, then

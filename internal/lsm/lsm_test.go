@@ -124,7 +124,7 @@ func TestFlushAppliesVersionsAllStrategies(t *testing.T) {
 				en.Update(p, 3, 512) // second post-load version for key 3
 				p.Wait(en.TriggerCheckpoint())
 			})
-			if en.flushRunning {
+			if en.CheckpointRunning() {
 				t.Fatal("flush still running")
 			}
 			if en.st.Flushes != 1 {

@@ -41,18 +41,16 @@ type EngineState struct {
 }
 
 // Snapshot captures the engine's mutable state. Must be called at a
-// quiescent instant: no flush epoch, no sealed memtable, no WAL activity in
-// flight, no compaction, no closed gate.
+// quiescent instant: no flush epoch (so no closed query gate), no sealed
+// memtable, no WAL activity in flight, no compaction.
 func (en *Engine) Snapshot() (*EngineState, error) {
 	switch {
-	case en.flushRunning || en.imm != nil:
+	case en.CheckpointRunning() || en.imm != nil:
 		return nil, fmt.Errorf("lsm: snapshot during a flush epoch")
 	case !en.w.Quiet():
 		return nil, fmt.Errorf("lsm: snapshot with WAL activity in flight")
 	case en.compacting:
 		return nil, fmt.Errorf("lsm: snapshot during a compaction")
-	case en.gateClosed:
-		return nil, fmt.Errorf("lsm: snapshot with the query gate closed")
 	}
 	s := &EngineState{
 		version: append([]int64(nil), en.version...),
@@ -67,7 +65,7 @@ func (en *Engine) Snapshot() (*EngineState, error) {
 		wal:    en.w.State(),
 		walSeq: en.walSeq,
 
-		ckptEpoch:   en.ckptEpoch,
+		ckptEpoch:   en.CheckpointEpoch(),
 		remapTotals: en.remapTotals,
 		st:          en.st,
 		allocFree:   append([]extent(nil), en.alloc.free...),
@@ -134,17 +132,13 @@ func (en *Engine) Restore(s *EngineState) error {
 	}
 	en.imm = nil
 
-	en.ckptEpoch = s.ckptEpoch
 	en.remapTotals = s.remapTotals
 	en.st = s.st
 	en.alloc.free = append([]extent(nil), s.allocFree...)
 
-	en.flushRunning = false
-	en.flushDone = nil
+	en.ResetEpochs(s.ckptEpoch)
 	en.compacting = false
 	en.compactDone = nil
-	en.gateClosed = false
-	en.gateOpen = nil
 	en.metrics = core.NewMetrics()
 	return nil
 }
