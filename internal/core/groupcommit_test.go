@@ -56,7 +56,7 @@ func (f *fakeFormat) Layout(batch []*fakeRec, base int64, st *JournalStats) int6
 type fakeLog struct {
 	eng  *sim.Engine
 	g    *GroupCommit[*fakeRec]
-	fmt  *fakeFormat
+	form *fakeFormat
 	logs [2][]*fakeRec
 	inj  *inject.Injector
 	recs []*fakeRec // every record appended, in order
@@ -67,8 +67,8 @@ type fakeLog struct {
 func newFakeLog(t *testing.T, keys int64) *fakeLog {
 	t.Helper()
 	e, dev := newStack(t, 512)
-	l := &fakeLog{eng: e, fmt: &fakeFormat{eng: e}, inj: inject.New()}
-	l.g = NewGroupCommit(e, dev, LogFormat[*fakeRec](l.fmt), &l.logs[0], LogConfig{
+	l := &fakeLog{eng: e, form: &fakeFormat{eng: e}, inj: inject.New()}
+	l.g = NewGroupCommit(e, dev, LogFormat[*fakeRec](l.form), &l.logs[0], LogConfig{
 		Keys:       keys,
 		HalfBytes:  1 << 20,
 		CommitSite: inject.SiteWALCommit,
@@ -109,7 +109,7 @@ func (l *fakeLog) appendRec(t *testing.T, key, version int64) (*fakeRec, *sim.Fu
 func (l *fakeLog) checkAllDone(t *testing.T) {
 	t.Helper()
 	laidAt := map[*fakeRec]sim.VTime{}
-	for _, b := range l.fmt.batches {
+	for _, b := range l.form.batches {
 		for _, r := range b.recs {
 			if _, dup := laidAt[r]; dup {
 				t.Fatalf("record (key %d v%d) laid out twice", r.key, r.version)
@@ -140,7 +140,7 @@ func TestGroupCommitFuturesCompleteOnceAfterFlush(t *testing.T) {
 	}
 	l.eng.Run()
 	l.checkAllDone(t)
-	if n := len(l.fmt.batches); n != 2 {
+	if n := len(l.form.batches); n != 2 {
 		t.Fatalf("burst committed in %d batches, want 2 (one, then the chained rest)", n)
 	}
 	if st := l.g.Stats(); st.Logs != 40 || st.Commits != 2 || st.FullLogs != 40 {
@@ -187,7 +187,7 @@ func TestGroupCommitBatchesContiguous(t *testing.T) {
 	// batch's records sit back to back inside it.
 	next := l.g.HalfStart(0)
 	var order []*fakeRec
-	for i, b := range l.fmt.batches {
+	for i, b := range l.form.batches {
 		if b.base != next {
 			t.Fatalf("batch %d at %d, want %d (contiguous with the previous batch)", i, b.base, next)
 		}
@@ -204,8 +204,8 @@ func TestGroupCommitBatchesContiguous(t *testing.T) {
 		}
 		order = append(order, b.recs...)
 	}
-	if len(l.fmt.batches) < 2 {
-		t.Fatalf("only %d batches formed; the test needs group commits", len(l.fmt.batches))
+	if len(l.form.batches) < 2 {
+		t.Fatalf("only %d batches formed; the test needs group commits", len(l.form.batches))
 	}
 	for i := range order {
 		if order[i] != l.recs[i] {
