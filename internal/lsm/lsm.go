@@ -491,15 +491,13 @@ func (en *Engine) LiveEntries() int { return len(en.mem) }
 func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 	// Seal: the active memtable becomes immutable (still readable), new
 	// writes go to a fresh memtable and the rotated WAL half, whose
-	// records the manifest floor has long covered. When the cut
-	// returns every sealed record is durable, so the flushed run holds
-	// only committed versions — recovery equivalence depends on this.
+	// record log the previous epoch emptied. When the cut returns every
+	// sealed record is durable, so the flushed run holds only committed
+	// versions — recovery equivalence depends on this.
 	en.imm = en.mem
 	en.mem = make(map[int64]*memEntry)
 	maxSeq := en.walSeq
-	fresh := &en.walLogs[en.w.Active()^1]
-	*fresh = (*fresh)[:0]
-	half, used := en.w.Cut(p, fresh)
+	half, used := en.w.Cut(p, &en.walLogs[en.w.Active()^1])
 
 	sealedLogs := len(en.walLogs[half])
 	en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(len(en.imm)),
@@ -522,6 +520,10 @@ func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 		}
 	}
 	en.imm = nil
+	// The manifest floor now covers every sealed record (none were logged
+	// if nothing was flushed): empty the half's log for its next turn.
+	clear(en.walLogs[half])
+	en.walLogs[half] = en.walLogs[half][:0]
 	en.metrics.NoteCheckpoint(p.Now() - start)
 }
 
