@@ -81,7 +81,7 @@ func (f *FTL) readFlashRecover(block, page, nbytes, steps int, uncorr, wait bool
 		return nil
 	}
 	out := sim.NewFuture(f.eng)
-	f.eng.AtComplete(end, out)
+	f.eng.AtHandler(end, out)
 	return out
 }
 

@@ -73,6 +73,10 @@ type domainSet struct {
 	// zero in the steady state where commands complete one at a time.
 	workers   int
 	threshold int
+
+	// work is replayParallel's scratch list of non-empty queues, kept so
+	// that a flush does not allocate it anew.
+	work []int
 }
 
 // domainFanoutThreshold is the default inline/parallel cut-over. A replayed
@@ -143,7 +147,7 @@ func (a *Array) discardDomains() {
 
 // submit queues a command on channel ch. When the command has an observable
 // completion (wantFut), it draws its kernel sequence number now — the same
-// draw the sequential AtComplete would make at this exact point in the
+// draw the sequential AtHandler would make at this exact point in the
 // submission order — and lowers the safe horizon to a sound lower bound on
 // its completion time.
 func (d *domainSet) submit(ch int, c domCmd, wantFut bool) *sim.Future {
@@ -199,14 +203,15 @@ func (d *domainSet) flush() {
 // Work is split by channel — each queue touches only its own channel bus
 // and the dies striped onto it, so workers share no mutable state.
 func (d *domainSet) replayParallel() {
-	work := make([]int, 0, len(d.queues))
+	d.work = d.work[:0]
 	total := 0
 	for i := range d.queues {
 		if n := len(d.queues[i].cmds); n > 0 {
-			work = append(work, i)
+			d.work = append(d.work, i)
 			total += n
 		}
 	}
+	work := d.work // never reassigned, so the workers capture it by value
 	if total < d.threshold || len(work) < 2 {
 		for _, i := range work {
 			d.arr.replayQueue(i)

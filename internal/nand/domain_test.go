@@ -238,3 +238,44 @@ func TestDisableDomains(t *testing.T) {
 		t.Fatalf("flush did not apply the queued reservations")
 	}
 }
+
+// TestDomainFlushAllocs guards the flush below the fan-out threshold: with
+// several workers allowed and commands queued on every channel, it replays
+// inline and allocates nothing once the queues and the scratch list have
+// grown. testing.AllocsPerRun pins GOMAXPROCS to 1, which would skip the
+// multi-worker path entirely, so the test reads the malloc counter itself.
+func TestDomainFlushAllocs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	e := sim.NewEngine()
+	a := newTestArray(t, e)
+	for b := 0; b < a.geo.TotalBlocks(); b++ {
+		a.ProgramPageNoWait(b, 0)
+	}
+	e.Run()
+	a.EnableDomains(4)
+	if a.geo.TotalBlocks() >= a.dom.threshold {
+		t.Fatalf("%d queued reads would fan out (threshold %d)", a.geo.TotalBlocks(), a.dom.threshold)
+	}
+	flush := func() {
+		for b := 0; b < a.geo.TotalBlocks(); b++ {
+			a.ReadPageNoWait(b, 0, 4096)
+		}
+		a.syncDomains()
+	}
+	flush()
+	reads := a.Stats().Reads
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		flush()
+	}
+	runtime.ReadMemStats(&after)
+	if got := a.Stats().Reads - reads; got != 100*uint64(a.geo.TotalBlocks()) {
+		t.Fatalf("flushed %d reads, want %d", got, 100*a.geo.TotalBlocks())
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("100 inline domain flushes allocate %d objects, want 0", n)
+	}
+}

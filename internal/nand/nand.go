@@ -271,7 +271,7 @@ func (a *Array) ReadPage(block, page, nbytes int) *sim.Future {
 	}
 	xferDone := a.readPageReserve(block, page, nbytes)
 	f := sim.NewFuture(a.eng)
-	a.eng.AtComplete(xferDone, f)
+	a.eng.AtHandler(xferDone, f)
 	return f
 }
 
@@ -303,7 +303,7 @@ func (a *Array) ProgramPage(block, nbytes int) (page int, f *sim.Future) {
 	}
 	page, progDone := a.programPageReserve(block, nbytes)
 	f = sim.NewFuture(a.eng)
-	a.eng.AtComplete(progDone, f)
+	a.eng.AtHandler(progDone, f)
 	return page, f
 }
 
@@ -367,7 +367,7 @@ func (a *Array) EraseBlock(block int) *sim.Future {
 	}
 	done := a.eraseBlockReserve(block)
 	f := sim.NewFuture(a.eng)
-	a.eng.AtComplete(done, f)
+	a.eng.AtHandler(done, f)
 	return f
 }
 

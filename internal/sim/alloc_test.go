@@ -4,15 +4,33 @@ import (
 	"testing"
 )
 
+// countHandler is a pointer Handler for the allocation and ordering tests.
+type countHandler struct {
+	n   int
+	log *[]int
+	tag int
+}
+
+func (c *countHandler) Fire() {
+	c.n++
+	if c.log != nil {
+		*c.log = append(*c.log, c.tag)
+	}
+}
+
 // TestSchedulingAllocs guards the kernel's steady-state allocation budget:
 // once the event heap has grown to workload capacity, scheduling and
-// dispatching events — both the closure form (At/Schedule) and the
-// future-completion form (AtComplete) — must not allocate. The nand layer
-// completes every flash operation through AtComplete, so a regression here
-// taxes every simulated I/O.
+// dispatching events — the closure form (At/Schedule) and the Handler form
+// (AtHandler, which completes a *Future or fires any pointer Handler) — must
+// not allocate, and neither may registering a pointer Handler on a future
+// (OnCompleteHandler) or a semaphore (AcquireAsyncHandler). The nand layer
+// completes every flash operation through AtHandler and the ssd layer drives
+// every command through all three, so a regression here taxes every
+// simulated I/O.
 func TestSchedulingAllocs(t *testing.T) {
 	e := NewEngine()
 	noop := func() {}
+	h := &countHandler{}
 	for i := 0; i < 256; i++ {
 		e.Schedule(VTime(i), noop)
 	}
@@ -27,8 +45,40 @@ func TestSchedulingAllocs(t *testing.T) {
 		t.Fatalf("steady-state Schedule/dispatch allocates %.2f/op, want 0", n)
 	}
 
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 16; i++ {
+			e.AtHandler(e.Now()+VTime(i), h)
+		}
+		e.Run()
+	}); n != 0 {
+		t.Fatalf("steady-state AtHandler/dispatch allocates %.2f/op, want 0", n)
+	}
+
 	fut := NewFuture(e)
-	_ = fut
+	if n := testing.AllocsPerRun(100, func() {
+		*fut = Future{eng: e}
+		fut.OnCompleteHandler(h)
+		e.AtHandler(e.Now()+1, fut)
+		e.Run()
+	}); n != 0 {
+		t.Fatalf("OnCompleteHandler + completion allocates %.2f/op, want 0", n)
+	}
+
+	s := NewSemaphore(e, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		s.AcquireAsyncHandler(h) // granted at once
+		s.AcquireAsyncHandler(h) // queued until the release
+		e.Run()
+		s.Release()
+		e.Run()
+		s.Release()
+	}); n != 0 {
+		t.Fatalf("AcquireAsyncHandler allocates %.2f/op, want 0", n)
+	}
+	if h.n == 0 {
+		t.Fatal("handler never fired")
+	}
+
 	if n := testing.AllocsPerRun(100, func() {
 		f := CompletedFuture(e)
 		if !f.Done() {
@@ -39,29 +89,31 @@ func TestSchedulingAllocs(t *testing.T) {
 	}
 }
 
-// TestAtCompleteOrder locks in that AtComplete is observably identical to
-// At(t, f.Complete): the future flips to done in strict (time, issue-order)
-// sequence, and its waiters are deferred behind already-queued same-time
-// events (Complete schedules them as fresh events) — the determinism
-// contract every FTL latency measurement rests on.
+// TestAtCompleteOrder locks in that a future scheduled with AtHandler is
+// observably identical to At(t, f.Complete): the future flips to done in
+// strict (time, issue-order) sequence, and its waiters are deferred behind
+// already-queued same-time events (Complete schedules them as fresh events)
+// — the determinism contract every FTL latency measurement rests on. A
+// plain pointer Handler at the same instant interleaves by issue order too.
 func TestAtCompleteOrder(t *testing.T) {
 	e := NewEngine()
 	var log []int
 	f1 := NewFuture(e)
-	f1.OnComplete(func() { log = append(log, 2) })
+	f1.OnComplete(func() { log = append(log, 3) })
 	f2 := NewFuture(e)
-	f2.OnComplete(func() { log = append(log, 3) })
+	f2.OnComplete(func() { log = append(log, 4) })
 	e.At(5, func() { log = append(log, 0) })
-	e.AtComplete(5, f1)
+	e.AtHandler(5, f1)
 	e.At(5, func() {
 		if !f1.Done() {
 			t.Error("f1 not done by the same-time event queued after it")
 		}
 		log = append(log, 1)
 	})
-	e.AtComplete(7, f2)
+	e.AtHandler(5, &countHandler{log: &log, tag: 2})
+	e.AtHandler(7, f2)
 	e.Run()
-	want := []int{0, 1, 2, 3}
+	want := []int{0, 1, 2, 3, 4}
 	if len(log) != len(want) {
 		t.Fatalf("got %v, want %v", log, want)
 	}
@@ -71,6 +123,6 @@ func TestAtCompleteOrder(t *testing.T) {
 		}
 	}
 	if !f1.Done() || !f2.Done() {
-		t.Fatal("AtComplete did not complete its futures")
+		t.Fatal("AtHandler did not complete its futures")
 	}
 }

@@ -43,7 +43,7 @@ func (d *fakeDomain) sync() {
 }
 
 // TestExternalSyncMergeOrder checks that an injected completion dispatches
-// in exactly the (at, seq) slot the sequential AtComplete would have used:
+// in exactly the (at, seq) slot the sequential AtHandler would have used:
 // submitted before a same-time callback event, the two paths must observe
 // the identical interleaving (the waiter hop through Schedule(0) included).
 func TestExternalSyncMergeOrder(t *testing.T) {
@@ -59,7 +59,7 @@ func TestExternalSyncMergeOrder(t *testing.T) {
 			f = d.submit(100, 50) // seq drawn now, before the At below
 		} else {
 			f = NewFuture(e)
-			e.AtComplete(100, f)
+			e.AtHandler(100, f)
 		}
 		f.OnComplete(func() { order = append(order, "external") })
 		e.At(100, func() { order = append(order, "internal") })
@@ -134,7 +134,7 @@ func TestExternalSyncRunUntilDeadline(t *testing.T) {
 
 // TestExternalSyncSameInstantInjection exercises injecting a completion at
 // the current clock: a zero-lookahead submission at the current instant must
-// dispatch in exactly the slot the sequential AtComplete would use relative
+// dispatch in exactly the slot the sequential AtHandler would use relative
 // to now-queue events scheduled right after it.
 func TestExternalSyncSameInstantInjection(t *testing.T) {
 	run := func(external bool) []string {
@@ -150,7 +150,7 @@ func TestExternalSyncSameInstantInjection(t *testing.T) {
 				f = d.submit(200, 200)
 			} else {
 				f = NewFuture(e)
-				e.AtComplete(200, f)
+				e.AtHandler(200, f)
 			}
 			f.OnComplete(func() { order = append(order, "external") })
 			e.Schedule(0, func() { order = append(order, "nowq") })
@@ -165,7 +165,7 @@ func TestExternalSyncSameInstantInjection(t *testing.T) {
 }
 
 // TestExternalSyncIdenticalToSequential replays a mixed workload through
-// (a) plain AtComplete and (b) the reserve/inject path, and requires the
+// (a) plain AtHandler and (b) the reserve/inject path, and requires the
 // dispatch order be identical event for event.
 func TestExternalSyncIdenticalToSequential(t *testing.T) {
 	type step struct {
@@ -193,7 +193,7 @@ func TestExternalSyncIdenticalToSequential(t *testing.T) {
 					f = d.submit(e.Now()+s.dur, e.Now()+s.dur)
 				} else {
 					f = NewFuture(e)
-					e.AtComplete(e.Now()+s.dur, f)
+					e.AtHandler(e.Now()+s.dur, f)
 				}
 				f.OnComplete(func() {
 					order = append(order, s.name)

@@ -47,7 +47,7 @@ func TestProcWakeAllocs(t *testing.T) {
 		}
 	})
 	step := func() {
-		e.AtComplete(e.Now()+1, futs[next])
+		e.AtHandler(e.Now()+1, futs[next])
 		e.Schedule(2, release)
 		e.RunUntil(e.Now() + 2)
 	}

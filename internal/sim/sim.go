@@ -57,15 +57,23 @@ func (t VTime) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros converts t to floating-point microseconds.
 func (t VTime) Micros() float64 { return float64(t) / float64(Microsecond) }
 
+// A Handler is what the kernel runs: the payload of an event, a future
+// waiter or a semaphore waiter. A *Future fires by completing, a *Proc by
+// resuming, and a func() by way of the Func adapter. Converting any pointer
+// or func value to a Handler does not allocate, so one event field covers
+// every kind of callback without a per-call method-value closure.
+type Handler interface{ Fire() }
+
+// Func adapts a plain callback to Handler.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 type event struct {
 	at  VTime
 	seq uint64 // tie-breaker: FIFO among same-time events
-	fn  func()
-	// fut, when non-nil, is completed instead of calling fn. Completing a
-	// future is the single most common event in the simulator (every flash
-	// operation ends in one), and carrying the future directly avoids
-	// allocating a fut.Complete method-value closure per operation.
-	fut *Future
+	h   Handler
 }
 
 // eventHeap is a 4-ary min-heap ordered by (at, seq). The heap is hand
@@ -105,7 +113,7 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // release the fn reference for GC
+	s[n] = event{} // release the handler reference for GC
 	s = s[:n]
 	*h = s
 	i := 0
@@ -205,21 +213,29 @@ func (e *Engine) LiveProcs() int { return e.liveProcs }
 
 // Schedule runs fn after delay units of virtual time.
 func (e *Engine) Schedule(delay VTime, fn func()) {
-	e.At(e.now+delay, fn)
+	e.AtHandler(e.now+delay, Func(fn))
 }
 
 // At runs fn at absolute virtual time t. Scheduling in the past panics: it
 // would silently reorder causality.
 func (e *Engine) At(t VTime, fn func()) {
+	e.AtHandler(t, Func(fn))
+}
+
+// AtHandler fires h at absolute virtual time t; At(t, fn) is
+// AtHandler(t, Func(fn)). Passing a *Future completes it at t. Every form
+// draws from one sequence counter, so same-instant events fire in
+// submission order whatever their kind.
+func (e *Engine) AtHandler(t VTime, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v, before now %v", t, e.now))
 	}
 	e.seq++
 	if t == e.now {
-		e.nowPush(event{at: t, seq: e.seq, fn: fn})
+		e.nowPush(event{at: t, seq: e.seq, h: h})
 		return
 	}
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, h: h})
 }
 
 func (e *Engine) nowPush(ev event) {
@@ -231,26 +247,10 @@ func (e *Engine) nowPush(ev event) {
 	e.nowq = append(e.nowq, ev)
 }
 
-// AtComplete completes f at absolute virtual time t — At(t, f.Complete)
-// without the per-call method-value allocation. It shares At's sequence
-// numbering, so ordering against fn events at the same instant is exactly
-// the submission order.
-func (e *Engine) AtComplete(t VTime, f *Future) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling completion at %v, before now %v", t, e.now))
-	}
-	e.seq++
-	if t == e.now {
-		e.nowPush(event{at: t, seq: e.seq, fut: f})
-		return
-	}
-	e.events.push(event{at: t, seq: e.seq, fut: f})
-}
-
 // ReserveSeq draws the next event sequence number without scheduling
 // anything. An external event domain calls it at command submission so that
 // the completion it later injects carries exactly the tie-break number the
-// sequential kernel's AtComplete would have drawn at the same point in the
+// sequential kernel's AtHandler would have drawn at the same point in the
 // submission order — the linchpin of byte-identical parallel output.
 func (e *Engine) ReserveSeq() uint64 {
 	e.seq++
@@ -268,7 +268,7 @@ func (e *Engine) InjectCompletion(at VTime, seq uint64, f *Future) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: injecting completion at %v, before now %v", at, e.now))
 	}
-	e.events.push(event{at: at, seq: seq, fut: f})
+	e.events.push(event{at: at, seq: seq, h: f})
 }
 
 // SetExternalSync registers fn as the external completion source's merge
@@ -372,11 +372,7 @@ func (e *Engine) RunUntil(deadline VTime) {
 		}
 		e.now = ev.at
 		e.executed++
-		if ev.fut != nil {
-			ev.fut.Complete()
-		} else {
-			ev.fn()
-		}
+		ev.h.Fire()
 	}
 	if deadline != maxVTime && e.now < deadline {
 		// Never advance past the external safe horizon: a completion could
@@ -435,7 +431,7 @@ func (e *Engine) Restore(s EngineState) {
 		panic(fmt.Sprintf("sim: Restore with %d live processes", e.liveProcs))
 	}
 	for i := range e.events {
-		e.events[i] = event{} // release fn closures for GC
+		e.events[i] = event{} // release handlers for GC
 	}
 	e.events = e.events[:0]
 	for i := range e.nowq {
@@ -466,11 +462,6 @@ type Proc struct {
 	// scheduler.
 	resume func() (struct{}, bool)
 	yield  func(struct{}) bool
-
-	// switchFn caches the switchTo method value so scheduling a wake-up
-	// (Sleep, Wait, Semaphore.Acquire) does not allocate a new closure per
-	// call — these are the hottest scheduling sites in the simulator.
-	switchFn func()
 }
 
 // A ProcPanic is the value the engine panics with when a process body
@@ -501,7 +492,6 @@ func (p *Proc) Now() VTime { return p.eng.now }
 // when the engine reaches the scheduling event; it may call Sleep and Wait.
 func (e *Engine) Go(name string, fn func(p *Proc)) {
 	p := &Proc{eng: e, name: name}
-	p.switchFn = p.switchTo
 	e.liveProcs++
 	e.Schedule(0, func() {
 		p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
@@ -510,7 +500,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) {
 			fn(p)
 			e.liveProcs--
 		})
-		p.switchTo()
+		p.Fire()
 	})
 }
 
@@ -523,17 +513,19 @@ func (p *Proc) wrapPanic() {
 	}
 }
 
-// switchTo transfers control into the process and returns (to the engine
-// event that called it) once the process blocks or terminates.
-func (p *Proc) switchTo() { p.resume() }
+// Fire transfers control into the process and returns (to the engine event
+// that called it) once the process blocks or terminates. It is the
+// process's wake-up Handler: Sleep, Wait and Semaphore.Acquire queue the
+// *Proc itself, so parking allocates nothing.
+func (p *Proc) Fire() { p.resume() }
 
-// block parks the process until something calls switchTo on it. The wake-up
-// must already be scheduled before calling block.
+// block parks the process until something fires it. The wake-up must
+// already be scheduled before calling block.
 func (p *Proc) block() { p.yield(struct{}{}) }
 
 // Sleep suspends the process for d units of virtual time.
 func (p *Proc) Sleep(d VTime) {
-	p.eng.Schedule(d, p.switchFn)
+	p.eng.AtHandler(p.eng.now+d, p)
 	p.block()
 }
 
@@ -543,7 +535,7 @@ func (p *Proc) Wait(f *Future) {
 	if f.done {
 		return
 	}
-	f.addWaiter(p.switchFn)
+	f.addWaiter(p)
 	p.block()
 }
 
@@ -562,21 +554,26 @@ type Future struct {
 	// w0 holds the first waiter inline: the overwhelming majority of
 	// futures have exactly one waiter, and keeping it out of the slice
 	// avoids a heap allocation per wait.
-	w0      func()
-	waiters []func()
+	w0      Handler
+	waiters []Handler
 }
 
-// addWaiter registers fn preserving FIFO wake-up order.
-func (f *Future) addWaiter(fn func()) {
+// addWaiter registers h preserving FIFO wake-up order.
+func (f *Future) addWaiter(h Handler) {
 	if f.w0 == nil {
-		f.w0 = fn
+		f.w0 = h
 		return
 	}
-	f.waiters = append(f.waiters, fn)
+	f.waiters = append(f.waiters, h)
 }
 
 // NewFuture returns an incomplete future bound to e.
 func NewFuture(e *Engine) *Future { return &Future{eng: e} }
+
+// Init binds a zero Future to e as an incomplete future. It readies a
+// Future embedded in a larger record, so the record is the one allocation;
+// it is not a way to reuse a future that has been handed out.
+func (f *Future) Init(e *Engine) { f.eng = e }
 
 // CompletedFuture returns an already-complete future (for fast paths that
 // finish synchronously). The instance is shared per engine: done futures
@@ -600,23 +597,45 @@ func (f *Future) Complete() {
 	}
 	f.done = true
 	if f.w0 != nil {
-		f.eng.Schedule(0, f.w0)
+		f.eng.AtHandler(f.eng.now, f.w0)
 		f.w0 = nil
 	}
 	for _, w := range f.waiters {
-		f.eng.Schedule(0, w)
+		f.eng.AtHandler(f.eng.now, w)
 	}
 	f.waiters = nil
 }
 
+// Fire completes the future: an event carrying a *Future as its Handler is
+// a timed completion.
+func (f *Future) Fire() { f.Complete() }
+
 // OnComplete registers fn to run when the future completes (immediately, at
 // the current time, if it already has).
-func (f *Future) OnComplete(fn func()) {
+func (f *Future) OnComplete(fn func()) { f.OnCompleteHandler(Func(fn)) }
+
+// OnCompleteHandler is OnComplete for a Handler: h fires when the future
+// completes, or at the current time if it already has.
+func (f *Future) OnCompleteHandler(h Handler) {
 	if f.done {
-		f.eng.Schedule(0, fn)
+		f.eng.AtHandler(f.eng.now, h)
 		return
 	}
-	f.addWaiter(fn)
+	f.addWaiter(h)
+}
+
+// afterAll is AfterAll's single allocation: the output future plus the
+// count of inputs still pending, firing once per completed input.
+type afterAll struct {
+	Future
+	remaining int
+}
+
+func (a *afterAll) Fire() {
+	a.remaining--
+	if a.remaining == 0 {
+		a.Complete()
+	}
 }
 
 // AfterAll returns a future that completes once all fs have completed.
@@ -630,18 +649,12 @@ func AfterAll(e *Engine, fs []*Future) *Future {
 	if n == 1 {
 		return fs[0]
 	}
-	out := NewFuture(e)
-	remaining := n
-	dec := func() {
-		remaining--
-		if remaining == 0 {
-			out.Complete()
-		}
-	}
+	a := &afterAll{remaining: n}
+	a.Init(e)
 	for _, f := range fs {
-		f.OnComplete(dec)
+		f.OnCompleteHandler(a)
 	}
-	return out
+	return &a.Future
 }
 
 // A Semaphore is a counting semaphore for simulated processes, used to model
@@ -653,7 +666,7 @@ type Semaphore struct {
 	// advances head instead of re-slicing from the front, so the backing
 	// array is reused once the queue drains rather than reallocated on
 	// every wait/wake cycle.
-	waiters []func()
+	waiters []Handler
 	head    int
 }
 
@@ -677,7 +690,7 @@ func (s *Semaphore) Acquire(p *Proc) {
 		s.avail--
 		return
 	}
-	s.enqueue(p.switchFn)
+	s.enqueue(p)
 	p.block()
 }
 
@@ -691,31 +704,35 @@ func (s *Semaphore) TryAcquire() bool {
 }
 
 // AcquireAsync invokes fn (from engine context) once a permit is granted.
-func (s *Semaphore) AcquireAsync(fn func()) {
+func (s *Semaphore) AcquireAsync(fn func()) { s.AcquireAsyncHandler(Func(fn)) }
+
+// AcquireAsyncHandler is AcquireAsync for a Handler: h fires once a permit
+// is granted.
+func (s *Semaphore) AcquireAsyncHandler(h Handler) {
 	if s.avail > 0 && s.Waiting() == 0 {
 		s.avail--
-		s.eng.Schedule(0, fn)
+		s.eng.AtHandler(s.eng.now, h)
 		return
 	}
-	s.enqueue(fn)
+	s.enqueue(h)
 }
 
-func (s *Semaphore) enqueue(fn func()) {
+func (s *Semaphore) enqueue(h Handler) {
 	if s.head == len(s.waiters) {
 		// queue is empty: rewind so the backing array is reused
 		s.waiters = s.waiters[:0]
 		s.head = 0
 	}
-	s.waiters = append(s.waiters, fn)
+	s.waiters = append(s.waiters, h)
 }
 
 // Release returns a permit, waking the oldest waiter if any.
 func (s *Semaphore) Release() {
 	if s.head < len(s.waiters) {
 		w := s.waiters[s.head]
-		s.waiters[s.head] = nil // release the closure for GC
+		s.waiters[s.head] = nil // release the handler for GC
 		s.head++
-		s.eng.Schedule(0, w)
+		s.eng.AtHandler(s.eng.now, w)
 		return
 	}
 	s.avail++

@@ -248,115 +248,129 @@ func (d *Device) linkTime(n int) sim.VTime {
 	return sim.VTime(uint64(n) * 1000 / uint64(d.cfg.PCIeMBps))
 }
 
-// submit acquires a queue slot, pays the front-end costs (link transfer of
-// the command plus dataBytes, and controller CPU of cpuTime), then invokes
-// op at the moment the device starts executing the command. op returns the
-// future for the back-end work; the returned future completes when the
-// back-end is done and the queue slot has been released.
-func (d *Device) submit(dataBytes int, cpuTime sim.VTime, op func() *sim.Future) *sim.Future {
-	out := sim.NewFuture(d.eng)
-	arrival := d.eng.Now()
-	d.stats.Commands++
-	d.queue.AcquireAsync(func() {
-		d.stats.QueueWait.add(d.eng.Now() - arrival)
-		_, busEnd := d.bus.Reserve(d.eng.Now(), d.linkTime(d.cfg.CmdBytes+dataBytes))
-		_, cpuEnd := d.cpu.Reserve(d.eng.Now(), d.cfg.CPUPerCommand+cpuTime)
-		ready := busEnd
-		if cpuEnd > ready {
-			ready = cpuEnd
-		}
-		d.eng.At(ready, func() {
-			start := d.eng.Now()
-			inner := op()
-			inner.OnComplete(func() {
-				if d.cfg.CommandTimeout > 0 && d.eng.Now()-start > d.cfg.CommandTimeout {
-					// the command blew its service budget: the host timed it
-					// out and re-drove it, costing an extra backoff before
-					// completion is observed
-					d.stats.Timeouts++
-					d.eng.Schedule(d.cfg.TimeoutBackoff, func() {
-						d.queue.Release()
-						out.Complete()
-					})
-					return
-				}
-				d.queue.Release()
-				out.Complete()
-			})
-		})
-	})
-	return out
+// Command kinds: which back-end work a command record runs once its front
+// end is done.
+const (
+	cmdRead uint8 = iota
+	cmdWrite
+	cmdFlush
+	cmdDeallocate
+	cmdCoW
+	cmdMultiCoW
+	cmdCheckpoint
+)
+
+// Command stages: what a command record's next Fire does.
+const (
+	stageQueued   uint8 = iota // waiting for a queue slot
+	stageFrontEnd              // slot held; link transfer and controller CPU booked
+	stageBackEnd               // back-end work issued
+	stageBackoff               // back end blew CommandTimeout; paying TimeoutBackoff
+)
+
+// command is one host command in flight, and its one allocation: the
+// completion future the caller waits on, the op kind with its arguments,
+// and the stage it has reached. The kernel fires the record itself as the
+// queue-slot grant, the front-end timer and the back-end waiter, so a
+// command builds no closures. Records are never reused: callers may keep
+// the completed future and wait on it later.
+type command struct {
+	sim.Future // completes when the back end is done and the slot released
+	d          *Device
+	kind       uint8
+	stage      uint8
+	area       Area
+	bytes      int       // data moved over the link with the command
+	cpu        sim.VTime // controller CPU beyond CPUPerCommand
+	t          sim.VTime // arrival while queued, back-end start afterwards
+
+	off, dst, n int64 // Read/Write/Deallocate range; CoW source, destination, length
+	pairs       []CoWPair
+	entries     []RemapEntry
+	remap       RemapStats
 }
 
-// Read services a host read of n bytes at off. Units resident in the DRAM
-// cache are served without flash reads; the rest go to the FTL.
-func (d *Device) Read(off, n int64) *sim.Future {
-	d.stats.HostReadBytes += uint64(n)
-	return d.submit(int(n), 0, func() *sim.Future {
-		miss := d.cacheLookup(off, n)
-		if miss == 0 {
+// submit queues cmd for a slot. Once one is granted the command pays its
+// front-end costs (link transfer of the command plus cmd.bytes, controller
+// CPU of CPUPerCommand plus cmd.cpu), then runs its back-end work; its
+// future completes when that work is done and the slot has been released.
+func (d *Device) submit(cmd *command) *sim.Future {
+	cmd.Init(d.eng)
+	cmd.d = d
+	cmd.t = d.eng.Now()
+	d.stats.Commands++
+	d.queue.AcquireAsyncHandler(cmd)
+	return &cmd.Future
+}
+
+// Fire advances the command one stage; see the stage constants.
+func (c *command) Fire() {
+	d := c.d
+	now := d.eng.Now()
+	switch c.stage {
+	case stageQueued:
+		d.stats.QueueWait.add(now - c.t)
+		_, busEnd := d.bus.Reserve(now, d.linkTime(d.cfg.CmdBytes+c.bytes))
+		_, cpuEnd := d.cpu.Reserve(now, d.cfg.CPUPerCommand+c.cpu)
+		c.stage = stageFrontEnd
+		d.eng.AtHandler(max(busEnd, cpuEnd), c)
+	case stageFrontEnd:
+		c.t = now
+		c.stage = stageBackEnd
+		c.backEnd().OnCompleteHandler(c)
+	case stageBackEnd:
+		if d.cfg.CommandTimeout > 0 && now-c.t > d.cfg.CommandTimeout {
+			// the command blew its service budget: the host timed it out
+			// and re-drove it, costing an extra backoff before completion
+			// is observed
+			d.stats.Timeouts++
+			c.stage = stageBackoff
+			d.eng.AtHandler(now+d.cfg.TimeoutBackoff, c)
+			return
+		}
+		c.finish()
+	case stageBackoff:
+		c.finish()
+	}
+}
+
+func (c *command) finish() {
+	c.d.queue.Release()
+	c.Complete()
+}
+
+// backEnd starts the command's device-side work at the moment the device
+// begins executing it, and returns the future of that work.
+func (c *command) backEnd() *sim.Future {
+	d := c.d
+	switch c.kind {
+	case cmdRead:
+		if d.cacheLookup(c.off, c.n) == 0 {
 			// full cache hit: DRAM access only; completion after the
-			// data crosses the link (accounted in submit's dataBytes)
+			// data crosses the link (accounted in the front end)
 			return sim.CompletedFuture(d.eng)
 		}
-		return d.f.Read(off, n)
-	})
-}
-
-// Write services a host write of n bytes at off into the given area. The
-// future completes when the data is durable on flash (journal semantics
-// require an explicit Flush for buffered tails; see Flush).
-func (d *Device) Write(off, n int64, area Area) *sim.Future {
-	d.stats.HostWriteBytes += uint64(n)
-	return d.submit(int(n), 0, func() *sim.Future {
-		d.cacheInsert(off, n)
-		return d.f.Write(off, n, area.tag(), area.stream())
-	})
-}
-
-// Flush forces buffered partial pages of the area's stream to flash — the
-// device-side half of a journal commit (FLUSH/FUA semantics).
-func (d *Device) Flush(area Area) *sim.Future {
-	return d.submit(0, 0, func() *sim.Future {
-		return d.f.Sync(area.stream(), area.tag())
-	})
-}
-
-// Deallocate trims a logical range (journal deletion after checkpointing).
-func (d *Device) Deallocate(off, n int64) *sim.Future {
-	d.stats.Deallocates++
-	return d.submit(0, 0, func() *sim.Future {
-		d.cacheInvalidate(off, n)
-		d.f.Trim(off, n)
+		return d.f.Read(c.off, c.n)
+	case cmdWrite:
+		d.cacheInsert(c.off, c.n)
+		return d.f.Write(c.off, c.n, c.area.tag(), c.area.stream())
+	case cmdFlush:
+		return d.f.Sync(c.area.stream(), c.area.tag())
+	case cmdDeallocate:
+		d.cacheInvalidate(c.off, c.n)
+		d.f.Trim(c.off, c.n)
 		d.cfg.Injector.Hit(inject.SiteDeallocate)
 		return sim.CompletedFuture(d.eng)
-	})
-}
-
-// CoW executes a single-pair copy-on-write command (ISC-A): the device
-// copies the range internally; no data crosses the host link.
-func (d *Device) CoW(src, dst, n int64) *sim.Future {
-	d.stats.CoWPairs++
-	return d.submit(0, d.cfg.CPUPerCoWEntry, func() *sim.Future {
-		cached := d.cacheLookup(src, n) == 0
-		d.cacheInvalidate(dst, n)
-		cf := d.f.CopyCached(src, dst, n, ftl.TagCheckpoint, cached)
+	case cmdCoW:
+		cached := d.cacheLookup(c.off, c.n) == 0
+		d.cacheInvalidate(c.dst, c.n)
+		cf := d.f.CopyCached(c.off, c.dst, c.n, ftl.TagCheckpoint, cached)
 		sf := d.f.Sync(ftl.StreamData, ftl.TagCheckpoint)
 		d.cfg.Injector.Hit(inject.SiteCheckpointCopy)
 		return sim.AfterAll(d.eng, []*sim.Future{cf, sf})
-	})
-}
-
-// MultiCoW executes a batched copy command (ISC-B): one submission carries
-// many pairs, drastically reducing command-queue pressure; the device
-// orders the work as consecutive reads then consecutive writes.
-func (d *Device) MultiCoW(pairs []CoWPair) *sim.Future {
-	d.stats.CoWPairs += uint64(len(pairs))
-	meta := len(pairs) * 24
-	cpu := sim.VTime(len(pairs)) * d.cfg.CPUPerCoWEntry
-	return d.submit(meta, cpu, func() *sim.Future {
-		futs := make([]*sim.Future, 0, len(pairs)+1)
-		for _, p := range pairs {
+	case cmdMultiCoW:
+		futs := make([]*sim.Future, 0, len(c.pairs)+1)
+		for _, p := range c.pairs {
 			cached := d.cacheLookup(p.Src, p.Len) == 0
 			d.cacheInvalidate(p.Dst, p.Len)
 			futs = append(futs, d.f.CopyCached(p.Src, p.Dst, p.Len, ftl.TagCheckpoint, cached))
@@ -365,6 +379,72 @@ func (d *Device) MultiCoW(pairs []CoWPair) *sim.Future {
 		futs = append(futs, d.f.Sync(ftl.StreamData, ftl.TagCheckpoint))
 		d.cfg.Injector.Hit(inject.SiteCheckpointCopy)
 		return sim.AfterAll(d.eng, futs)
+	case cmdCheckpoint:
+		var futs []*sim.Future
+		for _, e := range c.entries {
+			if e.Old {
+				continue
+			}
+			cached := d.cacheLookup(e.Src, e.Len) == 0
+			d.cacheInvalidate(e.Dst, e.Len)
+			r, f := d.f.RemapCached(e.Src, e.Dst, e.Len, cached)
+			c.remap.Remapped += r.Remapped
+			c.remap.RMWs += r.RMWs
+			c.remap.Skipped += r.Skipped
+			if !f.Done() {
+				futs = append(futs, f)
+			}
+		}
+		d.cfg.Injector.Hit(inject.SiteCheckpointRemap)
+		return sim.AfterAll(d.eng, futs)
+	}
+	panic(fmt.Sprintf("ssd: unknown command kind %d", c.kind))
+}
+
+// Read services a host read of n bytes at off. Units resident in the DRAM
+// cache are served without flash reads; the rest go to the FTL.
+func (d *Device) Read(off, n int64) *sim.Future {
+	d.stats.HostReadBytes += uint64(n)
+	return d.submit(&command{kind: cmdRead, bytes: int(n), off: off, n: n})
+}
+
+// Write services a host write of n bytes at off into the given area. The
+// future completes when the data is durable on flash (journal semantics
+// require an explicit Flush for buffered tails; see Flush).
+func (d *Device) Write(off, n int64, area Area) *sim.Future {
+	d.stats.HostWriteBytes += uint64(n)
+	return d.submit(&command{kind: cmdWrite, area: area, bytes: int(n), off: off, n: n})
+}
+
+// Flush forces buffered partial pages of the area's stream to flash — the
+// device-side half of a journal commit (FLUSH/FUA semantics).
+func (d *Device) Flush(area Area) *sim.Future {
+	return d.submit(&command{kind: cmdFlush, area: area})
+}
+
+// Deallocate trims a logical range (journal deletion after checkpointing).
+func (d *Device) Deallocate(off, n int64) *sim.Future {
+	d.stats.Deallocates++
+	return d.submit(&command{kind: cmdDeallocate, off: off, n: n})
+}
+
+// CoW executes a single-pair copy-on-write command (ISC-A): the device
+// copies the range internally; no data crosses the host link.
+func (d *Device) CoW(src, dst, n int64) *sim.Future {
+	d.stats.CoWPairs++
+	return d.submit(&command{kind: cmdCoW, cpu: d.cfg.CPUPerCoWEntry, off: src, dst: dst, n: n})
+}
+
+// MultiCoW executes a batched copy command (ISC-B): one submission carries
+// many pairs, drastically reducing command-queue pressure; the device
+// orders the work as consecutive reads then consecutive writes.
+func (d *Device) MultiCoW(pairs []CoWPair) *sim.Future {
+	d.stats.CoWPairs += uint64(len(pairs))
+	return d.submit(&command{
+		kind:  cmdMultiCoW,
+		bytes: len(pairs) * 24,
+		cpu:   sim.VTime(len(pairs)) * d.cfg.CPUPerCoWEntry,
+		pairs: pairs,
 	})
 }
 
@@ -380,9 +460,8 @@ type RemapStats struct {
 // (Algorithm 1), skipping OLD entries and remapping the rest. Aligned
 // entries are pure mapping updates; unaligned ones degrade to in-device
 // read-merge-writes. The returned future completes when the checkpoint is
-// durable.
+// durable; the stats fill in when the device starts executing the command.
 func (d *Device) CheckpointRequest(entries []RemapEntry) (*RemapStats, *sim.Future) {
-	res := &RemapStats{}
 	live := 0
 	for _, e := range entries {
 		if !e.Old {
@@ -390,28 +469,13 @@ func (d *Device) CheckpointRequest(entries []RemapEntry) (*RemapStats, *sim.Futu
 		}
 	}
 	d.stats.RemapEntries += uint64(live)
-	meta := len(entries) * 25
-	cpu := sim.VTime(live) * d.cfg.CPUPerRemapEntry
-	fut := d.submit(meta, cpu, func() *sim.Future {
-		var futs []*sim.Future
-		for _, e := range entries {
-			if e.Old {
-				continue
-			}
-			cached := d.cacheLookup(e.Src, e.Len) == 0
-			d.cacheInvalidate(e.Dst, e.Len)
-			r, f := d.f.RemapCached(e.Src, e.Dst, e.Len, cached)
-			res.Remapped += r.Remapped
-			res.RMWs += r.RMWs
-			res.Skipped += r.Skipped
-			if !f.Done() {
-				futs = append(futs, f)
-			}
-		}
-		d.cfg.Injector.Hit(inject.SiteCheckpointRemap)
-		return sim.AfterAll(d.eng, futs)
-	})
-	return res, fut
+	cmd := &command{
+		kind:    cmdCheckpoint,
+		bytes:   len(entries) * 25,
+		cpu:     sim.VTime(live) * d.cfg.CPUPerRemapEntry,
+		entries: entries,
+	}
+	return &cmd.remap, d.submit(cmd)
 }
 
 // BeginCheckpointCut / EndCheckpointCut bracket one checkpoint's remap burst
