@@ -26,7 +26,6 @@ package checkin
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"github.com/checkin-kv/checkin/internal/core"
@@ -261,15 +260,6 @@ type Config struct {
 	// cost of a timeout/abort/retry exchange under error recovery).
 	CommandTimeout time.Duration
 	TimeoutBackoff time.Duration // 0 → 1ms when CommandTimeout is set
-
-	// Domains controls the parallel DES kernel: per-channel NAND event
-	// domains replay flash timing on worker goroutines and merge
-	// completions back in (at, seq) order, so output is byte-identical to
-	// the sequential kernel — this is purely a wall-clock optimization.
-	// "on" enables, "off" disables, "" or "auto" enables when GOMAXPROCS
-	// exceeds 1. Deliberately excluded from fingerprints: two runs that
-	// differ only in Domains produce identical results.
-	Domains string
 }
 
 // errorModelEnabled reports whether any NAND fault rate is nonzero.
@@ -439,20 +429,6 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("checkin: %w", err)
 	}
 	array.MaxPE = uint32(cfg.MaxPECycles)
-	switch cfg.Domains {
-	case "", "auto":
-		// The parallel path only buys wall-clock time when workers can
-		// actually run in parallel; on one CPU the sequential loop is
-		// strictly cheaper. Either way the output is byte-identical.
-		if runtime.GOMAXPROCS(0) > 1 {
-			array.EnableDomains(0)
-		}
-	case "on":
-		array.EnableDomains(0)
-	case "off":
-	default:
-		return nil, fmt.Errorf("checkin: unknown Domains %q (want on, off or auto)", cfg.Domains)
-	}
 	if cfg.errorModelEnabled() {
 		rcfg := nand.ReliabilityConfig{
 			ReadRetryRate:     cfg.ReadRetryRate,

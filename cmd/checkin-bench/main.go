@@ -39,7 +39,6 @@ func main() {
 		markdown   = flag.String("markdown", "", "also append results as markdown tables to this file")
 		errProfile = flag.String("errors", "off", "NAND error profile applied to every run: off | light | heavy")
 		engine     = flag.String("engine", "journal", "host storage-engine backend for every run: journal (paper's journal+JMT) | lsm (WAL + memtable + sorted runs); experiments that compare backends override per cell")
-		domains    = flag.String("domains", "auto", "parallel DES kernel (per-channel NAND event domains): on | off | auto (output is byte-identical either way)")
 		ftlmap     = flag.String("ftlmap", "dram", "FTL mapping-table model: dram (full table in controller DRAM) | dftl (flash-resident translation pages; charges mapping misses and writebacks through NAND timing)")
 		cmtfill    = flag.String("cmtfill", "on", "dftl: on a CMT miss, fill every entry the fetched translation page covers: on | off (off = demanded entry only)")
 		cmtcw      = flag.Int("cmtcw", 0, "dftl: clean-first eviction search window in entries (0 = default 32, 1 = strict LRU)")
@@ -143,7 +142,7 @@ func main() {
 			os.Exit(2)
 		}
 		for _, sd := range seedList {
-			opts := harness.Opts{Scale: *scale, Threads: ths, Seed: sd, Parallelism: *parallel, Snapshots: *snapshot, Timing: *timing, Errors: profile.Name, Domains: *domains, Engine: *engine, FTLMap: *ftlmap, CMTFill: *cmtfill, CMTCleanWindow: *cmtcw, RemapBatch: *remapbatch, Shards: *shards, Tenants: *tenants, Arrival: *arrival, CkSched: *cksched}
+			opts := harness.Opts{Scale: *scale, Threads: ths, Seed: sd, Parallelism: *parallel, Snapshots: *snapshot, Timing: *timing, Errors: profile.Name, Engine: *engine, FTLMap: *ftlmap, CMTFill: *cmtfill, CMTCleanWindow: *cmtcw, RemapBatch: *remapbatch, Shards: *shards, Tenants: *tenants, Arrival: *arrival, CkSched: *cksched}
 			start := time.Now()
 			table, err := exp.Run(opts)
 			if err != nil {

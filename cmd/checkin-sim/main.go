@@ -54,7 +54,6 @@ func main() {
 		engine      = flag.String("engine", "journal", "host storage-engine backend: journal (paper's journal+JMT) | lsm (WAL + memtable + sorted runs)")
 		compaction  = flag.String("compaction", "leveled", "lsm: compaction policy, leveled | tiered")
 		memtable    = flag.Int("memtable", 0, "lsm: memtable entry bound before a flush epoch (0 = default 4096)")
-		domains     = flag.String("domains", "auto", "parallel DES kernel (per-channel NAND event domains): on | off | auto (output is byte-identical either way)")
 		ftlmap      = flag.String("ftlmap", "dram", "FTL mapping-table model: dram | dftl (flash-resident translation pages)")
 		cmtfill     = flag.String("cmtfill", "on", "dftl: on a CMT miss, fill every entry the fetched translation page covers: on | off (off = demanded entry only)")
 		cmtcw       = flag.Int("cmtcw", 0, "dftl: clean-first eviction search window in entries (0 = default 32, 1 = strict LRU)")
@@ -123,7 +122,6 @@ func main() {
 	cfg.MemtableEntries = *memtable
 	cfg.CheckpointInterval = *interval
 	cfg.Seed = *seed
-	cfg.Domains = *domains
 	cfg.FTLMap = *ftlmap
 	cfg = profile.Apply(cfg)
 	if *shards > 0 {

@@ -2,6 +2,7 @@ package checkin_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,4 +85,47 @@ func TestDFTLOptDeterminism(t *testing.T) {
 			})
 		}
 	}
+}
+
+// renderRunOn runs spec on db and dumps everything observable — metrics
+// summary, journal stats, lifetime/energy, a crash-recovery report, a device
+// SPOR report, device health and the sampled timeline — into one string.
+// Byte-equality of two dumps means the simulations were identical.
+func renderRunOn(t *testing.T, db *checkin.DB, spec checkin.RunSpec) string {
+	t.Helper()
+	m, err := db.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	sb.WriteString(m.Summary())
+	fmt.Fprintf(&sb, "journal=%+v\n", db.JournalStats())
+	fmt.Fprintf(&sb, "lifetime=%v energy=%v\n", db.Lifetime(), db.FlashEnergyMJ())
+	fmt.Fprintf(&sb, "recovery=%+v\n", *db.SimulateRecovery())
+	fmt.Fprintf(&sb, "spor=%+v\n", *db.SimulateSPOR())
+	fmt.Fprintf(&sb, "health=%+v\n", db.Health())
+	if m.Timeline != nil {
+		if err := m.Timeline.WriteCSV(&sb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sb.String()
+}
+
+// firstDiff renders the first differing line of two multi-line strings.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, wl, gl)
+		}
+	}
+	return "(no line diff — lengths differ)"
 }

@@ -2,20 +2,23 @@ package ftl
 
 import (
 	"testing"
+
+	"github.com/checkin-kv/checkin/internal/sim"
 )
 
 // Alloc-regression guards for the FTL steady state. The budget per path:
 //
-//   - a buffered host write (slot append + bind, no page boundary) is
-//     allocation-free;
-//   - a write completing a page pays exactly one allocation — the nand
-//     program future, which is caller-owned and cannot be pooled;
+//   - a host write is allocation-free, whether it stays in the page buffer
+//     or completes a page: a page program is a completion instant, not an
+//     object;
 //   - reads of unmapped or still-buffered data are allocation-free;
-//   - a read hitting flash pays exactly one allocation (the nand read
-//     future), however many units it spans.
+//   - a read hitting flash, and a write whose read-modify-write reads
+//     flash, are allocation-free with a caller-owned fan-in (the device
+//     embeds it in the command record), however many pages they span.
 //
 // Anything above these bounds is a regression in the pooled scratch
-// machinery (epoch tables, reusable futs slices, victim index).
+// machinery (epoch tables, victim index) or a per-operation future put
+// back into the nand or FTL path.
 func TestFTLSteadyStateAllocs(t *testing.T) {
 	cfg := smallCfg()
 	cfg.MetaFlushEntries = 1 << 30 // metadata flush paths measured separately
@@ -44,18 +47,18 @@ func TestFTLSteadyStateAllocs(t *testing.T) {
 			f.Write(unit, unit, TagHostData, StreamData)
 			e.Run()
 		}
-	}); n > 1 {
-		t.Fatalf("buffered write path allocates %.2f/op, want <= 1 (page-program future only)", n)
+	}); n != 0 {
+		t.Fatalf("buffered write path allocates %.2f/op, want 0", n)
 	}
 
-	// A full page of writes: exactly one allocation, the program future.
+	// A full page of writes: the page program allocates nothing.
 	if n := testing.AllocsPerRun(50, func() {
 		for i := int64(0); i < spp; i++ {
 			f.Write(i*unit, unit, TagHostData, StreamData)
 		}
 		e.Run()
-	}); n != 1 {
-		t.Fatalf("page-filling write burst allocates %.2f, want exactly 1 (program future)", n)
+	}); n != 0 {
+		t.Fatalf("page-filling write burst allocates %.2f, want 0", n)
 	}
 
 	// Unmapped read: zero-fill completes on the engine's shared future.
@@ -76,12 +79,36 @@ func TestFTLSteadyStateAllocs(t *testing.T) {
 	f.Sync(StreamData, TagHostData)
 	e.Run()
 
-	// Flash read spanning a whole page of units: one nand future.
+	// Flash read spanning a whole page of units, and a partial overwrite of
+	// a flash-resident unit (one read-modify-write read), each joined in a
+	// caller-owned fan-in.
+	var fan sim.FanIn
 	if n := testing.AllocsPerRun(100, func() {
-		f.Read(8*unit, spp*unit)
+		fan = sim.FanIn{}
+		fan.Init(e)
+		f.ReadInto(8*unit, spp*unit, &fan)
+		fan.Close()
 		e.Run()
-	}); n != 1 {
-		t.Fatalf("flash read allocates %.2f/op, want exactly 1 (read future)", n)
+	}); n != 0 {
+		t.Fatalf("flash read allocates %.2f/op, want 0", n)
+	}
+	if !fan.Done() {
+		t.Fatal("flash read never completed")
+	}
+	reads := f.Array().Stats().Reads
+	if n := testing.AllocsPerRun(100, func() {
+		fan = sim.FanIn{}
+		fan.Init(e)
+		f.WriteInto(8*unit+100, 100, TagHostData, StreamData, &fan)
+		fan.Close()
+		e.Run()
+		f.SyncInto(StreamData, TagHostData, nil) // program the page: the next write reads flash again
+		e.Run()
+	}); n != 0 {
+		t.Fatalf("read-modify-write allocates %.2f/op, want 0", n)
+	}
+	if f.Array().Stats().Reads == reads {
+		t.Fatal("partial overwrite never read flash")
 	}
 
 	if err := f.CheckInvariants(); err != nil {
@@ -91,7 +118,7 @@ func TestFTLSteadyStateAllocs(t *testing.T) {
 
 // TestSyncAllocs locks in that a no-op durability barrier (everything
 // already programmed and completed) is allocation-free: Sync returns the
-// engine's shared completed future and reuses the pooled pending slice.
+// engine's shared completed future.
 func TestSyncAllocs(t *testing.T) {
 	cfg := smallCfg()
 	e, f := newSmall(t, cfg)

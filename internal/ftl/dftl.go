@@ -408,10 +408,10 @@ func (f *FTL) EndCheckpointCut() {
 // deduplicated per tvpn within the host command (consecutive luns share
 // pages; a real controller holds the fetched page in its transfer buffer
 // across the command). With page-fill on, the charged fetch also populates
-// every uncached entry the page covers. With wait set the reads' futures
-// append to futs so the host operation completes only after its translation
+// every uncached entry the page covers. The fetches join fan (nil waits for
+// none), so the host operation completes only after its translation
 // fetches.
-func (f *FTL) fmAccessRange(first, last int64, wait bool, futs []*sim.Future) []*sim.Future {
+func (f *FTL) fmAccessRange(first, last int64, fan *sim.FanIn) {
 	fm := &f.fm
 	if fm.fill && fm.cmdDepth == 0 {
 		fm.cmdEpoch++ // a bare range (tests) is a command of its own
@@ -444,9 +444,7 @@ func (f *FTL) fmAccessRange(first, last int64, wait bool, futs []*sim.Future) []
 				f.stats.TransReads++
 				f.stats.TransReadsHost++
 				f.stats.ReadsByTag[TagMeta]++
-				if fut := f.readFlash(f.pidBlock(pid), f.pidPage(pid), f.array.Geometry().PageSize, wait); fut != nil {
-					futs = append(futs, fut)
-				}
+				f.readFlash(f.pidBlock(pid), f.pidPage(pid), f.array.Geometry().PageSize, fan)
 			}
 		}
 		if fm.oracle && fm.stored[lun] != f.l2p[lun] {
@@ -461,7 +459,6 @@ func (f *FTL) fmAccessRange(first, last int64, wait bool, futs []*sim.Future) []
 	if fm.cachedCount > fm.cap && f.gcDepth == 0 && !fm.flushing && !fm.batch {
 		f.fmEnforceCap()
 	}
-	return futs
 }
 
 // fillTP bulk-inserts every uncached entry of translation page tvpn except
@@ -579,7 +576,7 @@ func (f *FTL) flushTP(tvpn int, site inject.Site) {
 		f.stats.TransReads++
 		f.stats.TransReadsRMW++
 		f.stats.ReadsByTag[TagMeta]++
-		f.readFlash(f.pidBlock(pid), f.pidPage(pid), f.array.Geometry().PageSize, false)
+		f.readFlash(f.pidBlock(pid), f.pidPage(pid), f.array.Geometry().PageSize, nil)
 	}
 	f.fmInvalidateTP(tvpn)
 	f.appendTransPage(tvpn, TagMeta)
@@ -642,7 +639,7 @@ func (f *FTL) appendTransPage(tvpn int, tag Tag) int64 {
 		fr.block = -1
 		fr, block = f.openFrontier(StreamTrans, idx)
 	}
-	page := f.array.ProgramPageNoWait(block, pageSize)
+	page, _ := f.array.ProgramPage(block, pageSize)
 	pid := int64(block)*int64(f.pagesPerBlk) + int64(page)
 	f.written[block] += int32(f.slotsPerPage)
 	f.validCount[block] += int32(f.slotsPerPage)
@@ -675,7 +672,7 @@ func (f *FTL) fmMigrateTrans(b int) {
 		f.stats.ReadsByTag[TagGC]++
 		f.stats.TransReads++
 		f.stats.TransReadsGC++
-		f.readFlash(b, p, pageSize, false)
+		f.readFlash(b, p, pageSize, nil)
 		f.fmInvalidateTP(int(tvpn))
 		f.appendTransPage(int(tvpn), TagGC)
 		f.stats.TransMigrated++

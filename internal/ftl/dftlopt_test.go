@@ -91,9 +91,9 @@ func TestTransFetchChargeDedup(t *testing.T) {
 		// first range fetched it — the epoch stamp must suppress the
 		// second charge.
 		f.fmEnterCmd()
-		f.fmAccessRange(0, 0, false, nil)
+		f.fmAccessRange(0, 0, nil)
 		uncacheClean(f) // simulate cap enforcement between the ranges
-		f.fmAccessRange(1, 1, false, nil)
+		f.fmAccessRange(1, 1, nil)
 		f.fmExitCmd()
 		run()
 		if got := f.stats.TransReadsHost - before; got != 1 {
@@ -102,7 +102,7 @@ func TestTransFetchChargeDedup(t *testing.T) {
 		// A fresh command starts a fresh epoch: the page charges again.
 		uncacheClean(f)
 		f.fmEnterCmd()
-		f.fmAccessRange(2, 2, false, nil)
+		f.fmAccessRange(2, 2, nil)
 		f.fmExitCmd()
 		run()
 		if got := f.stats.TransReadsHost - before; got != 2 {
@@ -208,8 +208,8 @@ func TestRemapBatchCoalesces(t *testing.T) {
 // + bulk clean insert of every covered entry) followed by clean-first
 // capacity eviction of a whole page's worth of entries allocates nothing —
 // the epoch tables, the LRU arrays and the bucketed dirty index all run on
-// preallocated storage. (Dirty flush paths pay the program future and are
-// measured separately, as in TestFTLSteadyStateAllocs.)
+// preallocated storage. (Dirty flush paths program pages and are measured
+// separately, as in TestFTLSteadyStateAllocs.)
 func TestDFTLSteadyStateAllocs(t *testing.T) {
 	cfg := dftlCfg()
 	cfg.MetaFlushEntries = 1 << 30
@@ -234,9 +234,9 @@ func TestDFTLSteadyStateAllocs(t *testing.T) {
 		// the page's span; the third pushes the CMT over its bound and
 		// clean-first eviction trims it back with pure removals.
 		f.fmEnterCmd()
-		f.fmAccessRange(0, 0, false, nil)
-		f.fmAccessRange(epp, epp, false, nil)
-		f.fmAccessRange(2*epp, 2*epp, false, nil)
+		f.fmAccessRange(0, 0, nil)
+		f.fmAccessRange(epp, epp, nil)
+		f.fmAccessRange(2*epp, 2*epp, nil)
 		f.fmExitCmd()
 		e.Run()
 		uncacheClean(f)
@@ -299,7 +299,7 @@ func dirtyTailFTL(tb testing.TB) (*FTL, func()) {
 		tvpn = tvpn%(numTPs-1) + 1 // every page but the dirty run's
 		lun := int64(tvpn) * epp
 		f.fmEnterCmd()
-		f.fmAccessRange(lun, lun, false, nil)
+		f.fmAccessRange(lun, lun, nil)
 		f.fmExitCmd()
 		e.Run()
 	}

@@ -387,10 +387,10 @@ type FTL struct {
 
 	fronts [numStreams][]frontier
 	rr     [numStreams]int
-	// outstanding program futures per stream: Sync waits for all of them
-	// (staged-write semantics: host writes complete at the DRAM buffer;
-	// Flush provides durability)
-	outstanding [numStreams][]*sim.Future
+	// programs logs each stream's page programs since its last Sync, which
+	// waits for those still in flight (staged-write semantics: host writes
+	// complete at the DRAM buffer; Flush provides durability)
+	programs [numStreams]progLog
 
 	// map-metadata cost model
 	dirtyMapEntries int
@@ -423,7 +423,7 @@ type FTL struct {
 	// measurable allocation source on GC-heavy runs.
 	lunsBuf []int64
 
-	// Epoch-stamped page-grouping scratch shared by Read and CopyCached:
+	// Epoch-stamped page-grouping scratch shared by ReadInto and CopyCached:
 	// pageEpoch[pid] == epoch marks page pid as seen by the current call,
 	// so grouping slot reads by physical page needs no per-call map. The
 	// epoch only ever increments, which keeps stale stamps harmless.
@@ -431,15 +431,6 @@ type FTL struct {
 	pageEpoch []uint64
 	pageCount []int32
 	pageOrder []int64
-
-	// Reusable future slices for the host-path fan-ins. One buffer per
-	// method: CopyCached nests Write, and Sync nests inside GC inside
-	// either, so the buffers must not be shared across methods.
-	readFuts  []*sim.Future
-	writeFuts []*sim.Future
-	remapFuts []*sim.Future
-	copyFuts  []*sim.Future
-	syncFuts  []*sim.Future
 
 	// fm is the DFTL-style flash-resident mapping layer (dftl.go); its zero
 	// value is the disabled layer (DRAM-resident mapping, the default).
@@ -740,7 +731,7 @@ func (f *FTL) programMetaPage() {
 	}
 	f.written[block] += int32(f.slotsPerPage)
 	f.stats.DeadPaddingSlots += 0 // metadata pages are whole-page writes
-	f.array.ProgramPageNoWait(block, f.array.Geometry().PageSize)
+	f.array.ProgramPage(block, f.array.Geometry().PageSize)
 	f.stats.ProgramsByTag[TagMeta]++
 	f.advanceFrontier(fr, block)
 	f.cfg.Injector.Hit(inject.SiteMetaFlush)
@@ -827,8 +818,7 @@ func (f *FTL) advanceFrontier(fr *frontier, block int) {
 
 // appendSlot places one mapping unit of payload into stream s and returns
 // the slot id. The payload is staged in the controller buffer; the page
-// programs when full (or at Sync), with the program future tracked in the
-// stream's outstanding set.
+// programs when full (or at Sync), logged for the stream's next Sync.
 func (f *FTL) appendSlot(s Stream, lun int64, tag Tag) int64 {
 	// Page-granular striping: finish the partially filled page if one
 	// exists; otherwise start a fresh page on the next frontier in
@@ -891,9 +881,10 @@ func (f *FTL) programPage(s Stream, idx int, tag Tag, inflight bool) {
 		f.written[block] += int32(dead)
 		f.stats.DeadPaddingSlots += uint64(dead)
 	}
-	_, progF := f.array.ProgramPage(block, fill*f.unit)
+	_, done := f.array.ProgramPage(block, fill*f.unit)
+	f.programs[s].note(progMark{at: done, seq: f.eng.ReserveSeq()})
+	f.eng.Extend(done)
 	f.stats.ProgramsByTag[tag]++
-	f.trackOutstanding(s, progF)
 	fr.fillLSNs = fr.fillLSNs[:0]
 	if f.partial[s] == idx {
 		f.partial[s] = -1
@@ -901,83 +892,94 @@ func (f *FTL) programPage(s Stream, idx int, tag Tag, inflight bool) {
 	f.advanceFrontier(fr, block)
 }
 
-// trackOutstanding records an issued program so Sync can wait for it.
-// Completed entries are dropped only when the backing array is full, which
-// amortizes the scan to O(1) per program — scanning on every call made this
-// the hottest FTL function on write-heavy runs (the set grows with every
-// page programmed between two Syncs).
-func (f *FTL) trackOutstanding(s Stream, progF *sim.Future) {
-	out := f.outstanding[s]
-	if len(out) == cap(out) && len(out) > 0 {
-		kept := out[:0]
-		for _, pf := range out {
-			if !pf.Done() {
-				kept = append(kept, pf)
-			}
-		}
-		for i := len(kept); i < len(out); i++ {
-			out[i] = nil // release completed futures for GC
-		}
-		out = kept
-	}
-	f.outstanding[s] = append(out, progF)
+// A progMark is a page program's completion: its instant and the sequence
+// number its completion event would have drawn. Programs get no event; the
+// mark is all Sync needs to wait for one.
+type progMark struct {
+	at  sim.VTime
+	seq uint64
 }
 
-// Sync forces every partially filled open page of stream s to program and
-// returns a future completing when every program issued on the stream so
-// far — full pages included — has finished: the durability barrier behind
-// the host FLUSH command.
+// A progLog keeps the two (at, seq)-latest programs of a stream since its
+// last Sync. That is all Sync needs: the latest decides when the barrier
+// completes, and whether the second latest is still in flight decides
+// whether it joins one program or more.
+type progLog struct {
+	latest, second progMark
+	n              int // programs logged, counted up to 2
+}
+
+func (l *progLog) note(m progMark) {
+	// m's seq is newer than every logged one, so it wins ties on at.
+	switch {
+	case l.n == 0 || m.at >= l.latest.at:
+		l.second, l.latest = l.latest, m
+	case l.n == 1 || m.at >= l.second.at:
+		l.second = m
+	}
+	l.n = min(l.n+1, 2)
+}
+
+// Sync is SyncInto with a future of its own.
 func (f *FTL) Sync(s Stream, tag Tag) *sim.Future {
+	var fan sim.FanIn
+	fan.Init(f.eng)
+	f.SyncInto(s, tag, &fan)
+	return fan.Detach()
+}
+
+// SyncInto forces every partially filled open page of stream s to program
+// and joins into fan every program issued on the stream since its last
+// Sync — full pages included — that is still in flight: the durability
+// barrier behind the host FLUSH command. A nil fan waits for nothing.
+func (f *FTL) SyncInto(s Stream, tag Tag, fan *sim.FanIn) {
 	for idx := range f.fronts[s] {
 		if len(f.fronts[s][idx].fillLSNs) > 0 {
 			f.programOpenPage(s, idx, tag)
 		}
 	}
-	// syncFuts is safe to reuse here despite GC-induced nesting: an inner
-	// Sync (collectBlock flushing the GC stream during a programOpenPage
-	// above) runs to completion before this frame touches the buffer.
-	pending := f.syncFuts[:0]
-	for _, pf := range f.outstanding[s] {
-		if !pf.Done() {
-			pending = append(pending, pf)
+	l := &f.programs[s]
+	if fan != nil && l.n > 0 && !f.eng.Passed(l.latest.at, l.latest.seq) {
+		fan.Add(l.latest.at, l.latest.seq)
+		if l.n > 1 && !f.eng.Passed(l.second.at, l.second.seq) {
+			fan.Add(l.second.at, l.second.seq)
 		}
 	}
-	f.outstanding[s] = f.outstanding[s][:0]
-	var out *sim.Future
-	if len(pending) == 0 {
-		out = sim.CompletedFuture(f.eng)
-	} else {
-		out = sim.AfterAll(f.eng, pending)
-	}
-	f.syncFuts = pending[:0]
+	*l = progLog{}
 	f.DrainFaults()
-	return out
 }
 
 // ---------------------------------------------------------------------------
 // host operations
 
-// Write stores n bytes at logical offset off via stream s. Writes that
-// partially cover a previously mapped unit incur a read-modify-write. The
-// returned future completes when the data is staged (RMW reads done, slots
-// buffered); durability requires a subsequent Sync, as with a real device's
-// volatile write cache backed by power-loss capacitors.
+// Write is WriteInto with a future of its own.
 func (f *FTL) Write(off, n int64, tag Tag, s Stream) *sim.Future {
+	var fan sim.FanIn
+	fan.Init(f.eng)
+	f.WriteInto(off, n, tag, s, &fan)
+	return fan.Detach()
+}
+
+// WriteInto stores n bytes at logical offset off via stream s. Writes that
+// partially cover a previously mapped unit incur a read-modify-write. The
+// write is staged once fan completes (RMW reads done, slots buffered);
+// durability requires a subsequent Sync, as with a real device's volatile
+// write cache backed by power-loss capacitors.
+func (f *FTL) WriteInto(off, n int64, tag Tag, s Stream, fan *sim.FanIn) {
 	f.checkRange(off, n)
 	if n == 0 {
-		return sim.CompletedFuture(f.eng)
+		return
 	}
 	first := off / int64(f.unit)
 	last := (off + n - 1) / int64(f.unit)
 	lookups := int(last - first + 1)
-	delay := f.mapLookupCost(lookups)
+	fan.Delay(f.mapLookupCost(lookups))
 
-	futs := f.writeFuts[:0]
 	f.fmEnterCmd()
 	if f.fm.enabled {
 		// The old mappings must be resolved before they are invalidated:
 		// misses fetch translation pages the write then waits on.
-		futs = f.fmAccessRange(first, last, true, futs)
+		f.fmAccessRange(first, last, fan)
 	}
 	for lun := first; lun <= last; lun++ {
 		unitStart := lun * int64(f.unit)
@@ -988,45 +990,49 @@ func (f *FTL) Write(off, n int64, tag Tag, s Stream) *sim.Future {
 			// partial overwrite of live data: read-modify-write
 			f.stats.HostRMWReads++
 			f.stats.ReadsByTag[tag]++
-			futs = append(futs, f.readFlash(f.slotBlock(old), f.slotPage(old), f.unit, true))
+			f.readFlash(f.slotBlock(old), f.slotPage(old), f.unit, fan)
 		}
 		sid := f.appendSlot(s, lun, tag)
 		f.bindSlot(lun, sid)
 	}
-	all := sim.AfterAll(f.eng, futs)
-	f.writeFuts = futs[:0]
 	f.fmExitCmd()
 	f.DrainFaults()
-	return delayedFuture(f.eng, all, delay)
 }
 
-// Read fetches n bytes at logical offset off. Reads of unmapped space
-// complete immediately (zero-fill). Slot reads sharing a physical page are
-// coalesced into one flash read.
+// Read is ReadInto with a future of its own.
 func (f *FTL) Read(off, n int64) *sim.Future {
+	var fan sim.FanIn
+	fan.Init(f.eng)
+	f.ReadInto(off, n, &fan)
+	return fan.Detach()
+}
+
+// ReadInto fetches n bytes at logical offset off; the data is in the
+// controller once fan completes. Reads of unmapped space need no flash
+// (zero-fill). Slot reads sharing a physical page are coalesced into one
+// flash read.
+func (f *FTL) ReadInto(off, n int64, fan *sim.FanIn) {
 	f.checkRange(off, n)
 	if n == 0 {
-		return sim.CompletedFuture(f.eng)
+		return
 	}
 	first := off / int64(f.unit)
 	last := (off + n - 1) / int64(f.unit)
 	lookups := int(last - first + 1)
-	delay := f.mapLookupCost(lookups)
+	fan.Delay(f.mapLookupCost(lookups))
 
 	// Group mapped units by physical page via the epoch-stamped scratch
 	// table: a page id stamped with the current epoch has been seen by this
 	// call, so no per-call map is needed. Each lun touches at most one page,
-	// which bounds both scratch slices by the unit span.
-	if cap(f.readFuts) < lookups {
-		f.readFuts = make([]*sim.Future, 0, lookups)
+	// which bounds the scratch slice by the unit span.
+	if cap(f.pageOrder) < lookups {
 		f.pageOrder = make([]int64, 0, lookups)
 	}
-	futs := f.readFuts[:0]
 	f.fmEnterCmd()
 	if f.fm.enabled {
 		// Resolve translations first: a miss-triggered writeback can run GC,
 		// which moves slots — physical pages are captured only afterwards.
-		futs = f.fmAccessRange(first, last, true, futs)
+		f.fmAccessRange(first, last, fan)
 	}
 	f.epoch++
 	order := f.pageOrder[:0]
@@ -1047,14 +1053,11 @@ func (f *FTL) Read(off, n int64) *sim.Future {
 		f.stats.ReadsByTag[TagHostData]++
 		block := int(pid / int64(f.pagesPerBlk))
 		page := int(pid % int64(f.pagesPerBlk))
-		futs = append(futs, f.readFlash(block, page, int(f.pageCount[pid])*f.unit, true))
+		f.readFlash(block, page, int(f.pageCount[pid])*f.unit, fan)
 	}
 	f.pageOrder = order[:0]
-	all := sim.AfterAll(f.eng, futs)
-	f.readFuts = futs[:0]
 	f.fmExitCmd()
 	f.DrainFaults()
-	return delayedFuture(f.eng, all, delay)
 }
 
 // Trim unmaps [off, off+n), releasing references (journal deletion after a
@@ -1124,14 +1127,15 @@ func (f *FTL) RemapCached(src, dst, n int64, srcInBuffer bool) (RemapResult, *si
 		panic("ftl: Remap destination must be unit-aligned")
 	}
 	var res RemapResult
-	futs := f.remapFuts[:0]
-	delay := f.mapLookupCost(int(2 * (n/int64(f.unit) + 1)))
+	var fan sim.FanIn
+	fan.Init(f.eng)
+	fan.Delay(f.mapLookupCost(int(2 * (n/int64(f.unit) + 1))))
 	f.fmEnterCmd()
 	if f.fm.enabled && n > 0 {
 		// Source and destination entries both resolve up front — the remap
 		// reads the source mapping and invalidates the old destination one.
-		futs = f.fmAccessRange(src/int64(f.unit), (src+n-1)/int64(f.unit), true, futs)
-		futs = f.fmAccessRange(dst/int64(f.unit), (dst+n-1)/int64(f.unit), true, futs)
+		f.fmAccessRange(src/int64(f.unit), (src+n-1)/int64(f.unit), &fan)
+		f.fmAccessRange(dst/int64(f.unit), (dst+n-1)/int64(f.unit), &fan)
 	}
 
 	for rel := int64(0); rel < n; rel += int64(f.unit) {
@@ -1163,13 +1167,13 @@ func (f *FTL) RemapCached(src, dst, n int64, srcInBuffer bool) (RemapResult, *si
 		for l := sFirst; l <= sLast && !srcInBuffer; l++ {
 			if sid := f.l2p[l]; sid >= 0 && !f.isBuffered(sid) {
 				f.stats.ReadsByTag[TagCheckpoint]++
-				futs = append(futs, f.readFlash(f.slotBlock(sid), f.slotPage(sid), f.unit, true))
+				f.readFlash(f.slotBlock(sid), f.slotPage(sid), f.unit, &fan)
 			}
 		}
 		if span < int64(f.unit) {
 			if old := f.l2p[dstLun]; old >= 0 && !f.isBuffered(old) {
 				f.stats.ReadsByTag[TagCheckpoint]++
-				futs = append(futs, f.readFlash(f.slotBlock(old), f.slotPage(old), f.unit, true))
+				f.readFlash(f.slotBlock(old), f.slotPage(old), f.unit, &fan)
 			}
 		}
 		sid := f.appendSlot(StreamData, dstLun, TagCheckpoint)
@@ -1177,10 +1181,8 @@ func (f *FTL) RemapCached(src, dst, n int64, srcInBuffer bool) (RemapResult, *si
 	}
 	// RMW slots batch into pages across Remap calls; the caller syncs the
 	// data stream once per checkpoint command for durability.
-	all := sim.AfterAll(f.eng, futs)
-	f.remapFuts = futs[:0]
 	f.fmExitCmd()
-	return res, delayedFuture(f.eng, all, delay)
+	return res, fan.Detach()
 }
 
 // Copy physically copies [src, src+n) to [dst, dst+n) inside the device
@@ -1201,23 +1203,22 @@ func (f *FTL) CopyCached(src, dst, n int64, tag Tag, srcInBuffer bool) *sim.Futu
 	if n == 0 {
 		return sim.CompletedFuture(f.eng)
 	}
-	delay := f.mapLookupCost(int(2 * (n/int64(f.unit) + 1)))
+	var fan sim.FanIn
+	fan.Init(f.eng)
+	fan.Delay(f.mapLookupCost(int(2 * (n/int64(f.unit) + 1))))
 
 	// consecutive reads, deduplicated per physical page through the
-	// epoch-stamped scratch table (as in Read; the nested Write below does
-	// not touch the epoch, so the stamp stays valid across this call) ...
+	// epoch-stamped scratch table (as in ReadInto; the nested Write below
+	// does not touch the epoch, so the stamp stays valid across this
+	// call) ...
 	sFirst := src / int64(f.unit)
 	sLast := (src + n - 1) / int64(f.unit)
-	if spanCap := int(sLast-sFirst) + 2; cap(f.copyFuts) < spanCap {
-		f.copyFuts = make([]*sim.Future, 0, spanCap)
-	}
-	futs := f.copyFuts[:0]
 	f.fmEnterCmd()
 	if f.fm.enabled && !srcInBuffer {
 		// Flash-sourced copies resolve the source mapping first (a buffered
 		// source reads through the DRAM cache and needs no translation);
 		// the destination resolves inside the nested Write.
-		futs = f.fmAccessRange(sFirst, sLast, true, futs)
+		f.fmAccessRange(sFirst, sLast, &fan)
 	}
 	f.epoch++
 	for l := sFirst; l <= sLast && !srcInBuffer; l++ {
@@ -1228,28 +1229,16 @@ func (f *FTL) CopyCached(src, dst, n int64, tag Tag, srcInBuffer bool) *sim.Futu
 				f.stats.ReadsByTag[tag]++
 				block := int(pid / int64(f.pagesPerBlk))
 				page := int(pid % int64(f.pagesPerBlk))
-				futs = append(futs, f.readFlash(block, page, f.unit*f.slotsPerPage, true))
+				f.readFlash(block, page, f.unit*f.slotsPerPage, &fan)
 			}
 		}
 	}
 	// ... then consecutive writes (with RMW for a partial destination
 	// tail). As with Remap, the caller syncs the data stream once per
 	// command so copies batch into full pages.
-	futs = append(futs, f.Write(dst, n, tag, StreamData))
-	all := sim.AfterAll(f.eng, futs)
-	f.copyFuts = futs[:0]
+	fan.Await(f.Write(dst, n, tag, StreamData))
 	f.fmExitCmd()
-	return delayedFuture(f.eng, all, delay)
-}
-
-// delayedFuture completes after both f completes and an extra fixed delay.
-func delayedFuture(e *sim.Engine, f *sim.Future, delay sim.VTime) *sim.Future {
-	if delay == 0 {
-		return f
-	}
-	out := sim.NewFuture(e)
-	f.OnComplete(func() { e.Schedule(delay, out.Complete) })
-	return out
+	return fan.Detach()
 }
 
 // ---------------------------------------------------------------------------
@@ -1380,7 +1369,7 @@ func (f *FTL) collectBlock(b int) {
 		f.retireBlock(b)
 		f.cfg.Injector.Hit(inject.SiteEraseFail)
 	} else {
-		f.array.EraseBlockNoWait(b)
+		f.array.EraseBlock(b)
 		f.releaseBlock(b)
 	}
 	f.gcVictim = prevVictim
@@ -1410,7 +1399,7 @@ func (f *FTL) migrateLive(b int) {
 		if p := f.slotPage(sid); p != lastPage {
 			lastPage = p
 			f.stats.ReadsByTag[TagGC]++
-			f.readFlash(b, p, f.array.Geometry().PageSize, false)
+			f.readFlash(b, p, f.array.Geometry().PageSize, nil)
 		}
 	}
 	// migrate pass: rewrite valid slots through the GC stream, moving
@@ -1442,7 +1431,7 @@ func (f *FTL) migrateLive(b int) {
 		f.rlog.preserveCopy(sid, newSid)
 	}
 	// flush the GC stream's partial pages so the block is safe to erase
-	f.Sync(StreamGC, TagGC)
+	f.SyncInto(StreamGC, TagGC, nil)
 	f.validCount[b] = 0
 	f.rlog.noteErase(base, int64(slotsPerBlock))
 }

@@ -39,32 +39,32 @@ const (
 
 // readFlash wraps every FTL page read with the reliability model: clean
 // reads go straight to the array (and are byte-identical to the pre-model
-// path when the model is off), faulty reads run the recovery ladder. When
-// wait is false no future is created (fire-and-forget, as ReadPageNoWait).
-func (f *FTL) readFlash(block, page, nbytes int, wait bool) *sim.Future {
-	steps, uncorr := f.array.SampleRead(block)
-	if steps == 0 && !uncorr {
-		if wait {
-			return f.array.ReadPage(block, page, nbytes)
-		}
-		f.array.ReadPageNoWait(block, page, nbytes)
-		return nil
+// path when the model is off), faulty reads run the recovery ladder. The
+// read's completion joins fan; a nil fan waits for nothing.
+func (f *FTL) readFlash(block, page, nbytes int, fan *sim.FanIn) {
+	var done sim.VTime
+	if steps, uncorr := f.array.SampleRead(block); steps == 0 && !uncorr {
+		done = f.array.ReadPage(block, page, nbytes)
+	} else {
+		done = f.readFlashRecover(block, page, nbytes, steps, uncorr)
 	}
-	return f.readFlashRecover(block, page, nbytes, steps, uncorr, wait)
+	if fan != nil {
+		fan.Add(done, f.eng.ReserveSeq())
+	}
 }
 
 // readFlashRecover charges the bounded voltage-shift retry ladder — the
 // initial read plus one re-read and one shift-setup delay per step — and,
 // for an uncorrectable page, the soft-decision decode on top, after which
-// the block is queued for a read-reclaim scrub. The returned future (wait
-// mode) completes when the last recovery step finishes.
-func (f *FTL) readFlashRecover(block, page, nbytes, steps int, uncorr, wait bool) *sim.Future {
+// the block is queued for a read-reclaim scrub. It returns when the last
+// recovery step finishes.
+func (f *FTL) readFlashRecover(block, page, nbytes, steps int, uncorr bool) sim.VTime {
 	attempts := steps
 	if uncorr || attempts > f.maxRetries {
 		attempts = f.maxRetries
 	}
 	for i := 0; i <= attempts; i++ {
-		f.array.ReadPageNoWait(block, page, nbytes)
+		f.array.ReadPage(block, page, nbytes)
 	}
 	extra := sim.VTime(attempts) * f.retryLat
 	if uncorr {
@@ -77,12 +77,7 @@ func (f *FTL) readFlashRecover(block, page, nbytes, steps int, uncorr, wait bool
 			fmt.Sprintf("page=%d attempts=%d uncorrectable=%v", page, attempts, uncorr))
 	}
 	f.cfg.Injector.Hit(inject.SiteReadRetry)
-	if !wait {
-		return nil
-	}
-	out := sim.NewFuture(f.eng)
-	f.eng.AtHandler(end, out)
-	return out
+	return end
 }
 
 // handleProgramFail recovers frontier idx of stream s from a program

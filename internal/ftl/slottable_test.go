@@ -196,8 +196,8 @@ func TestSlotTablesThroughFTL(t *testing.T) {
 // tables' pools have grown to a burst's size, remap bursts (each shares a
 // journal slot, adding a reverse-overflow entry and an alias record) and
 // the journal trim that follows (dropping the overflow entries) allocate
-// nothing. Journal writes and GC run between the measured sections; they
-// pay their own, separately guarded, program futures.
+// nothing. Journal writes and GC run between the measured sections; their
+// programs are guarded separately.
 func TestRemapTrimAllocs(t *testing.T) {
 	cfg := smallCfg()
 	cfg.MetaFlushEntries = 1 << 30 // metadata flush paths measured separately

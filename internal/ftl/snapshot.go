@@ -64,19 +64,17 @@ type FTLState struct {
 	stats Stats
 }
 
-// Snapshot captures the FTL's mutable state. Every program future must have
+// Snapshot captures the FTL's mutable state. Every program must have
 // completed (the kernel queue is drained at the capture point), so the
-// outstanding sets are not part of the state; buffered partial pages are.
+// program logs are not part of the state; buffered partial pages are.
 // GC must not be mid-flight.
 func (f *FTL) Snapshot() (*FTLState, error) {
 	if f.gcDepth != 0 {
 		return nil, fmt.Errorf("ftl: snapshot during garbage collection (depth %d)", f.gcDepth)
 	}
-	for s := Stream(0); s < numStreams; s++ {
-		for _, pf := range f.outstanding[s] {
-			if !pf.Done() {
-				return nil, fmt.Errorf("ftl: snapshot with incomplete program on stream %d (FTL not quiescent)", s)
-			}
+	for s, l := range f.programs {
+		if l.n > 0 && !f.eng.Passed(l.latest.at, l.latest.seq) {
+			return nil, fmt.Errorf("ftl: snapshot with incomplete program on stream %d (FTL not quiescent)", s)
 		}
 	}
 	st := &FTLState{
@@ -205,7 +203,7 @@ func (f *FTL) Restore(st *FTLState) error {
 				fillTag:  fr.fillTag,
 			}
 		}
-		f.outstanding[s] = f.outstanding[s][:0]
+		f.programs[s] = progLog{}
 	}
 	f.rr = st.rr
 

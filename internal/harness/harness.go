@@ -58,11 +58,6 @@ type Opts struct {
 	// latency, failed programs, retired blocks — and shift the reported
 	// numbers accordingly.
 	Errors string
-	// Domains controls the parallel DES kernel inside each run ("on",
-	// "off", or ""/"auto" = on when GOMAXPROCS > 1). Forwarded verbatim to
-	// checkin.Config.Domains; rendered tables are byte-identical at any
-	// setting — the domains change only wall-clock time.
-	Domains string
 	// FTLMap selects the mapping-table model for every run ("" or "dram" =
 	// full table in DRAM, "dftl" = flash-resident translation pages).
 	// Forwarded verbatim to checkin.Config.FTLMap; dftl shifts the reported
@@ -255,7 +250,6 @@ func baseConfig(o Opts, s checkin.Strategy) checkin.Config {
 	cfg.Seed = o.Seed
 	cfg.Keys = 50_000
 	cfg.CheckpointInterval = 300 * time.Millisecond
-	cfg.Domains = o.Domains
 	cfg.Engine = o.Engine
 	cfg.FTLMap = o.FTLMap
 	cfg.CMTFill = o.CMTFill

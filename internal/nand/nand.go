@@ -101,7 +101,7 @@ type Timing struct {
 	EraseEnergyNJ   uint64
 }
 
-// DefaultEnergy fills typical MLC per-operation energies (nJ).
+// WithDefaultEnergy fills typical MLC per-operation energies (nJ).
 func (t Timing) WithDefaultEnergy() Timing {
 	t.ReadEnergyNJ = 25_000
 	t.ProgramEnergyNJ = 220_000
@@ -170,11 +170,6 @@ type Array struct {
 	stats Stats
 	rel   *relModel // nil unless EnableReliability installed nonzero rates
 
-	// dom is the per-channel parallel timing path (see domain.go); nil runs
-	// every reservation inline on the main loop. Either way the observable
-	// simulation output is byte-identical.
-	dom *domainSet
-
 	// MaxPE is the endurance rating used by the lifetime equation; 0 means
 	// "unspecified" and lifetime reports are skipped.
 	MaxPE uint32
@@ -229,152 +224,64 @@ func (a *Array) MaxEraseCount() uint32 {
 	return max
 }
 
-// readPageAccount runs the submission half of a page read — the address and
-// ordering checks and the operation counters the FTL observes synchronously
-// — and resolves the die, channel and clamped byte count. It is common to
-// the inline and domain paths, which keeps their observable state identical.
-func (a *Array) readPageAccount(block, page, nbytes int) (die, ch, nb int) {
+// An operation's timing is closed-form arithmetic over two FIFO busy
+// horizons, its die's and its channel's, so each operation books both at
+// issue and returns its completion instant. It allocates nothing and
+// schedules no event: a caller that waits joins the instant into a
+// sim.FanIn.
+
+// ReadPage reads nbytes of a page: the die is busy for tR, then the channel
+// carries the data to the controller. It returns when the data is in the
+// controller.
+func (a *Array) ReadPage(block, page, nbytes int) sim.VTime {
 	a.checkAddr(block, page)
 	bs := &a.blocks[block]
 	if page >= bs.nextPage {
 		panic(fmt.Sprintf("nand: read of unprogrammed page %d of block %d (programmed up to %d)",
 			page, block, bs.nextPage))
 	}
-	if nbytes <= 0 || nbytes > a.geo.PageSize {
-		nbytes = a.geo.PageSize
-	}
+	nbytes = a.clampBytes(nbytes)
 	a.stats.Reads++
 	a.stats.BytesRead += uint64(nbytes)
 
-	die = a.geo.DieOfBlock(block)
-	return die, a.geo.ChannelOfDie(die), nbytes
-}
-
-// readPageReserve books the die and channel time of one page read inline and
-// returns when the data lands in the controller.
-func (a *Array) readPageReserve(block, page, nbytes int) sim.VTime {
-	die, ch, nb := a.readPageAccount(block, page, nbytes)
-	now := a.eng.Now()
-	_, dieDone := a.dies[die].Reserve(now, a.tim.CmdOverhead+a.tim.ReadPage)
-	_, xferDone := a.channels[ch].Reserve(dieDone, a.tim.TransferTime(nb))
+	die := a.geo.DieOfBlock(block)
+	_, dieDone := a.dies[die].Reserve(a.eng.Now(), a.tim.CmdOverhead+a.tim.ReadPage)
+	_, xferDone := a.channels[a.geo.ChannelOfDie(die)].Reserve(dieDone, a.tim.TransferTime(nbytes))
 	return xferDone
 }
 
-// ReadPage reads nbytes of a page: the die is busy for tR, then the channel
-// carries the data to the controller. The returned future completes when the
-// data is in the controller.
-func (a *Array) ReadPage(block, page, nbytes int) *sim.Future {
-	if a.dom != nil {
-		die, ch, nb := a.readPageAccount(block, page, nbytes)
-		return a.dom.submit(ch, domCmd{kind: domRead, die: int32(die),
-			op: a.tim.CmdOverhead + a.tim.ReadPage, xfer: a.tim.TransferTime(nb)}, true)
-	}
-	xferDone := a.readPageReserve(block, page, nbytes)
-	f := sim.NewFuture(a.eng)
-	a.eng.AtHandler(xferDone, f)
-	return f
-}
-
-// ReadPageNoWait is ReadPage for fire-and-forget callers (GC page reads):
-// identical reservations, counters and timing effects — later operations on
-// the same die and channel queue behind it just the same — but no future is
-// created and no kernel event scheduled. A discarded future's completion
-// event has no observable effect (nothing waits, and the clock it would
-// advance is per-event), so dropping it changes nothing but dispatch cost.
-func (a *Array) ReadPageNoWait(block, page, nbytes int) {
-	if a.dom != nil {
-		die, ch, nb := a.readPageAccount(block, page, nbytes)
-		a.dom.submit(ch, domCmd{kind: domRead, die: int32(die),
-			op: a.tim.CmdOverhead + a.tim.ReadPage, xfer: a.tim.TransferTime(nb)}, false)
-		return
-	}
-	a.readPageReserve(block, page, nbytes)
-}
-
 // ProgramPage programs the next page of a block (flash programs pages in
-// order). It returns the page index programmed and a future that completes
-// when the program finishes. Programming a full block panics — the FTL must
-// rotate to a fresh block.
-func (a *Array) ProgramPage(block, nbytes int) (page int, f *sim.Future) {
-	if a.dom != nil {
-		page, die, ch, nb := a.programPageAccount(block, nbytes)
-		return page, a.dom.submit(ch, domCmd{kind: domProgram, die: int32(die),
-			op: a.tim.CmdOverhead + a.tim.ProgramPage, xfer: a.tim.TransferTime(nb)}, true)
-	}
-	page, progDone := a.programPageReserve(block, nbytes)
-	f = sim.NewFuture(a.eng)
-	a.eng.AtHandler(progDone, f)
-	return page, f
-}
-
-// programPageAccount runs the submission half of a page program: it advances
-// the block's program frontier — the FTL reads the returned page index
-// synchronously, which is why frontier movement can never defer to a domain
-// — and bumps the counters.
-func (a *Array) programPageAccount(block, nbytes int) (page, die, ch, nb int) {
+// order). It returns the page index programmed and when the program
+// finishes. Programming a full block panics — the FTL must rotate to a
+// fresh block.
+func (a *Array) ProgramPage(block, nbytes int) (page int, done sim.VTime) {
 	a.checkAddr(block, 0)
 	bs := &a.blocks[block]
 	if bs.nextPage >= a.geo.PagesPerBlock {
 		panic(fmt.Sprintf("nand: program past end of block %d", block))
 	}
-	if nbytes <= 0 || nbytes > a.geo.PageSize {
-		nbytes = a.geo.PageSize
-	}
+	nbytes = a.clampBytes(nbytes)
 	page = bs.nextPage
 	bs.nextPage++
 	bs.erased = false
 	a.stats.Programs++
 	a.stats.BytesProgrammed += uint64(nbytes)
-
-	die = a.geo.DieOfBlock(block)
-	return page, die, a.geo.ChannelOfDie(die), nbytes
+	return page, a.programReserve(block, nbytes)
 }
 
-// programPageReserve advances the block's program frontier and books the
-// channel and die time inline; it returns the programmed page and the
-// finish time.
-func (a *Array) programPageReserve(block, nbytes int) (page int, progDone sim.VTime) {
-	page, die, ch, nb := a.programPageAccount(block, nbytes)
-	now := a.eng.Now()
-	// Data moves over the channel into the die's page register, then the
-	// die programs the cell array.
-	_, xferDone := a.channels[ch].Reserve(now, a.tim.TransferTime(nb))
-	_, progDone = a.dies[die].Reserve(xferDone, a.tim.CmdOverhead+a.tim.ProgramPage)
-	return page, progDone
+// programReserve books a page program's time: the data moves over the
+// channel into the die's page register, then the die programs the cell
+// array. It returns when the program finishes.
+func (a *Array) programReserve(block, nbytes int) sim.VTime {
+	die := a.geo.DieOfBlock(block)
+	_, xferDone := a.channels[a.geo.ChannelOfDie(die)].Reserve(a.eng.Now(), a.tim.TransferTime(nbytes))
+	_, done := a.dies[die].Reserve(xferDone, a.tim.CmdOverhead+a.tim.ProgramPage)
+	return done
 }
 
-// ProgramPageNoWait is ProgramPage for fire-and-forget callers (metadata
-// page programs, whose durability the in-DRAM table makes moot): identical
-// reservations and counters, no future, no kernel event.
-func (a *Array) ProgramPageNoWait(block, nbytes int) (page int) {
-	if a.dom != nil {
-		page, die, ch, nb := a.programPageAccount(block, nbytes)
-		a.dom.submit(ch, domCmd{kind: domProgram, die: int32(die),
-			op: a.tim.CmdOverhead + a.tim.ProgramPage, xfer: a.tim.TransferTime(nb)}, false)
-		return page
-	}
-	page, _ = a.programPageReserve(block, nbytes)
-	return page
-}
-
-// EraseBlock erases a block, incrementing its P/E count. The future
-// completes when the erase finishes.
-func (a *Array) EraseBlock(block int) *sim.Future {
-	if a.dom != nil {
-		die, ch := a.eraseBlockAccount(block)
-		return a.dom.submit(ch, domCmd{kind: domErase, die: int32(die),
-			op: a.tim.CmdOverhead + a.tim.EraseBlock}, true)
-	}
-	done := a.eraseBlockReserve(block)
-	f := sim.NewFuture(a.eng)
-	a.eng.AtHandler(done, f)
-	return f
-}
-
-// eraseBlockAccount runs the submission half of a block erase: lifecycle
-// flip (the FTL re-reads IsErased and the frontier synchronously) and
-// counters.
-func (a *Array) eraseBlockAccount(block int) (die, ch int) {
+// EraseBlock erases a block, incrementing its P/E count. It returns when
+// the erase finishes.
+func (a *Array) EraseBlock(block int) sim.VTime {
 	a.checkAddr(block, 0)
 	bs := &a.blocks[block]
 	bs.eraseCount++
@@ -382,28 +289,21 @@ func (a *Array) eraseBlockAccount(block int) (die, ch int) {
 	bs.everErased = true
 	bs.nextPage = 0
 	a.stats.Erases++
-
-	die = a.geo.DieOfBlock(block)
-	return die, a.geo.ChannelOfDie(die)
+	return a.eraseReserve(block)
 }
 
-func (a *Array) eraseBlockReserve(block int) sim.VTime {
-	die, _ := a.eraseBlockAccount(block)
-	now := a.eng.Now()
-	_, done := a.dies[die].Reserve(now, a.tim.CmdOverhead+a.tim.EraseBlock)
+// eraseReserve books a block erase's die time and returns when it ends.
+func (a *Array) eraseReserve(block int) sim.VTime {
+	_, done := a.dies[a.geo.DieOfBlock(block)].Reserve(a.eng.Now(), a.tim.CmdOverhead+a.tim.EraseBlock)
 	return done
 }
 
-// EraseBlockNoWait is EraseBlock for fire-and-forget callers (GC erases):
-// identical reservations and counters, no future, no kernel event.
-func (a *Array) EraseBlockNoWait(block int) {
-	if a.dom != nil {
-		die, ch := a.eraseBlockAccount(block)
-		a.dom.submit(ch, domCmd{kind: domErase, die: int32(die),
-			op: a.tim.CmdOverhead + a.tim.EraseBlock}, false)
-		return
+// clampBytes maps a transfer size outside (0, PageSize] to a whole page.
+func (a *Array) clampBytes(nbytes int) int {
+	if nbytes <= 0 || nbytes > a.geo.PageSize {
+		return a.geo.PageSize
 	}
-	a.eraseBlockReserve(block)
+	return nbytes
 }
 
 // ProgrammedPages returns how many pages of the block are programmed.
@@ -417,13 +317,11 @@ func (a *Array) IsErased(block int) bool {
 // DieIdleAt reports whether the die holding block is idle at time t — the
 // deallocator uses this to schedule background GC in idle windows.
 func (a *Array) DieIdleAt(block int, t sim.VTime) bool {
-	a.syncDomains()
 	return a.dies[a.geo.DieOfBlock(block)].IdleAt(t)
 }
 
 // AllDiesIdleAt reports whether the whole array is idle at time t.
 func (a *Array) AllDiesIdleAt(t sim.VTime) bool {
-	a.syncDomains()
 	for i := range a.dies {
 		if !a.dies[i].IdleAt(t) {
 			return false
@@ -434,18 +332,14 @@ func (a *Array) AllDiesIdleAt(t sim.VTime) bool {
 
 // DieBusyTotal returns the cumulative busy time of die d (utilization).
 func (a *Array) DieBusyTotal(d int) sim.VTime {
-	a.syncDomains()
 	return a.dies[d].BusyTotal()
 }
 
 // ReserveDie books dur of busy time on the die holding block — used by
 // recovery scans that sweep OOB areas without going through the normal
-// page-read path. It returns the reservation's end time, which is why it
-// must sync the domains first: the end is observed synchronously, so the
-// die's horizon has to reflect every command submitted before this one.
+// page-read path. It returns the reservation's end time.
 func (a *Array) ReserveDie(block int, dur sim.VTime) sim.VTime {
 	a.checkAddr(block, 0)
-	a.syncDomains()
 	_, end := a.dies[a.geo.DieOfBlock(block)].Reserve(a.eng.Now(), dur)
 	return end
 }
@@ -453,7 +347,6 @@ func (a *Array) ReserveDie(block int, dur sim.VTime) sim.VTime {
 // MaxBacklog returns the largest per-die backlog (busy-until minus now) at
 // time t — a probe for burstiness diagnostics.
 func (a *Array) MaxBacklog(t sim.VTime) sim.VTime {
-	a.syncDomains()
 	var max sim.VTime
 	for i := range a.dies {
 		if bu := a.dies[i].BusyUntil(); bu > t && bu-t > max {
@@ -465,7 +358,6 @@ func (a *Array) MaxBacklog(t sim.VTime) sim.VTime {
 
 // ChannelBusyTotal returns the cumulative busy time of channel c.
 func (a *Array) ChannelBusyTotal(c int) sim.VTime {
-	a.syncDomains()
 	return a.channels[c].BusyTotal()
 }
 

@@ -113,22 +113,18 @@ func TestProgramThenReadTiming(t *testing.T) {
 	e := sim.NewEngine()
 	a := newTestArray(t, e)
 
-	page, pf := a.ProgramPage(0, 4096)
+	page, progDone := a.ProgramPage(0, 4096)
 	if page != 0 {
 		t.Fatalf("first program page = %d, want 0", page)
 	}
-	var progDone, readDone sim.VTime
-	pf.OnComplete(func() { progDone = e.Now() })
-	e.Run()
 	// transfer 10.24µs + cmd 1µs + prog 500µs
 	wantProg := testTim().TransferTime(4096) + 1*sim.Microsecond + 500*sim.Microsecond
 	if progDone != wantProg {
 		t.Errorf("program done at %v, want %v", progDone, wantProg)
 	}
 
-	rf := a.ReadPage(0, 0, 4096)
-	rf.OnComplete(func() { readDone = e.Now() })
-	e.Run()
+	e.RunUntil(progDone)
+	readDone := a.ReadPage(0, 0, 4096)
 	wantRead := progDone + 1*sim.Microsecond + 50*sim.Microsecond + testTim().TransferTime(4096)
 	if readDone != wantRead {
 		t.Errorf("read done at %v, want %v", readDone, wantRead)
@@ -175,16 +171,12 @@ func TestEraseResetsBlock(t *testing.T) {
 	e := sim.NewEngine()
 	a := newTestArray(t, e)
 	a.ProgramPage(5, 4096)
-	a.ProgramPage(5, 4096)
+	_, programmed := a.ProgramPage(5, 4096)
 	if a.ProgrammedPages(5) != 2 || a.IsErased(5) {
 		t.Fatal("block state wrong after programs")
 	}
-	f := a.EraseBlock(5)
-	done := false
-	f.OnComplete(func() { done = true })
-	e.Run()
-	if !done {
-		t.Fatal("erase future never completed")
+	if done := a.EraseBlock(5); done != programmed+sim.Microsecond+3*sim.Millisecond {
+		t.Errorf("erase done at %v, want tBERS after the programs end at %v", done, programmed)
 	}
 	if !a.IsErased(5) || a.ProgrammedPages(5) != 0 {
 		t.Error("erase did not reset block")
@@ -203,24 +195,15 @@ func TestDieContentionSerializes(t *testing.T) {
 	e := sim.NewEngine()
 	a := newTestArray(t, e)
 	// Blocks 0 and 1 share die 0: two programs must serialize on the die.
-	_, f1 := a.ProgramPage(0, 4096)
-	_, f2 := a.ProgramPage(1, 4096)
-	var t1, t2 sim.VTime
-	f1.OnComplete(func() { t1 = e.Now() })
-	f2.OnComplete(func() { t2 = e.Now() })
-	e.Run()
+	_, t1 := a.ProgramPage(0, 4096)
+	_, t2 := a.ProgramPage(1, 4096)
 	if t2 < t1+500*sim.Microsecond {
 		t.Errorf("programs on same die overlapped: %v then %v", t1, t2)
 	}
 	// Blocks on different dies overlap (die 0 and die 1 on different channels).
-	e2 := sim.NewEngine()
-	b := newTestArray(t, e2)
-	_, g1 := b.ProgramPage(0, 4096)  // die 0, channel 0
-	_, g2 := b.ProgramPage(16, 4096) // die 1, channel 1
-	var u1, u2 sim.VTime
-	g1.OnComplete(func() { u1 = e2.Now() })
-	g2.OnComplete(func() { u2 = e2.Now() })
-	e2.Run()
+	b := newTestArray(t, sim.NewEngine())
+	_, u1 := b.ProgramPage(0, 4096)  // die 0, channel 0
+	_, u2 := b.ProgramPage(16, 4096) // die 1, channel 1
 	if u1 != u2 {
 		t.Errorf("programs on independent dies did not overlap: %v vs %v", u1, u2)
 	}
@@ -230,12 +213,8 @@ func TestChannelContention(t *testing.T) {
 	e := sim.NewEngine()
 	a := newTestArray(t, e)
 	// Dies 0 and 2 share channel 0. Program transfers contend on the bus.
-	_, f1 := a.ProgramPage(0, 4096)  // die 0
-	_, f2 := a.ProgramPage(32, 4096) // die 2
-	var t1, t2 sim.VTime
-	f1.OnComplete(func() { t1 = e.Now() })
-	f2.OnComplete(func() { t2 = e.Now() })
-	e.Run()
+	_, t1 := a.ProgramPage(0, 4096)  // die 0
+	_, t2 := a.ProgramPage(32, 4096) // die 2
 	xfer := testTim().TransferTime(4096)
 	// Second transfer starts after the first finishes on the bus, then
 	// both program concurrently on their own dies.
@@ -254,16 +233,15 @@ func TestIdleDetection(t *testing.T) {
 	if !a.AllDiesIdleAt(0) {
 		t.Error("fresh array not idle")
 	}
-	a.ProgramPage(0, 4096)
+	_, done := a.ProgramPage(0, 4096)
 	if a.DieIdleAt(0, 0) {
 		t.Error("die 0 should be busy during program")
 	}
 	if a.DieIdleAt(16, 0) != true {
 		t.Error("die 1 should be idle")
 	}
-	e.Run()
-	if !a.AllDiesIdleAt(e.Now()) {
-		t.Error("array should be idle after run")
+	if a.AllDiesIdleAt(done-1) || !a.AllDiesIdleAt(done) {
+		t.Error("array should turn idle exactly when the program finishes")
 	}
 }
 

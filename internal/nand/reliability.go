@@ -171,23 +171,10 @@ func (a *Array) ProgramFailedAttempt(block, nbytes int) {
 	if bs.nextPage >= a.geo.PagesPerBlock {
 		panic(fmt.Sprintf("nand: failed program past end of block %d", block))
 	}
-	if nbytes <= 0 || nbytes > a.geo.PageSize {
-		nbytes = a.geo.PageSize
-	}
 	bs.nextPage++
 	bs.erased = false
 	a.stats.ProgramFails++
-
-	die := a.geo.DieOfBlock(block)
-	ch := a.geo.ChannelOfDie(die)
-	if a.dom != nil {
-		a.dom.submit(ch, domCmd{kind: domProgram, die: int32(die),
-			op: a.tim.CmdOverhead + a.tim.ProgramPage, xfer: a.tim.TransferTime(nbytes)}, false)
-		return
-	}
-	now := a.eng.Now()
-	_, xferDone := a.channels[ch].Reserve(now, a.tim.TransferTime(nbytes))
-	a.dies[die].Reserve(xferDone, a.tim.CmdOverhead+a.tim.ProgramPage)
+	a.programReserve(block, a.clampBytes(nbytes))
 }
 
 // EraseFailedAttempt charges the cost of a block erase that reported status
@@ -199,12 +186,5 @@ func (a *Array) EraseFailedAttempt(block int) {
 	bs.eraseCount++
 	bs.everErased = true
 	a.stats.EraseFails++
-
-	die := a.geo.DieOfBlock(block)
-	if a.dom != nil {
-		a.dom.submit(a.geo.ChannelOfDie(die), domCmd{kind: domErase, die: int32(die),
-			op: a.tim.CmdOverhead + a.tim.EraseBlock}, false)
-		return
-	}
-	a.dies[die].Reserve(a.eng.Now(), a.tim.CmdOverhead+a.tim.EraseBlock)
+	a.eraseReserve(block)
 }

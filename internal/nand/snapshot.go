@@ -20,15 +20,9 @@ type ArrayState struct {
 }
 
 // Snapshot captures the array's mutable state. The array has no in-flight
-// continuations of its own (operation completions are plain events on the
-// kernel queue), so a snapshot is valid whenever the kernel is quiescent.
-// Pending domain commands are applied first — the busy horizons they update
-// are part of the state — so a snapshot never has to serialize sub-queues;
-// the state is the same flat resource copy the sequential path produces,
-// and a snapshot taken with domains on restores cleanly with domains off
-// (and vice versa).
+// continuations of its own (an operation books its busy horizons at issue
+// and returns its completion instant), so a snapshot is valid at any point.
 func (a *Array) Snapshot() *ArrayState {
-	a.syncDomains()
 	s := &ArrayState{
 		blocks:   make([]blockState, len(a.blocks)),
 		dies:     make([]sim.FIFOResource, len(a.dies)),
@@ -45,17 +39,12 @@ func (a *Array) Snapshot() *ArrayState {
 }
 
 // Restore installs a previously captured state into a, which must share the
-// captured array's geometry. Commands still queued on the domains belong to
-// the timeline being abandoned, so they are discarded un-applied rather than
-// flushed — the kernel's own Restore (which the caller runs first) has
-// already reset the safe horizon that guarded them, and the captured busy
-// horizons being installed here already include everything the snapshot saw.
+// captured array's geometry.
 func (a *Array) Restore(s *ArrayState) error {
 	if len(s.blocks) != len(a.blocks) || len(s.dies) != len(a.dies) || len(s.channels) != len(a.channels) {
 		return fmt.Errorf("nand: restore geometry mismatch (%d/%d/%d blocks/dies/channels vs %d/%d/%d)",
 			len(s.blocks), len(s.dies), len(s.channels), len(a.blocks), len(a.dies), len(a.channels))
 	}
-	a.discardDomains()
 	copy(a.blocks, s.blocks)
 	copy(a.dies, s.dies)
 	copy(a.channels, s.channels)

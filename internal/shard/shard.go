@@ -6,9 +6,8 @@
 // # Conservative synchronization
 //
 // Each shard's full stack (engine, journal, FTL, NAND array) lives on its
-// own private sim.Engine — a coarse-grained event domain, generalizing the
-// per-channel NAND domains of the parallel DES kernel to whole machines.
-// The coordinator advances all domains in fixed windows of virtual time:
+// own private sim.Engine — a coarse-grained event domain of one whole
+// machine. The coordinator advances all domains in fixed windows of virtual time:
 // it generates and admits the window's arrivals up front (arrivals and
 // token-bucket admission are pure functions of arrival times, never of
 // service progress), hands each shard its slice, and only then lets the
@@ -58,7 +57,7 @@ type Config struct {
 	Shards int
 	// Base is the per-shard stack configuration. Keys is overridden with
 	// the derived dense per-shard namespace; everything else (strategy,
-	// geometry, checkpoint interval, error profile, domains) applies to
+	// geometry, checkpoint interval, error profile) applies to
 	// every shard identically — which is what lets one load snapshot fork
 	// all N stacks.
 	Base checkin.Config

@@ -171,17 +171,16 @@ type Engine struct {
 	liveProcs int
 	executed  uint64
 
-	// extSync, when non-nil, is the registered external completion source: a
-	// set of event domains (per-channel NAND timing queues) that compute
-	// completion times outside the main loop and merge them back via
-	// InjectCompletion. extHorizon is the conservative safe horizon — a lower
-	// bound on the earliest instant any un-merged external completion can
-	// land. The dispatcher never advances the clock to or past the horizon
-	// without first syncing, so injected events are never in the past and the
-	// dispatch order stays exactly the (at, seq) total order the sequential
-	// kernel produces. ^VTime(0) means "nothing pending".
-	extSync    func()
-	extHorizon VTime
+	// cur is the sequence number of the event being (or last) dispatched:
+	// together with now it is the dispatch position Passed compares
+	// against. Once a run has dispatched every event up to its deadline,
+	// cur is the last number drawn, so every completion reserved so far
+	// at or before now counts as passed.
+	cur uint64
+
+	// tail is the latest instant of timed work that completes without an
+	// event of its own (see Extend). A full Run drains the clock to it.
+	tail VTime
 
 	// completed is the engine's shared already-done future. A completed
 	// future is immutable (OnComplete on a done future only schedules, and
@@ -190,14 +189,11 @@ type Engine struct {
 	completed *Future
 }
 
-// maxVTime is the end of virtual time, used as the "no deadline" sentinel
-// and as the idle external-sync horizon.
+// maxVTime is the end of virtual time, used as the "no deadline" sentinel.
 const maxVTime = ^VTime(0)
 
 // NewEngine returns an engine with the clock at zero and no pending events.
-func NewEngine() *Engine {
-	return &Engine{extHorizon: maxVTime}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() VTime { return e.now }
@@ -248,62 +244,42 @@ func (e *Engine) nowPush(ev event) {
 }
 
 // ReserveSeq draws the next event sequence number without scheduling
-// anything. An external event domain calls it at command submission so that
-// the completion it later injects carries exactly the tie-break number the
-// sequential kernel's AtHandler would have drawn at the same point in the
-// submission order — the linchpin of byte-identical parallel output.
+// anything. Timed work whose completion needs no event of its own (a flash
+// operation, see FanIn) draws it where AtHandler would have drawn the
+// completion event's number, so the completion keeps its place in the
+// (at, seq) order: it can still be injected there, or compared with the
+// dispatch position (Passed).
 func (e *Engine) ReserveSeq() uint64 {
 	e.seq++
 	return e.seq
 }
 
-// InjectCompletion merges an externally computed completion into the event
-// queue under a sequence number previously reserved with ReserveSeq. The
-// event always goes through the heap, never the now-queue: its seq predates
-// anything queued at the current instant, and the dispatcher's (at, seq)
-// merge of heap head versus now-queue head already orders it correctly.
-// Injecting into the past panics — it means the external source violated
-// the safe-horizon contract (see LowerHorizon).
-func (e *Engine) InjectCompletion(at VTime, seq uint64, f *Future) {
+// InjectCompletion fires h at (at, seq), where seq was reserved earlier
+// with ReserveSeq. The event always goes through the heap, never the
+// now-queue: its seq predates anything queued at the current instant, and
+// the dispatcher's (at, seq) merge of heap head versus now-queue head
+// already orders it correctly. Injecting into the past panics.
+func (e *Engine) InjectCompletion(at VTime, seq uint64, h Handler) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: injecting completion at %v, before now %v", at, e.now))
 	}
-	e.events.push(event{at: at, seq: seq, h: f})
+	e.events.push(event{at: at, seq: seq, h: h})
 }
 
-// SetExternalSync registers fn as the external completion source's merge
-// callback. When the dispatcher is about to advance the clock to or past the
-// current safe horizon it invokes fn, which must compute and inject
-// (InjectCompletion) every completion for commands submitted so far. Passing
-// nil unregisters the source.
-func (e *Engine) SetExternalSync(fn func()) {
-	e.extSync = fn
-	e.extHorizon = maxVTime
+// Passed reports whether an event at (at, seq) would already have been
+// dispatched. Events dispatch in (at, seq) order, so a completion reserved
+// with ReserveSeq is over exactly when it precedes the dispatch position.
+func (e *Engine) Passed(at VTime, seq uint64) bool {
+	return at < e.now || (at == e.now && seq <= e.cur)
 }
 
-// LowerHorizon records that the external source may later inject a
-// completion at time t or later. The source must call it at every command
-// submission with a sound lower bound on that command's completion time
-// (submission time plus the minimum service latency); the kernel guarantees
-// the clock never reaches t before the source has been synced.
-func (e *Engine) LowerHorizon(t VTime) {
-	if t < e.extHorizon {
-		e.extHorizon = t
+// Extend records timed work that completes at t without an event of its
+// own. Run drains the clock to the latest such instant, as the completion
+// event it stands for would have; RunUntil with a deadline is unaffected.
+func (e *Engine) Extend(t VTime) {
+	if t > e.tail {
+		e.tail = t
 	}
-}
-
-// SyncExternal forces the external source to merge every pending completion
-// immediately and resets the safe horizon. Callers that read state the
-// external source owns (busy horizons, backlog depths) must sync first; it
-// is cheap when nothing is pending.
-func (e *Engine) SyncExternal() {
-	if e.extSync == nil {
-		return
-	}
-	// Reset before the callback: injected completions need no new horizon
-	// (they are real events now), and submissions cannot happen during sync.
-	e.extHorizon = maxVTime
-	e.extSync()
 }
 
 // Stop makes Run return after the currently executing event.
@@ -316,32 +292,11 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with timestamps <= deadline, advancing the clock
 // to the deadline if it runs out of events earlier. Events beyond the
-// deadline stay queued.
+// deadline stay queued. After Stop the clock stays at the stopping event:
+// advancing it could pass an event still queued before the deadline.
 func (e *Engine) RunUntil(deadline VTime) {
 	e.stopped = false
 	for !e.stopped {
-		// Conservative sync: before advancing to (or past) the external
-		// safe horizon, merge the external domains' completions into the
-		// queue. The horizon is a lower bound on every un-merged
-		// completion's timestamp, so any candidate event at or beyond it —
-		// or an empty queue — might be preceded (or tied-and-preceded by
-		// seq) by an external completion. extHorizon is ^VTime(0) when
-		// nothing external is pending, which skips all of this.
-		if e.extHorizon != maxVTime && e.extHorizon <= deadline {
-			at := maxVTime
-			if e.nowqHead < len(e.nowq) {
-				// A pending now-event sits at the clock, which never
-				// passes the horizon un-synced, so this candidate always
-				// precedes the heap head's time.
-				at = e.nowq[e.nowqHead].at
-			} else if hat, ok := e.events.nextAt(); ok {
-				at = hat
-			}
-			if at >= e.extHorizon {
-				e.SyncExternal()
-				continue
-			}
-		}
 		// Select the (at, seq)-least pending event across the now-queue
 		// and the heap — exactly the order a single heap would dispatch.
 		// A pending now-event sits at the current clock, so a heap event
@@ -370,22 +325,20 @@ func (e *Engine) RunUntil(deadline VTime) {
 			}
 			ev = e.events.pop()
 		}
-		e.now = ev.at
+		e.now, e.cur = ev.at, ev.seq
 		e.executed++
 		ev.h.Fire()
 	}
-	if deadline != maxVTime && e.now < deadline {
-		// Never advance past the external safe horizon: a completion could
-		// land exactly on it. Normal exits guarantee extHorizon > deadline
-		// (the loop syncs first); this clamp only matters after Stop.
-		adv := deadline
-		if e.extHorizon < adv {
-			adv = e.extHorizon
-		}
-		if e.now < adv {
-			e.now = adv
-		}
+	if e.stopped {
+		return
 	}
+	if deadline == maxVTime {
+		deadline = e.tail
+	}
+	if e.now < deadline {
+		e.now = deadline
+	}
+	e.cur = e.seq
 }
 
 // Pending reports the number of queued events.
@@ -441,11 +394,10 @@ func (e *Engine) Restore(s EngineState) {
 	e.nowqHead = 0
 	e.now = s.Now
 	e.seq = s.Seq
+	e.cur = s.Seq
+	e.tail = 0
 	e.executed = s.Executed
 	e.stopped = false
-	// The external source discards its own un-merged commands on restore
-	// (they belong to the abandoned timeline), so the horizon resets to idle.
-	e.extHorizon = maxVTime
 }
 
 // A Proc is a cooperative simulated process. All its methods must be called

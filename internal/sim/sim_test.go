@@ -115,6 +115,62 @@ func TestStop(t *testing.T) {
 	if count != 3 {
 		t.Errorf("Stop did not halt the run: executed %d events", count)
 	}
+
+	// A stopped RunUntil leaves the clock at the stopping event: advancing
+	// it to the deadline would pass the event still queued at 20, which the
+	// next run would then dispatch with the clock going backwards.
+	e = NewEngine()
+	var seen []VTime
+	e.At(10, func() { seen = append(seen, e.Now()); e.Stop() })
+	e.At(20, func() { seen = append(seen, e.Now()) })
+	e.RunUntil(100)
+	if e.Now() != 10 {
+		t.Errorf("Now() = %v after a RunUntil(100) stopped at 10, want 10", e.Now())
+	}
+	e.RunUntil(100)
+	if len(seen) != 2 || seen[1] != 20 || e.Now() != 100 {
+		t.Errorf("resumed run saw %v and ended at %v, want [10ns 20ns] ending at 100ns", seen, e.Now())
+	}
+}
+
+// TestPassedTracksDispatchPosition checks Passed against the dispatch
+// order: inside an event, reservations ordered before it are passed and
+// later ones are not; a run that drains to its deadline passes everything
+// reserved at or before the deadline.
+func TestPassedTracksDispatchPosition(t *testing.T) {
+	e := NewEngine()
+	early := e.ReserveSeq()
+	e.At(50, func() {
+		if !e.Passed(50, early) || e.Passed(50, e.ReserveSeq()) || e.Passed(60, early) {
+			t.Error("Passed disagrees with the (at, seq) order inside an event")
+		}
+	})
+	late := e.ReserveSeq()
+	e.RunUntil(70)
+	if !e.Passed(70, late) || e.Passed(71, late) {
+		t.Error("after RunUntil(70), Passed disagrees with the deadline")
+	}
+}
+
+// TestExtendDrainsClock checks that a full Run drains the clock to the
+// latest Extend instant, as the completion events it stands for would
+// have, while a deadline still caps RunUntil.
+func TestExtendDrainsClock(t *testing.T) {
+	e := NewEngine()
+	e.At(10, func() { e.Extend(300) })
+	e.RunUntil(200)
+	if e.Now() != 200 {
+		t.Fatalf("RunUntil(200) ended at %v", e.Now())
+	}
+	e.Run()
+	if e.Now() != 300 {
+		t.Fatalf("Run ended at %v, want 300", e.Now())
+	}
+	e.Extend(100)
+	e.Run()
+	if e.Now() != 300 {
+		t.Fatalf("an earlier Extend moved the clock to %v", e.Now())
+	}
 }
 
 func TestNestedScheduling(t *testing.T) {

@@ -1,13 +1,18 @@
 package ssd
 
 import (
+	"runtime"
 	"testing"
+
+	"github.com/checkin-kv/checkin/internal/sim"
 )
 
 // TestDeviceCommandAllocs guards the command path's allocation budget: on a
 // warmed device a command is exactly one heap object, its record. A DRAM
 // cache-hit Read and a Write that stays in the open page buffer reach no
-// flash operation, so nothing else on their path may allocate.
+// flash operation; a cache-miss Read, a Write with a read-modify-write read
+// and a Flush with programs in flight join their flash work in the fan-in
+// embedded in the record. Nothing else on their paths may allocate.
 func TestDeviceCommandAllocs(t *testing.T) {
 	e, d := testDevice(t, nil)
 	d.Write(0, 4096, AreaData)
@@ -43,4 +48,62 @@ func TestDeviceCommandAllocs(t *testing.T) {
 		d.Flush(AreaData)
 		e.Run()
 	}
+
+	// With the DRAM cache off every read goes to flash.
+	e, d = testDevice(t, func(c *Config) { c.CacheBytes = 0 })
+	d.Write(0, 16384, AreaData) // eight full pages
+	d.Flush(AreaData)
+	d.Read(0, 2048) // warm the read path's scratch
+	e.Run()
+	ftlStats := func() (reads, rmws uint64) {
+		return d.FTL().Array().Stats().Reads, d.FTL().Stats().HostRMWReads
+	}
+	for i := int64(0); i < 8; i++ {
+		reads, _ := ftlStats()
+		if n := mallocs(func() { d.Read(i*2048, 2048); e.Run() }); n != 1 {
+			t.Errorf("cache-miss Read %d allocates %d objects, want 1", i, n)
+		}
+		if r, _ := ftlStats(); r == reads {
+			t.Fatal("a cache-miss read never reached flash")
+		}
+	}
+	for i := int64(0); i < 8; i++ {
+		_, rmws := ftlStats()
+		if n := mallocs(func() { d.Write(i*2048+100, 100, AreaData); e.Run() }); n != 1 {
+			t.Errorf("read-modify-write Write %d allocates %d objects, want 1", i, n)
+		}
+		if _, r := ftlStats(); r == rmws {
+			t.Fatal("a partial overwrite never read flash")
+		}
+	}
+	for i := int64(0); i < 8; i++ {
+		d.Write(i*2048, 2048, AreaData) // a full page: its program stays in flight
+		e.RunUntil(e.Now() + 50*sim.Microsecond)
+		var flush *sim.Future
+		if n := mallocs(func() {
+			flush = d.Flush(AreaData)
+			e.RunUntil(e.Now() + 50*sim.Microsecond)
+		}); n != 1 {
+			t.Errorf("Flush %d with a program in flight allocates %d objects, want 1", i, n)
+		}
+		if flush.Done() {
+			t.Fatal("Flush did not wait for the program in flight")
+		}
+		e.Run()
+		if !flush.Done() {
+			t.Fatal("Flush never completed")
+		}
+	}
+}
+
+// mallocs reports the heap objects one call of f allocates, counted as
+// testing.AllocsPerRun counts them but without its warm-up call, so f may
+// consume state set up just before it.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -270,12 +270,13 @@ const (
 
 // command is one host command in flight, and its one allocation: the
 // completion future the caller waits on, the op kind with its arguments,
-// and the stage it has reached. The kernel fires the record itself as the
-// queue-slot grant, the front-end timer and the back-end waiter, so a
-// command builds no closures. Records are never reused: callers may keep
-// the completed future and wait on it later.
+// the stage it has reached, and the fan-in its flash work joins. The kernel
+// fires the record itself as the queue-slot grant, the front-end timer and
+// the back-end waiter, so a command builds no closures. Records are never
+// reused: callers may keep the completed future and wait on it later.
 type command struct {
 	sim.Future // completes when the back end is done and the slot released
+	fan        sim.FanIn
 	d          *Device
 	kind       uint8
 	stage      uint8
@@ -296,6 +297,7 @@ type command struct {
 // future completes when that work is done and the slot has been released.
 func (d *Device) submit(cmd *command) *sim.Future {
 	cmd.Init(d.eng)
+	cmd.fan.Init(d.eng)
 	cmd.d = d
 	cmd.t = d.eng.Now()
 	d.stats.Commands++
@@ -340,7 +342,8 @@ func (c *command) finish() {
 }
 
 // backEnd starts the command's device-side work at the moment the device
-// begins executing it, and returns the future of that work.
+// begins executing it, and returns the future of that work. Host reads,
+// writes and flushes join their flash work in the record's own fan-in.
 func (c *command) backEnd() *sim.Future {
 	d := c.d
 	switch c.kind {
@@ -350,12 +353,15 @@ func (c *command) backEnd() *sim.Future {
 			// data crosses the link (accounted in the front end)
 			return sim.CompletedFuture(d.eng)
 		}
-		return d.f.Read(c.off, c.n)
+		d.f.ReadInto(c.off, c.n, &c.fan)
+		return c.fan.Close()
 	case cmdWrite:
 		d.cacheInsert(c.off, c.n)
-		return d.f.Write(c.off, c.n, c.area.tag(), c.area.stream())
+		d.f.WriteInto(c.off, c.n, c.area.tag(), c.area.stream(), &c.fan)
+		return c.fan.Close()
 	case cmdFlush:
-		return d.f.Sync(c.area.stream(), c.area.tag())
+		d.f.SyncInto(c.area.stream(), c.area.tag(), &c.fan)
+		return c.fan.Close()
 	case cmdDeallocate:
 		d.cacheInvalidate(c.off, c.n)
 		d.f.Trim(c.off, c.n)
