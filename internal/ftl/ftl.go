@@ -894,7 +894,8 @@ func (f *FTL) programPage(s Stream, idx int, tag Tag, inflight bool) {
 
 // A progMark is a page program's completion: its instant and the sequence
 // number its completion event would have drawn. Programs get no event; the
-// mark is all Sync needs to wait for one.
+// mark is all Sync needs to wait for one. The zero mark stands for no
+// program: it precedes every dispatch position, so it is never in flight.
 type progMark struct {
 	at  sim.VTime
 	seq uint64
@@ -904,20 +905,16 @@ type progMark struct {
 // last Sync. That is all Sync needs: the latest decides when the barrier
 // completes, and whether the second latest is still in flight decides
 // whether it joins one program or more.
-type progLog struct {
-	latest, second progMark
-	n              int // programs logged, counted up to 2
-}
+type progLog struct{ latest, second progMark }
 
 func (l *progLog) note(m progMark) {
 	// m's seq is newer than every logged one, so it wins ties on at.
 	switch {
-	case l.n == 0 || m.at >= l.latest.at:
+	case m.at >= l.latest.at:
 		l.second, l.latest = l.latest, m
-	case l.n == 1 || m.at >= l.second.at:
+	case m.at >= l.second.at:
 		l.second = m
 	}
-	l.n = min(l.n+1, 2)
 }
 
 // Sync is SyncInto with a future of its own.
@@ -939,9 +936,9 @@ func (f *FTL) SyncInto(s Stream, tag Tag, fan *sim.FanIn) {
 		}
 	}
 	l := &f.programs[s]
-	if fan != nil && l.n > 0 && !f.eng.Passed(l.latest.at, l.latest.seq) {
+	if fan != nil && !f.eng.Passed(l.latest.at, l.latest.seq) {
 		fan.Add(l.latest.at, l.latest.seq)
-		if l.n > 1 && !f.eng.Passed(l.second.at, l.second.seq) {
+		if !f.eng.Passed(l.second.at, l.second.seq) {
 			fan.Add(l.second.at, l.second.seq)
 		}
 	}

@@ -73,7 +73,7 @@ func (f *FTL) Snapshot() (*FTLState, error) {
 		return nil, fmt.Errorf("ftl: snapshot during garbage collection (depth %d)", f.gcDepth)
 	}
 	for s, l := range f.programs {
-		if l.n > 0 && !f.eng.Passed(l.latest.at, l.latest.seq) {
+		if !f.eng.Passed(l.latest.at, l.latest.seq) {
 			return nil, fmt.Errorf("ftl: snapshot with incomplete program on stream %d (FTL not quiescent)", s)
 		}
 	}

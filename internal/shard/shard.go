@@ -7,8 +7,8 @@
 //
 // Each shard's full stack (engine, journal, FTL, NAND array) lives on its
 // own private sim.Engine — a coarse-grained event domain of one whole
-// machine. The coordinator advances all domains in fixed windows of virtual time:
-// it generates and admits the window's arrivals up front (arrivals and
+// machine. The coordinator advances all domains in fixed windows of virtual
+// time: it generates and admits the window's arrivals up front (arrivals and
 // token-bucket admission are pure functions of arrival times, never of
 // service progress), hands each shard its slice, and only then lets the
 // domains execute the window — sequentially or on parallel goroutines.

@@ -285,7 +285,8 @@ func (e *Engine) Extend(t VTime) {
 // Stop makes Run return after the currently executing event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Run executes events until none remain or Stop is called.
+// Run executes events until none remain or Stop is called. Unless stopped,
+// it then advances the clock to the latest Extend instant.
 func (e *Engine) Run() {
 	e.RunUntil(^VTime(0))
 }
