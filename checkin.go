@@ -80,7 +80,7 @@ var (
 	WorkloadWO = workload.WorkloadWO // write-only (paper)
 	WorkloadB  = workload.WorkloadB  // 95% read / 5% update
 	WorkloadC  = workload.WorkloadC  // read-only
-	WorkloadD  = workload.WorkloadD  // 95% read / 5% update (pair with latest dist)
+	WorkloadD  = workload.WorkloadD  // 95% read / 5% update
 	WorkloadE  = workload.WorkloadE  // 95% scans / 5% update
 )
 
@@ -207,20 +207,9 @@ type Config struct {
 	// larger than the mapping unit (1.0 = alignment only, no shrink).
 	CompressRatio float64
 
-	// AdaptiveLiveBudget, when positive, triggers a checkpoint whenever
-	// the journal mapping table reaches this many live entries — a
-	// bounded-work scheduling extension beyond the paper's fixed
-	// interval (0 = fixed interval only).
-	AdaptiveLiveBudget int
-
 	// DeferGC overrides the strategy default for the deallocator's
 	// deferred-GC behaviour (ablation knob; nil = strategy default).
 	DeferGC *bool
-
-	// HostCacheEntries bounds a host-memory LRU of record values (the
-	// engine's memtable/block cache): reads of cached keys skip the
-	// device. 0 keeps the paper's device-centric read model.
-	HostCacheEntries int
 
 	// TraceCapacity enables structured event tracing (checkpoints, journal
 	// commits, GC victims, wear-level moves) with a bounded ring of this
@@ -249,17 +238,14 @@ type Config struct {
 	EraseFailRate     float64 // P(block erase fails → retirement)
 	WearErrorFactor   float64 // rate growth per erase cycle (wear-out)
 
-	// MaxReadRetries bounds the retry ladder (0 → 6).
-	MaxReadRetries int
 	// SpareBlocksPerDie reserves replacement blocks for grown bad blocks.
 	// 0 → 2 when the error model is enabled, none otherwise.
 	SpareBlocksPerDie int
 
-	// CommandTimeout, when nonzero, charges TimeoutBackoff extra on any
+	// CommandTimeout, when nonzero, charges a fixed 1 ms backoff on any
 	// device command whose back-end service exceeds it (the host-visible
 	// cost of a timeout/abort/retry exchange under error recovery).
 	CommandTimeout time.Duration
-	TimeoutBackoff time.Duration // 0 → 1ms when CommandTimeout is set
 }
 
 // errorModelEnabled reports whether any NAND fault rate is nonzero.
@@ -379,16 +365,8 @@ func withDefaults(cfg Config) Config {
 	if cfg.MappingUnit == 0 {
 		cfg.MappingUnit = cfg.Strategy.DefaultMappingUnit()
 	}
-	if cfg.errorModelEnabled() {
-		if cfg.SpareBlocksPerDie == 0 {
-			cfg.SpareBlocksPerDie = 2
-		}
-		if cfg.MaxReadRetries == 0 {
-			cfg.MaxReadRetries = 6
-		}
-	}
-	if cfg.CommandTimeout > 0 && cfg.TimeoutBackoff == 0 {
-		cfg.TimeoutBackoff = time.Millisecond
+	if cfg.errorModelEnabled() && cfg.SpareBlocksPerDie == 0 {
+		cfg.SpareBlocksPerDie = 2
 	}
 	if cfg.FTLMap == "" {
 		cfg.FTLMap = "dram"
@@ -404,6 +382,20 @@ func withDefaults(cfg Config) Config {
 
 // Open assembles the simulated stack described by cfg.
 func Open(cfg Config) (*DB, error) {
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"CheckpointInterval", cfg.CheckpointInterval},
+		{"ReadLatency", cfg.ReadLatency},
+		{"ProgramLatency", cfg.ProgramLatency},
+		{"EraseLatency", cfg.EraseLatency},
+		{"CommandTimeout", cfg.CommandTimeout},
+	} {
+		if d.v < 0 {
+			return nil, fmt.Errorf("checkin: %s %v must not be negative", d.name, d.v)
+		}
+	}
 	cfg = withDefaults(cfg)
 
 	eng := sim.NewEngine()
@@ -500,7 +492,6 @@ func Open(cfg Config) (*DB, error) {
 	fcfg.Tracer = tracer
 	fcfg.Injector = cfg.Injector
 	fcfg.WearDeltaThreshold = cfg.WearDeltaThreshold
-	fcfg.MaxReadRetries = cfg.MaxReadRetries
 	if cfg.errorModelEnabled() {
 		fcfg.SpareBlocksPerDie = cfg.SpareBlocksPerDie
 	}
@@ -515,7 +506,6 @@ func Open(cfg Config) (*DB, error) {
 	dcfg.CacheBytes = int64(cfg.DataCacheMB) << 20
 	dcfg.Injector = cfg.Injector
 	dcfg.CommandTimeout = sim.VTime(cfg.CommandTimeout.Nanoseconds())
-	dcfg.TimeoutBackoff = sim.VTime(cfg.TimeoutBackoff.Nanoseconds())
 	device, err := ssd.New(eng, translation, dcfg)
 	if err != nil {
 		return nil, fmt.Errorf("checkin: %w", err)

@@ -42,6 +42,26 @@ func TestOpenRejectsOversizedLayout(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsNegativeDurations: a negative duration is an error, not a
+// wrapped-around virtual time that panics the scheduler or silently runs a
+// near-zero-latency device.
+func TestOpenRejectsNegativeDurations(t *testing.T) {
+	for name, mutate := range map[string]func(*checkin.Config){
+		"CheckpointInterval": func(c *checkin.Config) { c.CheckpointInterval = -10 * time.Millisecond },
+		"ReadLatency":        func(c *checkin.Config) { c.ReadLatency = -time.Microsecond },
+		"ProgramLatency":     func(c *checkin.Config) { c.ProgramLatency = -time.Microsecond },
+		"EraseLatency":       func(c *checkin.Config) { c.EraseLatency = -time.Microsecond },
+		"CommandTimeout":     func(c *checkin.Config) { c.CommandTimeout = -time.Millisecond },
+	} {
+		cfg := smallConfig(checkin.StrategyCheckIn)
+		mutate(&cfg)
+		_, err := checkin.Open(cfg)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Open returned %v, want an error naming the field", name, err)
+		}
+	}
+}
+
 func TestMappingUnitDefaultsPerStrategy(t *testing.T) {
 	for _, s := range checkin.Strategies {
 		db, err := checkin.Open(smallConfig(s))

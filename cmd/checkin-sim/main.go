@@ -62,7 +62,6 @@ func main() {
 		tenants     = flag.Int("tenants", 3, "sharded mode: tenant count")
 		arrival     = flag.String("arrival", "poisson:150000", "sharded mode: open-loop arrival spec, poisson:RATE[:flash] | diurnal:RATE:AMP:PERIOD[:flash]")
 		cksched     = flag.String("cksched", "sync", "sharded mode: cross-shard checkpoint scheduling policy, sync | staggered | global")
-		shardPar    = flag.String("shard-parallel", "auto", "sharded mode: run shard event domains on parallel goroutines, on | off | auto (output is byte-identical either way)")
 		admitRate   = flag.Float64("admit-rate", 0, "sharded mode: aggregate admitted ops/sec across per-tenant token buckets (0 = no admission control)")
 	)
 	flag.Parse()
@@ -125,7 +124,7 @@ func main() {
 	cfg.FTLMap = *ftlmap
 	cfg = profile.Apply(cfg)
 	if *shards > 0 {
-		runSharded(cfg, *shards, *tenants, *arrival, *cksched, *shardPar, *admitRate, *queries)
+		runSharded(cfg, *shards, *tenants, *arrival, *cksched, *admitRate, *queries)
 		return
 	}
 	var mix checkin.Mix
@@ -314,7 +313,10 @@ func runCrashpoints(s checkin.Strategy, seed int64, siteName string, hit int, er
 // checkpoint scheduling policy. The rendered report is deterministic; only
 // the trailing wall-time line varies between machines.
 func runSharded(base checkin.Config, shards, tenants int,
-	arrival, cksched, parallel string, admitRate float64, ops int64) {
+	arrival, cksched string, admitRate float64, ops int64) {
+	if tenants < 1 {
+		fatal(fmt.Errorf("bad -tenants %d (want >= 1)", tenants))
+	}
 	arr, err := shard.ParseArrival(arrival)
 	if err != nil {
 		fatal(err)
@@ -327,7 +329,6 @@ func runSharded(base checkin.Config, shards, tenants int,
 		TotalOps:        ops,
 		Sched:           cksched,
 		AdmitRatePerSec: admitRate,
-		Parallel:        parallel,
 		Seed:            base.Seed,
 	}
 	db, err := shard.Open(cfg)

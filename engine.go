@@ -83,7 +83,6 @@ func hostConfig(cfg Config, tracer *trace.Tracer) core.HostConfig {
 	h.CheckpointInterval = sim.VTime(cfg.CheckpointInterval.Nanoseconds())
 	h.JournalSoftFrac = cfg.JournalSoftFrac
 	h.LockDuringCheckpoint = cfg.LockDuringCheckpoint
-	h.AdaptiveLiveBudget = cfg.AdaptiveLiveBudget
 	h.Tracer = tracer
 	h.Injector = cfg.Injector
 	h.Seed = cfg.Seed
@@ -94,7 +93,6 @@ func buildJournalEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer 
 	ecfg := core.DefaultConfig()
 	ecfg.HostConfig = hostConfig(cfg, tracer)
 	ecfg.CompressRatio = cfg.CompressRatio
-	ecfg.HostCacheEntries = cfg.HostCacheEntries
 	return core.NewEngine(eng, device, ecfg)
 }
 

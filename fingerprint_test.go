@@ -99,7 +99,6 @@ func TestFingerprintFieldSensitivity(t *testing.T) {
 	runKnobs := map[string]func(*Config){
 		"Seed":               func(c *Config) { c.Seed = 99 },
 		"CheckpointInterval": func(c *Config) { c.CheckpointInterval = 123 * time.Millisecond },
-		"HostCacheEntries":   func(c *Config) { c.HostCacheEntries = 512 },
 	}
 	for name, mutate := range runKnobs {
 		cfg := base

@@ -37,10 +37,6 @@ type Host interface {
 	// CheckpointEpoch advances at every checkpoint start and finish, so a
 	// query that saw it move overlapped a checkpoint.
 	CheckpointEpoch() uint64
-	// LiveEntries is the checkpoint's pending work: live JMT entries
-	// (journal) or distinct memtable keys (LSM). AdaptiveLiveBudget
-	// compares against it.
-	LiveEntries() int
 }
 
 // Apply executes one workload operation against h. A read-modify-write is
@@ -68,12 +64,6 @@ type RunSpec struct {
 	Mix          workload.Mix
 	// Zipfian selects the key distribution (θ = 0.99) vs uniform.
 	Zipfian bool
-	// Latest selects YCSB's latest distribution (requests skew toward
-	// recently updated keys; pair with WorkloadD). Overrides Zipfian.
-	Latest bool
-	// DisableCheckpoints turns the periodic scheduler off (for baselines
-	// of the motivation study).
-	DisableCheckpoints bool
 
 	// SampleInterval enables timeline sampling at the given period
 	// (windowed throughput, checkpoint activity, die backlog, free
@@ -102,11 +92,10 @@ func (rs RunSpec) Validate() error {
 }
 
 // Drive executes a closed-loop workload against h to completion: spec.Threads
-// client processes, an optional timeline sampler, the periodic checkpoint
-// ticker and the adaptive live-budget poll, then a drain of every straggling
-// process. metrics points at the engine's live collector; Drive installs a
-// fresh one there before the run, so checkpoint processes record into it,
-// and returns it. Both host engines' Run methods are this call.
+// client processes, an optional timeline sampler and the periodic checkpoint
+// ticker, then a drain of every straggling process. metrics points at the
+// engine's live collector; Drive installs a fresh one there before the run,
+// so checkpoint processes record into it, and returns it. Both host engines' Run methods are this call.
 func Drive(h Host, metrics **Metrics, cfg HostConfig, spec RunSpec) (*Metrics, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -116,16 +105,9 @@ func Drive(h Host, metrics **Metrics, cfg HostConfig, spec RunSpec) (*Metrics, e
 	*metrics = m
 	m.BeginWindow(dev, h.JournalStats(), eng.Now())
 
-	var dist workload.Distribution
-	var latest *workload.Latest
-	switch {
-	case spec.Latest:
-		latest = workload.NewLatest(cfg.Keys, 1024)
-		dist = latest
-	case spec.Zipfian:
+	var dist workload.Distribution = workload.Uniform{Keys: cfg.Keys}
+	if spec.Zipfian {
 		dist = workload.NewZipfian(cfg.Keys, workload.DefaultTheta)
-	default:
-		dist = workload.Uniform{Keys: cfg.Keys}
 	}
 
 	// Under trace replay all clients pull from one shared replayer — the
@@ -166,9 +148,6 @@ func Drive(h Host, metrics **Metrics, cfg HostConfig, spec RunSpec) (*Metrics, e
 				start := p.Now()
 				epoch0 := h.CheckpointEpoch()
 				Apply(h, p, op)
-				if latest != nil && op.Kind == workload.OpUpdate {
-					latest.Note(op.Key)
-				}
 				during := h.CheckpointRunning() || h.CheckpointEpoch() != epoch0
 				m.NoteQuery(op, p.Now()-start, during)
 			}
@@ -207,39 +186,17 @@ func Drive(h Host, metrics **Metrics, cfg HostConfig, spec RunSpec) (*Metrics, e
 	}
 
 	// periodic checkpoint scheduler (event-based: no leaked process)
-	if !spec.DisableCheckpoints {
-		var tick func()
-		tick = func() {
-			if runDone {
-				return
-			}
-			if !h.CheckpointRunning() {
-				h.TriggerCheckpoint()
-			}
-			eng.Schedule(cfg.CheckpointInterval, tick)
+	var tick func()
+	tick = func() {
+		if runDone {
+			return
+		}
+		if !h.CheckpointRunning() {
+			h.TriggerCheckpoint()
 		}
 		eng.Schedule(cfg.CheckpointInterval, tick)
-
-		// bounded-work policy: poll the pending checkpoint work at a fine
-		// grain and checkpoint early whenever the budget is reached
-		if cfg.AdaptiveLiveBudget > 0 {
-			period := cfg.CheckpointInterval / 16
-			if period == 0 || period > 10*sim.Millisecond {
-				period = 10 * sim.Millisecond
-			}
-			var poll func()
-			poll = func() {
-				if runDone {
-					return
-				}
-				if !h.CheckpointRunning() && h.LiveEntries() >= cfg.AdaptiveLiveBudget {
-					h.TriggerCheckpoint()
-				}
-				eng.Schedule(period, poll)
-			}
-			eng.Schedule(period, poll)
-		}
 	}
+	eng.Schedule(cfg.CheckpointInterval, tick)
 
 	for !runDone {
 		eng.RunUntil(eng.Now() + 50*sim.Millisecond)

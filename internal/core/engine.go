@@ -59,15 +59,6 @@ type HostConfig struct {
 	// sites. Nil in production.
 	Injector *inject.Injector
 
-	// AdaptiveLiveBudget, when positive, adds a bounded-work checkpoint
-	// policy on top of the periodic interval: a checkpoint triggers as
-	// soon as the engine's pending checkpoint work (Host.LiveEntries)
-	// reaches this many entries, capping per-checkpoint work regardless of
-	// skew. This is an extension beyond the paper's fixed-interval
-	// scheduler, motivated by its observation that the live-entry count —
-	// not the journal size — determines checkpoint cost.
-	AdaptiveLiveBudget int
-
 	// Seed derives the closed-loop clients' operation streams.
 	Seed int64
 }
@@ -106,13 +97,6 @@ type Config struct {
 	// CkptReadWindow bounds the baseline checkpoint's in-flight reads and
 	// writes.
 	CkptReadWindow int
-
-	// HostCacheEntries bounds an LRU of record values resident in host
-	// memory (the memtable / block cache of a real engine): reads of
-	// cached keys skip the device entirely. 0 disables the cache, which
-	// keeps the paper's device-centric read model; enable it to study how
-	// host caching shifts the bottleneck.
-	HostCacheEntries int
 }
 
 // DefaultConfig returns engine defaults mirroring Table I's DBMS settings,
@@ -170,8 +154,6 @@ type Engine struct {
 	ckptSnapshot *JMT // old-half JMT readable while its checkpoint runs
 	remapTotals  ssd.RemapStats
 
-	hostCache *keyLRU
-
 	metrics *Metrics
 }
 
@@ -208,9 +190,6 @@ func NewEngine(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 	en.jr = newJournal(eng, dev, layout, cfg.Strategy.SectorAligned(), header, cfg.CompressRatio)
 	en.jr.cfg.Tracer = cfg.Tracer
 	en.jr.cfg.Injector = cfg.Injector
-	if cfg.HostCacheEntries > 0 {
-		en.hostCache = newKeyLRU(cfg.HostCacheEntries)
-	}
 	en.Epochs = NewEpochs(eng, "checkpoint", cfg.HostConfig, en.checkpoint, nil)
 	return en, nil
 }
@@ -283,15 +262,6 @@ func (en *Engine) Load() {
 // journal, in the journal half being checkpointed, or in the data area.
 func (en *Engine) Get(p *sim.Proc, key int64) {
 	en.Gate(p)
-	if en.hostCache != nil && en.hostCache.touch(key) {
-		en.metrics.HostCacheHits++
-		return // value resident in host memory
-	}
-	defer func() {
-		if en.hostCache != nil {
-			en.hostCache.insert(key)
-		}
-	}()
 	// Entry objects are recycled once their table's checkpoint retires it,
 	// so a laid-out log's placement (final from then on) is read before the
 	// process yields.
@@ -344,9 +314,6 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 	}
 	en.version[key]++
 	v := en.version[key]
-	if en.hostCache != nil {
-		en.hostCache.insert(key) // freshly written value stays in memory
-	}
 	_, commit := en.jr.Append(key, v, size)
 	if en.jr.UsedFrac() > en.cfg.JournalSoftFrac && !en.running {
 		en.TriggerCheckpoint()
@@ -398,10 +365,6 @@ func (en *Engine) Delete(p *sim.Proc, key int64) {
 
 // ---------------------------------------------------------------------------
 // checkpointing
-
-// LiveEntries returns the active JMT's live (latest-version) entry count:
-// the work the next checkpoint has to apply.
-func (en *Engine) LiveEntries() int { return en.jr.JMT().Live() }
 
 // checkpoint is one checkpoint epoch: cut the journal, apply the old
 // half's live logs to the data area with the configured strategy, and

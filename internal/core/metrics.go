@@ -45,9 +45,6 @@ type Metrics struct {
 	LiveRatioSum   float64
 	LiveRatioCount uint64
 
-	// HostCacheHits counts reads served from the host block cache.
-	HostCacheHits uint64
-
 	// RejectedWrites counts write queries refused because the device
 	// degraded to read-only mode (NAND spare pool exhausted).
 	RejectedWrites uint64

@@ -8,7 +8,7 @@ import (
 
 // EngineState is a deep copy of the storage engine's mutable state at a
 // quiescent instant: per-key version truth, the journal's log state, a deep
-// clone of the active JMT, checkpoint accounting and the host cache.
+// clone of the active JMT and checkpoint accounting.
 // Metrics are not captured — Run resets them — and neither is the RNG: it is
 // never consulted before Run (Load is deterministic and client streams are
 // Split from the seed at Run time), so a fork re-seeds from its own Config
@@ -23,10 +23,6 @@ type EngineState struct {
 
 	log LogState
 	jmt *JMT
-
-	// hostCacheKeys lists resident keys oldest-first (front-insert replay
-	// order), nil when the host cache is disabled.
-	hostCacheKeys []int64
 }
 
 // Snapshot captures the engine's mutable state. It must be called at a
@@ -51,12 +47,6 @@ func (en *Engine) Snapshot() (*EngineState, error) {
 		log: en.jr.State(),
 		jmt: en.jr.jmt.clone(),
 	}
-	if en.hostCache != nil {
-		s.hostCacheKeys = make([]int64, 0, en.hostCache.ll.Len())
-		for el := en.hostCache.ll.Back(); el != nil; el = el.Prev() {
-			s.hostCacheKeys = append(s.hostCacheKeys, el.Value.(int64))
-		}
-	}
 	return s, nil
 }
 
@@ -79,14 +69,6 @@ func (en *Engine) Restore(s *EngineState) error {
 
 	en.ResetEpochs(s.ckptEpoch)
 	en.ckptSnapshot = nil
-
-	if en.hostCache != nil {
-		en.hostCache.ll.Init()
-		clear(en.hostCache.index)
-		for _, k := range s.hostCacheKeys {
-			en.hostCache.index[k] = en.hostCache.ll.PushFront(k)
-		}
-	}
 	en.metrics = NewMetrics()
 	return nil
 }

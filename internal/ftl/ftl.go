@@ -155,20 +155,6 @@ type Config struct {
 	// GCPolicy selects the victim policy (default GCGreedy).
 	GCPolicy GCPolicy
 
-	// MaxReadRetries bounds the voltage-shift read-retry ladder when the
-	// array's reliability model reports a read error (0 = default 6). An
-	// uncorrectable read walks the whole ladder and then pays the
-	// soft-decision decode latency.
-	MaxReadRetries int
-
-	// RetryStepLatency is the per-step voltage-shift setup cost added on
-	// top of each retry read (0 = default 80µs).
-	RetryStepLatency sim.VTime
-
-	// SoftDecodeLatency is the soft-decision (LDPC soft-read) decode cost
-	// of an uncorrectable page (0 = default 400µs).
-	SoftDecodeLatency sim.VTime
-
 	// SpareBlocksPerDie reserves erased blocks per die that replace blocks
 	// retired after program/erase failures. When the pool is exhausted the
 	// FTL degrades to read-only. 0 reserves nothing (reliability off).
@@ -380,11 +366,6 @@ type FTL struct {
 	pendingReclaim []int
 	pendingMark    []uint8
 
-	// Resolved read-recovery parameters (Config defaults applied).
-	maxRetries int
-	retryLat   sim.VTime
-	softLat    sim.VTime
-
 	fronts [numStreams][]frontier
 	rr     [numStreams]int
 	// programs logs each stream's page programs since its last Sync, which
@@ -505,19 +486,6 @@ func New(eng *sim.Engine, array *nand.Array, cfg Config) (*FTL, error) {
 			f.spareCount++
 		}
 	}
-	f.maxRetries = cfg.MaxReadRetries
-	if f.maxRetries == 0 {
-		f.maxRetries = 6
-	}
-	f.retryLat = cfg.RetryStepLatency
-	if f.retryLat == 0 {
-		f.retryLat = 80 * sim.Microsecond
-	}
-	f.softLat = cfg.SoftDecodeLatency
-	if f.softLat == 0 {
-		f.softLat = 400 * sim.Microsecond
-	}
-
 	par := cfg.Parallelism
 	if par > dies {
 		par = dies

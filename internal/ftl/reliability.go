@@ -31,6 +31,15 @@ import (
 	"github.com/checkin-kv/checkin/internal/trace"
 )
 
+// Read-recovery ladder. An uncorrectable read walks all maxReadRetries
+// voltage-shift steps and then pays the soft-decision (LDPC soft-read)
+// decode.
+const (
+	maxReadRetries    = 6
+	retryStepLatency  = 80 * sim.Microsecond
+	softDecodeLatency = 400 * sim.Microsecond
+)
+
 // pendingMark bits: which deferred-fault queues a block currently sits in.
 const (
 	pendRetire  uint8 = 1 << 0
@@ -60,15 +69,15 @@ func (f *FTL) readFlash(block, page, nbytes int, fan *sim.FanIn) {
 // recovery step finishes.
 func (f *FTL) readFlashRecover(block, page, nbytes, steps int, uncorr bool) sim.VTime {
 	attempts := steps
-	if uncorr || attempts > f.maxRetries {
-		attempts = f.maxRetries
+	if uncorr || attempts > maxReadRetries {
+		attempts = maxReadRetries
 	}
 	for i := 0; i <= attempts; i++ {
 		f.array.ReadPage(block, page, nbytes)
 	}
-	extra := sim.VTime(attempts) * f.retryLat
+	extra := sim.VTime(attempts) * retryStepLatency
 	if uncorr {
-		extra += f.softLat
+		extra += softDecodeLatency
 		f.queueReclaim(block)
 	}
 	end := f.array.ReserveDie(block, extra)

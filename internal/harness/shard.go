@@ -36,6 +36,9 @@ func ShardSched(o Opts) (*Table, error) {
 	if tenants == 0 {
 		tenants = 3
 	}
+	if tenants < 1 {
+		return nil, fmt.Errorf("shardsched: Tenants %d must be >= 1", tenants)
+	}
 	spec := o.Arrival
 	if spec == "" {
 		spec = "poisson:150000"
@@ -75,9 +78,6 @@ func ShardSched(o Opts) (*Table, error) {
 				AdmitRatePerSec: arrival.RatePerSec * 0.95,
 				AdmitBurst:      50,
 				Seed:            o.Seed,
-			}
-			if o.Parallelism == 1 {
-				sc.Parallel = "off"
 			}
 			s, err := shard.Open(sc)
 			if err != nil {

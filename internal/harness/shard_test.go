@@ -42,4 +42,7 @@ func TestShardSchedBadSpecs(t *testing.T) {
 	if _, err := ShardSched(Opts{Scale: 0.02, CkSched: "roundrobin"}); err == nil {
 		t.Error("bad cksched accepted")
 	}
+	if _, err := ShardSched(Opts{Scale: 0.02, Tenants: -1}); err == nil {
+		t.Error("negative tenant count accepted")
+	}
 }

@@ -480,10 +480,6 @@ func (en *Engine) Sync(p *sim.Proc) { en.w.Sync(p) }
 // ---------------------------------------------------------------------------
 // flush epochs (the LSM's checkpoint)
 
-// LiveEntries returns the memtable's distinct-key count: the work the next
-// flush epoch has to install.
-func (en *Engine) LiveEntries() int { return len(en.mem) }
-
 // flush is one flush epoch: seal the memtable, drain the sealed WAL half,
 // install the sorted run via the configured strategy, publish the
 // manifest, and deallocate the half. A compaction check follows each

@@ -126,8 +126,8 @@ func memoKeyFor(j Job, o Options) (memoKey, bool) {
 	s := j.Spec
 	return memoKey{
 		cfgFP: fp,
-		spec: fmt.Sprintf("%d/%d/%+v/%v/%v/%v/%d", s.Threads, s.TotalQueries,
-			s.Mix, s.Zipfian, s.Latest, s.DisableCheckpoints, s.SampleInterval),
+		spec: fmt.Sprintf("%d/%d/%+v/%v/%d", s.Threads, s.TotalQueries,
+			s.Mix, s.Zipfian, s.SampleInterval),
 		// The snapshot mode and parallelism are part of the key so that
 		// determinism tests comparing those settings — snapshots on vs
 		// off, sequential vs parallel — always compute both sides for

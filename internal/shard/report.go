@@ -47,7 +47,6 @@ type Report struct {
 	Shards      int
 	Workers     int
 	Sched       string
-	Parallel    bool
 	Process     string
 	RatePerSec  float64
 	Fingerprint uint64
@@ -75,7 +74,6 @@ func (s *ShardedDB) report(wall time.Duration) *Report {
 		Shards:      s.cfg.Shards,
 		Workers:     s.cfg.Workers,
 		Sched:       s.cfg.Sched,
-		Parallel:    s.parallelOn(),
 		Process:     s.cfg.Arrival.Process,
 		RatePerSec:  s.cfg.Arrival.RatePerSec,
 		Fingerprint: s.fp,

@@ -85,10 +85,6 @@ type Config struct {
 	// cross-domain barrier. Output is byte-identical at any value — the
 	// window only partitions time.
 	Window sim.VTime
-	// Parallel runs shard domains on parallel goroutines: "on", "off", or
-	// ""/"auto" (on when GOMAXPROCS > 1). Output is byte-identical either
-	// way.
-	Parallel string
 	// Seed seeds the arrival stream (default Base.Seed, then 1).
 	Seed int64
 }
@@ -128,11 +124,6 @@ func (c Config) Validate() error {
 	case SchedSync, SchedStaggered, SchedGlobal:
 	default:
 		return fmt.Errorf("shard: unknown scheduling policy %q (want sync, staggered or global)", c.Sched)
-	}
-	switch c.Parallel {
-	case "", "auto", "on", "off":
-	default:
-		return fmt.Errorf("shard: bad Parallel %q (want on, off or auto)", c.Parallel)
 	}
 	if c.TotalOps < 1 {
 		return fmt.Errorf("shard: TotalOps %d must be >= 1", c.TotalOps)
@@ -292,16 +283,11 @@ func (s *ShardedDB) fingerprint() uint64 {
 // run identical simulations.
 func (s *ShardedDB) Fingerprint() uint64 { return s.fp }
 
-// parallelOn resolves the Parallel setting.
+// parallelOn reports whether shard domains run on parallel goroutines:
+// whenever there is more than one shard and more than one CPU to run them.
+// Output is byte-identical either way.
 func (s *ShardedDB) parallelOn() bool {
-	switch s.cfg.Parallel {
-	case "on":
-		return true
-	case "off":
-		return false
-	default:
-		return runtime.GOMAXPROCS(0) > 1 && s.cfg.Shards > 1
-	}
+	return runtime.GOMAXPROCS(0) > 1 && s.cfg.Shards > 1
 }
 
 // Run executes the offered stream to exhaustion plus drain and returns the

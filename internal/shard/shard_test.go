@@ -177,35 +177,33 @@ func TestShardedSchedulingPolicies(t *testing.T) {
 	}
 }
 
-// TestShardedDeterminismMatrix: rendered output is byte-identical across
-// shard-parallelism on/off and across GOMAXPROCS settings — the PR 6 bar,
-// generalized to whole engine stacks. CI additionally runs this under
-// -race -cpu 1,4.
+// withProcs runs f under GOMAXPROCS=procs, which selects the shard driver's
+// path: sequential at 1, parallel goroutines above.
+func withProcs(procs int, f func() string) string {
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	return f()
+}
+
+// TestShardedDeterminismMatrix: rendered output is byte-identical on the
+// sequential path (GOMAXPROCS=1) and the parallel one (GOMAXPROCS=4),
+// whatever -cpu the suite runs under — the PR 6 bar, generalized to whole
+// engine stacks. CI additionally runs this under -race -cpu 1,4.
 func TestShardedDeterminismMatrix(t *testing.T) {
-	render := func(parallel string, sched string) string {
-		cfg := testConfig(3, sched)
-		cfg.Parallel = parallel
-		s, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.String()
-	}
 	for _, sched := range Scheds() {
-		off := render("off", sched)
-		on := render("on", sched)
-		if off != on {
-			t.Fatalf("%s: parallel on/off outputs differ:\n--- off ---\n%s\n--- on ---\n%s", sched, off, on)
+		render := func() string {
+			s, err := Open(testConfig(3, sched))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep.String()
 		}
-		prev := runtime.GOMAXPROCS(1)
-		one := render("on", sched)
-		runtime.GOMAXPROCS(prev)
-		if one != off {
-			t.Fatalf("%s: GOMAXPROCS=1 output differs:\n--- gomaxprocs=1 ---\n%s\n--- baseline ---\n%s", sched, one, off)
+		if seq, par := withProcs(1, render), withProcs(4, render); seq != par {
+			t.Fatalf("%s: sequential and parallel outputs differ:\n--- GOMAXPROCS=1 ---\n%s\n--- GOMAXPROCS=4 ---\n%s", sched, seq, par)
 		}
 	}
 }
@@ -213,13 +211,13 @@ func TestShardedDeterminismMatrix(t *testing.T) {
 // TestShardedLSMEngine: shards drive whichever host engine Base.Engine
 // selects. Under the LSM engine every scheduling policy completes, every
 // admitted op is served, each shard runs flush epochs, and the report is
-// byte-identical with shard parallelism on and off.
+// byte-identical on the sequential (GOMAXPROCS=1) and parallel
+// (GOMAXPROCS=4) shard paths.
 func TestShardedLSMEngine(t *testing.T) {
 	for _, sched := range Scheds() {
-		render := func(parallel string) string {
+		render := func() string {
 			cfg := testConfig(2, sched)
 			cfg.Base.Engine = "lsm"
-			cfg.Parallel = parallel
 			s, err := Open(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", sched, err)
@@ -241,8 +239,8 @@ func TestShardedLSMEngine(t *testing.T) {
 			}
 			return rep.String()
 		}
-		if off, on := render("off"), render("on"); off != on {
-			t.Fatalf("%s: parallel on/off outputs differ:\n--- off ---\n%s\n--- on ---\n%s", sched, off, on)
+		if seq, par := withProcs(1, render), withProcs(4, render); seq != par {
+			t.Fatalf("%s: sequential and parallel outputs differ:\n--- GOMAXPROCS=1 ---\n%s\n--- GOMAXPROCS=4 ---\n%s", sched, seq, par)
 		}
 	}
 }
@@ -309,7 +307,6 @@ func TestShardedConfigValidation(t *testing.T) {
 	good := testConfig(2, SchedSync)
 	bad := []func(*Config){
 		func(c *Config) { c.Sched = "roundrobin" },
-		func(c *Config) { c.Parallel = "maybe" },
 		func(c *Config) { c.TotalOps = -1 },
 		func(c *Config) { c.Workers = -2 },
 		func(c *Config) { c.AdmitRatePerSec = -5 },

@@ -92,12 +92,15 @@ type Config struct {
 
 	// CommandTimeout, when nonzero, is the service-time budget per command:
 	// a command whose back-end work exceeds it (error-recovery ladders under
-	// the NAND fault model) completes only after an extra TimeoutBackoff —
+	// the NAND fault model) completes only after an extra timeoutBackoff —
 	// the host-visible cost of the timeout/abort/retry exchange. Zero
 	// disables detection entirely.
 	CommandTimeout sim.VTime
-	TimeoutBackoff sim.VTime
 }
+
+// timeoutBackoff is what a command that blew CommandTimeout pays on top of
+// its back-end service.
+const timeoutBackoff = sim.Millisecond
 
 // DefaultConfig mirrors a mid-range NVMe datacenter SSD.
 func DefaultConfig() Config {
@@ -265,7 +268,7 @@ const (
 	stageQueued   uint8 = iota // waiting for a queue slot
 	stageFrontEnd              // slot held; link transfer and controller CPU booked
 	stageBackEnd               // back-end work issued
-	stageBackoff               // back end blew CommandTimeout; paying TimeoutBackoff
+	stageBackoff               // back end blew CommandTimeout; paying timeoutBackoff
 )
 
 // command is one host command in flight, and its one allocation: the
@@ -327,7 +330,7 @@ func (c *command) Fire() {
 			// is observed
 			d.stats.Timeouts++
 			c.stage = stageBackoff
-			d.eng.AtHandler(now+d.cfg.TimeoutBackoff, c)
+			d.eng.AtHandler(now+timeoutBackoff, c)
 			return
 		}
 		c.finish()

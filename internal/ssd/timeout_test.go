@@ -21,7 +21,7 @@ type timeoutRun struct {
 // channel transfer) takes tens of microseconds; the deallocate's takes none.
 // When probe is nonzero the run first stops at submission + probe to
 // record whether the read already reports done.
-func runTimeoutScenario(t *testing.T, budget, backoff, probe sim.VTime) timeoutRun {
+func runTimeoutScenario(t *testing.T, budget, probe sim.VTime) timeoutRun {
 	t.Helper()
 	e, d := testDevice(t, func(c *Config) {
 		c.QueueDepth = 1
@@ -30,7 +30,6 @@ func runTimeoutScenario(t *testing.T, budget, backoff, probe sim.VTime) timeoutR
 	d.Write(0, 2048, AreaData)
 	e.Run()
 	d.cfg.CommandTimeout = budget
-	d.cfg.TimeoutBackoff = backoff
 
 	var r timeoutRun
 	pre := d.Stats()
@@ -54,11 +53,11 @@ func runTimeoutScenario(t *testing.T, budget, backoff, probe sim.VTime) timeoutR
 
 // TestCommandTimeoutBackoff pins the timeout stage of a command: a command
 // whose back end exceeds CommandTimeout completes exactly once, exactly
-// TimeoutBackoff after its back end finished, counts one timeout, and holds
+// timeoutBackoff after its back end finished, counts one timeout, and holds
 // its queue slot through the backoff.
 func TestCommandTimeoutBackoff(t *testing.T) {
-	const backoff = 300 * sim.Microsecond
-	ref := runTimeoutScenario(t, 0, backoff, 0) // budget disabled
+	const backoff = timeoutBackoff
+	ref := runTimeoutScenario(t, 0, 0) // budget disabled
 	if ref.fired != 1 || ref.timeouts != 0 {
 		t.Fatalf("without a budget: fired %d, timeouts %d; want 1, 0", ref.fired, ref.timeouts)
 	}
@@ -66,7 +65,7 @@ func TestCommandTimeoutBackoff(t *testing.T) {
 		t.Fatalf("back end took %v; the scenario needs it to exceed the budget", ref.readDone)
 	}
 
-	got := runTimeoutScenario(t, sim.Microsecond, backoff, ref.readDone+backoff-1)
+	got := runTimeoutScenario(t, sim.Microsecond, ref.readDone+backoff-1)
 	if got.fired != 1 {
 		t.Errorf("read completion fired %d times, want 1", got.fired)
 	}

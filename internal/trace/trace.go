@@ -27,8 +27,6 @@ const (
 	KindJournalSwitch
 	KindGCVictim
 	KindWearLevel
-	KindDeviceCommand
-	KindQueryStall
 	// NAND-fault events (reliability model): a read-retry ladder, a page
 	// program reporting FAIL, an erase reporting FAIL, a block retirement,
 	// and the device dropping to read-only after the spare pool drained.
@@ -55,10 +53,6 @@ func (k Kind) String() string {
 		return "gc-victim"
 	case KindWearLevel:
 		return "wear-level"
-	case KindDeviceCommand:
-		return "device-cmd"
-	case KindQueryStall:
-		return "query-stall"
 	case KindReadRetry:
 		return "read-retry"
 	case KindProgramFail:

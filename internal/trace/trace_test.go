@@ -87,18 +87,18 @@ func TestFilterAndBetween(t *testing.T) {
 func TestDumpAndSummary(t *testing.T) {
 	tr := New(2)
 	tr.Emit(1000, KindWearLevel, 3, "block 3")
-	tr.Emit(2000, KindDeviceCommand, 1, "")
-	tr.Emit(3000, KindDeviceCommand, 2, "")
+	tr.Emit(2000, KindJournalCommit, 1, "")
+	tr.Emit(3000, KindJournalCommit, 2, "")
 	var sb strings.Builder
 	if err := tr.Dump(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "device-cmd") || !strings.Contains(out, "overwritten") {
+	if !strings.Contains(out, "journal-commit") || !strings.Contains(out, "overwritten") {
 		t.Errorf("dump = %q", out)
 	}
 	sum := tr.Summary()
-	if !strings.Contains(sum, "wear-level") || !strings.Contains(sum, "device-cmd     2") {
+	if !strings.Contains(sum, "wear-level") || !strings.Contains(sum, "journal-commit 2") {
 		t.Errorf("summary = %q", sum)
 	}
 }
@@ -108,7 +108,9 @@ func TestKindStrings(t *testing.T) {
 		KindCheckpointBegin: "ckpt-begin", KindCheckpointEnd: "ckpt-end",
 		KindJournalCommit: "journal-commit", KindJournalSwitch: "journal-switch",
 		KindGCVictim: "gc-victim", KindWearLevel: "wear-level",
-		KindDeviceCommand: "device-cmd", KindQueryStall: "query-stall",
+		KindReadRetry: "read-retry", KindProgramFail: "program-fail",
+		KindEraseFail: "erase-fail", KindBlockRetire: "block-retire",
+		KindReadOnly: "read-only",
 	}
 	for k, want := range names {
 		if k.String() != want {

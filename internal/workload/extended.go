@@ -2,9 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
-
-	"github.com/checkin-kv/checkin/internal/sim"
 )
 
 // Additional YCSB mixes beyond the paper's three. The paper evaluates on
@@ -16,82 +13,11 @@ var (
 	// WorkloadC is YCSB-C: read-only.
 	WorkloadC = Mix{ReadPct: 100}
 	// WorkloadD is YCSB-D's mix: 95 % reads, 5 % inserts modeled as
-	// updates of recently touched keys (pair with NewLatest).
+	// updates.
 	WorkloadD = Mix{ReadPct: 95, UpdatePct: 5}
 	// WorkloadE is YCSB-E: 95 % short range scans, 5 % updates.
 	WorkloadE = Mix{ScanPct: 95, UpdatePct: 5, ScanLen: 50}
 )
-
-// Latest is YCSB's "latest" distribution: requests skew toward the most
-// recently updated keys. It wraps a Zipfian over recency ranks — rank 0 is
-// the newest key. Callers feed updates back via Note so the recency order
-// tracks the workload.
-type Latest struct {
-	zipf   *Zipfian
-	recent []int64 // ring of recently written keys, newest first
-	size   int
-	keys   int64
-}
-
-// NewLatest builds a latest distribution over n keys remembering the last
-// window updates (window <= 0 selects a default of 1024).
-func NewLatest(n int64, window int) *Latest {
-	if n < 1 {
-		panic("workload: latest distribution over empty key space")
-	}
-	if window <= 0 {
-		window = 1024
-	}
-	if int64(window) > n {
-		window = int(n)
-	}
-	l := &Latest{
-		zipf: NewZipfian(int64(window), DefaultTheta),
-		size: window,
-		keys: n,
-	}
-	// Seed recency with the tail of the key space so early draws are valid.
-	for i := 0; i < window; i++ {
-		l.recent = append(l.recent, n-1-int64(i))
-	}
-	return l
-}
-
-// Note records that key was just written (it becomes the most recent).
-func (l *Latest) Note(key int64) {
-	l.recent = append([]int64{key}, l.recent[:l.size-1]...)
-}
-
-// Next draws a key skewed toward recent writes.
-func (l *Latest) Next(rng *sim.RNG) int64 {
-	rank := l.zipf.rank(rng)
-	if rank >= int64(len(l.recent)) {
-		rank = int64(len(l.recent)) - 1
-	}
-	return l.recent[rank]
-}
-
-// Name returns "latest".
-func (l *Latest) Name() string { return "latest" }
-
-// rank exposes the un-scrambled Zipfian rank (0 = hottest) for recency use.
-func (z *Zipfian) rank(rng *sim.RNG) int64 {
-	u := rng.Float64()
-	uz := u * z.zetaN
-	var r int64
-	switch {
-	case uz < 1:
-		r = 0
-	case uz < 1+math.Pow(0.5, z.theta):
-		r = 1
-	default:
-		r = int64(float64(z.keys) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-	}
-	if r >= z.keys {
-		r = z.keys - 1
-	}
-	return r
-}
 
 // Trace is a recorded operation stream: generate once, replay against any
 // configuration for strictly identical inputs across systems under test.

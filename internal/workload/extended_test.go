@@ -18,65 +18,6 @@ func TestExtendedMixesValid(t *testing.T) {
 	}
 }
 
-func TestLatestSkewsTowardRecent(t *testing.T) {
-	rng := sim.NewRNG(5)
-	l := NewLatest(10_000, 100)
-	// Make keys 0..9 the most recent writes (9 written last).
-	for k := int64(0); k < 10; k++ {
-		l.Note(k)
-	}
-	hits := 0
-	const draws = 20_000
-	for i := 0; i < draws; i++ {
-		k := l.Next(rng)
-		if k < 0 || k >= 10_000 {
-			t.Fatalf("key %d out of range", k)
-		}
-		if k < 10 {
-			hits++
-		}
-	}
-	// The 10 most recent keys should absorb a large share of draws.
-	if frac := float64(hits) / draws; frac < 0.4 {
-		t.Errorf("recent-10 share = %.3f, latest distribution not skewed", frac)
-	}
-	if l.Name() != "latest" {
-		t.Error("name wrong")
-	}
-}
-
-func TestLatestWindowClamping(t *testing.T) {
-	l := NewLatest(5, 100) // window larger than key space
-	rng := sim.NewRNG(1)
-	for i := 0; i < 1000; i++ {
-		if k := l.Next(rng); k < 0 || k >= 5 {
-			t.Fatalf("key %d out of range", k)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewLatest(0, ...) did not panic")
-		}
-	}()
-	NewLatest(0, 10)
-}
-
-func TestLatestNoteEvicts(t *testing.T) {
-	l := NewLatest(1000, 4)
-	for k := int64(0); k < 8; k++ {
-		l.Note(k)
-	}
-	// Window of 4: only keys 4..7 remain.
-	for _, k := range l.recent {
-		if k < 4 || k > 7 {
-			t.Fatalf("stale key %d in recency window %v", k, l.recent)
-		}
-	}
-	if l.recent[0] != 7 {
-		t.Errorf("newest key = %d, want 7", l.recent[0])
-	}
-}
-
 func TestTraceRecordReplay(t *testing.T) {
 	rng := sim.NewRNG(9)
 	g, err := NewGenerator(Uniform{Keys: 50}, FixedSizer{Size: 256}, WorkloadA, rng)

@@ -42,45 +42,6 @@ func FuzzZipfian(f *testing.F) {
 	})
 }
 
-// FuzzLatest drives the latest distribution: arbitrary interleavings of
-// Note (recording writes of fuzzer-chosen keys) and Next must only ever
-// return in-range keys, from the freshly noted set or the seeded tail.
-func FuzzLatest(f *testing.F) {
-	f.Add(int64(10), 4, int64(1), []byte{0, 1, 2, 3})
-	f.Add(int64(50_000), 1024, int64(9), []byte{255, 0, 128})
-	f.Add(int64(1), 0, int64(3), []byte{})
-	f.Fuzz(func(t *testing.T, n int64, window int, seed int64, script []byte) {
-		if n < 1 {
-			n = 1 - n%1_000_000
-		}
-		if n > 1_000_000 {
-			n = n%1_000_000 + 1
-		}
-		if window < 0 || int64(window) > 1<<20 {
-			window = 0 // constructor default
-		}
-		l := NewLatest(n, window)
-		rng := sim.NewRNG(seed)
-		// script bytes alternate between noting a write (odd) and drawing
-		// (even), so recency churn and draws interleave arbitrarily.
-		for i, b := range script {
-			if b%2 == 1 {
-				l.Note(int64(b) % n)
-				continue
-			}
-			k := l.Next(rng)
-			if k < 0 || k >= n {
-				t.Fatalf("step %d: key %d out of [0, %d)", i, k, n)
-			}
-		}
-		for i := 0; i < 100; i++ {
-			if k := l.Next(rng); k < 0 || k >= n {
-				t.Fatalf("draw %d: key %d out of [0, %d)", i, k, n)
-			}
-		}
-	})
-}
-
 // FuzzArrival drives the open-loop arrival generator over fuzzer-chosen
 // rates, diurnal shapes, tenant splits and flash crowds, asserting the
 // stream invariants: strictly increasing arrival times, tenants in range,

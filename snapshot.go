@@ -84,7 +84,7 @@ func (s *Snapshot) LoadFingerprint() uint64 { return s.loadFP }
 // Fork opens a fresh DB under cfg and installs the snapshot's state in place
 // of running the load phase. cfg must describe the same load phase as the
 // snapshot's source (LoadFingerprint must match); run-phase fields — Seed,
-// Strategy-independent checkpoint knobs, host cache size and so on — are
+// Strategy-independent checkpoint knobs and so on — are
 // free to differ, which is what lets one preconditioned template serve a
 // whole sweep. The returned DB is indistinguishable from one that executed
 // Load itself: clock, event order and all layer state match exactly.
@@ -127,7 +127,7 @@ func (s *Snapshot) Fork(cfg Config) (*DB, error) {
 // state, so a snapshot captured under one can be forked under the other.
 // Deliberately excluded: Seed (Load is deterministic and consults no RNG)
 // and the run-phase knobs (checkpoint interval, journal soft fraction,
-// compression, adaptive budget, host cache, checkpoint locking) — exclusion
+// compression, checkpoint locking) — exclusion
 // is what lets one template serve strategy sweeps that only vary those.
 // ok is false when the config cannot be snapshotted at all (fault injection
 // or tracing threads live references through the stack).
@@ -165,11 +165,11 @@ func LoadFingerprint(cfg Config) (uint64, bool) {
 	// batch-on/off ablation sweeps.
 	h.TagIf(cfg.CMTFill == "off", "cmtfill", "off")
 	h.TagIf(cfg.CMTCleanWindow != 0, "cmtcw", "%d", cfg.CMTCleanWindow)
-	h.Tag("dev", "%d/%d/%d/%d/%d", cfg.QueueDepth, cfg.PCIeMBps, cfg.DataCacheMB,
-		cfg.CommandTimeout.Nanoseconds(), cfg.TimeoutBackoff.Nanoseconds())
-	h.Tag("rel", "%v/%v/%v/%v/%v/%v/%d/%d", cfg.ReadRetryRate, cfg.RetryEscalation,
+	h.Tag("dev", "%d/%d/%d/%d", cfg.QueueDepth, cfg.PCIeMBps, cfg.DataCacheMB,
+		cfg.CommandTimeout.Nanoseconds())
+	h.Tag("rel", "%v/%v/%v/%v/%v/%v/%d", cfg.ReadRetryRate, cfg.RetryEscalation,
 		cfg.UncorrectableRate, cfg.ProgramFailRate, cfg.EraseFailRate,
-		cfg.WearErrorFactor, cfg.MaxReadRetries, cfg.SpareBlocksPerDie)
+		cfg.WearErrorFactor, cfg.SpareBlocksPerDie)
 	// The fault stream is seeded from Seed, and Load's writes draw from it —
 	// with the model enabled, Seed shapes post-Load state (unlike the
 	// perfect-flash case, where Load consults no RNG).
@@ -204,8 +204,6 @@ func Fingerprint(cfg Config) (uint64, bool) {
 	h.Tag("ival", "%d", cfg.CheckpointInterval.Nanoseconds())
 	h.Tag("soft", "%v", cfg.JournalSoftFrac)
 	h.Tag("comp", "%v", cfg.CompressRatio)
-	h.Tag("adapt", "%d", cfg.AdaptiveLiveBudget)
-	h.Tag("hc", "%d", cfg.HostCacheEntries)
 	h.Tag("lock", "%v", cfg.LockDuringCheckpoint)
 	h.TagIf(cfg.RemapBatch == "off", "rbatch", "off")
 	// LSM run-phase shape: the compaction policy and memtable bound steer
