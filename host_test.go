@@ -1,0 +1,156 @@
+package checkin_test
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	checkin "github.com/checkin-kv/checkin"
+	"github.com/checkin-kv/checkin/internal/sim"
+)
+
+// engines lists both host-engine backends; the tests below run every case
+// on each.
+var engines = []string{"journal", "lsm"}
+
+// hostTestDB opens and loads a small store of 512-byte records on engine.
+func hostTestDB(t *testing.T, engine string) *checkin.DB {
+	t.Helper()
+	cfg := checkin.DefaultConfig()
+	cfg.Engine = engine
+	cfg.Keys = 2000
+	cfg.Records = checkin.FixedRecords(512)
+	cfg.JournalHalfMB = 4
+	cfg.CheckpointInterval = 50 * time.Millisecond
+	db, err := checkin.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Load()
+	return db
+}
+
+// runProc runs fn as a simulated process on db's kernel to completion.
+func runProc(db *checkin.DB, fn func(p *sim.Proc)) {
+	e := db.Sim()
+	done := false
+	e.Go("test", func(p *sim.Proc) {
+		fn(p)
+		done = true
+	})
+	for !done {
+		e.RunUntil(e.Now() + 10*sim.Millisecond)
+	}
+}
+
+// TestScanClampsAtKeySpaceEnd: a scan past the last key reads only the
+// records that exist, a start past the end reads the last record, and an
+// empty scan reads one record. Right after Load every record sits in the
+// data area (journal) or the base run (LSM), so the device sees exactly
+// one contiguous read of the clamped range.
+func TestScanClampsAtKeySpaceEnd(t *testing.T) {
+	for _, engine := range engines {
+		t.Run(engine, func(t *testing.T) {
+			db := hostTestDB(t, engine)
+			keys := db.Config().Keys
+			for _, c := range []struct {
+				key     int64
+				n       int
+				records uint64
+			}{
+				{keys - 3, 50, 3},
+				{keys + 10, 10, 1},
+				{0, 0, 1},
+			} {
+				before := db.Device().Stats().HostReadBytes
+				runProc(db, func(p *sim.Proc) { db.Host().Scan(p, c.key, c.n) })
+				if got, want := db.Device().Stats().HostReadBytes-before, 512*c.records; got != want {
+					t.Errorf("Scan(%d, %d) read %d bytes, want %d", c.key, c.n, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestDeleteJournalsTombstone: a delete logs a 16-byte tombstone through
+// the write-ahead log as the key's next version, and the tombstone
+// checkpoints (journal) or flushes (LSM) and recovers like any update.
+func TestDeleteJournalsTombstone(t *testing.T) {
+	for _, engine := range engines {
+		t.Run(engine, func(t *testing.T) {
+			db := hostTestDB(t, engine)
+			h := db.Host()
+			payload := db.JournalStats().PayloadBytes
+			runProc(db, func(p *sim.Proc) { h.Delete(p, 42) })
+			if got := db.JournalStats().PayloadBytes - payload; got != 16 {
+				t.Errorf("tombstone logged %d payload bytes, want 16", got)
+			}
+			rep := h.Recovery()
+			if rep.InMemory[42] != 2 || rep.Durable[42] != 2 {
+				t.Errorf("tombstone version in-memory/durable = %d/%d, want 2/2", rep.InMemory[42], rep.Durable[42])
+			}
+			runProc(db, func(p *sim.Proc) { p.Wait(h.TriggerCheckpoint()) })
+			if rep := db.SimulateRecovery(); rep.Recovered[42] != 2 || rep.Diverged() != 0 {
+				t.Errorf("after a checkpoint: tombstone recovered v%d, %d keys diverged", rep.Recovered[42], rep.Diverged())
+			}
+		})
+	}
+}
+
+// TestReadOnlyDeviceRejectsWritesServesReads: when the NAND spare pool runs
+// out mid-run the device latches read-only. From then on both engines
+// refuse every write — counted in Metrics.RejectedWrites, nothing logged,
+// no version bumped — and keep serving reads from the device.
+func TestReadOnlyDeviceRejectsWritesServesReads(t *testing.T) {
+	for _, engine := range engines {
+		t.Run(engine, func(t *testing.T) {
+			cfg := checkin.DefaultConfig()
+			cfg.Engine = engine
+			cfg.BlocksPerPlane = 16
+			cfg.Keys = 5000
+			cfg.JournalHalfMB = 4
+			cfg.EraseFailRate = 0.05
+			cfg.ProgramFailRate = 0.005
+			cfg.SpareBlocksPerDie = 1
+			db, err := checkin.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.Load()
+			if db.Health().ReadOnly {
+				t.Fatal("device latched read-only during Load: the test lost its mid-run premise")
+			}
+			spec := checkin.RunSpec{Threads: 8, TotalQueries: 10_000, Mix: checkin.WorkloadA}
+			m, err := db.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !db.Health().ReadOnly {
+				t.Fatalf("device never latched read-only (health %+v)", db.Health())
+			}
+			if m.RejectedWrites == 0 || m.RejectedWrites >= m.WriteQueries {
+				t.Fatalf("rejected %d of %d writes, want the latch to fall mid-run", m.RejectedWrites, m.WriteQueries)
+			}
+
+			memory := db.Host().Recovery().InMemory
+			logs := db.JournalStats().Logs
+			reads := db.Device().Stats().HostReadBytes
+			m, err = db.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.WriteQueries == 0 || m.RejectedWrites != m.WriteQueries {
+				t.Errorf("read-only run rejected %d of %d writes, want all", m.RejectedWrites, m.WriteQueries)
+			}
+			if got := db.JournalStats().Logs; got != logs {
+				t.Errorf("read-only run logged %d records", got-logs)
+			}
+			if !slices.Equal(db.Host().Recovery().InMemory, memory) {
+				t.Error("read-only run bumped in-memory versions")
+			}
+			if m.ReadQueries == 0 || db.Device().Stats().HostReadBytes == reads {
+				t.Errorf("read-only run served %d reads with %d device read bytes", m.ReadQueries, db.Device().Stats().HostReadBytes-reads)
+			}
+		})
+	}
+}
