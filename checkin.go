@@ -295,10 +295,6 @@ type DB struct {
 	eng    *sim.Engine
 	device *ssd.Device
 	host   HostEngine
-	// engine is the journal backend, nil when Config.Engine selects an
-	// alternate one; Engine() keeps exposing it for journal-specific
-	// inspection.
-	engine *core.Engine
 	tracer *trace.Tracer
 
 	// restPoint is the kernel state at the post-Load quiescent instant —
@@ -382,18 +378,28 @@ func withDefaults(cfg Config) Config {
 
 // Open assembles the simulated stack described by cfg.
 func Open(cfg Config) (*DB, error) {
+	// A negative duration would wrap around in virtual time; a negative
+	// count would wrap through an unsigned field, hang the FTL's metadata
+	// flush loop, or pass for unset.
 	for _, d := range []struct {
 		name string
-		v    time.Duration
+		v    int64
 	}{
-		{"CheckpointInterval", cfg.CheckpointInterval},
-		{"ReadLatency", cfg.ReadLatency},
-		{"ProgramLatency", cfg.ProgramLatency},
-		{"EraseLatency", cfg.EraseLatency},
-		{"CommandTimeout", cfg.CommandTimeout},
+		{"CheckpointInterval", int64(cfg.CheckpointInterval)},
+		{"ReadLatency", int64(cfg.ReadLatency)},
+		{"ProgramLatency", int64(cfg.ProgramLatency)},
+		{"EraseLatency", int64(cfg.EraseLatency)},
+		{"CommandTimeout", int64(cfg.CommandTimeout)},
+		{"MetaFlushEntries", int64(cfg.MetaFlushEntries)},
+		{"MaxPECycles", int64(cfg.MaxPECycles)},
+		{"MemtableEntries", int64(cfg.MemtableEntries)},
+		{"MapCacheMB", int64(cfg.MapCacheMB)},
+		{"CMTEntries", int64(cfg.CMTEntries)},
+		{"SpareBlocksPerDie", int64(cfg.SpareBlocksPerDie)},
+		{"TraceCapacity", int64(cfg.TraceCapacity)},
 	} {
 		if d.v < 0 {
-			return nil, fmt.Errorf("checkin: %s %v must not be negative", d.name, d.v)
+			return nil, fmt.Errorf("checkin: %s must not be negative", d.name)
 		}
 	}
 	cfg = withDefaults(cfg)
@@ -516,9 +522,7 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("checkin: %w", err)
 	}
 
-	db := &DB{cfg: cfg, eng: eng, device: device, host: host, tracer: tracer}
-	db.engine, _ = host.(*core.Engine) // nil under alternate backends
-	return db, nil
+	return &DB{cfg: cfg, eng: eng, device: device, host: host, tracer: tracer}, nil
 }
 
 // Config returns the resolved configuration the DB runs with.
@@ -561,10 +565,6 @@ func (db *DB) DurableVersions() []int64 { return db.host.Recovery().Durable }
 
 // Host exposes the storage engine behind the backend-agnostic interface.
 func (db *DB) Host() HostEngine { return db.host }
-
-// Engine exposes the journal storage engine for advanced inspection; nil
-// when Config.Engine selects another backend (use Host instead).
-func (db *DB) Engine() *core.Engine { return db.engine }
 
 // Device exposes the simulated SSD.
 func (db *DB) Device() *ssd.Device { return db.device }

@@ -42,16 +42,25 @@ func TestOpenRejectsOversizedLayout(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsNegativeDurations: a negative duration is an error, not a
-// wrapped-around virtual time that panics the scheduler or silently runs a
-// near-zero-latency device.
-func TestOpenRejectsNegativeDurations(t *testing.T) {
+// TestOpenRejectsNegativeDurationsAndCounts: a negative duration is an
+// error, not a wrapped-around virtual time that panics the scheduler or
+// silently runs a near-zero-latency device; a negative count is an error,
+// not a hang (MetaFlushEntries), a wrapped-around budget (MaxPECycles) or
+// a silent default.
+func TestOpenRejectsNegativeDurationsAndCounts(t *testing.T) {
 	for name, mutate := range map[string]func(*checkin.Config){
 		"CheckpointInterval": func(c *checkin.Config) { c.CheckpointInterval = -10 * time.Millisecond },
 		"ReadLatency":        func(c *checkin.Config) { c.ReadLatency = -time.Microsecond },
 		"ProgramLatency":     func(c *checkin.Config) { c.ProgramLatency = -time.Microsecond },
 		"EraseLatency":       func(c *checkin.Config) { c.EraseLatency = -time.Microsecond },
 		"CommandTimeout":     func(c *checkin.Config) { c.CommandTimeout = -time.Millisecond },
+		"MetaFlushEntries":   func(c *checkin.Config) { c.MetaFlushEntries = -1 },
+		"MaxPECycles":        func(c *checkin.Config) { c.MaxPECycles = -1 },
+		"MemtableEntries":    func(c *checkin.Config) { c.Engine, c.MemtableEntries = "lsm", -1 },
+		"MapCacheMB":         func(c *checkin.Config) { c.MapCacheMB = -1 },
+		"CMTEntries":         func(c *checkin.Config) { c.FTLMap, c.CMTEntries = "dftl", -1 },
+		"SpareBlocksPerDie":  func(c *checkin.Config) { c.ProgramFailRate, c.SpareBlocksPerDie = 0.01, -1 },
+		"TraceCapacity":      func(c *checkin.Config) { c.TraceCapacity = -1 },
 	} {
 		cfg := smallConfig(checkin.StrategyCheckIn)
 		mutate(&cfg)

@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -108,7 +109,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "checkin-bench: bad -ftlmap %q (want dram or dftl)\n", *ftlmap)
 		os.Exit(2)
 	}
-	if !validEngine(*engine) {
+	if !slices.Contains(checkin.EngineNames(), *engine) {
 		fmt.Fprintf(os.Stderr, "checkin-bench: bad -engine %q (registered: %s)\n",
 			*engine, strings.Join(checkin.EngineNames(), ", "))
 		os.Exit(2)
@@ -199,15 +200,6 @@ func printTimings(id string, cells []harness.CellTiming, render time.Duration) {
 		fmt.Printf("    %-*s  %10s  %10s\n", w, c.Cell, ms(c.Load), ms(c.Run))
 	}
 	fmt.Printf("    %-*s  %10s  %10s  render %s\n", w, "total", ms(load), ms(run), ms(render))
-}
-
-func validEngine(name string) bool {
-	for _, n := range checkin.EngineNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 func parseThreads(s string) ([]int, error) {

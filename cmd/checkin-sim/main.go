@@ -19,6 +19,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -103,7 +104,7 @@ func main() {
 	if *ftlmap != "dram" && *ftlmap != "dftl" {
 		fatal(fmt.Errorf("bad -ftlmap %q (want dram or dftl)", *ftlmap))
 	}
-	if !validEngine(*engine) {
+	if !slices.Contains(checkin.EngineNames(), *engine) {
 		fatal(fmt.Errorf("bad -engine %q (registered: %s)", *engine, strings.Join(checkin.EngineNames(), ", ")))
 	}
 	if *compaction != "leveled" && *compaction != "tiered" {
@@ -341,15 +342,6 @@ func runSharded(base checkin.Config, shards, tenants int,
 	}
 	rep.Render(os.Stdout)
 	fmt.Printf("wall time %.2fs (load %.2fs)\n", rep.Wall.Seconds(), rep.LoadWall.Seconds())
-}
-
-func validEngine(name string) bool {
-	for _, n := range checkin.EngineNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 func fatal(err error) {

@@ -2,7 +2,6 @@ package checkin
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/checkin-kv/checkin/internal/core"
 	"github.com/checkin-kv/checkin/internal/lsm"
@@ -11,70 +10,17 @@ import (
 	"github.com/checkin-kv/checkin/internal/trace"
 )
 
-// HostEngine is the storage-engine contract every backend implements: the
+// HostEngine is the storage-engine contract both engines implement: the
 // journal+JMT engine of the paper (internal/core, name "journal") and the
-// LSM-tree engine (internal/lsm, name "lsm"). The device below, the
-// workload above, the checkpoint strategies, the crash-injection
-// instrument and the verification oracles all speak to the engine through
-// this interface, so backends are interchangeable per Config.Engine and
-// directly comparable on identical inputs.
-type HostEngine interface {
-	// The ops, checkpoint control and introspection the workload drivers
-	// use (core.Drive, the shard front end, the verification oracles).
-	core.Host
+// LSM-tree engine (internal/lsm, name "lsm"). See core.Host.
+type HostEngine = core.Host
 
-	// Sync blocks until every write issued so far is durable.
-	Sync(p *sim.Proc)
+// EngineNames lists the host engines Config.Engine selects from.
+func EngineNames() []string { return []string{"journal", "lsm"} }
 
-	// Load bulk-populates every record (the YCSB load phase).
-	Load()
-	// Run executes a measured workload phase.
-	Run(spec core.RunSpec) (*core.Metrics, error)
-	// Metrics exposes the last run's live collector.
-	Metrics() *core.Metrics
-
-	// SetCommitHook observes every (key, version) the instant it becomes
-	// durable — the crash-consistency oracle's model feed.
-	SetCommitHook(fn func(key, version int64))
-
-	// Recovery reports, without advancing simulated time, what a crash
-	// at this instant recovers next to the durable and in-memory version
-	// truth, plus the device reads of the recovery scan.
-	Recovery() *core.RecoveryReport
-
-	// Snapshot-and-fork: the backend's mutable state as an opaque value.
-	// RestoreState must reject a value captured from a different backend.
-	SnapshotState() (any, error)
-	RestoreState(s any) error
-}
-
-// Interface checks: both backends implement the full contract.
-var (
-	_ HostEngine = (*core.Engine)(nil)
-	_ HostEngine = (*lsm.Engine)(nil)
-)
-
-// engineBuilder assembles one backend over an already-built device stack.
-type engineBuilder func(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trace.Tracer) (HostEngine, error)
-
-// engineBuilders is the backend registry, keyed by Config.Engine.
-var engineBuilders = map[string]engineBuilder{
-	"journal": buildJournalEngine,
-	"lsm":     buildLSMEngine,
-}
-
-// EngineNames lists the registered backends in stable order.
-func EngineNames() []string {
-	names := make([]string, 0, len(engineBuilders))
-	for n := range engineBuilders {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// hostConfig maps the settings both backends share.
-func hostConfig(cfg Config, tracer *trace.Tracer) core.HostConfig {
+// newHostEngine builds the engine cfg.Engine names over an already-built
+// device stack.
+func newHostEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trace.Tracer) (HostEngine, error) {
 	h := core.DefaultConfig().HostConfig
 	h.Strategy = cfg.Strategy
 	h.Keys = cfg.Keys
@@ -86,29 +32,18 @@ func hostConfig(cfg Config, tracer *trace.Tracer) core.HostConfig {
 	h.Tracer = tracer
 	h.Injector = cfg.Injector
 	h.Seed = cfg.Seed
-	return h
-}
-
-func buildJournalEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trace.Tracer) (HostEngine, error) {
-	ecfg := core.DefaultConfig()
-	ecfg.HostConfig = hostConfig(cfg, tracer)
-	ecfg.CompressRatio = cfg.CompressRatio
-	return core.NewEngine(eng, device, ecfg)
-}
-
-func buildLSMEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trace.Tracer) (HostEngine, error) {
-	lcfg := lsm.DefaultConfig()
-	lcfg.HostConfig = hostConfig(cfg, tracer)
-	lcfg.MemtableEntries = cfg.MemtableEntries
-	lcfg.Policy = cfg.Compaction
-	return lsm.New(eng, device, lcfg)
-}
-
-// newHostEngine resolves cfg.Engine against the registry.
-func newHostEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trace.Tracer) (HostEngine, error) {
-	build, ok := engineBuilders[cfg.Engine]
-	if !ok {
-		return nil, fmt.Errorf("checkin: unknown Engine %q (registered: %v)", cfg.Engine, EngineNames())
+	switch cfg.Engine {
+	case "journal":
+		ecfg := core.DefaultConfig()
+		ecfg.HostConfig = h
+		ecfg.CompressRatio = cfg.CompressRatio
+		return core.NewEngine(eng, device, ecfg)
+	case "lsm":
+		lcfg := lsm.DefaultConfig()
+		lcfg.HostConfig = h
+		lcfg.MemtableEntries = cfg.MemtableEntries
+		lcfg.Policy = cfg.Compaction
+		return lsm.New(eng, device, lcfg)
 	}
-	return build(eng, device, cfg, tracer)
+	return nil, fmt.Errorf("checkin: unknown Engine %q (registered: %v)", cfg.Engine, EngineNames())
 }

@@ -1,0 +1,261 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+
+	"github.com/checkin-kv/checkin/internal/sim"
+	"github.com/checkin-kv/checkin/internal/ssd"
+	"github.com/checkin-kv/checkin/internal/trace"
+)
+
+// Log is what Base needs of an engine's write-ahead log. Every GroupCommit
+// satisfies it, whatever its record type.
+type Log interface {
+	Stats() JournalStats
+	SetCommitHook(fn func(key, version int64))
+	Sync(p *sim.Proc)
+	WouldOverflow(payload int) bool
+	Durable() []int64
+	Quiet() bool
+}
+
+// Base is the part of a host engine both engines share: the simulation
+// kernel, device and host settings, the per-key in-memory version truth,
+// the metrics collector, the device-side checkpoint transfers, and the
+// checkpoint epochs — the journal engine's checkpoint, the LSM engine's
+// memtable flush — which run one at a time and close the query gate while
+// LockDuringCheckpoint holds. The journal Engine and lsm.Engine embed it,
+// which gives them Device, Sim, Metrics, JournalStats, RemapTotals,
+// SetCommitHook, Sync, Run, Delete and the checkpoint controls of Host.
+type Base struct {
+	eng *sim.Engine
+	dev *ssd.Device
+	cfg HostConfig
+	// host is the engine embedding the base: Run drives its ops and
+	// Delete goes through its Update.
+	host Host
+	log  Log
+
+	// version is the in-memory (newest) version of each key.
+	version []int64
+
+	remapTotals ssd.RemapStats
+	metrics     *Metrics
+
+	// epochName names an epoch's simulated process; work is one epoch's
+	// engine-specific part, given the epoch's start, whose duration the
+	// metrics record; then, when non-nil, runs after the epoch has closed.
+	epochName string
+	work      func(p *sim.Proc, start sim.VTime)
+	then      func()
+
+	running bool
+	epoch   uint64
+	done    *sim.Future
+
+	gateClosed bool
+	gateOpen   *sim.Future
+}
+
+// NewBase returns the shared part of host, an engine over dev that writes
+// through log, with idle epochs that run work as simulated process
+// epochName.
+func NewBase(eng *sim.Engine, dev *ssd.Device, cfg HostConfig, host Host, log Log,
+	epochName string, work func(p *sim.Proc, start sim.VTime), then func()) Base {
+	return Base{
+		eng:       eng,
+		dev:       dev,
+		cfg:       cfg,
+		host:      host,
+		log:       log,
+		version:   make([]int64, cfg.Keys),
+		metrics:   NewMetrics(),
+		epochName: epochName,
+		work:      work,
+		then:      then,
+	}
+}
+
+// Device exposes the underlying device.
+func (b *Base) Device() *ssd.Device { return b.dev }
+
+// Sim exposes the simulation kernel.
+func (b *Base) Sim() *sim.Engine { return b.eng }
+
+// Metrics exposes the live metrics collector.
+func (b *Base) Metrics() *Metrics { return b.metrics }
+
+// JournalStats returns the write-ahead log's counters.
+func (b *Base) JournalStats() JournalStats { return b.log.Stats() }
+
+// RemapTotals returns accumulated remap results across checkpoint epochs.
+func (b *Base) RemapTotals() ssd.RemapStats { return b.remapTotals }
+
+// SetCommitHook installs fn to observe every logged (key, version) the
+// instant its group commit becomes durable, before the waiting client
+// wakes. The crash-consistency reference model (internal/check) uses it to
+// track the committed prefix.
+func (b *Base) SetCommitHook(fn func(key, version int64)) { b.log.SetCommitHook(fn) }
+
+// Sync blocks p until every record logged so far is durable. Update
+// already waits for its own commit, so Sync matters only to callers pacing
+// explicit durability epochs (the cross-engine equivalence oracle).
+func (b *Base) Sync(p *sim.Proc) { b.log.Sync(p) }
+
+// RunLoad runs fill as the load process to completion, then sets every key
+// to version 1, in memory and durably. The load phase is excluded from
+// metrics (a run's window opens at its start).
+func (b *Base) RunLoad(fill func(p *sim.Proc)) {
+	done := false
+	b.eng.Go("load", func(p *sim.Proc) {
+		fill(p)
+		done = true
+	})
+	for !done {
+		b.eng.RunUntil(b.eng.Now() + 100*sim.Millisecond)
+	}
+	durable := b.log.Durable()
+	for k := range b.version {
+		b.version[k] = 1
+		durable[k] = 1
+	}
+}
+
+// AdmitWrite admits a write of size payload bytes to key and returns the
+// version it writes. ok is false when the device has degraded to
+// read-only (spare blocks exhausted): the write is refused and counted
+// instead of logging an update that cannot persist, while reads keep being
+// served. If the active log half cannot absorb the record, the write
+// stalls until the running epoch frees the alternate half
+// (back-pressure).
+func (b *Base) AdmitWrite(p *sim.Proc, key int64, size int) (version int64, ok bool) {
+	b.Gate(p)
+	if b.dev.ReadOnly() {
+		b.metrics.RejectedWrites++
+		return 0, false
+	}
+	for b.log.WouldOverflow(size) {
+		p.Wait(b.TriggerCheckpoint())
+	}
+	b.version[key]++
+	return b.version[key], true
+}
+
+// AdmitScan admits a range read of n records from key, clamped to the key
+// space: at least one record, starting no later than the last key.
+func (b *Base) AdmitScan(p *sim.Proc, key int64, n int) (int64, int) {
+	b.Gate(p)
+	if n < 1 {
+		n = 1
+	}
+	if key >= b.cfg.Keys {
+		key = b.cfg.Keys - 1
+	}
+	if key+int64(n) > b.cfg.Keys {
+		n = int(b.cfg.Keys - key)
+	}
+	return key, n
+}
+
+// tombstoneBytes is the logged size of a deletion marker.
+const tombstoneBytes = 16
+
+// Delete logs a tombstone for key: deletions ride the same write-ahead and
+// checkpoint paths as updates, with a minimal payload.
+func (b *Base) Delete(p *sim.Proc, key int64) { b.host.Update(p, key, tombstoneBytes) }
+
+// ---------------------------------------------------------------------------
+// checkpoint epochs
+
+// CheckpointRunning reports whether an epoch is in progress.
+func (b *Base) CheckpointRunning() bool { return b.running }
+
+// CheckpointEpoch advances at every epoch start and finish.
+func (b *Base) CheckpointEpoch() uint64 { return b.epoch }
+
+// Gate blocks p while query admission is locked (checkpoint locking mode).
+func (b *Base) Gate(p *sim.Proc) {
+	for b.gateClosed {
+		p.Wait(b.gateOpen)
+	}
+}
+
+// TriggerCheckpoint starts an epoch unless one is already running, and
+// returns a future completing when the (possibly already running) epoch
+// finishes.
+func (b *Base) TriggerCheckpoint() *sim.Future {
+	if b.running {
+		return b.done
+	}
+	b.running = true
+	b.epoch++
+	b.done = sim.NewFuture(b.eng)
+	done := b.done
+	lock := b.cfg.LockDuringCheckpoint
+	if lock {
+		b.gateClosed = true
+		b.gateOpen = sim.NewFuture(b.eng)
+	}
+	b.eng.Go(b.epochName, func(p *sim.Proc) {
+		start := p.Now()
+		b.work(p, start)
+		b.metrics.NoteCheckpoint(p.Now() - start)
+		b.cfg.Tracer.Emit(p.Now(), trace.KindCheckpointEnd, int64(p.Now()-start), "")
+		b.running = false
+		b.epoch++
+		if lock {
+			b.gateClosed = false
+			b.gateOpen.Complete()
+		}
+		done.Complete()
+		if b.then != nil {
+			b.then()
+		}
+	})
+	return done
+}
+
+// ---------------------------------------------------------------------------
+// snapshot state
+
+// BaseState is the base's share of an engine snapshot. Metrics are not
+// captured: Run resets them.
+type BaseState struct {
+	version     []int64
+	epoch       uint64
+	remapTotals ssd.RemapStats
+}
+
+// CaptureBase captures the base's state. It fails unless the instant is
+// quiescent — no epoch running (so no closed query gate) and nothing
+// pending, in flight or being cut in the log — since otherwise live
+// process stacks reference the state and the capture would be unsound.
+func (b *Base) CaptureBase() (BaseState, error) {
+	switch {
+	case b.running:
+		return BaseState{}, fmt.Errorf("core: snapshot during a %s", b.epochName)
+	case !b.log.Quiet():
+		return BaseState{}, fmt.Errorf("core: snapshot with log activity in flight")
+	}
+	return BaseState{
+		version:     slices.Clone(b.version),
+		epoch:       b.epoch,
+		remapTotals: b.remapTotals,
+	}, nil
+}
+
+// RestoreBase installs a captured state into a base built for the same
+// key count, with idle epochs and a fresh metrics collector.
+func (b *Base) RestoreBase(s BaseState) error {
+	if len(s.version) != len(b.version) {
+		return fmt.Errorf("core: restore with %d keys into an engine with %d", len(s.version), len(b.version))
+	}
+	copy(b.version, s.version)
+	b.remapTotals = s.remapTotals
+	b.epoch = s.epoch
+	b.running, b.done = false, nil
+	b.gateClosed, b.gateOpen = false, nil
+	b.metrics = NewMetrics()
+	return nil
+}

@@ -13,17 +13,13 @@ func (en *Engine) checkpointData(p *sim.Proc, snap ckptSnapshot) {
 	case s == StrategyBaseline:
 		en.baselineCheckpoint(p, snap)
 	case s.UsesRemap():
-		RemapBatched(p, en.dev, en.cfg.HostIOOverhead, en.cfg.CkptCmdBatch, en.remapRequests(snap), &en.remapTotals)
+		en.Remap(p, en.remapRequests(snap))
 	default:
 		var pairs []ssd.CoWPair
 		for _, e := range latestEntries(snap) {
 			pairs = append(pairs, ssd.CoWPair{Src: e.off, Dst: e.targetOff, Len: int64(e.payload)})
 		}
-		if s == StrategyISCA {
-			CoWEach(p, en.dev, en.cfg.HostIOOverhead, en.cfg.CkptCoWWindow, pairs)
-		} else {
-			CoWBatched(p, en.dev, en.cfg.HostIOOverhead, en.cfg.MultiCoWBatch, pairs)
-		}
+		en.CoW(p, pairs)
 	}
 }
 
@@ -106,10 +102,21 @@ func (en *Engine) remapRequests(snap ckptSnapshot) []ssd.RemapEntry {
 // an LSM flush the sealed WAL records onto the new run's slots. No data
 // crosses the host link; each command costs the host overhead to issue.
 
-// CoWEach is ISC-A: one vendor-specific CoW command per pair, window
+// CoW copies each pair device-side with the strategy's commands: ISC-A
+// issues one CoW command per pair, ISC-B batches pairs into multi-CoW
+// commands.
+func (b *Base) CoW(p *sim.Proc, pairs []ssd.CoWPair) {
+	if b.cfg.Strategy == StrategyISCA {
+		cowEach(p, b.dev, b.cfg.HostIOOverhead, b.cfg.CkptCoWWindow, pairs)
+	} else {
+		cowBatched(p, b.dev, b.cfg.HostIOOverhead, b.cfg.MultiCoWBatch, pairs)
+	}
+}
+
+// cowEach is ISC-A: one vendor-specific CoW command per pair, window
 // commands in flight. The command count equals the pair count, so the
 // queue depth becomes the bottleneck.
-func CoWEach(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, window int, pairs []ssd.CoWPair) {
+func cowEach(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, window int, pairs []ssd.CoWPair) {
 	if window < 1 {
 		window = 128
 	}
@@ -125,10 +132,10 @@ func CoWEach(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, window int, pairs
 	p.Wait(dev.Flush(ssd.AreaData))
 }
 
-// CoWBatched is ISC-B: the pairs ride in multi-CoW commands of batch
+// cowBatched is ISC-B: the pairs ride in multi-CoW commands of batch
 // pairs, reducing command overhead to a negligible level and letting the
 // device schedule consecutive reads and consecutive writes.
-func CoWBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, batch int, pairs []ssd.CoWPair) {
+func cowBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, batch int, pairs []ssd.CoWPair) {
 	if batch < 1 {
 		batch = 128
 	}
@@ -151,12 +158,13 @@ func CoWBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, batch int, pai
 	p.Wait(dev.Flush(ssd.AreaData))
 }
 
-// RemapBatched is ISC-C and Check-In: the requests ride in
-// checkpoint-request commands of batch entries and the FTL checkpoints by
-// remapping, adding each command's outcome to totals. Whether entries
-// remap purely or degrade to read-merge-writes depends on how the log laid
-// the records out.
-func RemapBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, batch int, reqs []ssd.RemapEntry, totals *ssd.RemapStats) {
+// Remap is ISC-C and Check-In: the requests ride in checkpoint-request
+// commands of CkptCmdBatch entries and the FTL checkpoints by remapping,
+// adding each command's outcome to RemapTotals. Whether entries remap
+// purely or degrade to read-merge-writes depends on how the log laid the
+// records out.
+func (b *Base) Remap(p *sim.Proc, reqs []ssd.RemapEntry) {
+	dev, overhead, batch, totals := b.dev, b.cfg.HostIOOverhead, b.cfg.CkptCmdBatch, &b.remapTotals
 	if batch < 1 {
 		batch = 512
 	}
@@ -173,7 +181,7 @@ func RemapBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, batch int, r
 			totals.RMWs += res.RMWs
 			totals.Skipped += res.Skipped
 		})
-		// keep at most two checkpoint commands in flight (see CoWBatched)
+		// keep at most two checkpoint commands in flight (see cowBatched)
 		if prev != nil {
 			p.Wait(prev)
 		}

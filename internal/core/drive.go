@@ -18,10 +18,13 @@ type Ops interface {
 	Delete(p *sim.Proc, key int64)
 }
 
-// Host is the contract between a host engine and whatever drives it: the
-// closed-loop driver (Drive), the sharded open-loop front end and the
-// verification oracles. The journal engine (this package) and the LSM
-// engine (internal/lsm) both implement it.
+// Host is the contract every host engine implements — the journal engine
+// of the paper (this package) and the LSM engine (internal/lsm) — and the
+// only way the closed-loop driver (Base.Run), the sharded open-loop front
+// end, the crash-injection instrument and the verification oracles speak
+// to one, so the engines are interchangeable and directly comparable on
+// identical inputs. Base implements all of it but Get, Update, Scan, Load,
+// Recovery and the snapshot pair.
 type Host interface {
 	Ops
 
@@ -37,6 +40,30 @@ type Host interface {
 	// CheckpointEpoch advances at every checkpoint start and finish, so a
 	// query that saw it move overlapped a checkpoint.
 	CheckpointEpoch() uint64
+
+	// Sync blocks until every write issued so far is durable.
+	Sync(p *sim.Proc)
+
+	// Load bulk-populates every record (the YCSB load phase).
+	Load()
+	// Run executes a measured workload phase.
+	Run(spec RunSpec) (*Metrics, error)
+	// Metrics exposes the last run's live collector.
+	Metrics() *Metrics
+
+	// SetCommitHook observes every (key, version) the instant it becomes
+	// durable — the crash-consistency oracle's model feed.
+	SetCommitHook(fn func(key, version int64))
+
+	// Recovery reports, without advancing simulated time, what a crash
+	// at this instant recovers next to the durable and in-memory version
+	// truth, plus the device reads of the recovery scan.
+	Recovery() *RecoveryReport
+
+	// Snapshot-and-fork: the engine's mutable state as an opaque value.
+	// RestoreState must reject a value captured from a different engine.
+	SnapshotState() (any, error)
+	RestoreState(s any) error
 }
 
 // Apply executes one workload operation against h. A read-modify-write is
@@ -91,19 +118,21 @@ func (rs RunSpec) Validate() error {
 	return rs.Mix.Validate()
 }
 
-// Drive executes a closed-loop workload against h to completion: spec.Threads
-// client processes, an optional timeline sampler and the periodic checkpoint
-// ticker, then a drain of every straggling process. metrics points at the
-// engine's live collector; Drive installs a fresh one there before the run,
-// so checkpoint processes record into it, and returns it. Both host engines' Run methods are this call.
-func Drive(h Host, metrics **Metrics, cfg HostConfig, spec RunSpec) (*Metrics, error) {
+// Run executes a closed-loop workload to completion and returns its
+// metrics: spec.Threads client processes, an optional timeline sampler and
+// the periodic checkpoint ticker, then a drain of every straggling
+// process. A fresh collector replaces the live one before the run, so
+// epoch processes record into it; the engine may be Run multiple times and
+// the metrics cover only the last run. Both engines run workloads through
+// this one driver, so they measure identically.
+func (b *Base) Run(spec RunSpec) (*Metrics, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	eng, dev := h.Sim(), h.Device()
+	h, eng, dev, cfg := b.host, b.eng, b.dev, b.cfg
 	m := NewMetrics()
-	*metrics = m
-	m.BeginWindow(dev, h.JournalStats(), eng.Now())
+	b.metrics = m
+	m.BeginWindow(dev, b.JournalStats(), eng.Now())
 
 	var dist workload.Distribution = workload.Uniform{Keys: cfg.Keys}
 	if spec.Zipfian {
@@ -146,9 +175,9 @@ func Drive(h Host, metrics **Metrics, cfg HostConfig, spec RunSpec) (*Metrics, e
 					op = gen.Next()
 				}
 				start := p.Now()
-				epoch0 := h.CheckpointEpoch()
+				epoch0 := b.epoch
 				Apply(h, p, op)
-				during := h.CheckpointRunning() || h.CheckpointEpoch() != epoch0
+				during := b.running || b.epoch != epoch0
 				m.NoteQuery(op, p.Now()-start, during)
 			}
 			clientsLeft--
@@ -174,7 +203,7 @@ func Drive(h Host, metrics **Metrics, cfg HostConfig, spec RunSpec) (*Metrics, e
 			qps := float64(m.Queries-lastQueries) / window
 			lastQueries = m.Queries
 			active := 0.0
-			if h.CheckpointRunning() {
+			if b.running {
 				active = 1
 			}
 			backlog := dev.FTL().Array().MaxBacklog(now).Micros()
@@ -191,8 +220,8 @@ func Drive(h Host, metrics **Metrics, cfg HostConfig, spec RunSpec) (*Metrics, e
 		if runDone {
 			return
 		}
-		if !h.CheckpointRunning() {
-			h.TriggerCheckpoint()
+		if !b.running {
+			b.TriggerCheckpoint()
 		}
 		eng.Schedule(cfg.CheckpointInterval, tick)
 	}
@@ -207,6 +236,6 @@ func Drive(h Host, metrics **Metrics, cfg HostConfig, spec RunSpec) (*Metrics, e
 	for guard := 0; eng.LiveProcs() > 0 && guard < 1_000_000; guard++ {
 		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
 	}
-	m.EndWindow(dev, h.JournalStats(), endTime)
+	m.EndWindow(dev, b.JournalStats(), endTime)
 	return m, nil
 }

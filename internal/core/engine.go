@@ -135,26 +135,18 @@ func (c Config) Validate() error {
 
 // Engine is the Check-In storage engine bound to one simulated device.
 type Engine struct {
-	eng *sim.Engine
-	dev *ssd.Device
+	Base
 	cfg Config
 
 	layout *Layout
 	jr     *journal
 
-	// version truth: in-memory and checkpointed (data area); the journal
-	// keeps the durable (journaled+committed) versions — the recovery
-	// model.
-	version []int64
-	ckpted  []int64
-	deleted []bool
+	// ckpted is the checkpointed (data-area) version of each key; the base
+	// keeps the in-memory versions and the journal the durable
+	// (journaled+committed) ones — the recovery model.
+	ckpted []int64
 
-	// checkpoint epochs and the query gate for LockDuringCheckpoint
-	Epochs
 	ckptSnapshot *JMT // old-half JMT readable while its checkpoint runs
-	remapTotals  ssd.RemapStats
-
-	metrics *Metrics
 }
 
 // NewEngine builds an engine over dev. The device's FTL mapping unit must
@@ -174,14 +166,9 @@ func NewEngine(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	en := &Engine{
-		eng:     eng,
-		dev:     dev,
-		cfg:     cfg,
-		layout:  layout,
-		version: make([]int64, cfg.Keys),
-		ckpted:  make([]int64, cfg.Keys),
-		deleted: make([]bool, cfg.Keys),
-		metrics: NewMetrics(),
+		cfg:    cfg,
+		layout: layout,
+		ckpted: make([]int64, cfg.Keys),
 	}
 	header := cfg.InlineHeaderBytes
 	if cfg.Strategy.SectorAligned() {
@@ -190,44 +177,19 @@ func NewEngine(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 	en.jr = newJournal(eng, dev, layout, cfg.Strategy.SectorAligned(), header, cfg.CompressRatio)
 	en.jr.cfg.Tracer = cfg.Tracer
 	en.jr.cfg.Injector = cfg.Injector
-	en.Epochs = NewEpochs(eng, "checkpoint", cfg.HostConfig, en.checkpoint, nil)
+	en.Base = NewBase(eng, dev, cfg.HostConfig, en, en.jr, "checkpoint", en.checkpoint, nil)
 	return en, nil
 }
-
-// Layout exposes the space layout (reporting, tests).
-func (en *Engine) Layout() *Layout { return en.layout }
-
-// Device exposes the underlying device (reporting).
-func (en *Engine) Device() *ssd.Device { return en.dev }
-
-// Sim exposes the simulation engine.
-func (en *Engine) Sim() *sim.Engine { return en.eng }
-
-// Metrics exposes the live metrics collector.
-func (en *Engine) Metrics() *Metrics { return en.metrics }
-
-// JournalStats returns journaling counters.
-func (en *Engine) JournalStats() JournalStats { return en.jr.Stats() }
-
-// RemapTotals returns accumulated remap results across checkpoints.
-func (en *Engine) RemapTotals() ssd.RemapStats { return en.remapTotals }
-
-// SetCommitHook installs fn to observe every journal log the instant its
-// group commit becomes durable (before the waiting client wakes). The
-// crash-consistency reference model (internal/check) uses it to track the
-// committed prefix.
-func (en *Engine) SetCommitHook(fn func(key, version int64)) { en.jr.SetCommitHook(fn) }
 
 // ---------------------------------------------------------------------------
 // load phase
 
 // Load bulk-populates the data area with every record at version 1 using
 // large sequential writes, the standard YCSB load phase. It must run before
-// queries; it is excluded from metrics (snapshots are taken at run start).
+// queries.
 func (en *Engine) Load() {
 	const chunk = 1 << 20
-	done := false
-	en.eng.Go("load", func(p *sim.Proc) {
+	en.RunLoad(func(p *sim.Proc) {
 		// Back-pressure via periodic flushes: a write's future only
 		// completes once its page programs, which for sub-page mapping
 		// units may require the flush that closes the partial tail page.
@@ -243,14 +205,8 @@ func (en *Engine) Load() {
 			}
 		}
 		p.Wait(en.dev.Flush(ssd.AreaData))
-		done = true
 	})
-	for !done {
-		en.eng.RunUntil(en.eng.Now() + 100*sim.Millisecond)
-	}
-	for k := range en.version {
-		en.version[k] = 1
-		en.jr.durable[k] = 1
+	for k := range en.ckpted {
 		en.ckpted[k] = 1
 	}
 }
@@ -298,22 +254,10 @@ func (en *Engine) Get(p *sim.Proc, key int64) {
 // Update executes a write query: journal the new version (write-ahead) and
 // wait for its group commit.
 func (en *Engine) Update(p *sim.Proc, key int64, size int) {
-	en.Gate(p)
-	if en.dev.ReadOnly() {
-		// The device degraded to read-only (spare blocks exhausted): refuse
-		// the write instead of journaling an update that cannot persist.
-		// Reads keep being served — graceful degradation.
-		en.metrics.RejectedWrites++
+	v, ok := en.AdmitWrite(p, key, size)
+	if !ok {
 		return
 	}
-	// If the active half cannot absorb the log, stall until the running
-	// checkpoint frees the alternate half (back-pressure).
-	for en.jr.WouldOverflow(size) {
-		fut := en.TriggerCheckpoint()
-		p.Wait(fut)
-	}
-	en.version[key]++
-	v := en.version[key]
 	_, commit := en.jr.Append(key, v, size)
 	if en.jr.UsedFrac() > en.cfg.JournalSoftFrac && !en.running {
 		en.TriggerCheckpoint()
@@ -321,26 +265,11 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 	p.Wait(commit)
 }
 
-// Sync blocks p until every journal log appended so far is durable — the
-// write-ahead group commits drain. Update already waits for its own commit,
-// so Sync matters only to callers pacing explicit durability epochs (the
-// cross-engine equivalence oracle).
-func (en *Engine) Sync(p *sim.Proc) { en.jr.Sync(p) }
-
 // Scan executes a range read of n consecutive records starting at key
 // (YCSB-E). The data-area portion is one sequential device read; records
 // whose newest version still lives in the journal are read individually.
 func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
-	en.Gate(p)
-	if n < 1 {
-		n = 1
-	}
-	if key >= en.cfg.Keys {
-		key = en.cfg.Keys - 1
-	}
-	if key+int64(n) > en.cfg.Keys {
-		n = int(en.cfg.Keys - key)
-	}
+	key, n = en.AdmitScan(p, key, n)
 	startOff, _ := en.layout.Record(key)
 	lastOff, lastSize := en.layout.Record(key + int64(n) - 1)
 	p.Sleep(en.cfg.HostIOOverhead)
@@ -351,16 +280,6 @@ func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
 		}
 	}
 	p.WaitAll(futs)
-}
-
-// tombstoneBytes is the journaled size of a deletion marker.
-const tombstoneBytes = 16
-
-// Delete journals a tombstone for key: deletions ride the same write-ahead
-// and checkpoint paths as updates, with a minimal payload.
-func (en *Engine) Delete(p *sim.Proc, key int64) {
-	en.Update(p, key, tombstoneBytes)
-	en.deleted[key] = true
 }
 
 // ---------------------------------------------------------------------------
@@ -400,13 +319,6 @@ func (en *Engine) checkpoint(p *sim.Proc, start sim.VTime) {
 	}
 	en.ckptSnapshot = nil
 	en.jr.retire(snap.jmt)
-	en.metrics.NoteCheckpoint(p.Now() - start)
-}
-
-// Run executes the workload to completion and returns the metrics. The
-// engine may be Run multiple times; metrics cover only the last run.
-func (en *Engine) Run(spec RunSpec) (*Metrics, error) {
-	return Drive(en, &en.metrics, en.cfg.HostConfig, spec)
 }
 
 // ---------------------------------------------------------------------------
@@ -419,7 +331,7 @@ func (en *Engine) Run(spec RunSpec) (*Metrics, error) {
 // replay. Pure — no simulated time passes, so it is safe to call from
 // inside an engine event (the crash-injection harness does).
 func (en *Engine) Recovery() *RecoveryReport {
-	rep := NewRecoveryReport(slices.Clone(en.ckpted), en.jr.durable, en.version)
+	rep := en.NewRecoveryReport(slices.Clone(en.ckpted))
 	for _, t := range []*JMT{en.ckptSnapshot, en.jr.JMT()} {
 		if t == nil {
 			continue

@@ -492,42 +492,6 @@ func TestScanWorkloadE(t *testing.T) {
 	}
 }
 
-func TestScanClampsAtKeySpaceEnd(t *testing.T) {
-	e, en := newTestEngine(t, StrategyCheckIn, nil)
-	en.Load()
-	runProc(e, func(p *sim.Proc) {
-		en.Scan(p, en.cfg.Keys-3, 50)  // clamped to 3 records
-		en.Scan(p, en.cfg.Keys+10, 10) // start clamped to last key
-		en.Scan(p, 0, 0)               // n clamped to 1
-	})
-}
-
-func TestDeleteJournalsTombstone(t *testing.T) {
-	e, en := newTestEngine(t, StrategyCheckIn, nil)
-	en.Load()
-	runProc(e, func(p *sim.Proc) {
-		en.Delete(p, 42)
-	})
-	if !en.deleted[42] {
-		t.Error("deleted flag not set")
-	}
-	if en.version[42] != 2 || en.jr.durable[42] != 2 {
-		t.Errorf("tombstone version = %d/%d, want 2/2", en.version[42], en.jr.durable[42])
-	}
-	e2 := en.jr.JMT().Latest(42)
-	if e2 == nil || e2.payload != tombstoneBytes {
-		t.Fatalf("tombstone journal entry wrong: %+v", e2)
-	}
-	// Tombstones checkpoint and recover like any update.
-	runProc(e, func(p *sim.Proc) {
-		p.Wait(en.TriggerCheckpoint())
-	})
-	rep := simulateRecovery(en)
-	if rep.Recovered[42] != 2 {
-		t.Errorf("tombstone not recovered: v%d", rep.Recovered[42])
-	}
-}
-
 func TestDeleteMixInWorkload(t *testing.T) {
 	_, en := newTestEngine(t, StrategyCheckIn, nil)
 	en.Load()

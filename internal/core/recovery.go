@@ -29,12 +29,12 @@ type ScanRead struct{ Off, Len int64 }
 
 // NewRecoveryReport starts a report from the versions the last checkpoint
 // holds (taken over, not copied) and copies of the durable and in-memory
-// vectors.
-func NewRecoveryReport(checkpointed, durable, inMemory []int64) *RecoveryReport {
+// version vectors.
+func (b *Base) NewRecoveryReport(checkpointed []int64) *RecoveryReport {
 	rep := &RecoveryReport{
 		Recovered: checkpointed,
-		Durable:   slices.Clone(durable),
-		InMemory:  slices.Clone(inMemory),
+		Durable:   slices.Clone(b.log.Durable()),
+		InMemory:  slices.Clone(b.version),
 	}
 	for _, v := range checkpointed {
 		if v > 0 {

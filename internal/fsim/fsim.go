@@ -209,18 +209,12 @@ func (fs *FS) Checkpoint(p *sim.Proc) {
 
 	switch fs.mode {
 	case ModeConventional:
-		const window = 256
-		pending := make([]*sim.Future, 0, window)
 		for block, joff := range fs.dirty {
 			p.Sleep(fs.cfg.HostIOOverhead)
 			fs.dev.Read(joff, bs)
 			p.Sleep(fs.cfg.HostIOOverhead)
 			fs.dev.Write(fs.homeOff(block), bs, ssd.AreaCheckpoint)
 			fs.stats.CkptBlocks++
-			if len(pending) >= window {
-				p.Wait(fs.dev.Flush(ssd.AreaCheckpoint))
-				pending = pending[:0]
-			}
 		}
 		p.Wait(fs.dev.Flush(ssd.AreaCheckpoint))
 	case ModeInStorage:

@@ -268,17 +268,11 @@ func (f *FTL) initFlashMap() error {
 // entries are never evicted out from under the workload.
 const defaultCleanWindow = 32
 
-// FlashMapEnabled reports whether the DFTL layer is active.
-func (f *FTL) FlashMapEnabled() bool { return f.fm.enabled }
-
 // EnableMapOracle arms the differential mapping oracle (tests only): every
 // CMT miss asserts the flash-resident copy of the entry equals the live
 // all-DRAM map, panicking on the first divergence. CheckInvariants performs
 // the full-sweep form of the same check in dftl mode regardless.
 func (f *FTL) EnableMapOracle() { f.fm.oracle = true }
-
-// CMTLen returns the number of CMT-resident entries (tests/introspection).
-func (f *FTL) CMTLen() int { return f.fm.cachedCount }
 
 // fmWrite records that lun's mapping changed: the entry becomes CMT-resident
 // and dirty (a write miss needs no fetch — the flush's read-modify-write

@@ -167,9 +167,9 @@ func (en *Engine) startCompaction(force bool) bool {
 		return false
 	}
 	en.compacting = true
-	en.compactDone = sim.NewFuture(en.eng)
+	en.compactDone = sim.NewFuture(en.Sim())
 	done := en.compactDone
-	en.eng.Go("compaction", func(p *sim.Proc) {
+	en.Sim().Go("compaction", func(p *sim.Proc) {
 		en.executeCompaction(p, job)
 		en.compacting = false
 		done.Complete()
@@ -215,7 +215,7 @@ func (en *Engine) executeCompaction(p *sim.Proc, job *compactionJob) {
 		for off := int64(0); off < total; off += chunk {
 			n := min(int64(chunk), total-off)
 			p.Sleep(en.cfg.HostIOOverhead)
-			futs = append(futs, en.dev.Read(r.offs[0]+off, n))
+			futs = append(futs, en.Device().Read(r.offs[0]+off, n))
 			if len(futs) >= window {
 				p.WaitAll(futs)
 				futs = futs[:0]
@@ -245,7 +245,7 @@ func (en *Engine) executeCompaction(p *sim.Proc, job *compactionJob) {
 	en.publishManifest(p, -1)
 
 	for _, r := range job.inputs {
-		p.Wait(en.dev.Deallocate(r.ext.off, r.ext.len))
+		p.Wait(en.Device().Deallocate(r.ext.off, r.ext.len))
 		en.alloc.release(r.ext)
 		en.st.RunsDeleted++
 	}

@@ -1,10 +1,11 @@
 // Package lsm implements an LSM-tree host engine over the simulated
 // Check-In SSD: a write-ahead log with group commit, an in-memory memtable,
 // sorted runs flushed to flash, and a Director/Executor compaction layer
-// with leveled and tiered policies. It is the second registered backend of
-// the checkin.HostEngine interface — the journal+JMT engine (internal/core)
-// being the first — and exists so in-storage checkpointing can be evaluated
-// against the flash-friendly sequential writes of compaction.
+// with leveled and tiered policies. It is the second implementation of the
+// core.Host contract — the journal+JMT engine (internal/core) being the
+// first, and core.Base the part both share — and exists so in-storage
+// checkpointing can be evaluated against the flash-friendly sequential
+// writes of compaction.
 //
 // The facade follows the kevo engine design (storage, transaction and
 // compaction concerns behind one coordinating type); the compaction split
@@ -124,8 +125,7 @@ type memEntry struct {
 
 // Engine is the LSM host engine bound to one simulated device.
 type Engine struct {
-	eng *sim.Engine
-	dev *ssd.Device
+	core.Base
 	cfg Config
 
 	unit          int64 // FTL mapping unit
@@ -151,21 +151,11 @@ type Engine struct {
 	durableFloor int64
 	manifestSeq  uint64
 
-	// version truth, mirroring the journal engine's recovery model (the
-	// WAL keeps the durable versions).
-	version []int64
-	deleted []bool
-
-	// flush epochs and the query gate for LockDuringCheckpoint
-	core.Epochs
-
 	compacting  bool
 	compactDone *sim.Future
 	director    *director
 
-	remapTotals ssd.RemapStats
-	metrics     *core.Metrics
-	st          Stats
+	st Stats
 }
 
 // New builds an LSM engine over dev. The device's FTL mapping unit must
@@ -181,15 +171,10 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		cfg.MemtableEntries = 4096
 	}
 	en := &Engine{
-		eng:      eng,
-		dev:      dev,
 		cfg:      cfg,
 		unit:     int64(dev.FTL().UnitSize()),
 		memLimit: cfg.MemtableEntries,
 		mem:      make(map[int64]*memEntry),
-		version:  make([]int64, cfg.Keys),
-		deleted:  make([]bool, cfg.Keys),
-		metrics:  core.NewMetrics(),
 	}
 	// Space layout: two WAL halves, two manifest slots, then the run area.
 	en.manifestStart = 2 * cfg.JournalHalfBytes
@@ -227,7 +212,7 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 			Injector:   cfg.Injector,
 		})
 	en.director = newDirector(cfg.Policy, cfg.JournalHalfBytes)
-	en.Epochs = core.NewEpochs(eng, "flush", cfg.HostConfig, en.flush, en.maybeCompact)
+	en.Base = core.NewBase(eng, dev, cfg.HostConfig, en, en.w, "flush", en.flush, en.maybeCompact)
 	return en, nil
 }
 
@@ -239,21 +224,6 @@ func (en *Engine) extAlign() int64 {
 	}
 	return sector
 }
-
-// Device exposes the underlying device.
-func (en *Engine) Device() *ssd.Device { return en.dev }
-
-// Sim exposes the simulation engine.
-func (en *Engine) Sim() *sim.Engine { return en.eng }
-
-// Metrics exposes the live metrics collector.
-func (en *Engine) Metrics() *core.Metrics { return en.metrics }
-
-// JournalStats returns the WAL's counters in the shared journaling shape.
-func (en *Engine) JournalStats() core.JournalStats { return en.w.Stats() }
-
-// RemapTotals returns accumulated remap results across flush epochs.
-func (en *Engine) RemapTotals() ssd.RemapStats { return en.remapTotals }
 
 // Stats returns LSM-specific counters.
 func (en *Engine) Stats() Stats { return en.st }
@@ -267,10 +237,6 @@ func (en *Engine) Levels() []int {
 	return out
 }
 
-// SetCommitHook installs fn to observe every WAL record the instant its
-// group commit becomes durable (the check oracle's model hook).
-func (en *Engine) SetCommitHook(fn func(key, version int64)) { en.w.SetCommitHook(fn) }
-
 // ---------------------------------------------------------------------------
 // load phase
 
@@ -283,23 +249,13 @@ func (en *Engine) Load() {
 	for k := int64(0); k < en.cfg.Keys; k++ {
 		entries[k] = runEntry{key: k, version: 1, size: en.cfg.Sizer.SizeOf(k)}
 	}
-	done := false
-	en.eng.Go("load", func(p *sim.Proc) {
+	en.RunLoad(func(p *sim.Proc) {
 		r := en.newRun(baseLevel, entries, false)
 		en.writeRunSequential(p, r, ssd.AreaData)
 		en.levels[baseLevel] = append(en.levels[baseLevel], r)
 		en.st.RunsCreated++
 		en.publishManifest(p, 0)
-		done = true
 	})
-	for !done {
-		en.eng.RunUntil(en.eng.Now() + 100*sim.Millisecond)
-	}
-	durable := en.w.Durable()
-	for k := range en.version {
-		en.version[k] = 1
-		durable[k] = 1
-	}
 }
 
 // newRun allocates an extent and plans a run's layout. inCompaction guards
@@ -343,12 +299,12 @@ func (en *Engine) writeRunSequential(p *sim.Proc, r *run, area ssd.Area) {
 			n = total - off
 		}
 		p.Sleep(en.cfg.HostIOOverhead)
-		en.dev.Write(r.ext.off+off, n, area)
+		en.Device().Write(r.ext.off+off, n, area)
 		if issued++; issued%16 == 0 {
-			p.Wait(en.dev.Flush(area))
+			p.Wait(en.Device().Flush(area))
 		}
 	}
-	p.Wait(en.dev.Flush(area))
+	p.Wait(en.Device().Flush(area))
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +326,7 @@ func (en *Engine) Get(p *sim.Proc, key int64) {
 	}
 	if r, i := en.findNewest(key); r != nil {
 		p.Sleep(en.cfg.HostIOOverhead)
-		p.Wait(en.dev.Read(r.offs[i], int64(r.sizes[i])))
+		p.Wait(en.Device().Read(r.offs[i], int64(r.sizes[i])))
 	}
 }
 
@@ -392,18 +348,10 @@ func (en *Engine) findNewest(key int64) (*run, int) {
 // Update executes a write: log to the WAL (write-ahead), install in the
 // memtable, and wait for the group commit.
 func (en *Engine) Update(p *sim.Proc, key int64, size int) {
-	en.Gate(p)
-	if en.dev.ReadOnly() {
-		en.metrics.RejectedWrites++
+	v, ok := en.AdmitWrite(p, key, size)
+	if !ok {
 		return
 	}
-	// If the active WAL half cannot absorb the record, stall until the
-	// running flush epoch frees the alternate half (back-pressure).
-	for en.w.WouldOverflow(size) {
-		p.Wait(en.TriggerCheckpoint())
-	}
-	en.version[key]++
-	v := en.version[key]
 	en.walSeq++
 	rec := &walRec{seq: en.walSeq, key: key, version: v, payload: size}
 	log := &en.walLogs[en.w.Active()]
@@ -424,16 +372,7 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 // for keys whose newest version lives in an upper run (memtable hits are
 // host memory).
 func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
-	en.Gate(p)
-	if n < 1 {
-		n = 1
-	}
-	if key >= en.cfg.Keys {
-		key = en.cfg.Keys - 1
-	}
-	if key+int64(n) > en.cfg.Keys {
-		n = int(en.cfg.Keys - key)
-	}
+	key, n = en.AdmitScan(p, key, n)
 	var futs []*sim.Future
 	p.Sleep(en.cfg.HostIOOverhead)
 	if rs := en.levels[baseLevel]; len(rs) > 0 {
@@ -443,7 +382,7 @@ func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
 			if !ok2 {
 				j = len(base.keys) - 1
 			}
-			futs = append(futs, en.dev.Read(base.offs[i],
+			futs = append(futs, en.Device().Read(base.offs[i],
 				base.offs[j]+int64(base.sizes[j])-base.offs[i]))
 		}
 	}
@@ -457,25 +396,11 @@ func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
 			}
 		}
 		if r, i := en.findNewest(k); r != nil && r.level < baseLevel {
-			futs = append(futs, en.dev.Read(r.offs[i], int64(r.sizes[i])))
+			futs = append(futs, en.Device().Read(r.offs[i], int64(r.sizes[i])))
 		}
 	}
 	p.WaitAll(futs)
 }
-
-// tombstoneBytes is the logged size of a deletion marker.
-const tombstoneBytes = 16
-
-// Delete logs a tombstone: deletions ride the same write-ahead, flush and
-// compaction paths as updates (tombstones survive merges so recovered
-// version truth never regresses).
-func (en *Engine) Delete(p *sim.Proc, key int64) {
-	en.Update(p, key, tombstoneBytes)
-	en.deleted[key] = true
-}
-
-// Sync blocks p until every WAL record appended so far is durable.
-func (en *Engine) Sync(p *sim.Proc) { en.w.Sync(p) }
 
 // ---------------------------------------------------------------------------
 // flush epochs (the LSM's checkpoint)
@@ -499,7 +424,7 @@ func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 	en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(len(en.imm)),
 		fmt.Sprintf("entries=%d used=%dKB", sealedLogs, used>>10))
 	if sealedLogs > 0 {
-		en.metrics.NoteLiveRatio(float64(len(en.imm)) / float64(sealedLogs))
+		en.Metrics().NoteLiveRatio(float64(len(en.imm)) / float64(sealedLogs))
 	}
 
 	if len(en.imm) > 0 {
@@ -512,7 +437,7 @@ func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 		en.publishManifest(p, maxSeq)
 		// the sealed WAL half is fully superseded: deallocate it
 		if used > 0 {
-			p.Wait(en.dev.Deallocate(en.w.HalfStart(half), roundUp(used, en.unit)))
+			p.Wait(en.Device().Deallocate(en.w.HalfStart(half), roundUp(used, en.unit)))
 		}
 	}
 	en.imm = nil
@@ -520,7 +445,6 @@ func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 	// if nothing was flushed): empty the half's log for its next turn.
 	clear(en.walLogs[half])
 	en.walLogs[half] = en.walLogs[half][:0]
-	en.metrics.NoteCheckpoint(p.Now() - start)
 }
 
 // flushRun materializes the sealed memtable as a level-0 run using the
@@ -563,7 +487,7 @@ func (en *Engine) flushRun(p *sim.Proc) *run {
 		for j, e := range entries {
 			reqs[j] = ssd.RemapEntry{Src: en.imm[e.key].rec.off, Dst: r.offs[j], Len: roundUp(int64(e.size), sector)}
 		}
-		core.RemapBatched(p, en.dev, en.cfg.HostIOOverhead, en.cfg.CkptCmdBatch, reqs, &en.remapTotals)
+		en.Remap(p, reqs)
 	default:
 		// ISC-A / ISC-B copy each record device-side from its WAL location
 		pairs := make([]ssd.CoWPair, len(entries))
@@ -571,11 +495,7 @@ func (en *Engine) flushRun(p *sim.Proc) *run {
 			rec := en.imm[e.key].rec
 			pairs[j] = ssd.CoWPair{Src: rec.off, Dst: r.offs[j], Len: int64(rec.payload)}
 		}
-		if s == core.StrategyISCA {
-			core.CoWEach(p, en.dev, en.cfg.HostIOOverhead, en.cfg.CkptCoWWindow, pairs)
-		} else {
-			core.CoWBatched(p, en.dev, en.cfg.HostIOOverhead, en.cfg.MultiCoWBatch, pairs)
-		}
+		en.CoW(p, pairs)
 	}
 	en.cfg.Injector.Hit(inject.SiteMemFlush)
 	return r
@@ -596,8 +516,8 @@ func (en *Engine) publishManifest(p *sim.Proc, floor int64) {
 		n = en.manifestSlot
 	}
 	p.Sleep(en.cfg.HostIOOverhead)
-	en.dev.Write(en.manifestStart+slot*en.manifestSlot, n, ssd.AreaData)
-	p.Wait(en.dev.Flush(ssd.AreaData))
+	en.Device().Write(en.manifestStart+slot*en.manifestSlot, n, ssd.AreaData)
+	p.Wait(en.Device().Flush(ssd.AreaData))
 	// Durable from this instant: snapshot the run set and advance the floor.
 	dr := make([]*run, 0, runs)
 	for _, l := range en.levels {
@@ -609,13 +529,6 @@ func (en *Engine) publishManifest(p *sim.Proc, floor int64) {
 	}
 	en.st.ManifestWrites++
 	en.cfg.Injector.Hit(inject.SiteManifestPublish)
-}
-
-// Run executes the workload to completion and returns the metrics, through
-// the same closed-loop driver as the journal engine so both backends
-// measure identically.
-func (en *Engine) Run(spec core.RunSpec) (*core.Metrics, error) {
-	return core.Drive(en, &en.metrics, en.cfg.HostConfig, spec)
 }
 
 // ---------------------------------------------------------------------------
@@ -635,7 +548,7 @@ func (en *Engine) Recovery() *core.RecoveryReport {
 			}
 		}
 	}
-	rep := core.NewRecoveryReport(published, en.w.Durable(), en.version)
+	rep := en.NewRecoveryReport(published)
 	for _, log := range en.walLogs {
 		for _, rec := range log {
 			if rec.committed && rec.seq > en.durableFloor {

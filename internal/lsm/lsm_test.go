@@ -244,7 +244,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 		en.Sync(p)
 	})
 	before := en.Recovery().Recovered
-	s, err := en.Snapshot()
+	s, err := en.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 		}
 		p.Wait(en.TriggerCheckpoint())
 	})
-	if err := en.Restore(s); err != nil {
+	if err := en.RestoreState(s); err != nil {
 		t.Fatal(err)
 	}
 	after := en.Recovery().Recovered
@@ -265,7 +265,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 			t.Fatalf("recovered[%d] = %d after restore, want %d", k, after[k], before[k])
 		}
 	}
-	if got := en.version[50]; got != 3 {
+	if got := en.Recovery().InMemory[50]; got != 3 {
 		t.Errorf("version[50] = %d after restore, want 3", got)
 	}
 }
@@ -279,7 +279,7 @@ func TestSnapshotRefusesMidFlush(t *testing.T) {
 			en.Update(p, i, 512)
 		}
 		fut := en.TriggerCheckpoint()
-		_, snapErr = en.Snapshot()
+		_, snapErr = en.SnapshotState()
 		p.Wait(fut)
 	})
 	if snapErr == nil {
@@ -343,7 +343,7 @@ func TestRunEngineSmoke(t *testing.T) {
 		t.Error("run finished without any flush epoch")
 	}
 	rep := en.Recovery()
-	core.TimeRecovery(en.eng, en.dev, rep)
+	core.TimeRecovery(en.Sim(), en.Device(), rep)
 	if rep.RecoveryTime <= 0 {
 		t.Error("recovery charged no simulated time")
 	}

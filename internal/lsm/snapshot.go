@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/checkin-kv/checkin/internal/core"
-	"github.com/checkin-kv/checkin/internal/ssd"
 )
 
 // EngineState is a deep copy of the LSM engine's mutable state at a
@@ -15,8 +14,7 @@ import (
 // restore so a fork's memtable never aliases the template's records; the
 // other half holds only records the manifest floor covers.
 type EngineState struct {
-	version []int64
-	deleted []bool
+	core.BaseState
 
 	levels      [maxLevels][]*run
 	durableRuns []*run
@@ -34,27 +32,24 @@ type EngineState struct {
 	// for live memtable cells, but kept defensive).
 	memIdx map[int64]int
 
-	ckptEpoch   uint64
-	remapTotals ssd.RemapStats
-	st          Stats
-	allocFree   []extent
+	st        Stats
+	allocFree []extent
 }
 
-// Snapshot captures the engine's mutable state. Must be called at a
-// quiescent instant: no flush epoch (so no closed query gate), no sealed
-// memtable, no WAL activity in flight, no compaction.
-func (en *Engine) Snapshot() (*EngineState, error) {
-	switch {
-	case en.CheckpointRunning() || en.imm != nil:
-		return nil, fmt.Errorf("lsm: snapshot during a flush epoch")
-	case !en.w.Quiet():
-		return nil, fmt.Errorf("lsm: snapshot with WAL activity in flight")
-	case en.compacting:
+// SnapshotState captures the engine's mutable state as an *EngineState.
+// Must be called at a quiescent instant: no flush epoch (so no sealed
+// memtable), no WAL activity in flight (see core.Base.CaptureBase), no
+// compaction.
+func (en *Engine) SnapshotState() (any, error) {
+	base, err := en.CaptureBase()
+	if err != nil {
+		return nil, err
+	}
+	if en.compacting {
 		return nil, fmt.Errorf("lsm: snapshot during a compaction")
 	}
 	s := &EngineState{
-		version: append([]int64(nil), en.version...),
-		deleted: append([]bool(nil), en.deleted...),
+		BaseState: base,
 
 		durableRuns: append([]*run(nil), en.durableRuns...),
 		nextRunID:   en.nextRunID,
@@ -65,10 +60,8 @@ func (en *Engine) Snapshot() (*EngineState, error) {
 		wal:    en.w.State(),
 		walSeq: en.walSeq,
 
-		ckptEpoch:   en.CheckpointEpoch(),
-		remapTotals: en.remapTotals,
-		st:          en.st,
-		allocFree:   append([]extent(nil), en.alloc.free...),
+		st:        en.st,
+		allocFree: append([]extent(nil), en.alloc.free...),
 	}
 	for i := range en.levels {
 		s.levels[i] = append([]*run(nil), en.levels[i]...)
@@ -93,17 +86,18 @@ func (en *Engine) Snapshot() (*EngineState, error) {
 	return s, nil
 }
 
-// Restore installs a previously captured state into en, which must be
-// freshly constructed from the same Config shape. Records are re-linked
-// into fresh walRec objects so the captured state stays pristine across
-// any number of restores.
-func (en *Engine) Restore(s *EngineState) error {
-	if len(s.version) != len(en.version) {
-		return fmt.Errorf("lsm: restore with %d keys into an engine with %d", len(s.version), len(en.version))
+// RestoreState installs a state captured by SnapshotState into en, which
+// must be freshly constructed from the same Config shape. Records are
+// re-linked into fresh walRec objects so the captured state stays pristine
+// across any number of restores.
+func (en *Engine) RestoreState(state any) error {
+	s, ok := state.(*EngineState)
+	if !ok {
+		return fmt.Errorf("lsm: restore with a foreign engine state (%T)", state)
 	}
-	copy(en.version, s.version)
-	copy(en.deleted, s.deleted)
-
+	if err := en.RestoreBase(s.BaseState); err != nil {
+		return err
+	}
 	en.durableRuns = append([]*run(nil), s.durableRuns...)
 	en.nextRunID = s.nextRunID
 	for i := range en.levels {
@@ -132,26 +126,10 @@ func (en *Engine) Restore(s *EngineState) error {
 	}
 	en.imm = nil
 
-	en.remapTotals = s.remapTotals
 	en.st = s.st
 	en.alloc.free = append([]extent(nil), s.allocFree...)
 
-	en.ResetEpochs(s.ckptEpoch)
 	en.compacting = false
 	en.compactDone = nil
-	en.metrics = core.NewMetrics()
 	return nil
-}
-
-// SnapshotState captures the engine's mutable state as an opaque value
-// (the checkin.HostEngine shape).
-func (en *Engine) SnapshotState() (any, error) { return en.Snapshot() }
-
-// RestoreState installs a state previously captured by SnapshotState.
-func (en *Engine) RestoreState(s any) error {
-	st, ok := s.(*EngineState)
-	if !ok {
-		return fmt.Errorf("lsm: restore with a foreign engine state (%T)", s)
-	}
-	return en.Restore(st)
 }

@@ -109,9 +109,6 @@ func (a *Array) EnableReliability(cfg ReliabilityConfig, seed uint64) error {
 	return nil
 }
 
-// ReliabilityEnabled reports whether a fault model is installed.
-func (a *Array) ReliabilityEnabled() bool { return a.rel != nil }
-
 // SampleRead draws the fault outcome for one page read of block: steps is
 // the number of voltage-shift retry reads needed after the initial read
 // (0 = clean first read), and uncorrectable means the hard-decision ladder

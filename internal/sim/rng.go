@@ -35,9 +35,6 @@ func (g *RNG) Split(name string) *RNG {
 // Seed returns the stream's seed (diagnostics / reproduction reports).
 func (g *RNG) Seed() int64 { return g.seed }
 
-// Int63 returns a non-negative 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Intn returns a uniform integer in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
@@ -52,6 +49,3 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
