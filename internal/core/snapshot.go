@@ -9,10 +9,10 @@ import (
 // quiescent instant: the base's version truth and epoch count, the
 // checkpointed versions, the journal's log state and a deep clone of the
 // active JMT. Metrics are not captured (Run resets them), and neither is
-// the RNG: it is never consulted before Run (Load is
-// deterministic and client streams are Split from the seed at Run time), so
-// a fork re-seeds from its own Config and may legitimately run a different
-// seed than the template.
+// the RNG: it is never consulted before Run (Load is deterministic and
+// client streams are Split from the seed at Run time), so a fork re-seeds
+// from its own Config and may legitimately run a different seed than the
+// template.
 type EngineState struct {
 	BaseState
 	ckpted []int64
