@@ -2,35 +2,80 @@ package ftl
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"testing"
 )
 
-// evictScan is the reference clean-first eviction choice: a fresh window
-// scan from the LRU tail on every decision. It returns the tail if clean,
-// else the first clean entry among the cleanWindow tail-most ones, else -1
-// (flush the tail's translation page). fmEnforceCap's resumed search must
-// make exactly this choice at every step.
-func (fm *flashMap) evictScan() int32 {
-	victim := fm.lruTail
-	if fm.isDirty(int64(victim)) {
-		victim = -1
-		for l, scanned := fm.lruPrev[fm.lruTail], 1; l >= 0 && scanned < fm.cleanWindow; l, scanned = fm.lruPrev[l], scanned+1 {
-			if !fm.isDirty(int64(l)) {
-				victim = l
-				break
+// runMembers yields run r's members in ascending lun order, testing each
+// lun of its page against the bitmap one at a time.
+func runMembers(fm *flashMap, r int32, yield func(int32) bool) bool {
+	first := int64(fm.runs[r].tvpn) * int64(fm.entriesPerTP)
+	words := fm.runBits[int(r)*fm.runStride : (int(r)+1)*fm.runStride]
+	for lun := first; lun < first+int64(fm.entriesPerTP) && lun < int64(fm.runBase); lun++ {
+		w := words[lun>>6-first>>6]
+		if w>>(lun&63) == 0 {
+			lun |= 63 // no member left in this word
+			continue
+		}
+		if w>>(lun&63)&1 != 0 && !yield(int32(lun)) {
+			return false
+		}
+	}
+	return true
+}
+
+// entriesFromTail yields the CMT's entries from the LRU tail toward the
+// head in per-entry order: a run stands for its members, lowest nearest the
+// tail, where one-by-one ascending pushes would have left them.
+func entriesFromTail(fm *flashMap) iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		for l := fm.lruTail; l >= 0; l = fm.lruPrev[l] {
+			if l < fm.runBase {
+				if !yield(l) {
+					return
+				}
+				continue
+			}
+			if !runMembers(fm, l-fm.runBase, yield) {
+				return
 			}
 		}
 	}
-	return victim
 }
 
-// lruOrder returns the CMT's LRU from head to tail.
-func lruOrder(fm *flashMap) []int32 {
-	var order []int32
-	for l := fm.lruHead; l >= 0; l = fm.lruNext[l] {
-		order = append(order, l)
+// evictScan is the reference clean-first eviction choice: a fresh window
+// scan from the LRU tail on every decision, over entries. It returns the
+// tail entry if clean, else the first clean entry among the cleanWindow
+// tail-most ones, else -1 (flush the tail's translation page).
+// fmEnforceCap's resumed search must make exactly this choice at every
+// step.
+func (fm *flashMap) evictScan() int32 {
+	scanned := 0
+	for l := range entriesFromTail(fm) {
+		if scanned == fm.cleanWindow {
+			break
+		}
+		if !fm.isDirty(int64(l)) {
+			return l
+		}
+		scanned++
 	}
+	return -1
+}
+
+// tailEntry returns the CMT's least recent entry, -1 when it is empty.
+func tailEntry(fm *flashMap) int32 {
+	for l := range entriesFromTail(fm) {
+		return l
+	}
+	return -1
+}
+
+// lruOrder returns the CMT's entries from head to tail.
+func lruOrder(fm *flashMap) []int32 {
+	order := slices.Collect(entriesFromTail(fm))
+	slices.Reverse(order)
 	return order
 }
 
@@ -67,7 +112,7 @@ func armEvictOracle(f *FTL) *evictLog {
 		case v < 0:
 			log.flushes++
 			log.atFlush = lruOrder(fm)
-		case v != fm.lruTail:
+		case v != tailEntry(fm):
 			log.deep++
 			log.evictions++
 		default:

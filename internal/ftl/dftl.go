@@ -48,10 +48,14 @@ package ftl
 //   - Page-fill on miss: a miss already charges a whole-page NAND read;
 //     fillTP inserts every entry the fetched page covers (clean, bulk LRU
 //     insert) instead of just the demanded lun, so one fetch yields up to
-//     entriesPerTP future hits.
+//     entriesPerTP future hits. The fill links as one LRU node, a run
+//     (cmtRun): its members are set in the cached bitmap and the run's own
+//     bitmap a 64-bit word at a time.
 //   - Clean-first eviction (CFLRU): fmEnforceCap searches a bounded clean
 //     window from the LRU tail before flushing a dirty victim's whole
 //     translation page, so capacity evictions stop amplifying into flushes.
+//     A run reached by the search gives up its lowest members a word at a
+//     time (runEvictLow) instead of one unlink per entry.
 //   - Batched remap writeback: BeginCheckpointCut/EndCheckpointCut bracket
 //     the checkpoint's remap burst; threshold flushes and cap enforcement
 //     are deferred across the cut and settle once at its end, coalescing the
@@ -63,6 +67,8 @@ package ftl
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
@@ -83,11 +89,23 @@ type flashMap struct {
 	cachedCount int
 	dirtyCount  int
 
-	// Intrusive LRU over cached luns (head = most recent, -1 = nil).
+	// Intrusive LRU over CMT nodes (head = most recent, -1 = nil). Node ids
+	// below runBase are luns linked on their own; id runBase+r is run r.
+	// The arrays reserve capacity for run nodes past the luns' ids.
 	lruNext []int32
 	lruPrev []int32
 	lruHead int32
 	lruTail int32
+
+	// Run pool (cmtRun). Run r's member bitmap is
+	// runBits[r*runStride:(r+1)*runStride]; free runs chain through
+	// cmtRun.next from runFree; tpRuns[tvpn] heads the page's live runs.
+	runBase   int32
+	runStride int
+	runs      []cmtRun
+	runBits   []uint64
+	runFree   int32
+	tpRuns    []int32
 
 	// stored[lun] is the entry's value as held by the flash-resident
 	// translation page (-1 before the first flush covering it).
@@ -138,9 +156,34 @@ type flashMap struct {
 	// first coherence divergence instead of reporting it.
 	oracle bool
 	// evictOracle, when set (tests only), is the reference eviction choice
-	// every fmEnforceCap decision is checked against: the victim, or -1 for
-	// a flush. A divergence panics.
+	// every fmEnforceCap decision is checked against: the victim entry, or
+	// -1 for a flush. A divergence panics. Armed, run evictions go one entry
+	// per decision through remove instead of runEvictLow (fmEvictRun).
 	evictOracle func() int32
+	// enforced, when set (tests only), is called as a cap enforcement pass
+	// that started above the bound returns: fmEnforceCap (afterGC false) or
+	// fmAfterGC, with the entry count it started from.
+	enforced func(afterGC bool, start int)
+}
+
+// cmtRun is one page-fill's entries, linked in the LRU as a single node
+// instead of one node per entry. Its members are exactly the ones fillTP
+// would have pushed to the head one by one in ascending lun order, so in
+// the per-entry LRU they would sit contiguously at the run's place, lowest
+// lun nearest the tail. A run is always clean: a hit or write on a member
+// clears its bit and links that lun on its own at the head (touch), which
+// is where the per-entry LRU would move it too. Removing members never
+// reorders the rest, so the run's k tail-most entries are always its k
+// lowest members, and eviction from a run takes those a word at a time.
+//
+// Bit j of bitmap word w is lun (tpWord0(tvpn)+w)*64 + j: the words align
+// with the cached bitmap's, so a translation page that does not start on
+// a 64-entry boundary spans one extra word.
+type cmtRun struct {
+	tvpn  int32
+	count int32 // members: the bitmap's popcount
+	lo    int32 // bitmap word below which no member sits
+	next  int32 // next run of the page, or of the free list; -1 = end
 }
 
 func (fm *flashMap) isCached(lun int64) bool { return fm.cached[lun>>6]&(1<<(uint64(lun)&63)) != 0 }
@@ -172,12 +215,17 @@ func (fm *flashMap) lruPushFront(l int32) {
 	fm.lruHead = l
 }
 
+// touch moves cached lun to the LRU head, out of its run if it has one.
 func (fm *flashMap) touch(lun int64) {
 	l := int32(lun)
 	if fm.lruHead == l {
 		return
 	}
-	fm.lruUnlink(l)
+	if r := fm.runOf(lun); r >= 0 {
+		fm.dropMember(r, lun)
+	} else {
+		fm.lruUnlink(l)
+	}
 	fm.lruPushFront(l)
 }
 
@@ -189,21 +237,142 @@ func (fm *flashMap) insert(lun int64) {
 	fm.lruPushFront(int32(lun))
 }
 
-// remove evicts a clean cached lun.
+// remove evicts a clean cached lun, from its run if it has one.
 func (fm *flashMap) remove(lun int64) {
 	fm.cached[lun>>6] &^= 1 << (uint64(lun) & 63)
 	fm.cachedCount--
-	fm.lruUnlink(int32(lun))
+	if r := fm.runOf(lun); r >= 0 {
+		fm.dropMember(r, lun)
+	} else {
+		fm.lruUnlink(int32(lun))
+	}
 }
 
 func (fm *flashMap) tvpnOf(lun int64) int { return int(lun / int64(fm.entriesPerTP)) }
+
+// tpWord0 is the cached-bitmap word holding translation page tvpn's first
+// entry: word 0 of the page's run bitmaps.
+func (fm *flashMap) tpWord0(tvpn int32) int64 { return int64(tvpn) * int64(fm.entriesPerTP) >> 6 }
+
+func (fm *flashMap) runWords(r int32) []uint64 {
+	o := int(r) * fm.runStride
+	return fm.runBits[o : o+fm.runStride : o+fm.runStride]
+}
+
+// runHas reports whether lun, an entry of run r's page, is one of its
+// members.
+func (fm *flashMap) runHas(r int32, lun int64) bool {
+	w := lun>>6 - fm.tpWord0(fm.runs[r].tvpn)
+	return fm.runBits[int(r)*fm.runStride+int(w)]&(1<<(uint64(lun)&63)) != 0
+}
+
+// runOf returns the run holding cached lun, or -1 when lun is linked on its
+// own. The page's run list is short: one run per fill still in the CMT.
+func (fm *flashMap) runOf(lun int64) int32 {
+	tvpn := fm.tvpnOf(lun)
+	r := fm.tpRuns[tvpn]
+	if r < 0 {
+		return -1
+	}
+	w, bit := int(lun>>6-fm.tpWord0(int32(tvpn))), uint64(1)<<(uint64(lun)&63)
+	for ; r >= 0; r = fm.runs[r].next {
+		if fm.runBits[int(r)*fm.runStride+w]&bit != 0 {
+			return r
+		}
+	}
+	return -1
+}
+
+// allocRun takes a run with an all-zero bitmap off the free list, growing
+// the pool (and the LRU arrays' run-node ids) when it is empty. The run is
+// not yet linked anywhere.
+func (fm *flashMap) allocRun() int32 {
+	if r := fm.runFree; r >= 0 {
+		fm.runFree = fm.runs[r].next
+		return r
+	}
+	r := int32(len(fm.runs))
+	fm.runs = append(fm.runs, cmtRun{})
+	for i := 0; i < fm.runStride; i++ {
+		fm.runBits = append(fm.runBits, 0)
+	}
+	fm.lruNext = append(fm.lruNext, -1)
+	fm.lruPrev = append(fm.lruPrev, -1)
+	return r
+}
+
+// freeRun unlinks the empty run r from the LRU and its page's list and
+// returns it to the free list.
+func (fm *flashMap) freeRun(r int32) {
+	fm.lruUnlink(fm.runBase + r)
+	head := &fm.tpRuns[fm.runs[r].tvpn]
+	for *head != r {
+		head = &fm.runs[*head].next
+	}
+	*head = fm.runs[r].next
+	fm.runs[r].next = fm.runFree
+	fm.runFree = r
+}
+
+// dropMember takes lun out of run r (the caller updates the cached bit and
+// links lun elsewhere if it stays cached).
+func (fm *flashMap) dropMember(r int32, lun int64) {
+	w := lun>>6 - fm.tpWord0(fm.runs[r].tvpn)
+	fm.runBits[int(r)*fm.runStride+int(w)] &^= 1 << (uint64(lun) & 63)
+	if fm.runs[r].count--; fm.runs[r].count == 0 {
+		fm.freeRun(r)
+	}
+}
+
+// runEvictLow evicts run r's k lowest members (0 < k <= count) a bitmap
+// word at a time: the victims k successive tail-most evictions would pick.
+func (fm *flashMap) runEvictLow(r int32, k int) {
+	run := &fm.runs[r]
+	words := fm.runWords(r)
+	base := fm.tpWord0(run.tvpn)
+	w := run.lo
+	for left := k; left > 0; {
+		m := words[w]
+		if c := bits.OnesCount64(m); c <= left {
+			fm.cached[base+int64(w)] &^= m
+			words[w] = 0
+			left -= c
+			w++
+			continue
+		}
+		rest := m
+		for ; left > 0; left-- {
+			rest &= rest - 1 // clear the lowest member
+		}
+		fm.cached[base+int64(w)] &^= m &^ rest
+		words[w] = rest
+	}
+	run.lo = w
+	run.count -= int32(k)
+	fm.cachedCount -= k
+	if run.count == 0 {
+		fm.freeRun(r)
+	}
+}
+
+// lowestMember returns run r's lowest member, testing the page's luns one
+// by one: the reference path's victim, independent of runEvictLow.
+func (fm *flashMap) lowestMember(r int32) int64 {
+	lun := int64(fm.runs[r].tvpn) * int64(fm.entriesPerTP)
+	for !fm.runHas(r, lun) {
+		lun++
+	}
+	return lun
+}
 
 func (f *FTL) pidBlock(pid int64) int { return int(pid / int64(f.pagesPerBlk)) }
 func (f *FTL) pidPage(pid int64) int  { return int(pid % int64(f.pagesPerBlk)) }
 
 // initFlashMap arms the DFTL layer (Config.FlashMap).
 func (f *FTL) initFlashMap() error {
-	if f.totalUnits > int64(^uint32(0)>>1) {
+	// Run nodes take LRU ids past the luns': at most one live run per
+	// cached entry, so twice the logical units must fit an int32.
+	if 2*f.totalUnits > math.MaxInt32 {
 		return fmt.Errorf("ftl: flash map: %d logical units exceed the int32 LRU index space", f.totalUnits)
 	}
 	geo := f.array.Geometry()
@@ -224,12 +393,21 @@ func (f *FTL) initFlashMap() error {
 	words := (f.totalUnits + 63) / 64
 	fm.cached = make([]uint64, words)
 	fm.dirty = make([]uint64, words)
-	fm.lruNext = make([]int32, f.totalUnits)
-	fm.lruPrev = make([]int32, f.totalUnits)
+	// Run nodes: at most one live run per cached entry, so reserving the
+	// bound's worth of ids keeps pool growth from reallocating the arrays.
+	runIDs := min(int64(capEntries), f.totalUnits)
+	fm.lruNext = make([]int32, f.totalUnits, f.totalUnits+runIDs)
+	fm.lruPrev = make([]int32, f.totalUnits, f.totalUnits+runIDs)
 	for i := range fm.lruNext {
 		fm.lruNext[i], fm.lruPrev[i] = -1, -1
 	}
 	fm.lruHead, fm.lruTail = -1, -1
+	fm.runBase = int32(f.totalUnits)
+	fm.runStride = fm.entriesPerTP / 64
+	if fm.entriesPerTP%64 != 0 {
+		fm.runStride += 2 // an unaligned page straddles one more word
+	}
+	fm.runFree = -1
 	fm.stored = make([]int64, f.totalUnits)
 	for i := range fm.stored {
 		fm.stored[i] = -1
@@ -246,6 +424,10 @@ func (f *FTL) initFlashMap() error {
 	fm.dirtyByTP = make([]int32, fm.numTPs)
 	fm.tpx = newTPIndex(fm.numTPs, fm.entriesPerTP)
 	fm.tpEpoch = make([]uint64, fm.numTPs)
+	fm.tpRuns = make([]int32, fm.numTPs)
+	for i := range fm.tpRuns {
+		fm.tpRuns[i] = -1
+	}
 	fm.fill = !f.cfg.CMTNoFill
 	fm.cleanWindow = f.cfg.CMTCleanWindow
 	switch {
@@ -459,7 +641,8 @@ func (f *FTL) fmAccessRange(first, last int64, fan *sim.FanIn) {
 // the demanded lun (the caller inserts it last, leaving it most-recent). The
 // page was just fetched whole — a real controller decodes all of it for
 // free — so the fills are clean CMT inserts: their flash copy IS the live
-// map by the coherence invariant (an uncached entry is never dirty).
+// map by the coherence invariant (an uncached entry is never dirty). The
+// fills become one run linked at the LRU head, set a bitmap word at a time.
 func (f *FTL) fillTP(tvpn int, demanded int64) {
 	fm := &f.fm
 	first := int64(tvpn) * int64(fm.entriesPerTP)
@@ -467,11 +650,41 @@ func (f *FTL) fillTP(tvpn int, demanded int64) {
 	if last >= f.totalUnits {
 		last = f.totalUnits - 1
 	}
-	for lun := first; lun <= last; lun++ {
-		if lun != demanded && !fm.isCached(lun) {
-			fm.insert(lun)
+	r := fm.allocRun()
+	words := fm.runWords(r)
+	w0, w1 := first>>6, last>>6
+	n, lo := 0, int32(-1)
+	for w := w0; w <= w1; w++ {
+		m := ^uint64(0)
+		if w == w0 {
+			m <<= uint64(first) & 63
 		}
+		if w == w1 {
+			m &= ^uint64(0) >> (63 - uint64(last)&63)
+		}
+		if w == demanded>>6 {
+			m &^= 1 << (uint64(demanded) & 63)
+		}
+		m &^= fm.cached[w]
+		if m == 0 {
+			continue
+		}
+		if lo < 0 {
+			lo = int32(w - w0)
+		}
+		fm.cached[w] |= m
+		words[w-w0] = m
+		n += bits.OnesCount64(m)
 	}
+	if n == 0 {
+		fm.runs[r].next = fm.runFree
+		fm.runFree = r
+		return
+	}
+	fm.runs[r] = cmtRun{tvpn: int32(tvpn), count: int32(n), lo: lo, next: fm.tpRuns[tvpn]}
+	fm.tpRuns[tvpn] = r
+	fm.cachedCount += n
+	fm.lruPushFront(fm.runBase + r)
 }
 
 // fmEnforceCap evicts entries until the CMT is back within its bound,
@@ -492,11 +705,18 @@ func (f *FTL) fillTP(tvpn int, demanded int64) {
 // O(cleanWindow). A flush, or GC it triggers, can reorder the LRU, so the
 // cursor restarts from the tail after each one. The victim sequence is the
 // from-the-tail scan's exactly (evictOracle checks it in tests).
+//
+// Runs are clean, so a run the search reaches holds the next victims: its
+// members from the lowest up, each found at the same depth. The loop takes
+// min(count, excess) of them in one runEvictLow and stops at the bound.
+// The search never steps past a run, so the tail's page (flushed when the
+// window is dirty) is always a lun's.
 func (f *FTL) fmEnforceCap() {
 	fm := &f.fm
+	start := fm.cachedCount
 	cur, depth := fm.lruTail, 0
 	for fm.cachedCount > fm.cap {
-		for cur >= 0 && depth < fm.cleanWindow && fm.isDirty(int64(cur)) {
+		for cur >= 0 && cur < fm.runBase && depth < fm.cleanWindow && fm.isDirty(int64(cur)) {
 			cur, depth = fm.lruPrev[cur], depth+1
 		}
 		victim := cur // -1 when the search ran off the LRU head: all dirty
@@ -504,21 +724,54 @@ func (f *FTL) fmEnforceCap() {
 			victim = -1 // the whole window is dirty
 		}
 		if fm.evictOracle != nil {
-			if want := fm.evictOracle(); want != victim {
-				panic(fmt.Sprintf("ftl: CMT eviction diverged from window scan: resumed search %d, scan %d", victim, want))
+			lun := victim
+			if victim >= fm.runBase {
+				lun = int32(fm.lowestMember(victim - fm.runBase))
+			}
+			if want := fm.evictOracle(); want != lun {
+				panic(fmt.Sprintf("ftl: CMT eviction diverged from window scan: resumed search %d, scan %d", lun, want))
 			}
 		}
-		if victim < 0 {
+		switch {
+		case victim < 0:
 			fm.flushing = true
 			f.flushTP(fm.tvpnOf(int64(fm.lruTail)), inject.SiteTransEvict)
 			fm.flushing = false
 			cur, depth = fm.lruTail, 0
-			continue
+		case victim >= fm.runBase:
+			r := victim - fm.runBase
+			k := min(int(fm.runs[r].count), fm.cachedCount-fm.cap)
+			if fm.evictOracle != nil {
+				k = 1 // one entry per checked decision
+			}
+			if k == int(fm.runs[r].count) {
+				cur = fm.lruPrev[victim]
+			}
+			f.fmEvictRun(r, k)
+		default:
+			cur = fm.lruPrev[victim]
+			fm.remove(int64(victim))
+			f.stats.CMTEvictions++
 		}
-		cur = fm.lruPrev[victim]
-		fm.remove(int64(victim))
-		f.stats.CMTEvictions++
 	}
+	if fm.enforced != nil {
+		fm.enforced(false, start)
+	}
+}
+
+// fmEvictRun evicts run r's k lowest members a word at a time or, in the
+// reference mode the eviction oracle arms (tests), one entry at a time
+// through remove, sharing no code with runEvictLow.
+func (f *FTL) fmEvictRun(r int32, k int) {
+	fm := &f.fm
+	if fm.evictOracle != nil {
+		for i := 0; i < k; i++ {
+			fm.remove(fm.lowestMember(r))
+		}
+	} else {
+		fm.runEvictLow(r, k)
+	}
+	f.stats.CMTEvictions += uint64(k)
 }
 
 // fmAfterGC trims the CMT back toward its bound after a collection pass
@@ -532,19 +785,72 @@ func (f *FTL) fmEnforceCap() {
 // floor, so this path must never program a translation page (a dirty
 // overshoot waits for the next top-level update, which settles through the
 // normal flush machinery). Legacy-knob runs keep the basic layer's
-// defer-to-next-update semantics bit-for-bit and skip this.
+// defer-to-next-update semantics bit-for-bit and skip this. A run on the
+// way gives up its lowest members as in fmEnforceCap.
 func (f *FTL) fmAfterGC() {
 	fm := &f.fm
-	if !fm.enabled || fm.legacy || fm.flushing || fm.batch || f.gcDepth > 0 {
+	if !fm.enabled || fm.legacy || fm.flushing || fm.batch || f.gcDepth > 0 || fm.cachedCount <= fm.cap {
 		return
 	}
+	start := fm.cachedCount
 	for l := fm.lruTail; fm.cachedCount > fm.cap && l >= 0; {
 		prev := fm.lruPrev[l]
-		if !fm.isDirty(int64(l)) {
+		switch {
+		case l >= fm.runBase:
+			r := l - fm.runBase
+			f.fmEvictRun(r, min(int(fm.runs[r].count), fm.cachedCount-fm.cap))
+		case !fm.isDirty(int64(l)):
 			fm.remove(int64(l))
 			f.stats.CMTEvictions++
 		}
 		l = prev
+	}
+	if fm.enforced != nil {
+		fm.enforced(true, start)
+	}
+}
+
+// fmCheckRun verifies one live run: its count is its bitmap's popcount, no
+// member lies outside its page or below its low cursor, and every member is
+// cached, clean, in no other run and not linked on its own. covered
+// collects the members.
+func (f *FTL) fmCheckRun(r int32, covered []uint64, report func(format string, args ...any)) {
+	fm := &f.fm
+	run := fm.runs[r]
+	first := int64(run.tvpn) * int64(fm.entriesPerTP)
+	last := min(first+int64(fm.entriesPerTP), f.totalUnits) - 1
+	base := fm.tpWord0(run.tvpn)
+	pop := 0
+	for w, m := range fm.runWords(r) {
+		if m == 0 {
+			continue
+		}
+		pop += bits.OnesCount64(m)
+		if int32(w) < run.lo {
+			report("run %d has members below its low cursor (word %d < %d)", r, w, run.lo)
+		}
+		for ; m != 0; m &= m - 1 {
+			lun := (base+int64(w))<<6 + int64(bits.TrailingZeros64(m))
+			switch {
+			case lun < first || lun > last:
+				report("run %d of page %d holds lun %d outside the page", r, run.tvpn, lun)
+				continue
+			case !fm.isCached(lun):
+				report("run %d member lun %d is not cached", r, lun)
+			case fm.isDirty(lun):
+				report("run %d member lun %d is dirty", r, lun)
+			}
+			if covered[lun>>6]&(1<<(uint64(lun)&63)) != 0 {
+				report("lun %d linked on its own and in a run", lun)
+			}
+			covered[lun>>6] |= 1 << (uint64(lun) & 63)
+			if fm.lruNext[lun] != -1 || fm.lruPrev[lun] != -1 || fm.lruHead == int32(lun) {
+				report("run %d member lun %d is linked on its own", r, lun)
+			}
+		}
+	}
+	if pop != int(run.count) || run.count <= 0 {
+		report("run %d count %d but %d member bits", r, run.count, pop)
 	}
 }
 
@@ -709,27 +1015,95 @@ func (f *FTL) fmCheckInvariants(report func(format string, args ...any)) {
 	}
 
 	// LRU walk: exactly the cached set, consistent back-links, no cycle.
-	walked := 0
+	// It counts entries, not nodes: a run stands for its members, and
+	// every cached lun is linked on its own or a member of one run.
+	if len(fm.lruNext) != int(fm.runBase)+len(fm.runs) || len(fm.runBits) != len(fm.runs)*fm.runStride {
+		report("LRU arrays hold %d ids and %d run words for %d runs", len(fm.lruNext), len(fm.runBits), len(fm.runs))
+		return
+	}
+	covered := make([]uint64, len(fm.cached))
+	isLive := make([]bool, len(fm.runs))
+	walked, nodes, liveRuns := 0, 0, 0
 	prev := int32(-1)
 	for l := fm.lruHead; l >= 0; l = fm.lruNext[l] {
 		if fm.lruPrev[l] != prev {
-			report("LRU back-link of lun %d is %d, want %d", l, fm.lruPrev[l], prev)
+			report("LRU back-link of node %d is %d, want %d", l, fm.lruPrev[l], prev)
 			break
+		}
+		if nodes++; nodes > len(fm.lruNext) {
+			report("LRU cycle")
+			break
+		}
+		prev = l
+		if l >= fm.runBase {
+			r := l - fm.runBase
+			if isLive[r] {
+				report("run %d linked twice", r)
+				break
+			}
+			isLive[r] = true
+			liveRuns++
+			walked += int(fm.runs[r].count)
+			f.fmCheckRun(r, covered, report)
+			continue
 		}
 		if !fm.isCached(int64(l)) {
 			report("LRU holds uncached lun %d", l)
 		}
-		walked++
-		if walked > fm.cachedCount {
-			report("LRU cycle or length > %d cached entries", fm.cachedCount)
-			break
+		if covered[l>>6]&(1<<(uint64(l)&63)) != 0 {
+			report("lun %d linked on its own and in a run", l)
 		}
-		prev = l
+		covered[l>>6] |= 1 << (uint64(l) & 63)
+		walked++
 	}
 	if walked != fm.cachedCount {
 		report("LRU walk covers %d entries, CMT holds %d", walked, fm.cachedCount)
 	} else if fm.lruTail != prev {
 		report("LRU tail %d, walk ended at %d", fm.lruTail, prev)
+	}
+	for w := range covered {
+		if covered[w] != fm.cached[w] {
+			report("cached bits %#x of word %d but the LRU covers %#x", fm.cached[w], w, covered[w])
+			break
+		}
+	}
+
+	// Run lists: each page lists exactly its live runs; the rest are free.
+	listed := 0
+	for t, r := range fm.tpRuns {
+		for n := 0; r >= 0; r, n = fm.runs[r].next, n+1 {
+			if int(r) >= len(fm.runs) || n > len(fm.runs) {
+				report("page %d run list broken at run %d", t, r)
+				break
+			}
+			if !isLive[r] || int(fm.runs[r].tvpn) != t {
+				report("page %d lists run %d, which is not one of its live runs", t, r)
+			}
+			listed++
+		}
+	}
+	if listed != liveRuns {
+		report("page run lists hold %d runs, the LRU links %d", listed, liveRuns)
+	}
+	free := 0
+	for r := fm.runFree; r >= 0; r = fm.runs[r].next {
+		if int(r) >= len(fm.runs) || free > len(fm.runs) {
+			report("free run list broken at run %d", r)
+			break
+		}
+		if isLive[r] || fm.runs[r].count != 0 || fm.lruNext[fm.runBase+r] != -1 || fm.lruPrev[fm.runBase+r] != -1 {
+			report("free run %d is live, counts %d members or keeps LRU links", r, fm.runs[r].count)
+		}
+		for _, m := range fm.runWords(r) {
+			if m != 0 {
+				report("free run %d keeps member bits", r)
+				break
+			}
+		}
+		free++
+	}
+	if free+liveRuns != len(fm.runs) {
+		report("%d free and %d live runs in a pool of %d", free, liveRuns, len(fm.runs))
 	}
 
 	// Per-translation-page dirty counters.

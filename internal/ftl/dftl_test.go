@@ -226,15 +226,18 @@ func TestTransGCCrashConsistency(t *testing.T) {
 
 // FuzzCMTEviction lets the fuzzer pick the CMT bound, the writeback batch
 // size, the remap-aware knobs (page-fill, clean-window depth, checkpoint-cut
-// batching) and the workload shape, then replays the oracle workload with
-// the mapping and eviction oracles armed: any divergence between the
-// flash-resident table and the live map, or between an eviction decision
-// and the from-the-tail window scan, panics at the faulting step; any
-// structural break fails CheckInvariants, and the SPOR rebuild must stay
-// lossless. Sub-floor CMT bounds exercise the clamp; batch size 1 forces a
-// writeback per dirtied translation page; the knob axes cover the legacy
-// configuration (fill off, window 1, batch off) through deep clean-window
-// search.
+// batching) and the workload shape, then replays the oracle workload twice.
+// The first run arms the mapping and eviction oracles: any divergence
+// between the flash-resident table and the live map, or between an
+// eviction decision and the from-the-tail window scan, panics at the
+// faulting step, and runs are evicted one entry at a time. The second run
+// evicts runs a word at a time and must end in the same state (sameCMT).
+// In both, every enforcement that starts above the bound must end at it,
+// any structural break fails CheckInvariants, and the SPOR rebuild must
+// stay lossless. Sub-floor CMT bounds exercise the clamp; batch size 1
+// forces a writeback per dirtied translation page; the knob axes cover the
+// legacy configuration (fill off, window 1, batch off) through deep
+// clean-window search.
 func FuzzCMTEviction(f *testing.F) {
 	f.Add(uint64(1), uint16(1), uint16(96), uint16(1024), false, uint8(0), false)
 	f.Add(uint64(2), uint16(700), uint16(8), uint16(512), true, uint8(1), true)
@@ -254,21 +257,28 @@ func FuzzCMTEviction(f *testing.F) {
 		cfg.CMTNoFill = noFill
 		cfg.CMTCleanWindow = int(window) // 0 = default, 1 = strict LRU
 		cfg.CMTNoBatch = noBatch
-		e, _, ftl := newDFTL(t, cfg)
-		ftl.EnableMapOracle()
-		armEvictOracle(ftl)
+		run := func(armed bool) cmtState {
+			e, _, ftl := newDFTL(t, cfg)
+			ftl.EnableMapOracle()
+			if armed {
+				armEvictOracle(ftl)
+			}
+			checkEnforcement(ftl)
 
-		rng := benchRNG(seed | 1)
-		oracleWorkload(t, e, ftl, &rng, int(rounds)%1536+64)
-		settleCMT(e, ftl)
-		if ftl.fm.cachedCount > ftl.fm.cap {
-			t.Fatalf("CMT over bound: %d > %d", ftl.fm.cachedCount, ftl.fm.cap)
+			rng := benchRNG(seed | 1)
+			oracleWorkload(t, e, ftl, &rng, int(rounds)%1536+64)
+			settleCMT(e, ftl)
+			if ftl.fm.cachedCount > ftl.fm.cap {
+				t.Fatalf("CMT over bound: %d > %d", ftl.fm.cachedCount, ftl.fm.cap)
+			}
+			if err := ftl.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if rep := ftl.VerifySPOR(); rep.Mismatches != 0 {
+				t.Fatalf("SPOR lost durable state: %s", rep)
+			}
+			return captureCMT(ftl)
 		}
-		if err := ftl.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		if rep := ftl.VerifySPOR(); rep.Mismatches != 0 {
-			t.Fatalf("SPOR lost durable state: %s", rep)
-		}
+		sameCMT(t, run(true), run(false))
 	})
 }

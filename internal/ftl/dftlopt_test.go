@@ -326,11 +326,81 @@ func TestDFTLDirtyTailAllocs(t *testing.T) {
 		t.Fatal("no evictions: the path under test never ran")
 	}
 	depth := 0
-	for l := f.fm.lruTail; l >= 0 && f.fm.isDirty(int64(l)); l = f.fm.lruPrev[l] {
+	for l := range entriesFromTail(&f.fm) {
+		if !f.fm.isDirty(int64(l)) {
+			break
+		}
 		depth++
 	}
 	if depth != f.fm.cleanWindow-1 {
 		t.Fatalf("dirty run at the LRU tail is %d entries, want %d", depth, f.fm.cleanWindow-1)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// uniformFTL builds the uniform-key DFTL regime at small scale: 4 KB
+// translation pages (512 entries each) over ~180k mapped luns, every page
+// on flash, and a 32768-entry CMT holding under a fifth of the map. step
+// reads one uniformly chosen lun: most reads miss, fetch their page and
+// page-fill several hundred entries, and cap enforcement evicts as many.
+func uniformFTL(tb testing.TB) (*FTL, func()) {
+	tb.Helper()
+	cfg := dftlCfg()
+	cfg.CMTEntries = 32768
+	cfg.MetaFlushEntries = 1 << 30 // reads only: nothing to write back
+	e := sim.NewEngine()
+	arr, err := nand.New(e, nand.Geometry{
+		Channels: 1, PackagesPerChannel: 1, DiesPerPackage: 1, PlanesPerDie: 1,
+		BlocksPerPlane: 2048, PagesPerBlock: 16, PageSize: 4096,
+	}, fastTim())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, err := New(e, arr, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	unit := int64(f.unit)
+	luns := f.logicalBytes / unit
+	epp := int64(f.fm.entriesPerTP)
+	for tvpn := int64(0); tvpn < int64(f.fm.numTPs); tvpn++ {
+		f.Write(tvpn*epp*unit, unit, TagHostData, StreamData)
+	}
+	f.Sync(StreamData, TagHostData)
+	e.Run()
+	persistTPs(tb, e, f)
+	uncacheClean(f)
+	rng := benchRNG(0x2545f4914f6cdd1d)
+	i := 0
+	step := func() {
+		f.Read(int64(rng.next()>>8)%luns*unit, unit)
+		if i++; i%64 == 0 {
+			e.Run()
+		}
+	}
+	return f, step
+}
+
+// TestDFTLRunPoolAllocs guards the run pool: once uniform misses have
+// grown it to its working size, page-fills reuse freed runs, and the
+// fill/evict path allocates nothing and never grows the pool again.
+func TestDFTLRunPoolAllocs(t *testing.T) {
+	f, step := uniformFTL(t)
+	for i := 0; i < 20000; i++ {
+		step()
+	}
+	pool := len(f.fm.runs)
+	evictions := f.stats.CMTEvictions
+	if n := testing.AllocsPerRun(2000, step); n != 0 {
+		t.Fatalf("uniform page-fill + run eviction path allocates %.4f/op, want 0", n)
+	}
+	if len(f.fm.runs) != pool {
+		t.Fatalf("run pool grew from %d to %d runs in steady state", pool, len(f.fm.runs))
+	}
+	if f.stats.CMTEvictions-evictions < 100000 {
+		t.Fatalf("only %d evictions: the fill/evict regime was not reached", f.stats.CMTEvictions-evictions)
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -344,7 +414,9 @@ func TestDFTLDirtyTailAllocs(t *testing.T) {
 // the evidence that the incremental dirty index removed the per-flush
 // O(numTPs) scan from the hot path. dirty-tail isolates page-fill misses
 // under a pinned dirty LRU tail (dirtyTailFTL): the resumed clean-first
-// search's case.
+// search's case. uniform is uniform misses over a map five times the CMT
+// (uniformFTL), each filling and evicting several hundred entries: the
+// run-length CMT's case.
 func BenchmarkDFTLHostPath(b *testing.B) {
 	b.Run("opt", func(b *testing.B) { benchDFTLHostPath(b, dftlCfg()) })
 	b.Run("dirty-tail", func(b *testing.B) {
@@ -353,6 +425,18 @@ func BenchmarkDFTLHostPath(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			step()
+		}
+	})
+	b.Run("uniform", func(b *testing.B) {
+		f, step := uniformFTL(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+		b.StopTimer()
+		if err := f.CheckInvariants(); err != nil {
+			b.Fatal(err)
 		}
 	})
 	b.Run("legacy", func(b *testing.B) {

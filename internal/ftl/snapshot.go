@@ -56,6 +56,10 @@ type FTLState struct {
 	fmLruPrev     []int32
 	fmLruHead     int32
 	fmLruTail     int32
+	fmRuns        []cmtRun
+	fmRunBits     []uint64
+	fmRunFree     int32
+	fmTPRuns      []int32
 	fmStored      []int64
 	fmGtd         []int64
 	fmTpOwner     []int64
@@ -144,6 +148,10 @@ func (f *FTL) Snapshot() (*FTLState, error) {
 		st.fmLruPrev = append([]int32(nil), f.fm.lruPrev...)
 		st.fmLruHead = f.fm.lruHead
 		st.fmLruTail = f.fm.lruTail
+		st.fmRuns = append([]cmtRun(nil), f.fm.runs...)
+		st.fmRunBits = append([]uint64(nil), f.fm.runBits...)
+		st.fmRunFree = f.fm.runFree
+		st.fmTPRuns = append([]int32(nil), f.fm.tpRuns...)
 		st.fmStored = append([]int64(nil), f.fm.stored...)
 		st.fmGtd = append([]int64(nil), f.fm.gtd...)
 		st.fmTpOwner = append([]int64(nil), f.fm.tpOwner...)
@@ -225,10 +233,16 @@ func (f *FTL) Restore(st *FTLState) error {
 		copy(f.fm.dirty, st.fmDirty)
 		f.fm.cachedCount = st.fmCachedCount
 		f.fm.dirtyCount = st.fmDirtyCount
-		copy(f.fm.lruNext, st.fmLruNext)
-		copy(f.fm.lruPrev, st.fmLruPrev)
+		// The LRU arrays carry the run nodes' ids past the luns', so their
+		// length follows the restored run pool.
+		f.fm.lruNext = append(f.fm.lruNext[:0], st.fmLruNext...)
+		f.fm.lruPrev = append(f.fm.lruPrev[:0], st.fmLruPrev...)
 		f.fm.lruHead = st.fmLruHead
 		f.fm.lruTail = st.fmLruTail
+		f.fm.runs = append(f.fm.runs[:0], st.fmRuns...)
+		f.fm.runBits = append(f.fm.runBits[:0], st.fmRunBits...)
+		f.fm.runFree = st.fmRunFree
+		copy(f.fm.tpRuns, st.fmTPRuns)
 		copy(f.fm.stored, st.fmStored)
 		copy(f.fm.gtd, st.fmGtd)
 		copy(f.fm.tpOwner, st.fmTpOwner)
