@@ -11,7 +11,7 @@ import (
 // The compaction layer separates policy from mechanism, the amethystdb
 // Director/Executor design: the director inspects the level/tier shapes and
 // decides *what* to merge, the executor performs the k-way merge — read the
-// inputs sequentially, fold to the newest version per key, write the output
+// inputs sequentially, merge to the newest version per key, write the output
 // run sequentially, publish, delete the inputs. One compaction runs at a
 // time; the director re-evaluates after each install so pressure cascades
 // down the hierarchy deterministically.
@@ -178,24 +178,43 @@ func (en *Engine) startCompaction(force bool) bool {
 	return true
 }
 
-// mergeRuns folds the inputs to the newest version per key. Input order
-// must be oldest-first within overlapping levels; version numbers carry the
-// truth, so the fold is order-insensitive — max version wins.
+// mergeRuns k-way merges the inputs' sorted key slices into one sorted
+// entry list holding the newest version of every key. Each step takes the
+// smallest head key across the inputs; the input holding it at the highest
+// version supplies the entry, the earliest such input on a version tie, and
+// every input at that key advances. The output is presized to the summed
+// input length, so a merge makes two allocations: the output and the
+// per-input cursors.
 func mergeRuns(inputs []*run) []runEntry {
-	newest := make(map[int64]runEntry, len(inputs)*64)
+	total := 0
 	for _, r := range inputs {
-		for i, k := range r.keys {
-			if cur, ok := newest[k]; !ok || r.vers[i] > cur.version {
-				newest[k] = runEntry{key: k, version: r.vers[i], size: int(r.sizes[i])}
+		total += len(r.keys)
+	}
+	out := make([]runEntry, 0, total)
+	pos := make([]int, len(inputs))
+	for {
+		best := -1
+		var key int64
+		for i, r := range inputs {
+			if pos[i] == len(r.keys) {
+				continue
+			}
+			k := r.keys[pos[i]]
+			if best < 0 || k < key || (k == key && r.vers[pos[i]] > inputs[best].vers[pos[best]]) {
+				best, key = i, k
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		r, j := inputs[best], pos[best]
+		out = append(out, runEntry{key: key, version: r.vers[j], size: int(r.sizes[j])})
+		for i, r := range inputs {
+			if pos[i] < len(r.keys) && r.keys[pos[i]] == key {
+				pos[i]++
 			}
 		}
 	}
-	out := make([]runEntry, 0, len(newest))
-	for _, e := range newest {
-		out = append(out, e)
-	}
-	sortEntries(out)
-	return out
 }
 
 // executeCompaction is the executor: stream the inputs up to the host,

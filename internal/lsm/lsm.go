@@ -114,15 +114,6 @@ type Stats struct {
 	ManifestWrites   uint64
 }
 
-// memEntry is the memtable's value cell: the newest version of a key plus
-// the WAL record that made it durable (the flush strategies that copy or
-// remap device-side need the record's WAL location).
-type memEntry struct {
-	version int64
-	size    int
-	rec     *walRec
-}
-
 // Engine is the LSM host engine bound to one simulated device.
 type Engine struct {
 	core.Base
@@ -135,13 +126,20 @@ type Engine struct {
 	alloc         *allocator
 
 	// w is the write-ahead log; walLogs[h] holds the records logged to WAL
-	// half h since it last became active, and walSeq numbers them.
-	w        *core.GroupCommit[*walRec]
-	walLogs  [2][]*walRec
-	walSeq   int64
-	mem      map[int64]*memEntry
-	imm      map[int64]*memEntry // sealed memtable while its flush runs
+	// half h since it last became active, and walSeq numbers them. New
+	// records are cut from recSlab.
+	w       *core.GroupCommit[*walRec]
+	walLogs [2][]*walRec
+	walSeq  int64
+	recSlab []walRec
+
+	// mem maps each key to the WAL record of its newest version: the
+	// record holds the version and payload size, and the flush strategies
+	// that copy or remap device-side need its WAL location.
+	mem      map[int64]*walRec
+	imm      map[int64]*walRec // sealed memtable while its flush runs
 	memLimit int
+	memHint  int // map size hint for a fresh memtable
 
 	levels    [maxLevels][]*run
 	nextRunID uint64
@@ -174,8 +172,11 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		unit:     int64(dev.FTL().UnitSize()),
 		memLimit: cfg.MemtableEntries,
-		mem:      make(map[int64]*memEntry),
+		// A filling WAL half also seals the memtable, so a half of sector
+		// records caps the hint when MemtableEntries is set very large.
+		memHint: int(min(int64(cfg.MemtableEntries), cfg.JournalHalfBytes/sector)),
 	}
+	en.mem = make(map[int64]*walRec, en.memHint)
 	// Space layout: two WAL halves, two manifest slots, then the run area.
 	en.manifestStart = 2 * cfg.JournalHalfBytes
 	en.manifestSlot = 256 << 10
@@ -281,9 +282,7 @@ func (en *Engine) newRun(level int, entries []runEntry, inCompaction bool) *run 
 
 // allocatable reports whether an extent of n laid-out bytes could be taken.
 func (en *Engine) allocatable(n int64) bool {
-	probe := en.alloc.clone()
-	_, ok := probe.take(roundUp(n, en.extAlign()))
-	return ok
+	return en.alloc.fits(roundUp(n, en.extAlign()))
 }
 
 // writeRunSequential streams a run's extent to the device in large
@@ -353,18 +352,34 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 		return
 	}
 	en.walSeq++
-	rec := &walRec{seq: en.walSeq, key: key, version: v, payload: size}
+	rec := en.newRec()
+	*rec = walRec{seq: en.walSeq, key: key, version: v, payload: size}
 	log := &en.walLogs[en.w.Active()]
 	*log = append(*log, rec)
 	commit := en.w.Queue(size)
 	en.w.StartCommit()
-	en.mem[key] = &memEntry{version: v, size: size, rec: rec}
+	en.mem[key] = rec
 	en.cfg.Injector.Hit(inject.SiteWALAppend)
 	if !en.CheckpointRunning() &&
 		(len(en.mem) >= en.memLimit || en.w.UsedFrac() > en.cfg.JournalSoftFrac) {
 		en.TriggerCheckpoint()
 	}
 	p.Wait(commit)
+}
+
+// recSlabLen is how many WAL records one slab allocation holds.
+const recSlabLen = 256
+
+// newRec cuts the next WAL record from the slab, allocating a fresh slab
+// when the current one is used up. A slab stays live while any of its
+// records is in a WAL log or a memtable.
+func (en *Engine) newRec() *walRec {
+	if len(en.recSlab) == 0 {
+		en.recSlab = make([]walRec, recSlabLen)
+	}
+	rec := &en.recSlab[0]
+	en.recSlab = en.recSlab[1:]
+	return rec
 }
 
 // Scan executes a range read of n consecutive records starting at key: one
@@ -416,7 +431,7 @@ func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 	// sealed record is durable, so the flushed run holds only committed
 	// versions — recovery equivalence depends on this.
 	en.imm = en.mem
-	en.mem = make(map[int64]*memEntry)
+	en.mem = make(map[int64]*walRec, en.memHint)
 	maxSeq := en.walSeq
 	half, used := en.w.Cut(p, &en.walLogs[en.w.Active()^1])
 
@@ -451,8 +466,8 @@ func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 // configured checkpoint strategy for the data transfer.
 func (en *Engine) flushRun(p *sim.Proc) *run {
 	entries := make([]runEntry, 0, len(en.imm))
-	for k, e := range en.imm {
-		entries = append(entries, runEntry{key: k, version: e.version, size: e.size})
+	for k, rec := range en.imm {
+		entries = append(entries, runEntry{key: k, version: rec.version, size: rec.payload})
 	}
 	sortEntries(entries)
 
@@ -485,14 +500,14 @@ func (en *Engine) flushRun(p *sim.Proc) *run {
 		// FTL, exactly the ISC-C/Check-In distinction of the journal engine.
 		reqs := make([]ssd.RemapEntry, len(entries))
 		for j, e := range entries {
-			reqs[j] = ssd.RemapEntry{Src: en.imm[e.key].rec.off, Dst: r.offs[j], Len: roundUp(int64(e.size), sector)}
+			reqs[j] = ssd.RemapEntry{Src: en.imm[e.key].off, Dst: r.offs[j], Len: roundUp(int64(e.size), sector)}
 		}
 		en.Remap(p, reqs)
 	default:
 		// ISC-A / ISC-B copy each record device-side from its WAL location
 		pairs := make([]ssd.CoWPair, len(entries))
 		for j, e := range entries {
-			rec := en.imm[e.key].rec
+			rec := en.imm[e.key]
 			pairs[j] = ssd.CoWPair{Src: rec.off, Dst: r.offs[j], Len: int64(rec.payload)}
 		}
 		en.CoW(p, pairs)

@@ -1,7 +1,9 @@
 package lsm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -47,10 +49,9 @@ type runEntry struct {
 }
 
 // sortEntries orders entries by key. Keys are distinct (one memtable cell
-// per key; merges fold duplicates first), so the order is total and the
-// layout deterministic.
+// per key), so the order is total and the layout deterministic.
 func sortEntries(entries []runEntry) {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	slices.SortFunc(entries, func(a, b runEntry) int { return cmp.Compare(a.key, b.key) })
 }
 
 // planRun lays entries (must be sorted by key) out from base and returns
@@ -76,13 +77,10 @@ func planRun(id uint64, level int, entries []runEntry, base int64) (*run, int64)
 	return r, off
 }
 
-// find returns the index of key in the run, or ok=false.
+// find returns the index of key in the run, or ok=false when the run does
+// not hold it.
 func (r *run) find(key int64) (int, bool) {
-	i := sort.Search(len(r.keys), func(i int) bool { return r.keys[i] >= key })
-	if i < len(r.keys) && r.keys[i] == key {
-		return i, true
-	}
-	return 0, false
+	return slices.BinarySearch(r.keys, key)
 }
 
 // dataBytes returns the laid-out (slot-padded) size of the run.
@@ -158,9 +156,15 @@ func (a *allocator) utilization() float64 {
 	return 1 - float64(a.freeBytes())/float64(a.area.len)
 }
 
-// clone deep-copies the allocator (snapshot support).
-func (a *allocator) clone() *allocator {
-	return &allocator{area: a.area, free: append([]extent(nil), a.free...)}
+// fits reports whether take(n) would succeed: first fit finds an extent
+// exactly when some free extent holds at least n bytes.
+func (a *allocator) fits(n int64) bool {
+	for _, e := range a.free {
+		if e.len >= n {
+			return true
+		}
+	}
+	return false
 }
 
 func (a *allocator) String() string {

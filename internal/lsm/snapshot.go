@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/checkin-kv/checkin/internal/core"
 )
@@ -27,9 +28,7 @@ type EngineState struct {
 	walSeq int64
 	walLog []walRec
 
-	// mem maps key -> index into walLog (the memtable cell's record);
-	// -1 when the record is not in the active half's log (cannot happen
-	// for live memtable cells, but kept defensive).
+	// memIdx maps key -> index into walLog (the memtable cell's record).
 	memIdx map[int64]int
 
 	st        Stats
@@ -39,7 +38,8 @@ type EngineState struct {
 // SnapshotState captures the engine's mutable state as an *EngineState.
 // Must be called at a quiescent instant: no flush epoch (so no sealed
 // memtable), no WAL activity in flight (see core.Base.CaptureBase), no
-// compaction.
+// compaction. It fails if a memtable cell's record is not in the active
+// WAL half's log, since a restore could not relink that cell.
 func (en *Engine) SnapshotState() (any, error) {
 	base, err := en.CaptureBase()
 	if err != nil {
@@ -69,19 +69,19 @@ func (en *Engine) SnapshotState() (any, error) {
 	// value-snapshot the active half's WAL records, remembering which one
 	// each memtable cell points at
 	log := en.walLogs[en.w.Active()]
-	idxBySeq := make(map[int64]int, len(log))
+	idxOf := make(map[*walRec]int, len(log))
 	s.walLog = make([]walRec, len(log))
 	for i, rec := range log {
 		s.walLog[i] = *rec
-		idxBySeq[rec.seq] = i
+		idxOf[rec] = i
 	}
 	s.memIdx = make(map[int64]int, len(en.mem))
-	for k, e := range en.mem {
-		if i, ok := idxBySeq[e.rec.seq]; ok {
-			s.memIdx[k] = i
-		} else {
-			s.memIdx[k] = -1
+	for k, rec := range en.mem {
+		i, ok := idxOf[rec]
+		if !ok {
+			return nil, fmt.Errorf("lsm: snapshot: memtable cell for key %d holds WAL record %d, not in the active half's log", k, rec.seq)
 		}
+		s.memIdx[k] = i
 	}
 	return s, nil
 }
@@ -111,18 +111,14 @@ func (en *Engine) RestoreState(state any) error {
 	en.walLogs = [2][]*walRec{}
 	log := &en.walLogs[s.wal.Active()]
 	*log = make([]*walRec, len(s.walLog))
-	for i := range s.walLog {
-		rec := s.walLog[i] // copy
-		(*log)[i] = &rec
+	recs := slices.Clone(s.walLog)
+	for i := range recs {
+		(*log)[i] = &recs[i]
 	}
 	en.w.Restore(s.wal, log)
-	en.mem = make(map[int64]*memEntry, len(s.memIdx))
+	en.mem = make(map[int64]*walRec, en.memHint)
 	for k, i := range s.memIdx {
-		if i < 0 {
-			continue
-		}
-		rec := (*log)[i]
-		en.mem[k] = &memEntry{version: rec.version, size: rec.payload, rec: rec}
+		en.mem[k] = (*log)[i]
 	}
 	en.imm = nil
 
