@@ -45,24 +45,29 @@ func (en *Engine) baselineCheckpoint(p *sim.Proc, snap ckptSnapshot) {
 	if w < 1 {
 		w = 32
 	}
+	// Each block request costs the host software path before it reaches
+	// the device; Pace issues the requests one overhead apart.
+	var chunk []*jmtEntry
+	reads := make([]*sim.Future, 0, min(w, len(entries)))
+	read := func(k int) {
+		e := chunk[k]
+		reads[k] = en.dev.Read(e.off, int64(e.payload))
+	}
+	write := func(k int) {
+		e := chunk[k]
+		en.dev.Release(en.dev.Write(e.targetOff, int64(e.payload), ssd.AreaCheckpoint))
+	}
 	for i := 0; i < len(entries); i += w {
-		chunk := entries[i:min(i+w, len(entries))]
-		// read the journal logs into a host buffer; each block request
-		// costs the host software path before it reaches the device
-		reads := make([]*sim.Future, len(chunk))
-		for k, e := range chunk {
-			p.Sleep(en.cfg.HostIOOverhead)
-			reads[k] = en.dev.Read(e.off, int64(e.payload))
-		}
-		p.WaitAll(reads)
+		chunk = entries[i:min(i+w, len(entries))]
+		// read the journal logs into a host buffer ...
+		reads = reads[:len(chunk)]
+		p.Pace(len(chunk), en.cfg.HostIOOverhead, read)
+		waitRelease(p, en.dev, reads...)
 		// ... then write the latest data back to the data area. Waiting
 		// on the flush (not the write futures) avoids stalling on
 		// partially filled pages under sub-page mapping units.
-		for _, e := range chunk {
-			p.Sleep(en.cfg.HostIOOverhead)
-			en.dev.Write(e.targetOff, int64(e.payload), ssd.AreaCheckpoint)
-		}
-		p.Wait(en.dev.Flush(ssd.AreaCheckpoint))
+		p.Pace(len(chunk), en.cfg.HostIOOverhead, write)
+		waitRelease(p, en.dev, en.dev.Flush(ssd.AreaCheckpoint))
 	}
 	// metadata describing the new checkpoint, then make it all durable
 	metaLen := roundUp(int64(len(entries))*32, hostSector)
@@ -70,9 +75,18 @@ func (en *Engine) baselineCheckpoint(p *sim.Proc, snap ckptSnapshot) {
 		metaLen = en.layout.MetaBytes
 	}
 	if metaLen > 0 {
-		en.dev.Write(en.layout.MetaStart, metaLen, ssd.AreaData)
+		en.dev.Release(en.dev.Write(en.layout.MetaStart, metaLen, ssd.AreaData))
 	}
-	p.Wait(en.dev.Flush(ssd.AreaData))
+	waitRelease(p, en.dev, en.dev.Flush(ssd.AreaData))
+}
+
+// waitRelease waits for device command futures, then hands them back to
+// dev for reuse.
+func waitRelease(p *sim.Proc, dev *ssd.Device, fs ...*sim.Future) {
+	p.WaitAll(fs)
+	for _, f := range fs {
+		dev.Release(f)
+	}
 }
 
 // remapRequests ships the whole JMT, OLD entries included (the device
@@ -120,16 +134,19 @@ func cowEach(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, window int, pairs
 	if window < 1 {
 		window = 128
 	}
-	for i := 0; i < len(pairs); i += window {
-		chunk := pairs[i:min(i+window, len(pairs))]
-		futs := make([]*sim.Future, len(chunk))
-		for k, c := range chunk {
-			p.Sleep(overhead)
-			futs[k] = dev.CoW(c.Src, c.Dst, c.Len)
-		}
-		p.WaitAll(futs)
+	var chunk []ssd.CoWPair
+	futs := make([]*sim.Future, 0, min(window, len(pairs)))
+	cow := func(k int) {
+		c := chunk[k]
+		futs[k] = dev.CoW(c.Src, c.Dst, c.Len)
 	}
-	p.Wait(dev.Flush(ssd.AreaData))
+	for i := 0; i < len(pairs); i += window {
+		chunk = pairs[i:min(i+window, len(pairs))]
+		futs = futs[:len(chunk)]
+		p.Pace(len(chunk), overhead, cow)
+		waitRelease(p, dev, futs...)
+	}
+	waitRelease(p, dev, dev.Flush(ssd.AreaData))
 }
 
 // cowBatched is ISC-B: the pairs ride in multi-CoW commands of batch

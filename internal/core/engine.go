@@ -199,12 +199,12 @@ func (en *Engine) Load() {
 			if off+n > en.layout.DataEnd {
 				n = en.layout.DataEnd - off
 			}
-			en.dev.Write(off, n, ssd.AreaData)
+			en.dev.Release(en.dev.Write(off, n, ssd.AreaData))
 			if issued++; issued%16 == 0 {
-				p.Wait(en.dev.Flush(ssd.AreaData))
+				waitRelease(p, en.dev, en.dev.Flush(ssd.AreaData))
 			}
 		}
-		p.Wait(en.dev.Flush(ssd.AreaData))
+		waitRelease(p, en.dev, en.dev.Flush(ssd.AreaData))
 	})
 	for k := range en.ckpted {
 		en.ckpted[k] = 1
@@ -226,9 +226,7 @@ func (en *Engine) Get(p *sim.Proc, key int64) {
 			// still in the engine's memory buffer: no device access
 			return
 		}
-		off, n := e.off, int64(e.payload)
-		p.Sleep(en.cfg.HostIOOverhead)
-		p.Wait(en.dev.Read(off, n))
+		waitRelease(p, en.dev, en.dev.ReadAfter(en.cfg.HostIOOverhead, e.off, int64(e.payload)))
 		return
 	}
 	if en.ckptSnapshot != nil {
@@ -242,13 +240,12 @@ func (en *Engine) Get(p *sim.Proc, key int64) {
 				// run, which outlasts this sleep.
 				off = e.off
 			}
-			p.Wait(en.dev.Read(off, n))
+			waitRelease(p, en.dev, en.dev.Read(off, n))
 			return
 		}
 	}
 	off, size := en.layout.Record(key)
-	p.Sleep(en.cfg.HostIOOverhead)
-	p.Wait(en.dev.Read(off, int64(size)))
+	waitRelease(p, en.dev, en.dev.ReadAfter(en.cfg.HostIOOverhead, off, int64(size)))
 }
 
 // Update executes a write query: journal the new version (write-ahead) and
@@ -279,7 +276,7 @@ func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
 			futs = append(futs, en.dev.Read(e.off, int64(e.payload)))
 		}
 	}
-	p.WaitAll(futs)
+	waitRelease(p, en.dev, futs...)
 }
 
 // ---------------------------------------------------------------------------

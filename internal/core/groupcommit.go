@@ -75,6 +75,12 @@ type GroupCommit[R LogRecord] struct {
 	nextBatch      *sim.Future
 	commitInFlight bool
 	inFlightDone   *sim.Future
+	// The batch being written: its records, laid-out length and device
+	// flush, read by the flush's completion handler (flushed).
+	// commitInFlight serialises batches, so one set suffices.
+	inFlight      []R
+	inFlightLen   int64
+	inFlightFlush *sim.Future
 	// cutting suspends commit auto-chaining while a cut rotates the
 	// halves, so the old half's final batch can be flushed without new
 	// arrivals extending it forever.
@@ -175,9 +181,8 @@ func (g *GroupCommit[R]) StartCommit() {
 }
 
 // commitBatch lays batch out at the absolute offset base, issues the device
-// write + flush, and returns the laid-out length. On flush completion the
-// batch's records are durable and the next pending batch is chained
-// (unless a cut is in progress).
+// write + flush, and returns the laid-out length. On flush completion
+// (flushed) the batch's records are durable.
 func (g *GroupCommit[R]) commitBatch(batch []R, fut *sim.Future, base int64) int64 {
 	g.commitInFlight = true
 	g.inFlightDone = fut
@@ -188,26 +193,40 @@ func (g *GroupCommit[R]) commitBatch(batch []R, fut *sim.Future, base int64) int
 
 	// The flush's completion covers the write's durability: commands are
 	// serviced FIFO on the link and the flush forces the written pages out.
-	g.dev.Write(base, length, ssd.AreaJournal)
-	ff := g.dev.Flush(ssd.AreaJournal)
-	ff.OnComplete(func() {
-		g.cfg.Tracer.Emit(g.eng.Now(), trace.KindJournalCommit, length, "")
-		for _, r := range batch {
-			key, version := r.Commit()
-			if version > g.durable[key] {
-				g.durable[key] = version
-			}
-			if g.onCommit != nil {
-				g.onCommit(key, version)
-			}
-		}
-		g.cfg.Injector.Hit(g.cfg.CommitSite)
-		g.commitInFlight = false
-		g.inFlightDone = nil
-		fut.Complete()
-		g.StartCommit()
-	})
+	g.dev.Release(g.dev.Write(base, length, ssd.AreaJournal))
+	g.inFlight, g.inFlightLen = batch, length
+	g.inFlightFlush = g.dev.Flush(ssd.AreaJournal)
+	g.inFlightFlush.OnCompleteHandler((*flushDone[R])(g))
 	return length
+}
+
+// flushDone is the Handler of a batch's flush completion.
+type flushDone[R LogRecord] GroupCommit[R]
+
+func (h *flushDone[R]) Fire() { (*GroupCommit[R])(h).flushed() }
+
+// flushed runs when the in-flight batch's flush completes: its records are
+// durable, their waiters wake, and the next pending batch is chained
+// (unless a cut is in progress).
+func (g *GroupCommit[R]) flushed() {
+	batch, fut := g.inFlight, g.inFlightDone
+	g.dev.Release(g.inFlightFlush)
+	g.inFlight, g.inFlightFlush = nil, nil
+	g.cfg.Tracer.Emit(g.eng.Now(), trace.KindJournalCommit, g.inFlightLen, "")
+	for _, r := range batch {
+		key, version := r.Commit()
+		if version > g.durable[key] {
+			g.durable[key] = version
+		}
+		if g.onCommit != nil {
+			g.onCommit(key, version)
+		}
+	}
+	g.cfg.Injector.Hit(g.cfg.CommitSite)
+	g.commitInFlight = false
+	g.inFlightDone = nil
+	fut.Complete()
+	g.StartCommit()
 }
 
 // Cut atomically rotates logging onto the alternate half — new appends
@@ -294,5 +313,6 @@ func (g *GroupCommit[R]) Restore(s LogState, log *[]R) {
 	g.nextBatch = nil
 	g.commitInFlight = false
 	g.inFlightDone = nil
+	g.inFlight, g.inFlightFlush = nil, nil
 	g.cutting = false
 }

@@ -107,7 +107,8 @@ func TestJMTDenseOracle(t *testing.T) {
 // across checkpoint cuts: once the table a finished checkpoint retired is
 // reused by a later cut, appending allocates nothing. Each cycle appends
 // one log that starts a group commit, then measures a burst buffered
-// behind it, then cuts and retires the old table as the engine does.
+// behind it, then measures whole single-update group commits, then cuts and
+// retires the old table as the engine does.
 func TestJournalAppendAllocs(t *testing.T) {
 	e, dev := newStack(t, 512)
 	l := testLayout(t, dev, 1000, 512, 512)
@@ -122,11 +123,25 @@ func TestJournalAppendAllocs(t *testing.T) {
 		j.Append(key, v, 300)
 		_ = j.UsedFrac()
 	}
+	// commit is one whole group commit of a single update: the device
+	// write and flush records come back through Release and the flush's
+	// completion handler is a method, so only the batch's future is new.
+	commit := func() {
+		update()
+		e.RunUntil(e.Now() + 10*sim.Millisecond)
+		if !j.Quiet() {
+			t.Fatal("group commit still in flight")
+		}
+	}
 	for cycle := 0; cycle < 5; cycle++ {
 		update() // starts a group commit: its futures are the commit's cost
 		n := testing.AllocsPerRun(200, update)
 		if cycle >= 2 && n != 0 {
 			t.Fatalf("cycle %d (after %d cuts): Update's journal path allocates %.2f/op, want 0", cycle, cycle, n)
+		}
+		e.RunUntil(e.Now() + 10*sim.Millisecond)
+		if n := testing.AllocsPerRun(20, commit); cycle >= 2 && n > 1 {
+			t.Fatalf("cycle %d: a group commit allocates %.2f objects, want at most 1 (the batch future)", cycle, n)
 		}
 		var snap ckptSnapshot
 		runProc(e, func(p *sim.Proc) { snap = j.CutForCheckpoint(p) })

@@ -148,9 +148,15 @@ func (s *shardRunner) stage(arr []workload.Arrival) {
 	s.arr = arr
 	s.arrIdx = 0
 	if len(arr) > 0 {
-		s.eng.At(s.base+arr[0].At, s.pace)
+		s.eng.AtHandler(s.base+arr[0].At, (*arrivals)(s))
 	}
 }
+
+// arrivals is the Handler of the shard's arrival event; the conversion
+// from *shardRunner allocates nothing, unlike the method value s.pace.
+type arrivals shardRunner
+
+func (a *arrivals) Fire() { (*shardRunner)(a).pace() }
 
 // pace is the single self-rescheduling arrival event: it enqueues every
 // staged arrival whose time has come and re-arms itself at the next one.
@@ -168,7 +174,7 @@ func (s *shardRunner) pace() {
 		s.sem.Release()
 	}
 	if s.arrIdx < len(s.arr) {
-		s.eng.At(s.base+s.arr[s.arrIdx].At, s.pace)
+		s.eng.AtHandler(s.base+s.arr[s.arrIdx].At, (*arrivals)(s))
 	}
 }
 

@@ -233,6 +233,11 @@ func (s *ShardedDB) buildShards() error {
 	tmpl.Load()
 	s.tmplWall = time.Since(start)
 	snap, snapErr := tmpl.Snapshot()
+	if snapErr == nil {
+		// Every shard forks from the snapshot: drop the template so a
+		// collection during the forks can hand its memory to them.
+		tmpl = nil
+	}
 	for i := 0; i < s.cfg.Shards; i++ {
 		forkStart := time.Now()
 		var db *checkin.DB
@@ -298,7 +303,10 @@ func (s *ShardedDB) Run() (*Report, error) {
 	nShards := len(s.shards)
 
 	remaining := s.cfg.TotalOps
-	var pending *workload.Arrival // lookahead arrival beyond the current window
+	// lookahead arrival beyond the current window, held by value: a
+	// pointer to it would move every generated arrival to the heap
+	var pending workload.Arrival
+	havePending := false
 	staged := make([][]workload.Arrival, nShards)
 	winStart := sim.VTime(0)
 
@@ -313,15 +321,14 @@ func (s *ShardedDB) Run() (*Report, error) {
 			staged[i] = staged[i][:0]
 		}
 		for remaining > 0 {
-			if pending == nil {
-				a := s.gen.Next()
-				pending = &a
+			if !havePending {
+				pending, havePending = s.gen.Next(), true
 			}
 			if pending.At >= winEnd {
 				break
 			}
-			a := *pending
-			pending = nil
+			a := pending
+			havePending = false
 			remaining--
 			s.offered[a.Tenant]++
 			if s.buckets != nil && !s.buckets[a.Tenant].admit(a.At) {
@@ -334,7 +341,7 @@ func (s *ShardedDB) Run() (*Report, error) {
 		}
 
 		// Phase 2: stage arrivals and the window's checkpoint cuts.
-		trafficLive := remaining > 0 || pending != nil
+		trafficLive := remaining > 0 || havePending
 		for i, r := range s.shards {
 			r.stage(staged[i])
 			if trafficLive {

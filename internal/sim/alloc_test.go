@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -23,7 +24,8 @@ func (c *countHandler) Fire() {
 // dispatching events — the closure form (At/Schedule) and the Handler form
 // (AtHandler, which completes a *Future or fires any pointer Handler) — must
 // not allocate, and neither may registering a pointer Handler on a future
-// (OnCompleteHandler) or a semaphore (AcquireAsyncHandler). The nand layer
+// (OnCompleteHandler, also as a future's second and third waiter) or a
+// semaphore (AcquireAsyncHandler). The nand layer
 // completes every flash operation through AtHandler and the ssd layer drives
 // every command through all three, so a regression here taxes every
 // simulated I/O.
@@ -62,6 +64,24 @@ func TestSchedulingAllocs(t *testing.T) {
 		e.Run()
 	}); n != 0 {
 		t.Fatalf("OnCompleteHandler + completion allocates %.2f/op, want 0", n)
+	}
+
+	// A future with several waiters keeps the later ones in a list that
+	// Complete hands back to the engine for the next such future.
+	var order []int
+	hs := []*countHandler{{log: &order, tag: 1}, {log: &order, tag: 2}, {log: &order, tag: 3}}
+	if n := testing.AllocsPerRun(100, func() {
+		*fut = Future{eng: e}
+		for _, w := range hs {
+			fut.OnCompleteHandler(w)
+		}
+		e.AtHandler(e.Now()+1, fut)
+		e.Run()
+	}); n != 0 {
+		t.Fatalf("three waiters + completion allocates %.2f/op, want 0", n)
+	}
+	if len(order) != 3*101 || !slices.Equal(order[len(order)-3:], []int{1, 2, 3}) {
+		t.Fatalf("waiters woke %d times, last round %v; want 303, FIFO [1 2 3]", len(order), order[max(0, len(order)-3):])
 	}
 
 	s := NewSemaphore(e, 1)

@@ -63,6 +63,25 @@ func TestProcWakeAllocs(t *testing.T) {
 	if e.LiveProcs() != 0 {
 		t.Errorf("LiveProcs = %d after both processes returned, want 0", e.LiveProcs())
 	}
+
+	// Pace: the pacer lives in the Proc, so a paced loop allocates nothing.
+	steps := 0
+	count := func(int) { steps++ }
+	rounds := 0
+	e.Go("pacer", func(p *Proc) {
+		for rounds < 102 {
+			p.Pace(8, 1, count)
+			rounds++
+		}
+	})
+	e.RunUntil(e.Now() + 8)
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 8) }); n != 0 {
+		t.Errorf("Pace allocates %.2f per 8 steps, want 0", n)
+	}
+	e.Run()
+	if steps != 8*102 {
+		t.Errorf("Pace ran %d steps, want %d", steps, 8*102)
+	}
 }
 
 func panicker() { panic(errors.New("boom")) }
@@ -203,4 +222,16 @@ func BenchmarkProcSwitch(b *testing.B) {
 		b.ResetTimer()
 		e.Run()
 	})
+}
+
+// BenchmarkProcPace measures one Pace step: the event that runs a step of a
+// paced loop and schedules the next, standing in for BenchmarkProcSwitch's
+// "sleep" wake-up plus park.
+func BenchmarkProcPace(b *testing.B) {
+	e := NewEngine()
+	e.Go("pacer", func(p *Proc) { p.Pace(b.N+1, 1, func(int) {}) })
+	e.RunUntil(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }

@@ -187,6 +187,10 @@ type Engine struct {
 	// Complete on one always panics), so every fast path that finishes
 	// synchronously can hand out the same instance instead of allocating.
 	completed *Future
+
+	// waiterLists holds emptied waiter lists of completed futures, for the
+	// next future that gains a second waiter (see Future.addWaiter).
+	waiterLists []*[]Handler
 }
 
 // maxVTime is the end of virtual time, used as the "no deadline" sentinel.
@@ -415,6 +419,10 @@ type Proc struct {
 	// scheduler.
 	resume func() (struct{}, bool)
 	yield  func(struct{}) bool
+
+	// pace is the process's one pacer: a parked process cannot start a
+	// second Pace, so the record is reused and pacing allocates nothing.
+	pace pacer
 }
 
 // A ProcPanic is the value the engine panics with when a process body
@@ -474,12 +482,63 @@ func (p *Proc) Fire() { p.resume() }
 
 // block parks the process until something fires it. The wake-up must
 // already be scheduled before calling block.
-func (p *Proc) block() { p.yield(struct{}{}) }
+func (p *Proc) block() {
+	if p.pace.inStep {
+		panic(fmt.Sprintf("sim: process %q blocked inside a Pace step", p.name))
+	}
+	p.yield(struct{}{})
+}
 
 // Sleep suspends the process for d units of virtual time.
 func (p *Proc) Sleep(d VTime) {
 	p.eng.AtHandler(p.eng.now+d, p)
 	p.block()
+}
+
+// Pace dispatches exactly as
+//
+//	for k := 0; k < n; k++ {
+//		p.Sleep(gap)
+//		step(k)
+//	}
+//
+// without resuming the process between steps. step(k) runs in engine
+// context inside the event the k-th Sleep would have scheduled: same
+// instant, same sequence number, drawn at the same point (at the call for
+// k = 0, right after step(k-1) otherwise). After step(n-1) the process
+// resumes inline in that same event; a separate wake-up would draw a later
+// sequence number and reorder same-instant events. Each step event stands
+// in for one wake-up event, so the executed-event count is unchanged too.
+// step must not block: it does not run on the process's stack.
+func (p *Proc) Pace(n int, gap VTime, step func(k int)) {
+	if n <= 0 {
+		return
+	}
+	p.pace = pacer{p: p, step: step, n: n, gap: gap}
+	p.eng.AtHandler(p.eng.now+gap, &p.pace)
+	p.block()
+}
+
+// pacer is the state of one Proc.Pace; each Fire is one step.
+type pacer struct {
+	p      *Proc
+	step   func(k int)
+	k, n   int
+	gap    VTime
+	inStep bool // step is running: the process must not block
+}
+
+func (pc *pacer) Fire() {
+	pc.inStep = true
+	pc.step(pc.k)
+	pc.inStep = false
+	if pc.k++; pc.k < pc.n {
+		e := pc.p.eng
+		e.AtHandler(e.now+pc.gap, pc)
+		return
+	}
+	pc.step = nil
+	pc.p.Fire()
 }
 
 // Wait suspends the process until f completes. Returns immediately if f is
@@ -504,13 +563,17 @@ func (p *Proc) WaitAll(fs []*Future) {
 type Future struct {
 	eng  *Engine
 	done bool
+	// tag is free for the package that embeds the future (see SetTag); it
+	// sits in done's padding, so it costs no space.
+	tag uint8
 	// w0 holds the first waiter inline: the overwhelming majority of
 	// futures have exactly one waiter, and keeping it out of the list
 	// avoids a heap allocation per wait. The later waiters sit behind a
 	// pointer: an inline []Handler would move Future from the 48-byte to
 	// the 64-byte size class, which measured ~2% higher peak RSS on
 	// journal-a-zipf, while only futures with several waiters pay for
-	// the pointer's allocation.
+	// the pointer's allocation. Complete hands the emptied list to the
+	// engine, and the next future to need one takes it from there.
 	w0      Handler
 	waiters *[]Handler
 }
@@ -522,7 +585,14 @@ func (f *Future) addWaiter(h Handler) {
 		return
 	}
 	if f.waiters == nil {
-		f.waiters = new([]Handler)
+		e := f.eng
+		if n := len(e.waiterLists); n > 0 {
+			f.waiters = e.waiterLists[n-1]
+			e.waiterLists[n-1] = nil
+			e.waiterLists = e.waiterLists[:n-1]
+		} else {
+			f.waiters = new([]Handler)
+		}
 	}
 	*f.waiters = append(*f.waiters, h)
 }
@@ -531,9 +601,19 @@ func (f *Future) addWaiter(h Handler) {
 func NewFuture(e *Engine) *Future { return &Future{eng: e} }
 
 // Init binds a zero Future to e as an incomplete future. It readies a
-// Future embedded in a larger record, so the record is the one allocation;
-// it is not a way to reuse a future that has been handed out.
+// Future embedded in a larger record, so the record is the one allocation.
+// A future that has been handed out may be zeroed and Init again only once
+// every holder has given it up: the package that recycles it defines how
+// (ssd.Device.Release, for instance).
 func (f *Future) Init(e *Engine) { f.eng = e }
+
+// SetTag stores a small value chosen by the package that embeds f in its
+// own records. Such a package tags the futures it hands out, so it can tell
+// them from any other future it is given back. Zeroing f clears the tag.
+func (f *Future) SetTag(t uint8) { f.tag = t }
+
+// Tag returns the value SetTag stored, or 0.
+func (f *Future) Tag() uint8 { return f.tag }
 
 // CompletedFuture returns an already-complete future (for fast paths that
 // finish synchronously). The instance is shared per engine: done futures
@@ -560,11 +640,14 @@ func (f *Future) Complete() {
 		f.eng.AtHandler(f.eng.now, f.w0)
 		f.w0 = nil
 	}
-	if f.waiters != nil {
-		for _, w := range *f.waiters {
+	if l := f.waiters; l != nil {
+		for _, w := range *l {
 			f.eng.AtHandler(f.eng.now, w)
 		}
+		clear(*l) // release the handlers for GC
+		*l = (*l)[:0]
 		f.waiters = nil
+		f.eng.waiterLists = append(f.eng.waiterLists, l)
 	}
 }
 

@@ -12,6 +12,7 @@ package ssd
 
 import (
 	"fmt"
+	"unsafe"
 
 	"github.com/checkin-kv/checkin/internal/dense"
 	"github.com/checkin-kv/checkin/internal/ftl"
@@ -198,6 +199,10 @@ type Device struct {
 	deallocArmed  bool
 	deallocPaused bool
 
+	// free holds released command records whose commands have finished,
+	// ready for the next command (see Release).
+	free []*command
+
 	stats Stats
 }
 
@@ -269,14 +274,20 @@ const (
 	stageFrontEnd              // slot held; link transfer and controller CPU booked
 	stageBackEnd               // back-end work issued
 	stageBackoff               // back end blew CommandTimeout; paying timeoutBackoff
+	stageHost                  // a ReadAfter's host overhead elapsing; not yet issued
 )
+
+// cmdTag marks the futures that are command records (sim.Future.SetTag).
+const cmdTag = 1
 
 // command is one host command in flight, and its one allocation: the
 // completion future the caller waits on, the op kind with its arguments,
 // the stage it has reached, and the fan-in its flash work joins. The kernel
 // fires the record itself as the queue-slot grant, the front-end timer and
-// the back-end waiter, so a command builds no closures. Records are never
-// reused: callers may keep the completed future and wait on it later.
+// the back-end waiter, so a command builds no closures. A record is reused
+// only after its holder hands the future back with Release and the command
+// has finished; a future never released is garbage collected. The future
+// must stay the first field: Release converts it back to the record.
 type command struct {
 	sim.Future // completes when the back end is done and the slot released
 	fan        sim.FanIn
@@ -284,6 +295,7 @@ type command struct {
 	kind       uint8
 	stage      uint8
 	area       Area
+	released   bool      // the holder gave the future back (Release)
 	bytes      int       // data moved over the link with the command
 	cpu        sim.VTime // controller CPU beyond CPUPerCommand
 	t          sim.VTime // arrival while queued, back-end start afterwards
@@ -294,18 +306,58 @@ type command struct {
 	remap       RemapStats
 }
 
-// submit queues cmd for a slot. Once one is granted the command pays its
-// front-end costs (link transfer of the command plus cmd.bytes, controller
-// CPU of CPUPerCommand plus cmd.cpu), then runs its back-end work; its
+// command returns a record holding proto's kind and arguments, recycled
+// from the free list when one is there.
+func (d *Device) command(proto command) *command {
+	var c *command
+	if n := len(d.free); n > 0 {
+		c = d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+	} else {
+		c = new(command)
+	}
+	*c = proto
+	c.Init(d.eng)
+	c.SetTag(cmdTag)
+	c.fan.Init(d.eng)
+	c.d = d
+	return c
+}
+
+// submit queues c for a slot. Once one is granted the command pays its
+// front-end costs (link transfer of the command plus c.bytes, controller
+// CPU of CPUPerCommand plus c.cpu), then runs its back-end work; its
 // future completes when that work is done and the slot has been released.
-func (d *Device) submit(cmd *command) *sim.Future {
-	cmd.Init(d.eng)
-	cmd.fan.Init(d.eng)
-	cmd.d = d
-	cmd.t = d.eng.Now()
+func (d *Device) submit(c *command) *sim.Future {
+	c.stage = stageQueued
+	c.t = d.eng.Now()
 	d.stats.Commands++
-	d.queue.AcquireAsyncHandler(cmd)
-	return &cmd.Future
+	d.queue.AcquireAsyncHandler(c)
+	return &c.Future
+}
+
+// Release hands back a future this device returned for a command: the
+// holder will not wait on it or read it again. The record returns to the
+// free list once the command has finished, at once if it already has.
+// Releasing a future twice, or one this device did not issue, panics; a
+// future released twice after its record was reused cannot be told apart
+// and corrupts the new command, so each holder releases exactly once.
+func (d *Device) Release(f *sim.Future) {
+	if f.Tag() != cmdTag {
+		panic("ssd: Release of a future that is not a device command")
+	}
+	c := (*command)(unsafe.Pointer(f)) // the future is the record's first field
+	switch {
+	case c.d != d:
+		panic("ssd: Release of another device's command")
+	case c.released:
+		panic("ssd: command future released twice")
+	}
+	c.released = true
+	if c.Done() {
+		d.free = append(d.free, c)
+	}
 }
 
 // Fire advances the command one stage; see the stage constants.
@@ -336,12 +388,18 @@ func (c *command) Fire() {
 		c.finish()
 	case stageBackoff:
 		c.finish()
+	case stageHost:
+		d.issueRead(c)
 	}
 }
 
 func (c *command) finish() {
-	c.d.queue.Release()
+	d := c.d
+	d.queue.Release()
 	c.Complete()
+	if c.released {
+		d.free = append(d.free, c)
+	}
 }
 
 // backEnd starts the command's device-side work at the moment the device
@@ -413,8 +471,28 @@ func (c *command) backEnd() *sim.Future {
 // Read services a host read of n bytes at off. Units resident in the DRAM
 // cache are served without flash reads; the rest go to the FTL.
 func (d *Device) Read(off, n int64) *sim.Future {
-	d.stats.HostReadBytes += uint64(n)
-	return d.submit(&command{kind: cmdRead, bytes: int(n), off: off, n: n})
+	return d.issueRead(d.readCommand(off, n))
+}
+
+// ReadAfter is Read issued delay from now — the host software path a block
+// request pays before it reaches the device — with the record itself as
+// the timer. It dispatches exactly as a process's Sleep(delay) then Read:
+// the timer draws its sequence number where Sleep's wake-up would have,
+// and at that instant the read is issued as Read would issue it.
+func (d *Device) ReadAfter(delay sim.VTime, off, n int64) *sim.Future {
+	c := d.readCommand(off, n)
+	c.stage = stageHost
+	d.eng.AtHandler(d.eng.Now()+delay, c)
+	return &c.Future
+}
+
+func (d *Device) readCommand(off, n int64) *command {
+	return d.command(command{kind: cmdRead, bytes: int(n), off: off, n: n})
+}
+
+func (d *Device) issueRead(c *command) *sim.Future {
+	d.stats.HostReadBytes += uint64(c.n)
+	return d.submit(c)
 }
 
 // Write services a host write of n bytes at off into the given area. The
@@ -422,26 +500,26 @@ func (d *Device) Read(off, n int64) *sim.Future {
 // require an explicit Flush for buffered tails; see Flush).
 func (d *Device) Write(off, n int64, area Area) *sim.Future {
 	d.stats.HostWriteBytes += uint64(n)
-	return d.submit(&command{kind: cmdWrite, area: area, bytes: int(n), off: off, n: n})
+	return d.submit(d.command(command{kind: cmdWrite, area: area, bytes: int(n), off: off, n: n}))
 }
 
 // Flush forces buffered partial pages of the area's stream to flash — the
 // device-side half of a journal commit (FLUSH/FUA semantics).
 func (d *Device) Flush(area Area) *sim.Future {
-	return d.submit(&command{kind: cmdFlush, area: area})
+	return d.submit(d.command(command{kind: cmdFlush, area: area}))
 }
 
 // Deallocate trims a logical range (journal deletion after checkpointing).
 func (d *Device) Deallocate(off, n int64) *sim.Future {
 	d.stats.Deallocates++
-	return d.submit(&command{kind: cmdDeallocate, off: off, n: n})
+	return d.submit(d.command(command{kind: cmdDeallocate, off: off, n: n}))
 }
 
 // CoW executes a single-pair copy-on-write command (ISC-A): the device
 // copies the range internally; no data crosses the host link.
 func (d *Device) CoW(src, dst, n int64) *sim.Future {
 	d.stats.CoWPairs++
-	return d.submit(&command{kind: cmdCoW, cpu: d.cfg.CPUPerCoWEntry, off: src, dst: dst, n: n})
+	return d.submit(d.command(command{kind: cmdCoW, cpu: d.cfg.CPUPerCoWEntry, off: src, dst: dst, n: n}))
 }
 
 // MultiCoW executes a batched copy command (ISC-B): one submission carries
@@ -449,12 +527,12 @@ func (d *Device) CoW(src, dst, n int64) *sim.Future {
 // orders the work as consecutive reads then consecutive writes.
 func (d *Device) MultiCoW(pairs []CoWPair) *sim.Future {
 	d.stats.CoWPairs += uint64(len(pairs))
-	return d.submit(&command{
+	return d.submit(d.command(command{
 		kind:  cmdMultiCoW,
 		bytes: len(pairs) * 24,
 		cpu:   sim.VTime(len(pairs)) * d.cfg.CPUPerCoWEntry,
 		pairs: pairs,
-	})
+	}))
 }
 
 // RemapStats aggregates what a checkpoint-request command did.
@@ -478,12 +556,12 @@ func (d *Device) CheckpointRequest(entries []RemapEntry) (*RemapStats, *sim.Futu
 		}
 	}
 	d.stats.RemapEntries += uint64(live)
-	cmd := &command{
+	cmd := d.command(command{
 		kind:    cmdCheckpoint,
 		bytes:   len(entries) * 25,
 		cpu:     sim.VTime(live) * d.cfg.CPUPerRemapEntry,
 		entries: entries,
-	}
+	})
 	return &cmd.remap, d.submit(cmd)
 }
 
