@@ -163,11 +163,13 @@ type Config struct {
 	// "greedy" (default), "cost-benefit", or "fifo".
 	GCPolicy string
 	// FTLMap selects the mapping-table model: "dram" (default — full table
-	// in controller DRAM with the probabilistic map-cache cost model) or
+	// in controller DRAM with the probabilistic map-cache cost model),
 	// "dftl" (DFTL-style flash-resident table: a bounded cached mapping
 	// table backed by translation pages on flash, with mapping misses and
 	// writebacks charged through the real NAND timing path; see
-	// internal/ftl/dftl.go).
+	// internal/ftl/dftl.go) or "dftl-basic" (the same table without the
+	// controller's CMT optimizations: no page-fill on miss, strict LRU
+	// eviction, no checkpoint-cut remap batch; DESIGN.md §16).
 	FTLMap string
 	// CMTEntries bounds the dftl cached mapping table (entries). 0 derives
 	// the bound from MapCacheMB (8 bytes per entry).
@@ -176,19 +178,6 @@ type Config struct {
 	// a metadata (dram mode) or translation-page (dftl mode) writeback.
 	// 0 keeps the FTL default of one translation page's worth of entries.
 	MetaFlushEntries int
-	// CMTFill toggles dftl page-fill on CMT miss: "" or "on" (default)
-	// populates every entry the fetched translation page covers; "off"
-	// inserts only the demanded entry (the pre-optimization behavior).
-	CMTFill string
-	// CMTCleanWindow bounds the dftl clean-first (CFLRU-style) eviction
-	// search in entries. 0 picks the default (32); 1 or negative restores
-	// strict LRU eviction.
-	CMTCleanWindow int
-	// RemapBatch toggles the dftl checkpoint-cut remap writeback batch:
-	// "" or "on" (default) defers translation writeback across the cut and
-	// settles it densest-page-first at the cut end; "off" interleaves
-	// threshold writebacks with the cut (the pre-optimization behavior).
-	RemapBatch string
 
 	// Controller.
 	QueueDepth  int
@@ -469,26 +458,12 @@ func Open(cfg Config) (*DB, error) {
 	}
 	switch cfg.FTLMap {
 	case "dram":
-	case "dftl":
+	case "dftl", "dftl-basic":
 		fcfg.FlashMap = true
 		fcfg.CMTEntries = cfg.CMTEntries
-		fcfg.CMTCleanWindow = cfg.CMTCleanWindow
+		fcfg.CMTBasic = cfg.FTLMap == "dftl-basic"
 	default:
-		return nil, fmt.Errorf("checkin: unknown FTLMap %q (want dram or dftl)", cfg.FTLMap)
-	}
-	switch cfg.CMTFill {
-	case "", "on":
-	case "off":
-		fcfg.CMTNoFill = true
-	default:
-		return nil, fmt.Errorf("checkin: unknown CMTFill %q (want on or off)", cfg.CMTFill)
-	}
-	switch cfg.RemapBatch {
-	case "", "on":
-	case "off":
-		fcfg.CMTNoBatch = true
-	default:
-		return nil, fmt.Errorf("checkin: unknown RemapBatch %q (want on or off)", cfg.RemapBatch)
+		return nil, fmt.Errorf("checkin: unknown FTLMap %q (want dram, dftl or dftl-basic)", cfg.FTLMap)
 	}
 	fcfg.MetaFlushEntries = cfg.MetaFlushEntries
 	var tracer *trace.Tracer

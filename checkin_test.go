@@ -71,6 +71,22 @@ func TestOpenRejectsNegativeDurationsAndCounts(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsUnknownFTLMap: Open is the one check of the mapping model
+// both commands' -ftlmap flags rely on, so its error names every model.
+func TestOpenRejectsUnknownFTLMap(t *testing.T) {
+	cfg := smallConfig(checkin.StrategyCheckIn)
+	cfg.FTLMap = "bogus"
+	_, err := checkin.Open(cfg)
+	if err == nil {
+		t.Fatal("unknown FTLMap accepted")
+	}
+	for _, model := range []string{"dram", " dftl ", "dftl-basic"} {
+		if !strings.Contains(err.Error(), model) {
+			t.Errorf("Open error %q does not list %q", err, model)
+		}
+	}
+}
+
 func TestMappingUnitDefaultsPerStrategy(t *testing.T) {
 	for _, s := range checkin.Strategies {
 		db, err := checkin.Open(smallConfig(s))

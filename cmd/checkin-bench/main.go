@@ -15,14 +15,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	checkin "github.com/checkin-kv/checkin"
+	"github.com/checkin-kv/checkin/internal/cli"
 	"github.com/checkin-kv/checkin/internal/harness"
 )
 
@@ -40,49 +39,15 @@ func main() {
 		markdown   = flag.String("markdown", "", "also append results as markdown tables to this file")
 		errProfile = flag.String("errors", "off", "NAND error profile applied to every run: off | light | heavy")
 		engine     = flag.String("engine", "journal", "host storage-engine backend for every run: journal (paper's journal+JMT) | lsm (WAL + memtable + sorted runs); experiments that compare backends override per cell")
-		ftlmap     = flag.String("ftlmap", "dram", "FTL mapping-table model: dram (full table in controller DRAM) | dftl (flash-resident translation pages; charges mapping misses and writebacks through NAND timing)")
-		cmtfill    = flag.String("cmtfill", "on", "dftl: on a CMT miss, fill every entry the fetched translation page covers: on | off (off = demanded entry only)")
-		cmtcw      = flag.Int("cmtcw", 0, "dftl: clean-first eviction search window in entries (0 = default 32, 1 = strict LRU)")
-		remapbatch = flag.String("remapbatch", "on", "dftl: batch translation writeback across each checkpoint cut: on | off (off = interleave threshold writebacks with the cut)")
+		ftlmap     = flag.String("ftlmap", "dram", "FTL mapping-table model: dram (full table in controller DRAM) | dftl (flash-resident translation pages; charges mapping misses and writebacks through NAND timing) | dftl-basic (dftl without the CMT optimizations)")
 		shards     = flag.Int("shards", 0, "shard count for the shardsched experiment (0 = default 4)")
 		tenants    = flag.Int("tenants", 0, "tenant count for the shardsched experiment (0 = default 3)")
 		arrival    = flag.String("arrival", "", "open-loop arrival spec for shardsched: poisson:RATE[:flash] | diurnal:RATE:AMP:PERIOD[:flash] (empty = poisson:150000)")
 		cksched    = flag.String("cksched", "", "restrict shardsched to one cross-shard checkpoint scheduling policy: sync | staggered | global (empty = all)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		prof       = cli.ProfileFlags()
 	)
 	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "checkin-bench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "checkin-bench:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "checkin-bench:", err)
-				os.Exit(1)
-			}
-			runtime.GC() // materialize final live-heap statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "checkin-bench:", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "checkin-bench:", err)
-				os.Exit(1)
-			}
-		}()
-	}
+	defer prof.Start(fatal)()
 
 	if *list {
 		for _, e := range harness.Experiments() {
@@ -93,26 +58,18 @@ func main() {
 
 	ths, err := parseThreads(*threads)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "checkin-bench:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	if *snapshot != "on" && *snapshot != "off" {
-		fmt.Fprintf(os.Stderr, "checkin-bench: bad -snapshot %q (want on or off)\n", *snapshot)
-		os.Exit(2)
+		usage(fmt.Errorf("bad -snapshot %q (want on or off)", *snapshot))
 	}
 	profile, err := checkin.ParseErrorProfile(*errProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "checkin-bench:", err)
-		os.Exit(2)
-	}
-	if *ftlmap != "dram" && *ftlmap != "dftl" {
-		fmt.Fprintf(os.Stderr, "checkin-bench: bad -ftlmap %q (want dram or dftl)\n", *ftlmap)
-		os.Exit(2)
+		usage(err)
 	}
 	if !slices.Contains(checkin.EngineNames(), *engine) {
-		fmt.Fprintf(os.Stderr, "checkin-bench: bad -engine %q (registered: %s)\n",
-			*engine, strings.Join(checkin.EngineNames(), ", "))
-		os.Exit(2)
+		usage(fmt.Errorf("bad -engine %q (registered: %s)",
+			*engine, strings.Join(checkin.EngineNames(), ", ")))
 	}
 	seedList := []int64{*seed}
 	if *seeds != "" {
@@ -120,8 +77,7 @@ func main() {
 		for _, part := range strings.Split(*seeds, ",") {
 			v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
 			if err != nil || v == 0 {
-				fmt.Fprintf(os.Stderr, "checkin-bench: bad seed %q\n", part)
-				os.Exit(2)
+				usage(fmt.Errorf("bad seed %q", part))
 			}
 			seedList = append(seedList, v)
 		}
@@ -139,16 +95,14 @@ func main() {
 	for _, id := range ids {
 		exp, err := harness.Lookup(strings.TrimSpace(id))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "checkin-bench:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		for _, sd := range seedList {
-			opts := harness.Opts{Scale: *scale, Threads: ths, Seed: sd, Parallelism: *parallel, Snapshots: *snapshot, Timing: *timing, Errors: profile.Name, Engine: *engine, FTLMap: *ftlmap, CMTFill: *cmtfill, CMTCleanWindow: *cmtcw, RemapBatch: *remapbatch, Shards: *shards, Tenants: *tenants, Arrival: *arrival, CkSched: *cksched}
+			opts := harness.Opts{Scale: *scale, Threads: ths, Seed: sd, Parallelism: *parallel, Snapshots: *snapshot, Timing: *timing, Errors: profile.Name, Engine: *engine, FTLMap: *ftlmap, Shards: *shards, Tenants: *tenants, Arrival: *arrival, CkSched: *cksched}
 			start := time.Now()
 			table, err := exp.Run(opts)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "checkin-bench: %s failed: %v\n", exp.ID, err)
-				os.Exit(1)
+				fatal(fmt.Errorf("%s failed: %w", exp.ID, err))
 			}
 			if len(seedList) > 1 {
 				table.Title += fmt.Sprintf(" [seed %d]", sd)
@@ -163,13 +117,11 @@ func main() {
 			if *markdown != "" {
 				f, err := os.OpenFile(*markdown, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "checkin-bench:", err)
-					os.Exit(1)
+					fatal(err)
 				}
 				table.RenderMarkdown(f)
 				if err := f.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "checkin-bench:", err)
-					os.Exit(1)
+					fatal(err)
 				}
 			}
 		}
@@ -219,4 +171,16 @@ func parseThreads(s string) ([]int, error) {
 		return nil, fmt.Errorf("empty thread list")
 	}
 	return out, nil
+}
+
+// usage reports bad command-line input and exits with status 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "checkin-bench:", err)
+	os.Exit(2)
+}
+
+// fatal reports a failed run and exits with status 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "checkin-bench:", err)
+	os.Exit(1)
 }

@@ -17,14 +17,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
 
 	checkin "github.com/checkin-kv/checkin"
 	"github.com/checkin-kv/checkin/internal/check"
+	"github.com/checkin-kv/checkin/internal/cli"
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/shard"
 )
@@ -46,8 +45,6 @@ func main() {
 		timeline    = flag.String("timeline", "", "write a CSV timeline of the run to this file (10ms samples)")
 		dumpTrace   = flag.Bool("trace", false, "print the run's structured event trace summary and tail")
 		printConfig = flag.Bool("print-config", false, "print the resolved configuration and exit")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		crashpoints = flag.Bool("crashpoints", false, "run the crash-point verification harness instead of a benchmark")
 		site        = flag.String("site", "", "crashpoints: injection site name (empty = every site the census finds)")
 		hit         = flag.Int("hit", 0, "crashpoints: 1-based hit index of -site to crash at")
@@ -55,43 +52,16 @@ func main() {
 		engine      = flag.String("engine", "journal", "host storage-engine backend: journal (paper's journal+JMT) | lsm (WAL + memtable + sorted runs)")
 		compaction  = flag.String("compaction", "leveled", "lsm: compaction policy, leveled | tiered")
 		memtable    = flag.Int("memtable", 0, "lsm: memtable entry bound before a flush epoch (0 = default 4096)")
-		ftlmap      = flag.String("ftlmap", "dram", "FTL mapping-table model: dram | dftl (flash-resident translation pages)")
-		cmtfill     = flag.String("cmtfill", "on", "dftl: on a CMT miss, fill every entry the fetched translation page covers: on | off (off = demanded entry only)")
-		cmtcw       = flag.Int("cmtcw", 0, "dftl: clean-first eviction search window in entries (0 = default 32, 1 = strict LRU)")
-		remapbatch  = flag.String("remapbatch", "on", "dftl: batch translation writeback across each checkpoint cut: on | off (off = interleave threshold writebacks with the cut)")
+		ftlmap      = flag.String("ftlmap", "dram", "FTL mapping-table model: dram | dftl (flash-resident translation pages) | dftl-basic (dftl without the CMT optimizations)")
 		shards      = flag.Int("shards", 0, "run a sharded scale-out simulation across this many engine+SSD stacks (0 = single-stack mode)")
 		tenants     = flag.Int("tenants", 3, "sharded mode: tenant count")
 		arrival     = flag.String("arrival", "poisson:150000", "sharded mode: open-loop arrival spec, poisson:RATE[:flash] | diurnal:RATE:AMP:PERIOD[:flash]")
 		cksched     = flag.String("cksched", "sync", "sharded mode: cross-shard checkpoint scheduling policy, sync | staggered | global")
 		admitRate   = flag.Float64("admit-rate", 0, "sharded mode: aggregate admitted ops/sec across per-tenant token buckets (0 = no admission control)")
+		prof        = cli.ProfileFlags()
 	)
 	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatal(err)
-			}
-			runtime.GC() // materialize final live-heap statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-	}
+	defer prof.Start(fatal)()
 
 	s, err := checkin.ParseStrategy(*strategy)
 	if err != nil {
@@ -100,9 +70,6 @@ func main() {
 	profile, err := checkin.ParseErrorProfile(*errProfile)
 	if err != nil {
 		fatal(err)
-	}
-	if *ftlmap != "dram" && *ftlmap != "dftl" {
-		fatal(fmt.Errorf("bad -ftlmap %q (want dram or dftl)", *ftlmap))
 	}
 	if !slices.Contains(checkin.EngineNames(), *engine) {
 		fatal(fmt.Errorf("bad -engine %q (registered: %s)", *engine, strings.Join(checkin.EngineNames(), ", ")))
@@ -147,9 +114,6 @@ func main() {
 	cfg.Keys = *keys
 	cfg.MappingUnit = *unit
 	cfg.LockDuringCheckpoint = *lock
-	cfg.CMTFill = *cmtfill
-	cfg.CMTCleanWindow = *cmtcw
-	cfg.RemapBatch = *remapbatch
 	if *dumpTrace {
 		cfg.TraceCapacity = 10_000
 	}
@@ -251,20 +215,9 @@ func main() {
 // reaches, then sampled armed crashes at each, validating host recovery,
 // device SPOR, and FTL invariants at every crash instant.
 func runCrashpoints(s checkin.Strategy, seed int64, siteName string, hit int, errProfile, ftlmap, engine, compaction string) {
-	opts := check.DefaultOptions()
-	switch {
-	case engine == "lsm":
-		// LSMOptions mirrors the LSM crash-matrix tests, so repro lines
-		// carrying -engine=lsm [-compaction=tiered] replay identically.
-		opts = check.LSMOptions(compaction)
-		if ftlmap != "dram" {
-			fatal(fmt.Errorf("-engine=lsm -crashpoints does not take -ftlmap=%s", ftlmap))
-		}
-	case ftlmap != "dram":
-		opts = check.DFTLOptions()
-	}
-	if errProfile != "off" {
-		opts.Errors = errProfile
+	opts, err := check.ReproOptions(errProfile, ftlmap, engine, compaction)
+	if err != nil {
+		fatal(err)
 	}
 	tr, err := check.NewTrace(opts, seed)
 	if err != nil {

@@ -9,43 +9,34 @@ import (
 	checkin "github.com/checkin-kv/checkin"
 )
 
-// dftlKnobCombos is the remap-aware CMT knob matrix: the full optimization
-// stack, the legacy configuration (every knob off — the byte-identity
-// anchor), and the two mixed settings that arm each mechanism in isolation.
-var dftlKnobCombos = []struct {
-	name       string
-	fill       string
-	cleanWin   int
-	remapBatch string
-}{
-	{"opt", "on", 0, "on"},
-	{"legacy", "off", 1, "off"},
-	{"fill-only", "on", 1, "off"},
-	{"batch-cflru", "off", 8, "on"},
+// dftlModels are the flash-resident mapping models under test: the full
+// CMT optimization stack ("opt") and the basic layer it is built on
+// ("legacy", the byte-identity anchor). The optimizations one at a time are
+// covered by the ftl package's tests.
+var dftlModels = []struct{ name, ftlmap string }{
+	{"opt", "dftl"},
+	{"legacy", "dftl-basic"},
 }
 
 // TestDFTLOptDeterminism proves the remap-aware CMT paths are deterministic
-// and snapshot-safe: for every knob combination and three seeds, a direct
+// and snapshot-safe: for both dftl models and three seeds, a direct
 // load+run and a run forked from a post-load snapshot must produce
 // byte-identical full dumps (metrics, journal, recovery, SPOR, health) with
 // the differential mapping oracle armed the whole way — any coherence
 // divergence panics at the faulting access instead of skewing the diff.
 func TestDFTLOptDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("dftl knob determinism matrix in -short mode")
+		t.Skip("dftl model determinism matrix in -short mode")
 	}
-	for _, combo := range dftlKnobCombos {
+	for _, model := range dftlModels {
 		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", combo.name, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/seed%d", model.name, seed), func(t *testing.T) {
 				cfg := checkin.DefaultConfig()
 				cfg.Strategy = checkin.StrategyCheckIn
 				cfg.Keys = 5_000
 				cfg.CheckpointInterval = 100 * time.Millisecond
 				cfg.Seed = seed
-				cfg.FTLMap = "dftl"
-				cfg.CMTFill = combo.fill
-				cfg.CMTCleanWindow = combo.cleanWin
-				cfg.RemapBatch = combo.remapBatch
+				cfg.FTLMap = model.ftlmap
 				spec := checkin.RunSpec{Threads: 8, TotalQueries: 8_000,
 					Mix: checkin.WorkloadA, Zipfian: true}
 

@@ -75,6 +75,7 @@ func TestFingerprintFieldSensitivity(t *testing.T) {
 		"JournalHalfMB":    func(c *Config) { c.JournalHalfMB += 8 },
 		"QueueDepth":       func(c *Config) { c.QueueDepth *= 2 },
 		"FTLMap":           func(c *Config) { c.FTLMap = "dftl" },
+		"FTLMap/basic":     func(c *Config) { c.FTLMap = "dftl-basic" },
 		"MetaFlushEntries": func(c *Config) { c.MetaFlushEntries = 128 },
 		"ReadRetryRate":    func(c *Config) { c.ReadRetryRate = 0.01 },
 		// Strategy shapes the load fingerprint through remap slot alignment.
@@ -93,6 +94,16 @@ func TestFingerprintFieldSensitivity(t *testing.T) {
 		if lfp == lfp0 {
 			t.Errorf("%s: load fingerprint did not change", name)
 		}
+	}
+	// The two flash-resident models leave different post-Load CMT state
+	// (page-fill, eviction order): the template cache must never serve a
+	// dftl snapshot to a dftl-basic run.
+	dftl, basic := base, base
+	dftl.FTLMap, basic.FTLMap = "dftl", "dftl-basic"
+	lfpDFTL, _ := LoadFingerprint(dftl)
+	lfpBasic, _ := LoadFingerprint(basic)
+	if lfpDFTL == lfpBasic {
+		t.Error("dftl and dftl-basic share a load fingerprint")
 	}
 	// Run-phase knobs leave the load fingerprint alone but move the run one.
 	rfp0, _ := Fingerprint(base)

@@ -92,21 +92,14 @@ type Options struct {
 	// the middle of a read-retry ladder or a bad-block migration.
 	Errors string
 	// FTLMap selects the mapping-table model for every build ("" = dram).
-	// Under "dftl" the translation-page sites fire and the differential
-	// mapping oracle arms, so a crash can land mid-writeback or mid-
-	// translation-GC with the CMT coherence sweep validating the instant.
+	// Under "dftl" and "dftl-basic" the translation-page sites fire and the
+	// differential mapping oracle arms, so a crash can land mid-writeback or
+	// mid-translation-GC with the CMT coherence sweep validating the instant.
 	FTLMap string
 	// CMTEntries bounds the dftl CMT (0 = derive from MapCacheMB). The
 	// matrix pins it small so capacity evictions actually happen at
 	// verification scale.
 	CMTEntries int
-	// CMTFill, CMTCleanWindow and RemapBatch forward the dftl CMT
-	// optimization knobs (""/zero = defaults on; "off"/1 restore the
-	// pre-optimization paths), so matrices can also crash-test the legacy
-	// code paths.
-	CMTFill        string
-	CMTCleanWindow int
-	RemapBatch     string
 	// Engine selects the host backend for every build ("" = journal).
 	// Under "lsm" the WAL/memtable/compaction sites fire and recovery is
 	// manifest + WAL-tail replay instead of checkpoint + journal replay —
@@ -137,14 +130,15 @@ func DefaultOptions() Options {
 const DFTLCMTEntries = 1024
 
 // DFTLOptions is the dftl crash-matrix schedule: DefaultOptions with the
-// flash-resident mapping table on, the CMT/writeback knobs pinned, and a
-// longer trace so translation-block churn builds enough GC pressure that
-// the trans-gc site fires. Tests and the checkin-sim -crashpoints CLI must
-// both use it so (seed, site, hit) repro lines replay identically.
-func DFTLOptions() Options {
+// flash-resident mapping table of model ftlmap ("dftl" or "dftl-basic") on,
+// the CMT bound pinned, and a longer trace so translation-block churn builds
+// enough GC pressure that the trans-gc site fires. Tests and the checkin-sim
+// -crashpoints CLI must both use it so (seed, site, hit, -ftlmap) repro
+// lines replay identically.
+func DFTLOptions(ftlmap string) Options {
 	o := DefaultOptions()
 	o.Ops = 9000
-	o.FTLMap = "dftl"
+	o.FTLMap = ftlmap
 	o.CMTEntries = DFTLCMTEntries
 	return o
 }
@@ -207,13 +201,11 @@ func Build(strategy checkin.Strategy, seed int64, opts Options, inj *inject.Inje
 	cfg.Injector = inj
 	cfg.FTLMap = opts.FTLMap
 	cfg.CMTEntries = opts.CMTEntries
-	cfg.CMTFill = opts.CMTFill
-	cfg.CMTCleanWindow = opts.CMTCleanWindow
-	cfg.RemapBatch = opts.RemapBatch
 	cfg.Engine = opts.Engine
 	cfg.Compaction = opts.Compaction
 	cfg.MemtableEntries = opts.MemtableEntries
-	if opts.FTLMap == "dftl" {
+	flashMap := opts.FTLMap == "dftl" || opts.FTLMap == "dftl-basic"
+	if flashMap {
 		// Tighter free-space margin so GC pressure stays high with the
 		// translation stream competing for blocks.
 		cfg.BlocksPerPlane = 24
@@ -238,7 +230,7 @@ func Build(strategy checkin.Strategy, seed int64, opts Options, inj *inject.Inje
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.FTLMap == "dftl" {
+	if flashMap {
 		// Every verification build runs with the differential mapping
 		// oracle armed: a coherence divergence panics at the faulting
 		// access instead of surfacing as a downstream validation diff.
@@ -349,6 +341,29 @@ func (r CrashResult) Repro() string {
 		}
 	}
 	return line
+}
+
+// ReproOptions returns the schedule a repro line's -errors, -ftlmap,
+// -engine and -compaction values select ("" means the flag is absent):
+// the Options of the matrix test that printed the line. checkin-sim
+// -crashpoints builds its runs from it, so a line replays the build that
+// failed.
+func ReproOptions(errors, ftlmap, engine, compaction string) (Options, error) {
+	opts := DefaultOptions()
+	dram := ftlmap == "" || ftlmap == "dram"
+	switch {
+	case engine == "lsm":
+		if !dram {
+			return Options{}, fmt.Errorf("-engine=lsm -crashpoints does not take -ftlmap=%s", ftlmap)
+		}
+		opts = LSMOptions(compaction)
+	case !dram:
+		opts = DFTLOptions(ftlmap)
+	}
+	if errors != "off" {
+		opts.Errors = errors
+	}
+	return opts, nil
 }
 
 func (r CrashResult) String() string {

@@ -182,9 +182,9 @@ func TestCMTEvictionOracle(t *testing.T) {
 func evictBurst(t *testing.T, window int, seed uint64) *evictLog {
 	t.Helper()
 	cfg := dftlCfg()
-	cfg.CMTCleanWindow = window
 	cfg.MetaFlushEntries = 1 << 30 // only eviction flushes
 	e, _, f := newDFTL(t, cfg)
+	cmtAxes{window: window}.apply(f)
 	f.EnableMapOracle()
 	log := armEvictOracle(f)
 	unit := int64(f.unit)
@@ -251,9 +251,9 @@ func evictBurst(t *testing.T, window int, seed uint64) *evictLog {
 func evictWorkload(t *testing.T, window int, seed uint64) *evictLog {
 	t.Helper()
 	cfg := dftlCfg()
-	cfg.CMTCleanWindow = window
 	cfg.MetaFlushEntries = 1 << 30
 	e, _, f := newDFTL(t, cfg)
+	cmtAxes{window: window}.apply(f)
 	f.EnableMapOracle()
 	log := armEvictOracle(f)
 	unit := int64(f.unit)

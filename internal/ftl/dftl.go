@@ -1,6 +1,7 @@
 package ftl
 
-// DFTL-style flash-resident mapping table (Config.FlashMap, -ftlmap=dftl).
+// DFTL-style flash-resident mapping table (Config.FlashMap, -ftlmap=dftl and
+// dftl-basic).
 //
 // The dram mode keeps the whole L2P table in controller DRAM and charges a
 // probabilistic map-cache model (mapLookupCost / noteMapDirty). That hides a
@@ -41,9 +42,8 @@ package ftl
 // re-enforced at every host-path boundary.
 //
 // On top of the basic layer sit four optimizations a real controller ships
-// (DESIGN.md §16), each with an ablation knob (Config.CMTNoFill,
-// Config.CMTCleanWindow, Config.CMTNoBatch — knobs off reproduce the basic
-// layer's behavior bit for bit):
+// (DESIGN.md §16); Config.CMTBasic turns them all off and reproduces the
+// basic layer's behavior bit for bit:
 //
 //   - Page-fill on miss: a miss already charges a whole-page NAND read;
 //     fillTP inserts every entry the fetched page covers (clean, bulk LRU
@@ -121,17 +121,18 @@ type flashMap struct {
 	// all translation pages (rebuilt from dirtyByTP on Restore).
 	tpx *tpIndex
 
-	// fill arms page-fill on miss (!Config.CMTNoFill).
-	fill bool
-	// cleanWindow is the resolved CFLRU clean-first search depth in entries:
-	// how many LRU-tail entries fmEnforceCap examines for a clean victim
-	// before flushing a dirty one. 1 = strict LRU (the basic layer).
+	// fill arms page-fill on miss, cleanWindow is the CFLRU clean-first
+	// search depth in entries (how many LRU-tail entries fmEnforceCap
+	// examines for a clean victim before flushing a dirty one; 1 = strict
+	// LRU) and cutBatch arms the checkpoint-cut remap batch. All three
+	// follow basic; tests may set them one at a time.
+	fill        bool
 	cleanWindow int
-	// legacy is set when every remap-aware knob is at its basic-layer
-	// setting (fill off, window 1, batch off): those runs must reproduce
-	// the basic layer bit-for-bit, including its defer-to-next-update cap
-	// semantics, so the post-GC re-enforcement (fmAfterGC) stays off.
-	legacy bool
+	cutBatch    bool
+	// basic is Config.CMTBasic: the run must reproduce the basic layer
+	// bit-for-bit, including its defer-to-next-update cap semantics, so the
+	// post-GC re-enforcement (fmAfterGC) stays off.
+	basic bool
 
 	// tpEpoch/cmdEpoch/cmdDepth implement the per-command translation-fetch
 	// seen-set for the page-fill path: a tvpn stamped with the current command
@@ -428,15 +429,11 @@ func (f *FTL) initFlashMap() error {
 	for i := range fm.tpRuns {
 		fm.tpRuns[i] = -1
 	}
-	fm.fill = !f.cfg.CMTNoFill
-	fm.cleanWindow = f.cfg.CMTCleanWindow
-	switch {
-	case fm.cleanWindow == 0:
-		fm.cleanWindow = defaultCleanWindow
-	case fm.cleanWindow < 1:
-		fm.cleanWindow = 1 // strict LRU: examine the tail only
+	fm.basic = f.cfg.CMTBasic
+	fm.fill, fm.cleanWindow, fm.cutBatch = true, defaultCleanWindow, true
+	if fm.basic {
+		fm.fill, fm.cleanWindow, fm.cutBatch = false, 1, false
 	}
-	fm.legacy = f.cfg.CMTNoFill && fm.cleanWindow == 1 && f.cfg.CMTNoBatch
 	f.rlog.tp = make([]int64, totalPages)
 	for i := range f.rlog.tp {
 		f.rlog.tp[i] = -1
@@ -444,10 +441,10 @@ func (f *FTL) initFlashMap() error {
 	return nil
 }
 
-// defaultCleanWindow is the CFLRU clean-first search depth when
-// Config.CMTCleanWindow is zero: deep enough that a dirty LRU tail almost
-// always yields a nearby clean victim, shallow enough that hot (recent)
-// entries are never evicted out from under the workload.
+// defaultCleanWindow is the CFLRU clean-first search depth outside
+// Config.CMTBasic: deep enough that a dirty LRU tail almost always yields a
+// nearby clean victim, shallow enough that hot (recent) entries are never
+// evicted out from under the workload.
 const defaultCleanWindow = 32
 
 // EnableMapOracle arms the differential mapping oracle (tests only): every
@@ -540,10 +537,10 @@ func (f *FTL) fmExitCmd() {
 // mapping updates accumulate dirty entries without triggering threshold
 // flushes or cap enforcement, so the checkpoint cut's remap churn coalesces
 // into full-density page flushes at the cut end instead of interleaving
-// partial ones. No-op outside dftl mode or with Config.CMTNoBatch.
+// partial ones. No-op outside dftl mode or with Config.CMTBasic.
 func (f *FTL) BeginCheckpointCut() {
 	fm := &f.fm
-	if !fm.enabled || f.cfg.CMTNoBatch {
+	if !fm.enabled || !fm.cutBatch {
 		return
 	}
 	if fm.batch {
@@ -784,12 +781,12 @@ func (f *FTL) fmEvictRun(r int32, k int) {
 // post-GC instant is exactly when free space may sit at its emergency
 // floor, so this path must never program a translation page (a dirty
 // overshoot waits for the next top-level update, which settles through the
-// normal flush machinery). Legacy-knob runs keep the basic layer's
-// defer-to-next-update semantics bit-for-bit and skip this. A run on the
-// way gives up its lowest members as in fmEnforceCap.
+// normal flush machinery). Basic-layer runs keep its defer-to-next-update
+// semantics bit-for-bit and skip this. A run on the way gives up its lowest
+// members as in fmEnforceCap.
 func (f *FTL) fmAfterGC() {
 	fm := &f.fm
-	if !fm.enabled || fm.legacy || fm.flushing || fm.batch || f.gcDepth > 0 || fm.cachedCount <= fm.cap {
+	if !fm.enabled || fm.basic || fm.flushing || fm.batch || f.gcDepth > 0 || fm.cachedCount <= fm.cap {
 		return
 	}
 	start := fm.cachedCount

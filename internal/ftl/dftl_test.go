@@ -45,6 +45,27 @@ func newDFTL(t testing.TB, cfg Config) (*sim.Engine, *nand.Array, *FTL) {
 	return e, arr, f
 }
 
+// cmtAxes sets the CMT optimization axes one at a time, a finer grain than
+// Config.CMTBasic (which switches them all together): noFill turns page-fill
+// on miss off, window is the clean-first search depth (0 = default, 1 =
+// strict LRU) and noBatch turns the checkpoint-cut remap batch off. All
+// three at their basic settings make the FTL basic, as Config.CMTBasic does.
+type cmtAxes struct {
+	noFill  bool
+	window  int
+	noBatch bool
+}
+
+// apply sets the axes on a freshly built dftl-mode FTL.
+func (a cmtAxes) apply(f *FTL) {
+	fm := &f.fm
+	fm.fill, fm.cleanWindow, fm.cutBatch = !a.noFill, a.window, !a.noBatch
+	if a.window == 0 {
+		fm.cleanWindow = defaultCleanWindow
+	}
+	fm.basic = !fm.fill && fm.cleanWindow == 1 && !fm.cutBatch
+}
+
 // settleCMT issues one top-level host write so deferred cap enforcement
 // (updates made inside GC or a writeback settle at the next host-path
 // mapping update) has run before the test asserts the bound.
@@ -235,9 +256,9 @@ func TestTransGCCrashConsistency(t *testing.T) {
 // In both, every enforcement that starts above the bound must end at it,
 // any structural break fails CheckInvariants, and the SPOR rebuild must
 // stay lossless. Sub-floor CMT bounds exercise the clamp; batch size 1
-// forces a writeback per dirtied translation page; the knob axes cover the
-// legacy configuration (fill off, window 1, batch off) through deep
-// clean-window search.
+// forces a writeback per dirtied translation page; the cmtAxes cover the
+// basic layer (fill off, window 1, batch off) through deep clean-window
+// search.
 func FuzzCMTEviction(f *testing.F) {
 	f.Add(uint64(1), uint16(1), uint16(96), uint16(1024), false, uint8(0), false)
 	f.Add(uint64(2), uint16(700), uint16(8), uint16(512), true, uint8(1), true)
@@ -254,11 +275,9 @@ func FuzzCMTEviction(f *testing.F) {
 		cfg := dftlCfg()
 		cfg.CMTEntries = int(capEntries) // clamps up to the 512-entry floor
 		cfg.MetaFlushEntries = int(flushAt)%512 + 1
-		cfg.CMTNoFill = noFill
-		cfg.CMTCleanWindow = int(window) // 0 = default, 1 = strict LRU
-		cfg.CMTNoBatch = noBatch
 		run := func(armed bool) cmtState {
 			e, _, ftl := newDFTL(t, cfg)
+			cmtAxes{noFill: noFill, window: int(window), noBatch: noBatch}.apply(ftl)
 			ftl.EnableMapOracle()
 			if armed {
 				armEvictOracle(ftl)

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/checkin-kv/checkin/internal/inject"
@@ -45,9 +46,9 @@ func uncacheClean(f *FTL) {
 func TestTransFetchChargeDedup(t *testing.T) {
 	build := func(t *testing.T, noFill bool) (*FTL, func()) {
 		cfg := dftlCfg()
-		cfg.CMTNoFill = noFill
 		cfg.MetaFlushEntries = 1 << 30 // no threshold flushes during the probe
 		e, _, f := newDFTL(t, cfg)
+		cmtAxes{noFill: noFill}.apply(f)
 		unit := int64(f.unit)
 		// Map a handful of luns on translation page 0 and persist it.
 		for lun := int64(0); lun < 8; lun++ {
@@ -122,9 +123,9 @@ func TestTransFetchChargeDedup(t *testing.T) {
 func TestCleanFirstEvictionReducesFlushes(t *testing.T) {
 	run := func(window int) (flushes, evictions uint64) {
 		cfg := dftlCfg()
-		cfg.CMTCleanWindow = window
 		cfg.MetaFlushEntries = 1 << 30 // isolate eviction-driven flushes
 		e, _, f := newDFTL(t, cfg)
+		cmtAxes{window: window}.apply(f)
 		unit := int64(f.unit)
 		luns := f.logicalBytes / unit
 		rng := benchRNG(7)
@@ -160,6 +161,65 @@ func TestCleanFirstEvictionReducesFlushes(t *testing.T) {
 	}
 }
 
+// TestCMTAxesSnapshotDeterminism proves the CMT paths are snapshot-safe at
+// every axis setting, including the mixed ones Config.CMTBasic cannot
+// express: a workload run straight through and the same workload resumed
+// from a mid-run Snapshot/Restore into a fresh FTL must end in the same
+// CMT, LRU order, stats and live map, with the mapping oracle armed. The
+// axes are not part of the snapshot; the fresh FTL takes them from apply,
+// as a forked stack takes them from its Config.
+func TestCMTAxesSnapshotDeterminism(t *testing.T) {
+	combos := []struct {
+		name string
+		axes cmtAxes
+	}{
+		{"opt", cmtAxes{}},
+		{"legacy", cmtAxes{noFill: true, window: 1, noBatch: true}},
+		{"fill-only", cmtAxes{window: 1, noBatch: true}},
+		{"batch-cflru", cmtAxes{noFill: true, window: 8}},
+	}
+	for _, combo := range combos {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", combo.name, seed), func(t *testing.T) {
+				cfg := dftlCfg()
+				run := func(fork bool) cmtState {
+					e, arr, f := newDFTL(t, cfg)
+					combo.axes.apply(f)
+					f.EnableMapOracle()
+					rng := benchRNG(seed * 0x9e3779b97f4a7c15)
+					oracleWorkload(t, e, f, &rng, 768)
+					settleCMT(e, f)
+					if fork {
+						st, err := f.Snapshot()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if f, err = New(e, arr, cfg); err != nil {
+							t.Fatal(err)
+						}
+						combo.axes.apply(f)
+						if err := f.Restore(st); err != nil {
+							t.Fatal(err)
+						}
+						f.EnableMapOracle()
+					}
+					oracleWorkload(t, e, f, &rng, 768)
+					settleCMT(e, f)
+					if err := f.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					if f.stats.TransFlushes == 0 || f.stats.CMTEvictions == 0 {
+						t.Fatalf("workload exercised no translation traffic (flushes=%d evictions=%d)",
+							f.stats.TransFlushes, f.stats.CMTEvictions)
+					}
+					return captureCMT(f)
+				}
+				sameCMT(t, run(false), run(true))
+			})
+		}
+	}
+}
+
 // TestRemapBatchCoalesces pins the checkpoint-cut batching claim: a remap
 // burst inside a Begin/EndCheckpointCut window must write back strictly
 // fewer translation pages than the same burst with interleaved threshold
@@ -167,8 +227,8 @@ func TestCleanFirstEvictionReducesFlushes(t *testing.T) {
 func TestRemapBatchCoalesces(t *testing.T) {
 	run := func(noBatch bool) (flushes uint64, dirtyAfter int) {
 		cfg := dftlCfg() // MetaFlushEntries 96: the burst crosses it many times
-		cfg.CMTNoBatch = noBatch
 		e, _, f := newDFTL(t, cfg)
+		cmtAxes{noBatch: noBatch}.apply(f)
 		unit := int64(f.unit)
 		luns := f.logicalBytes / unit
 		for lun := int64(0); lun < luns; lun++ {
@@ -441,9 +501,7 @@ func BenchmarkDFTLHostPath(b *testing.B) {
 	})
 	b.Run("legacy", func(b *testing.B) {
 		cfg := dftlCfg()
-		cfg.CMTNoFill = true
-		cfg.CMTCleanWindow = 1
-		cfg.CMTNoBatch = true
+		cfg.CMTBasic = true
 		benchDFTLHostPath(b, cfg)
 	})
 }

@@ -170,23 +170,11 @@ type Config struct {
 	// entries. 0 derives the bound from MapCacheBytes (8 bytes per entry).
 	CMTEntries int
 
-	// CMTNoFill disables page-fill on CMT miss (ablation): a miss inserts
-	// only the demanded entry instead of every entry the fetched
-	// translation page covers. Only meaningful under FlashMap.
-	CMTNoFill bool
-
-	// CMTCleanWindow bounds the clean-first (CFLRU-style) eviction search:
-	// how many LRU-tail entries are examined for a clean victim before a
-	// dirty one forces a translation-page writeback. 0 picks the default
-	// (32); 1 or negative restores strict LRU eviction (ablation). Only
-	// meaningful under FlashMap.
-	CMTCleanWindow int
-
-	// CMTNoBatch disables the checkpoint-cut remap writeback batch
-	// (ablation): BeginCheckpointCut/EndCheckpointCut become no-ops and
-	// threshold flushes interleave with the cut's remap stream. Only
-	// meaningful under FlashMap.
-	CMTNoBatch bool
+	// CMTBasic turns the CMT optimizations of the DFTL layer off (page-fill
+	// on miss, clean-first eviction, the checkpoint-cut remap batch and the
+	// post-GC trim): the FTL runs the basic layer, strict LRU with a
+	// demanded-entry insert per miss. Only meaningful under FlashMap.
+	CMTBasic bool
 }
 
 // DefaultConfig returns the configuration used throughout the paper's

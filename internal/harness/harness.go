@@ -59,8 +59,9 @@ type Opts struct {
 	// numbers accordingly.
 	Errors string
 	// FTLMap selects the mapping-table model for every run ("" or "dram" =
-	// full table in DRAM, "dftl" = flash-resident translation pages).
-	// Forwarded verbatim to checkin.Config.FTLMap; dftl shifts the reported
+	// full table in DRAM, "dftl" = flash-resident translation pages,
+	// "dftl-basic" = the same without the CMT optimizations). Forwarded
+	// verbatim to checkin.Config.FTLMap; the dftl models shift the reported
 	// numbers because mapping misses and writebacks cost flash operations.
 	FTLMap string
 	// Engine selects the host storage-engine backend for every run (""
@@ -68,13 +69,6 @@ type Opts struct {
 	// engine). Forwarded verbatim to checkin.Config.Engine. Experiments
 	// that compare backends explicitly (compaction) override it per cell.
 	Engine string
-	// CMTFill, CMTCleanWindow and RemapBatch forward the dftl CMT
-	// optimization knobs verbatim to checkin.Config (""/zero = defaults on;
-	// "off"/1 restore the pre-optimization paths for ablation). Ignored in
-	// dram mode.
-	CMTFill        string
-	CMTCleanWindow int
-	RemapBatch     string
 	// Shards and Tenants size the sharded scale-out experiment (0 = defaults
 	// of 4 shards, 3 tenants). Only shardsched consults them.
 	Shards  int
@@ -252,9 +246,6 @@ func baseConfig(o Opts, s checkin.Strategy) checkin.Config {
 	cfg.CheckpointInterval = 300 * time.Millisecond
 	cfg.Engine = o.Engine
 	cfg.FTLMap = o.FTLMap
-	cfg.CMTFill = o.CMTFill
-	cfg.CMTCleanWindow = o.CMTCleanWindow
-	cfg.RemapBatch = o.RemapBatch
 	if o.Errors != "" && o.Errors != "off" {
 		p, err := checkin.ParseErrorProfile(o.Errors)
 		if err != nil {

@@ -73,9 +73,9 @@ const (
 	// draining the retirement queue.
 	SiteBadBlockRetire
 
-	// The translation-page sites below fire only under -ftlmap=dftl (the
-	// flash-resident mapping table); dram-mode census runs show zero hits
-	// and the matrix skips them.
+	// The translation-page sites below fire only under -ftlmap=dftl or
+	// dftl-basic (the flash-resident mapping table); dram-mode census runs
+	// show zero hits and the matrix skips them.
 
 	// SiteTransFlush fires after a dirty-threshold translation-page
 	// writeback: a batch of dirty CMT entries is durable on a fresh

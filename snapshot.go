@@ -157,14 +157,6 @@ func LoadFingerprint(cfg Config) (uint64, bool) {
 	// the dftl introduction.
 	h.TagIf(cfg.FTLMap != "dram", "ftlmap", "%s/%d", cfg.FTLMap, cfg.CMTEntries)
 	h.TagIf(cfg.MetaFlushEntries != 0, "mf", "%d", cfg.MetaFlushEntries)
-	// CMT-optimization knobs (dftl only; appended only off their defaults so
-	// existing fingerprints stay stable across the optimization layer's
-	// introduction). RemapBatch is deliberately absent: Load never runs a
-	// checkpoint, so the remap batch cannot shape post-Load state — it tags
-	// the run fingerprint instead, letting one preconditioned template serve
-	// batch-on/off ablation sweeps.
-	h.TagIf(cfg.CMTFill == "off", "cmtfill", "off")
-	h.TagIf(cfg.CMTCleanWindow != 0, "cmtcw", "%d", cfg.CMTCleanWindow)
 	h.Tag("dev", "%d/%d/%d/%d", cfg.QueueDepth, cfg.PCIeMBps, cfg.DataCacheMB,
 		cfg.CommandTimeout.Nanoseconds())
 	h.Tag("rel", "%v/%v/%v/%v/%v/%v/%d", cfg.ReadRetryRate, cfg.RetryEscalation,
@@ -205,7 +197,6 @@ func Fingerprint(cfg Config) (uint64, bool) {
 	h.Tag("soft", "%v", cfg.JournalSoftFrac)
 	h.Tag("comp", "%v", cfg.CompressRatio)
 	h.Tag("lock", "%v", cfg.LockDuringCheckpoint)
-	h.TagIf(cfg.RemapBatch == "off", "rbatch", "off")
 	// LSM run-phase shape: the compaction policy and memtable bound steer
 	// every flush and merge, but not the load phase (the base run's layout
 	// is policy-independent), so they tag here rather than in
