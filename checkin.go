@@ -26,11 +26,15 @@ package checkin
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/checkin-kv/checkin/internal/core"
 	"github.com/checkin-kv/checkin/internal/ftl"
 	"github.com/checkin-kv/checkin/internal/inject"
+	"github.com/checkin-kv/checkin/internal/lsm"
 	"github.com/checkin-kv/checkin/internal/nand"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/ssd"
@@ -119,8 +123,9 @@ func RecordWorkload(keys int64, sizer Sizer, mix Mix, zipfian bool, n int, seed 
 }
 
 // Config is the full machine configuration — the reproduction of Table I.
-// Zero fields are replaced by defaults at Open; start from DefaultConfig
-// and override what an experiment sweeps.
+// Open replaces zero fields by DefaultConfig's values (Strategy excepted:
+// its zero is Baseline); start from DefaultConfig and override what an
+// experiment sweeps.
 type Config struct {
 	Strategy Strategy
 	Seed     int64
@@ -275,6 +280,11 @@ func DefaultConfig() Config {
 		JournalHalfMB:      32,
 		CheckpointInterval: time.Second,
 		JournalSoftFrac:    0.7,
+		CompressRatio:      0.85,
+		GCPolicy:           "greedy",
+		FTLMap:             "dram",
+		Engine:             "journal",
+		Compaction:         lsm.PolicyLeveled,
 	}
 }
 
@@ -291,107 +301,69 @@ type DB struct {
 	restPoint *sim.EngineState
 }
 
-// withDefaults returns cfg with every zero field replaced by its default —
-// the resolved configuration a DB actually runs with. Open applies it before
-// assembly; fingerprints apply it so that a zero field and its explicit
-// default hash identically.
-func withDefaults(cfg Config) Config {
-	def := DefaultConfig()
-	fill := func(v *int, d int) {
-		if *v == 0 {
-			*v = d
+// resolve returns cfg as a DB runs it: every zero field replaced by its
+// default, the strategy-dependent GC settings settled, and every value
+// checked. Open, LoadFingerprint and Fingerprint all go through it, so a
+// zero field and its explicit default fingerprint identically and an
+// invalid configuration never fingerprints.
+func resolve(cfg Config) (Config, error) {
+	def := reflect.ValueOf(DefaultConfig())
+	v := reflect.ValueOf(&cfg).Elem()
+	for i := range v.NumField() {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		// A negative duration would wrap around in virtual time; a negative
+		// count would wrap through an unsigned field, hang the FTL's
+		// metadata flush loop, or pass for unset. Any seed is valid.
+		if f.CanInt() && f.Int() < 0 && name != "Seed" {
+			return cfg, fmt.Errorf("checkin: %s must not be negative", name)
 		}
-	}
-	fill(&cfg.Channels, def.Channels)
-	fill(&cfg.DiesPerChannel, def.DiesPerChannel)
-	fill(&cfg.PlanesPerDie, def.PlanesPerDie)
-	fill(&cfg.BlocksPerPlane, def.BlocksPerPlane)
-	fill(&cfg.PagesPerBlock, def.PagesPerBlock)
-	fill(&cfg.PageSizeBytes, def.PageSizeBytes)
-	fill(&cfg.ChannelMBps, def.ChannelMBps)
-	fill(&cfg.MaxPECycles, def.MaxPECycles)
-	fill(&cfg.MapCacheMB, def.MapCacheMB)
-	fill(&cfg.QueueDepth, def.QueueDepth)
-	fill(&cfg.PCIeMBps, def.PCIeMBps)
-	fill(&cfg.JournalHalfMB, def.JournalHalfMB)
-	if cfg.ReadLatency == 0 {
-		cfg.ReadLatency = def.ReadLatency
-	}
-	if cfg.ProgramLatency == 0 {
-		cfg.ProgramLatency = def.ProgramLatency
-	}
-	if cfg.EraseLatency == 0 {
-		cfg.EraseLatency = def.EraseLatency
-	}
-	if cfg.OverProvision == 0 {
-		cfg.OverProvision = def.OverProvision
-	}
-	if cfg.DataCacheMB == 0 {
-		cfg.DataCacheMB = def.DataCacheMB
-	}
-	if cfg.Keys == 0 {
-		cfg.Keys = def.Keys
-	}
-	if cfg.Records == nil {
-		cfg.Records = def.Records
-	}
-	if cfg.CheckpointInterval == 0 {
-		cfg.CheckpointInterval = def.CheckpointInterval
-	}
-	if cfg.JournalSoftFrac == 0 {
-		cfg.JournalSoftFrac = def.JournalSoftFrac
-	}
-	if cfg.CompressRatio == 0 {
-		cfg.CompressRatio = 0.85
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = def.Seed
+		// A zero Strategy is Baseline, a choice rather than unset.
+		if f.IsZero() && name != "Strategy" {
+			f.Set(def.Field(i))
+		}
 	}
 	if cfg.MappingUnit == 0 {
 		cfg.MappingUnit = cfg.Strategy.DefaultMappingUnit()
 	}
-	if cfg.errorModelEnabled() && cfg.SpareBlocksPerDie == 0 {
+	if cfg.SpareBlocksPerDie == 0 && cfg.errorModelEnabled() {
 		cfg.SpareBlocksPerDie = 2
 	}
-	if cfg.FTLMap == "" {
-		cfg.FTLMap = "dram"
+	deferGC := cfg.Strategy == StrategyCheckIn
+	if cfg.DeferGC != nil {
+		deferGC = *cfg.DeferGC
 	}
-	if cfg.Engine == "" {
-		cfg.Engine = "journal"
+	cfg.DeferGC = &deferGC
+
+	if _, ok := gcPolicies[cfg.GCPolicy]; !ok {
+		return cfg, fmt.Errorf("checkin: unknown GCPolicy %q (want greedy, cost-benefit or fifo)", cfg.GCPolicy)
 	}
-	if cfg.Engine == "lsm" && cfg.Compaction == "" {
-		cfg.Compaction = "leveled"
+	switch cfg.FTLMap {
+	case "dram", "dftl", "dftl-basic":
+	default:
+		return cfg, fmt.Errorf("checkin: unknown FTLMap %q (want dram, dftl or dftl-basic)", cfg.FTLMap)
 	}
-	return cfg
+	if !slices.Contains(EngineNames(), cfg.Engine) {
+		return cfg, fmt.Errorf("checkin: unknown Engine %q (registered: %s)", cfg.Engine, strings.Join(EngineNames(), ", "))
+	}
+	if cfg.Compaction != lsm.PolicyLeveled && cfg.Compaction != lsm.PolicyTiered {
+		return cfg, fmt.Errorf("checkin: unknown Compaction %q (want leveled or tiered)", cfg.Compaction)
+	}
+	return cfg, nil
+}
+
+// gcPolicies maps Config.GCPolicy names to the FTL's victim policies.
+var gcPolicies = map[string]ftl.GCPolicy{
+	"greedy":       ftl.GCGreedy,
+	"cost-benefit": ftl.GCCostBenefit,
+	"fifo":         ftl.GCFIFO,
 }
 
 // Open assembles the simulated stack described by cfg.
 func Open(cfg Config) (*DB, error) {
-	// A negative duration would wrap around in virtual time; a negative
-	// count would wrap through an unsigned field, hang the FTL's metadata
-	// flush loop, or pass for unset.
-	for _, d := range []struct {
-		name string
-		v    int64
-	}{
-		{"CheckpointInterval", int64(cfg.CheckpointInterval)},
-		{"ReadLatency", int64(cfg.ReadLatency)},
-		{"ProgramLatency", int64(cfg.ProgramLatency)},
-		{"EraseLatency", int64(cfg.EraseLatency)},
-		{"CommandTimeout", int64(cfg.CommandTimeout)},
-		{"MetaFlushEntries", int64(cfg.MetaFlushEntries)},
-		{"MaxPECycles", int64(cfg.MaxPECycles)},
-		{"MemtableEntries", int64(cfg.MemtableEntries)},
-		{"MapCacheMB", int64(cfg.MapCacheMB)},
-		{"CMTEntries", int64(cfg.CMTEntries)},
-		{"SpareBlocksPerDie", int64(cfg.SpareBlocksPerDie)},
-		{"TraceCapacity", int64(cfg.TraceCapacity)},
-	} {
-		if d.v < 0 {
-			return nil, fmt.Errorf("checkin: %s must not be negative", d.name)
-		}
+	cfg, err := resolve(cfg)
+	if err != nil {
+		return nil, err
 	}
-	cfg = withDefaults(cfg)
 
 	eng := sim.NewEngine()
 
@@ -441,29 +413,12 @@ func Open(cfg Config) (*DB, error) {
 	if fcfg.Parallelism > 8 {
 		fcfg.Parallelism = 8
 	}
-	deferGC := cfg.Strategy == StrategyCheckIn
-	if cfg.DeferGC != nil {
-		deferGC = *cfg.DeferGC
-	}
-	fcfg.DeferGC = deferGC
-	switch cfg.GCPolicy {
-	case "", "greedy":
-		fcfg.GCPolicy = ftl.GCGreedy
-	case "cost-benefit":
-		fcfg.GCPolicy = ftl.GCCostBenefit
-	case "fifo":
-		fcfg.GCPolicy = ftl.GCFIFO
-	default:
-		return nil, fmt.Errorf("checkin: unknown GCPolicy %q (want greedy, cost-benefit or fifo)", cfg.GCPolicy)
-	}
-	switch cfg.FTLMap {
-	case "dram":
-	case "dftl", "dftl-basic":
+	fcfg.DeferGC = *cfg.DeferGC
+	fcfg.GCPolicy = gcPolicies[cfg.GCPolicy]
+	if cfg.FTLMap != "dram" {
 		fcfg.FlashMap = true
 		fcfg.CMTEntries = cfg.CMTEntries
 		fcfg.CMTBasic = cfg.FTLMap == "dftl-basic"
-	default:
-		return nil, fmt.Errorf("checkin: unknown FTLMap %q (want dram, dftl or dftl-basic)", cfg.FTLMap)
 	}
 	fcfg.MetaFlushEntries = cfg.MetaFlushEntries
 	var tracer *trace.Tracer

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -30,20 +29,17 @@ func main() {
 		experiment = flag.String("experiment", "all", "experiment id (see -list) or comma-separated ids or 'all'")
 		scale      = flag.Float64("scale", 1.0, "scales per-point query counts")
 		threads    = flag.String("threads", "4,16,64,128", "comma-separated thread sweep")
-		seed       = flag.Int64("seed", 1, "simulation seed")
 		seeds      = flag.String("seeds", "", "comma-separated seeds: run each experiment once per seed (variance evidence); overrides -seed")
 		parallel   = flag.Int("parallel", 0, "worker goroutines for an experiment's independent runs (0 = NumCPU, 1 = sequential; output is identical either way)")
 		snapshot   = flag.String("snapshot", "on", "load-phase snapshot reuse: 'on' forks a cached post-load template for runs sharing a load configuration, 'off' re-simulates every load phase (output is byte-identical either way)")
 		timing     = flag.Bool("timing", false, "print a per-phase (load / run / render) wall-clock breakdown per cell after each experiment")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		markdown   = flag.String("markdown", "", "also append results as markdown tables to this file")
-		errProfile = flag.String("errors", "off", "NAND error profile applied to every run: off | light | heavy")
-		engine     = flag.String("engine", "journal", "host storage-engine backend for every run: journal (paper's journal+JMT) | lsm (WAL + memtable + sorted runs); experiments that compare backends override per cell")
-		ftlmap     = flag.String("ftlmap", "dram", "FTL mapping-table model: dram (full table in controller DRAM) | dftl (flash-resident translation pages; charges mapping misses and writebacks through NAND timing) | dftl-basic (dftl without the CMT optimizations)")
 		shards     = flag.Int("shards", 0, "shard count for the shardsched experiment (0 = default 4)")
 		tenants    = flag.Int("tenants", 0, "tenant count for the shardsched experiment (0 = default 3)")
 		arrival    = flag.String("arrival", "", "open-loop arrival spec for shardsched: poisson:RATE[:flash] | diurnal:RATE:AMP:PERIOD[:flash] (empty = poisson:150000)")
 		cksched    = flag.String("cksched", "", "restrict shardsched to one cross-shard checkpoint scheduling policy: sync | staggered | global (empty = all)")
+		stack      = cli.StackFlags(" for every run")
 		prof       = cli.ProfileFlags()
 	)
 	flag.Parse()
@@ -63,15 +59,11 @@ func main() {
 	if *snapshot != "on" && *snapshot != "off" {
 		usage(fmt.Errorf("bad -snapshot %q (want on or off)", *snapshot))
 	}
-	profile, err := checkin.ParseErrorProfile(*errProfile)
+	profile, err := checkin.ParseErrorProfile(*stack.Errors)
 	if err != nil {
 		usage(err)
 	}
-	if !slices.Contains(checkin.EngineNames(), *engine) {
-		usage(fmt.Errorf("bad -engine %q (registered: %s)",
-			*engine, strings.Join(checkin.EngineNames(), ", ")))
-	}
-	seedList := []int64{*seed}
+	seedList := []int64{*stack.Seed}
 	if *seeds != "" {
 		seedList = seedList[:0]
 		for _, part := range strings.Split(*seeds, ",") {
@@ -98,7 +90,7 @@ func main() {
 			usage(err)
 		}
 		for _, sd := range seedList {
-			opts := harness.Opts{Scale: *scale, Threads: ths, Seed: sd, Parallelism: *parallel, Snapshots: *snapshot, Timing: *timing, Errors: profile.Name, Engine: *engine, FTLMap: *ftlmap, Shards: *shards, Tenants: *tenants, Arrival: *arrival, CkSched: *cksched}
+			opts := harness.Opts{Scale: *scale, Threads: ths, Seed: sd, Parallelism: *parallel, Snapshots: *snapshot, Timing: *timing, Errors: profile.Name, Engine: *stack.Engine, FTLMap: *stack.FTLMap, Shards: *shards, Tenants: *tenants, Arrival: *arrival, CkSched: *cksched}
 			start := time.Now()
 			table, err := exp.Run(opts)
 			if err != nil {

@@ -17,7 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
+	"reflect"
 	"strings"
 	"time"
 
@@ -38,7 +38,6 @@ func main() {
 		keys        = flag.Int64("keys", 20_000, "record count")
 		interval    = flag.Duration("interval", 300*time.Millisecond, "checkpoint interval (simulated)")
 		unit        = flag.Int("unit", 0, "FTL mapping unit bytes (0 = strategy default)")
-		seed        = flag.Int64("seed", 1, "simulation seed")
 		lock        = flag.Bool("lock", false, "lock query admission during checkpoints")
 		doRecover   = flag.Bool("recover", false, "simulate a crash + recovery after the run")
 		doSPOR      = flag.Bool("spor", false, "simulate a sudden power-off + device OOB recovery after the run")
@@ -48,16 +47,14 @@ func main() {
 		crashpoints = flag.Bool("crashpoints", false, "run the crash-point verification harness instead of a benchmark")
 		site        = flag.String("site", "", "crashpoints: injection site name (empty = every site the census finds)")
 		hit         = flag.Int("hit", 0, "crashpoints: 1-based hit index of -site to crash at")
-		errProfile  = flag.String("errors", "off", "NAND error profile: off | light | heavy")
-		engine      = flag.String("engine", "journal", "host storage-engine backend: journal (paper's journal+JMT) | lsm (WAL + memtable + sorted runs)")
 		compaction  = flag.String("compaction", "leveled", "lsm: compaction policy, leveled | tiered")
 		memtable    = flag.Int("memtable", 0, "lsm: memtable entry bound before a flush epoch (0 = default 4096)")
-		ftlmap      = flag.String("ftlmap", "dram", "FTL mapping-table model: dram | dftl (flash-resident translation pages) | dftl-basic (dftl without the CMT optimizations)")
 		shards      = flag.Int("shards", 0, "run a sharded scale-out simulation across this many engine+SSD stacks (0 = single-stack mode)")
 		tenants     = flag.Int("tenants", 3, "sharded mode: tenant count")
 		arrival     = flag.String("arrival", "poisson:150000", "sharded mode: open-loop arrival spec, poisson:RATE[:flash] | diurnal:RATE:AMP:PERIOD[:flash]")
 		cksched     = flag.String("cksched", "sync", "sharded mode: cross-shard checkpoint scheduling policy, sync | staggered | global")
 		admitRate   = flag.Float64("admit-rate", 0, "sharded mode: aggregate admitted ops/sec across per-tenant token buckets (0 = no admission control)")
+		stack       = cli.StackFlags("")
 		prof        = cli.ProfileFlags()
 	)
 	flag.Parse()
@@ -67,29 +64,33 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	profile, err := checkin.ParseErrorProfile(*errProfile)
+	profile, err := checkin.ParseErrorProfile(*stack.Errors)
 	if err != nil {
 		fatal(err)
 	}
-	if !slices.Contains(checkin.EngineNames(), *engine) {
-		fatal(fmt.Errorf("bad -engine %q (registered: %s)", *engine, strings.Join(checkin.EngineNames(), ", ")))
-	}
-	if *compaction != "leveled" && *compaction != "tiered" {
-		fatal(fmt.Errorf("bad -compaction %q (want leveled or tiered)", *compaction))
-	}
 	if *crashpoints {
-		runCrashpoints(s, *seed, *site, *hit, profile.Name, *ftlmap, *engine, *compaction)
+		var ignored []string
+		flag.Visit(func(f *flag.Flag) {
+			if !crashpointFlags[f.Name] {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fmt.Fprintf(os.Stderr, "checkin-sim: -crashpoints does not take %s\n", strings.Join(ignored, " "))
+			os.Exit(2)
+		}
+		runCrashpoints(s, *stack.Seed, *site, *hit, profile.Name, *stack.FTLMap, *stack.Engine, *compaction)
 		return
 	}
 	// Settings both the single-stack and the sharded mode honour.
 	cfg := checkin.DefaultConfig()
 	cfg.Strategy = s
-	cfg.Engine = *engine
+	cfg.Engine = *stack.Engine
 	cfg.Compaction = *compaction
 	cfg.MemtableEntries = *memtable
 	cfg.CheckpointInterval = *interval
-	cfg.Seed = *seed
-	cfg.FTLMap = *ftlmap
+	cfg.Seed = *stack.Seed
+	cfg.FTLMap = *stack.FTLMap
 	cfg = profile.Apply(cfg)
 	if *shards > 0 {
 		runSharded(cfg, *shards, *tenants, *arrival, *cksched, *admitRate, *queries)
@@ -118,14 +119,13 @@ func main() {
 		cfg.TraceCapacity = 10_000
 	}
 
-	if *printConfig {
-		fmt.Printf("%+v\n", cfg)
-		return
-	}
-
 	db, err := checkin.Open(cfg)
 	if err != nil {
 		fatal(err)
+	}
+	if *printConfig {
+		printResolved(db.Config())
+		return
 	}
 	fmt.Printf("loading %d records (%s)...\n", cfg.Keys, cfg.Records.Name())
 	db.Load()
@@ -295,6 +295,30 @@ func runSharded(base checkin.Config, shards, tenants int,
 	}
 	rep.Render(os.Stdout)
 	fmt.Printf("wall time %.2fs (load %.2fs)\n", rep.Wall.Seconds(), rep.LoadWall.Seconds())
+}
+
+// printResolved writes cfg one field per line, with pointers followed and
+// the record sizer named.
+func printResolved(cfg checkin.Config) {
+	v := reflect.ValueOf(cfg)
+	for i := range v.NumField() {
+		f := v.Field(i)
+		if f.Kind() == reflect.Pointer && !f.IsNil() {
+			f = f.Elem()
+		}
+		val := f.Interface()
+		if s, ok := val.(checkin.Sizer); ok {
+			val = s.Name()
+		}
+		fmt.Printf("%-20s %v\n", v.Type().Field(i).Name, val)
+	}
+}
+
+// crashpointFlags are the flags -crashpoints honours; it refuses any other.
+var crashpointFlags = map[string]bool{
+	"crashpoints": true, "strategy": true, "seed": true, "site": true, "hit": true,
+	"errors": true, "ftlmap": true, "engine": true, "compaction": true,
+	"cpuprofile": true, "memprofile": true,
 }
 
 func fatal(err error) {

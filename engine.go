@@ -1,8 +1,6 @@
 package checkin
 
 import (
-	"fmt"
-
 	"github.com/checkin-kv/checkin/internal/core"
 	"github.com/checkin-kv/checkin/internal/lsm"
 	"github.com/checkin-kv/checkin/internal/sim"
@@ -19,7 +17,7 @@ type HostEngine = core.Host
 func EngineNames() []string { return []string{"journal", "lsm"} }
 
 // newHostEngine builds the engine cfg.Engine names over an already-built
-// device stack.
+// device stack; resolve has checked the name.
 func newHostEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trace.Tracer) (HostEngine, error) {
 	h := core.DefaultConfig().HostConfig
 	h.Strategy = cfg.Strategy
@@ -32,18 +30,15 @@ func newHostEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trac
 	h.Tracer = tracer
 	h.Injector = cfg.Injector
 	h.Seed = cfg.Seed
-	switch cfg.Engine {
-	case "journal":
-		ecfg := core.DefaultConfig()
-		ecfg.HostConfig = h
-		ecfg.CompressRatio = cfg.CompressRatio
-		return core.NewEngine(eng, device, ecfg)
-	case "lsm":
+	if cfg.Engine == "lsm" {
 		lcfg := lsm.DefaultConfig()
 		lcfg.HostConfig = h
 		lcfg.MemtableEntries = cfg.MemtableEntries
 		lcfg.Policy = cfg.Compaction
 		return lsm.New(eng, device, lcfg)
 	}
-	return nil, fmt.Errorf("checkin: unknown Engine %q (registered: %v)", cfg.Engine, EngineNames())
+	ecfg := core.DefaultConfig()
+	ecfg.HostConfig = h
+	ecfg.CompressRatio = cfg.CompressRatio
+	return core.NewEngine(eng, device, ecfg)
 }

@@ -1,166 +1,172 @@
 package checkin
 
 import (
+	"reflect"
 	"testing"
-	"time"
+
+	"github.com/checkin-kv/checkin/internal/inject"
 )
 
-// TestTagHashUniqueness: duplicate tag names panic, including a name
-// reserved by an excluded conditional tag — the collision class the
-// table-driven helper exists to catch.
-func TestTagHashUniqueness(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic on duplicate tag", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("tag/tag", func() {
-		h := NewTagHash("x")
-		h.Tag("a", "%d", 1)
-		h.Tag("a", "%d", 2)
-	})
-	mustPanic("tagif-excluded/tag", func() {
-		h := NewTagHash("x")
-		h.TagIf(false, "a", "%d", 1)
-		h.Tag("a", "%d", 2)
-	})
-	mustPanic("tag/tagif-included", func() {
-		h := NewTagHash("x")
-		h.Tag("a", "%d", 1)
-		h.TagIf(true, "a", "%d", 2)
-	})
+// runPhaseFields are the Config fields LoadFingerprint leaves out (Seed only
+// while the NAND fault model is off). Keep in step with clearRunPhase.
+var runPhaseFields = map[string]bool{
+	"Seed":                 true,
+	"CheckpointInterval":   true,
+	"JournalSoftFrac":      true,
+	"CompressRatio":        true,
+	"LockDuringCheckpoint": true,
+	"Compaction":           true,
+	"MemtableEntries":      true,
+	"Strategy":             true,
 }
 
-// TestTagHashSeparation: domains, tag names and values all separate — no
-// two distinct constructions may collide by concatenation accidents.
-func TestTagHashSeparation(t *testing.T) {
-	sum := func(domain string, build func(*TagHash)) uint64 {
-		h := NewTagHash(domain)
-		build(h)
-		return h.Sum()
+// mutateField changes field name of cfg to a different value that resolve
+// accepts, or reports false when it has no rule for the field's kind.
+func mutateField(cfg *Config, name string) bool {
+	f := reflect.ValueOf(cfg).Elem().FieldByName(name)
+	named := map[string]any{
+		"Engine":     "lsm",
+		"Compaction": "tiered",
+		"GCPolicy":   "fifo",
+		"FTLMap":     "dftl",
+		// Another remapping strategy: the run-phase part of the strategy
+		// moves, its slot alignment does not.
+		"Strategy": StrategyISCC,
+		"Records":  FixedRecords(4096),
+		"Injector": inject.New(),
 	}
-	a := sum("load", func(h *TagHash) { h.Tag("ab", "%d", 12) })
-	b := sum("load", func(h *TagHash) { h.Tag("a", "%s", "b=12") })
-	c := sum("run", func(h *TagHash) { h.Tag("ab", "%d", 12) })
-	d := sum("load", func(h *TagHash) { h.Tag("ab", "%d", 13) })
-	e := sum("load", func(h *TagHash) { h.TagIf(false, "ab", "%d", 12) })
-	if a == b || a == c || a == d || a == e {
-		t.Fatalf("fingerprint collision: a=%x b=%x c=%x d=%x e=%x", a, b, c, d, e)
+	if v, ok := named[name]; ok {
+		f.Set(reflect.ValueOf(v))
+		return true
 	}
-	if again := sum("load", func(h *TagHash) { h.Tag("ab", "%d", 12) }); again != a {
-		t.Fatalf("fingerprint not stable: %x vs %x", again, a)
+	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		f.SetInt(f.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		f.SetUint(f.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		f.SetFloat(f.Float() + 0.01)
+	case reflect.Pointer:
+		if f.Type().Elem().Kind() != reflect.Bool {
+			return false
+		}
+		// A fresh pointer: writing through the old one would alias base.
+		b := !f.Elem().Bool()
+		f.Set(reflect.ValueOf(&b))
+	default:
+		return false
 	}
+	return true
 }
 
-// TestFingerprintFieldSensitivity: every load-phase field the fingerprint
-// claims to cover must change the fingerprint when it changes, conditional
-// tags stay absent at their defaults (dram fingerprints must not move when
-// the dftl knobs exist but are off), and run-phase knobs must change only
-// the run fingerprint.
+// TestFingerprintFieldSensitivity walks every Config field: changing it must
+// move Fingerprint, and must leave LoadFingerprint alone exactly when the
+// field is a run-phase one. A new field is covered without touching this
+// test; only a new kind of field needs a rule in mutateField.
 func TestFingerprintFieldSensitivity(t *testing.T) {
-	base := DefaultConfig()
+	base, err := resolve(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	lfp0, ok := LoadFingerprint(base)
-	if !ok {
-		t.Fatal("default config not snapshottable")
+	rfp0, ok2 := Fingerprint(base)
+	if !ok || !ok2 {
+		t.Fatal("default config not fingerprintable")
 	}
-	mutations := map[string]func(*Config){
-		"Keys":             func(c *Config) { c.Keys = c.Keys + 1 },
-		"Channels":         func(c *Config) { c.Channels *= 2 },
-		"PagesPerBlock":    func(c *Config) { c.PagesPerBlock *= 2 },
-		"MappingUnit":      func(c *Config) { c.MappingUnit = 4096 },
-		"JournalHalfMB":    func(c *Config) { c.JournalHalfMB += 8 },
-		"QueueDepth":       func(c *Config) { c.QueueDepth *= 2 },
-		"FTLMap":           func(c *Config) { c.FTLMap = "dftl" },
-		"FTLMap/basic":     func(c *Config) { c.FTLMap = "dftl-basic" },
-		"MetaFlushEntries": func(c *Config) { c.MetaFlushEntries = 128 },
-		"ReadRetryRate":    func(c *Config) { c.ReadRetryRate = 0.01 },
-		// Strategy shapes the load fingerprint through remap slot alignment.
-		"Strategy": func(c *Config) { c.Strategy = StrategyBaseline },
-		// The backend shapes post-Load state from the ground up: the
-		// template cache must never serve a journal snapshot to an LSM run.
-		"Engine": func(c *Config) { c.Engine = "lsm" },
-	}
-	for name, mutate := range mutations {
+	typ := reflect.TypeFor[Config]()
+	for i := range typ.NumField() {
+		name := typ.Field(i).Name
 		cfg := base
-		mutate(&cfg)
-		lfp, ok := LoadFingerprint(cfg)
-		if !ok {
-			t.Fatalf("%s: mutated config not snapshottable", name)
+		if !mutateField(&cfg, name) {
+			t.Errorf("%s: no mutation rule for %v", name, typ.Field(i).Type)
+			continue
 		}
-		if lfp == lfp0 {
-			t.Errorf("%s: load fingerprint did not change", name)
+		lfp, lok := LoadFingerprint(cfg)
+		rfp, rok := Fingerprint(cfg)
+		if name == "Injector" || name == "TraceCapacity" {
+			if lok || rok {
+				t.Errorf("%s: config with live references fingerprinted", name)
+			}
+			continue
+		}
+		if !lok || !rok {
+			t.Errorf("%s: mutated config not fingerprintable", name)
+			continue
+		}
+		if rfp == rfp0 {
+			t.Errorf("%s: fingerprint did not change", name)
+		}
+		if moved := lfp != lfp0; moved == runPhaseFields[name] {
+			t.Errorf("%s: load fingerprint moved=%v, run-phase=%v", name, moved, runPhaseFields[name])
 		}
 	}
-	// The two flash-resident models leave different post-Load CMT state
-	// (page-fill, eviction order): the template cache must never serve a
-	// dftl snapshot to a dftl-basic run.
+
+	// Zero fields and their explicit defaults fingerprint identically.
+	if lfp, _ := LoadFingerprint(DefaultConfig()); lfp != lfp0 {
+		t.Error("resolving changed the load fingerprint")
+	}
+	if rfp, _ := Fingerprint(DefaultConfig()); rfp != rfp0 {
+		t.Error("resolving changed the fingerprint")
+	}
+
+	// The strategy's remap alignment stays in the load fingerprint.
+	baseline := base
+	baseline.Strategy = StrategyBaseline
+	if lfp, _ := LoadFingerprint(baseline); lfp == lfp0 {
+		t.Error("remap alignment left the load fingerprint")
+	}
+	// With the fault model on, Load's writes draw faults seeded from Seed.
+	faulty := base
+	faulty.ProgramFailRate = 0.01
+	faultySeed := faulty
+	faultySeed.Seed++
+	lfpF, _ := LoadFingerprint(faulty)
+	if lfp, _ := LoadFingerprint(faultySeed); lfp == lfpF {
+		t.Error("Seed left the load fingerprint with the fault model on")
+	}
+	// The two flash-resident models leave different post-Load CMT state.
 	dftl, basic := base, base
 	dftl.FTLMap, basic.FTLMap = "dftl", "dftl-basic"
 	lfpDFTL, _ := LoadFingerprint(dftl)
-	lfpBasic, _ := LoadFingerprint(basic)
-	if lfpDFTL == lfpBasic {
+	if lfp, _ := LoadFingerprint(basic); lfp == lfpDFTL {
 		t.Error("dftl and dftl-basic share a load fingerprint")
 	}
-	// Run-phase knobs leave the load fingerprint alone but move the run one.
-	rfp0, _ := Fingerprint(base)
-	runKnobs := map[string]func(*Config){
-		"Seed":               func(c *Config) { c.Seed = 99 },
-		"CheckpointInterval": func(c *Config) { c.CheckpointInterval = 123 * time.Millisecond },
+	// An invalid config has no fingerprint.
+	bad := base
+	bad.GCPolicy = "bogus"
+	if _, ok := Fingerprint(bad); ok {
+		t.Error("invalid config fingerprinted")
 	}
-	for name, mutate := range runKnobs {
-		cfg := base
-		mutate(&cfg)
-		lfp, _ := LoadFingerprint(cfg)
-		if lfp != lfp0 {
-			t.Errorf("%s: run-phase knob moved the load fingerprint", name)
-		}
-		rfp, _ := Fingerprint(cfg)
-		if rfp == rfp0 {
-			t.Errorf("%s: run fingerprint did not change", name)
-		}
-	}
-	// Zero-value and explicitly defaulted configs fingerprint identically.
-	if lfpd, _ := LoadFingerprint(withDefaults(base)); lfpd != lfp0 {
-		t.Error("withDefaults changed the load fingerprint")
-	}
+}
 
-	// LSM run-phase shape: one LSM template serves both compaction policies
-	// and any memtable bound (run-fingerprint tags only), while selecting
-	// the backend itself moves the load fingerprint — and the explicit
-	// "journal" spelling hashes identically to the zero-value default.
-	lsmBase := base
-	lsmBase.Engine = "lsm"
-	llfp0, ok := LoadFingerprint(lsmBase)
-	if !ok {
-		t.Fatal("lsm config not snapshottable")
+// TestHashValuesSeparation: domains, string boundaries, nil-versus-zero
+// pointers and same-named sizers of different sizes all separate, and
+// values without a stable encoding refuse.
+func TestHashValuesSeparation(t *testing.T) {
+	type sized struct{ S Sizer }
+	zero := 0
+	pairs := [][2][]any{
+		{{"ab", "c"}, {"a", "bc"}},
+		{{[]int{1}, 2}, {[]int{1, 2}}},
+		{{(*int)(nil)}, {&zero}},
+		{{sized{}}, {sized{FixedRecords(0)}}},
+		{{sized{MixedRecords("m", []int{1}, []int{1})}}, {sized{MixedRecords("m", []int{2}, []int{1})}}},
 	}
-	lrfp0, _ := Fingerprint(lsmBase)
-	lsmRunKnobs := map[string]func(*Config){
-		"Compaction":      func(c *Config) { c.Compaction = "tiered" },
-		"MemtableEntries": func(c *Config) { c.MemtableEntries = 1024 },
-	}
-	for name, mutate := range lsmRunKnobs {
-		cfg := lsmBase
-		mutate(&cfg)
-		lfp, _ := LoadFingerprint(cfg)
-		if lfp != llfp0 {
-			t.Errorf("%s: LSM run-phase knob moved the load fingerprint", name)
-		}
-		rfp, _ := Fingerprint(cfg)
-		if rfp == lrfp0 {
-			t.Errorf("%s: LSM run fingerprint did not change", name)
+	for _, p := range pairs {
+		a, _ := HashValues("x", 4, p[0]...)
+		b, _ := HashValues("x", 4, p[1]...)
+		if a == b {
+			t.Errorf("%v and %v collide", p[0], p[1])
 		}
 	}
-	explicit := base
-	explicit.Engine = "journal"
-	if lfp, _ := LoadFingerprint(explicit); lfp != lfp0 {
-		t.Error(`Engine "journal" fingerprints differently from the zero-value default`)
+	a, _ := HashValues("load", 0, 12)
+	b, _ := HashValues("run", 0, 12)
+	if a == b {
+		t.Error("domains collide")
 	}
-	if rfp, _ := Fingerprint(explicit); rfp != rfp0 {
-		t.Error(`Engine "journal" moved the run fingerprint off the zero-value default`)
+	if _, ok := HashValues("x", 0, map[int]int{}); ok {
+		t.Error("map hashed")
 	}
 }

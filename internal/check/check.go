@@ -118,7 +118,8 @@ type Options struct {
 // triggers, journal deallocation, foreground/background GC, metadata
 // flushes and wear leveling.
 func DefaultOptions() Options {
-	return Options{Keys: 1500, Ops: 3000, Threads: 4, CrashesPerSite: 2}
+	return Options{Keys: 1500, Ops: 3000, Threads: 4, CrashesPerSite: 2,
+		Engine: "journal", Compaction: "leveled"}
 }
 
 // DFTLCMTEntries pins the dftl verification builds' CMT bound at two
@@ -360,6 +361,8 @@ func ReproOptions(errors, ftlmap, engine, compaction string) (Options, error) {
 	case !dram:
 		opts = DFTLOptions(ftlmap)
 	}
+	// Open checks the names; the journal engine ignores the policy.
+	opts.Engine, opts.Compaction = engine, compaction
 	if errors != "off" {
 		opts.Errors = errors
 	}

@@ -1,6 +1,6 @@
 // Package cli holds what the checkin-sim and checkin-bench commands share
-// beyond the library itself: the -cpuprofile/-memprofile flags and the
-// profiles they write.
+// beyond the library itself: the flags that pick the simulated stack, and
+// the -cpuprofile/-memprofile flags and the profiles they write.
 package cli
 
 import (

@@ -107,7 +107,7 @@ func executeSnap(j Job, o Options) (*checkin.DB, *checkin.Metrics, Timing, error
 
 type memoKey struct {
 	cfgFP       uint64
-	spec        string
+	specFP      uint64
 	snapshots   bool
 	parallelism int
 }
@@ -123,11 +123,13 @@ func memoKeyFor(j Job, o Options) (memoKey, bool) {
 	if !ok {
 		return memoKey{}, false
 	}
-	s := j.Spec
+	spec, ok := checkin.HashValues("spec", 0, j.Spec)
+	if !ok {
+		return memoKey{}, false
+	}
 	return memoKey{
-		cfgFP: fp,
-		spec: fmt.Sprintf("%d/%d/%+v/%v/%d", s.Threads, s.TotalQueries,
-			s.Mix, s.Zipfian, s.SampleInterval),
+		cfgFP:  fp,
+		specFP: spec,
 		// The snapshot mode and parallelism are part of the key so that
 		// determinism tests comparing those settings — snapshots on vs
 		// off, sequential vs parallel — always compute both sides for

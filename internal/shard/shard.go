@@ -260,28 +260,17 @@ func (s *ShardedDB) buildShards() error {
 	return nil
 }
 
-// fingerprint hashes the complete sharded configuration through the same
-// collision-checked tag primitive the single-stack fingerprints use, with
-// the per-shard stack fingerprint embedded and one tag per tenant.
+// fingerprint hashes the sharded configuration with checkin.HashValues:
+// the per-shard stack enters through its resolved stack fingerprint, every
+// other field directly, and Arrival.Sizer is probed over the combined key
+// space.
 func (s *ShardedDB) fingerprint() uint64 {
-	h := checkin.NewTagHash("shard")
-	baseFP, ok := checkin.Fingerprint(s.perCfg)
-	h.Tag("stack", "%016x/%v", baseFP, ok)
-	h.Tag("n", "%d", s.cfg.Shards)
-	h.Tag("sched", "%s", s.cfg.Sched)
-	h.Tag("ops", "%d", s.cfg.TotalOps)
-	h.Tag("workers", "%d", s.cfg.Workers)
-	h.Tag("win", "%d", s.cfg.Window)
-	h.Tag("admit", "%v/%v", s.cfg.AdmitRatePerSec, s.cfg.AdmitBurst)
-	h.Tag("seed", "%d", s.cfg.Seed)
-	a := s.cfg.Arrival
-	h.Tag("arrival", "%s/%v/%v/%d/%d", a.Process, a.RatePerSec, a.DiurnalAmp, a.DiurnalPeriod, a.Clients)
-	h.TagIf(a.Flash != nil, "flash", "%+v", a.Flash)
-	for i, t := range a.Tenants {
-		h.Tag(fmt.Sprintf("tenant%d", i), "%s/%d/%d/%+v/%v/%v/%d",
-			t.Name, t.Weight, t.Keys, t.Mix, t.Zipfian, t.Theta, t.SLO)
-	}
-	return h.Sum()
+	stack, ok := checkin.Fingerprint(s.perCfg)
+	cfg := s.cfg
+	cfg.Base = checkin.Config{}
+	// Config holds no func, map or chan, so HashValues always succeeds.
+	fp, _ := checkin.HashValues("shard", cfg.Arrival.TotalKeys(), stack, ok, cfg)
+	return fp
 }
 
 // Fingerprint identifies the full sharded configuration; equal fingerprints

@@ -342,6 +342,7 @@ func TestShardFingerprintSensitivity(t *testing.T) {
 		"seed":    func(c *Config) { c.Seed = 9 },
 		"admit":   func(c *Config) { c.AdmitRatePerSec = 50_000 },
 		"strat":   func(c *Config) { c.Base.Strategy = checkin.StrategyBaseline },
+		"sizer":   func(c *Config) { c.Arrival.Sizer = workload.FixedSizer{Size: 4096} },
 	}
 	for name, m := range muts {
 		if fp(m) == base {

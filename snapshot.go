@@ -3,8 +3,12 @@ package checkin
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
+	"math"
+	"reflect"
+	"strconv"
 
 	"github.com/checkin-kv/checkin/internal/ftl"
 	"github.com/checkin-kv/checkin/internal/nand"
@@ -120,101 +124,151 @@ func (s *Snapshot) Fork(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// LoadFingerprint hashes every configuration field that influences the load
-// phase — geometry, flash timing, FTL shape and policy, controller sizing,
-// key population and record sizes, and the strategy-derived slot alignment.
-// Two configs with equal load fingerprints produce bit-identical post-Load
-// state, so a snapshot captured under one can be forked under the other.
-// Deliberately excluded: Seed (Load is deterministic and consults no RNG)
-// and the run-phase knobs (checkpoint interval, journal soft fraction,
-// compression, checkpoint locking) — exclusion
-// is what lets one template serve strategy sweeps that only vary those.
-// ok is false when the config cannot be snapshotted at all (fault injection
-// or tracing threads live references through the stack).
+// LoadFingerprint identifies the load phase cfg runs: Fingerprint's hash
+// over the resolved configuration after clearRunPhase. Two configs with
+// equal load fingerprints produce bit-identical post-Load state, so a
+// snapshot captured under one can be forked under the other. Leaving the
+// run-phase fields out is what lets one template serve strategy, seed and
+// checkpoint-knob sweeps. ok is false under the same conditions as
+// Fingerprint.
 func LoadFingerprint(cfg Config) (uint64, bool) {
-	if cfg.Injector != nil || cfg.TraceCapacity > 0 {
-		return 0, false
-	}
-	cfg = withDefaults(cfg)
-	if cfg.GCPolicy == "" {
-		cfg.GCPolicy = "greedy"
-	}
-	deferGC := cfg.Strategy == StrategyCheckIn
-	if cfg.DeferGC != nil {
-		deferGC = *cfg.DeferGC
-	}
-	h := NewTagHash("load")
-	h.Tag("geo", "%d/%d/%d/%d/%d/%d",
-		cfg.Channels, cfg.DiesPerChannel, cfg.PlanesPerDie, cfg.BlocksPerPlane,
-		cfg.PagesPerBlock, cfg.PageSizeBytes)
-	h.Tag("tim", "%d/%d/%d/%d",
-		cfg.ReadLatency.Nanoseconds(), cfg.ProgramLatency.Nanoseconds(),
-		cfg.EraseLatency.Nanoseconds(), cfg.ChannelMBps)
-	h.Tag("pe", "%d", cfg.MaxPECycles)
-	h.Tag("ftl", "%d/%v/%d/%s/%v/%d", cfg.MappingUnit, cfg.OverProvision,
-		cfg.MapCacheMB, cfg.GCPolicy, deferGC, cfg.WearDeltaThreshold)
-	// Appended only off the default so dram fingerprints stay stable across
-	// the dftl introduction.
-	h.TagIf(cfg.FTLMap != "dram", "ftlmap", "%s/%d", cfg.FTLMap, cfg.CMTEntries)
-	h.TagIf(cfg.MetaFlushEntries != 0, "mf", "%d", cfg.MetaFlushEntries)
-	h.Tag("dev", "%d/%d/%d/%d", cfg.QueueDepth, cfg.PCIeMBps, cfg.DataCacheMB,
-		cfg.CommandTimeout.Nanoseconds())
-	h.Tag("rel", "%v/%v/%v/%v/%v/%v/%d", cfg.ReadRetryRate, cfg.RetryEscalation,
-		cfg.UncorrectableRate, cfg.ProgramFailRate, cfg.EraseFailRate,
-		cfg.WearErrorFactor, cfg.SpareBlocksPerDie)
-	// The fault stream is seeded from Seed, and Load's writes draw from it —
-	// with the model enabled, Seed shapes post-Load state (unlike the
-	// perfect-flash case, where Load consults no RNG).
-	h.TagIf(cfg.errorModelEnabled(), "relseed", "%d", cfg.Seed)
-	h.Tag("db", "%d/%d", cfg.Keys, cfg.JournalHalfMB)
-	// The backend shapes post-Load state from the ground up (journal halves
-	// + key table vs WAL + base run + manifest). Appended only off the
-	// default so journal fingerprints stay stable across the lsm
-	// introduction — and so the template cache can never serve a journal
-	// snapshot to an LSM run or vice versa.
-	h.TagIf(cfg.Engine != "journal", "engine", "%s", cfg.Engine)
-	h.Tag("remap", "%v", cfg.Strategy.UsesRemap())
-	h.Tag("sizer", "%016x", sizerFingerprint(cfg.Records, cfg.Keys))
-	return h.Sum(), true
-}
-
-// Fingerprint hashes the complete resolved configuration: the load
-// fingerprint plus every run-phase field. Two configs with equal
-// fingerprints run identical simulations end to end, making this the key
-// for memoizing whole runs. ok is false under the same conditions as
-// LoadFingerprint.
-func Fingerprint(cfg Config) (uint64, bool) {
-	lfp, ok := LoadFingerprint(cfg)
+	cfg, ok := fingerprintable(cfg)
 	if !ok {
 		return 0, false
 	}
-	cfg = withDefaults(cfg)
-	h := NewTagHash("run")
-	h.Tag("load", "%016x", lfp)
-	h.Tag("strat", "%v", cfg.Strategy)
-	h.Tag("seed", "%d", cfg.Seed)
-	h.Tag("ival", "%d", cfg.CheckpointInterval.Nanoseconds())
-	h.Tag("soft", "%v", cfg.JournalSoftFrac)
-	h.Tag("comp", "%v", cfg.CompressRatio)
-	h.Tag("lock", "%v", cfg.LockDuringCheckpoint)
-	// LSM run-phase shape: the compaction policy and memtable bound steer
-	// every flush and merge, but not the load phase (the base run's layout
-	// is policy-independent), so they tag here rather than in
-	// LoadFingerprint — one LSM template serves both policies.
-	h.TagIf(cfg.Engine != "journal", "lsmrun", "%s/%d", cfg.Compaction, cfg.MemtableEntries)
-	return h.Sum(), true
+	// Remapping strategies align slots to the sub-page unit, which shapes
+	// the loaded layout; the rest of the strategy only steers the run.
+	remap := cfg.Strategy.UsesRemap()
+	clearRunPhase(&cfg)
+	return HashValues("load", cfg.Keys, cfg, remap)
 }
 
-// sizerFingerprint identifies a record-size assignment by name plus a probe
-// of every key's size — sizers are user-supplied, so the name alone is not
-// trusted to pin the mapping.
-func sizerFingerprint(s Sizer, keys int64) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, s.Name())
-	var buf [8]byte
-	for k := int64(0); k < keys; k++ {
-		binary.LittleEndian.PutUint64(buf[:], uint64(s.SizeOf(k)))
-		h.Write(buf[:])
+// clearRunPhase zeroes the fields that steer only the run phase. The load
+// phase consults no RNG, so Seed goes too unless the NAND fault model is on:
+// the fault stream is seeded from Seed and Load's writes draw from it. A
+// field missing here costs template reuse, never correctness.
+func clearRunPhase(cfg *Config) {
+	if !cfg.errorModelEnabled() {
+		cfg.Seed = 0
 	}
-	return h.Sum64()
+	cfg.CheckpointInterval = 0
+	cfg.JournalSoftFrac = 0
+	cfg.CompressRatio = 0
+	cfg.LockDuringCheckpoint = false
+	// The LSM base run's layout is policy- and memtable-independent, so
+	// one LSM template serves both compaction policies.
+	cfg.Compaction = ""
+	cfg.MemtableEntries = 0
+	cfg.Strategy = 0
+}
+
+// Fingerprint hashes every field of the resolved configuration (see
+// HashValues). Two configs with equal fingerprints run identical
+// simulations end to end, making this the key for memoizing whole runs.
+// ok is false when cfg is invalid, or cannot be snapshotted at all (fault
+// injection or tracing threads live references through the stack).
+func Fingerprint(cfg Config) (uint64, bool) {
+	cfg, ok := fingerprintable(cfg)
+	if !ok {
+		return 0, false
+	}
+	return HashValues("run", cfg.Keys, cfg)
+}
+
+// fingerprintable resolves cfg; ok is false when it cannot be fingerprinted.
+func fingerprintable(cfg Config) (Config, bool) {
+	if cfg.Injector != nil || cfg.TraceCapacity > 0 {
+		return cfg, false
+	}
+	cfg, err := resolve(cfg)
+	return cfg, err == nil
+}
+
+// HashValues fingerprints vs under domain by value: every field of every
+// struct, recursively, with pointers and interfaces followed rather than
+// hashed by address. A Sizer is hashed by its name and a probe of its size
+// for every key in [0, keys): sizers are user-supplied, so the name alone
+// is not trusted to pin the mapping. ok is false when vs hold a value
+// without a stable encoding: a func, chan, map or unsafe pointer, or a
+// Sizer in an unexported field. Values must not hold pointer cycles.
+func HashValues(domain string, keys int64, vs ...any) (uint64, bool) {
+	w := valueHasher{h: fnv.New64a(), keys: keys}
+	w.str(domain)
+	for _, v := range vs {
+		if !w.value(reflect.ValueOf(v)) {
+			return 0, false
+		}
+	}
+	return w.h.Sum64(), true
+}
+
+var sizerType = reflect.TypeFor[Sizer]()
+
+type valueHasher struct {
+	h    hash.Hash64
+	keys int64
+	buf  [8]byte
+}
+
+func (w *valueHasher) u64(x uint64) {
+	binary.LittleEndian.PutUint64(w.buf[:], x)
+	w.h.Write(w.buf[:])
+}
+
+// str writes s length-prefixed, so adjacent strings cannot run together.
+func (w *valueHasher) str(s string) {
+	w.u64(uint64(len(s)))
+	io.WriteString(w.h, s)
+}
+
+func (w *valueHasher) value(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Bool:
+		w.str(strconv.FormatBool(v.Bool()))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		w.u64(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		w.u64(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		w.u64(math.Float64bits(v.Float()))
+	case reflect.String:
+		w.str(v.String())
+	case reflect.Array, reflect.Slice:
+		w.u64(uint64(v.Len()))
+		for i := range v.Len() {
+			if !w.value(v.Index(i)) {
+				return false
+			}
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if !w.value(v.Field(i)) {
+				return false
+			}
+		}
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			w.u64(0)
+			return true
+		}
+		w.u64(1)
+		if v.Type() == sizerType {
+			if !v.CanInterface() {
+				return false
+			}
+			sz := v.Interface().(Sizer)
+			w.str(sz.Name())
+			for k := range w.keys {
+				w.u64(uint64(sz.SizeOf(k)))
+			}
+			return true
+		}
+		if v.Kind() == reflect.Interface {
+			w.str(v.Elem().Type().String())
+		}
+		return w.value(v.Elem())
+	default:
+		return false
+	}
+	return true
 }
