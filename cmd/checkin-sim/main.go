@@ -69,16 +69,7 @@ func main() {
 		fatal(err)
 	}
 	if *crashpoints {
-		var ignored []string
-		flag.Visit(func(f *flag.Flag) {
-			if !crashpointFlags[f.Name] {
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			fmt.Fprintf(os.Stderr, "checkin-sim: -crashpoints does not take %s\n", strings.Join(ignored, " "))
-			os.Exit(2)
-		}
+		refuseUnhonoured("-crashpoints", crashpointFlags)
 		runCrashpoints(s, *stack.Seed, *site, *hit, profile.Name, *stack.FTLMap, *stack.Engine, *compaction)
 		return
 	}
@@ -93,6 +84,7 @@ func main() {
 	cfg.FTLMap = *stack.FTLMap
 	cfg = profile.Apply(cfg)
 	if *shards > 0 {
+		refuseUnhonoured("-shards", shardedFlags)
 		runSharded(cfg, *shards, *tenants, *arrival, *cksched, *admitRate, *queries)
 		return
 	}
@@ -314,10 +306,34 @@ func printResolved(cfg checkin.Config) {
 	}
 }
 
+// refuseUnhonoured exits 2 naming every flag set on the command line that
+// mode does not honour, so no setting is silently ignored.
+func refuseUnhonoured(mode string, honoured map[string]bool) {
+	var ignored []string
+	flag.Visit(func(f *flag.Flag) {
+		if !honoured[f.Name] {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		fmt.Fprintf(os.Stderr, "checkin-sim: %s does not take %s\n", mode, strings.Join(ignored, " "))
+		os.Exit(2)
+	}
+}
+
 // crashpointFlags are the flags -crashpoints honours; it refuses any other.
 var crashpointFlags = map[string]bool{
 	"crashpoints": true, "strategy": true, "seed": true, "site": true, "hit": true,
 	"errors": true, "ftlmap": true, "engine": true, "compaction": true,
+	"cpuprofile": true, "memprofile": true,
+}
+
+// shardedFlags are the flags sharded mode (-shards N > 0) honours; it
+// refuses any other.
+var shardedFlags = map[string]bool{
+	"shards": true, "tenants": true, "arrival": true, "cksched": true, "admit-rate": true,
+	"queries": true, "strategy": true, "interval": true, "seed": true,
+	"errors": true, "ftlmap": true, "engine": true, "compaction": true, "memtable": true,
 	"cpuprofile": true, "memprofile": true,
 }
 

@@ -67,3 +67,18 @@ func TestCrashpointsRefusesUnhonouredFlags(t *testing.T) {
 		t.Errorf("honoured flags: exit %d, stdout %q, stderr %q", code, out, errOut)
 	}
 }
+
+// TestShardedRefusesUnhonouredFlags: sharded mode exits 2 naming every
+// single-stack flag it would ignore, and runs with the flags it honours.
+func TestShardedRefusesUnhonouredFlags(t *testing.T) {
+	code, out, errOut := runSim(t, "-shards", "2", "-print-config", "-recover", "-keys", "10")
+	if code != 2 || out != "" || !strings.Contains(errOut, "-shards does not take -keys -print-config -recover") {
+		t.Errorf("exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+	code, out, errOut = runSim(t, "-shards=2", "-tenants=2", "-arrival=poisson:100000", "-cksched=staggered",
+		"-admit-rate=90000", "-queries=2000", "-strategy=Check-In", "-interval=5ms", "-seed=3",
+		"-errors=off", "-ftlmap=dram", "-engine=journal", "-compaction=leveled", "-memtable=0")
+	if code != 0 || !strings.HasPrefix(out, "sharded run: 2 shards") || !strings.Contains(out, "offered 2000") {
+		t.Errorf("honoured flags: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+}

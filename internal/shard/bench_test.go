@@ -129,7 +129,7 @@ func TestShardBenchSmoke(t *testing.T) {
 		},
 		"tenants":     tenants,
 		"shards":      shardRows,
-		"determinism": "Rendered reports are byte-identical on the sequential (GOMAXPROCS=1) and parallel (GOMAXPROCS=4) shard paths (TestShardedDeterminismMatrix, CI -race -cpu 1,4); multi-core speedup evidence is carried by those GOMAXPROCS-forcing tests since this container is single-core.",
+		"determinism": "Rendered reports are byte-identical on the sequential (GOMAXPROCS=1) and parallel (GOMAXPROCS=4) shard paths (TestShardedDeterminismMatrix, CI -race -cpu 1,4).",
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

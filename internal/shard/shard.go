@@ -8,20 +8,28 @@
 // Each shard's full stack (engine, journal, FTL, NAND array) lives on its
 // own private sim.Engine — a coarse-grained event domain of one whole
 // machine. The coordinator advances all domains in fixed windows of virtual
-// time: it generates and admits the window's arrivals up front (arrivals and
-// token-bucket admission are pure functions of arrival times, never of
-// service progress), hands each shard its slice, and only then lets the
-// domains execute the window — sequentially or on parallel goroutines.
-// Cross-domain edges exist solely at those window boundaries: arrival
-// dispatch going in, accounting collection coming out. Because shards share
-// no mutable state and the inputs to every window are fixed before it runs,
-// the merged output is byte-identical to the sequential interleaving at any
-// GOMAXPROCS — the window barrier *is* the conservative-sync lookahead, with
-// the window length as the horizon.
+// time: each window's arrivals are generated, admitted and routed before it
+// runs (arrivals and token-bucket admission are pure functions of arrival
+// times, never of service progress), each shard gets its slice, and only
+// then do the domains execute the window — sequentially or on parallel
+// goroutines. Because generation needs nothing from execution, a producer
+// goroutine builds window k+1 while the shards run window k, into the
+// second of two alternating buffer sets. Cross-domain edges exist solely at
+// window boundaries: arrival dispatch going in, accounting collection
+// coming out. Because shards share no mutable state and the inputs to every
+// window are fixed before it runs, the merged output is byte-identical to
+// the sequential interleaving at any GOMAXPROCS — the window barrier *is*
+// the conservative-sync lookahead, with the window length as the horizon.
+//
+// The window only partitions time: reports are identical at any window
+// length. Checkpoint cuts follow the same rule in every window — they fall
+// strictly before the stream's final arrival — so the window in which the
+// stream ends keeps its cuts.
 package shard
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -82,8 +90,9 @@ type Config struct {
 	AdmitBurst      float64
 	// Window is the conservative-sync quantum (default 50ms). Smaller
 	// windows tighten the arrival lookahead; larger windows amortize the
-	// cross-domain barrier. Output is byte-identical at any value — the
-	// window only partitions time.
+	// cross-domain barrier. Output is byte-identical at any value, apart
+	// from the config fingerprint it enters — the window only partitions
+	// time.
 	Window sim.VTime
 	// Seed seeds the arrival stream (default Base.Seed, then 1).
 	Seed int64
@@ -286,39 +295,81 @@ func (s *ShardedDB) parallelOn() bool {
 
 // Run executes the offered stream to exhaustion plus drain and returns the
 // report. One call per ShardedDB.
+//
+// Phase 1 (generate, admit, route) runs on a producer goroutine one window
+// ahead of the shards; the calling goroutine coordinates Phases 2-4.
 func (s *ShardedDB) Run() (*Report, error) {
 	wallStart := time.Now()
-	interval := sim.VTime(s.shards[0].db.Config().CheckpointInterval.Nanoseconds())
-	nShards := len(s.shards)
+	windows, stop, exited := make(chan *window), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		s.produce(windows, stop)
+	}()
+	halt := sync.OnceFunc(func() { close(stop); <-exited })
+	defer halt() // every return path, a panicking shard's included, ends the producer
+	if err := s.execute(windows); err != nil {
+		return nil, err
+	}
+	halt() // report reads offered and shed, which only the producer writes
+	for _, r := range s.shards {
+		r.close(s.cfg.Workers)
+	}
+	return s.report(time.Since(wallStart)), nil
+}
 
+// window is one conservative-sync quantum as the producer hands it over:
+// its span, its admitted arrivals per shard and the end of its cut range.
+type window struct {
+	start, end sim.VTime
+	staged     [][]workload.Arrival // per shard: sorted by time, keys local
+	cutEnd     sim.VTime            // checkpoint cuts fall in [start, cutEnd)
+	live       bool                 // the offered stream continues past end
+}
+
+// produce is Phase 1: it generates, admits and routes each window's
+// arrivals and hands the window over out. Everything here is a pure
+// function of the arrival stream — no shard state is consulted — so the
+// windows are identical however, and whenever, they are built. Only the
+// producer touches gen, buckets, router, offered and shed.
+//
+// Two staged-buffer sets alternate. out is unbuffered, so set k%2 is
+// rewritten for window k+2 only after the coordinator took window k+1,
+// which it does once window k has run. Once the stream ends the producer
+// keeps handing over empty drain windows until stop closes.
+func (s *ShardedDB) produce(out chan<- *window, stop <-chan struct{}) {
+	var sets [2]window
+	for i := range sets {
+		sets[i].staged = make([][]workload.Arrival, len(s.shards))
+	}
 	remaining := s.cfg.TotalOps
 	// lookahead arrival beyond the current window, held by value: a
 	// pointer to it would move every generated arrival to the heap
 	var pending workload.Arrival
 	havePending := false
-	staged := make([][]workload.Arrival, nShards)
-	winStart := sim.VTime(0)
-
-	for {
-		winEnd := winStart + s.cfg.Window
-
-		// Phase 1 (coordinator, sequential): generate, admit and route the
-		// window's arrivals. Everything here is a pure function of the
-		// arrival stream — no shard state is consulted — so the slices are
-		// identical however the previous window was executed.
-		for i := range staged {
-			staged[i] = staged[i][:0]
+	// Cuts fall strictly before the stream's final arrival, which is known
+	// once it is generated; until then every cut in the window stands.
+	lastAt := sim.VTime(math.MaxInt64)
+	end := sim.VTime(0)
+	for k := 0; ; k++ {
+		w := &sets[k%2]
+		w.start, end = end, end+s.cfg.Window
+		w.end = end
+		for i := range w.staged {
+			w.staged[i] = w.staged[i][:0]
 		}
 		for remaining > 0 {
 			if !havePending {
 				pending, havePending = s.gen.Next(), true
 			}
-			if pending.At >= winEnd {
+			if pending.At >= end {
 				break
 			}
 			a := pending
 			havePending = false
 			remaining--
+			if remaining == 0 {
+				lastAt = a.At
+			}
 			s.offered[a.Tenant]++
 			if s.buckets != nil && !s.buckets[a.Tenant].admit(a.At) {
 				s.shed[a.Tenant]++
@@ -326,16 +377,31 @@ func (s *ShardedDB) Run() (*Report, error) {
 			}
 			sh, local := s.router.place(a.Op.Key)
 			a.Op.Key = local
-			staged[sh] = append(staged[sh], a)
+			w.staged[sh] = append(w.staged[sh], a)
 		}
+		// A pending arrival is counted in remaining until it is taken.
+		w.live = remaining > 0
+		w.cutEnd = min(end, lastAt)
+		select {
+		case out <- w:
+		case <-stop:
+			return
+		}
+	}
+}
+
+// execute is Phases 2-4 on the coordinator: it stages each window the
+// producer hands over, runs it on every shard and stops once the stream
+// has ended and every shard has drained.
+func (s *ShardedDB) execute(windows <-chan *window) error {
+	interval := sim.VTime(s.shards[0].db.Config().CheckpointInterval.Nanoseconds())
+	for {
+		w := <-windows
 
 		// Phase 2: stage arrivals and the window's checkpoint cuts.
-		trafficLive := remaining > 0 || havePending
 		for i, r := range s.shards {
-			r.stage(staged[i])
-			if trafficLive {
-				r.scheduleCuts(s.cutsFor(i, interval, winStart, winEnd))
-			}
+			r.stage(w.staged[i])
+			r.scheduleCuts(s.cutsFor(i, interval, w.start, w.cutEnd))
 		}
 
 		// Phase 3: run the window — the only parallel section. Shards
@@ -348,45 +414,42 @@ func (s *ShardedDB) Run() (*Report, error) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					r.run(r.base + winEnd)
+					r.run(r.base + w.end)
 				}()
 			}
 			wg.Wait()
 		} else {
 			for _, r := range s.shards {
-				r.run(r.base + winEnd)
+				r.run(r.base + w.end)
 			}
 		}
 
 		// Phase 4: termination and progress checks.
-		if !trafficLive {
+		if !w.live {
 			idle := true
 			for _, r := range s.shards {
 				if !r.idle() {
 					idle = false
-					if _, ok := r.eng.NextEventAt(); !ok && r.sem.Waiting() == s.cfg.Workers {
-						// A backlogged shard with an empty event queue and
-						// every worker parked can never drain — a driver
-						// bug; fail loudly instead of spinning windows.
-						return nil, fmt.Errorf("shard %d stalled with %d ops outstanding",
+					if r.done != r.queued && r.sem.Waiting() == s.cfg.Workers {
+						// Every worker parked on the semaphore holds no op,
+						// so ops still outstanding once the stream has ended
+						// can never complete — a driver bug; fail loudly
+						// instead of spinning windows. (The event queue
+						// never empties: the device's deallocator re-arms.)
+						return fmt.Errorf("shard %d stalled with %d ops outstanding",
 							r.id, r.queued-r.done)
 					}
 				}
 			}
 			if idle {
-				break
+				return nil
 			}
 		}
-		winStart = winEnd
 	}
-
-	for _, r := range s.shards {
-		r.close(s.cfg.Workers)
-	}
-	return s.report(time.Since(wallStart)), nil
 }
 
-// cutsFor returns shard i's checkpoint triggers inside [winStart, winEnd).
+// cutsFor returns shard i's checkpoint triggers inside [winStart, winEnd);
+// the caller clips winEnd to the stream's final arrival.
 func (s *ShardedDB) cutsFor(i int, interval, winStart, winEnd sim.VTime) []cut {
 	phase := sim.VTime(0)
 	if s.cfg.Sched == SchedStaggered {

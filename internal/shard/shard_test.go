@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"regexp"
 	"runtime"
 	"testing"
 	"time"
@@ -446,5 +447,90 @@ func TestShardRunAllocs(t *testing.T) {
 	t.Logf("%.3f allocs per offered op", perOp)
 	if perOp > 1 {
 		t.Fatalf("open-loop run allocates %.3f objects per offered op, want at most 1", perOp)
+	}
+}
+
+// TestShardedWindowInvariance: the conservative-sync window only partitions
+// time. Every policy renders the same report at window lengths from 3 ms to
+// beyond the whole run, apart from the header's config fingerprint (the
+// window is a config field). Checkpoint cuts fall strictly before the
+// stream's final arrival whatever window it lands in; a rule that drops
+// cuts in the window where the stream ends takes 3 checkpoints per shard at
+// 3 ms and 0 at 1 s here.
+func TestShardedWindowInvariance(t *testing.T) {
+	fp := regexp.MustCompile(`config [0-9a-f]{16}`)
+	for _, sched := range Scheds() {
+		var want string
+		for _, win := range []sim.VTime{3 * sim.Millisecond, 20 * sim.Millisecond, 50 * sim.Millisecond, sim.Second} {
+			cfg := testConfig(3, sched)
+			cfg.Window = win
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatalf("%s window %v: %v", sched, win, err)
+			}
+			for _, sr := range rep.ShardRows {
+				if sr.Checkpoints == 0 {
+					t.Fatalf("%s window %v: shard %d ran no checkpoints", sched, win, sr.ID)
+				}
+			}
+			got := fp.ReplaceAllString(rep.String(), "config <fp>")
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: window %v changes the report:\n--- 3ms ---\n%s\n--- %v ---\n%s", sched, win, want, win, got)
+			}
+		}
+	}
+}
+
+// TestShardedRunLeavesNoGoroutine: Run ends its arrival producer on every
+// return path. The goroutine count after a run — a normal one at
+// GOMAXPROCS 1 and 4, and one that returns early with the stall error — is
+// back at its count before Open.
+func TestShardedRunLeavesNoGoroutine(t *testing.T) {
+	settle := func(baseline int) int {
+		n := runtime.NumGoroutine()
+		// A goroutine that signalled its exit may still be unwinding.
+		for deadline := time.Now().Add(2 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		return n
+	}
+	for _, procs := range []int{1, 4} {
+		for _, stall := range []bool{false, true} {
+			withProcs(procs, func() string {
+				baseline := runtime.NumGoroutine()
+				cfg := testConfig(2, SchedStaggered)
+				if stall {
+					cfg.Shards = 1
+				}
+				s, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stall {
+					// An op counted as queued that no worker will ever see:
+					// once traffic ends, the shard can never drain.
+					s.shards[0].queued++
+				}
+				_, err = s.Run()
+				if stall != (err != nil) {
+					t.Fatalf("GOMAXPROCS=%d stall=%v: Run error %v", procs, stall, err)
+				}
+				if stall {
+					// The early return leaves the stalled shard's workers
+					// parked on an empty queue; release them as Run does.
+					s.shards[0].close(cfg.Workers)
+				}
+				if n := settle(baseline); n > baseline {
+					t.Fatalf("GOMAXPROCS=%d stall=%v: %d goroutines after Run, %d before Open", procs, stall, n, baseline)
+				}
+				return ""
+			})
+		}
 	}
 }

@@ -349,17 +349,6 @@ func (e *Engine) RunUntil(deadline VTime) {
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.events) + len(e.nowq) - e.nowqHead }
 
-// NextEventAt returns the timestamp of the earliest queued event, and
-// whether one exists. Coordinators driving several engines in lockstep use
-// it to fast-forward idle drain windows instead of stepping through empty
-// quanta one deadline at a time.
-func (e *Engine) NextEventAt() (VTime, bool) {
-	if e.nowqHead < len(e.nowq) {
-		return e.nowq[e.nowqHead].at, true
-	}
-	return e.events.nextAt()
-}
-
 // EngineState is the restorable kernel state: the virtual clock, the event
 // sequence counter (same-time tie-break order) and the executed-event count.
 // Queued events are deliberately NOT part of the state — closures cannot be

@@ -9,7 +9,6 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"github.com/checkin-kv/checkin/internal/sim"
@@ -84,6 +83,7 @@ type Zipfian struct {
 
 	zetaN, zeta2 float64
 	alpha, eta   float64
+	rank1        float64 // 1 + 0.5^theta: draws below it (scaled) pick rank 1
 }
 
 // DefaultTheta is YCSB's default skew parameter.
@@ -102,6 +102,7 @@ func NewZipfian(n int64, theta float64) *Zipfian {
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetaN)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -121,7 +122,7 @@ func (z *Zipfian) Next(rng *sim.RNG) int64 {
 	switch {
 	case uz < 1:
 		rank = 0
-	case uz < 1+math.Pow(0.5, z.theta):
+	case uz < z.rank1:
 		rank = 1
 	default:
 		rank = int64(float64(z.keys) * math.Pow(z.eta*u-z.eta+1, z.alpha))
@@ -137,14 +138,19 @@ func (z *Zipfian) Name() string { return "zipfian" }
 
 // scramble spreads the hottest ranks across the key space, as YCSB does, so
 // hot keys are not physically adjacent.
+// It is 64-bit FNV-1a over v's eight little-endian bytes, written out so a
+// key costs no hasher allocation.
 func scramble(v int64) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+		h ^= uint64(byte(v >> (8 * i)))
+		h *= prime64
 	}
-	h.Write(buf[:])
-	return int64(h.Sum64() & (1<<62 - 1))
+	return int64(h & (1<<62 - 1))
 }
 
 // Sizer assigns a value size to each key. A key's size is stable across

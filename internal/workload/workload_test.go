@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -92,6 +94,57 @@ func TestZipfianDeterminism(t *testing.T) {
 		if z.Next(a) != z.Next(b) {
 			t.Fatal("zipfian not deterministic for equal seeds")
 		}
+	}
+}
+
+// TestZipfianStreamPinned: the first 10k keys of seeded Zipfian streams,
+// and 10k MixSizer sizes (which hash keys through scramble too), match
+// digests recorded from the generator before its rank-1 threshold was
+// precomputed and its FNV-1a hash written out. Every recorded workload and
+// every published table rests on these streams.
+func TestZipfianStreamPinned(t *testing.T) {
+	digest := func(next func(i int) int64) (uint64, []int64) {
+		h := fnv.New64a()
+		var first []int64
+		for i := 0; i < 10_000; i++ {
+			k := next(i)
+			if i < 4 {
+				first = append(first, k)
+			}
+			fmt.Fprintf(h, "%d,", k)
+		}
+		return h.Sum64(), first
+	}
+	for _, c := range []struct {
+		n     int64
+		theta float64
+		seed  int64
+		first []int64
+		sum   uint64
+	}{
+		{1000, DefaultTheta, 7, []int64{295, 511, 511, 189}, 0x99a616f6ee3c4cd0},
+		{20_000, DefaultTheta, 1, []int64{8765, 4014, 18103, 371}, 0xfe506301ac85d4f6},
+		{2000, 0.5, 3, []int64{351, 959, 654, 1901}, 0x45b5f3cfaedcb3bd},
+		{100_000, 0.9, 11, []int64{102, 12399, 3975, 58886}, 0x39a48732f9bbbc71},
+	} {
+		z, rng := NewZipfian(c.n, c.theta), sim.NewRNG(c.seed)
+		sum, first := digest(func(int) int64 { return z.Next(rng) })
+		if sum != c.sum || fmt.Sprint(first) != fmt.Sprint(c.first) {
+			t.Errorf("zipfian n=%d theta=%v seed=%d: first keys %v digest %#x, want %v %#x",
+				c.n, c.theta, c.seed, first, sum, c.first, c.sum)
+		}
+	}
+	m := NewMixSizer("m", []int{128, 512, 4096}, []int{5, 3, 2})
+	if sum, _ := digest(func(i int) int64 { return int64(m.SizeOf(int64(i))) }); sum != 0x6731b21b5666c46 {
+		t.Errorf("mix sizer digest %#x, want 0x6731b21b5666c46", sum)
+	}
+}
+
+func BenchmarkZipfianNext(b *testing.B) {
+	z, rng := NewZipfian(20_000, DefaultTheta), sim.NewRNG(1)
+	b.ReportAllocs()
+	for b.Loop() {
+		z.Next(rng)
 	}
 }
 
