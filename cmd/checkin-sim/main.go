@@ -58,6 +58,10 @@ func main() {
 		prof        = cli.ProfileFlags()
 	)
 	flag.Parse()
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "checkin-sim: -shards %d must be >= 0 (0 = single-stack mode)\n", *shards)
+		os.Exit(2)
+	}
 	defer prof.Start(fatal)()
 
 	s, err := checkin.ParseStrategy(*strategy)

@@ -69,9 +69,14 @@ func TestCrashpointsRefusesUnhonouredFlags(t *testing.T) {
 }
 
 // TestShardedRefusesUnhonouredFlags: sharded mode exits 2 naming every
-// single-stack flag it would ignore, and runs with the flags it honours.
+// single-stack flag it would ignore, and runs with the flags it honours. A
+// negative shard count exits 2 instead of running single-stack mode.
 func TestShardedRefusesUnhonouredFlags(t *testing.T) {
-	code, out, errOut := runSim(t, "-shards", "2", "-print-config", "-recover", "-keys", "10")
+	code, out, errOut := runSim(t, "-shards=-1", "-queries=100")
+	if code != 2 || out != "" || !strings.Contains(errOut, "-shards -1 must be >= 0") {
+		t.Errorf("-shards=-1: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+	code, out, errOut = runSim(t, "-shards", "2", "-print-config", "-recover", "-keys", "10")
 	if code != 2 || out != "" || !strings.Contains(errOut, "-shards does not take -keys -print-config -recover") {
 		t.Errorf("exit %d, stdout %q, stderr %q", code, out, errOut)
 	}

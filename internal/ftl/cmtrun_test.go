@@ -215,7 +215,6 @@ func TestCMTRunInvariants(t *testing.T) {
 			fm.dirty[lun>>6] |= 1 << (uint64(lun) & 63)
 			fm.dirtyCount++
 			fm.dirtyByTP[fm.tvpnOf(lun)]++
-			fm.tpx.markDirty(int32(fm.tvpnOf(lun)))
 		}},
 		{"wrong-count", "member bits", func(t *testing.T, f *FTL) {
 			f.fm.runs[liveRun(t, f)].count++

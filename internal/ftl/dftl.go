@@ -22,11 +22,12 @@ package ftl
 //     dirty; dirty entries write back in batches — flushing one translation
 //     page persists every dirty entry it covers (read-modify-write of the
 //     old page, program of a fresh one on the translation stream).
-//   - Translation blocks live in the same victim index as data blocks: a
-//     live translation page contributes slotsPerPage to its block's valid
-//     count, so cost-benefit/greedy/FIFO reclamation weighs translation and
-//     data pages uniformly, and GC migration relocates live translation
-//     pages exactly like live data slots (migrateLive → fmMigrateTrans).
+//   - Translation blocks compete in the same victim selection as data
+//     blocks: a live translation page contributes slotsPerPage to its
+//     block's valid count, so cost-benefit/greedy/FIFO reclamation weighs
+//     translation and data pages uniformly, and GC migration relocates live
+//     translation pages exactly like live data slots (migrateLive →
+//     fmMigrateTrans).
 //
 // Within the simulator the l2p array stays authoritative in both modes;
 // flashMap tracks which entries are cached/dirty and what the flash-resident
@@ -41,7 +42,7 @@ package ftl
 // The CMT may transiently exceed its bound inside such windows — it is
 // re-enforced at every host-path boundary.
 //
-// On top of the basic layer sit four optimizations a real controller ships
+// On top of the basic layer sit three optimizations a real controller ships
 // (DESIGN.md §16); Config.CMTBasic turns them all off and reproduces the
 // basic layer's behavior bit for bit:
 //
@@ -61,9 +62,6 @@ package ftl
 //     are deferred across the cut and settle once at its end, coalescing the
 //     remap churn into full-density page flushes instead of interleaving
 //     partial ones with the cut.
-//   - Incremental hottest-TP index: tpIndex (tpindex.go) replaces
-//     fmHottestTP's O(numTPs) scan with an O(1)-maintenance bucketed
-//     dirty-count index, rebuilt on Restore.
 
 import (
 	"fmt"
@@ -117,9 +115,6 @@ type flashMap struct {
 	// dirtyByTP[tvpn] counts dirty cached entries per translation page —
 	// the batched-writeback selector picks the page with the most.
 	dirtyByTP []int32
-	// tpx indexes dirtyByTP incrementally so the flush selector never scans
-	// all translation pages (rebuilt from dirtyByTP on Restore).
-	tpx *tpIndex
 
 	// fill arms page-fill on miss, cleanWindow is the CFLRU clean-first
 	// search depth in entries (how many LRU-tail entries fmEnforceCap
@@ -423,7 +418,6 @@ func (f *FTL) initFlashMap() error {
 		fm.tpOwner[i] = -1
 	}
 	fm.dirtyByTP = make([]int32, fm.numTPs)
-	fm.tpx = newTPIndex(fm.numTPs, fm.entriesPerTP)
 	fm.tpEpoch = make([]uint64, fm.numTPs)
 	fm.tpRuns = make([]int32, fm.numTPs)
 	for i := range fm.tpRuns {
@@ -482,7 +476,6 @@ func (f *FTL) fmWrite(lun int64) {
 		fm.dirtyCount++
 		tvpn := fm.tvpnOf(lun)
 		fm.dirtyByTP[tvpn]++
-		fm.tpx.markDirty(int32(tvpn))
 	}
 	if internal || fm.batch {
 		return // settled at the next top-level mapping update / the cut end
@@ -852,10 +845,15 @@ func (f *FTL) fmCheckRun(r int32, covered []uint64, report func(format string, a
 }
 
 // fmHottestTP returns the translation page with the most dirty entries
-// (lowest tvpn wins ties), or -1 when nothing is dirty. Backed by the
-// incremental tpIndex — no O(numTPs) scan.
+// (lowest tvpn wins ties), or -1 when nothing is dirty.
 func (f *FTL) fmHottestTP() int {
-	return f.fm.tpx.hottest(f.fm.dirtyByTP)
+	best, most := -1, int32(0)
+	for tvpn, n := range f.fm.dirtyByTP {
+		if n > most {
+			best, most = tvpn, n
+		}
+	}
+	return best
 }
 
 // flushTP writes back every dirty CMT entry covered by translation page
@@ -893,7 +891,6 @@ func (f *FTL) flushTP(tvpn int, site inject.Site) {
 			fm.stored[lun] = f.l2p[lun]
 		}
 	}
-	fm.tpx.markDirty(int32(tvpn))
 	f.stats.TransFlushes++
 	f.cfg.Injector.Hit(site)
 }
@@ -911,9 +908,6 @@ func (f *FTL) fmInvalidateTP(tvpn int) {
 	fm.tpOwner[pid] = -1
 	fm.gtd[tvpn] = -1
 	f.validCount[blk] -= int32(f.slotsPerPage)
-	if f.vix.linked[blk] {
-		f.vixMarkDirty(blk)
-	}
 	f.rlog.clearTransPage(pid)
 }
 
@@ -1115,7 +1109,6 @@ func (f *FTL) fmCheckInvariants(report func(format string, args ...any)) {
 			report("tvpn %d dirty counter %d but %d dirty entries", t, fm.dirtyByTP[t], dirtyByTP[t])
 		}
 	}
-	fm.tpx.check(fm.dirtyByTP, report)
 
 	// Directory bijection + recovery-record mirror + block placement.
 	for tvpn, pid := range fm.gtd {

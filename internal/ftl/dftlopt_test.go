@@ -470,9 +470,8 @@ func TestDFTLRunPoolAllocs(t *testing.T) {
 // BenchmarkDFTLHostPath drives the dftl host lookup path with a skewed
 // hit/miss/evict/flush mix: hot hits stay CMT-resident, cold reads miss and
 // page-fill, writes dirty entries toward the writeback threshold, and the
-// bounded CMT forces steady capacity eviction. ns/op and allocs/op here are
-// the evidence that the incremental dirty index removed the per-flush
-// O(numTPs) scan from the hot path. dirty-tail isolates page-fill misses
+// bounded CMT forces steady capacity eviction; ns/op and allocs/op price
+// the whole host lookup path. dirty-tail isolates page-fill misses
 // under a pinned dirty LRU tail (dirtyTailFTL): the resumed clean-first
 // search's case. uniform is uniform misses over a map five times the CMT
 // (uniformFTL), each filling and evicting several hundred entries: the
@@ -567,8 +566,8 @@ func benchDFTLHostPath(b *testing.B, cfg Config) {
 }
 
 // dftlWideGeo spans ~700 translation pages (128 MB raw, 512 B units, 256
-// entries per 2 KB page): wide enough that a per-flush O(numTPs) victim
-// scan is measurably super-constant.
+// entries per 2 KB page): wide enough that the per-flush O(numTPs) pick
+// shows in the flush cost.
 func dftlWideGeo() nand.Geometry {
 	return nand.Geometry{
 		Channels: 1, PackagesPerChannel: 1, DiesPerPackage: 1, PlanesPerDie: 1,
@@ -579,9 +578,8 @@ func dftlWideGeo() nand.Geometry {
 // BenchmarkDFTLTransFlush isolates the translation writeback pick: every
 // iteration dirties one mapping entry in a rotating translation page and
 // immediately writes back the hottest page. The CMT holds the whole map (no
-// miss/eviction noise), so ns/op is the flush machinery itself — before the
-// incremental dirty index, the victim pick alone walked all ~700 translation
-// pages per flush.
+// miss/eviction noise), so ns/op is the flush machinery itself, including
+// fmHottestTP's scan over all ~700 translation pages per flush.
 func BenchmarkDFTLTransFlush(b *testing.B) {
 	cfg := dftlCfg()
 	cfg.CMTEntries = 1 << 20

@@ -369,17 +369,9 @@ type FTL struct {
 
 	gcDepth int // re-entrancy guard: GC's own writes must not trigger GC
 
-	// vix is the incrementally maintained victim index (see victim.go):
-	// every closed block linked into a bucket keyed by its valid count, so
-	// victim selection and the deallocator's existence probe no longer scan
-	// all blocks. gcVictim is the block currently being collected — it is
-	// detached from the index for the duration — or -1.
-	vix      *victimIndex
+	// gcVictim is the block currently being collected, or -1. Victim
+	// selection (pick, HasCheapVictim in victim.go) skips it.
 	gcVictim int
-
-	// victimOracle, when set (tests only), is the reference victim selection
-	// every pickVictim result is checked against; a divergence panics.
-	victimOracle func(maxValid int) int
 
 	// partial[s] is the frontier index of stream s holding a partially
 	// filled page, or -1 — appendSlot's "finish the open page first" rule
@@ -446,7 +438,6 @@ func New(eng *sim.Engine, array *nand.Array, cfg Config) (*FTL, error) {
 	f.validCount = make([]int32, f.totalBlocks)
 	f.written = make([]int32, f.totalBlocks)
 	f.closedSeq = make([]int64, f.totalBlocks)
-	f.vix = newVictimIndex(cfg.GCPolicy, f.totalBlocks, f.pagesPerBlk*f.slotsPerPage)
 	f.gcVictim = -1
 
 	totalPages := int64(geo.TotalPages())
@@ -557,11 +548,6 @@ func (f *FTL) bindSlot(lun, sid int64) {
 	f.rev[sid] = lun
 	blk := f.slotBlock(sid)
 	f.validCount[blk]++
-	if f.vix.linked[blk] {
-		// the append that produced sid filled the page and closed the
-		// block before this bind landed — its bucket must move up
-		f.vixMarkDirty(blk)
-	}
 	f.noteMapDirty(1)
 	if f.fm.enabled {
 		f.fmWrite(lun)
@@ -615,9 +601,6 @@ func (f *FTL) dropRef(sid, lun int64) {
 		f.rev[sid] = -1
 		blk := f.slotBlock(sid)
 		f.validCount[blk]--
-		if f.vix.linked[blk] {
-			f.vixMarkDirty(blk)
-		}
 		return
 	}
 	f.refcnt[sid] = rc - 1
@@ -766,7 +749,6 @@ func (f *FTL) advanceFrontier(fr *frontier, block int) {
 		f.state[block] = blockClosed
 		f.closeClock++
 		f.closedSeq[block] = f.closeClock
-		f.vixInsert(block, int(f.validCount[block]))
 		fr.block = -1
 	}
 	f.maybeForegroundGC()
@@ -1226,7 +1208,7 @@ func (f *FTL) maybeForegroundGC() {
 func (f *FTL) BackgroundGC(maxVictims int) int {
 	// only collect cheap victims in the background: blocks that are
 	// mostly invalid (journal blocks after a trim)
-	return f.backgroundCollect(maxVictims, f.pagesPerBlk*f.slotsPerPage/4)
+	return f.backgroundCollect(maxVictims, f.cheapValid())
 }
 
 // BackgroundGCForce reclaims up to maxVictims blocks taking the best victim
@@ -1241,7 +1223,7 @@ func (f *FTL) backgroundCollect(maxVictims, maxValid int) int {
 	defer func() { f.gcDepth--; f.fmAfterGC() }()
 	collected := 0
 	for collected < maxVictims {
-		v := f.pickVictim(maxValid)
+		v := f.pick(maxValid)
 		if v < 0 {
 			break
 		}
@@ -1265,29 +1247,12 @@ func (f *FTL) LowSpace() bool {
 
 // collectVictim selects and collects the best victim; reports success.
 func (f *FTL) collectVictim() bool {
-	v := f.pickVictim(1 << 30)
+	v := f.pick(1 << 30)
 	if v < 0 {
 		return false
 	}
 	f.collectBlock(v)
 	return true
-}
-
-// pickVictim returns the best closed victim under the configured policy,
-// or -1 if no closed block has fewer than maxValid valid slots. Fully
-// invalid blocks always win regardless of policy (free space at zero
-// migration cost). Selection runs on the incrementally maintained victim
-// index (victim.go); tests check it against the O(totalBlocks) linear scan
-// through victimOracle.
-func (f *FTL) pickVictim(maxValid int) int {
-	v := f.pick(maxValid)
-	if f.victimOracle != nil {
-		if s := f.victimOracle(maxValid); s != v {
-			panic(fmt.Sprintf("ftl: victim index diverged from scan: policy %s maxValid %d index %d scan %d",
-				f.cfg.GCPolicy, maxValid, v, s))
-		}
-	}
-	return v
 }
 
 // collectBlock migrates the valid slots of block b and erases it.
@@ -1301,14 +1266,7 @@ func (f *FTL) collectBlock(b int) {
 		f.cfg.Tracer.Emit(f.eng.Now(), trace.KindGCVictim, int64(b),
 			fmt.Sprintf("valid=%d", f.validCount[b]))
 	}
-	// Detach the victim from the index for the duration of the collection:
-	// migration mutates its valid count directly, and the invariant checker
-	// tolerates exactly one detached closed block (gcVictim). Victims from
-	// pickVictim are always closed and linked; the linked check keeps
-	// direct collection of a still-open block (tests) legal.
-	if f.vix.linked[b] {
-		f.vixRemove(b)
-	}
+	// Victim selection skips the block while migration empties it.
 	prevVictim := f.gcVictim
 	f.gcVictim = b
 	f.migrateLive(b)
@@ -1388,17 +1346,3 @@ func (f *FTL) migrateLive(b int) {
 	f.validCount[b] = 0
 	f.rlog.noteErase(base, int64(slotsPerBlock))
 }
-
-// HasCheapVictim reports whether background GC would find a cheap victim —
-// a closed block with fewer than slotsPerBlock/4 valid slots, the same
-// threshold BackgroundGC collects under. The deallocator probes this on
-// every idle tick, which used to cost a full block scan; now it is O(1)
-// plus the amortized cost of re-bucketing blocks invalidated since the
-// last index read.
-func (f *FTL) HasCheapVictim() bool {
-	f.vixFlush()
-	return f.vix.cheapCount > 0
-}
-
-// HasReclaimable reports whether background GC would find a cheap victim.
-func (f *FTL) HasReclaimable() bool { return f.HasCheapVictim() }

@@ -459,7 +459,7 @@ func TestBackgroundGC(t *testing.T) {
 		e.Run()
 	}
 	f.Trim(0, 4*16384)
-	if !f.HasReclaimable() {
+	if !f.HasCheapVictim() {
 		t.Fatal("no reclaimable block after trimming the journal")
 	}
 	free := f.FreeBlocks()

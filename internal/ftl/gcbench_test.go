@@ -104,7 +104,7 @@ func (s *gcHeavyState) run(writes int) {
 		if i%512 == 511 {
 			s.f.Sync(StreamData, TagHostData)
 			s.eng.Run()
-			if s.f.HasReclaimable() {
+			if s.f.HasCheapVictim() {
 				s.f.BackgroundGC(2)
 			}
 		}

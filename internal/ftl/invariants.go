@@ -23,10 +23,8 @@ import (
 //     and never exceeds what was written to the block.
 //  4. The free-block pool is consistent: freeCount matches the per-die free
 //     lists and the block state array, and free blocks hold no live slots.
-//  5. The GC victim index mirrors block state exactly: every closed block
-//     (bar one mid-collection victim) is linked in the bucket matching its
-//     valid count, bucket counts/bitmap/cached-best/cheapCount all agree,
-//     and each stream's partial-page marker matches its frontiers.
+//  5. Each stream's partial-page marker matches its frontiers: at most one
+//     frontier per stream holds a partially filled page.
 //  6. In dftl mode (Config.FlashMap) the cached mapping table, its LRU, the
 //     global translation directory and the flash-resident entry copies are
 //     mutually consistent — see fmCheckInvariants in dftl.go.
@@ -176,15 +174,7 @@ func (f *FTL) CheckInvariants() error {
 		}
 	}
 
-	// 5: victim index and partial-page markers.
-	f.checkVictimIndex(report)
-	// 6: dftl mode — CMT/LRU/directory consistency and the coherence sweep.
-	if f.fm.enabled {
-		f.fmCheckInvariants(report)
-	}
-	// 7: both slot tables' dense indexes agree with their slice pools.
-	f.revOverflow.check("reverse overflow", report)
-	f.rlog.aliases.check("alias log", report)
+	// 5: partial-page markers.
 	for s := Stream(0); s < numStreams; s++ {
 		want := -1
 		for i := range f.fronts[s] {
@@ -199,6 +189,13 @@ func (f *FTL) CheckInvariants() error {
 			report("stream %d partial marker %d, want %d", s, f.partial[s], want)
 		}
 	}
+	// 6: dftl mode — CMT/LRU/directory consistency and the coherence sweep.
+	if f.fm.enabled {
+		f.fmCheckInvariants(report)
+	}
+	// 7: both slot tables' dense indexes agree with their slice pools.
+	f.revOverflow.check("reverse overflow", report)
+	f.rlog.aliases.check("alias log", report)
 
 	if len(violations) == 0 {
 		return nil

@@ -206,9 +206,6 @@ func (f *FTL) DrainFaults() {
 			f.pendingRetire = f.pendingRetire[:n]
 			f.pendingMark[b] &^= pendRetire
 			prev := f.gcVictim
-			if f.vix.linked[b] {
-				f.vixRemove(b)
-			}
 			f.gcVictim = b
 			f.migrateLive(b)
 			f.gcVictim = prev

@@ -258,21 +258,14 @@ func (f *FTL) Restore(st *FTLState) error {
 		for i := range f.fm.tpEpoch {
 			f.fm.tpEpoch[i] = 0
 		}
-		// Like the victim index below, the hottest-TP index is a pure
-		// function of the restored dirty counters.
-		f.fm.tpx.rebuild(f.fm.dirtyByTP)
 	}
 
 	f.gcDepth = 0
 	f.stats = st.stats
 
-	// Derived structures: the victim index is a pure function of
-	// (state, validCount) — rebuilding it yields the same victim sequence
-	// as the incrementally maintained one (see victim.go), so FTLState
-	// carries no index fields. Likewise the partial-page markers follow
-	// from the restored frontiers.
+	// Derived structures: no collection is in flight at a rest point, and
+	// the partial-page markers follow from the restored frontiers.
 	f.gcVictim = -1
-	f.rebuildVictimIndex()
 	for s := Stream(0); s < numStreams; s++ {
 		f.partial[s] = -1
 		for i := range f.fronts[s] {

@@ -4,76 +4,13 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/checkin-kv/checkin/internal/nand"
 	"github.com/checkin-kv/checkin/internal/sim"
 )
 
-// pickVictimScan is the linear-scan reference implementation of victim
-// selection: ascending block index, first-encountered block wins ties. The
-// victim index (victim.go) must match it pick for pick.
-func (f *FTL) pickVictimScan(maxValid int) int {
-	best := -1
-	bestValid := int32(maxValid)
-	var bestWear uint32
-	var bestScore float64
-	var bestSeq int64
-	slotsPerBlock := int32(f.pagesPerBlk * f.slotsPerPage)
-	for b := 0; b < f.totalBlocks; b++ {
-		if f.state[b] != blockClosed {
-			continue
-		}
-		v := f.validCount[b]
-		if v >= int32(maxValid) {
-			continue
-		}
-		switch f.cfg.GCPolicy {
-		case GCCostBenefit:
-			if v == 0 { // free space at zero cost always wins
-				return b
-			}
-			age := float64(f.closeClock - f.closedSeq[b] + 1)
-			score := float64(slotsPerBlock-v) / float64(2*v) * age
-			if best < 0 || score > bestScore {
-				best, bestScore = b, score
-			}
-		case GCFIFO:
-			if v == 0 {
-				return b
-			}
-			if best < 0 || f.closedSeq[b] < bestSeq {
-				best, bestSeq = b, f.closedSeq[b]
-			}
-		default: // GCGreedy
-			w := f.array.EraseCount(b)
-			if best < 0 || v < bestValid || (v == bestValid && w < bestWear) {
-				best, bestValid, bestWear = b, v, w
-			}
-		}
-	}
-	return best
-}
-
-// crossCheckVictims compares the index-based selection against the retained
-// linear-scan reference across the full spread of thresholds callers use
-// (foreground 1<<30, background slots/4, plus edge values), and the O(1)
-// cheap probe against its scan definition.
-func crossCheckVictims(t *testing.T, f *FTL) {
-	t.Helper()
-	s := f.pagesPerBlk * f.slotsPerPage
-	for _, mv := range []int{1, 2, s / 4, s / 2, s, 1 << 30} {
-		if got, want := f.pick(mv), f.pickVictimScan(mv); got != want {
-			t.Fatalf("maxValid=%d: index picked %d, scan picked %d", mv, got, want)
-		}
-	}
-	if got, want := f.HasCheapVictim(), f.pickVictimScan(s/4) >= 0; got != want {
-		t.Fatalf("HasCheapVictim=%v but scan says %v", got, want)
-	}
-}
-
 // oracleWorkload drives a deterministic mix of skewed overwrites, trims and
-// remaps with periodic syncs and background GC. The FTL runs with
-// victimOracle armed, so *every* victim selection along the way — foreground,
-// background, forced — is verified against the scan reference in pickVictim.
+// remaps with periodic syncs, background GC and forced collections, and
+// checks every invariant every 256 rounds. The DFTL oracle tests run it
+// with their own oracles armed.
 func oracleWorkload(t *testing.T, e *sim.Engine, f *FTL, rng *benchRNG, rounds int) {
 	t.Helper()
 	unit := int64(f.unit)
@@ -121,7 +58,6 @@ func oracleWorkload(t *testing.T, e *sim.Engine, f *FTL, rng *benchRNG, rounds i
 		}
 		if i%256 == 255 {
 			f.BackgroundGCForce(1)
-			crossCheckVictims(t, f)
 			if err := f.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
@@ -131,87 +67,139 @@ func oracleWorkload(t *testing.T, e *sim.Engine, f *FTL, rng *benchRNG, rounds i
 	e.Run()
 }
 
-// TestVictimIndexOracle is the differential test for the tentpole: under
-// all three GC policies and three workload seeds, the incrementally
-// maintained victim index must return exactly the victim sequence the
-// linear scan would have (enforced per-pick by victimOracle), keep every
-// structural invariant, and — after a Snapshot/Restore round trip that
-// rebuilds the index from block state — keep matching the scan while the
-// workload continues on the restored instance.
-func TestVictimIndexOracle(t *testing.T) {
-	for _, pol := range []GCPolicy{GCGreedy, GCCostBenefit, GCFIFO} {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", pol, seed), func(t *testing.T) {
-				cfg := smallCfg()
-				cfg.GCPolicy = pol
-				e := sim.NewEngine()
-				arr, err := nand.New(e, smallGeo(), fastTim())
-				if err != nil {
-					t.Fatal(err)
-				}
-				f, err := New(e, arr, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.victimOracle = f.pickVictimScan
+// closedBlock is a hand-set block state for the selection tests.
+type closedBlock struct {
+	b     int
+	valid int32
+	seq   int64 // close sequence; the FTL's close clock is set to the largest
+	wear  int   // erase count
+}
 
-				rng := benchRNG(0x9e3779b97f4a7c15 ^ uint64(seed)*0xbf58476d1ce4e5b9)
-				oracleWorkload(t, e, f, &rng, 2048)
-				if f.stats.GCInvocations+f.stats.DeadReclaims == 0 {
-					t.Fatal("workload never collected a victim; oracle exercised nothing")
-				}
-				crossCheckVictims(t, f)
-
-				// Round trip through Snapshot/Restore: the index is not part
-				// of FTLState — Restore rebuilds it — so the restored FTL
-				// (over the same array) must agree with the scan immediately
-				// and for the rest of the workload.
-				st, err := f.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				f2, err := New(e, arr, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := f2.Restore(st); err != nil {
-					t.Fatal(err)
-				}
-				f2.victimOracle = f2.pickVictimScan
-				if err := f2.CheckInvariants(); err != nil {
-					t.Fatalf("restored FTL: %v", err)
-				}
-				crossCheckVictims(t, f2)
-				oracleWorkload(t, e, f2, &rng, 1024)
-				crossCheckVictims(t, f2)
-			})
+// setClosed marks each block closed with its valid count, close sequence
+// and erase count. Every other block of the fresh FTL stays free.
+func setClosed(f *FTL, blocks []closedBlock) {
+	for _, c := range blocks {
+		f.state[c.b] = blockClosed
+		f.validCount[c.b] = c.valid
+		f.closedSeq[c.b] = c.seq
+		f.closeClock = max(f.closeClock, c.seq)
+		for i := 0; i < c.wear; i++ {
+			f.array.EraseBlock(c.b)
 		}
 	}
 }
 
-// TestVictimIndexWearLevel covers the remaining collectBlock caller: static
-// wear leveling detaches its (scan-chosen) victim from the index too.
-func TestVictimIndexWearLevel(t *testing.T) {
-	cfg := smallCfg()
-	cfg.WearDeltaThreshold = 2
-	e, f := newSmall(t, cfg)
-	f.victimOracle = f.pickVictimScan
-	f.Write(65536, 32768, TagHostData, StreamData)
-	f.Sync(StreamData, TagHostData)
-	e.Run()
-	moves := uint64(0)
-	for i := 0; i < 400; i++ {
-		f.Write(0, 8192, TagHostData, StreamData)
-		e.Run()
-		if i%10 == 0 && f.MaybeWearLevel() {
-			moves++
-			if err := f.CheckInvariants(); err != nil {
-				t.Fatal(err)
+// TestPickRules pins each GC policy's selection rule and tie-breaks on
+// hand-set block states (32 slots per block). Every case is built so that
+// flipping one comparison picks a different block.
+func TestPickRules(t *testing.T) {
+	const all = 1 << 30
+	for _, tc := range []struct {
+		name     string
+		policy   GCPolicy
+		maxValid int
+		blocks   []closedBlock
+		want     int
+	}{
+		// greedy: fewest valid slots, then lowest erase count, then lowest index
+		{"greedy/valid-before-wear", GCGreedy, all,
+			[]closedBlock{{b: 2, valid: 5, seq: 1, wear: 3}, {b: 5, valid: 6, seq: 2}}, 2},
+		{"greedy/wear-breaks-valid-tie", GCGreedy, all,
+			[]closedBlock{{b: 2, valid: 5, seq: 1, wear: 3}, {b: 5, valid: 5, seq: 2, wear: 1}, {b: 9, valid: 5, seq: 3, wear: 2}}, 5},
+		{"greedy/index-breaks-wear-tie", GCGreedy, all,
+			[]closedBlock{{b: 3, valid: 5, seq: 1, wear: 1}, {b: 7, valid: 5, seq: 2, wear: 1}, {b: 11, valid: 6, seq: 3}}, 3},
+		{"greedy/zero-valid-by-count", GCGreedy, all,
+			[]closedBlock{{b: 1, valid: 4, seq: 1}, {b: 4, valid: 0, seq: 2, wear: 2}, {b: 8, valid: 0, seq: 3, wear: 1}}, 8},
+
+		// cost-benefit and FIFO: a fully invalid block wins first, lowest index
+		{"cost-benefit/zero-valid-first", GCCostBenefit, all,
+			[]closedBlock{{b: 2, valid: 3, seq: 1}, {b: 5, valid: 0, seq: 4}, {b: 7, valid: 0, seq: 2}}, 5},
+		{"fifo/zero-valid-first", GCFIFO, all,
+			[]closedBlock{{b: 2, valid: 3, seq: 1}, {b: 5, valid: 0, seq: 4}, {b: 7, valid: 0, seq: 2}}, 5},
+
+		// cost-benefit: highest (32-v)/2v × age score, age = clock-seq+1
+		// (scores 10.5, 5 and 7.5: neither the oldest nor the emptiest wins)
+		{"cost-benefit/highest-score", GCCostBenefit, all,
+			[]closedBlock{{b: 1, valid: 4, seq: 8}, {b: 2, valid: 16, seq: 1}, {b: 3, valid: 8, seq: 6}, {b: 4, valid: 2, seq: 10}}, 1},
+		// scores 3, 3, 1.5 and 0.02: the tie falls to the lower index
+		{"cost-benefit/index-breaks-score-tie", GCCostBenefit, all,
+			[]closedBlock{{b: 3, valid: 8, seq: 9}, {b: 8, valid: 16, seq: 5}, {b: 12, valid: 16, seq: 8}, {b: 13, valid: 31, seq: 10}}, 3},
+
+		// FIFO: the oldest close sequence, whatever the valid counts
+		{"fifo/oldest", GCFIFO, all,
+			[]closedBlock{{b: 1, valid: 10, seq: 5}, {b: 3, valid: 20, seq: 2}, {b: 6, valid: 4, seq: 7}}, 3},
+
+		// maxValid is exclusive
+		{"greedy/cutoff-excludes", GCGreedy, 5,
+			[]closedBlock{{b: 1, valid: 5, seq: 1}, {b: 2, valid: 7, seq: 2}}, -1},
+		{"greedy/cutoff-admits", GCGreedy, 6,
+			[]closedBlock{{b: 1, valid: 5, seq: 1}, {b: 2, valid: 7, seq: 2}}, 1},
+		{"fifo/cutoff", GCFIFO, 5,
+			[]closedBlock{{b: 1, valid: 5, seq: 1}, {b: 4, valid: 4, seq: 3}, {b: 6, valid: 3, seq: 4}}, 4},
+		{"cost-benefit/cutoff", GCCostBenefit, 8,
+			[]closedBlock{{b: 1, valid: 8, seq: 1}, {b: 4, valid: 7, seq: 9}, {b: 6, valid: 30, seq: 2}}, 4},
+		{"fifo/none-closed", GCFIFO, all, nil, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallCfg()
+			cfg.GCPolicy = tc.policy
+			_, f := newSmall(t, cfg)
+			setClosed(f, tc.blocks)
+			if got := f.pick(tc.maxValid); got != tc.want {
+				t.Fatalf("pick(%d) = %d, want %d", tc.maxValid, got, tc.want)
 			}
-			crossCheckVictims(t, f)
-		}
+			if tc.want < 0 {
+				return
+			}
+			// The block under collection is never picked again.
+			f.gcVictim = tc.want
+			if got := f.pick(tc.maxValid); got == tc.want {
+				t.Fatalf("pick(%d) = %d, the block under collection", tc.maxValid, got)
+			}
+		})
 	}
-	if moves == 0 {
-		t.Fatal("wear leveler never moved a block")
+}
+
+// TestHasCheapVictim: background GC's probe asks for a closed block with
+// fewer than a quarter of its 32 slots valid, and ignores free blocks and
+// the block under collection.
+func TestHasCheapVictim(t *testing.T) {
+	_, f := newSmall(t, smallCfg())
+	if f.HasCheapVictim() {
+		t.Fatal("cheap victim on a device with no closed block")
+	}
+	setClosed(f, []closedBlock{{b: 3, valid: 8, seq: 1}, {b: 6, valid: 20, seq: 2}})
+	if f.HasCheapVictim() || f.BackgroundGC(1) != 0 {
+		t.Fatal("8 valid of 32 counts as cheap")
+	}
+	setClosed(f, []closedBlock{{b: 9, valid: 7, seq: 3}})
+	if !f.HasCheapVictim() {
+		t.Fatal("7 valid of 32 not counted as cheap")
+	}
+	f.gcVictim = 9
+	if f.HasCheapVictim() {
+		t.Fatal("the block under collection counted as a cheap victim")
+	}
+}
+
+// TestHottestTP: the translation page with the most dirty entries is
+// flushed first, the lowest tvpn on ties, and none when nothing is dirty.
+func TestHottestTP(t *testing.T) {
+	_, f := newSmall(t, smallCfg())
+	for _, tc := range []struct {
+		dirty []int32
+		want  int
+	}{
+		{[]int32{0, 0, 0, 0}, -1},
+		{[]int32{0, 2, 0, 7, 1}, 3},
+		{[]int32{0, 5, 2, 5, 0}, 1},
+		{[]int32{4, 0, 9, 3, 9, 9}, 2},
+	} {
+		t.Run(fmt.Sprint(tc.dirty), func(t *testing.T) {
+			f.fm.dirtyByTP = tc.dirty
+			if got := f.fmHottestTP(); got != tc.want {
+				t.Fatalf("fmHottestTP = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }

@@ -21,10 +21,10 @@
 // the sequential interleaving at any GOMAXPROCS — the window barrier *is*
 // the conservative-sync lookahead, with the window length as the horizon.
 //
-// The window only partitions time: reports are identical at any window
-// length. Checkpoint cuts follow the same rule in every window — they fall
-// strictly before the stream's final arrival — so the window in which the
-// stream ends keeps its cuts.
+// The window (windowLen, 50 ms) only partitions time: reports are identical
+// at any window length. Checkpoint cuts follow the same rule in every
+// window — they fall strictly before the stream's final arrival — so the
+// window in which the stream ends keeps its cuts.
 package shard
 
 import (
@@ -88,12 +88,6 @@ type Config struct {
 	// the tenant's per-second rate).
 	AdmitRatePerSec float64
 	AdmitBurst      float64
-	// Window is the conservative-sync quantum (default 50ms). Smaller
-	// windows tighten the arrival lookahead; larger windows amortize the
-	// cross-domain barrier. Output is byte-identical at any value, apart
-	// from the config fingerprint it enters — the window only partitions
-	// time.
-	Window sim.VTime
 	// Seed seeds the arrival stream (default Base.Seed, then 1).
 	Seed int64
 }
@@ -110,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Sched == "" {
 		c.Sched = SchedSync
-	}
-	if c.Window == 0 {
-		c.Window = 50 * sim.Millisecond
 	}
 	if c.Seed == 0 {
 		if c.Base.Seed != 0 {
@@ -293,26 +284,37 @@ func (s *ShardedDB) parallelOn() bool {
 	return runtime.GOMAXPROCS(0) > 1 && s.cfg.Shards > 1
 }
 
+// windowLen is the conservative-sync quantum. Smaller windows tighten the
+// arrival lookahead; larger windows amortize the cross-domain barrier.
+// Output is byte-identical at any length.
+const windowLen = 50 * sim.Millisecond
+
 // Run executes the offered stream to exhaustion plus drain and returns the
 // report. One call per ShardedDB.
+func (s *ShardedDB) Run() (*Report, error) { return s.run(windowLen) }
+
+// run is Run with the window length as a parameter.
 //
 // Phase 1 (generate, admit, route) runs on a producer goroutine one window
 // ahead of the shards; the calling goroutine coordinates Phases 2-4.
-func (s *ShardedDB) Run() (*Report, error) {
+func (s *ShardedDB) run(win sim.VTime) (*Report, error) {
 	wallStart := time.Now()
 	windows, stop, exited := make(chan *window), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(exited)
-		s.produce(windows, stop)
+		s.produce(win, windows, stop)
 	}()
 	halt := sync.OnceFunc(func() { close(stop); <-exited })
 	defer halt() // every return path, a panicking shard's included, ends the producer
-	if err := s.execute(windows); err != nil {
-		return nil, err
-	}
+	err := s.execute(windows)
 	halt() // report reads offered and shed, which only the producer writes
+	// Release every shard's workers, on the stall error's return too:
+	// parked worker coroutines are never collected.
 	for _, r := range s.shards {
 		r.close(s.cfg.Workers)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return s.report(time.Since(wallStart)), nil
 }
@@ -336,7 +338,7 @@ type window struct {
 // rewritten for window k+2 only after the coordinator took window k+1,
 // which it does once window k has run. Once the stream ends the producer
 // keeps handing over empty drain windows until stop closes.
-func (s *ShardedDB) produce(out chan<- *window, stop <-chan struct{}) {
+func (s *ShardedDB) produce(win sim.VTime, out chan<- *window, stop <-chan struct{}) {
 	var sets [2]window
 	for i := range sets {
 		sets[i].staged = make([][]workload.Arrival, len(s.shards))
@@ -352,7 +354,7 @@ func (s *ShardedDB) produce(out chan<- *window, stop <-chan struct{}) {
 	end := sim.VTime(0)
 	for k := 0; ; k++ {
 		w := &sets[k%2]
-		w.start, end = end, end+s.cfg.Window
+		w.start, end = end, end+win
 		w.end = end
 		for i := range w.staged {
 			w.staged[i] = w.staged[i][:0]

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"regexp"
 	"runtime"
 	"testing"
 	"time"
@@ -108,7 +107,6 @@ func testConfig(shards int, sched string) Config {
 		TotalOps: 6_000,
 		Workers:  8,
 		Sched:    sched,
-		Window:   20 * sim.Millisecond,
 		Seed:     1,
 	}
 }
@@ -451,24 +449,20 @@ func TestShardRunAllocs(t *testing.T) {
 }
 
 // TestShardedWindowInvariance: the conservative-sync window only partitions
-// time. Every policy renders the same report at window lengths from 3 ms to
-// beyond the whole run, apart from the header's config fingerprint (the
-// window is a config field). Checkpoint cuts fall strictly before the
-// stream's final arrival whatever window it lands in; a rule that drops
-// cuts in the window where the stream ends takes 3 checkpoints per shard at
-// 3 ms and 0 at 1 s here.
+// time. Every policy renders the same report, header fingerprint included,
+// at window lengths from 3 ms to beyond the whole run. Checkpoint cuts fall
+// strictly before the stream's final arrival whatever window it lands in; a
+// rule that drops cuts in the window where the stream ends takes 3
+// checkpoints per shard at 3 ms and 0 at 1 s here.
 func TestShardedWindowInvariance(t *testing.T) {
-	fp := regexp.MustCompile(`config [0-9a-f]{16}`)
 	for _, sched := range Scheds() {
 		var want string
-		for _, win := range []sim.VTime{3 * sim.Millisecond, 20 * sim.Millisecond, 50 * sim.Millisecond, sim.Second} {
-			cfg := testConfig(3, sched)
-			cfg.Window = win
-			s, err := Open(cfg)
+		for _, win := range []sim.VTime{3 * sim.Millisecond, 20 * sim.Millisecond, windowLen, sim.Second} {
+			s, err := Open(testConfig(3, sched))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := s.Run()
+			rep, err := s.run(win)
 			if err != nil {
 				t.Fatalf("%s window %v: %v", sched, win, err)
 			}
@@ -477,7 +471,7 @@ func TestShardedWindowInvariance(t *testing.T) {
 					t.Fatalf("%s window %v: shard %d ran no checkpoints", sched, win, sr.ID)
 				}
 			}
-			got := fp.ReplaceAllString(rep.String(), "config <fp>")
+			got := rep.String()
 			if want == "" {
 				want = got
 			} else if got != want {
@@ -487,10 +481,10 @@ func TestShardedWindowInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedRunLeavesNoGoroutine: Run ends its arrival producer on every
-// return path. The goroutine count after a run — a normal one at
-// GOMAXPROCS 1 and 4, and one that returns early with the stall error — is
-// back at its count before Open.
+// TestShardedRunLeavesNoGoroutine: Run ends its arrival producer and
+// releases every shard's workers on every return path. The goroutine count
+// after a run — a normal one at GOMAXPROCS 1 and 4, and one that returns
+// early with the stall error — is back at its count before Open.
 func TestShardedRunLeavesNoGoroutine(t *testing.T) {
 	settle := func(baseline int) int {
 		n := runtime.NumGoroutine()
@@ -504,27 +498,19 @@ func TestShardedRunLeavesNoGoroutine(t *testing.T) {
 		for _, stall := range []bool{false, true} {
 			withProcs(procs, func() string {
 				baseline := runtime.NumGoroutine()
-				cfg := testConfig(2, SchedStaggered)
-				if stall {
-					cfg.Shards = 1
-				}
-				s, err := Open(cfg)
+				s, err := Open(testConfig(2, SchedStaggered))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if stall {
 					// An op counted as queued that no worker will ever see:
-					// once traffic ends, the shard can never drain.
+					// once traffic ends, shard 0 can never drain, and Run
+					// returns while shard 1's workers are parked too.
 					s.shards[0].queued++
 				}
 				_, err = s.Run()
 				if stall != (err != nil) {
 					t.Fatalf("GOMAXPROCS=%d stall=%v: Run error %v", procs, stall, err)
-				}
-				if stall {
-					// The early return leaves the stalled shard's workers
-					// parked on an empty queue; release them as Run does.
-					s.shards[0].close(cfg.Workers)
 				}
 				if n := settle(baseline); n > baseline {
 					t.Fatalf("GOMAXPROCS=%d stall=%v: %d goroutines after Run, %d before Open", procs, stall, n, baseline)
