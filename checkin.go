@@ -142,7 +142,7 @@ type Config struct {
 	Compaction string
 
 	// MemtableEntries caps the LSM memtable's distinct-key count before a
-	// flush epoch triggers (0 → 4096). Ignored by the journal engine.
+	// flush epoch triggers. Ignored by the journal engine.
 	MemtableEntries int
 
 	// Flash geometry.
@@ -285,6 +285,7 @@ func DefaultConfig() Config {
 		FTLMap:             "dram",
 		Engine:             "journal",
 		Compaction:         lsm.PolicyLeveled,
+		MemtableEntries:    4096,
 	}
 }
 
@@ -297,8 +298,11 @@ type DB struct {
 	tracer *trace.Tracer
 
 	// restPoint is the kernel state at the post-Load quiescent instant —
-	// the anchor Snapshot captures from. Nil before Load.
+	// the anchor forks restore. Nil before Load.
 	restPoint *sim.EngineState
+	// template is set by Snapshot: forks read the DB from then on, so
+	// Load and Run refuse it.
+	template bool
 }
 
 // resolve returns cfg as a DB runs it: every zero field replaced by its
@@ -459,27 +463,37 @@ func Open(cfg Config) (*DB, error) {
 func (db *DB) Config() Config { return db.cfg }
 
 // Load bulk-populates every record (the YCSB load phase). Call once before
-// the first Run.
+// the first Run. On a snapshot template it returns an error and does
+// nothing.
 //
 // After the bulk load, Load drains the simulation to a canonical rest point:
 // the deallocator tick — the only perpetually self-rescheduling event — is
 // paused so its queued firing disarms instead of re-arming, the event queue
 // runs dry, and the kernel state is recorded before the tick is re-armed.
-// Every path (direct run, snapshot capture, fork restore) passes through the
+// Every path (direct run, snapshot template, fork) passes through the
 // same rest point, which is what makes snapshot-on and snapshot-off runs
 // byte-identical: re-arming is always the next scheduled action taken from
 // identical (clock, sequence) state.
-func (db *DB) Load() {
+func (db *DB) Load() error {
+	if db.template {
+		return errTemplate
+	}
 	db.host.Load()
 	db.device.PauseDeallocator()
 	db.eng.Run()
 	rp := db.eng.State()
 	db.restPoint = &rp
 	db.device.ResumeDeallocator()
+	return nil
 }
 
 // Run executes a workload phase and returns its metrics.
-func (db *DB) Run(spec RunSpec) (*Metrics, error) { return db.host.Run(spec) }
+func (db *DB) Run(spec RunSpec) (*Metrics, error) {
+	if db.template {
+		return nil, errTemplate
+	}
+	return db.host.Run(spec)
+}
 
 // SimulateRecovery models a crash at the current instant and returns what a
 // restarted instance would reconstruct from the checkpoint and journal.

@@ -141,6 +141,61 @@ func TestFingerprintFieldSensitivity(t *testing.T) {
 	}
 }
 
+// zeroIsSetting names the Config fields whose zero a DB runs as zero, each
+// with what the zero means. Every other field must resolve to a nonzero
+// default.
+var zeroIsSetting = map[string]string{
+	"Strategy":             "Baseline",
+	"LockDuringCheckpoint": "queries keep running during checkpoints",
+	"TraceCapacity":        "tracing off",
+	"WearDeltaThreshold":   "static wear leveling off",
+	"Injector":             "no fault injection",
+	"ReadRetryRate":        "NAND fault model off",
+	"RetryEscalation":      "NAND fault model off",
+	"UncorrectableRate":    "NAND fault model off",
+	"ProgramFailRate":      "NAND fault model off",
+	"EraseFailRate":        "NAND fault model off",
+	"WearErrorFactor":      "NAND fault model off",
+	"SpareBlocksPerDie":    "no spare pool while the fault model is off",
+	"CommandTimeout":       "no command timeout",
+	"CMTEntries":           "the FTL derives the CMT bound from MapCacheMB",
+	"MetaFlushEntries":     "the FTL derives the flush threshold from the page size",
+}
+
+// TestZeroFieldFingerprintsAsReported walks every Config field on both
+// engines: a DB opened with the field zero reports a nonzero value for it
+// unless zeroIsSetting names the field, and the zero field fingerprints
+// like the value the DB reports, so a zero field and its explicit default
+// key one run.
+func TestZeroFieldFingerprintsAsReported(t *testing.T) {
+	typ := reflect.TypeFor[Config]()
+	for _, engine := range EngineNames() {
+		base := DefaultConfig()
+		base.Engine = engine
+		base.Keys = 2000
+		for i := range typ.NumField() {
+			name := typ.Field(i).Name
+			zeroed := base
+			reflect.ValueOf(&zeroed).Elem().Field(i).SetZero()
+			db, err := Open(zeroed)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", engine, name, err)
+			}
+			reported := reflect.ValueOf(db.Config()).Field(i)
+			if _, ok := zeroIsSetting[name]; !ok && reported.IsZero() {
+				t.Errorf("%s/%s: resolves to zero; give it a default in DefaultConfig or name it in zeroIsSetting", engine, name)
+			}
+			explicit := zeroed
+			reflect.ValueOf(&explicit).Elem().Field(i).Set(reported)
+			fz, okz := Fingerprint(zeroed)
+			fe, oke := Fingerprint(explicit)
+			if fz != fe || okz != oke {
+				t.Errorf("%s/%s: zero fingerprints %016x, the reported %v %016x", engine, name, fz, reported, fe)
+			}
+		}
+	}
+}
+
 // TestHashValuesSeparation: domains, string boundaries, nil-versus-zero
 // pointers and same-named sizers of different sizes all separate, and
 // values without a stable encoding refuse.

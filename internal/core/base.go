@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/ssd"
@@ -217,45 +216,30 @@ func (b *Base) TriggerCheckpoint() *sim.Future {
 }
 
 // ---------------------------------------------------------------------------
-// snapshot state
+// state copy
 
-// BaseState is the base's share of an engine snapshot. Metrics are not
-// captured: Run resets them.
-type BaseState struct {
-	version     []int64
-	epoch       uint64
-	remapTotals ssd.RemapStats
-}
-
-// CaptureBase captures the base's state. It fails unless the instant is
-// quiescent — no epoch running (so no closed query gate) and nothing
-// pending, in flight or being cut in the log — since otherwise live
-// process stacks reference the state and the capture would be unsound.
-func (b *Base) CaptureBase() (BaseState, error) {
+// CopyBase makes b's version truth, epoch count and remap totals a copy of
+// src's, with idle epochs. b keeps its kernel, device, configuration,
+// host, log and epoch work, and its metrics: Run installs a fresh
+// collector. It fails unless src is quiescent — no epoch running (so no
+// closed query gate) and nothing pending, in flight or being cut in its
+// log — since otherwise live process stacks reference the state and the
+// copy would be unsound. src is only read.
+func (b *Base) CopyBase(src *Base) error {
 	switch {
-	case b.running:
-		return BaseState{}, fmt.Errorf("core: snapshot during a %s", b.epochName)
-	case !b.log.Quiet():
-		return BaseState{}, fmt.Errorf("core: snapshot with log activity in flight")
+	case src.running:
+		return fmt.Errorf("core: snapshot during a %s", src.epochName)
+	case !src.log.Quiet():
+		return fmt.Errorf("core: snapshot with log activity in flight")
+	case len(src.version) != len(b.version):
+		return fmt.Errorf("core: copy of %d keys into an engine with %d", len(src.version), len(b.version))
 	}
-	return BaseState{
-		version:     slices.Clone(b.version),
-		epoch:       b.epoch,
-		remapTotals: b.remapTotals,
-	}, nil
-}
-
-// RestoreBase installs a captured state into a base built for the same
-// key count, with idle epochs and a fresh metrics collector.
-func (b *Base) RestoreBase(s BaseState) error {
-	if len(s.version) != len(b.version) {
-		return fmt.Errorf("core: restore with %d keys into an engine with %d", len(s.version), len(b.version))
-	}
-	copy(b.version, s.version)
-	b.remapTotals = s.remapTotals
-	b.epoch = s.epoch
-	b.running, b.done = false, nil
-	b.gateClosed, b.gateOpen = false, nil
-	b.metrics = NewMetrics()
+	own := *b
+	*b = *src
+	b.eng, b.dev, b.cfg, b.host, b.log, b.work, b.then = own.eng, own.dev, own.cfg, own.host, own.log, own.work, own.then
+	b.metrics = own.metrics
+	b.version = append(own.version[:0], src.version...)
+	// The last epoch's futures have completed; idle epochs hold none.
+	b.done, b.gateOpen = nil, nil
 	return nil
 }

@@ -41,14 +41,10 @@ func latestEntries(snap ckptSnapshot) []*jmtEntry {
 // a metadata update (Figure 2(c) / Figure 4(a)).
 func (en *Engine) baselineCheckpoint(p *sim.Proc, snap ckptSnapshot) {
 	entries := latestEntries(snap)
-	w := en.cfg.CkptReadWindow // in-flight I/O window while draining the journal
-	if w < 1 {
-		w = 32
-	}
 	// Each block request costs the host software path before it reaches
 	// the device; Pace issues the requests one overhead apart.
 	var chunk []*jmtEntry
-	reads := make([]*sim.Future, 0, min(w, len(entries)))
+	reads := make([]*sim.Future, 0, min(ckptReadWindow, len(entries)))
 	read := func(k int) {
 		e := chunk[k]
 		reads[k] = en.dev.Read(e.off, int64(e.payload))
@@ -57,8 +53,8 @@ func (en *Engine) baselineCheckpoint(p *sim.Proc, snap ckptSnapshot) {
 		e := chunk[k]
 		en.dev.Release(en.dev.Write(e.targetOff, int64(e.payload), ssd.AreaCheckpoint))
 	}
-	for i := 0; i < len(entries); i += w {
-		chunk = entries[i:min(i+w, len(entries))]
+	for i := 0; i < len(entries); i += ckptReadWindow {
+		chunk = entries[i:min(i+ckptReadWindow, len(entries))]
 		// read the journal logs into a host buffer ...
 		reads = reads[:len(chunk)]
 		p.Pace(len(chunk), en.cfg.HostIOOverhead, read)
@@ -121,27 +117,24 @@ func (en *Engine) remapRequests(snap ckptSnapshot) []ssd.RemapEntry {
 // commands.
 func (b *Base) CoW(p *sim.Proc, pairs []ssd.CoWPair) {
 	if b.cfg.Strategy == StrategyISCA {
-		cowEach(p, b.dev, b.cfg.HostIOOverhead, b.cfg.CkptCoWWindow, pairs)
+		cowEach(p, b.dev, b.cfg.HostIOOverhead, pairs)
 	} else {
-		cowBatched(p, b.dev, b.cfg.HostIOOverhead, b.cfg.MultiCoWBatch, pairs)
+		cowBatched(p, b.dev, b.cfg.HostIOOverhead, pairs)
 	}
 }
 
-// cowEach is ISC-A: one vendor-specific CoW command per pair, window
-// commands in flight. The command count equals the pair count, so the
-// queue depth becomes the bottleneck.
-func cowEach(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, window int, pairs []ssd.CoWPair) {
-	if window < 1 {
-		window = 128
-	}
+// cowEach is ISC-A: one vendor-specific CoW command per pair,
+// ckptCoWWindow commands in flight. The command count equals the pair
+// count, so the queue depth becomes the bottleneck.
+func cowEach(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, pairs []ssd.CoWPair) {
 	var chunk []ssd.CoWPair
-	futs := make([]*sim.Future, 0, min(window, len(pairs)))
+	futs := make([]*sim.Future, 0, min(ckptCoWWindow, len(pairs)))
 	cow := func(k int) {
 		c := chunk[k]
 		futs[k] = dev.CoW(c.Src, c.Dst, c.Len)
 	}
-	for i := 0; i < len(pairs); i += window {
-		chunk = pairs[i:min(i+window, len(pairs))]
+	for i := 0; i < len(pairs); i += ckptCoWWindow {
+		chunk = pairs[i:min(i+ckptCoWWindow, len(pairs))]
 		futs = futs[:len(chunk)]
 		p.Pace(len(chunk), overhead, cow)
 		waitRelease(p, dev, futs...)
@@ -149,21 +142,18 @@ func cowEach(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, window int, pairs
 	waitRelease(p, dev, dev.Flush(ssd.AreaData))
 }
 
-// cowBatched is ISC-B: the pairs ride in multi-CoW commands of batch
-// pairs, reducing command overhead to a negligible level and letting the
-// device schedule consecutive reads and consecutive writes.
-func cowBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, batch int, pairs []ssd.CoWPair) {
-	if batch < 1 {
-		batch = 128
-	}
+// cowBatched is ISC-B: the pairs ride in multi-CoW commands of
+// multiCoWBatch pairs, reducing command overhead to a negligible level and
+// letting the device schedule consecutive reads and consecutive writes.
+func cowBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, pairs []ssd.CoWPair) {
 	// At most two commands in flight: the device works on one batch while
 	// the next is queued, and host queries get service in between — a
 	// device that let one checkpoint command book every die for hundreds
 	// of milliseconds would starve the host.
 	var prev *sim.Future
-	for i := 0; i < len(pairs); i += batch {
+	for i := 0; i < len(pairs); i += multiCoWBatch {
 		p.Sleep(overhead)
-		cur := dev.MultiCoW(pairs[i:min(i+batch, len(pairs))])
+		cur := dev.MultiCoW(pairs[i:min(i+multiCoWBatch, len(pairs))])
 		if prev != nil {
 			p.Wait(prev)
 		}
@@ -176,23 +166,20 @@ func cowBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, batch int, pai
 }
 
 // Remap is ISC-C and Check-In: the requests ride in checkpoint-request
-// commands of CkptCmdBatch entries and the FTL checkpoints by remapping,
+// commands of ckptCmdBatch entries and the FTL checkpoints by remapping,
 // adding each command's outcome to RemapTotals. Whether entries remap
 // purely or degrade to read-merge-writes depends on how the log laid the
 // records out.
 func (b *Base) Remap(p *sim.Proc, reqs []ssd.RemapEntry) {
-	dev, overhead, batch, totals := b.dev, b.cfg.HostIOOverhead, b.cfg.CkptCmdBatch, &b.remapTotals
-	if batch < 1 {
-		batch = 512
-	}
+	dev, overhead, totals := b.dev, b.cfg.HostIOOverhead, &b.remapTotals
 	// The cut brackets tell the FTL's translation-metadata layer to defer
 	// dirty writeback across the remap burst and settle it once, densest
 	// page first, when the burst has drained (dftl mode; no-op otherwise).
 	dev.BeginCheckpointCut()
 	var prev *sim.Future
-	for i := 0; i < len(reqs); i += batch {
+	for i := 0; i < len(reqs); i += ckptCmdBatch {
 		p.Sleep(overhead)
-		res, fut := dev.CheckpointRequest(reqs[i:min(i+batch, len(reqs))])
+		res, fut := dev.CheckpointRequest(reqs[i:min(i+ckptCmdBatch, len(reqs))])
 		fut.OnComplete(func() {
 			totals.Remapped += res.Remapped
 			totals.RMWs += res.RMWs

@@ -24,7 +24,7 @@ type Ops interface {
 // end, the crash-injection instrument and the verification oracles speak
 // to one, so the engines are interchangeable and directly comparable on
 // identical inputs. Base implements all of it but Get, Update, Scan, Load,
-// Recovery and the snapshot pair.
+// Recovery and CopyFrom.
 type Host interface {
 	Ops
 
@@ -60,10 +60,10 @@ type Host interface {
 	// truth, plus the device reads of the recovery scan.
 	Recovery() *RecoveryReport
 
-	// Snapshot-and-fork: the engine's mutable state as an opaque value.
-	// RestoreState must reject a value captured from a different engine.
-	SnapshotState() (any, error)
-	RestoreState(s any) error
+	// CopyFrom makes the engine's mutable state a deep copy of src's, a
+	// quiescent engine of the same kind and shape; it rejects any other
+	// engine, and only reads src (snapshot-and-fork).
+	CopyFrom(src Host) error
 }
 
 // Apply executes one workload operation against h. A read-modify-write is

@@ -11,9 +11,21 @@ import (
 	"github.com/checkin-kv/checkin/internal/workload"
 )
 
+// InlineHeaderBytes is the per-log header of the conventional journal and
+// WAL formats (the sector-aligned format keeps descriptors host-side).
+const InlineHeaderBytes = 16
+
+// Checkpoint command shapes.
+const (
+	ckptReadWindow = 1024 // Baseline: in-flight reads and writes draining the journal
+	ckptCoWWindow  = 128  // ISC-A: in-flight CoW commands
+	multiCoWBatch  = 64   // ISC-B: pairs per multi-CoW command
+	ckptCmdBatch   = 128  // ISC-C / Check-In: entries per checkpoint request
+)
+
 // HostConfig holds the settings every host engine reads: the record
 // population, the write-ahead log's halves, the checkpoint cadence and the
-// strategy knobs. Config (journal engine) and lsm.Config embed it.
+// strategy. Config (journal engine) and lsm.Config embed it.
 type HostConfig struct {
 	Strategy Strategy
 
@@ -37,15 +49,6 @@ type HostConfig struct {
 	// LockDuringCheckpoint stalls query admission while a checkpoint
 	// runs — the paper's method for measuring pure checkpointing time.
 	LockDuringCheckpoint bool
-
-	// InlineHeaderBytes is the per-log header of the conventional journal
-	// format (sector-aligned mode keeps descriptors host-side).
-	InlineHeaderBytes int64
-
-	// Strategy tuning knobs.
-	CkptCoWWindow int // ISC-A: in-flight CoW commands
-	MultiCoWBatch int // ISC-B: pairs per command
-	CkptCmdBatch  int // ISC-C / Check-In: entries per command
 
 	// HostIOOverhead is the host-side software cost of issuing one block
 	// I/O (syscall + block layer + driver). It is what makes per-log host
@@ -93,10 +96,6 @@ type Config struct {
 	// CompressRatio models Algorithm 2's compression of logs larger than
 	// the mapping unit.
 	CompressRatio float64
-
-	// CkptReadWindow bounds the baseline checkpoint's in-flight reads and
-	// writes.
-	CkptReadWindow int
 }
 
 // DefaultConfig returns engine defaults mirroring Table I's DBMS settings,
@@ -110,15 +109,10 @@ func DefaultConfig() Config {
 			JournalHalfBytes:   32 << 20,
 			CheckpointInterval: sim.Second,
 			JournalSoftFrac:    0.7,
-			InlineHeaderBytes:  16,
-			CkptCoWWindow:      128,
-			MultiCoWBatch:      64,
-			CkptCmdBatch:       128,
 			HostIOOverhead:     10 * sim.Microsecond,
 			Seed:               1,
 		},
-		CompressRatio:  0.85,
-		CkptReadWindow: 1024,
+		CompressRatio: 0.85,
 	}
 }
 
@@ -170,7 +164,7 @@ func NewEngine(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		layout: layout,
 		ckpted: make([]int64, cfg.Keys),
 	}
-	header := cfg.InlineHeaderBytes
+	header := int64(InlineHeaderBytes)
 	if cfg.Strategy.SectorAligned() {
 		header = 0 // Check-In keeps log descriptors in the JMT, not inline
 	}

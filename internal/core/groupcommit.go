@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
@@ -281,38 +280,19 @@ func (g *GroupCommit[R]) Sync(p *sim.Proc) {
 }
 
 // Quiet reports whether nothing is pending, in flight or being cut — the
-// only instants a snapshot may capture the log.
+// only instants a fork may copy the log.
 func (g *GroupCommit[R]) Quiet() bool {
 	return !g.commitInFlight && !g.cutting && !g.hasPending()
 }
 
-// LogState is a GroupCommit's placement, counters and durable versions at
-// a quiet instant.
-type LogState struct {
-	active  int
-	head    int64
-	stats   JournalStats
-	durable []int64
-}
-
-// Active returns the captured active half.
-func (s LogState) Active() int { return s.active }
-
-// State captures the log; call it only when Quiet.
-func (g *GroupCommit[R]) State() LogState {
-	return LogState{active: g.active, head: g.head, stats: g.stats, durable: slices.Clone(g.durable)}
-}
-
-// Restore installs a captured state over log, the active half's records,
-// with nothing pending or in flight.
-func (g *GroupCommit[R]) Restore(s LogState, log *[]R) {
-	g.active, g.head, g.stats = s.active, s.head, s.stats
-	copy(g.durable, s.durable)
+// CopyFrom makes g's placement, counters and durable versions a copy of
+// src's, over log, g's own copy of the active half's records. g keeps its
+// kernel, device, format, configuration and commit hook. src must be
+// Quiet, so nothing is pending or in flight; it is only read.
+func (g *GroupCommit[R]) CopyFrom(src *GroupCommit[R], log *[]R) {
+	own := *g
+	*g = *src
+	g.eng, g.dev, g.format, g.cfg, g.onCommit = own.eng, own.dev, own.format, own.cfg, own.onCommit
 	g.log = log
-	g.pendFrom, g.pendBytes = len(*log), 0
-	g.nextBatch = nil
-	g.commitInFlight = false
-	g.inFlightDone = nil
-	g.inFlight, g.inFlightFlush = nil, nil
-	g.cutting = false
+	g.durable = append(own.durable[:0], src.durable...)
 }

@@ -97,6 +97,22 @@ func (x *Index) Reset() {
 	x.n = 0
 }
 
+// CopyFrom makes x a deep copy of src. Only the chunks src holds are
+// copied; x's own chunks are zeroed and kept as spares, so a chunk src
+// leaves empty is never allocated or touched. src is only read.
+func (x *Index) CopyFrom(src *Index) {
+	x.Reset()
+	x.chunks = append(x.chunks[:0], make([][]int32, len(src.chunks))...)
+	for c, ch := range src.chunks {
+		if ch != nil {
+			x.chunks[c] = x.takeChunk()
+			copy(x.chunks[c], ch)
+		}
+	}
+	x.counts = append(x.counts[:0], src.counts...)
+	x.n = src.n
+}
+
 // Range calls fn for every present key in ascending key order. fn must not
 // modify the index.
 func (x *Index) Range(fn func(k int64, v int32)) {

@@ -84,9 +84,8 @@ func settleCMT(e *sim.Engine, f *FTL) {
 // workload drives skewed overwrites, trims, remaps, syncs and background
 // GC. The FTL must keep every dftl invariant (CMT/LRU/directory coherence,
 // full-sweep stored-vs-live agreement), survive a lossless SPOR rebuild of
-// the translation directory, and keep doing all of the above after a
-// Snapshot/Restore round trip carries the whole dftl state into a fresh
-// instance.
+// the translation directory, and keep doing all of the above after
+// CopyFrom carries the whole dftl state into a fresh instance.
 func TestMappingOracle(t *testing.T) {
 	for _, pol := range []GCPolicy{GCGreedy, GCCostBenefit, GCFIFO} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -114,18 +113,14 @@ func TestMappingOracle(t *testing.T) {
 					t.Fatalf("SPOR lost durable state: %s", rep)
 				}
 
-				// Round trip: the restored instance must hold the identical
+				// Copy: the fresh instance must hold the identical
 				// CMT, directory and flash-resident copies, and keep the
 				// oracle quiet for the rest of the workload.
-				st, err := f.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
 				f2, err := New(e, arr, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := f2.Restore(st); err != nil {
+				if err := f2.CopyFrom(f); err != nil {
 					t.Fatal(err)
 				}
 				f2.EnableMapOracle()

@@ -164,10 +164,9 @@ func TestCleanFirstEvictionReducesFlushes(t *testing.T) {
 // TestCMTAxesSnapshotDeterminism proves the CMT paths are snapshot-safe at
 // every axis setting, including the mixed ones Config.CMTBasic cannot
 // express: a workload run straight through and the same workload resumed
-// from a mid-run Snapshot/Restore into a fresh FTL must end in the same
-// CMT, LRU order, stats and live map, with the mapping oracle armed. The
-// axes are not part of the snapshot; the fresh FTL takes them from apply,
-// as a forked stack takes them from its Config.
+// on a fresh FTL copied from it mid-run must end in the same CMT, LRU
+// order, stats and live map, with the mapping oracle armed. The axes
+// travel with the copy, as they follow a forked stack's Config.
 func TestCMTAxesSnapshotDeterminism(t *testing.T) {
 	combos := []struct {
 		name string
@@ -190,17 +189,14 @@ func TestCMTAxesSnapshotDeterminism(t *testing.T) {
 					oracleWorkload(t, e, f, &rng, 768)
 					settleCMT(e, f)
 					if fork {
-						st, err := f.Snapshot()
+						fresh, err := New(e, arr, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if f, err = New(e, arr, cfg); err != nil {
+						if err := fresh.CopyFrom(f); err != nil {
 							t.Fatal(err)
 						}
-						combo.axes.apply(f)
-						if err := f.Restore(st); err != nil {
-							t.Fatal(err)
-						}
+						f = fresh
 						f.EnableMapOracle()
 					}
 					oracleWorkload(t, e, f, &rng, 768)

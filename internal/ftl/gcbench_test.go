@@ -128,9 +128,18 @@ func BenchmarkGCHeavyWriteOnly(b *testing.B) {
 		b.Run(pol.String(), func(b *testing.B) {
 			s := newGCHeavyState(b, pol)
 			engState := s.eng.State()
-			arrState := s.f.Array().Snapshot()
-			ftlState, err := s.f.Snapshot()
+			arr, err := nand.New(s.eng, s.f.Array().Geometry(), s.f.Array().Timing())
 			if err != nil {
+				b.Fatal(err)
+			}
+			pristine, err := New(s.eng, arr, s.f.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := arr.CopyFrom(s.f.Array()); err != nil {
+				b.Fatal(err)
+			}
+			if err := pristine.CopyFrom(s.f); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -138,10 +147,10 @@ func BenchmarkGCHeavyWriteOnly(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				s.eng.Restore(engState)
-				if err := s.f.Array().Restore(arrState); err != nil {
+				if err := s.f.Array().CopyFrom(arr); err != nil {
 					b.Fatal(err)
 				}
-				if err := s.f.Restore(ftlState); err != nil {
+				if err := s.f.CopyFrom(pristine); err != nil {
 					b.Fatal(err)
 				}
 				s.rng = 0x9e3779b97f4a7c15

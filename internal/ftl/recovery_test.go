@@ -131,27 +131,32 @@ func aliasedSlots(r *recoveryLog) []int64 {
 	return sids
 }
 
-// TestRestoreRebuildsAliasIndex pins Restore's alias-table rebuild:
-// restoring a snapshot onto an FTL whose own remaps left alias entries
-// behind must clear every stale index and set exactly the restored log's
-// slots. The explicit slot lists pin it without relying on the checker; the
-// tail plants a dangling index and expects CheckInvariants to reject it.
+// TestRestoreRebuildsAliasIndex pins the alias table's copy: copying a
+// saved FTL onto one whose own remaps left alias entries behind must clear
+// every stale index and set exactly the saved log's slots. The explicit
+// slot lists pin it without relying on the checker; the tail plants a
+// dangling index and expects CheckInvariants to reject it.
 func TestRestoreRebuildsAliasIndex(t *testing.T) {
 	const dataOff = 65536
 	e, f := newSmall(t, smallCfg())
+	save := func() *FTL {
+		t.Helper()
+		saved, err := New(e, f.array, f.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := saved.CopyFrom(f); err != nil {
+			t.Fatal(err)
+		}
+		return saved
+	}
 	f.Write(0, 8192, TagHostJournal, StreamJournal)
 	f.Sync(StreamJournal, TagHostJournal)
 	e.Run()
-	clean, err := f.Snapshot() // no remaps yet: an empty alias log
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := save() // no remaps yet: an empty alias log
 	f.Remap(0, dataOff, 4096)
 	e.Run()
-	aliased, err := f.Snapshot() // the first 4 KB's slots carry aliases
-	if err != nil {
-		t.Fatal(err)
-	}
+	aliased := save() // the first 4 KB's slots carry aliases
 	want := aliasedSlots(f.rlog)
 	if len(want) == 0 {
 		t.Fatal("remap set no alias entries")
@@ -164,7 +169,7 @@ func TestRestoreRebuildsAliasIndex(t *testing.T) {
 	if len(aliasedSlots(f.rlog)) <= len(want) {
 		t.Fatal("second remap set no further alias entries")
 	}
-	if err := f.Restore(aliased); err != nil {
+	if err := f.CopyFrom(aliased); err != nil {
 		t.Fatal(err)
 	}
 	if got := aliasedSlots(f.rlog); !slices.Equal(got, want) {
@@ -174,11 +179,11 @@ func TestRestoreRebuildsAliasIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := f.Restore(clean); err != nil {
+	if err := f.CopyFrom(clean); err != nil {
 		t.Fatal(err)
 	}
 	if got := aliasedSlots(f.rlog); len(got) != 0 || f.rlog.aliases.len() != 0 || f.rlog.aliases.idx.Chunks() != 0 {
-		t.Fatalf("restore of an alias-free snapshot left slots %v, %d indexed, %d chunks",
+		t.Fatalf("copy of an alias-free FTL left slots %v, %d indexed, %d chunks",
 			got, f.rlog.aliases.len(), f.rlog.aliases.idx.Chunks())
 	}
 	if err := f.CheckInvariants(); err != nil {

@@ -1,6 +1,10 @@
 package ftl
 
-import "github.com/checkin-kv/checkin/internal/dense"
+import (
+	"slices"
+
+	"github.com/checkin-kv/checkin/internal/dense"
+)
 
 // slotTable maps a slot id to a short slice of T: the shared-slot reverse
 // mappings (revOverflow) and the recovery log's remap alias records. Almost
@@ -67,32 +71,15 @@ func (t *slotTable[T]) each(fn func(sid int64, s []T)) {
 	t.idx.Range(func(sid int64, i int32) { fn(sid, t.pool[i-1]) })
 }
 
-// slotLists is a slotTable's captured content: slot ids ascending, each
-// with a private copy of its slice.
-type slotLists[T any] struct {
-	sids []int64
-	vals [][]T
-}
-
-func (t *slotTable[T]) capture() slotLists[T] {
-	out := slotLists[T]{sids: make([]int64, 0, t.len()), vals: make([][]T, 0, t.len())}
-	t.each(func(sid int64, s []T) {
-		out.sids = append(out.sids, sid)
-		out.vals = append(out.vals, append([]T(nil), s...))
-	})
-	return out
-}
-
-// restore replaces the table's content with a copy of l. Only chunks that
-// held entries before, or that l fills, are touched.
-func (t *slotTable[T]) restore(l slotLists[T]) {
-	t.idx.Reset()
+// copyFrom makes t a deep copy of src. t's index reuses its own chunks
+// and touches only those src holds (see dense.Index.CopyFrom).
+func (t *slotTable[T]) copyFrom(src *slotTable[T]) {
+	t.idx.CopyFrom(&src.idx)
 	t.pool = t.pool[:0]
-	t.free = t.free[:0]
-	for k, sid := range l.sids {
-		t.pool = append(t.pool, append([]T(nil), l.vals[k]...))
-		t.idx.Set(sid, int32(len(t.pool)))
+	for _, s := range src.pool {
+		t.pool = append(t.pool, slices.Clone(s))
 	}
+	t.free = append(t.free[:0], src.free...)
 }
 
 // check reports every disagreement between the index and the pool: a set

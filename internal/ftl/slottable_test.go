@@ -59,15 +59,15 @@ func sameAsRef(t *slotTable[int64], ref map[int64][]int64) error {
 }
 
 // TestSlotTableOracle drives one slot table through random add / truncate /
-// drop / capture / restore sequences over slots spread across several
-// chunks, against a map reference. Restores go both into the live table,
-// whose chunks the restored content partly leaves empty, and into a fresh
-// one.
+// drop / save / restore sequences over slots spread across several chunks,
+// against a map reference. A save copies the table into another; restores
+// copy it back both into the live table, whose chunks the restored content
+// partly leaves empty, and into a fresh one.
 func TestSlotTableOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	var tab slotTable[int64]
 	ref := map[int64][]int64{}
-	var saved slotLists[int64]
+	var saved slotTable[int64]
 	var savedRef map[int64][]int64
 	// a few hot slots per chunk, so entries come and go repeatedly
 	slot := func() int64 {
@@ -94,20 +94,20 @@ func TestSlotTableOracle(t *testing.T) {
 			tab.drop(sid)
 			delete(ref, sid)
 		case op < 95:
-			saved = tab.capture()
+			saved.copyFrom(&tab)
 			savedRef = map[int64][]int64{}
 			for k, v := range ref {
 				savedRef[k] = slices.Clone(v)
 			}
 		case savedRef != nil && op < 98:
-			tab.restore(saved)
+			tab.copyFrom(&saved)
 			ref = map[int64][]int64{}
 			for k, v := range savedRef {
 				ref[k] = slices.Clone(v)
 			}
 		case savedRef != nil:
 			var fresh slotTable[int64]
-			fresh.restore(saved)
+			fresh.copyFrom(&saved)
 			if err := sameAsRef(&fresh, savedRef); err != nil {
 				t.Fatalf("step %d: restore into a fresh table: %v", step, err)
 			}

@@ -24,8 +24,7 @@ func Ablation(o Opts) (*Table, error) {
 		name string
 		mut  func(*checkin.Config)
 	}
-	yes, no := true, false
-	_ = yes
+	no := false
 	variants := []variant{
 		{"Baseline (host copy)", func(c *checkin.Config) { c.Strategy = checkin.StrategyBaseline }},
 		{"ISC-B (device copy)", func(c *checkin.Config) { c.Strategy = checkin.StrategyISCB }},
@@ -37,11 +36,11 @@ func Ablation(o Opts) (*Table, error) {
 		}},
 		{"Check-In, no data cache", func(c *checkin.Config) {
 			c.Strategy = checkin.StrategyCheckIn
-			c.DataCacheMB = -1 // sentinel resolved below
+			c.DataCacheMB = 1 // the smallest cache Config accepts ≈ "off"
 		}},
 		{"Baseline, no data cache", func(c *checkin.Config) {
 			c.Strategy = checkin.StrategyBaseline
-			c.DataCacheMB = -1
+			c.DataCacheMB = 1
 		}},
 		{"Check-In, GC cost-benefit", func(c *checkin.Config) {
 			c.Strategy = checkin.StrategyCheckIn
@@ -59,10 +58,6 @@ func Ablation(o Opts) (*Table, error) {
 		cfg := smallDevice(baseConfig(o, checkin.StrategyCheckIn))
 		cfg.CheckpointInterval = 300 * time.Millisecond
 		v.mut(&cfg)
-		if cfg.DataCacheMB == -1 {
-			// smallest non-zero cache the facade accepts ≈ "off"
-			cfg.DataCacheMB = 1
-		}
 		jobs = append(jobs, runner.Job{
 			Name:   "ablation/" + v.name,
 			Config: cfg,

@@ -44,8 +44,8 @@ type Opts struct {
 	// load phase) and whole-run memoization (identical config/spec cells
 	// shared between experiments simulate once). "" and "on" enable it;
 	// "off" forces every run to load and execute privately. Rendered
-	// tables are byte-identical either way — the snapshot restores the
-	// exact post-load state and runs are pure functions of their inputs.
+	// tables are byte-identical either way — a fork copies the exact
+	// post-load state and runs are pure functions of their inputs.
 	Snapshots string
 	// Timing collects a per-cell wall-clock breakdown (load/run phases of
 	// every executed job), retrievable with DrainTimings after an

@@ -68,7 +68,7 @@ type Config struct {
 	core.HostConfig
 
 	// MemtableEntries triggers a flush when the memtable holds this many
-	// distinct keys (0 → 4096).
+	// distinct keys.
 	MemtableEntries int
 
 	// Policy selects the compaction policy: "leveled" (default) or "tiered".
@@ -88,6 +88,9 @@ func DefaultConfig() Config {
 func (c Config) Validate() error {
 	if err := c.HostConfig.Validate(); err != nil {
 		return err
+	}
+	if c.MemtableEntries < 1 {
+		return fmt.Errorf("lsm: MemtableEntries %d must be >= 1", c.MemtableEntries)
 	}
 	if c.JournalHalfBytes%sector != 0 {
 		return fmt.Errorf("lsm: JournalHalfBytes %d must be a sector multiple", c.JournalHalfBytes)
@@ -165,9 +168,6 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 	if cfg.Policy == "" {
 		cfg.Policy = PolicyLeveled
 	}
-	if cfg.MemtableEntries <= 0 {
-		cfg.MemtableEntries = 4096
-	}
 	en := &Engine{
 		cfg:      cfg,
 		unit:     int64(dev.FTL().UnitSize()),
@@ -198,7 +198,7 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("lsm: run area %d too small for %d key bytes (need 3x headroom)", en.runArea.len, basePayload)
 	}
 
-	header := cfg.InlineHeaderBytes
+	header := int64(core.InlineHeaderBytes)
 	if cfg.Strategy.SectorAligned() {
 		header = 0
 	}

@@ -231,6 +231,16 @@ func TestWALBackpressureTriggersFlush(t *testing.T) {
 	}
 }
 
+// copyEngine copies en into a fresh engine over the same device: the
+// engine half of a snapshot fork.
+func copyEngine(en *Engine) (*Engine, error) {
+	c, err := New(en.Sim(), en.Device(), en.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return c, c.CopyFrom(en)
+}
+
 func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	e, en := newTestEngine(t, core.StrategyCheckIn, nil)
 	en.Load()
@@ -245,7 +255,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 		en.Sync(p)
 	})
 	before := en.Recovery().Recovered
-	s, err := en.SnapshotState()
+	s, err := copyEngine(en)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +267,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 		}
 		p.Wait(en.TriggerCheckpoint())
 	})
-	if err := en.RestoreState(s); err != nil {
+	if err := en.CopyFrom(s); err != nil {
 		t.Fatal(err)
 	}
 	after := en.Recovery().Recovered
@@ -280,7 +290,7 @@ func TestSnapshotRefusesMidFlush(t *testing.T) {
 			en.Update(p, i, 512)
 		}
 		fut := en.TriggerCheckpoint()
-		_, snapErr = en.SnapshotState()
+		_, snapErr = copyEngine(en)
 		p.Wait(fut)
 	})
 	if snapErr == nil {
@@ -393,19 +403,19 @@ func TestSnapshotRejectsUnlinkedMemtableCell(t *testing.T) {
 		}
 		en.Sync(p)
 	})
-	if _, err := en.SnapshotState(); err != nil {
+	if _, err := copyEngine(en); err != nil {
 		t.Fatalf("snapshot of a quiescent engine: %v", err)
 	}
 	// a copy of a logged record is a different record, as is a fresh one
 	logged := en.mem[5]
 	copied := *logged
 	en.mem[5] = &copied
-	if _, err := en.SnapshotState(); err == nil {
+	if _, err := copyEngine(en); err == nil {
 		t.Error("snapshot accepted a memtable cell whose record is a copy outside the log")
 	}
 	en.mem[5] = logged
 	en.mem[500] = &walRec{seq: en.walSeq + 1, key: 500, version: 2, payload: 512, committed: true}
-	if _, err := en.SnapshotState(); err == nil {
+	if _, err := copyEngine(en); err == nil {
 		t.Error("snapshot accepted a memtable cell whose record was never logged")
 	}
 }

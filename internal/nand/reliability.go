@@ -67,8 +67,8 @@ func (c ReliabilityConfig) Validate() error {
 const maxRetrySteps = 8
 
 // relModel is the sampling state. It carries its own splitmix64 PRNG rather
-// than *sim.RNG so the stream position is a single uint64 that Snapshot and
-// Restore copy exactly — forked runs replay the identical fault schedule.
+// than *sim.RNG so the stream position is a single uint64 that CopyFrom
+// copies exactly — forked runs replay the identical fault schedule.
 type relModel struct {
 	cfg ReliabilityConfig
 	rng uint64

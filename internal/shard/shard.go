@@ -234,8 +234,8 @@ func (s *ShardedDB) buildShards() error {
 	s.tmplWall = time.Since(start)
 	snap, snapErr := tmpl.Snapshot()
 	if snapErr == nil {
-		// Every shard forks from the snapshot: drop the template so a
-		// collection during the forks can hand its memory to them.
+		// Every shard forks from the snapshot, which now holds the
+		// template and refuses to run it.
 		tmpl = nil
 	}
 	for i := 0; i < s.cfg.Shards; i++ {

@@ -125,8 +125,8 @@ func sameCache(c *unitCache, ref *refLRU) error {
 // TestUnitCacheOracle drives the controller's DRAM cache through random
 // lookups, inserts and invalidations of byte ranges — hot ranges straddling
 // index-chunk boundaries plus uniform traffic over the whole logical space —
-// against the map-backed reference LRU. Every so often the device is
-// snapshotted and the run continues on a fresh device restored from it.
+// against the map-backed reference LRU. Every so often the run continues on
+// a fresh device copied from the current one.
 func TestUnitCacheOracle(t *testing.T) {
 	const capUnits = 48
 	d := cacheDevice(t, capUnits)
@@ -170,12 +170,11 @@ func TestUnitCacheOracle(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		if step%2500 == 2499 {
-			st, err := d.Snapshot()
-			if err != nil {
+			fork := cacheDevice(t, capUnits)
+			if err := fork.CopyFrom(d); err != nil {
 				t.Fatal(err)
 			}
-			d = cacheDevice(t, capUnits)
-			d.Restore(st)
+			d = fork
 			if err := sameCache(d.cache, ref); err != nil {
 				t.Fatalf("step %d: after restore: %v", step, err)
 			}

@@ -1,65 +1,49 @@
 package ssd
 
-import (
-	"fmt"
+import "fmt"
 
-	"github.com/checkin-kv/checkin/internal/sim"
-)
-
-// DeviceState is a deep copy of the controller's mutable state at a
-// quiescent instant (no in-flight commands, deallocator paused or idle).
-// Captured by Snapshot and installed into a freshly constructed Device by
-// Restore — the fork side of the load-phase snapshot-and-fork optimization.
-// FIFOResources are pure arithmetic (busy-until horizon + busy total), so
-// capturing them by value is exact.
-type DeviceState struct {
-	stats Stats
-	bus   sim.FIFOResource
-	cpu   sim.FIFOResource
-	// cacheUnits lists resident cache units oldest-first, so replaying
-	// them as front-insertions rebuilds the exact LRU order.
-	cacheUnits []int64
-}
-
-// Snapshot captures the device's mutable state. It must be called at a
-// quiescent instant: every submitted command completed (all queue slots
-// free) and no acquirer waiting. Anything else indicates in-flight work
-// whose continuations cannot be captured, and Snapshot returns an error.
-func (d *Device) Snapshot() (*DeviceState, error) {
-	if d.queue.Available() != d.cfg.QueueDepth || d.queue.Waiting() != 0 {
-		return nil, fmt.Errorf("ssd: snapshot with %d/%d queue slots free and %d waiters (device not quiescent)",
-			d.queue.Available(), d.cfg.QueueDepth, d.queue.Waiting())
+// CopyFrom makes d's mutable state — controller stats, bus/CPU resource
+// horizons and the unit cache with its LRU order — a deep copy of src's.
+// d must have been built from the same Config; it keeps its kernel, FTL,
+// command queue and command-record pool. src must be quiescent: every
+// submitted command completed (all queue slots free) and no acquirer
+// waiting. Anything else indicates in-flight work whose continuations
+// cannot be copied. src is only read.
+//
+// The deallocator is re-armed one period after d's clock, exactly as
+// ResumeDeallocator would after a paused drain, so the caller restores d's
+// kernel first.
+func (d *Device) CopyFrom(src *Device) error {
+	if d.cfg != src.cfg {
+		return fmt.Errorf("ssd: copy between devices of different configuration")
 	}
-	s := &DeviceState{stats: d.stats, bus: d.bus, cpu: d.cpu}
-	if d.cache != nil {
-		s.cacheUnits = make([]int64, 0, d.cache.index.Len())
-		for sl := d.cache.tail; sl >= 0; sl = d.cache.prev[sl] {
-			s.cacheUnits = append(s.cacheUnits, d.cache.units[sl])
-		}
+	if src.queue.Available() != src.cfg.QueueDepth || src.queue.Waiting() != 0 {
+		return fmt.Errorf("ssd: snapshot with %d/%d queue slots free and %d waiters (device not quiescent)",
+			src.queue.Available(), src.cfg.QueueDepth, src.queue.Waiting())
 	}
-	return s, nil
-}
-
-// Restore installs a previously captured state into d, which must be freshly
-// constructed from the same Config (same queue depth, cache capacity and
-// deallocator period). The deallocator is re-armed one period after the
-// restored clock, exactly as ResumeDeallocator would after a paused drain —
-// the caller must have restored the sim engine first.
-func (d *Device) Restore(s *DeviceState) {
-	d.stats = s.stats
-	d.bus = s.bus
-	d.cpu = s.cpu
-	if d.cache != nil {
-		d.cache.reset()
-		for _, u := range s.cacheUnits {
-			d.cache.insertFront(u)
-		}
+	own := *d
+	*d = *src
+	d.eng, d.f, d.queue, d.free = own.eng, own.f, own.queue, own.free
+	if src.cache != nil {
+		d.cache = own.cache
+		d.cache.copyFrom(src.cache)
 	}
-	// The constructor's tick event was discarded with the engine restore;
+	// The constructor's tick event was discarded with the kernel restore;
 	// forget it and arm a fresh one on the restored timeline.
-	d.deallocArmed = false
-	d.deallocPaused = false
+	d.deallocArmed, d.deallocPaused = false, false
 	if d.cfg.DeallocatorPeriod > 0 {
 		d.armDeallocator()
 	}
+	return nil
+}
+
+// copyFrom makes c a deep copy of src, which has the same capacity.
+func (c *unitCache) copyFrom(src *unitCache) {
+	own := *c
+	*c = *src
+	c.units = append(own.units[:0], src.units...)
+	c.next = append(own.next[:0], src.next...)
+	c.prev = append(own.prev[:0], src.prev...)
+	c.index = own.index
+	c.index.CopyFrom(&src.index)
 }

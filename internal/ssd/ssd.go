@@ -593,7 +593,7 @@ func (d *Device) armDeallocator() {
 // deallocTick is one deallocator wake-up: run background reclamation work if
 // warranted, then re-arm. While paused the tick disarms itself instead — it
 // must not advance any device state, so that a paused drain reaches a state
-// the snapshot layer can capture and reproduce exactly.
+// a fork can copy and reproduce exactly.
 func (d *Device) deallocTick() {
 	if d.deallocPaused {
 		d.deallocArmed = false
@@ -665,16 +665,6 @@ func newUnitCache(capUnits int64) *unitCache {
 		return nil
 	}
 	return &unitCache{capacity: capUnits, head: -1, tail: -1, freeHead: -1}
-}
-
-// reset empties the cache, keeping slot-array capacity and index chunks for
-// reuse (Restore repopulates immediately after).
-func (c *unitCache) reset() {
-	c.units = c.units[:0]
-	c.next = c.next[:0]
-	c.prev = c.prev[:0]
-	c.head, c.tail, c.freeHead = -1, -1, -1
-	c.index.Reset()
 }
 
 // slot returns u's slot, or -1 when u is not resident.

@@ -2,6 +2,7 @@ package checkin
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -9,41 +10,36 @@ import (
 	"math"
 	"reflect"
 	"strconv"
-
-	"github.com/checkin-kv/checkin/internal/ftl"
-	"github.com/checkin-kv/checkin/internal/nand"
-	"github.com/checkin-kv/checkin/internal/sim"
-	"github.com/checkin-kv/checkin/internal/ssd"
 )
 
-// Snapshot is a complete, immutable copy of a DB's simulated state at the
-// post-Load rest point: NAND array, FTL, controller, storage engine and the
-// kernel clock. Fork stamps it into freshly opened DBs, skipping the load
-// phase entirely — the snapshot-and-fork analogue of the checkpoint-restore
-// methodology the paper uses to sidestep gem5/SimpleSSD warm-up.
+// Snapshot is a loaded template DB frozen at its post-Load rest point. Fork
+// opens a fresh DB and copies every layer's mutable state — NAND array,
+// FTL, controller, storage engine — and the kernel clock from the
+// template, skipping the load phase entirely: the snapshot-and-fork
+// analogue of the checkpoint-restore methodology the paper uses to
+// sidestep gem5/SimpleSSD warm-up.
 //
-// A Snapshot never aliases live state (every layer deep-copies on capture
-// and again on restore), so one Snapshot can be forked concurrently from
-// any number of goroutines.
+// A fork only reads the template, and the template refuses Load and Run,
+// so one Snapshot can be forked concurrently from any number of
+// goroutines.
 type Snapshot struct {
-	cfg    Config // resolved template configuration (diagnostics)
+	db     *DB
 	loadFP uint64
-	sim    sim.EngineState
-	nand   *nand.ArrayState
-	ftl    *ftl.FTLState
-	dev    *ssd.DeviceState
-	// host is the storage engine's state as captured by its backend
-	// (core.EngineState or lsm.EngineState); RestoreState type-checks it,
-	// and the load fingerprint pins the backend, so a journal snapshot can
-	// never be stamped into an LSM fork.
-	host any
 }
 
-// Snapshot captures the DB's full simulated state. It must be called after
-// Load and before the first Run — the capture anchors to Load's rest point,
-// where the event queue is empty and no simulated process is live. Tracing
-// and fault injection thread live references through every layer, so DBs
-// opened with TraceCapacity > 0 or an Injector cannot be snapshotted.
+// errTemplate is what Load and Run return on a snapshotted DB.
+var errTemplate = errors.New("checkin: the DB is a snapshot template; fork it instead")
+
+// Snapshot freezes the DB as a fork template and copies nothing. It must
+// be called after Load and before the first Run — the template anchors to
+// Load's rest point, where the event queue is empty and no simulated
+// process is live. From then on Load and Run on the DB return an error;
+// read accessors (Config, Health, Device, Host, ...) keep working, but
+// SimulateRecovery and SimulateSPOR, which advance the device's timeline,
+// must not be called. Tracing and fault injection thread live references
+// through every layer, so DBs opened with TraceCapacity > 0 or an Injector
+// cannot be snapshotted. Each layer's own quiescence is checked when a
+// fork copies it.
 func (db *DB) Snapshot() (*Snapshot, error) {
 	switch {
 	case db.cfg.Injector != nil:
@@ -63,35 +59,24 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	if !ok {
 		return nil, fmt.Errorf("checkin: configuration is not snapshottable")
 	}
-	s := &Snapshot{cfg: db.cfg, loadFP: lfp, sim: *db.restPoint}
-	s.nand = db.device.FTL().Array().Snapshot()
-	var err error
-	if s.ftl, err = db.device.FTL().Snapshot(); err != nil {
-		return nil, err
-	}
-	if s.dev, err = db.device.Snapshot(); err != nil {
-		return nil, err
-	}
-	if s.host, err = db.host.SnapshotState(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	db.template = true
+	return &Snapshot{db: db, loadFP: lfp}, nil
 }
 
 // Config returns the resolved configuration the snapshot was captured from.
-func (s *Snapshot) Config() Config { return s.cfg }
+func (s *Snapshot) Config() Config { return s.db.cfg }
 
 // LoadFingerprint returns the fingerprint identifying the load phases this
 // snapshot can substitute for.
 func (s *Snapshot) LoadFingerprint() uint64 { return s.loadFP }
 
-// Fork opens a fresh DB under cfg and installs the snapshot's state in place
-// of running the load phase. cfg must describe the same load phase as the
-// snapshot's source (LoadFingerprint must match); run-phase fields — Seed,
-// Strategy-independent checkpoint knobs and so on — are
-// free to differ, which is what lets one preconditioned template serve a
-// whole sweep. The returned DB is indistinguishable from one that executed
-// Load itself: clock, event order and all layer state match exactly.
+// Fork opens a fresh DB under cfg and copies the template's state into it
+// in place of running the load phase. cfg must describe the same load phase
+// as the template (LoadFingerprint must match); run-phase fields — Seed,
+// Strategy-independent checkpoint knobs and so on — are free to differ,
+// which is what lets one preconditioned template serve a whole sweep. The
+// returned DB is indistinguishable from one that executed Load itself:
+// clock, event order and all layer state match exactly.
 func (s *Snapshot) Fork(cfg Config) (*DB, error) {
 	lfp, ok := LoadFingerprint(cfg)
 	if !ok {
@@ -104,23 +89,26 @@ func (s *Snapshot) Fork(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Kernel first: clears the constructor's deallocator tick so layer
-	// restores schedule onto the captured timeline. The device restore then
+	t := s.db
+	// Kernel first: clears the constructor's deallocator tick so the layer
+	// copies schedule onto the template's timeline. The device copy then
 	// re-arms the tick, drawing the same sequence number the direct path's
 	// re-arm drew after its post-Load drain.
-	db.eng.Restore(s.sim)
-	if err := db.device.FTL().Array().Restore(s.nand); err != nil {
-		return nil, err
-	}
-	if err := db.device.FTL().Restore(s.ftl); err != nil {
-		return nil, err
-	}
-	db.device.Restore(s.dev)
-	if err := db.host.RestoreState(s.host); err != nil {
-		return nil, err
-	}
-	rp := s.sim
+	rp := *t.restPoint
+	db.eng.Restore(rp)
 	db.restPoint = &rp
+	if err := db.device.FTL().Array().CopyFrom(t.device.FTL().Array()); err != nil {
+		return nil, err
+	}
+	if err := db.device.FTL().CopyFrom(t.device.FTL()); err != nil {
+		return nil, err
+	}
+	if err := db.device.CopyFrom(t.device); err != nil {
+		return nil, err
+	}
+	if err := db.host.CopyFrom(t.host); err != nil {
+		return nil, err
+	}
 	return db, nil
 }
 

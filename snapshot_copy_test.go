@@ -1,0 +1,304 @@
+package checkin_test
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/checkin-kv/checkin"
+)
+
+// copyAllowed names every layer field a copy may leave different from its
+// source, keyed "<package>.<type>.<field>" (generic type arguments dropped).
+// Each entry is one of three kinds:
+//   - wiring: the copy's own references to its kernel, its neighbouring
+//     layers, its configuration or its callbacks;
+//   - scratch: per-call buffers and reuse pools, whose content is dead
+//     between operations;
+//   - derived: state the copy rebuilds for its own timeline.
+//
+// Everything else must be copied: TestForkCopiesEveryField fails on a new
+// field that is neither copied nor named here.
+var copyAllowed = map[string]struct{ kind, why string }{
+	"nand.Array.eng": {"wiring", "the array's own kernel"},
+
+	"ftl.FTL.eng":       {"wiring", "the FTL's own kernel"},
+	"ftl.FTL.array":     {"wiring", "the FTL's own array, copied as a layer of its own"},
+	"ftl.FTL.lunsBuf":   {"scratch", "lunsOf's result buffer, rewritten by every call"},
+	"ftl.FTL.epoch":     {"scratch", "page-grouping epoch: each call takes a fresh one above every stamp in pageEpoch"},
+	"ftl.FTL.pageEpoch": {"scratch", "page-grouping stamps, meaningful only within one call"},
+	"ftl.FTL.pageCount": {"scratch", "page-grouping counts, meaningful only within one call"},
+	"ftl.FTL.pageOrder": {"scratch", "page-grouping order, meaningful only within one call"},
+
+	"ssd.Device.eng":   {"wiring", "the controller's own kernel"},
+	"ssd.Device.f":     {"wiring", "the controller's own FTL, copied as a layer of its own"},
+	"ssd.Device.queue": {"wiring", "command-slot semaphore on the controller's own kernel; the source's must be idle"},
+	"ssd.Device.free":  {"scratch", "pool of finished command records"},
+	"ssd.Device.deallocArmed": {"derived",
+		"deallocator tick scheduling: the copy arms a tick on its own kernel"},
+	"ssd.Device.deallocPaused": {"derived",
+		"deallocator tick scheduling: the copy arms a tick on its own kernel"},
+
+	"dense.Index.spare": {"scratch", "zeroed chunks kept for reuse"},
+
+	"core.Base.eng":     {"wiring", "the engine's own kernel"},
+	"core.Base.dev":     {"wiring", "the engine's own device, copied as a layer of its own"},
+	"core.Base.cfg":     {"wiring", "the engine's own configuration; run-phase fields may differ from the source's"},
+	"core.Base.host":    {"wiring", "the engine embedding the base"},
+	"core.Base.log":     {"wiring", "the engine's own write-ahead log, compared through the engine"},
+	"core.Base.work":    {"wiring", "epoch work bound to the engine"},
+	"core.Base.then":    {"wiring", "post-epoch hook bound to the engine"},
+	"core.Base.metrics": {"scratch", "per-run collector: Run installs a fresh one"},
+	"core.Base.done": {"derived",
+		"completion future of the last epoch, complete whenever the base is idle: an idle copy holds none"},
+
+	"core.GroupCommit.eng":      {"wiring", "the log's own kernel"},
+	"core.GroupCommit.dev":      {"wiring", "the log's own device"},
+	"core.GroupCommit.format":   {"wiring", "record layout, set by the engine's own strategy"},
+	"core.GroupCommit.onCommit": {"wiring", "the owner's commit hook"},
+
+	"core.Engine.cfg":    {"wiring", "the engine's own configuration; run-phase fields may differ from the source's"},
+	"core.journal.spare": {"scratch", "a retired JMT kept for reuse by the next cut"},
+
+	"lsm.Engine.cfg":     {"wiring", "the engine's own configuration; run-phase fields may differ from the source's"},
+	"lsm.Engine.recSlab": {"scratch", "allocation slab for new WAL records"},
+	"lsm.Engine.compactDone": {"derived",
+		"completion future of the last compaction, complete whenever none runs: an idle copy holds none"},
+}
+
+// sharedImmutable names the types whose objects a copy may share with its
+// source: they never change after construction.
+var sharedImmutable = map[string]string{
+	"lsm.run": "runs never mutate after construction",
+}
+
+// copyTemplates are the stacks TestForkCopiesEveryField copies: both
+// mapping-table models, a device degraded by the NAND fault model, and the
+// LSM engine.
+func copyTemplates(t *testing.T) map[string]checkin.Config {
+	heavy, err := checkin.ParseErrorProfile("heavy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := heavy.Apply(snapTestConfig(checkin.StrategyCheckIn))
+	degraded.ProgramFailRate = 0.02
+	dftl := snapTestConfig(checkin.StrategyCheckIn)
+	dftl.FTLMap = "dftl"
+	return map[string]checkin.Config{
+		"journal-dram":  snapTestConfig(checkin.StrategyCheckIn),
+		"journal-dftl":  dftl,
+		"journal-heavy": degraded,
+		"lsm":           lsmSnapConfig("leveled"),
+	}
+}
+
+// TestForkCopiesEveryField checks by reflection that a copy holds every
+// field of every layer — NAND array, FTL, controller, host engine — equal to
+// its source's, except the fields copyAllowed names, and that nothing it
+// holds shares a backing array, map or pointer with the source. Two sources
+// per stack: the post-Load template a fork copies, and a stack stopped
+// after a run, whose journal, memtable, slot tables and caches hold the
+// state a rest-point copy never sees.
+func TestForkCopiesEveryField(t *testing.T) {
+	for name, a := range copyAllowed {
+		if (a.kind != "wiring" && a.kind != "scratch" && a.kind != "derived") || a.why == "" {
+			t.Errorf("copyAllowed[%q] = %+v: want kind wiring, scratch or derived, and a reason", name, a)
+		}
+	}
+	seen := map[string]bool{}
+	for name, cfg := range copyTemplates(t) {
+		t.Run(name, func(t *testing.T) {
+			tmpl, err := checkin.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tmpl.Load()
+			snap, err := tmpl.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fork, err := snap.Fork(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareLayers(t, "fork", seen, fork, tmpl)
+
+			src, err := checkin.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.Load()
+			if _, err := src.Run(snapTestSpec()); err != nil {
+				t.Fatal(err)
+			}
+			src.Device().PauseDeallocator()
+			src.Sim().Run()
+			dst, err := checkin.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Device().FTL().Array().CopyFrom(src.Device().FTL().Array()); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Device().FTL().CopyFrom(src.Device().FTL()); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Device().CopyFrom(src.Device()); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Host().CopyFrom(src.Host()); err != nil {
+				t.Fatal(err)
+			}
+			compareLayers(t, "after run", seen, dst, src)
+		})
+	}
+	for name := range copyAllowed {
+		if !seen[name] {
+			t.Errorf("copyAllowed names %s, which no layer has", name)
+		}
+	}
+}
+
+func compareLayers(t *testing.T, phase string, seen map[string]bool, cp, src *checkin.DB) {
+	t.Helper()
+	c := &fieldCmp{t: t, phase: phase, seen: seen, visited: map[visit]bool{}}
+	c.value("nand.Array", reflect.ValueOf(cp.Device().FTL().Array()), reflect.ValueOf(src.Device().FTL().Array()))
+	c.value("ftl.FTL", reflect.ValueOf(cp.Device().FTL()), reflect.ValueOf(src.Device().FTL()))
+	c.value("ssd.Device", reflect.ValueOf(cp.Device()), reflect.ValueOf(src.Device()))
+	c.value("host", reflect.ValueOf(cp.Host()), reflect.ValueOf(src.Host()))
+}
+
+type visit struct {
+	cp, src uintptr
+	typ     reflect.Type
+}
+
+// fieldCmp walks a copy and its source in step.
+type fieldCmp struct {
+	t       *testing.T
+	phase   string
+	seen    map[string]bool
+	visited map[visit]bool
+	errs    int
+}
+
+func (c *fieldCmp) errorf(path, format string, args ...any) {
+	c.t.Helper()
+	if c.errs++; c.errs <= 20 {
+		c.t.Errorf("%s: %s: %s", c.phase, path, fmt.Sprintf(format, args...))
+	}
+}
+
+// typeName is t's package-qualified name without type arguments.
+func typeName(t reflect.Type) string {
+	n := t.String()
+	if i := strings.IndexByte(n, '['); i >= 0 {
+		n = n[:i]
+	}
+	return n
+}
+
+// scalar renders a basic-kind value, or reports ok false.
+func scalar(v reflect.Value) (s string, ok bool) {
+	switch v.Kind() {
+	case reflect.Bool:
+		return fmt.Sprint(v.Bool()), true
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return fmt.Sprint(v.Int()), true
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return fmt.Sprint(v.Uint()), true
+	case reflect.Float32, reflect.Float64:
+		return fmt.Sprint(math.Float64bits(v.Float())), true
+	case reflect.String:
+		return v.String(), true
+	}
+	return "", false
+}
+
+func (c *fieldCmp) value(path string, cp, src reflect.Value) {
+	c.t.Helper()
+	if a, ok := scalar(cp); ok {
+		if b, _ := scalar(src); a != b {
+			c.errorf(path, "copy holds %s, source %s", a, b)
+		}
+		return
+	}
+	switch cp.Kind() {
+	case reflect.Array:
+		for i := range cp.Len() {
+			c.value(fmt.Sprintf("%s[%d]", path, i), cp.Index(i), src.Index(i))
+		}
+	case reflect.Slice:
+		if cp.Len() != src.Len() {
+			c.errorf(path, "copy has length %d, source %d", cp.Len(), src.Len())
+			return
+		}
+		if cp.Cap() > 0 && src.Cap() > 0 && cp.Pointer() == src.Pointer() {
+			c.errorf(path, "copy shares its backing array with the source")
+			return
+		}
+		for i := range cp.Len() {
+			c.value(fmt.Sprintf("%s[%d]", path, i), cp.Index(i), src.Index(i))
+		}
+	case reflect.Map:
+		if cp.Len() != src.Len() {
+			c.errorf(path, "copy has %d entries, source %d", cp.Len(), src.Len())
+			return
+		}
+		if !cp.IsNil() && cp.Pointer() == src.Pointer() {
+			c.errorf(path, "copy shares its map with the source")
+			return
+		}
+		for it := src.MapRange(); it.Next(); {
+			k, _ := scalar(it.Key())
+			v := cp.MapIndex(it.Key())
+			if !v.IsValid() {
+				c.errorf(path, "copy lacks key %s", k)
+				continue
+			}
+			c.value(fmt.Sprintf("%s[%s]", path, k), v, it.Value())
+		}
+	case reflect.Pointer:
+		if cp.IsNil() || src.IsNil() {
+			if cp.IsNil() != src.IsNil() {
+				c.errorf(path, "copy nil %v, source nil %v", cp.IsNil(), src.IsNil())
+			}
+			return
+		}
+		if cp.Pointer() == src.Pointer() {
+			if _, ok := sharedImmutable[typeName(cp.Type().Elem())]; !ok {
+				c.errorf(path, "copy shares a %s with the source", cp.Type())
+			}
+			return
+		}
+		key := visit{cp.Pointer(), src.Pointer(), cp.Type()}
+		if !c.visited[key] {
+			c.visited[key] = true
+			c.value(path, cp.Elem(), src.Elem())
+		}
+	case reflect.Interface:
+		if cp.IsNil() || src.IsNil() || cp.Elem().Type() != src.Elem().Type() {
+			if cp.IsNil() != src.IsNil() || (!cp.IsNil() && cp.Elem().Type() != src.Elem().Type()) {
+				c.errorf(path, "copy holds a different dynamic type than the source")
+			}
+			return
+		}
+		c.value(path, cp.Elem(), src.Elem())
+	case reflect.Struct:
+		typ := typeName(cp.Type())
+		for i := range cp.NumField() {
+			field := cp.Type().Field(i).Name
+			if _, ok := copyAllowed[typ+"."+field]; ok {
+				c.seen[typ+"."+field] = true
+				continue
+			}
+			c.value(path+"."+field, cp.Field(i), src.Field(i))
+		}
+	default: // func, chan, unsafe pointer: no value to compare
+		if !cp.IsNil() || !src.IsNil() {
+			c.errorf(path, "%s field cannot be compared: copy it as nil or name it in copyAllowed", cp.Kind())
+		}
+	}
+}

@@ -112,44 +112,82 @@ func TestSnapshotForkEquivalence(t *testing.T) {
 // TestSnapshotForkIsolation forks one snapshot from many goroutines at once
 // (run under -race) and checks every fork produces the identical result —
 // any shared mutable state between siblings would surface as a race or a
-// divergent signature.
+// divergent signature. Forks read the template's live state while they
+// copy it, including the DFTL run pool and a degraded device's retired
+// blocks and fault-model position.
 func TestSnapshotForkIsolation(t *testing.T) {
-	cfg := snapTestConfig(checkin.StrategyCheckIn)
-	spec := snapTestSpec()
-	snap := captureSnapshot(t, cfg)
-	want := directRun(t, cfg, spec)
-
-	const forks = 6
-	sigs := make([]string, forks)
-	var wg sync.WaitGroup
-	for i := 0; i < forks; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			db, err := snap.Fork(cfg)
-			if err != nil {
-				sigs[i] = "fork error: " + err.Error()
-				return
-			}
-			m, err := db.Run(spec)
-			if err != nil {
-				sigs[i] = "run error: " + err.Error()
-				return
-			}
-			sigs[i] = runSignature(db, m)
-		}(i)
-	}
-	wg.Wait()
-	for i, sig := range sigs {
-		if sig != want {
-			t.Errorf("fork %d diverged from direct run", i)
+	for name, cfg := range copyTemplates(t) {
+		if name == "lsm" {
+			continue // TestLSMSnapshotForkIsolation
 		}
-	}
+		t.Run(name, func(t *testing.T) {
+			spec := snapTestSpec()
+			snap := captureSnapshot(t, cfg)
+			want := directRun(t, cfg, spec)
 
-	// The snapshot must stay pristine: a fork taken after all of the above
-	// still matches.
-	if got := forkedRun(t, snap, cfg, spec); got != want {
-		t.Error("fork after concurrent use diverged — snapshot state was mutated")
+			const forks = 6
+			sigs := make([]string, forks)
+			var wg sync.WaitGroup
+			for i := 0; i < forks; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					db, err := snap.Fork(cfg)
+					if err != nil {
+						sigs[i] = "fork error: " + err.Error()
+						return
+					}
+					m, err := db.Run(spec)
+					if err != nil {
+						sigs[i] = "run error: " + err.Error()
+						return
+					}
+					sigs[i] = runSignature(db, m)
+				}(i)
+			}
+			wg.Wait()
+			for i, sig := range sigs {
+				if sig != want {
+					t.Errorf("fork %d diverged from direct run", i)
+				}
+			}
+
+			// The snapshot must stay pristine: a fork taken after all of
+			// the above still matches.
+			if got := forkedRun(t, snap, cfg, spec); got != want {
+				t.Error("fork after concurrent use diverged — snapshot state was mutated")
+			}
+		})
+	}
+}
+
+// TestSnapshotTemplateRefusesToRun pins the template's freeze: once
+// snapshotted, a DB refuses Load and Run, since forks read its state, while
+// its read accessors keep working.
+func TestSnapshotTemplateRefusesToRun(t *testing.T) {
+	cfg := snapTestConfig(checkin.StrategyCheckIn)
+	db, err := checkin.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Load(); err != nil {
+		t.Fatal(err)
+	}
+	health := db.Health()
+	if _, err := db.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Load(); err == nil {
+		t.Error("Load on a snapshot template succeeded")
+	}
+	if _, err := db.Run(snapTestSpec()); err == nil {
+		t.Error("Run on a snapshot template succeeded")
+	}
+	if got := db.Health(); got != health {
+		t.Errorf("template health %+v, want %+v", got, health)
+	}
+	if got := db.Config(); got.Keys != cfg.Keys || got.Strategy != cfg.Strategy {
+		t.Errorf("template config %+v does not describe the opened one", got)
 	}
 }
 
