@@ -177,11 +177,12 @@ type Config struct {
 	// eviction, no checkpoint-cut remap batch; DESIGN.md §16).
 	FTLMap string
 	// CMTEntries bounds the dftl cached mapping table (entries). 0 derives
-	// the bound from MapCacheMB (8 bytes per entry).
+	// the bound from MapCacheMB (8 bytes per entry); any bound is raised to
+	// two translation pages' worth of entries (ftl.MinCMTEntries).
 	CMTEntries int
-	// MetaFlushEntries overrides the dirty-mapping-entry count that triggers
-	// a metadata (dram mode) or translation-page (dftl mode) writeback.
-	// 0 keeps the FTL default of one translation page's worth of entries.
+	// MetaFlushEntries is the dirty-mapping-entry count that triggers a
+	// metadata (dram mode) or translation-page (dftl mode) writeback. 0 is
+	// one translation page's worth of entries (PageSizeBytes/8).
 	MetaFlushEntries int
 
 	// Controller.
@@ -306,10 +307,13 @@ type DB struct {
 }
 
 // resolve returns cfg as a DB runs it: every zero field replaced by its
-// default, the strategy-dependent GC settings settled, and every value
-// checked. Open, LoadFingerprint and Fingerprint all go through it, so a
-// zero field and its explicit default fingerprint identically and an
-// invalid configuration never fingerprints.
+// default, the values derived from other fields (mapping unit, CMT bound,
+// flush threshold, spare pool, deferred GC) settled, and every value
+// checked. It is the only place a Config default lives: Open builds each
+// layer's config from the resolved fields plus the layer's own constants.
+// Open, LoadFingerprint and Fingerprint all go through it, so a zero field
+// and its explicit default fingerprint identically and an invalid
+// configuration never fingerprints.
 func resolve(cfg Config) (Config, error) {
 	def := reflect.ValueOf(DefaultConfig())
 	v := reflect.ValueOf(&cfg).Elem()
@@ -328,6 +332,13 @@ func resolve(cfg Config) (Config, error) {
 	}
 	if cfg.MappingUnit == 0 {
 		cfg.MappingUnit = cfg.Strategy.DefaultMappingUnit()
+	}
+	if cfg.CMTEntries == 0 {
+		cfg.CMTEntries = cfg.MapCacheMB << 20 / 8
+	}
+	cfg.CMTEntries = max(cfg.CMTEntries, ftl.MinCMTEntries(cfg.PageSizeBytes))
+	if cfg.MetaFlushEntries == 0 {
+		cfg.MetaFlushEntries = cfg.PageSizeBytes / 8
 	}
 	if cfg.SpareBlocksPerDie == 0 && cfg.errorModelEnabled() {
 		cfg.SpareBlocksPerDie = 2
@@ -409,26 +420,21 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 
-	fcfg := ftl.DefaultConfig()
-	fcfg.UnitSize = cfg.MappingUnit
-	fcfg.OverProvision = cfg.OverProvision
-	fcfg.MapCacheBytes = int64(cfg.MapCacheMB) << 20
-	fcfg.Parallelism = geo.TotalDies()
-	if fcfg.Parallelism > 8 {
-		fcfg.Parallelism = 8
-	}
-	fcfg.DeferGC = *cfg.DeferGC
-	fcfg.GCPolicy = gcPolicies[cfg.GCPolicy]
-	if cfg.FTLMap != "dram" {
-		fcfg.FlashMap = true
-		fcfg.CMTEntries = cfg.CMTEntries
-		fcfg.CMTBasic = cfg.FTLMap == "dftl-basic"
-	}
-	fcfg.MetaFlushEntries = cfg.MetaFlushEntries
 	var tracer *trace.Tracer
 	if cfg.TraceCapacity > 0 {
 		tracer = trace.New(cfg.TraceCapacity)
 	}
+	fcfg := ftl.DefaultConfig()
+	fcfg.UnitSize = cfg.MappingUnit
+	fcfg.OverProvision = cfg.OverProvision
+	fcfg.MapCacheBytes = int64(cfg.MapCacheMB) << 20
+	fcfg.Parallelism = min(geo.TotalDies(), 8)
+	fcfg.DeferGC = *cfg.DeferGC
+	fcfg.GCPolicy = gcPolicies[cfg.GCPolicy]
+	fcfg.FlashMap = cfg.FTLMap != "dram"
+	fcfg.CMTEntries = cfg.CMTEntries
+	fcfg.CMTBasic = cfg.FTLMap == "dftl-basic"
+	fcfg.MetaFlushEntries = cfg.MetaFlushEntries
 	fcfg.Tracer = tracer
 	fcfg.Injector = cfg.Injector
 	fcfg.WearDeltaThreshold = cfg.WearDeltaThreshold

@@ -87,6 +87,37 @@ func TestOpenRejectsUnknownFTLMap(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnreplayableTrace: an empty trace and a trace whose keys
+// run past Config.Keys are errors from Run on both engines, returned
+// before any simulated client starts, not panics inside one.
+func TestRunRejectsUnreplayableTrace(t *testing.T) {
+	wide, err := checkin.RecordWorkload(50_000, checkin.FixedRecords(512), checkin.WorkloadA, true, 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range checkin.EngineNames() {
+		cfg := smallConfig(checkin.StrategyCheckIn)
+		cfg.Engine = engine
+		cfg.Keys = 2000
+		db, err := checkin.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Load(); err != nil {
+			t.Fatal(err)
+		}
+		for name, trace := range map[string]*checkin.Trace{"empty": {}, "wide": wide} {
+			spec := checkin.RunSpec{Threads: 4, TotalQueries: 1000, Trace: trace}
+			if _, err := db.Run(spec); err == nil || !strings.Contains(err.Error(), "trace") {
+				t.Errorf("%s/%s trace: Run returned %v, want a trace error", engine, name, err)
+			}
+		}
+		if n := db.Sim().LiveProcs(); n != 0 {
+			t.Errorf("%s: %d processes left after the rejected runs", engine, n)
+		}
+	}
+}
+
 func TestMappingUnitDefaultsPerStrategy(t *testing.T) {
 	for _, s := range checkin.Strategies {
 		db, err := checkin.Open(smallConfig(s))

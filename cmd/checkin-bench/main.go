@@ -19,9 +19,9 @@ import (
 	"strings"
 	"time"
 
-	checkin "github.com/checkin-kv/checkin"
 	"github.com/checkin-kv/checkin/internal/cli"
 	"github.com/checkin-kv/checkin/internal/harness"
+	"github.com/checkin-kv/checkin/internal/shard"
 )
 
 func main() {
@@ -35,10 +35,10 @@ func main() {
 		timing     = flag.Bool("timing", false, "print a per-phase (load / run / render) wall-clock breakdown per cell after each experiment")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		markdown   = flag.String("markdown", "", "also append results as markdown tables to this file")
-		shards     = flag.Int("shards", 0, "shard count for the shardsched experiment (0 = default 4)")
-		tenants    = flag.Int("tenants", 0, "tenant count for the shardsched experiment (0 = default 3)")
-		arrival    = flag.String("arrival", "", "open-loop arrival spec for shardsched: poisson:RATE[:flash] | diurnal:RATE:AMP:PERIOD[:flash] (empty = poisson:150000)")
-		cksched    = flag.String("cksched", "", "restrict shardsched to one cross-shard checkpoint scheduling policy: sync | staggered | global (empty = all)")
+		shards     = flag.Int("shards", shard.DefaultShards, "shard count for the shardsched experiment")
+		tenants    = flag.Int("tenants", shard.DefaultTenantCount, "tenant count for the shardsched experiment")
+		arrival    = flag.String("arrival", shard.DefaultArrival, "open-loop arrival spec for shardsched: poisson:RATE[:flash] | diurnal:RATE:AMP:PERIOD[:flash]")
+		cksched    = flag.String("cksched", "", "restrict shardsched to one cross-shard checkpoint scheduling policy: sync | staggered | global (empty = all three)")
 		stack      = cli.StackFlags(" for every run")
 		prof       = cli.ProfileFlags()
 	)
@@ -59,7 +59,7 @@ func main() {
 	if *snapshot != "on" && *snapshot != "off" {
 		usage(fmt.Errorf("bad -snapshot %q (want on or off)", *snapshot))
 	}
-	profile, err := checkin.ParseErrorProfile(*stack.Errors)
+	base, err := stack.Config()
 	if err != nil {
 		usage(err)
 	}
@@ -90,7 +90,7 @@ func main() {
 			usage(err)
 		}
 		for _, sd := range seedList {
-			opts := harness.Opts{Scale: *scale, Threads: ths, Seed: sd, Parallelism: *parallel, Snapshots: *snapshot, Timing: *timing, Errors: profile.Name, Engine: *stack.Engine, FTLMap: *stack.FTLMap, Shards: *shards, Tenants: *tenants, Arrival: *arrival, CkSched: *cksched}
+			opts := harness.Opts{Scale: *scale, Threads: ths, Seed: sd, Parallelism: *parallel, Snapshots: *snapshot, Timing: *timing, Config: base, Shards: *shards, Tenants: *tenants, Arrival: *arrival, CkSched: *cksched}
 			start := time.Now()
 			table, err := exp.Run(opts)
 			if err != nil {

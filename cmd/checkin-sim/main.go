@@ -50,9 +50,9 @@ func main() {
 		compaction  = flag.String("compaction", "leveled", "lsm: compaction policy, leveled | tiered")
 		memtable    = flag.Int("memtable", 0, "lsm: memtable entry bound before a flush epoch (0 = default 4096)")
 		shards      = flag.Int("shards", 0, "run a sharded scale-out simulation across this many engine+SSD stacks (0 = single-stack mode)")
-		tenants     = flag.Int("tenants", 3, "sharded mode: tenant count")
-		arrival     = flag.String("arrival", "poisson:150000", "sharded mode: open-loop arrival spec, poisson:RATE[:flash] | diurnal:RATE:AMP:PERIOD[:flash]")
-		cksched     = flag.String("cksched", "sync", "sharded mode: cross-shard checkpoint scheduling policy, sync | staggered | global")
+		tenants     = flag.Int("tenants", shard.DefaultTenantCount, "sharded mode: tenant count")
+		arrival     = flag.String("arrival", shard.DefaultArrival, "sharded mode: open-loop arrival spec, poisson:RATE[:flash] | diurnal:RATE:AMP:PERIOD[:flash]")
+		cksched     = flag.String("cksched", shard.SchedSync, "sharded mode: cross-shard checkpoint scheduling policy, sync | staggered | global")
 		admitRate   = flag.Float64("admit-rate", 0, "sharded mode: aggregate admitted ops/sec across per-tenant token buckets (0 = no admission control)")
 		stack       = cli.StackFlags("")
 		prof        = cli.ProfileFlags()
@@ -68,25 +68,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	profile, err := checkin.ParseErrorProfile(*stack.Errors)
+	cfg, err := stack.Config()
 	if err != nil {
 		fatal(err)
 	}
 	if *crashpoints {
 		refuseUnhonoured("-crashpoints", crashpointFlags)
-		runCrashpoints(s, *stack.Seed, *site, *hit, profile.Name, *stack.FTLMap, *stack.Engine, *compaction)
+		runCrashpoints(s, *stack.Seed, *site, *hit, *stack.Errors, *stack.FTLMap, *stack.Engine, *compaction)
 		return
 	}
 	// Settings both the single-stack and the sharded mode honour.
-	cfg := checkin.DefaultConfig()
 	cfg.Strategy = s
-	cfg.Engine = *stack.Engine
 	cfg.Compaction = *compaction
 	cfg.MemtableEntries = *memtable
 	cfg.CheckpointInterval = *interval
-	cfg.Seed = *stack.Seed
-	cfg.FTLMap = *stack.FTLMap
-	cfg = profile.Apply(cfg)
 	if *shards > 0 {
 		refuseUnhonoured("-shards", shardedFlags)
 		runSharded(cfg, *shards, *tenants, *arrival, *cksched, *admitRate, *queries)
@@ -143,7 +138,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("\n%s", m.Summary())
-	if profile.Name != "off" {
+	if !strings.EqualFold(*stack.Errors, "off") {
 		ns := db.Device().FTL().Array().Stats()
 		h := db.Health()
 		fmt.Printf("nand faults        %d retries, %d uncorrectable, %d program fails, %d erase fails\n",

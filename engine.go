@@ -17,28 +17,22 @@ type HostEngine = core.Host
 func EngineNames() []string { return []string{"journal", "lsm"} }
 
 // newHostEngine builds the engine cfg.Engine names over an already-built
-// device stack; resolve has checked the name.
+// device stack from the resolved cfg; resolve has checked the name.
 func newHostEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trace.Tracer) (HostEngine, error) {
-	h := core.DefaultConfig().HostConfig
-	h.Strategy = cfg.Strategy
-	h.Keys = cfg.Keys
-	h.Sizer = cfg.Records
-	h.JournalHalfBytes = int64(cfg.JournalHalfMB) << 20
-	h.CheckpointInterval = sim.VTime(cfg.CheckpointInterval.Nanoseconds())
-	h.JournalSoftFrac = cfg.JournalSoftFrac
-	h.LockDuringCheckpoint = cfg.LockDuringCheckpoint
-	h.Tracer = tracer
-	h.Injector = cfg.Injector
-	h.Seed = cfg.Seed
-	if cfg.Engine == "lsm" {
-		lcfg := lsm.DefaultConfig()
-		lcfg.HostConfig = h
-		lcfg.MemtableEntries = cfg.MemtableEntries
-		lcfg.Policy = cfg.Compaction
-		return lsm.New(eng, device, lcfg)
+	h := core.HostConfig{
+		Strategy:             cfg.Strategy,
+		Keys:                 cfg.Keys,
+		Sizer:                cfg.Records,
+		JournalHalfBytes:     int64(cfg.JournalHalfMB) << 20,
+		CheckpointInterval:   sim.VTime(cfg.CheckpointInterval.Nanoseconds()),
+		JournalSoftFrac:      cfg.JournalSoftFrac,
+		LockDuringCheckpoint: cfg.LockDuringCheckpoint,
+		Tracer:               tracer,
+		Injector:             cfg.Injector,
+		Seed:                 cfg.Seed,
 	}
-	ecfg := core.DefaultConfig()
-	ecfg.HostConfig = h
-	ecfg.CompressRatio = cfg.CompressRatio
-	return core.NewEngine(eng, device, ecfg)
+	if cfg.Engine == "lsm" {
+		return lsm.New(eng, device, lsm.Config{HostConfig: h, MemtableEntries: cfg.MemtableEntries, Policy: cfg.Compaction})
+	}
+	return core.NewEngine(eng, device, core.Config{HostConfig: h, CompressRatio: cfg.CompressRatio})
 }

@@ -37,11 +37,19 @@ func buildDevice(e *sim.Engine) (*ssd.Device, error) {
 	}
 	fcfg := ftl.DefaultConfig()
 	fcfg.UnitSize = 4096 // file blocks are naturally mapping-unit sized
+	fcfg.OverProvision = 0.12
+	fcfg.Parallelism = 4
+	fcfg.MapCacheBytes = 32 << 20
+	fcfg.MetaFlushEntries = geo.PageSize / 8
 	f, err := ftl.New(e, arr, fcfg)
 	if err != nil {
 		return nil, err
 	}
-	return ssd.New(e, f, ssd.DefaultConfig())
+	dcfg := ssd.DefaultConfig()
+	dcfg.QueueDepth = 64
+	dcfg.PCIeMBps = 3200
+	dcfg.CacheBytes = 64 << 20
+	return ssd.New(e, f, dcfg)
 }
 
 func main() {

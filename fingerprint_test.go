@@ -158,41 +158,64 @@ var zeroIsSetting = map[string]string{
 	"WearErrorFactor":      "NAND fault model off",
 	"SpareBlocksPerDie":    "no spare pool while the fault model is off",
 	"CommandTimeout":       "no command timeout",
-	"CMTEntries":           "the FTL derives the CMT bound from MapCacheMB",
-	"MetaFlushEntries":     "the FTL derives the flush threshold from the page size",
 }
 
 // TestZeroFieldFingerprintsAsReported walks every Config field on both
-// engines: a DB opened with the field zero reports a nonzero value for it
-// unless zeroIsSetting names the field, and the zero field fingerprints
-// like the value the DB reports, so a zero field and its explicit default
-// key one run.
+// engines under the DRAM-resident and the flash-resident mapping table: a
+// DB opened with the field zero reports a nonzero value for it unless
+// zeroIsSetting names the field, and the zero field fingerprints like the
+// value the DB reports, so a zero field and its explicit default key one
+// run.
 func TestZeroFieldFingerprintsAsReported(t *testing.T) {
 	typ := reflect.TypeFor[Config]()
 	for _, engine := range EngineNames() {
-		base := DefaultConfig()
-		base.Engine = engine
-		base.Keys = 2000
-		for i := range typ.NumField() {
-			name := typ.Field(i).Name
-			zeroed := base
-			reflect.ValueOf(&zeroed).Elem().Field(i).SetZero()
-			db, err := Open(zeroed)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", engine, name, err)
-			}
-			reported := reflect.ValueOf(db.Config()).Field(i)
-			if _, ok := zeroIsSetting[name]; !ok && reported.IsZero() {
-				t.Errorf("%s/%s: resolves to zero; give it a default in DefaultConfig or name it in zeroIsSetting", engine, name)
-			}
-			explicit := zeroed
-			reflect.ValueOf(&explicit).Elem().Field(i).Set(reported)
-			fz, okz := Fingerprint(zeroed)
-			fe, oke := Fingerprint(explicit)
-			if fz != fe || okz != oke {
-				t.Errorf("%s/%s: zero fingerprints %016x, the reported %v %016x", engine, name, fz, reported, fe)
+		for _, ftlMap := range []string{"dram", "dftl"} {
+			base := DefaultConfig()
+			base.Engine = engine
+			base.FTLMap = ftlMap
+			base.Keys = 2000
+			for i := range typ.NumField() {
+				name := typ.Field(i).Name
+				zeroed := base
+				reflect.ValueOf(&zeroed).Elem().Field(i).SetZero()
+				db, err := Open(zeroed)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", engine, ftlMap, name, err)
+				}
+				reported := reflect.ValueOf(db.Config()).Field(i)
+				if _, ok := zeroIsSetting[name]; !ok && reported.IsZero() {
+					t.Errorf("%s/%s/%s: resolves to zero; give it a default in resolve or name it in zeroIsSetting", engine, ftlMap, name)
+				}
+				explicit := zeroed
+				reflect.ValueOf(&explicit).Elem().Field(i).Set(reported)
+				fz, okz := Fingerprint(zeroed)
+				fe, oke := Fingerprint(explicit)
+				if fz != fe || okz != oke {
+					t.Errorf("%s/%s/%s: zero fingerprints %016x, the reported %v %016x", engine, ftlMap, name, fz, reported, fe)
+				}
 			}
 		}
+	}
+
+	// A CMT bound below two translation pages' worth of entries (1024 at
+	// the 4 KB page) runs as that floor, so the DB reports the floor and
+	// both settings key one run.
+	small := DefaultConfig()
+	small.FTLMap = "dftl"
+	small.Keys = 2000
+	small.CMTEntries = 1
+	db, err := Open(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Config().CMTEntries; got != 1024 {
+		t.Errorf("CMTEntries 1 reports %d, want the floor 1024", got)
+	}
+	floor := small
+	floor.CMTEntries = 1024
+	fs, _ := Fingerprint(small)
+	if ff, _ := Fingerprint(floor); fs != ff {
+		t.Errorf("CMTEntries 1 fingerprints %016x, the floor %016x", fs, ff)
 	}
 }
 

@@ -1,10 +1,13 @@
 package cli
 
-import "flag"
+import (
+	"flag"
+
+	checkin "github.com/checkin-kv/checkin"
+)
 
 // Stack holds the flags both commands use to pick the simulated stack.
-// Their values are checked where they are used: -errors by
-// checkin.ParseErrorProfile, -engine and -ftlmap by checkin.Open.
+// Config turns them into a checkin.Config.
 type Stack struct {
 	Seed   *int64
 	Engine *string
@@ -22,4 +25,20 @@ func StackFlags(scope string) Stack {
 		FTLMap: flag.String("ftlmap", "dram", "FTL mapping-table model: dram (full table in controller DRAM) | dftl (flash-resident translation pages; charges mapping misses and writebacks through NAND timing) | dftl-basic (dftl without the CMT optimizations)"),
 		Errors: flag.String("errors", "off", "NAND error profile"+scope+": off | light | heavy"),
 	}
+}
+
+// Config returns checkin.DefaultConfig with the stack flags applied: the
+// seed, host engine, mapping model and the -errors profile's fault rates.
+// An unknown profile is an error here; -engine and -ftlmap are checked by
+// checkin.Open.
+func (s Stack) Config() (checkin.Config, error) {
+	p, err := checkin.ParseErrorProfile(*s.Errors)
+	if err != nil {
+		return checkin.Config{}, err
+	}
+	cfg := checkin.DefaultConfig()
+	cfg.Seed = *s.Seed
+	cfg.Engine = *s.Engine
+	cfg.FTLMap = *s.FTLMap
+	return p.Apply(cfg), nil
 }

@@ -57,12 +57,12 @@ func (en *Engine) baselineCheckpoint(p *sim.Proc, snap ckptSnapshot) {
 		chunk = entries[i:min(i+ckptReadWindow, len(entries))]
 		// read the journal logs into a host buffer ...
 		reads = reads[:len(chunk)]
-		p.Pace(len(chunk), en.cfg.HostIOOverhead, read)
+		p.Pace(len(chunk), HostIOOverhead, read)
 		waitRelease(p, en.dev, reads...)
 		// ... then write the latest data back to the data area. Waiting
 		// on the flush (not the write futures) avoids stalling on
 		// partially filled pages under sub-page mapping units.
-		p.Pace(len(chunk), en.cfg.HostIOOverhead, write)
+		p.Pace(len(chunk), HostIOOverhead, write)
 		waitRelease(p, en.dev, en.dev.Flush(ssd.AreaCheckpoint))
 	}
 	// metadata describing the new checkpoint, then make it all durable
@@ -117,16 +117,16 @@ func (en *Engine) remapRequests(snap ckptSnapshot) []ssd.RemapEntry {
 // commands.
 func (b *Base) CoW(p *sim.Proc, pairs []ssd.CoWPair) {
 	if b.cfg.Strategy == StrategyISCA {
-		cowEach(p, b.dev, b.cfg.HostIOOverhead, pairs)
+		cowEach(p, b.dev, pairs)
 	} else {
-		cowBatched(p, b.dev, b.cfg.HostIOOverhead, pairs)
+		cowBatched(p, b.dev, pairs)
 	}
 }
 
 // cowEach is ISC-A: one vendor-specific CoW command per pair,
 // ckptCoWWindow commands in flight. The command count equals the pair
 // count, so the queue depth becomes the bottleneck.
-func cowEach(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, pairs []ssd.CoWPair) {
+func cowEach(p *sim.Proc, dev *ssd.Device, pairs []ssd.CoWPair) {
 	var chunk []ssd.CoWPair
 	futs := make([]*sim.Future, 0, min(ckptCoWWindow, len(pairs)))
 	cow := func(k int) {
@@ -136,7 +136,7 @@ func cowEach(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, pairs []ssd.CoWPa
 	for i := 0; i < len(pairs); i += ckptCoWWindow {
 		chunk = pairs[i:min(i+ckptCoWWindow, len(pairs))]
 		futs = futs[:len(chunk)]
-		p.Pace(len(chunk), overhead, cow)
+		p.Pace(len(chunk), HostIOOverhead, cow)
 		waitRelease(p, dev, futs...)
 	}
 	waitRelease(p, dev, dev.Flush(ssd.AreaData))
@@ -145,14 +145,14 @@ func cowEach(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, pairs []ssd.CoWPa
 // cowBatched is ISC-B: the pairs ride in multi-CoW commands of
 // multiCoWBatch pairs, reducing command overhead to a negligible level and
 // letting the device schedule consecutive reads and consecutive writes.
-func cowBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, pairs []ssd.CoWPair) {
+func cowBatched(p *sim.Proc, dev *ssd.Device, pairs []ssd.CoWPair) {
 	// At most two commands in flight: the device works on one batch while
 	// the next is queued, and host queries get service in between — a
 	// device that let one checkpoint command book every die for hundreds
 	// of milliseconds would starve the host.
 	var prev *sim.Future
 	for i := 0; i < len(pairs); i += multiCoWBatch {
-		p.Sleep(overhead)
+		p.Sleep(HostIOOverhead)
 		cur := dev.MultiCoW(pairs[i:min(i+multiCoWBatch, len(pairs))])
 		if prev != nil {
 			p.Wait(prev)
@@ -171,14 +171,14 @@ func cowBatched(p *sim.Proc, dev *ssd.Device, overhead sim.VTime, pairs []ssd.Co
 // purely or degrade to read-merge-writes depends on how the log laid the
 // records out.
 func (b *Base) Remap(p *sim.Proc, reqs []ssd.RemapEntry) {
-	dev, overhead, totals := b.dev, b.cfg.HostIOOverhead, &b.remapTotals
+	dev, totals := b.dev, &b.remapTotals
 	// The cut brackets tell the FTL's translation-metadata layer to defer
 	// dirty writeback across the remap burst and settle it once, densest
 	// page first, when the burst has drained (dftl mode; no-op otherwise).
 	dev.BeginCheckpointCut()
 	var prev *sim.Future
 	for i := 0; i < len(reqs); i += ckptCmdBatch {
-		p.Sleep(overhead)
+		p.Sleep(HostIOOverhead)
 		res, fut := dev.CheckpointRequest(reqs[i:min(i+ckptCmdBatch, len(reqs))])
 		fut.OnComplete(func() {
 			totals.Remapped += res.Remapped

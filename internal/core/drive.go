@@ -104,18 +104,28 @@ type RunSpec struct {
 	Trace *workload.Trace
 }
 
-// Validate reports a descriptive error for unusable specs.
-func (rs RunSpec) Validate() error {
+// Validate reports a descriptive error for specs unusable on a store of
+// keys records: a replayed trace must be non-empty and stay inside them.
+func (rs RunSpec) Validate(keys int64) error {
 	if rs.Threads < 1 {
 		return fmt.Errorf("core: Threads %d must be >= 1", rs.Threads)
 	}
 	if rs.TotalQueries < 1 {
 		return fmt.Errorf("core: TotalQueries %d must be >= 1", rs.TotalQueries)
 	}
-	if rs.Trace != nil {
-		return nil // mix is ignored under replay
+	if rs.Trace == nil {
+		return rs.Mix.Validate()
 	}
-	return rs.Mix.Validate()
+	// The mix is ignored under replay.
+	if len(rs.Trace.Ops) == 0 {
+		return fmt.Errorf("core: empty trace")
+	}
+	for i, op := range rs.Trace.Ops {
+		if op.Key < 0 || op.Key >= keys {
+			return fmt.Errorf("core: trace op %d has key %d outside the %d records", i, op.Key, keys)
+		}
+	}
+	return nil
 }
 
 // Run executes a closed-loop workload to completion and returns its
@@ -126,10 +136,10 @@ func (rs RunSpec) Validate() error {
 // the metrics cover only the last run. Both engines run workloads through
 // this one driver, so they measure identically.
 func (b *Base) Run(spec RunSpec) (*Metrics, error) {
-	if err := spec.Validate(); err != nil {
+	h, eng, dev, cfg := b.host, b.eng, b.dev, b.cfg
+	if err := spec.Validate(cfg.Keys); err != nil {
 		return nil, err
 	}
-	h, eng, dev, cfg := b.host, b.eng, b.dev, b.cfg
 	m := NewMetrics()
 	b.metrics = m
 	m.BeginWindow(dev, b.JournalStats(), eng.Now())

@@ -15,6 +15,11 @@ import (
 // WAL formats (the sector-aligned format keeps descriptors host-side).
 const InlineHeaderBytes = 16
 
+// HostIOOverhead is the host-side software cost of issuing one block I/O
+// (syscall + block layer + driver). It is what makes per-log host round
+// trips expensive and function offloading attractive (Fig. 4).
+const HostIOOverhead = 10 * sim.Microsecond
+
 // Checkpoint command shapes.
 const (
 	ckptReadWindow = 1024 // Baseline: in-flight reads and writes draining the journal
@@ -49,11 +54,6 @@ type HostConfig struct {
 	// LockDuringCheckpoint stalls query admission while a checkpoint
 	// runs — the paper's method for measuring pure checkpointing time.
 	LockDuringCheckpoint bool
-
-	// HostIOOverhead is the host-side software cost of issuing one block
-	// I/O (syscall + block layer + driver). It is what makes per-log host
-	// round trips expensive and function offloading attractive (Fig. 4).
-	HostIOOverhead sim.VTime
 
 	// Tracer, when non-nil, receives checkpoint and journal events.
 	Tracer *trace.Tracer
@@ -96,24 +96,6 @@ type Config struct {
 	// CompressRatio models Algorithm 2's compression of logs larger than
 	// the mapping unit.
 	CompressRatio float64
-}
-
-// DefaultConfig returns engine defaults mirroring Table I's DBMS settings,
-// scaled to simulator-friendly sizes.
-func DefaultConfig() Config {
-	return Config{
-		HostConfig: HostConfig{
-			Strategy:           StrategyCheckIn,
-			Keys:               50_000,
-			Sizer:              workload.NewMixSizer("default-small", []int{128, 256, 384, 512, 1024, 2048}, []int{2, 2, 1, 3, 1, 1}),
-			JournalHalfBytes:   32 << 20,
-			CheckpointInterval: sim.Second,
-			JournalSoftFrac:    0.7,
-			HostIOOverhead:     10 * sim.Microsecond,
-			Seed:               1,
-		},
-		CompressRatio: 0.85,
-	}
 }
 
 // Validate reports a descriptive error for unusable configurations.
@@ -220,13 +202,13 @@ func (en *Engine) Get(p *sim.Proc, key int64) {
 			// still in the engine's memory buffer: no device access
 			return
 		}
-		waitRelease(p, en.dev, en.dev.ReadAfter(en.cfg.HostIOOverhead, e.off, int64(e.payload)))
+		waitRelease(p, en.dev, en.dev.ReadAfter(HostIOOverhead, e.off, int64(e.payload)))
 		return
 	}
 	if en.ckptSnapshot != nil {
 		if e := en.ckptSnapshot.Latest(key); e != nil {
 			off, n, laidOut := e.off, int64(e.payload), e.stored > 0
-			p.Sleep(en.cfg.HostIOOverhead)
+			p.Sleep(HostIOOverhead)
 			if !laidOut {
 				// The cut is still laying this log out; the read takes
 				// wherever it landed. Its table cannot retire before the
@@ -239,7 +221,7 @@ func (en *Engine) Get(p *sim.Proc, key int64) {
 		}
 	}
 	off, size := en.layout.Record(key)
-	waitRelease(p, en.dev, en.dev.ReadAfter(en.cfg.HostIOOverhead, off, int64(size)))
+	waitRelease(p, en.dev, en.dev.ReadAfter(HostIOOverhead, off, int64(size)))
 }
 
 // Update executes a write query: journal the new version (write-ahead) and
@@ -263,7 +245,7 @@ func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
 	key, n = en.AdmitScan(p, key, n)
 	startOff, _ := en.layout.Record(key)
 	lastOff, lastSize := en.layout.Record(key + int64(n) - 1)
-	p.Sleep(en.cfg.HostIOOverhead)
+	p.Sleep(HostIOOverhead)
 	futs := []*sim.Future{en.dev.Read(startOff, lastOff+int64(lastSize)-startOff)}
 	for k := key; k < key+int64(n); k++ {
 		if e := en.jr.JMT().Latest(k); e != nil && e.committed {

@@ -9,16 +9,28 @@ import (
 	"github.com/checkin-kv/checkin/internal/workload"
 )
 
+// testConfig is a small valid journal-engine config.
+func testConfig() Config {
+	return Config{
+		HostConfig: HostConfig{
+			Strategy:           StrategyCheckIn,
+			Keys:               2000,
+			Sizer:              workload.FixedSizer{Size: 512},
+			JournalHalfBytes:   4 << 20,
+			CheckpointInterval: 50 * sim.Millisecond,
+			JournalSoftFrac:    0.7,
+			Seed:               1,
+		},
+		CompressRatio: 0.85,
+	}
+}
+
 // newTestEngine wires a small engine for a strategy.
 func newTestEngine(t *testing.T, s Strategy, mut func(*Config)) (*sim.Engine, *Engine) {
 	t.Helper()
 	e, dev := newStack(t, s.DefaultMappingUnit())
-	cfg := DefaultConfig()
+	cfg := testConfig()
 	cfg.Strategy = s
-	cfg.Keys = 2000
-	cfg.Sizer = workload.FixedSizer{Size: 512}
-	cfg.JournalHalfBytes = 4 << 20
-	cfg.CheckpointInterval = 50 * sim.Millisecond
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -31,13 +43,13 @@ func newTestEngine(t *testing.T, s Strategy, mut func(*Config)) (*sim.Engine, *E
 
 func TestEngineRejectsBadConfig(t *testing.T) {
 	e, dev := newStack(t, 512)
-	cfg := DefaultConfig()
+	cfg := testConfig()
 	cfg.Keys = 0
 	if _, err := NewEngine(e, dev, cfg); err == nil {
 		t.Error("bad config accepted")
 	}
 	// Layout too large for the device.
-	cfg = DefaultConfig()
+	cfg = testConfig()
 	cfg.Keys = 100_000_000
 	if _, err := NewEngine(e, dev, cfg); err == nil {
 		t.Error("oversized layout accepted")

@@ -30,11 +30,15 @@ func newStack(t *testing.T, unit int) (*sim.Engine, *ssd.Device) {
 	fcfg.UnitSize = unit
 	fcfg.OverProvision = 0.15
 	fcfg.Parallelism = 4
+	fcfg.MapCacheBytes = 32 << 20
+	fcfg.MetaFlushEntries = geo.PageSize / 8
 	f, err := ftl.New(e, arr, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dcfg := ssd.DefaultConfig()
+	dcfg.QueueDepth = 64
+	dcfg.PCIeMBps = 3200
 	dcfg.DeallocatorPeriod = 0
 	dcfg.CacheBytes = 1 << 20
 	d, err := ssd.New(e, f, dcfg)

@@ -161,9 +161,9 @@ func TestLogTypeString(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig()
+	good := testConfig()
 	if err := good.Validate(); err != nil {
-		t.Fatalf("default config rejected: %v", err)
+		t.Fatalf("test config rejected: %v", err)
 	}
 	muts := []func(*Config){
 		func(c *Config) { c.Strategy = numStrategies },
@@ -176,7 +176,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.CheckpointInterval = 0 },
 	}
 	for i, mut := range muts {
-		c := DefaultConfig()
+		c := testConfig()
 		mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
@@ -186,16 +186,22 @@ func TestConfigValidate(t *testing.T) {
 
 func TestRunSpecValidate(t *testing.T) {
 	good := RunSpec{Threads: 4, TotalQueries: 100, Mix: workload.WorkloadA}
-	if err := good.Validate(); err != nil {
+	if err := good.Validate(10); err != nil {
 		t.Fatalf("good spec rejected: %v", err)
+	}
+	replay := &workload.Trace{Ops: []workload.Op{{Kind: workload.OpRead, Key: 9}}}
+	if err := (RunSpec{Threads: 1, TotalQueries: 1, Trace: replay}).Validate(10); err != nil {
+		t.Fatalf("in-range trace rejected: %v", err)
 	}
 	bad := []RunSpec{
 		{Threads: 0, TotalQueries: 100, Mix: workload.WorkloadA},
 		{Threads: 1, TotalQueries: 0, Mix: workload.WorkloadA},
 		{Threads: 1, TotalQueries: 10, Mix: workload.Mix{ReadPct: 10}},
+		{Threads: 1, TotalQueries: 10, Trace: &workload.Trace{}},
+		{Threads: 1, TotalQueries: 10, Trace: &workload.Trace{Ops: []workload.Op{{Kind: workload.OpRead, Key: 10}}}},
 	}
 	for i, rs := range bad {
-		if err := rs.Validate(); err == nil {
+		if err := rs.Validate(10); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}

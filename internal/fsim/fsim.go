@@ -20,6 +20,7 @@ package fsim
 import (
 	"fmt"
 
+	"github.com/checkin-kv/checkin/internal/core"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/ssd"
 )
@@ -51,7 +52,6 @@ type Config struct {
 	BlockSize      int // must be a multiple of the device mapping unit
 	JournalBytes   int64
 	CkptEveryBytes int64 // checkpoint when this much journal accumulates
-	HostIOOverhead sim.VTime
 }
 
 // DefaultConfig returns a small-file population with 4 KB blocks.
@@ -62,7 +62,6 @@ func DefaultConfig() Config {
 		BlockSize:      4096,
 		JournalBytes:   8 << 20,
 		CkptEveryBytes: 4 << 20,
-		HostIOOverhead: 10 * sim.Microsecond,
 	}
 }
 
@@ -177,7 +176,7 @@ func (fs *FS) WriteBlock(p *sim.Proc, block int64) {
 	fs.stats.BlockWrites++
 	fs.stats.JournalBytes += uint64(bs)
 
-	p.Sleep(fs.cfg.HostIOOverhead)
+	p.Sleep(core.HostIOOverhead)
 	fs.dev.Write(off, bs, ssd.AreaJournal)
 	p.Wait(fs.dev.Flush(ssd.AreaJournal))
 
@@ -188,7 +187,7 @@ func (fs *FS) WriteBlock(p *sim.Proc, block int64) {
 
 // ReadBlock reads a block (newest version: journal if dirty, else home).
 func (fs *FS) ReadBlock(p *sim.Proc, block int64) {
-	p.Sleep(fs.cfg.HostIOOverhead)
+	p.Sleep(core.HostIOOverhead)
 	if off, ok := fs.dirty[block]; ok {
 		p.Wait(fs.dev.Read(off, int64(fs.cfg.BlockSize)))
 		return
@@ -210,9 +209,9 @@ func (fs *FS) Checkpoint(p *sim.Proc) {
 	switch fs.mode {
 	case ModeConventional:
 		for block, joff := range fs.dirty {
-			p.Sleep(fs.cfg.HostIOOverhead)
+			p.Sleep(core.HostIOOverhead)
 			fs.dev.Read(joff, bs)
-			p.Sleep(fs.cfg.HostIOOverhead)
+			p.Sleep(core.HostIOOverhead)
 			fs.dev.Write(fs.homeOff(block), bs, ssd.AreaCheckpoint)
 			fs.stats.CkptBlocks++
 		}
@@ -224,7 +223,7 @@ func (fs *FS) Checkpoint(p *sim.Proc) {
 			if len(entries) == 0 {
 				return
 			}
-			p.Sleep(fs.cfg.HostIOOverhead)
+			p.Sleep(core.HostIOOverhead)
 			_, fut := fs.dev.CheckpointRequest(entries)
 			p.Wait(fut)
 			entries = entries[:0]

@@ -28,11 +28,15 @@ func newStack(t *testing.T) (*sim.Engine, *ssd.Device) {
 	fcfg.UnitSize = 4096
 	fcfg.OverProvision = 0.2
 	fcfg.Parallelism = 4
+	fcfg.MapCacheBytes = 32 << 20
+	fcfg.MetaFlushEntries = geo.PageSize / 8
 	f, err := ftl.New(e, arr, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dcfg := ssd.DefaultConfig()
+	dcfg.QueueDepth = 64
+	dcfg.PCIeMBps = 3200
 	dcfg.CacheBytes = 2 << 20
 	dcfg.DeallocatorPeriod = 0
 	d, err := ssd.New(e, f, dcfg)

@@ -376,22 +376,13 @@ func (f *FTL) initFlashMap() error {
 	fm.enabled = true
 	fm.entriesPerTP = geo.PageSize / 8
 	fm.numTPs = int((f.totalUnits + int64(fm.entriesPerTP) - 1) / int64(fm.entriesPerTP))
-	capEntries := f.cfg.CMTEntries
-	if capEntries <= 0 {
-		capEntries = int(f.cfg.MapCacheBytes / 8)
-	}
-	// Below two translation pages' worth of entries the CMT would thrash on
-	// a single flush batch; clamp to keep tiny test configs functional.
-	if min := 2 * fm.entriesPerTP; capEntries < min {
-		capEntries = min
-	}
-	fm.cap = capEntries
+	fm.cap = max(f.cfg.CMTEntries, MinCMTEntries(geo.PageSize))
 	words := (f.totalUnits + 63) / 64
 	fm.cached = make([]uint64, words)
 	fm.dirty = make([]uint64, words)
 	// Run nodes: at most one live run per cached entry, so reserving the
 	// bound's worth of ids keeps pool growth from reallocating the arrays.
-	runIDs := min(int64(capEntries), f.totalUnits)
+	runIDs := min(int64(fm.cap), f.totalUnits)
 	fm.lruNext = make([]int32, f.totalUnits, f.totalUnits+runIDs)
 	fm.lruPrev = make([]int32, f.totalUnits, f.totalUnits+runIDs)
 	for i := range fm.lruNext {
@@ -480,8 +471,8 @@ func (f *FTL) fmWrite(lun int64) {
 	if internal || fm.batch {
 		return // settled at the next top-level mapping update / the cut end
 	}
-	if fm.dirtyCount >= f.metaFlushAt {
-		f.fmSettleDirty(f.metaFlushAt, inject.SiteTransFlush)
+	if fm.dirtyCount >= f.cfg.MetaFlushEntries {
+		f.fmSettleDirty(f.cfg.MetaFlushEntries, inject.SiteTransFlush)
 	}
 	if fm.cachedCount > fm.cap {
 		f.fmEnforceCap()

@@ -130,8 +130,8 @@ type Config struct {
 	MapMissPenalty sim.VTime
 
 	// MetaFlushEntries is the number of dirty mapping entries accumulated
-	// before a metadata page is flushed to flash. 0 derives it from the
-	// page size (one entry = 8 bytes).
+	// before a metadata page is flushed to flash (one page's worth is the
+	// page size / 8 bytes per entry).
 	MetaFlushEntries int
 
 	// DeferGC makes journal-area reclamation wait for background GC
@@ -167,7 +167,7 @@ type Config struct {
 	FlashMap bool
 
 	// CMTEntries bounds the cached mapping table under FlashMap, in
-	// entries. 0 derives the bound from MapCacheBytes (8 bytes per entry).
+	// entries. A bound below MinCMTEntries runs as MinCMTEntries.
 	CMTEntries int
 
 	// CMTBasic turns the CMT optimizations of the DFTL layer off (page-fill
@@ -177,19 +177,22 @@ type Config struct {
 	CMTBasic bool
 }
 
-// DefaultConfig returns the configuration used throughout the paper's
-// experiments unless a sweep overrides a field.
+// DefaultConfig returns the FTL settings the stack's Config does not
+// carry: the GC watermarks and the map-cache miss penalty. The caller sets
+// the mapping unit, over-provisioning, parallelism, map cache and flush
+// thresholds.
 func DefaultConfig() Config {
 	return Config{
-		UnitSize:       512,
-		OverProvision:  0.12,
 		GCLowWater:     4,
 		GCHighWater:    8,
-		Parallelism:    4,
-		MapCacheBytes:  32 << 20,
 		MapMissPenalty: 60 * sim.Microsecond,
 	}
 }
+
+// MinCMTEntries is the smallest cached-mapping-table bound the flash map
+// runs with at page size pageSize: two translation pages' worth of entries.
+// Below it the CMT would thrash on a single flush batch.
+func MinCMTEntries(pageSize int) int { return 2 * pageSize / 8 }
 
 // Validate reports a descriptive error for unusable configurations.
 func (c Config) Validate(pageSize int) error {
@@ -204,6 +207,12 @@ func (c Config) Validate(pageSize int) error {
 	}
 	if c.Parallelism < 1 {
 		return fmt.Errorf("ftl: Parallelism %d must be >= 1", c.Parallelism)
+	}
+	if c.MetaFlushEntries < 1 {
+		return fmt.Errorf("ftl: MetaFlushEntries %d must be >= 1", c.MetaFlushEntries)
+	}
+	if c.FlashMap && c.CMTEntries < 1 {
+		return fmt.Errorf("ftl: CMTEntries %d must be >= 1", c.CMTEntries)
 	}
 	return nil
 }
@@ -363,7 +372,6 @@ type FTL struct {
 
 	// map-metadata cost model
 	dirtyMapEntries int
-	metaFlushAt     int
 	mapMissAccum    float64
 	mapEngine       sim.FIFOResource
 
@@ -477,10 +485,6 @@ func New(eng *sim.Engine, array *nand.Array, cfg Config) (*FTL, error) {
 		f.partial[s] = -1
 	}
 
-	f.metaFlushAt = cfg.MetaFlushEntries
-	if f.metaFlushAt == 0 {
-		f.metaFlushAt = geo.PageSize / 8
-	}
 	f.rlog = newRecoveryLog(totalSlots)
 	if cfg.FlashMap {
 		if err := f.initFlashMap(); err != nil {
@@ -643,8 +647,8 @@ func (f *FTL) noteMapDirty(n int) {
 		return
 	}
 	f.dirtyMapEntries += n
-	for f.dirtyMapEntries >= f.metaFlushAt {
-		f.dirtyMapEntries -= f.metaFlushAt
+	for f.dirtyMapEntries >= f.cfg.MetaFlushEntries {
+		f.dirtyMapEntries -= f.cfg.MetaFlushEntries
 		f.stats.MetaFlushes++
 		f.programMetaPage()
 	}

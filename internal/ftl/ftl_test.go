@@ -27,8 +27,12 @@ func fastTim() nand.Timing {
 	}
 }
 
+// smallCfg is a valid config for smallGeo: 512 B units, one metadata page
+// of dirty entries per flush.
 func smallCfg() Config {
 	c := DefaultConfig()
+	c.UnitSize = 512
+	c.MetaFlushEntries = smallGeo().PageSize / 8
 	c.OverProvision = 0.3
 	c.GCLowWater = 2
 	c.GCHighWater = 4
@@ -100,9 +104,9 @@ func checkInvariants(t *testing.T, f *FTL) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig()
+	good := smallCfg()
 	if err := good.Validate(4096); err != nil {
-		t.Fatalf("default config rejected: %v", err)
+		t.Fatalf("small config rejected: %v", err)
 	}
 	cases := []func(*Config){
 		func(c *Config) { c.UnitSize = 0 },
@@ -111,9 +115,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.GCLowWater = 0 },
 		func(c *Config) { c.GCHighWater = c.GCLowWater },
 		func(c *Config) { c.Parallelism = 0 },
+		func(c *Config) { c.MetaFlushEntries = 0 },
+		func(c *Config) { c.FlashMap, c.CMTEntries = true, 0 },
 	}
 	for i, mut := range cases {
-		c := DefaultConfig()
+		c := smallCfg()
 		mut(&c)
 		if err := c.Validate(4096); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)

@@ -52,6 +52,10 @@ func newGCHeavyState(tb testing.TB, policy GCPolicy) *gcHeavyState {
 		tb.Fatal(err)
 	}
 	cfg := DefaultConfig()
+	cfg.UnitSize = 512
+	cfg.OverProvision = 0.12
+	cfg.Parallelism = 4
+	cfg.MetaFlushEntries = fullGeo().PageSize / 8
 	cfg.GCPolicy = policy
 	cfg.MapCacheBytes = 1 << 30 // isolate GC + mapping work from the miss model
 	// At ~full utilization the GC stream needs more headroom than the

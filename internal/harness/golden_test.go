@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	checkin "github.com/checkin-kv/checkin"
 )
 
 // goldenExperiments is the five-experiment sample the golden file pins: a
@@ -37,7 +39,8 @@ func TestGoldenBenchOutput(t *testing.T) {
 	}
 	checkGolden(t, goldenPath, goldenExperiments, tinyOpts())
 	lsm := tinyOpts()
-	lsm.Engine = "lsm"
+	lsm.Config = checkin.DefaultConfig()
+	lsm.Config.Engine = "lsm"
 	checkGolden(t, goldenLSMPath, goldenLSMExperiments, lsm)
 }
 

@@ -12,6 +12,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -52,29 +53,20 @@ type Opts struct {
 	// experiment completes. Purely observational: experiment output is
 	// byte-identical with it on or off.
 	Timing bool
-	// Errors names a checkin.ErrorProfile applied to every run's
-	// configuration ("" or "off" = perfect flash, the default). Nonzero
-	// profiles run every experiment on degrading hardware — read-retry
-	// latency, failed programs, retired blocks — and shift the reported
-	// numbers accordingly.
-	Errors string
-	// FTLMap selects the mapping-table model for every run ("" or "dram" =
-	// full table in DRAM, "dftl" = flash-resident translation pages,
-	// "dftl-basic" = the same without the CMT optimizations). Forwarded
-	// verbatim to checkin.Config.FTLMap; the dftl models shift the reported
-	// numbers because mapping misses and writebacks cost flash operations.
-	FTLMap string
-	// Engine selects the host storage-engine backend for every run (""
-	// or "journal" = the paper's journal+JMT engine, "lsm" = the LSM-tree
-	// engine). Forwarded verbatim to checkin.Config.Engine. Experiments
-	// that compare backends explicitly (compaction) override it per cell.
-	Engine string
-	// Shards and Tenants size the sharded scale-out experiment (0 = defaults
-	// of 4 shards, 3 tenants). Only shardsched consults them.
+	// Config is the stack every run starts from (the zero value is
+	// checkin.DefaultConfig()): the error profile, mapping model and host
+	// engine the commands' stack flags pick. Each experiment then sets the
+	// strategy, Seed, Keys and checkpoint interval, and what it sweeps;
+	// experiments that compare backends explicitly (compaction) override
+	// Engine per cell.
+	Config checkin.Config
+	// Shards and Tenants size the sharded scale-out experiment (0 =
+	// shard.DefaultShards, shard.DefaultTenantCount). Only shardsched
+	// consults them.
 	Shards  int
 	Tenants int
 	// Arrival is the open-loop arrival spec for shardsched (see
-	// shard.ParseArrival; "" = "poisson:150000").
+	// shard.ParseArrival; "" = shard.DefaultArrival).
 	Arrival string
 	// CkSched restricts shardsched to one cross-shard checkpoint scheduling
 	// policy ("sync", "staggered" or "global"; "" = all three).
@@ -239,22 +231,14 @@ func Lookup(id string) (Experiment, error) {
 
 // baseConfig is the shared starting configuration for experiment runs.
 func baseConfig(o Opts, s checkin.Strategy) checkin.Config {
-	cfg := checkin.DefaultConfig()
+	cfg := o.Config
+	if reflect.ValueOf(cfg).IsZero() {
+		cfg = checkin.DefaultConfig()
+	}
 	cfg.Strategy = s
 	cfg.Seed = o.Seed
 	cfg.Keys = 50_000
 	cfg.CheckpointInterval = 300 * time.Millisecond
-	cfg.Engine = o.Engine
-	cfg.FTLMap = o.FTLMap
-	if o.Errors != "" && o.Errors != "off" {
-		p, err := checkin.ParseErrorProfile(o.Errors)
-		if err != nil {
-			// Callers (cmd/checkin-bench, tests) validate the name up front;
-			// reaching here is a programming error, not a run-time condition.
-			panic(err)
-		}
-		cfg = p.Apply(cfg)
-	}
 	return cfg
 }
 

@@ -57,15 +57,19 @@ func TestRecoveryTable(t *testing.T) {
 }
 
 // TestRecoveryTableWithErrors re-runs the recovery experiment on faulty
-// flash (the light error profile, threaded through Opts.Errors): read
+// flash (the light error profile, applied to Opts.Config): read
 // retries and occasional block retirements must not cost the engine a
 // single recovered version or the device a single SPOR mapping.
 func TestRecoveryTableWithErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery run in -short mode")
 	}
+	light, err := checkin.ParseErrorProfile("light")
+	if err != nil {
+		t.Fatal(err)
+	}
 	o := tinyOpts()
-	o.Errors = "light"
+	o.Config = light.Apply(checkin.DefaultConfig())
 	tab, err := Recovery(o)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -28,21 +29,12 @@ var shardStrategies = []checkin.Strategy{
 // dequeue stall the tails pay for.
 func ShardSched(o Opts) (*Table, error) {
 	o = o.withDefaults()
-	shards := o.Shards
-	if shards == 0 {
-		shards = 4
-	}
-	tenants := o.Tenants
-	if tenants == 0 {
-		tenants = 3
-	}
+	shards := cmp.Or(o.Shards, shard.DefaultShards)
+	tenants := cmp.Or(o.Tenants, shard.DefaultTenantCount)
 	if tenants < 1 {
 		return nil, fmt.Errorf("shardsched: Tenants %d must be >= 1", tenants)
 	}
-	spec := o.Arrival
-	if spec == "" {
-		spec = "poisson:150000"
-	}
+	spec := cmp.Or(o.Arrival, shard.DefaultArrival)
 	arrival, err := shard.ParseArrival(spec)
 	if err != nil {
 		return nil, err

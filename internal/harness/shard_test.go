@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/checkin-kv/checkin/internal/shard"
 )
 
 // TestShardSchedTable: the experiment renders one row per strategy x policy
@@ -44,5 +47,34 @@ func TestShardSchedBadSpecs(t *testing.T) {
 	}
 	if _, err := ShardSched(Opts{Scale: 0.02, Tenants: -1}); err == nil {
 		t.Error("negative tenant count accepted")
+	}
+}
+
+// TestShardSchedDefaults: zero shard, tenant and arrival settings run the
+// defaults internal/shard names (the values checkin-bench's flags show),
+// and the note reports them.
+func TestShardSchedDefaults(t *testing.T) {
+	render := func(o Opts) (*Table, string) {
+		t.Helper()
+		tbl, err := ShardSched(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		tbl.Render(&sb)
+		return tbl, sb.String()
+	}
+	zero, zeroOut := render(Opts{Scale: 0.02, Seed: 1, CkSched: "sync"})
+	_, namedOut := render(Opts{Scale: 0.02, Seed: 1, CkSched: "sync",
+		Shards: shard.DefaultShards, Tenants: shard.DefaultTenantCount, Arrival: shard.DefaultArrival})
+	if zeroOut != namedOut {
+		t.Errorf("zero settings differ from the named defaults:\n--- zero\n%s\n--- named\n%s", zeroOut, namedOut)
+	}
+	if want := len(shardStrategies) * shard.DefaultTenantCount; len(zero.Rows) != want {
+		t.Errorf("got %d rows, want %d", len(zero.Rows), want)
+	}
+	want := fmt.Sprintf("%d shards x %d tenants, arrival %s,", shard.DefaultShards, shard.DefaultTenantCount, shard.DefaultArrival)
+	if !strings.Contains(zeroOut, want) {
+		t.Errorf("note lacks %q:\n%s", want, zeroOut)
 	}
 }

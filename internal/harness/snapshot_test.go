@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	checkin "github.com/checkin-kv/checkin"
 )
 
 // TestSnapshotDeterminism renders experiments with the load-snapshot
@@ -39,7 +41,8 @@ func TestSnapshotDeterminism(t *testing.T) {
 			render := func(mode string) string {
 				o := tinyOpts()
 				o.Snapshots = mode
-				o.Engine = tc.engine
+				o.Config = checkin.DefaultConfig()
+				o.Config.Engine = tc.engine
 				tab, err := exp.Run(o)
 				if err != nil {
 					t.Fatalf("snapshots %s: %v", mode, err)

@@ -3,6 +3,7 @@ package lsm
 import (
 	"fmt"
 
+	"github.com/checkin-kv/checkin/internal/core"
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/ssd"
@@ -233,7 +234,7 @@ func (en *Engine) executeCompaction(p *sim.Proc, job *compactionJob) {
 		readBytes += total
 		for off := int64(0); off < total; off += chunk {
 			n := min(int64(chunk), total-off)
-			p.Sleep(en.cfg.HostIOOverhead)
+			p.Sleep(core.HostIOOverhead)
 			futs = append(futs, en.Device().Read(r.offs[0]+off, n))
 			if len(futs) >= window {
 				p.WaitAll(futs)

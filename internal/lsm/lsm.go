@@ -71,17 +71,8 @@ type Config struct {
 	// distinct keys.
 	MemtableEntries int
 
-	// Policy selects the compaction policy: "leveled" (default) or "tiered".
+	// Policy selects the compaction policy: "leveled" or "tiered".
 	Policy string
-}
-
-// DefaultConfig returns LSM defaults aligned with core.DefaultConfig.
-func DefaultConfig() Config {
-	return Config{
-		HostConfig:      core.DefaultConfig().HostConfig,
-		MemtableEntries: 4096,
-		Policy:          PolicyLeveled,
-	}
 }
 
 // Validate reports a descriptive error for unusable configurations.
@@ -96,7 +87,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("lsm: JournalHalfBytes %d must be a sector multiple", c.JournalHalfBytes)
 	}
 	switch c.Policy {
-	case "", PolicyLeveled, PolicyTiered:
+	case PolicyLeveled, PolicyTiered:
 	default:
 		return fmt.Errorf("lsm: unknown compaction policy %q (want leveled or tiered)", c.Policy)
 	}
@@ -164,9 +155,6 @@ type Engine struct {
 func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyLeveled
 	}
 	en := &Engine{
 		cfg:      cfg,
@@ -297,7 +285,7 @@ func (en *Engine) writeRunSequential(p *sim.Proc, r *run, area ssd.Area) {
 		if off+n > total {
 			n = total - off
 		}
-		p.Sleep(en.cfg.HostIOOverhead)
+		p.Sleep(core.HostIOOverhead)
 		en.Device().Write(r.ext.off+off, n, area)
 		if issued++; issued%16 == 0 {
 			p.Wait(en.Device().Flush(area))
@@ -327,7 +315,7 @@ func (en *Engine) Get(p *sim.Proc, key int64) {
 		// A run's offsets are fixed when it is planned, so reading them
 		// before the host overhead elapses reads what after would.
 		dev := en.Device()
-		f := dev.ReadAfter(en.cfg.HostIOOverhead, r.offs[i], int64(r.sizes[i]))
+		f := dev.ReadAfter(core.HostIOOverhead, r.offs[i], int64(r.sizes[i]))
 		p.Wait(f)
 		dev.Release(f)
 	}
@@ -393,7 +381,7 @@ func (en *Engine) newRec() *walRec {
 func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
 	key, n = en.AdmitScan(p, key, n)
 	var futs []*sim.Future
-	p.Sleep(en.cfg.HostIOOverhead)
+	p.Sleep(core.HostIOOverhead)
 	if rs := en.levels[baseLevel]; len(rs) > 0 {
 		base := rs[len(rs)-1]
 		if i, ok := base.find(key); ok {
@@ -534,7 +522,7 @@ func (en *Engine) publishManifest(p *sim.Proc, floor int64) {
 	if n > en.manifestSlot {
 		n = en.manifestSlot
 	}
-	p.Sleep(en.cfg.HostIOOverhead)
+	p.Sleep(core.HostIOOverhead)
 	en.Device().Write(en.manifestStart+slot*en.manifestSlot, n, ssd.AreaData)
 	p.Wait(en.Device().Flush(ssd.AreaData))
 	// Durable from this instant: snapshot the run set and advance the floor.

@@ -31,11 +31,15 @@ func newStack(t *testing.T, unit int) (*sim.Engine, *ssd.Device) {
 	fcfg.UnitSize = unit
 	fcfg.OverProvision = 0.15
 	fcfg.Parallelism = 4
+	fcfg.MapCacheBytes = 32 << 20
+	fcfg.MetaFlushEntries = geo.PageSize / 8
 	f, err := ftl.New(e, arr, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dcfg := ssd.DefaultConfig()
+	dcfg.QueueDepth = 64
+	dcfg.PCIeMBps = 3200
 	dcfg.DeallocatorPeriod = 0
 	dcfg.CacheBytes = 1 << 20
 	d, err := ssd.New(e, f, dcfg)
@@ -56,17 +60,29 @@ func runProc(e *sim.Engine, fn func(p *sim.Proc)) {
 	}
 }
 
+// testConfig is a small valid LSM-engine config.
+func testConfig() Config {
+	return Config{
+		HostConfig: core.HostConfig{
+			Strategy:           core.StrategyCheckIn,
+			Keys:               2000,
+			Sizer:              workload.FixedSizer{Size: 512},
+			JournalHalfBytes:   2 << 20,
+			CheckpointInterval: 50 * sim.Millisecond,
+			JournalSoftFrac:    0.7,
+			Seed:               1,
+		},
+		MemtableEntries: 256,
+		Policy:          PolicyLeveled,
+	}
+}
+
 // newTestEngine wires a small LSM engine for a strategy.
 func newTestEngine(t *testing.T, s core.Strategy, mut func(*Config)) (*sim.Engine, *Engine) {
 	t.Helper()
 	e, dev := newStack(t, s.DefaultMappingUnit())
-	cfg := DefaultConfig()
+	cfg := testConfig()
 	cfg.Strategy = s
-	cfg.Keys = 2000
-	cfg.Sizer = workload.FixedSizer{Size: 512}
-	cfg.JournalHalfBytes = 2 << 20
-	cfg.MemtableEntries = 256
-	cfg.CheckpointInterval = 50 * sim.Millisecond
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -79,17 +95,17 @@ func newTestEngine(t *testing.T, s core.Strategy, mut func(*Config)) (*sim.Engin
 
 func TestRejectsBadConfig(t *testing.T) {
 	e, dev := newStack(t, 512)
-	cfg := DefaultConfig()
+	cfg := testConfig()
 	cfg.Keys = 0
 	if _, err := New(e, dev, cfg); err == nil {
 		t.Error("bad config accepted")
 	}
-	cfg = DefaultConfig()
+	cfg = testConfig()
 	cfg.Policy = "sizetiered-typo"
 	if _, err := New(e, dev, cfg); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	cfg = DefaultConfig()
+	cfg = testConfig()
 	cfg.Keys = 100_000_000
 	if _, err := New(e, dev, cfg); err == nil {
 		t.Error("oversized key space accepted")

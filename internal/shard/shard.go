@@ -59,9 +59,21 @@ const (
 // Scheds lists the scheduling policies in presentation order.
 func Scheds() []string { return []string{SchedSync, SchedStaggered, SchedGlobal} }
 
+// Defaults of the sharded scale-out run, shared by Config, the shardsched
+// experiment and both commands' flags.
+const (
+	// DefaultShards is the engine+SSD stack count.
+	DefaultShards = 4
+	// DefaultTenantCount is the tenant count DefaultTenants is called with.
+	DefaultTenantCount = 3
+	// DefaultArrival is the open-loop arrival spec (see ParseArrival).
+	DefaultArrival = "poisson:150000"
+)
+
 // Config describes a sharded scale-out run.
 type Config struct {
-	// Shards is the number of independent engine+SSD stacks (default 4).
+	// Shards is the number of independent engine+SSD stacks (default
+	// DefaultShards).
 	Shards int
 	// Base is the per-shard stack configuration. Keys is overridden with
 	// the derived dense per-shard namespace; everything else (strategy,
@@ -94,7 +106,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
-		c.Shards = 4
+		c.Shards = DefaultShards
 	}
 	if c.TotalOps == 0 {
 		c.TotalOps = 100_000

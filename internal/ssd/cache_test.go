@@ -68,14 +68,13 @@ func cacheDevice(t *testing.T, capUnits int64) *Device {
 		Channels: 2, PackagesPerChannel: 1, DiesPerPackage: 1, PlanesPerDie: 1,
 		BlocksPerPlane: 256, PagesPerBlock: 16, PageSize: 2048,
 	})
-	fcfg := ftl.DefaultConfig()
-	fcfg.OverProvision = 0.3
+	fcfg := testFTLConfig(2048)
 	fcfg.MapCacheBytes = 1 << 30
 	f, err := ftl.New(e, arr, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcfg := DefaultConfig()
+	dcfg := testConfig()
 	dcfg.DeallocatorPeriod = 0
 	dcfg.CacheBytes = capUnits * int64(f.UnitSize())
 	d, err := New(e, f, dcfg)

@@ -103,16 +103,16 @@ type Config struct {
 // its back-end service.
 const timeoutBackoff = sim.Millisecond
 
-// DefaultConfig mirrors a mid-range NVMe datacenter SSD.
+// DefaultConfig returns the controller settings of a mid-range NVMe
+// datacenter SSD that the stack's Config does not carry: command overhead,
+// embedded-CPU costs and the deallocator's cadence. The caller sets the
+// queue depth, link bandwidth and data cache.
 func DefaultConfig() Config {
 	return Config{
-		QueueDepth:        64,
-		PCIeMBps:          3200,
 		CmdBytes:          80,
 		CPUPerCommand:     2 * sim.Microsecond,
 		CPUPerCoWEntry:    1 * sim.Microsecond,
 		CPUPerRemapEntry:  500 * sim.Nanosecond,
-		CacheBytes:        64 << 20,
 		DeallocatorPeriod: 10 * sim.Millisecond,
 		BackgroundGCBatch: 2,
 	}

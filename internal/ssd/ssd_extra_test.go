@@ -103,15 +103,14 @@ func TestWearLevelingFromDeallocator(t *testing.T) {
 	// Direct FTL access to configure the threshold.
 	geo := testGeoSmall()
 	arr := mustArray(t, e, geo)
-	fcfg := ftl.DefaultConfig()
-	fcfg.OverProvision = 0.3
+	fcfg := testFTLConfig(geo.PageSize)
 	fcfg.Parallelism = 2
 	fcfg.WearDeltaThreshold = 2
 	f, err := ftl.New(e, arr, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcfg := DefaultConfig()
+	dcfg := testConfig()
 	dcfg.DeallocatorPeriod = 2 * sim.Millisecond
 	d, err := New(e, f, dcfg)
 	if err != nil {

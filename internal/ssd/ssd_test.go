@@ -8,6 +8,28 @@ import (
 	"github.com/checkin-kv/checkin/internal/sim"
 )
 
+// testConfig is DefaultConfig with the settings the stack's Config
+// carries: queue depth, link bandwidth and a 64 MB data cache.
+func testConfig() Config {
+	c := DefaultConfig()
+	c.QueueDepth = 64
+	c.PCIeMBps = 3200
+	c.CacheBytes = 64 << 20
+	return c
+}
+
+// testFTLConfig is ftl.DefaultConfig with the settings the stack's Config
+// carries, for flash pages of pageSize bytes, and 30% over-provisioning.
+func testFTLConfig(pageSize int) ftl.Config {
+	c := ftl.DefaultConfig()
+	c.UnitSize = 512
+	c.OverProvision = 0.3
+	c.Parallelism = 4
+	c.MapCacheBytes = 32 << 20
+	c.MetaFlushEntries = pageSize / 8
+	return c
+}
+
 func testDevice(t *testing.T, mut func(*Config)) (*sim.Engine, *Device) {
 	t.Helper()
 	e := sim.NewEngine()
@@ -23,15 +45,14 @@ func testDevice(t *testing.T, mut func(*Config)) (*sim.Engine, *Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfg := ftl.DefaultConfig()
-	fcfg.OverProvision = 0.3
+	fcfg := testFTLConfig(geo.PageSize)
 	fcfg.Parallelism = 2
 	fcfg.MapCacheBytes = 1 << 30
 	f, err := ftl.New(e, arr, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcfg := DefaultConfig()
+	dcfg := testConfig()
 	dcfg.DeallocatorPeriod = 0 // keep the event queue finite unless opted in
 	if mut != nil {
 		mut(&dcfg)
@@ -44,20 +65,20 @@ func testDevice(t *testing.T, mut func(*Config)) (*sim.Engine, *Device) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	if err := testConfig().Validate(); err != nil {
+		t.Fatalf("test config invalid: %v", err)
 	}
-	bad := DefaultConfig()
+	bad := testConfig()
 	bad.QueueDepth = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("QueueDepth 0 accepted")
 	}
-	bad = DefaultConfig()
+	bad = testConfig()
 	bad.PCIeMBps = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("PCIeMBps 0 accepted")
 	}
-	bad = DefaultConfig()
+	bad = testConfig()
 	bad.CacheBytes = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative CacheBytes accepted")
