@@ -234,7 +234,8 @@ type Config struct {
 	WearErrorFactor   float64 // rate growth per erase cycle (wear-out)
 
 	// SpareBlocksPerDie reserves replacement blocks for grown bad blocks.
-	// 0 → 2 when the error model is enabled, none otherwise.
+	// 0 → 2 when the error model is enabled; without it no block goes bad,
+	// so any value resolves to 0 (no spare pool).
 	SpareBlocksPerDie int
 
 	// CommandTimeout, when nonzero, charges a fixed 1 ms backoff on any
@@ -340,7 +341,10 @@ func resolve(cfg Config) (Config, error) {
 	if cfg.MetaFlushEntries == 0 {
 		cfg.MetaFlushEntries = cfg.PageSizeBytes / 8
 	}
-	if cfg.SpareBlocksPerDie == 0 && cfg.errorModelEnabled() {
+	switch {
+	case !cfg.errorModelEnabled():
+		cfg.SpareBlocksPerDie = 0
+	case cfg.SpareBlocksPerDie == 0:
 		cfg.SpareBlocksPerDie = 2
 	}
 	deferGC := cfg.Strategy == StrategyCheckIn
@@ -438,9 +442,7 @@ func Open(cfg Config) (*DB, error) {
 	fcfg.Tracer = tracer
 	fcfg.Injector = cfg.Injector
 	fcfg.WearDeltaThreshold = cfg.WearDeltaThreshold
-	if cfg.errorModelEnabled() {
-		fcfg.SpareBlocksPerDie = cfg.SpareBlocksPerDie
-	}
+	fcfg.SpareBlocksPerDie = cfg.SpareBlocksPerDie
 	translation, err := ftl.New(eng, array, fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("checkin: %w", err)

@@ -20,6 +20,11 @@ var runPhaseFields = map[string]bool{
 	"Strategy":             true,
 }
 
+// faultModelOnly are the Config fields that steer nothing while the NAND
+// fault model is off, so resolve settles them then: the sensitivity walk
+// mutates them with the model on.
+var faultModelOnly = map[string]bool{"SpareBlocksPerDie": true}
+
 // mutateField changes field name of cfg to a different value that resolve
 // accepts, or reports false when it has no rule for the field's kind.
 func mutateField(cfg *Config, name string) bool {
@@ -75,10 +80,17 @@ func TestFingerprintFieldSensitivity(t *testing.T) {
 	if !ok || !ok2 {
 		t.Fatal("default config not fingerprintable")
 	}
+	faulty := base
+	faulty.ProgramFailRate = 0.01
+	lfpF, _ := LoadFingerprint(faulty)
+	rfpF, _ := Fingerprint(faulty)
 	typ := reflect.TypeFor[Config]()
 	for i := range typ.NumField() {
 		name := typ.Field(i).Name
-		cfg := base
+		cfg, lfp0, rfp0 := base, lfp0, rfp0
+		if faultModelOnly[name] {
+			cfg, lfp0, rfp0 = faulty, lfpF, rfpF
+		}
 		if !mutateField(&cfg, name) {
 			t.Errorf("%s: no mutation rule for %v", name, typ.Field(i).Type)
 			continue
@@ -118,11 +130,8 @@ func TestFingerprintFieldSensitivity(t *testing.T) {
 		t.Error("remap alignment left the load fingerprint")
 	}
 	// With the fault model on, Load's writes draw faults seeded from Seed.
-	faulty := base
-	faulty.ProgramFailRate = 0.01
 	faultySeed := faulty
 	faultySeed.Seed++
-	lfpF, _ := LoadFingerprint(faulty)
 	if lfp, _ := LoadFingerprint(faultySeed); lfp == lfpF {
 		t.Error("Seed left the load fingerprint with the fault model on")
 	}
@@ -246,5 +255,41 @@ func TestHashValuesSeparation(t *testing.T) {
 	}
 	if _, ok := HashValues("x", 0, map[int]int{}); ok {
 		t.Error("map hashed")
+	}
+}
+
+// TestSpareBlocksSettledWithoutFaultModel: no block goes bad while the NAND
+// fault model is off, so the FTL reserves no spares whatever
+// SpareBlocksPerDie says. resolve settles the field to 0 then, so the DB
+// reports what runs and identical runs share a fingerprint; with the model
+// on, an explicit value is kept and keys its own runs.
+func TestSpareBlocksSettledWithoutFaultModel(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Keys = 2000
+	spares := cfg
+	spares.SpareBlocksPerDie = 4
+	db, err := Open(spares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Config().SpareBlocksPerDie; n != 0 {
+		t.Errorf("fault model off: SpareBlocksPerDie 4 reports %d, want 0", n)
+	}
+	fp0, _ := Fingerprint(cfg)
+	if fp, _ := Fingerprint(spares); fp != fp0 {
+		t.Errorf("fault model off: SpareBlocksPerDie 4 fingerprints %016x, 0 %016x", fp, fp0)
+	}
+
+	cfg.ProgramFailRate, spares.ProgramFailRate = 0.01, 0.01
+	db, err = Open(spares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Config().SpareBlocksPerDie; n != 4 {
+		t.Errorf("fault model on: SpareBlocksPerDie 4 reports %d", n)
+	}
+	fp0, _ = Fingerprint(cfg)
+	if fp, _ := Fingerprint(spares); fp == fp0 {
+		t.Error("fault model on: SpareBlocksPerDie 4 fingerprints like the default 2")
 	}
 }

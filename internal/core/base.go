@@ -55,13 +55,19 @@ type Base struct {
 
 	gateClosed bool
 	gateOpen   *sim.Future
+
+	// err, once Fail sets it, ends the run in progress and every later
+	// one.
+	err error
 }
 
 // NewBase returns the shared part of host, an engine over dev that writes
 // through log, with idle epochs that run work as simulated process
-// epochName.
+// epochName. It gives the kernel a lane for events HostIOOverhead ahead:
+// the host-side sleeps, paced checkpoint steps and ReadAfter timers.
 func NewBase(eng *sim.Engine, dev *ssd.Device, cfg HostConfig, host Host, log Log,
 	epochName string, work func(p *sim.Proc, start sim.VTime), then func()) Base {
+	eng.DelayLane(HostIOOverhead)
 	return Base{
 		eng:       eng,
 		dev:       dev,
@@ -75,6 +81,20 @@ func NewBase(eng *sim.Engine, dev *ssd.Device, cfg HostConfig, host Host, log Lo
 		then:      then,
 	}
 }
+
+// Fail ends the run in progress with err: the kernel stops after the
+// current event, and Run returns err, now and on every later call. The
+// engine embedding the base calls it when the simulated store cannot go
+// on (the LSM run area is full); the calling process must not continue.
+func (b *Base) Fail(err error) {
+	if b.err == nil {
+		b.err = err
+	}
+	b.eng.Stop()
+}
+
+// Err returns the error Fail recorded, or nil.
+func (b *Base) Err() error { return b.err }
 
 // Device exposes the underlying device.
 func (b *Base) Device() *ssd.Device { return b.dev }

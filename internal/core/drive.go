@@ -48,6 +48,9 @@ type Host interface {
 	Load()
 	// Run executes a measured workload phase.
 	Run(spec RunSpec) (*Metrics, error)
+	// Err is the error that ended the store's runs (see Base.Fail), or
+	// nil; drivers stepping the kernel themselves check it.
+	Err() error
 	// Metrics exposes the last run's live collector.
 	Metrics() *Metrics
 
@@ -137,6 +140,9 @@ func (rs RunSpec) Validate(keys int64) error {
 // this one driver, so they measure identically.
 func (b *Base) Run(spec RunSpec) (*Metrics, error) {
 	h, eng, dev, cfg := b.host, b.eng, b.dev, b.cfg
+	if b.err != nil {
+		return nil, b.err
+	}
 	if err := spec.Validate(cfg.Keys); err != nil {
 		return nil, err
 	}
@@ -237,14 +243,17 @@ func (b *Base) Run(spec RunSpec) (*Metrics, error) {
 	}
 	eng.Schedule(cfg.CheckpointInterval, tick)
 
-	for !runDone {
+	for !runDone && b.err == nil {
 		eng.RunUntil(eng.Now() + 50*sim.Millisecond)
 	}
 	// Drain the in-flight checkpoint and any straggling processes. A
 	// checkpoint (or LSM flush or compaction) is in progress only while
 	// its own process is live, so the process count covers all of them.
-	for guard := 0; eng.LiveProcs() > 0 && guard < 1_000_000; guard++ {
+	for guard := 0; eng.LiveProcs() > 0 && b.err == nil && guard < 1_000_000; guard++ {
 		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
+	}
+	if b.err != nil {
+		return nil, b.err
 	}
 	m.EndWindow(dev, b.JournalStats(), endTime)
 	return m, nil

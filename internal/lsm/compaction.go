@@ -245,23 +245,28 @@ func (en *Engine) executeCompaction(p *sim.Proc, job *compactionJob) {
 	p.WaitAll(futs)
 
 	entries := mergeRuns(job.inputs)
-	out := en.newRun(job.outLevel, entries, true)
-	en.writeRunSequential(p, out, ssd.AreaData)
+	outs, ok := en.newRuns(job.outLevel, entries)
+	if !ok {
+		en.exhausted(p, "during compaction", entriesBytes(entries))
+	}
+	for _, out := range outs {
+		en.writeRunSequential(p, out, ssd.AreaData)
+		en.st.CompactionWrite += uint64(out.ext.len)
+		en.st.RunsCreated++
+	}
 
 	en.st.Compactions++
 	if job.major {
 		en.st.MajorCompactions++
 	}
 	en.st.CompactionRead += uint64(readBytes)
-	en.st.CompactionWrite += uint64(out.ext.len)
-	en.st.RunsCreated++
 
 	en.cfg.Injector.Hit(inject.SiteCompactInstall)
 
-	// install: swap the inputs out and the merged run in, then make the new
-	// run set durable before the inputs' space is reclaimed.
+	// install: swap the inputs out and the merged runs in, then make the
+	// new run set durable before the inputs' space is reclaimed.
 	en.removeRuns(job)
-	en.levels[job.outLevel] = append(en.levels[job.outLevel], out)
+	en.levels[job.outLevel] = append(en.levels[job.outLevel], outs...)
 	en.publishManifest(p, -1)
 
 	for _, r := range job.inputs {

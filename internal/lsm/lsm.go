@@ -239,7 +239,10 @@ func (en *Engine) Load() {
 		entries[k] = runEntry{key: k, version: 1, size: en.cfg.Sizer.SizeOf(k)}
 	}
 	en.RunLoad(func(p *sim.Proc) {
-		r := en.newRun(baseLevel, entries, false)
+		r, ok := en.newRun(baseLevel, entries)
+		if !ok {
+			panic("lsm: base run does not fit the empty run area") // New checks 3x headroom
+		}
 		en.writeRunSequential(p, r, ssd.AreaData)
 		en.levels[baseLevel] = append(en.levels[baseLevel], r)
 		en.st.RunsCreated++
@@ -247,25 +250,70 @@ func (en *Engine) Load() {
 	})
 }
 
-// newRun allocates an extent and plans a run's layout. inCompaction guards
-// the back-pressure path (a compaction cannot wait on itself).
-func (en *Engine) newRun(level int, entries []runEntry, inCompaction bool) *run {
-	var need int64
-	for _, e := range entries {
-		need += roundUp(int64(e.size), sector)
-	}
-	need = roundUp(need, en.extAlign())
+// newRun allocates one extent for entries and plans the run's layout; ok
+// is false when no free extent holds it.
+func (en *Engine) newRun(level int, entries []runEntry) (*run, bool) {
+	need := roundUp(entriesBytes(entries), en.extAlign())
 	off, ok := en.alloc.take(need)
 	if !ok {
-		if inCompaction {
-			panic(fmt.Sprintf("lsm: run area exhausted during compaction (%s, need %d)", en.alloc, need))
-		}
-		panic(fmt.Sprintf("lsm: run area exhausted (%s, need %d)", en.alloc, need))
+		return nil, false
 	}
 	en.nextRunID++
 	r, _ := planRun(en.nextRunID, level, entries, off)
 	r.ext = extent{off: off, len: need}
-	return r
+	return r, true
+}
+
+// newRuns is newRun for a compaction's output, which may not fit one
+// extent once flush and compaction runs have fragmented the run area. It
+// then splits the entries, in key order, into runs that fill the largest
+// free extent first; the runs cover disjoint key ranges, so a level holds
+// them side by side. ok is false, with nothing allocated, when the free
+// extents cannot hold every entry.
+func (en *Engine) newRuns(level int, entries []runEntry) ([]*run, bool) {
+	if r, ok := en.newRun(level, entries); ok {
+		return []*run{r}, true
+	}
+	var rs []*run
+	for len(entries) > 0 {
+		room := en.alloc.largest()
+		n, need := 0, int64(0)
+		for ; n < len(entries); n++ {
+			next := need + roundUp(int64(entries[n].size), sector)
+			if roundUp(next, en.extAlign()) > room {
+				break
+			}
+			need = next
+		}
+		if n == 0 {
+			for _, r := range rs {
+				en.alloc.release(r.ext)
+			}
+			return nil, false
+		}
+		r, _ := en.newRun(level, entries[:n])
+		rs = append(rs, r)
+		entries = entries[n:]
+	}
+	return rs, true
+}
+
+// entriesBytes is the laid-out size of entries: one sector-padded slot
+// each.
+func entriesBytes(entries []runEntry) int64 {
+	var n int64
+	for _, e := range entries {
+		n += roundUp(int64(e.size), sector)
+	}
+	return n
+}
+
+// exhausted ends the run with an error from Run: the run area cannot take
+// need more bytes for what. p, the flush or compaction that needed them,
+// parks for good.
+func (en *Engine) exhausted(p *sim.Proc, what string, need int64) {
+	en.Fail(fmt.Errorf("lsm: run area exhausted %s (%s, need %d)", what, en.alloc, need))
+	p.Wait(sim.NewFuture(en.Sim()))
 }
 
 // allocatable reports whether an extent of n laid-out bytes could be taken.
@@ -375,20 +423,21 @@ func (en *Engine) newRec() *walRec {
 }
 
 // Scan executes a range read of n consecutive records starting at key: one
-// sequential read over the range in the bottom run, plus individual reads
-// for keys whose newest version lives in an upper run (memtable hits are
-// host memory).
+// sequential read over the range in each bottom run (one, unless a
+// compaction had to split its output), plus individual reads for keys whose
+// newest version lives in an upper run (memtable hits are host memory).
 func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
 	key, n = en.AdmitScan(p, key, n)
 	var futs []*sim.Future
 	p.Sleep(core.HostIOOverhead)
-	if rs := en.levels[baseLevel]; len(rs) > 0 {
-		base := rs[len(rs)-1]
-		if i, ok := base.find(key); ok {
-			j, ok2 := base.find(key + int64(n) - 1)
-			if !ok2 {
-				j = len(base.keys) - 1
-			}
+	for _, base := range en.levels[baseLevel] {
+		// [i, j]: the run's keys inside [key, key+n)
+		i, _ := base.find(key)
+		j, ok := base.find(key + int64(n) - 1)
+		if !ok {
+			j--
+		}
+		if i <= j {
 			futs = append(futs, en.Device().Read(base.offs[i],
 				base.offs[j]+int64(base.sizes[j])-base.offs[i]))
 		}
@@ -465,21 +514,21 @@ func (en *Engine) flushRun(p *sim.Proc) *run {
 
 	// Back-pressure: wait for a running compaction (or force one) when the
 	// run area cannot take the new extent.
-	var need int64
-	for _, e := range entries {
-		need += roundUp(int64(e.size), sector)
-	}
+	need := entriesBytes(entries)
 	for !en.allocatable(need) {
 		if en.compacting {
 			p.Wait(en.compactDone)
 			continue
 		}
 		if !en.startCompaction(true) {
-			break // let newRun panic with the allocator's state
+			break // nothing left to reclaim
 		}
 		p.Wait(en.compactDone)
 	}
-	r := en.newRun(0, entries, false)
+	r, ok := en.newRun(0, entries)
+	if !ok {
+		en.exhausted(p, "during a flush", need)
+	}
 
 	switch s := en.cfg.Strategy; {
 	case s == core.StrategyBaseline:

@@ -1,7 +1,9 @@
 package lsm
 
 import (
+	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/checkin-kv/checkin/internal/core"
@@ -433,5 +435,67 @@ func TestSnapshotRejectsUnlinkedMemtableCell(t *testing.T) {
 	en.mem[500] = &walRec{seq: en.walSeq + 1, key: 500, version: 2, payload: 512, committed: true}
 	if _, err := copyEngine(en); err == nil {
 		t.Error("snapshot accepted a memtable cell whose record was never logged")
+	}
+}
+
+// TestNewRunsSplitsOverFreeExtents: when no free extent holds a
+// compaction's output, newRuns splits it in key order into runs that fill
+// the largest free extent first, and when the free extents cannot hold it
+// at all it allocates nothing.
+func TestNewRunsSplitsOverFreeExtents(t *testing.T) {
+	_, en := newTestEngine(t, core.StrategyCheckIn, nil)
+	a := en.extAlign()
+	// free extents of 1, 3 and 2 units, each between allocated ones
+	en.alloc = &allocator{area: extent{off: 0, len: 12 * a},
+		free: []extent{{off: a, len: a}, {off: 3 * a, len: 3 * a}, {off: 8 * a, len: 2 * a}}}
+	entries := make([]runEntry, 6)
+	for i := range entries {
+		entries[i] = runEntry{key: int64(10 * i), version: 2, size: int(a)}
+	}
+	rs, ok := en.newRuns(1, entries)
+	if !ok {
+		t.Fatal("6 units did not fit 6 free units")
+	}
+	var got [][2]int64 // per run: first key, extent offset in units
+	for _, r := range rs {
+		got = append(got, [2]int64{r.keys[0], r.ext.off / a})
+		if r.level != 1 || r.ext.len != int64(len(r.keys))*a {
+			t.Fatalf("run %+v: want level 1 and one unit per key", r)
+		}
+	}
+	want := [][2]int64{{0, 3}, {30, 8}, {50, 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("runs (first key, unit) = %v, want %v", got, want)
+	}
+	if en.alloc.freeBytes() != 0 {
+		t.Fatalf("%d bytes left free, want 0", en.alloc.freeBytes())
+	}
+
+	for _, r := range rs {
+		en.alloc.release(r.ext)
+	}
+	free := slices.Clone(en.alloc.free)
+	if _, ok := en.newRuns(1, append(entries, runEntry{key: 60, version: 2, size: int(a)})); ok {
+		t.Fatal("7 units fit 6 free units")
+	}
+	if !slices.Equal(en.alloc.free, free) {
+		t.Fatalf("failed newRuns left free list %v, want %v", en.alloc.free, free)
+	}
+}
+
+// TestFailEndsRun: Fail, the path a full run area takes, ends the run in
+// progress with its error instead of a panic, and every later Run returns
+// the same error.
+func TestFailEndsRun(t *testing.T) {
+	e, en := newTestEngine(t, core.StrategyCheckIn, nil)
+	en.Load()
+	errFull := errors.New("run area full")
+	e.Schedule(5*sim.Millisecond, func() { en.Fail(errFull) })
+	spec := core.RunSpec{Threads: 4, TotalQueries: 1_000_000, Mix: workload.WorkloadA}
+	if _, err := en.Run(spec); err != errFull {
+		t.Fatalf("Run returned %v, want %v", err, errFull)
+	}
+	if _, err := en.Run(spec); err != errFull {
+		t.Fatalf("Run after Fail returned %v, want %v", err, errFull)
 	}
 }

@@ -156,6 +156,15 @@ func (a *allocator) utilization() float64 {
 	return 1 - float64(a.freeBytes())/float64(a.area.len)
 }
 
+// largest returns the length of the largest free extent (0 when none).
+func (a *allocator) largest() int64 {
+	var n int64
+	for _, e := range a.free {
+		n = max(n, e.len)
+	}
+	return n
+}
+
 // fits reports whether take(n) would succeed: first fit finds an extent
 // exactly when some free extent holds at least n bytes.
 func (a *allocator) fits(n int64) bool {

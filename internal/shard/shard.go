@@ -439,6 +439,11 @@ func (s *ShardedDB) execute(windows <-chan *window) error {
 		}
 
 		// Phase 4: termination and progress checks.
+		for _, r := range s.shards {
+			if err := r.en.Err(); err != nil {
+				return fmt.Errorf("shard %d: %w", r.id, err)
+			}
+		}
 		if !w.live {
 			idle := true
 			for _, r := range s.shards {

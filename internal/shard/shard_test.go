@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -518,5 +519,28 @@ func TestShardedRunLeavesNoGoroutine(t *testing.T) {
 				return ""
 			})
 		}
+	}
+}
+
+// TestShardedRunEndsOnHostFailure: a shard whose store fails (Base.Fail,
+// the path a full LSM run area takes) ends the sharded run with the
+// store's error instead of spinning windows on a stopped domain.
+func TestShardedRunEndsOnHostFailure(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		withProcs(procs, func() string {
+			cfg := testConfig(2, SchedSync)
+			cfg.Base.Engine = "lsm"
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errFull := errors.New("run area full")
+			r := s.shards[1]
+			r.eng.Schedule(5*sim.Millisecond, func() { r.en.(interface{ Fail(error) }).Fail(errFull) })
+			if _, err := s.Run(); !errors.Is(err, errFull) {
+				t.Fatalf("GOMAXPROCS=%d: Run returned %v, want %v", procs, err, errFull)
+			}
+			return ""
+		})
 	}
 }

@@ -23,7 +23,9 @@ func (c *countHandler) Fire() {
 // once the event heap has grown to workload capacity, scheduling and
 // dispatching events — the closure form (At/Schedule) and the Handler form
 // (AtHandler, which completes a *Future or fires any pointer Handler) — must
-// not allocate, and neither may registering a pointer Handler on a future
+// not allocate, nor may events queued in a delay lane or an explicit lane
+// once the lane's ring has grown, and neither may registering a pointer
+// Handler on a future
 // (OnCompleteHandler, also as a future's second and third waiter) or a
 // semaphore (AcquireAsyncHandler). The nand layer
 // completes every flash operation through AtHandler and the ssd layer drives
@@ -55,6 +57,34 @@ func TestSchedulingAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("steady-state AtHandler/dispatch allocates %.2f/op, want 0", n)
 	}
+
+	// Lanes: per round, 16 timers into a delay lane and 5 in-order events
+	// into an explicit lane, while half a delay's worth of time passes, so
+	// both lanes stay in flight and their heads dispatch against each other.
+	e.DelayLane(10)
+	lane := e.NewLane()
+	var horizon VTime
+	laneRound := func() {
+		for i := 0; i < 16; i++ {
+			e.AtHandler(e.Now()+10, h)
+		}
+		for i := 0; i < 5; i++ {
+			horizon = max(horizon, e.Now()+5) + 1
+			e.AtLane(lane, horizon, h)
+		}
+		e.RunUntil(e.Now() + 5)
+	}
+	for i := 0; i < 4; i++ {
+		laneRound() // grow the rings
+	}
+	if n := testing.AllocsPerRun(100, laneRound); n != 0 {
+		t.Fatalf("steady-state lane push/dispatch allocates %.2f/op, want 0", n)
+	}
+	if e.lanes[1].n == 0 || e.lanes[2].n == 0 || len(e.events) != 0 {
+		t.Fatalf("lanes hold %d and %d events, heap %d: want both lanes in flight, heap empty",
+			e.lanes[1].n, e.lanes[2].n, len(e.events))
+	}
+	e.Run()
 
 	fut := NewFuture(e)
 	if n := testing.AllocsPerRun(100, func() {

@@ -18,6 +18,28 @@
 // the process's stack, and the process switches back when it blocks, so only
 // one of them executes at a time and execution order — and therefore every
 // simulation result — is deterministic.
+//
+// # Event lanes
+//
+// Events dispatch in (at, seq) order: instant first, then the sequence
+// number every scheduling call draws. Most events wait in a 4-ary heap, but
+// those whose instants arrive in order wait in FIFO lanes beside it, where
+// a push and a pop cost O(1):
+//
+//   - the now-lane takes events at the current instant;
+//   - a delay lane (DelayLane(d)) takes every event scheduled exactly d
+//     ahead — Sleep(d), Pace with gap d, AtHandler(Now()+d, ...). The clock
+//     never runs backwards while events are queued, so they arrive in order;
+//   - an explicit lane (NewLane, AtLane) takes the events of one source
+//     that books non-decreasing instants, such as a FIFO resource's
+//     completions.
+//
+// A push earlier than its lane's newest event goes to the heap instead, and
+// InjectCompletion, whose reserved seq is older than queued events, always
+// does. Every container is thus sorted by (at, seq), a strict total order,
+// and RunUntil dispatches the least of the heap head and the lane heads:
+// exactly the sequence a single heap would dispatch. Lanes change what an
+// event costs, never when it runs. Restore empties them.
 package sim
 
 import (
@@ -141,12 +163,48 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-func (h eventHeap) nextAt() (VTime, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].at, true
+// lane is a FIFO of events in (at, seq) order, beside the heap: a ring
+// whose length is a power of two, so a lane that never drains stays
+// O(pending) and a steady state reuses its array. Only events that keep the
+// order are pushed (see Engine.toLane), so the head is the lane's least.
+type lane struct {
+	ring  []event
+	head  int   // ring index of the oldest pending event
+	n     int   // pending events
+	timer bool  // a delay lane: AtHandler sends it events exactly delay ahead
+	delay VTime // the delay a timer lane takes
 }
+
+func (l *lane) push(ev event) {
+	if l.n == len(l.ring) {
+		// full: unroll into a ring twice the size, oldest first
+		ring := make([]event, max(16, 2*len(l.ring)))
+		k := copy(ring, l.ring[l.head:])
+		copy(ring[k:], l.ring[:l.head])
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = ev
+	l.n++
+}
+
+func (l *lane) pop() event {
+	ev := l.ring[l.head]
+	l.ring[l.head] = event{} // release the handler reference for GC
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return ev
+}
+
+// back is the newest pending event; the lane must not be empty.
+func (l *lane) back() *event { return &l.ring[(l.head+l.n-1)&(len(l.ring)-1)] }
+
+func (l *lane) clear() {
+	clear(l.ring)
+	l.head, l.n = 0, 0
+}
+
+// A Lane names one of an engine's explicit event lanes (see NewLane).
+type Lane int
 
 // Engine is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; create one with NewEngine.
@@ -156,17 +214,13 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 
-	// nowq is the fast path for events scheduled at the current instant
-	// (Schedule(0, ...): future-waiter wake-ups, semaphore grants — the
-	// majority of all events). They bypass the heap entirely: entries are
-	// appended in seq order and the clock cannot advance while any are
-	// pending (the dispatcher always prefers the (at, seq)-least event,
-	// and a pending now-event's at equals the clock), so a plain FIFO ring
-	// preserves the exact (at, seq) total order the heap would produce.
-	// nowq[nowqHead:] are the pending entries, oldest first; the backing
-	// array rewinds when the queue drains, so steady state re-uses it.
-	nowq     []event
-	nowqHead int
+	// lanes hold the events whose instants arrive in order, beside the heap
+	// (see the package comment under "Event lanes"). lanes[0] is the
+	// now-lane, the delay-0 timer lane: events scheduled at the current
+	// instant (Schedule(0, ...): future-waiter wake-ups, semaphore grants —
+	// the majority of all events). The rest are the delay lanes of
+	// DelayLane and the explicit lanes of NewLane, in registration order.
+	lanes []lane
 
 	liveProcs int
 	executed  uint64
@@ -197,7 +251,64 @@ type Engine struct {
 const maxVTime = ^VTime(0)
 
 // NewEngine returns an engine with the clock at zero and no pending events.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{lanes: []lane{{timer: true}}} }
+
+// DelayLane gives events scheduled exactly d ahead of the clock (Sleep(d),
+// Pace with gap d, AtHandler(Now()+d, ...)) a lane of their own. The clock
+// never runs backwards while events are queued, so such events arrive in
+// (at, seq) order and each costs O(1) instead of a heap push and pop.
+// Registering a delay twice is a no-op; it changes no dispatch order.
+func (e *Engine) DelayLane(d VTime) {
+	for i := range e.lanes {
+		if e.lanes[i].timer && e.lanes[i].delay == d {
+			return
+		}
+	}
+	e.lanes = append(e.lanes, lane{timer: true, delay: d})
+}
+
+// NewLane registers an explicit lane for AtLane: meant for one source
+// that books its events at non-decreasing instants, such as a FIFO
+// resource's completions. It changes no dispatch order.
+func (e *Engine) NewLane() Lane {
+	e.lanes = append(e.lanes, lane{})
+	return Lane(len(e.lanes) - 1)
+}
+
+// AtLane is AtHandler(t, h) queued in lane l. An event earlier than the
+// lane's newest goes to the heap instead, so the lane stays in order and
+// dispatch is exactly AtHandler's either way.
+func (e *Engine) AtLane(l Lane, t VTime, h Handler) {
+	e.toLane(&e.lanes[l], e.next(t, h))
+}
+
+// next draws the next sequence number for h's event at t. Scheduling in
+// the past panics: it would silently reorder causality.
+func (e *Engine) next(t VTime, h Handler) event {
+	if t < e.now {
+		e.past("scheduling event", t)
+	}
+	e.seq++
+	return event{at: t, seq: e.seq, h: h}
+}
+
+// past panics for an event scheduled before now; kept out of line so that
+// next inlines into every scheduling call.
+//
+//go:noinline
+func (e *Engine) past(what string, t VTime) {
+	panic(fmt.Sprintf("sim: %s at %v, before now %v", what, t, e.now))
+}
+
+// toLane appends ev, whose seq is the newest drawn, to l if that keeps l in
+// (at, seq) order, and pushes it on the heap otherwise.
+func (e *Engine) toLane(l *lane, ev event) {
+	if l.n > 0 && l.back().at > ev.at {
+		e.events.push(ev)
+		return
+	}
+	l.push(ev)
+}
 
 // Now returns the current virtual time.
 func (e *Engine) Now() VTime { return e.now }
@@ -225,26 +336,18 @@ func (e *Engine) At(t VTime, fn func()) {
 // AtHandler fires h at absolute virtual time t; At(t, fn) is
 // AtHandler(t, Func(fn)). Passing a *Future completes it at t. Every form
 // draws from one sequence counter, so same-instant events fire in
-// submission order whatever their kind.
+// submission order whatever their kind. An event exactly a lane's delay
+// ahead (0 included) queues in that timer lane, any other in the heap.
 func (e *Engine) AtHandler(t VTime, h Handler) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v, before now %v", t, e.now))
+	ev := e.next(t, h)
+	d := t - e.now
+	for i := range e.lanes {
+		if l := &e.lanes[i]; l.timer && l.delay == d {
+			e.toLane(l, ev)
+			return
+		}
 	}
-	e.seq++
-	if t == e.now {
-		e.nowPush(event{at: t, seq: e.seq, h: h})
-		return
-	}
-	e.events.push(event{at: t, seq: e.seq, h: h})
-}
-
-func (e *Engine) nowPush(ev event) {
-	if e.nowqHead == len(e.nowq) {
-		// queue is empty: rewind so the backing array is reused
-		e.nowq = e.nowq[:0]
-		e.nowqHead = 0
-	}
-	e.nowq = append(e.nowq, ev)
+	e.events.push(ev)
 }
 
 // ReserveSeq draws the next event sequence number without scheduling
@@ -259,13 +362,13 @@ func (e *Engine) ReserveSeq() uint64 {
 }
 
 // InjectCompletion fires h at (at, seq), where seq was reserved earlier
-// with ReserveSeq. The event always goes through the heap, never the
-// now-queue: its seq predates anything queued at the current instant, and
-// the dispatcher's (at, seq) merge of heap head versus now-queue head
-// already orders it correctly. Injecting into the past panics.
+// with ReserveSeq. The event always goes through the heap, never a lane:
+// its seq predates events already queued, so appending it could break a
+// lane's order, while the dispatcher's (at, seq) merge of the heap head
+// with the lane heads orders it correctly. Injecting into the past panics.
 func (e *Engine) InjectCompletion(at VTime, seq uint64, h Handler) {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: injecting completion at %v, before now %v", at, e.now))
+		e.past("injecting completion", at)
 	}
 	e.events.push(event{at: at, seq: seq, h: h})
 }
@@ -302,33 +405,31 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline VTime) {
 	e.stopped = false
 	for !e.stopped {
-		// Select the (at, seq)-least pending event across the now-queue
-		// and the heap — exactly the order a single heap would dispatch.
-		// A pending now-event sits at the current clock, so a heap event
-		// only precedes it via a smaller seq at the same instant (it was
-		// scheduled earlier, from further in the past).
+		// Select the (at, seq)-least pending event across the heap and
+		// the lane heads — exactly the order a single heap would
+		// dispatch, since each container is in (at, seq) order itself.
+		var head *event
+		var src *lane // nil: the heap
+		if len(e.events) > 0 {
+			head = &e.events[0]
+		}
+		for i := range e.lanes {
+			l := &e.lanes[i]
+			if l.n == 0 {
+				continue
+			}
+			if f := &l.ring[l.head]; head == nil || f.at < head.at || (f.at == head.at && f.seq < head.seq) {
+				head, src = f, l
+			}
+		}
+		if head == nil || head.at > deadline {
+			break
+		}
 		var ev event
-		if e.nowqHead < len(e.nowq) {
-			nf := &e.nowq[e.nowqHead]
-			if at, ok := e.events.nextAt(); ok && (at < nf.at || (at == nf.at && e.events[0].seq < nf.seq)) {
-				if at > deadline {
-					break
-				}
-				ev = e.events.pop()
-			} else {
-				if nf.at > deadline {
-					break
-				}
-				ev = *nf
-				*nf = event{} // release the fn reference for GC
-				e.nowqHead++
-			}
-		} else {
-			at, ok := e.events.nextAt()
-			if !ok || at > deadline {
-				break
-			}
+		if src == nil {
 			ev = e.events.pop()
+		} else {
+			ev = src.pop()
 		}
 		e.now, e.cur = ev.at, ev.seq
 		e.executed++
@@ -347,7 +448,13 @@ func (e *Engine) RunUntil(deadline VTime) {
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) + len(e.nowq) - e.nowqHead }
+func (e *Engine) Pending() int {
+	n := len(e.events)
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
+}
 
 // EngineState is the restorable kernel state: the virtual clock, the event
 // sequence counter (same-time tie-break order) and the executed-event count.
@@ -367,7 +474,7 @@ func (e *Engine) State() EngineState {
 }
 
 // Restore rewinds (or fast-forwards) the engine to a previously captured
-// state, discarding every queued event. The caller owns re-creating whatever
+// state, discarding every queued event, in the heap and in every lane. The caller owns re-creating whatever
 // periodic events belong at the restored instant; because the sequence
 // counter is restored too, re-created events draw the same tie-break numbers
 // they had on the original timeline, keeping same-time ordering identical.
@@ -381,11 +488,9 @@ func (e *Engine) Restore(s EngineState) {
 		e.events[i] = event{} // release handlers for GC
 	}
 	e.events = e.events[:0]
-	for i := range e.nowq {
-		e.nowq[i] = event{}
+	for i := range e.lanes {
+		e.lanes[i].clear() // lanes stay registered
 	}
-	e.nowq = e.nowq[:0]
-	e.nowqHead = 0
 	e.now = s.Now
 	e.seq = s.Seq
 	e.cur = s.Seq

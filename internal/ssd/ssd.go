@@ -189,6 +189,10 @@ type Device struct {
 	queue *sim.Semaphore
 	bus   sim.FIFOResource
 	cpu   sim.FIFOResource
+	// front is the kernel lane of front-end completions: each is booked
+	// at the later of the two horizons above, which never move backwards,
+	// so the lane takes them in order without a heap push.
+	front sim.Lane
 
 	cache *unitCache
 
@@ -216,6 +220,7 @@ func New(eng *sim.Engine, f *ftl.FTL, cfg Config) (*Device, error) {
 		f:     f,
 		cfg:   cfg,
 		queue: sim.NewSemaphore(eng, cfg.QueueDepth),
+		front: eng.NewLane(),
 	}
 	if cfg.CacheBytes > 0 {
 		d.cache = newUnitCache(cfg.CacheBytes / int64(f.UnitSize()))
@@ -370,7 +375,7 @@ func (c *command) Fire() {
 		_, busEnd := d.bus.Reserve(now, d.linkTime(d.cfg.CmdBytes+c.bytes))
 		_, cpuEnd := d.cpu.Reserve(now, d.cfg.CPUPerCommand+c.cpu)
 		c.stage = stageFrontEnd
-		d.eng.AtHandler(max(busEnd, cpuEnd), c)
+		d.eng.AtLane(d.front, max(busEnd, cpuEnd), c)
 	case stageFrontEnd:
 		c.t = now
 		c.stage = stageBackEnd

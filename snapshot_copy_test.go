@@ -35,6 +35,7 @@ var copyAllowed = map[string]struct{ kind, why string }{
 	"ssd.Device.eng":   {"wiring", "the controller's own kernel"},
 	"ssd.Device.f":     {"wiring", "the controller's own FTL, copied as a layer of its own"},
 	"ssd.Device.queue": {"wiring", "command-slot semaphore on the controller's own kernel; the source's must be idle"},
+	"ssd.Device.front": {"wiring", "front-end event lane on the controller's own kernel; Restore empties it"},
 	"ssd.Device.free":  {"scratch", "pool of finished command records"},
 	"ssd.Device.deallocArmed": {"derived",
 		"deallocator tick scheduling: the copy arms a tick on its own kernel"},
