@@ -6,8 +6,10 @@ import (
 	"time"
 
 	checkin "github.com/checkin-kv/checkin"
+	"github.com/checkin-kv/checkin/internal/core"
 	"github.com/checkin-kv/checkin/internal/lsm"
 	"github.com/checkin-kv/checkin/internal/sim"
+	"github.com/checkin-kv/checkin/internal/workload"
 )
 
 // engines lists both host-engine backends; the tests below run every case
@@ -64,7 +66,9 @@ func TestScanClampsAtKeySpaceEnd(t *testing.T) {
 				{0, 0, 1},
 			} {
 				before := db.Device().Stats().HostReadBytes
-				runProc(db, func(p *sim.Proc) { db.Host().Scan(p, c.key, c.n) })
+				runProc(db, func(p *sim.Proc) {
+					core.Apply(db.Host(), p, workload.Op{Kind: workload.OpScan, Key: c.key, ScanLen: c.n})
+				})
 				if got, want := db.Device().Stats().HostReadBytes-before, 512*c.records; got != want {
 					t.Errorf("Scan(%d, %d) read %d bytes, want %d", c.key, c.n, got, want)
 				}
@@ -82,7 +86,7 @@ func TestDeleteJournalsTombstone(t *testing.T) {
 			db := hostTestDB(t, engine)
 			h := db.Host()
 			payload := db.JournalStats().PayloadBytes
-			runProc(db, func(p *sim.Proc) { h.Delete(p, 42) })
+			runProc(db, func(p *sim.Proc) { core.Apply(h, p, workload.Op{Kind: workload.OpDelete, Key: 42}) })
 			if got := db.JournalStats().PayloadBytes - payload; got != 16 {
 				t.Errorf("tombstone logged %d payload bytes, want 16", got)
 			}

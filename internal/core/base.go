@@ -26,13 +26,13 @@ type Log interface {
 // memtable flush — which run one at a time and close the query gate while
 // LockDuringCheckpoint holds. The journal Engine and lsm.Engine embed it,
 // which gives them Device, Sim, Metrics, JournalStats, RemapTotals,
-// SetCommitHook, Sync, Run, Delete and the checkpoint controls of Host.
+// SetCommitHook, Sync, Run, the checkpoint controls of Host and the op
+// stages their op machines share.
 type Base struct {
 	eng *sim.Engine
 	dev *ssd.Device
 	cfg HostConfig
-	// host is the engine embedding the base: Run drives its ops and
-	// Delete goes through its Update.
+	// host is the engine embedding the base: Run drives its op machine.
 	host Host
 	log  Log
 
@@ -55,6 +55,9 @@ type Base struct {
 
 	gateClosed bool
 	gateOpen   *sim.Future
+
+	// parked counts Run's clients that have not finished (see Parked).
+	parked int
 
 	// err, once Fail sets it, ends the run in progress and every later
 	// one.
@@ -95,6 +98,10 @@ func (b *Base) Fail(err error) {
 
 // Err returns the error Fail recorded, or nil.
 func (b *Base) Err() error { return b.err }
+
+// Parked returns the number of Run's closed-loop clients that have not
+// finished. Once a run has returned it is nonzero only if Fail ended it.
+func (b *Base) Parked() int { return b.parked }
 
 // Device exposes the underlying device.
 func (b *Base) Device() *ssd.Device { return b.dev }
@@ -141,48 +148,70 @@ func (b *Base) RunLoad(fill func(p *sim.Proc)) {
 	}
 }
 
-// AdmitWrite admits a write of size payload bytes to key and returns the
-// version it writes. ok is false when the device has degraded to
-// read-only (spare blocks exhausted): the write is refused and counted
-// instead of logging an update that cannot persist, while reads keep being
-// served. If the active log half cannot absorb the record, the write
-// stalls until the running epoch frees the alternate half
-// (back-pressure).
-func (b *Base) AdmitWrite(p *sim.Proc, key int64, size int) (version int64, ok bool) {
-	b.Gate(p)
-	if b.dev.ReadOnly() {
-		b.metrics.RejectedWrites++
-		return 0, false
+// The op stages below are shared by both engines' op machines (see Ops).
+// Each reports whether q parked; the engine's stage then returns, and
+// calls the shared stage again on the wake-up.
+
+// AdmitWrite is the admission stage of a write of q.Size() bytes to
+// q.Op.Key: it passes the gate, then returns the version the write logs.
+// ok is false when the device has degraded to read-only (spare blocks
+// exhausted): the write is refused and counted instead of logging an
+// update that cannot persist, while reads keep being served. If the
+// active log half cannot absorb the record, the write stalls until the
+// running epoch frees the alternate half (back-pressure).
+func (b *Base) AdmitWrite(q *Query) (version int64, ok, parked bool) {
+	if !q.admitting {
+		if b.Gate(q) {
+			return 0, false, true
+		}
+		if b.dev.ReadOnly() {
+			b.metrics.RejectedWrites++
+			return 0, false, false
+		}
+		q.admitting = true
 	}
-	for b.log.WouldOverflow(size) {
-		p.Wait(b.TriggerCheckpoint())
+	for b.log.WouldOverflow(q.Size()) {
+		if q.Wait(b.TriggerCheckpoint()) {
+			return 0, false, true
+		}
 	}
+	q.admitting = false
+	key := q.Op.Key
 	b.version[key]++
-	return b.version[key], true
+	return b.version[key], true, false
 }
 
-// AdmitScan admits a range read of n records from key, clamped to the key
-// space: at least one record, starting no later than the last key.
-func (b *Base) AdmitScan(p *sim.Proc, key int64, n int) (int64, int) {
-	b.Gate(p)
-	if n < 1 {
-		n = 1
+// AdmitScan is the admission stage of a range read: it passes the gate,
+// then clamps q.Op's range to the key space: at least one record, starting
+// no later than the last key.
+func (b *Base) AdmitScan(q *Query) (parked bool) {
+	if b.Gate(q) {
+		return true
 	}
-	if key >= b.cfg.Keys {
-		key = b.cfg.Keys - 1
-	}
-	if key+int64(n) > b.cfg.Keys {
-		n = int(b.cfg.Keys - key)
-	}
-	return key, n
+	op := &q.Op
+	op.ScanLen = max(op.ScanLen, 1)
+	op.Key = min(op.Key, b.cfg.Keys-1)
+	op.ScanLen = int(min(int64(op.ScanLen), b.cfg.Keys-op.Key))
+	return false
 }
 
-// tombstoneBytes is the logged size of a deletion marker.
-const tombstoneBytes = 16
-
-// Delete logs a tombstone for key: deletions ride the same write-ahead and
-// checkpoint paths as updates, with a minimal payload.
-func (b *Base) Delete(p *sim.Proc, key int64) { b.host.Update(p, key, tombstoneBytes) }
+// WaitRelease is the stage that waits for each device command q.Await
+// added, in turn, then hands them all back to the device for reuse.
+func (b *Base) WaitRelease(q *Query) (parked bool) {
+	for q.next < len(q.futs) {
+		f := q.futs[q.next]
+		q.next++
+		if q.Wait(f) {
+			return true
+		}
+	}
+	for _, f := range q.futs {
+		b.dev.Release(f)
+	}
+	clear(q.futs)
+	q.futs, q.next = q.futs[:0], 0
+	return false
+}
 
 // ---------------------------------------------------------------------------
 // checkpoint epochs
@@ -193,11 +222,15 @@ func (b *Base) CheckpointRunning() bool { return b.running }
 // CheckpointEpoch advances at every epoch start and finish.
 func (b *Base) CheckpointEpoch() uint64 { return b.epoch }
 
-// Gate blocks p while query admission is locked (checkpoint locking mode).
-func (b *Base) Gate(p *sim.Proc) {
+// Gate is the stage that holds q while query admission is locked
+// (checkpoint locking mode).
+func (b *Base) Gate(q *Query) (parked bool) {
 	for b.gateClosed {
-		p.Wait(b.gateOpen)
+		if q.Wait(b.gateOpen) {
+			return true
+		}
 	}
+	return false
 }
 
 // TriggerCheckpoint starts an epoch unless one is already running, and
@@ -241,12 +274,15 @@ func (b *Base) TriggerCheckpoint() *sim.Future {
 // CopyBase makes b's version truth, epoch count and remap totals a copy of
 // src's, with idle epochs. b keeps its kernel, device, configuration,
 // host, log and epoch work, and its metrics: Run installs a fresh
-// collector. It fails unless src is quiescent — no epoch running (so no
-// closed query gate) and nothing pending, in flight or being cut in its
-// log — since otherwise live process stacks reference the state and the
-// copy would be unsound. src is only read.
+// collector. It fails unless src is quiescent — no client parked, no
+// epoch running (so no closed query gate) and nothing pending, in flight
+// or being cut in its log — since otherwise parked queries and live
+// process stacks reference the state and the copy would be unsound. src
+// is only read.
 func (b *Base) CopyBase(src *Base) error {
 	switch {
+	case src.parked > 0:
+		return fmt.Errorf("core: snapshot with %d closed-loop clients parked", src.parked)
 	case src.running:
 		return fmt.Errorf("core: snapshot during a %s", src.epochName)
 	case !src.log.Quiet():

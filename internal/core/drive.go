@@ -9,15 +9,6 @@ import (
 	"github.com/checkin-kv/checkin/internal/workload"
 )
 
-// Ops are the query operations of a host engine, called from simulation
-// processes.
-type Ops interface {
-	Get(p *sim.Proc, key int64)
-	Update(p *sim.Proc, key int64, size int)
-	Scan(p *sim.Proc, key int64, n int)
-	Delete(p *sim.Proc, key int64)
-}
-
 // Host is the contract every host engine implements — the journal engine
 // of the paper (this package) and the LSM engine (internal/lsm) — and the
 // only way the closed-loop driver (Base.Run), the sharded open-loop front
@@ -51,6 +42,10 @@ type Host interface {
 	// Err is the error that ended the store's runs (see Base.Fail), or
 	// nil; drivers stepping the kernel themselves check it.
 	Err() error
+	// Parked counts Run's closed-loop clients that have not finished:
+	// outside an event each waits on a kernel event, its start or its
+	// query's wake-up. A fork refuses a store with any.
+	Parked() int
 	// Metrics exposes the last run's live collector.
 	Metrics() *Metrics
 
@@ -67,24 +62,6 @@ type Host interface {
 	// quiescent engine of the same kind and shape; it rejects any other
 	// engine, and only reads src (snapshot-and-fork).
 	CopyFrom(src Host) error
-}
-
-// Apply executes one workload operation against h. A read-modify-write is
-// a Get followed by an Update; an insert is an Update of a fresh key.
-func Apply(h Ops, p *sim.Proc, op workload.Op) {
-	switch op.Kind {
-	case workload.OpRead:
-		h.Get(p, op.Key)
-	case workload.OpUpdate, workload.OpInsert:
-		h.Update(p, op.Key, op.Size)
-	case workload.OpReadModifyWrite:
-		h.Get(p, op.Key)
-		h.Update(p, op.Key, op.Size)
-	case workload.OpScan:
-		h.Scan(p, op.Key, op.ScanLen)
-	case workload.OpDelete:
-		h.Delete(p, op.Key)
-	}
 }
 
 // RunSpec describes one measured workload phase.
@@ -132,14 +109,16 @@ func (rs RunSpec) Validate(keys int64) error {
 }
 
 // Run executes a closed-loop workload to completion and returns its
-// metrics: spec.Threads client processes, an optional timeline sampler and
-// the periodic checkpoint ticker, then a drain of every straggling
-// process. A fresh collector replaces the live one before the run, so
-// epoch processes record into it; the engine may be Run multiple times and
-// the metrics cover only the last run. Both engines run workloads through
-// this one driver, so they measure identically.
+// metrics: spec.Threads clients, an optional timeline sampler and the
+// periodic checkpoint ticker, then a drain of every straggling epoch. Each
+// client is a kernel handler driving its Query through the host's op
+// machine, issuing queries back to back. A fresh collector replaces the
+// live one before the run, so epoch processes record into it; the engine
+// may be Run multiple times and the metrics cover only the last run. Both
+// engines run workloads through this one driver, so they measure
+// identically.
 func (b *Base) Run(spec RunSpec) (*Metrics, error) {
-	h, eng, dev, cfg := b.host, b.eng, b.dev, b.cfg
+	eng, dev, cfg := b.eng, b.dev, b.cfg
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -155,53 +134,31 @@ func (b *Base) Run(spec RunSpec) (*Metrics, error) {
 		dist = workload.NewZipfian(cfg.Keys, workload.DefaultTheta)
 	}
 
+	r := &clientRun{b: b, m: m, remaining: spec.TotalQueries}
 	// Under trace replay all clients pull from one shared replayer — the
 	// single-worker simulation makes this race-free and deterministic.
-	var replay *workload.Replayer
 	if spec.Trace != nil {
-		replay = workload.NewReplayer(spec.Trace)
+		r.replay = workload.NewReplayer(spec.Trace)
 		if n := int64(len(spec.Trace.Ops)); spec.TotalQueries > n {
-			spec.TotalQueries = n
+			r.remaining = n
 		}
 	}
 
-	remaining := spec.TotalQueries
-	clientsLeft := spec.Threads
-	runDone := false
-	var endTime sim.VTime
-
 	rng := sim.NewRNG(cfg.Seed)
-	for t := 0; t < spec.Threads; t++ {
+	clients := make([]client, spec.Threads)
+	for t := range clients {
 		mix := spec.Mix
-		if replay != nil {
+		if r.replay != nil {
 			mix = workload.WorkloadA // unused under replay, must validate
 		}
-		name := fmt.Sprintf("client-%d", t)
-		gen, err := workload.NewGenerator(dist, cfg.Sizer, mix, rng.Split(name))
+		gen, err := workload.NewGenerator(dist, cfg.Sizer, mix, rng.Split(fmt.Sprintf("client-%d", t)))
 		if err != nil {
 			return nil, err
 		}
-		eng.Go(name, func(p *sim.Proc) {
-			for remaining > 0 {
-				remaining--
-				var op workload.Op
-				if replay != nil {
-					op = replay.Next()
-				} else {
-					op = gen.Next()
-				}
-				start := p.Now()
-				epoch0 := b.epoch
-				Apply(h, p, op)
-				during := b.running || b.epoch != epoch0
-				m.NoteQuery(op, p.Now()-start, during)
-			}
-			clientsLeft--
-			if clientsLeft == 0 {
-				endTime = p.Now()
-				runDone = true
-			}
-		})
+		c := &clients[t]
+		c.run, c.gen = r, gen
+		b.parked++
+		eng.AtHandler(eng.Now(), c)
 	}
 
 	// timeline sampler
@@ -211,7 +168,7 @@ func (b *Base) Run(spec RunSpec) (*Metrics, error) {
 		start := eng.Now()
 		var sample func()
 		sample = func() {
-			if runDone {
+			if r.done {
 				return
 			}
 			now := eng.Now()
@@ -233,7 +190,7 @@ func (b *Base) Run(spec RunSpec) (*Metrics, error) {
 	// periodic checkpoint scheduler (event-based: no leaked process)
 	var tick func()
 	tick = func() {
-		if runDone {
+		if r.done {
 			return
 		}
 		if !b.running {
@@ -243,18 +200,77 @@ func (b *Base) Run(spec RunSpec) (*Metrics, error) {
 	}
 	eng.Schedule(cfg.CheckpointInterval, tick)
 
-	for !runDone && b.err == nil {
+	for !r.done && b.err == nil {
 		eng.RunUntil(eng.Now() + 50*sim.Millisecond)
 	}
-	// Drain the in-flight checkpoint and any straggling processes. A
+	// Drain the in-flight checkpoint and any straggling epoch. A
 	// checkpoint (or LSM flush or compaction) is in progress only while
-	// its own process is live, so the process count covers all of them.
-	for guard := 0; eng.LiveProcs() > 0 && b.err == nil && guard < 1_000_000; guard++ {
+	// its own process is live, so the process count covers all of them;
+	// the parked-client count is zero once the clients are done, and
+	// stays above zero only when Fail ended the run.
+	for guard := 0; eng.LiveProcs()+b.parked > 0 && b.err == nil && guard < 1_000_000; guard++ {
 		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
 	}
 	if b.err != nil {
 		return nil, b.err
 	}
-	m.EndWindow(dev, b.JournalStats(), endTime)
+	m.EndWindow(dev, b.JournalStats(), r.end)
 	return m, nil
+}
+
+// clientRun is the state Run's clients share.
+type clientRun struct {
+	b         *Base
+	m         *Metrics
+	replay    *workload.Replayer
+	remaining int64
+	// done is set, and end taken, when the last client finishes.
+	done bool
+	end  sim.VTime
+}
+
+// client is one closed-loop client of Run: the kernel fires it to start
+// and at every wake-up of its query, and it runs queries back to back,
+// recording each, until the run's budget is spent.
+type client struct {
+	Query
+	run *clientRun
+	gen *workload.Generator
+	// busy is set while a query is in flight, started at start with the
+	// epoch counter at epoch0.
+	busy   bool
+	start  sim.VTime
+	epoch0 uint64
+}
+
+// Fire resumes the client's query, then starts the next one, until a query
+// parks or the budget is spent.
+func (c *client) Fire() {
+	r := c.run
+	b := r.b
+	for {
+		if c.busy {
+			if !c.step(b.host) {
+				c.park(b.eng, c)
+				return
+			}
+			c.busy = false
+			during := b.running || b.epoch != c.epoch0
+			r.m.NoteQuery(c.Op, b.eng.Now()-c.start, during)
+		}
+		if r.remaining == 0 {
+			if b.parked--; b.parked == 0 {
+				r.end = b.eng.Now()
+				r.done = true
+			}
+			return
+		}
+		r.remaining--
+		if r.replay != nil {
+			c.begin(r.replay.Next())
+		} else {
+			c.begin(c.gen.Next())
+		}
+		c.busy, c.start, c.epoch0 = true, b.eng.Now(), b.epoch
+	}
 }

@@ -188,71 +188,105 @@ func (en *Engine) Load() {
 }
 
 // ---------------------------------------------------------------------------
-// query paths (called from client processes)
+// query paths (the op machine; see Ops)
 
 // Get executes a read query: the newest version lives either in the active
 // journal, in the journal half being checkpointed, or in the data area.
-func (en *Engine) Get(p *sim.Proc, key int64) {
-	en.Gate(p)
-	// Entry objects are recycled once their table's checkpoint retires it,
-	// so a laid-out log's placement (final from then on) is read before the
-	// process yields.
-	if e := en.jr.JMT().Latest(key); e != nil {
-		if !e.committed {
-			// still in the engine's memory buffer: no device access
-			return
+func (en *Engine) Get(q *Query) bool {
+	switch q.Stage {
+	case 0:
+		if en.Gate(q) {
+			return false
 		}
-		waitRelease(p, en.dev, en.dev.ReadAfter(HostIOOverhead, e.off, int64(e.payload)))
-		return
-	}
-	if en.ckptSnapshot != nil {
-		if e := en.ckptSnapshot.Latest(key); e != nil {
-			off, n, laidOut := e.off, int64(e.payload), e.stored > 0
-			p.Sleep(HostIOOverhead)
-			if !laidOut {
-				// The cut is still laying this log out; the read takes
-				// wherever it landed. Its table cannot retire before the
-				// checkpoint's own host overhead and device commands have
-				// run, which outlasts this sleep.
-				off = e.off
+		key := q.Op.Key
+		// Entry objects are recycled once their table's checkpoint retires
+		// it, so a laid-out log's placement (final from then on) is read
+		// before the query parks.
+		if e := en.jr.JMT().Latest(key); e != nil {
+			if !e.committed {
+				// still in the engine's memory buffer: no device access
+				return true
 			}
-			waitRelease(p, en.dev, en.dev.Read(off, n))
-			return
+			q.Await(en.dev.ReadAfter(HostIOOverhead, e.off, int64(e.payload)))
+			return en.readDone(q)
 		}
+		if en.ckptSnapshot != nil {
+			if e := en.ckptSnapshot.Latest(key); e != nil {
+				q.off, q.n = e.off, int64(e.payload)
+				if e.stored == 0 {
+					// The cut is still laying this log out; the read
+					// takes wherever it landed. Its table cannot retire
+					// before the checkpoint's own host overhead and
+					// device commands have run, which outlasts this sleep.
+					q.entry = e
+				}
+				q.Stage = 1
+				return !q.Sleep(HostIOOverhead)
+			}
+		}
+		off, size := en.layout.Record(key)
+		q.Await(en.dev.ReadAfter(HostIOOverhead, off, int64(size)))
+		return en.readDone(q)
+	case 1:
+		if q.entry != nil {
+			q.off, q.entry = q.entry.off, nil
+		}
+		q.Await(en.dev.Read(q.off, q.n))
+		return en.readDone(q)
 	}
-	off, size := en.layout.Record(key)
-	waitRelease(p, en.dev, en.dev.ReadAfter(HostIOOverhead, off, int64(size)))
+	return !en.WaitRelease(q)
+}
+
+// readDone moves q to the stage that waits for its reads, and reports
+// whether they have completed.
+func (en *Engine) readDone(q *Query) bool {
+	q.Stage = 2
+	return !en.WaitRelease(q)
 }
 
 // Update executes a write query: journal the new version (write-ahead) and
 // wait for its group commit.
-func (en *Engine) Update(p *sim.Proc, key int64, size int) {
-	v, ok := en.AdmitWrite(p, key, size)
-	if !ok {
-		return
+func (en *Engine) Update(q *Query) bool {
+	if q.Stage != 0 {
+		return true // woken by the commit
 	}
-	_, commit := en.jr.Append(key, v, size)
+	v, ok, parked := en.AdmitWrite(q)
+	if parked || !ok {
+		return !parked
+	}
+	_, commit := en.jr.Append(q.Op.Key, v, q.Size())
 	if en.jr.UsedFrac() > en.cfg.JournalSoftFrac && !en.running {
 		en.TriggerCheckpoint()
 	}
-	p.Wait(commit)
+	q.Stage = 1
+	return !q.Wait(commit)
 }
 
-// Scan executes a range read of n consecutive records starting at key
-// (YCSB-E). The data-area portion is one sequential device read; records
-// whose newest version still lives in the journal are read individually.
-func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
-	key, n = en.AdmitScan(p, key, n)
-	startOff, _ := en.layout.Record(key)
-	lastOff, lastSize := en.layout.Record(key + int64(n) - 1)
-	p.Sleep(HostIOOverhead)
-	futs := []*sim.Future{en.dev.Read(startOff, lastOff+int64(lastSize)-startOff)}
-	for k := key; k < key+int64(n); k++ {
-		if e := en.jr.JMT().Latest(k); e != nil && e.committed {
-			futs = append(futs, en.dev.Read(e.off, int64(e.payload)))
+// Scan executes a range read of q.Op.ScanLen consecutive records starting
+// at q.Op.Key (YCSB-E). The data-area portion is one sequential device
+// read; records whose newest version still lives in the journal are read
+// individually.
+func (en *Engine) Scan(q *Query) bool {
+	switch q.Stage {
+	case 0:
+		if en.AdmitScan(q) {
+			return false
 		}
+		q.Stage = 1
+		return !q.Sleep(HostIOOverhead)
+	case 1:
+		key, n := q.Op.Key, int64(q.Op.ScanLen)
+		startOff, _ := en.layout.Record(key)
+		lastOff, lastSize := en.layout.Record(key + n - 1)
+		q.Await(en.dev.Read(startOff, lastOff+int64(lastSize)-startOff))
+		for k := key; k < key+n; k++ {
+			if e := en.jr.JMT().Latest(k); e != nil && e.committed {
+				q.Await(en.dev.Read(e.off, int64(e.payload)))
+			}
+		}
+		return en.readDone(q)
 	}
-	waitRelease(p, en.dev, futs...)
+	return !en.WaitRelease(q)
 }
 
 // ---------------------------------------------------------------------------

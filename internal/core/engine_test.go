@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/checkin-kv/checkin/internal/sim"
@@ -60,8 +61,8 @@ func TestUpdateThenGetUsesJournal(t *testing.T) {
 	e, en := newTestEngine(t, StrategyCheckIn, nil)
 	en.Load()
 	runProc(e, func(p *sim.Proc) {
-		en.Update(p, 7, 512)
-		en.Get(p, 7)
+		update(en, p, 7, 512)
+		get(en, p, 7)
 	})
 	if en.version[7] != 2 || en.jr.durable[7] != 2 {
 		t.Errorf("versions = %d/%d, want 2/2", en.version[7], en.jr.durable[7])
@@ -79,9 +80,9 @@ func TestCheckpointAppliesVersions(t *testing.T) {
 			en.Load()
 			runProc(e, func(p *sim.Proc) {
 				for i := int64(0); i < 50; i++ {
-					en.Update(p, i, 512)
+					update(en, p, i, 512)
 				}
-				en.Update(p, 3, 512) // second version for key 3
+				update(en, p, 3, 512) // second version for key 3
 				fut := en.TriggerCheckpoint()
 				p.Wait(fut)
 			})
@@ -122,7 +123,7 @@ func TestCheckpointByStrategyFlashBehavior(t *testing.T) {
 		preCkpt := en.dev.FTL().Stats()
 		runProc(e, func(p *sim.Proc) {
 			for i := int64(0); i < 200; i++ {
-				en.Update(p, i, 512)
+				update(en, p, i, 512)
 			}
 			p.Wait(en.TriggerCheckpoint())
 		})
@@ -143,7 +144,7 @@ func TestCheckInRemapSharing(t *testing.T) {
 	en.Load()
 	runProc(e, func(p *sim.Proc) {
 		for i := int64(0); i < 100; i++ {
-			en.Update(p, i, 512)
+			update(en, p, i, 512)
 		}
 		p.Wait(en.TriggerCheckpoint())
 	})
@@ -161,7 +162,7 @@ func TestISCCUnalignedRemapRMWs(t *testing.T) {
 	en.Load()
 	runProc(e, func(p *sim.Proc) {
 		for i := int64(0); i < 100; i++ {
-			en.Update(p, i, 512)
+			update(en, p, i, 512)
 		}
 		p.Wait(en.TriggerCheckpoint())
 	})
@@ -306,7 +307,7 @@ func TestRecoveryMidCheckpoint(t *testing.T) {
 	triggered := false
 	runProc(e, func(p *sim.Proc) {
 		for i := int64(0); i < 300; i++ {
-			en.Update(p, i%50, 512)
+			update(en, p, i%50, 512)
 		}
 		en.TriggerCheckpoint()
 		triggered = true
@@ -515,5 +516,29 @@ func TestDeleteMixInWorkload(t *testing.T) {
 	wf := float64(m.WriteQueries) / float64(m.Queries)
 	if wf < 0.45 || wf > 0.55 {
 		t.Errorf("write (update+delete) fraction %.2f, want ~0.5", wf)
+	}
+}
+
+// TestFailLeavesClientsParked: a run that Fail ends leaves its clients
+// parked mid-query; Parked counts them and a copy (the engine half of a
+// snapshot fork) refuses the store with an error naming them.
+func TestFailLeavesClientsParked(t *testing.T) {
+	e, en := newTestEngine(t, StrategyCheckIn, nil)
+	en.Load()
+	errStop := fmt.Errorf("stopped")
+	e.Schedule(5*sim.Millisecond, func() { en.Fail(errStop) })
+	spec := RunSpec{Threads: 4, TotalQueries: 1_000_000, Mix: workload.WorkloadA}
+	if _, err := en.Run(spec); err != errStop {
+		t.Fatalf("Run returned %v, want %v", err, errStop)
+	}
+	if en.Parked() != spec.Threads {
+		t.Fatalf("%d clients parked after Fail, want %d", en.Parked(), spec.Threads)
+	}
+	c, err := NewEngine(e, en.Device(), en.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CopyFrom(en); err == nil || !strings.Contains(err.Error(), "parked") {
+		t.Fatalf("copy of a store with parked clients: err %v, want a refusal naming them", err)
 	}
 }

@@ -69,9 +69,11 @@ type GroupCommit[R LogRecord] struct {
 	log *[]R
 	// pendBytes upper-bounds the bytes the pending batch will need once
 	// laid out.
-	pendFrom       int
-	pendBytes      int64
-	nextBatch      *sim.Future
+	pendFrom  int
+	pendBytes int64
+	nextBatch *sim.Future
+	// spare is a completed batch future, kept for the next batch.
+	spare          *sim.Future
 	commitInFlight bool
 	inFlightDone   *sim.Future
 	// The batch being written: its records, laid-out length and device
@@ -149,12 +151,23 @@ func (g *GroupCommit[R]) pending() []R {
 // Queue accounts a record of payload bytes the engine has just appended to
 // its log, and returns a future completing when the record's group commit
 // is durable. The engine then calls StartCommit.
+//
+// The future belongs to the log: a holder may wait on it or register a
+// handler until it completes, and must not touch it after its wake-up,
+// since the log then resets it with Future.Init as a later batch's future.
 func (g *GroupCommit[R]) Queue(payload int) *sim.Future {
 	g.pendBytes += g.format.Reserve(payload)
 	g.stats.Logs++
 	g.stats.PayloadBytes += uint64(payload)
 	if g.nextBatch == nil {
-		g.nextBatch = sim.NewFuture(g.eng)
+		if f := g.spare; f != nil {
+			g.spare = nil
+			*f = sim.Future{}
+			f.Init(g.eng)
+			g.nextBatch = f
+		} else {
+			g.nextBatch = sim.NewFuture(g.eng)
+		}
 	}
 	return g.nextBatch
 }
@@ -225,6 +238,7 @@ func (g *GroupCommit[R]) flushed() {
 	g.commitInFlight = false
 	g.inFlightDone = nil
 	fut.Complete()
+	g.spare = fut
 	g.StartCommit()
 }
 
@@ -287,12 +301,12 @@ func (g *GroupCommit[R]) Quiet() bool {
 
 // CopyFrom makes g's placement, counters and durable versions a copy of
 // src's, over log, g's own copy of the active half's records. g keeps its
-// kernel, device, format, configuration and commit hook. src must be
-// Quiet, so nothing is pending or in flight; it is only read.
+// kernel, device, format, configuration, commit hook and spare future. src
+// must be Quiet, so nothing is pending or in flight; it is only read.
 func (g *GroupCommit[R]) CopyFrom(src *GroupCommit[R], log *[]R) {
 	own := *g
 	*g = *src
 	g.eng, g.dev, g.format, g.cfg, g.onCommit = own.eng, own.dev, own.format, own.cfg, own.onCommit
-	g.log = log
+	g.log, g.spare = log, own.spare
 	g.durable = append(own.durable[:0], src.durable...)
 }

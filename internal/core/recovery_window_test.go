@@ -35,7 +35,7 @@ func TestCheckpointCutSnapshotVisibility(t *testing.T) {
 		w := w
 		e.Go("writer", func(p *sim.Proc) {
 			for i := int64(0); i < 200; i++ {
-				en.Update(p, (int64(w)*200+i)%en.cfg.Keys, 512)
+				update(en, p, (int64(w)*200+i)%en.cfg.Keys, 512)
 			}
 		})
 	}

@@ -343,30 +343,41 @@ func (en *Engine) writeRunSequential(p *sim.Proc, r *run, area ssd.Area) {
 }
 
 // ---------------------------------------------------------------------------
-// query paths (called from client processes)
+// query paths (the op machine; see core.Ops)
 
 // Get executes a read: active memtable, then the sealed (flushing)
 // memtable — both host memory — then runs newest-first. The host-resident
 // run index knows which run holds the key, so exactly one device read is
 // charged for an on-flash hit.
-func (en *Engine) Get(p *sim.Proc, key int64) {
-	en.Gate(p)
-	if _, ok := en.mem[key]; ok {
-		return
-	}
-	if en.imm != nil {
-		if _, ok := en.imm[key]; ok {
-			return
+func (en *Engine) Get(q *core.Query) bool {
+	if q.Stage == 0 {
+		if en.Gate(q) {
+			return false
 		}
-	}
-	if r, i := en.findNewest(key); r != nil {
+		key := q.Op.Key
+		if en.inMemory(key) {
+			return true
+		}
+		r, i := en.findNewest(key)
+		if r == nil {
+			return true
+		}
 		// A run's offsets are fixed when it is planned, so reading them
 		// before the host overhead elapses reads what after would.
-		dev := en.Device()
-		f := dev.ReadAfter(core.HostIOOverhead, r.offs[i], int64(r.sizes[i]))
-		p.Wait(f)
-		dev.Release(f)
+		q.Await(en.Device().ReadAfter(core.HostIOOverhead, r.offs[i], int64(r.sizes[i])))
+		q.Stage = 1
 	}
+	return !en.WaitRelease(q)
+}
+
+// inMemory reports whether key's newest version is in the active or the
+// sealed memtable.
+func (en *Engine) inMemory(key int64) bool {
+	if _, ok := en.mem[key]; ok {
+		return true
+	}
+	_, ok := en.imm[key]
+	return ok
 }
 
 // findNewest locates the newest on-flash version of key: level 0 runs in
@@ -386,11 +397,15 @@ func (en *Engine) findNewest(key int64) (*run, int) {
 
 // Update executes a write: log to the WAL (write-ahead), install in the
 // memtable, and wait for the group commit.
-func (en *Engine) Update(p *sim.Proc, key int64, size int) {
-	v, ok := en.AdmitWrite(p, key, size)
-	if !ok {
-		return
+func (en *Engine) Update(q *core.Query) bool {
+	if q.Stage != 0 {
+		return true // woken by the commit
 	}
+	v, ok, parked := en.AdmitWrite(q)
+	if parked || !ok {
+		return !parked
+	}
+	key, size := q.Op.Key, q.Size()
 	en.walSeq++
 	rec := en.newRec()
 	*rec = walRec{seq: en.walSeq, key: key, version: v, payload: size}
@@ -404,7 +419,8 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 		(len(en.mem) >= en.memLimit || en.w.UsedFrac() > en.cfg.JournalSoftFrac) {
 		en.TriggerCheckpoint()
 	}
-	p.Wait(commit)
+	q.Stage = 1
+	return !q.Wait(commit)
 }
 
 // recSlabLen is how many WAL records one slab allocation holds.
@@ -422,40 +438,44 @@ func (en *Engine) newRec() *walRec {
 	return rec
 }
 
-// Scan executes a range read of n consecutive records starting at key: one
-// sequential read over the range in each bottom run (one, unless a
-// compaction had to split its output), plus individual reads for keys whose
-// newest version lives in an upper run (memtable hits are host memory).
-func (en *Engine) Scan(p *sim.Proc, key int64, n int) {
-	key, n = en.AdmitScan(p, key, n)
-	var futs []*sim.Future
-	p.Sleep(core.HostIOOverhead)
-	for _, base := range en.levels[baseLevel] {
-		// [i, j]: the run's keys inside [key, key+n)
-		i, _ := base.find(key)
-		j, ok := base.find(key + int64(n) - 1)
-		if !ok {
-			j--
+// Scan executes a range read of q.Op.ScanLen consecutive records starting
+// at q.Op.Key: one sequential read over the range in each bottom run (one,
+// unless a compaction had to split its output), plus individual reads for
+// keys whose newest version lives in an upper run (memtable hits are host
+// memory).
+func (en *Engine) Scan(q *core.Query) bool {
+	switch q.Stage {
+	case 0:
+		if en.AdmitScan(q) {
+			return false
 		}
-		if i <= j {
-			futs = append(futs, en.Device().Read(base.offs[i],
-				base.offs[j]+int64(base.sizes[j])-base.offs[i]))
-		}
-	}
-	for k := key; k < key+int64(n); k++ {
-		if _, ok := en.mem[k]; ok {
-			continue
-		}
-		if en.imm != nil {
-			if _, ok := en.imm[k]; ok {
-				continue
+		q.Stage = 1
+		return !q.Sleep(core.HostIOOverhead)
+	case 1:
+		key, n := q.Op.Key, int64(q.Op.ScanLen)
+		for _, base := range en.levels[baseLevel] {
+			// [i, j]: the run's keys inside [key, key+n)
+			i, _ := base.find(key)
+			j, ok := base.find(key + n - 1)
+			if !ok {
+				j--
+			}
+			if i <= j {
+				q.Await(en.Device().Read(base.offs[i],
+					base.offs[j]+int64(base.sizes[j])-base.offs[i]))
 			}
 		}
-		if r, i := en.findNewest(k); r != nil && r.level < baseLevel {
-			futs = append(futs, en.Device().Read(r.offs[i], int64(r.sizes[i])))
+		for k := key; k < key+n; k++ {
+			if en.inMemory(k) {
+				continue
+			}
+			if r, i := en.findNewest(k); r != nil && r.level < baseLevel {
+				q.Await(en.Device().Read(r.offs[i], int64(r.sizes[i])))
+			}
 		}
+		q.Stage = 2
 	}
-	p.WaitAll(futs)
+	return !en.WaitRelease(q)
 }
 
 // ---------------------------------------------------------------------------

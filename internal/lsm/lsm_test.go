@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/checkin-kv/checkin/internal/core"
@@ -138,9 +139,9 @@ func TestFlushAppliesVersionsAllStrategies(t *testing.T) {
 			en.Load()
 			runProc(e, func(p *sim.Proc) {
 				for i := int64(0); i < 50; i++ {
-					en.Update(p, i, 512)
+					update(en, p, i, 512)
 				}
-				en.Update(p, 3, 512) // second post-load version for key 3
+				update(en, p, 3, 512) // second post-load version for key 3
 				p.Wait(en.TriggerCheckpoint())
 			})
 			if en.CheckpointRunning() {
@@ -171,7 +172,7 @@ func TestUncommittedTailIsNotRecovered(t *testing.T) {
 	e, en := newTestEngine(t, core.StrategyCheckIn, nil)
 	en.Load()
 	runProc(e, func(p *sim.Proc) {
-		en.Update(p, 7, 512)
+		update(en, p, 7, 512)
 		en.Sync(p)
 	})
 	// committed but unflushed: replayed from the WAL
@@ -202,7 +203,7 @@ func TestCompactionFoldsLevelZero(t *testing.T) {
 				// five flush epochs -> level 0 crosses the fan-in of 4
 				for epoch := int64(0); epoch < 5; epoch++ {
 					for i := int64(0); i < 100; i++ {
-						en.Update(p, (epoch*37+i)%500, 512)
+						update(en, p, (epoch*37+i)%500, 512)
 					}
 					p.Wait(en.TriggerCheckpoint())
 				}
@@ -238,7 +239,7 @@ func TestWALBackpressureTriggersFlush(t *testing.T) {
 	en.Load()
 	runProc(e, func(p *sim.Proc) {
 		for i := int64(0); i < 1200; i++ {
-			en.Update(p, i%300, 512)
+			update(en, p, i%300, 512)
 		}
 	})
 	if en.st.Flushes == 0 {
@@ -264,11 +265,11 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	en.Load()
 	runProc(e, func(p *sim.Proc) {
 		for i := int64(0); i < 80; i++ {
-			en.Update(p, i, 512)
+			update(en, p, i, 512)
 		}
 		p.Wait(en.TriggerCheckpoint())
 		for i := int64(40); i < 60; i++ {
-			en.Update(p, i, 512)
+			update(en, p, i, 512)
 		}
 		en.Sync(p)
 	})
@@ -281,7 +282,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	// mutate, then restore and compare
 	runProc(e, func(p *sim.Proc) {
 		for i := int64(0); i < 30; i++ {
-			en.Update(p, i+100, 512)
+			update(en, p, i+100, 512)
 		}
 		p.Wait(en.TriggerCheckpoint())
 	})
@@ -305,7 +306,7 @@ func TestSnapshotRefusesMidFlush(t *testing.T) {
 	snapErr := error(nil)
 	runProc(e, func(p *sim.Proc) {
 		for i := int64(0); i < 50; i++ {
-			en.Update(p, i, 512)
+			update(en, p, i, 512)
 		}
 		fut := en.TriggerCheckpoint()
 		_, snapErr = copyEngine(en)
@@ -417,7 +418,7 @@ func TestSnapshotRejectsUnlinkedMemtableCell(t *testing.T) {
 	en.Load()
 	runProc(e, func(p *sim.Proc) {
 		for i := int64(0); i < 20; i++ {
-			en.Update(p, i, 512)
+			update(en, p, i, 512)
 		}
 		en.Sync(p)
 	})
@@ -485,7 +486,8 @@ func TestNewRunsSplitsOverFreeExtents(t *testing.T) {
 
 // TestFailEndsRun: Fail, the path a full run area takes, ends the run in
 // progress with its error instead of a panic, and every later Run returns
-// the same error.
+// the same error. The clients it stopped stay parked mid-query, so a fork
+// refuses the store.
 func TestFailEndsRun(t *testing.T) {
 	e, en := newTestEngine(t, core.StrategyCheckIn, nil)
 	en.Load()
@@ -498,4 +500,15 @@ func TestFailEndsRun(t *testing.T) {
 	if _, err := en.Run(spec); err != errFull {
 		t.Fatalf("Run after Fail returned %v, want %v", err, errFull)
 	}
+	if en.Parked() != spec.Threads {
+		t.Fatalf("%d clients parked after Fail, want %d", en.Parked(), spec.Threads)
+	}
+	if _, err := copyEngine(en); err == nil || !strings.Contains(err.Error(), "parked") {
+		t.Fatalf("copy of a store with parked clients: err %v, want a refusal naming them", err)
+	}
+}
+
+// update runs one Update of key through core.Apply from p.
+func update(h core.Ops, p *sim.Proc, key int64, size int) {
+	core.Apply(h, p, workload.Op{Kind: workload.OpUpdate, Key: key, Size: size})
 }

@@ -9,10 +9,14 @@
 // Two styles of simulated activity are supported:
 //
 //   - Callback events: Engine.Schedule(delay, fn) runs fn at a future virtual
-//     time. Cheap; used for I/O completions and timers.
+//     time, and AtHandler fires any Handler. Cheap; used for I/O completions,
+//     timers and the closed-loop clients (a YCSB thread issuing queries
+//     back-to-back), each a Handler that resumes its query's state machine
+//     when a timer or a Future fires it.
 //   - Processes: Engine.Go starts a cooperative process (Proc) that may Sleep
-//     and Wait on Futures. Processes express closed-loop clients (a YCSB
-//     thread issuing queries back-to-back) as straight-line code.
+//     and Wait on Futures. Processes express long multi-step work as
+//     straight-line code: the load phase, checkpoint, memtable-flush and
+//     compaction epochs, and the drivers of tests and verification harnesses.
 //
 // Each process is a coroutine: the event that wakes it switches directly to
 // the process's stack, and the process switches back when it blocks, so only

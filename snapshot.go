@@ -52,8 +52,8 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	if db.eng.Now() != db.restPoint.Now || db.eng.Executed() != db.restPoint.Executed {
 		return nil, fmt.Errorf("checkin: snapshot after the simulation moved past Load's rest point")
 	}
-	if n := db.eng.LiveProcs(); n != 0 {
-		return nil, fmt.Errorf("checkin: snapshot with %d live simulated processes", n)
+	if n := db.eng.LiveProcs() + db.host.Parked(); n != 0 {
+		return nil, fmt.Errorf("checkin: snapshot with %d live simulated processes or parked clients", n)
 	}
 	lfp, ok := LoadFingerprint(db.cfg)
 	if !ok {

@@ -59,6 +59,7 @@ var copyAllowed = map[string]struct{ kind, why string }{
 	"core.GroupCommit.dev":      {"wiring", "the log's own device"},
 	"core.GroupCommit.format":   {"wiring", "record layout, set by the engine's own strategy"},
 	"core.GroupCommit.onCommit": {"wiring", "the owner's commit hook"},
+	"core.GroupCommit.spare":    {"scratch", "a completed batch future kept for the next batch"},
 
 	"core.Engine.cfg":    {"wiring", "the engine's own configuration; run-phase fields may differ from the source's"},
 	"core.journal.spare": {"scratch", "a retired JMT kept for reuse by the next cut"},
