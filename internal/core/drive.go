@@ -250,8 +250,7 @@ func (c *client) Fire() {
 	b := r.b
 	for {
 		if c.busy {
-			if !c.step(b.host) {
-				c.park(b.eng, c)
+			if !c.Resume(b.host, b.eng, c) {
 				return
 			}
 			c.busy = false
@@ -267,9 +266,9 @@ func (c *client) Fire() {
 		}
 		r.remaining--
 		if r.replay != nil {
-			c.begin(r.replay.Next())
+			c.Begin(r.replay.Next())
 		} else {
-			c.begin(c.gen.Next())
+			c.Begin(c.gen.Next())
 		}
 		c.busy, c.start, c.epoch0 = true, b.eng.Now(), b.epoch
 	}

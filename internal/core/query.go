@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/workload"
 )
@@ -29,10 +27,11 @@ const tombstoneBytes = 16
 
 // Query is one query in flight through an engine's op machine (Ops): the
 // operation, where the machine resumes, the park it waits in, and the
-// scratch its stages carry across parks. Base.Run's closed-loop clients
-// each own one and are woken as kernel handlers; Apply drives one from a
-// simulated process. Both park exactly where a process calling Proc.Wait
-// and Proc.Sleep would, so the two drivers dispatch the same events.
+// scratch its stages carry across parks. Base.Run's closed-loop clients and
+// the shard workers each own one, are woken as kernel handlers and drive it
+// through Resume; Apply drives one from a simulated process. Both park
+// exactly where a process calling Proc.Wait and Proc.Sleep would, so the
+// two styles dispatch the same events.
 type Query struct {
 	// Op is the operation in flight. AdmitScan clamps its scan range.
 	Op workload.Op
@@ -62,8 +61,8 @@ type Query struct {
 	n     int64
 }
 
-// begin readies q for op.
-func (q *Query) begin(op workload.Op) {
+// Begin readies q for op.
+func (q *Query) Begin(op workload.Op) {
 	q.Op, q.Stage, q.part, q.admitting = op, 0, 0, false
 }
 
@@ -121,28 +120,32 @@ func (q *Query) Sleep(d sim.VTime) bool {
 // Await adds a device command for WaitRelease to wait on.
 func (q *Query) Await(f *sim.Future) { q.futs = append(q.futs, f) }
 
-// park arms h's wake-up for q's park exactly as Proc.Wait and Proc.Sleep
-// arm a process's.
-func (q *Query) park(eng *sim.Engine, h sim.Handler) {
+// Resume runs q's operation on h from where it parked and reports whether
+// it finished. When it did not, q is parked and self's wake-up is armed
+// exactly as Proc.Wait and Proc.Sleep arm a process's: on the future q
+// waits on, or as a timer on eng; the handler calls Resume again when it
+// fires.
+func (q *Query) Resume(h Ops, eng *sim.Engine, self sim.Handler) bool {
+	if q.step(h) {
+		return true
+	}
 	if f := q.fut; f != nil {
 		q.fut = nil
-		f.OnCompleteHandler(h)
-		return
+		f.OnCompleteHandler(self)
+	} else {
+		eng.AtHandler(eng.Now()+q.sleep, self)
 	}
-	eng.AtHandler(eng.Now()+q.sleep, h)
+	return false
 }
 
-// queries recycles Apply's records across calls and goroutines.
-var queries = sync.Pool{New: func() any { return new(Query) }}
-
 // Apply executes one workload operation against h from process p: it
-// drives the op machine Base.Run's clients drive, blocking p in Proc.Wait
-// and Proc.Sleep wherever a client would park. It is the machine's only
-// process driver, for the verification oracles, the shard workers and
-// tests.
+// drives the op machine the kernel-handler drivers drive through Resume,
+// blocking p in Proc.Wait and Proc.Sleep wherever a handler would park. It
+// is the machine's process reference driver, for the verification oracles
+// and tests.
 func Apply(h Ops, p *sim.Proc, op workload.Op) {
-	q := queries.Get().(*Query)
-	q.begin(op)
+	var q Query
+	q.Begin(op)
 	for !q.step(h) {
 		if f := q.fut; f != nil {
 			q.fut = nil
@@ -151,5 +154,4 @@ func Apply(h Ops, p *sim.Proc, op workload.Op) {
 			p.Sleep(q.sleep)
 		}
 	}
-	queries.Put(q)
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"time"
 
 	checkin "github.com/checkin-kv/checkin"
@@ -30,11 +29,10 @@ type shardRunner struct {
 	// not the run length.
 	queue []pendingOp
 	head  int
-	sem   *sim.Semaphore // one permit per queued op (plus close releases)
+	sem   *sim.Semaphore // one permit per queued op
 
-	paused  bool        // global-consistent cut: dequeue stalled
-	resume  *sim.Future // completes when the pausing checkpoint finishes
-	closing bool
+	paused bool        // global-consistent cut: dequeue stalled
+	resume *sim.Future // completes when the pausing checkpoint finishes
 
 	// arrival slice staged for the current window (keys already local)
 	arr    []workload.Arrival
@@ -76,53 +74,84 @@ func newShardRunner(id int, db *checkin.DB, tenants int, workers int) *shardRunn
 	}
 	s.base = s.eng.Now()
 	s.sem = sim.NewSemaphore(s.eng, 0)
-	s.startWorkers(workers)
+	// A fixed worker pool (rather than one query per op) bounds the shard's
+	// concurrency toward its device — the front-end's max in-flight
+	// requests — and keeps memory independent of the op count, which is
+	// what lets a 10^7-op open-loop run complete in bounded memory.
+	ws := make([]worker, workers)
+	for i := range ws {
+		ws[i].s = s
+		s.eng.AtHandler(s.eng.Now(), &ws[i])
+	}
 	return s
 }
 
-// startWorkers spawns the long-lived service processes. A fixed worker pool
-// (rather than one process per op) bounds the shard's concurrency toward
-// its device — the front-end's max in-flight requests — and keeps the
-// goroutine count independent of the op count, which is what lets a 10^7-op
-// open-loop run complete in bounded memory.
-func (s *shardRunner) startWorkers(n int) {
-	for w := 0; w < n; w++ {
-		s.eng.Go(fmt.Sprintf("shard%d-worker-%d", s.id, w), func(p *sim.Proc) {
-			for {
-				s.sem.Acquire(p)
-				for s.paused {
-					p.Wait(s.resume)
-				}
-				if s.head >= len(s.queue) {
-					if s.closing {
-						return
-					}
-					continue // close-time release raced a real op; harmless
-				}
-				po := s.queue[s.head]
-				s.queue[s.head] = pendingOp{}
-				s.head++
-				if s.head == len(s.queue) {
-					s.queue = s.queue[:0]
-					s.head = 0
-				} else if s.head >= 4096 && s.head*2 >= len(s.queue) {
-					// A persistently backlogged shard may never fully drain;
-					// sliding the live suffix down whenever the consumed
-					// prefix dominates keeps the array O(backlog) instead of
-					// O(ops since the last full drain). Amortized O(1) per op.
-					n := copy(s.queue, s.queue[s.head:])
-					s.queue = s.queue[:n]
-					s.head = 0
-				}
-				s.exec(p, po)
+// worker is one of a shard's service slots: a kernel handler the kernel
+// fires at its start and at every wake-up — a permit grant, the end of a
+// global pause, or a wake-up of its query. Each permit is one queued op,
+// which the worker dequeues and drives through its own Query, serving ops
+// back to back until the semaphore runs dry.
+type worker struct {
+	core.Query
+	s *shardRunner
+	// held is set while the worker holds a permit, or waits for one, that
+	// it has not spent on an op yet; busy while po's query is in flight.
+	held bool
+	busy bool
+	po   pendingOp
+}
+
+func (w *worker) Fire() {
+	s := w.s
+	for {
+		if w.busy {
+			if !w.Resume(s.en, s.eng, w) {
+				return
 			}
-		})
+			w.busy = false
+			s.finish(w.po)
+		}
+		if !w.held {
+			w.held = true
+			if !s.sem.TryAcquire() {
+				s.sem.AcquireAsyncHandler(w)
+				return
+			}
+		}
+		if s.paused {
+			s.resume.OnCompleteHandler(w)
+			return
+		}
+		w.held, w.busy = false, true
+		w.po = s.dequeue()
+		w.Begin(w.po.op)
 	}
 }
 
-func (s *shardRunner) exec(p *sim.Proc, po pendingOp) {
-	core.Apply(s.en, p, po.op)
-	now := p.Now()
+// dequeue takes the oldest queued op; the caller holds its permit, so the
+// queue is not empty.
+func (s *shardRunner) dequeue() pendingOp {
+	po := s.queue[s.head]
+	s.queue[s.head] = pendingOp{}
+	s.head++
+	if s.head == len(s.queue) {
+		s.queue = s.queue[:0]
+		s.head = 0
+	} else if s.head >= 4096 && s.head*2 >= len(s.queue) {
+		// A persistently backlogged shard may never fully drain; sliding
+		// the live suffix down whenever the consumed prefix dominates
+		// keeps the array O(backlog) instead of O(ops since the last full
+		// drain). Amortized O(1) per op.
+		n := copy(s.queue, s.queue[s.head:])
+		s.queue = s.queue[:n]
+		s.head = 0
+	}
+	return po
+}
+
+// finish records a completed op.
+func (s *shardRunner) finish(po pendingOp) {
+	now := s.eng.Now()
 	// Open-loop latency: completion minus *arrival*, so queueing delay —
 	// the thing overload and checkpoint stalls actually cost a client —
 	// is part of every sample.
@@ -231,13 +260,4 @@ func (s *shardRunner) run(deadline sim.VTime) {
 // ops and no checkpoint in progress.
 func (s *shardRunner) idle() bool {
 	return s.done == s.queued && !s.en.CheckpointRunning()
-}
-
-// close releases every worker so the pool exits once the queue is empty.
-func (s *shardRunner) close(workers int) {
-	s.closing = true
-	for w := 0; w < workers; w++ {
-		s.sem.Release()
-	}
-	s.run(s.eng.Now() + sim.Microsecond)
 }

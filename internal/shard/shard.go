@@ -320,11 +320,6 @@ func (s *ShardedDB) run(win sim.VTime) (*Report, error) {
 	defer halt() // every return path, a panicking shard's included, ends the producer
 	err := s.execute(windows)
 	halt() // report reads offered and shed, which only the producer writes
-	// Release every shard's workers, on the stall error's return too:
-	// parked worker coroutines are never collected.
-	for _, r := range s.shards {
-		r.close(s.cfg.Workers)
-	}
 	if err != nil {
 		return nil, err
 	}

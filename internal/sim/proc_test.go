@@ -18,9 +18,10 @@ func sleeper(e *Engine, stop *bool) {
 }
 
 // TestProcWakeAllocs guards the process switch: once a process is running,
-// waking it (Sleep's timer, a completed Future, a Semaphore grant) and
-// parking it again must not allocate. Every simulated client query blocks
-// and wakes several times, so an allocation here is paid on every I/O.
+// waking it (Sleep's timer, a completed Future, a semaphore grant routed
+// through a Future) and parking it again must not allocate. Every
+// checkpoint and flush epoch blocks and wakes many times, so an allocation
+// here is paid on every epoch I/O.
 func TestProcWakeAllocs(t *testing.T) {
 	e := NewEngine()
 	stop := false
@@ -30,11 +31,15 @@ func TestProcWakeAllocs(t *testing.T) {
 		t.Errorf("Sleep wake-up allocates %.2f per 16 wake-ups, want 0", n)
 	}
 
-	// Wait on a future completed by an event, and a semaphore hand-off
-	// between the process and an event.
-	futs := make([]*Future, 0, 202)
-	for i := 0; i < cap(futs); i++ {
+	// Wait on a future completed by an event, then take a permit handed
+	// over by an event: the process queues a future as its semaphore
+	// waiter and waits on that.
+	const waits = 202
+	futs := make([]*Future, 0, waits)
+	grants := make([]*Future, 0, waits)
+	for i := 0; i < waits; i++ {
 		futs = append(futs, NewFuture(e))
+		grants = append(grants, NewFuture(e))
 	}
 	sem := NewSemaphore(e, 0)
 	release := sem.Release
@@ -42,7 +47,8 @@ func TestProcWakeAllocs(t *testing.T) {
 	e.Go("waiter", func(p *Proc) {
 		for next < len(futs) {
 			p.Wait(futs[next])
-			sem.Acquire(p)
+			sem.AcquireAsyncHandler(grants[next])
+			p.Wait(grants[next])
 			next++
 		}
 	})
@@ -53,7 +59,7 @@ func TestProcWakeAllocs(t *testing.T) {
 	}
 	step()
 	if n := testing.AllocsPerRun(100, step); n != 0 {
-		t.Errorf("Wait/Acquire wake-up allocates %.2f per round, want 0", n)
+		t.Errorf("Wait/grant wake-up allocates %.2f per round, want 0", n)
 	}
 	stop = true
 	for next < len(futs) {

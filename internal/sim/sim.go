@@ -10,9 +10,10 @@
 //
 //   - Callback events: Engine.Schedule(delay, fn) runs fn at a future virtual
 //     time, and AtHandler fires any Handler. Cheap; used for I/O completions,
-//     timers and the closed-loop clients (a YCSB thread issuing queries
-//     back-to-back), each a Handler that resumes its query's state machine
-//     when a timer or a Future fires it.
+//     timers, the closed-loop clients (a YCSB thread issuing queries
+//     back-to-back) and the open-loop shard workers, each a Handler that
+//     resumes its query's state machine when a timer, a Future or a
+//     Semaphore grant fires it.
 //   - Processes: Engine.Go starts a cooperative process (Proc) that may Sleep
 //     and Wait on Futures. Processes express long multi-step work as
 //     straight-line code: the load phase, checkpoint, memtable-flush and
@@ -574,8 +575,8 @@ func (p *Proc) wrapPanic() {
 
 // Fire transfers control into the process and returns (to the engine event
 // that called it) once the process blocks or terminates. It is the
-// process's wake-up Handler: Sleep, Wait and Semaphore.Acquire queue the
-// *Proc itself, so parking allocates nothing.
+// process's wake-up Handler: Sleep, Wait and Pace queue the *Proc (or its
+// pacer) itself, so parking allocates nothing.
 func (p *Proc) Fire() { p.resume() }
 
 // block parks the process until something fires it. The wake-up must
@@ -800,8 +801,8 @@ func AfterAll(e *Engine, fs []*Future) *Future {
 	return &a.Future
 }
 
-// A Semaphore is a counting semaphore for simulated processes, used to model
-// bounded resources such as command-queue depth.
+// A Semaphore is a counting semaphore whose waiters are Handlers, used to
+// model bounded resources such as command-queue depth.
 type Semaphore struct {
 	eng   *Engine
 	avail int
@@ -827,16 +828,6 @@ func (s *Semaphore) Available() int { return s.avail }
 // Waiting reports the number of blocked acquirers.
 func (s *Semaphore) Waiting() int { return len(s.waiters) - s.head }
 
-// Acquire takes a permit, blocking the process until one is free. FIFO.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.avail > 0 && s.Waiting() == 0 {
-		s.avail--
-		return
-	}
-	s.enqueue(p)
-	p.block()
-}
-
 // TryAcquire takes a permit without blocking; reports success.
 func (s *Semaphore) TryAcquire() bool {
 	if s.avail > 0 && s.Waiting() == 0 {
@@ -846,11 +837,9 @@ func (s *Semaphore) TryAcquire() bool {
 	return false
 }
 
-// AcquireAsync invokes fn (from engine context) once a permit is granted.
-func (s *Semaphore) AcquireAsync(fn func()) { s.AcquireAsyncHandler(Func(fn)) }
-
-// AcquireAsyncHandler is AcquireAsync for a Handler: h fires once a permit
-// is granted.
+// AcquireAsyncHandler fires h (from engine context) once a permit is
+// granted: at the current time if one is free and nobody queues ahead,
+// otherwise at the Release that hands it over. Grants are FIFO.
 func (s *Semaphore) AcquireAsyncHandler(h Handler) {
 	if s.avail > 0 && s.Waiting() == 0 {
 		s.avail--
@@ -880,23 +869,6 @@ func (s *Semaphore) Release() {
 	}
 	s.avail++
 }
-
-// A Mutex is a binary semaphore with process-friendly Lock/Unlock naming.
-// It models long-held simulated locks (e.g. the checkpoint lock that stalls
-// query admission while a checkpoint runs in locked mode).
-type Mutex struct{ s *Semaphore }
-
-// NewMutex returns an unlocked simulated mutex.
-func NewMutex(e *Engine) *Mutex { return &Mutex{s: NewSemaphore(e, 1)} }
-
-// Lock blocks the process until the mutex is held.
-func (m *Mutex) Lock(p *Proc) { m.s.Acquire(p) }
-
-// TryLock acquires without blocking; reports success.
-func (m *Mutex) TryLock() bool { return m.s.TryAcquire() }
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.s.Release() }
 
 // A FIFOResource models a serially reusable resource (a flash channel bus, a
 // die, a DMA engine) with first-come-first-served queueing. Reservations are

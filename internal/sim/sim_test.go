@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -335,32 +336,54 @@ func TestWaitAll(t *testing.T) {
 	}
 }
 
+// holder takes a permit of s through AcquireAsyncHandler, holds it for hold
+// and releases it, logging the grant ("name+") and the release ("name-").
+type holder struct {
+	s     *Semaphore
+	name  string
+	hold  VTime
+	held  bool
+	trace *[]string
+}
+
+func (h *holder) Fire() {
+	e := h.s.eng
+	if !h.held {
+		h.held = true
+		*h.trace = append(*h.trace, h.name+"+")
+		e.AtHandler(e.Now()+h.hold, h)
+		return
+	}
+	*h.trace = append(*h.trace, h.name+"-")
+	h.s.Release()
+}
+
+// TestSemaphoreBlocking: permits go to waiting handlers first come, first
+// served, each handed over by the Release that frees it.
 func TestSemaphoreBlocking(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, 2)
 	var trace []string
-	worker := func(name string, hold VTime) func(p *Proc) {
-		return func(p *Proc) {
-			s.Acquire(p)
-			trace = append(trace, name+"+")
-			p.Sleep(hold)
-			trace = append(trace, name+"-")
-			s.Release()
-		}
+	for _, h := range []*holder{
+		{name: "a", hold: 100},
+		{name: "b", hold: 150},
+		{name: "c", hold: 10}, // must wait for a or b
+		{name: "d", hold: 10}, // must wait for c: FIFO
+	} {
+		h.s, h.trace = s, &trace
+		s.AcquireAsyncHandler(h)
 	}
-	e.Go("a", worker("a", 100))
-	e.Go("b", worker("b", 150))
-	e.Go("c", worker("c", 10)) // must wait for a or b
+	if s.Waiting() != 2 {
+		t.Fatalf("Waiting = %d, want 2", s.Waiting())
+	}
 	e.Run()
-	// c cannot start before the first release at t=100.
-	want := []string{"a+", "b+", "a-", "c+", "c-", "b-"}
-	if len(trace) != len(want) {
+	// c cannot start before the first release at t=100, nor d before c's.
+	want := []string{"a+", "b+", "a-", "c+", "c-", "d+", "d-", "b-"}
+	if !slices.Equal(trace, want) {
 		t.Fatalf("trace = %v, want %v", trace, want)
 	}
-	for i := range want {
-		if trace[i] != want[i] {
-			t.Fatalf("trace = %v, want %v", trace, want)
-		}
+	if e.Now() != 150 || s.Available() != 2 {
+		t.Fatalf("ended at %v with %d permits, want 150 and 2", e.Now(), s.Available())
 	}
 }
 
@@ -387,7 +410,7 @@ func TestSemaphoreAcquireAsync(t *testing.T) {
 	s := NewSemaphore(e, 1)
 	s.TryAcquire()
 	granted := VTime(0)
-	s.AcquireAsync(func() { granted = e.Now() })
+	s.AcquireAsyncHandler(Func(func() { granted = e.Now() }))
 	if s.Waiting() != 1 {
 		t.Fatalf("Waiting = %d, want 1", s.Waiting())
 	}
@@ -405,33 +428,6 @@ func TestNegativeSemaphorePanics(t *testing.T) {
 		}
 	}()
 	NewSemaphore(NewEngine(), -1)
-}
-
-func TestMutex(t *testing.T) {
-	e := NewEngine()
-	m := NewMutex(e)
-	var held []VTime
-	e.Go("x", func(p *Proc) {
-		m.Lock(p)
-		held = append(held, p.Now())
-		p.Sleep(100)
-		m.Unlock()
-	})
-	e.Go("y", func(p *Proc) {
-		m.Lock(p)
-		held = append(held, p.Now())
-		m.Unlock()
-	})
-	e.Run()
-	if len(held) != 2 || held[0] != 0 || held[1] != 100 {
-		t.Fatalf("lock hand-off times = %v, want [0 100]", held)
-	}
-	if !m.TryLock() {
-		t.Error("TryLock on free mutex failed")
-	}
-	if m.TryLock() {
-		t.Error("TryLock on held mutex succeeded")
-	}
 }
 
 func TestFIFOResource(t *testing.T) {
