@@ -583,18 +583,24 @@ func TestShardedReportGolden(t *testing.T) {
 	cfg.AdmitRatePerSec = 120_000
 	cfg.AdmitBurst = 20
 	render("journal sync admit 120000/s", cfg)
-	got := sb.String()
+	compareGolden(t, reportGoldenPath, sb.String(), "TestShardedReportGolden")
+}
 
+// compareGolden checks got against the golden file at path, or rewrites
+// the file when CHECKIN_UPDATE_GOLDEN is set; test names the test that
+// regenerates it.
+func compareGolden(t *testing.T, path, got, test string) {
+	t.Helper()
 	if os.Getenv("CHECKIN_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(reportGoldenPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden file %s regenerated (%d bytes)", reportGoldenPath, len(got))
+		t.Logf("golden file %s regenerated (%d bytes)", path, len(got))
 		return
 	}
-	want, err := os.ReadFile(reportGoldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("golden file %s unreadable (%v) — regenerate with CHECKIN_UPDATE_GOLDEN=1", reportGoldenPath, err)
+		t.Fatalf("golden file %s unreadable (%v) — regenerate with CHECKIN_UPDATE_GOLDEN=1", path, err)
 	}
 	if got != string(want) {
 		g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
@@ -606,10 +612,10 @@ func TestShardedReportGolden(t *testing.T) {
 			if i < len(l) {
 				return l[i]
 			}
-			return "<end of report>"
+			return "<end of output>"
 		}
-		t.Fatalf("report diverged from %s at line %d:\n  got:  %q\n  want: %q\n"+
-			"intentional change? regenerate with CHECKIN_UPDATE_GOLDEN=1 go test ./internal/shard -run TestShardedReportGolden",
-			reportGoldenPath, i+1, line(g), line(w))
+		t.Fatalf("output diverged from %s at line %d:\n  got:  %q\n  want: %q\n"+
+			"intentional change? regenerate with CHECKIN_UPDATE_GOLDEN=1 go test ./internal/shard -run %s",
+			path, i+1, line(g), line(w), test)
 	}
 }
