@@ -60,11 +60,15 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestLSMCrashMatrix is TestCrashMatrix for the LSM backend: for every
-// strategy, seed and compaction policy, census the injection schedule,
-// crash at sampled hits of every site that fired — including the five LSM
-// sites — and assert recovery, SPOR and the FTL invariants. Failures print
-// a (seed, site, hit, -engine=lsm) line that reproduces in one command.
+// TestLSMCrashMatrix is TestCrashMatrix for the LSM backend: for each of
+// the five strategies and both compaction policies, census the injection
+// schedule, crash at sampled hits of every site that fired — including the
+// five LSM sites and the flush's device-side copy or remap — and assert
+// recovery, SPOR and the FTL invariants. Baseline and Check-In crash on
+// every seed; ISC-A, ISC-B and ISC-C on one each, a different one per
+// strategy, which keeps the matrix's wall time near its two-strategy cost.
+// Failures print a (seed, site, hit, -engine=lsm) line that reproduces in
+// one command.
 func TestLSMCrashMatrix(t *testing.T) {
 	for _, policy := range lsmPolicies {
 		opts := LSMOptions(policy)
@@ -73,7 +77,10 @@ func TestLSMCrashMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range []checkin.Strategy{checkin.StrategyBaseline, checkin.StrategyCheckIn} {
+			for i, s := range checkin.Strategies {
+				if s != checkin.StrategyBaseline && s != checkin.StrategyCheckIn && seed != matrixSeeds[i%len(matrixSeeds)] {
+					continue
+				}
 				s, seed, tr, policy, opts := s, seed, tr, policy, opts
 				t.Run(fmt.Sprintf("%s/%s/seed%d", policy, s, seed), func(t *testing.T) {
 					t.Parallel()
@@ -110,8 +117,11 @@ func assertLSMCoverage(t *testing.T, s checkin.Strategy, c *Census) {
 		inject.SiteManifestPublish,
 		inject.SiteDeallocate,
 	}
-	if s.UsesRemap() {
+	switch {
+	case s.UsesRemap():
 		want = append(want, inject.SiteCheckpointRemap)
+	case s.Offloaded():
+		want = append(want, inject.SiteCheckpointCopy)
 	}
 	for _, site := range want {
 		if c.RunHits[site] == 0 {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/checkin-kv/checkin/internal/core"
 	"github.com/checkin-kv/checkin/internal/inject"
@@ -267,6 +268,10 @@ func (en *Engine) executeCompaction(p *sim.Proc, job *compactionJob) {
 	// new run set durable before the inputs' space is reclaimed.
 	en.removeRuns(job)
 	en.levels[job.outLevel] = append(en.levels[job.outLevel], outs...)
+	for _, out := range outs {
+		en.repoint(out, job.inputs)
+	}
+	en.installed()
 	en.publishManifest(p, -1)
 
 	for _, r := range job.inputs {
@@ -279,14 +284,10 @@ func (en *Engine) executeCompaction(p *sim.Proc, job *compactionJob) {
 // removeRuns drops the job's inputs from their levels, preserving the
 // creation order of survivors.
 func (en *Engine) removeRuns(job *compactionJob) {
-	dead := make(map[uint64]bool, len(job.inputs))
-	for _, r := range job.inputs {
-		dead[r.id] = true
-	}
 	for level := range en.levels {
 		keep := en.levels[level][:0]
 		for _, r := range en.levels[level] {
-			if !dead[r.id] {
+			if !slices.Contains(job.inputs, r) {
 				keep = append(keep, r)
 			}
 		}

@@ -39,6 +39,7 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/checkin-kv/checkin/internal/core"
 	"github.com/checkin-kv/checkin/internal/inject"
@@ -127,16 +128,17 @@ type Engine struct {
 	walSeq  int64
 	recSlab []walRec
 
-	// mem maps each key to the WAL record of its newest version: the
-	// record holds the version and payload size, and the flush strategies
-	// that copy or remap device-side need its WAL location.
-	mem      map[int64]*walRec
-	imm      map[int64]*walRec // sealed memtable while its flush runs
+	// mem is the active memtable. imm is the sealed one while its flush
+	// runs; between flushes it is empty, the spare the next seal swaps in.
+	mem, imm memtable
 	memLimit int
-	memHint  int // map size hint for a fresh memtable
 
 	levels    [maxLevels][]*run
 	nextRunID uint64
+	// newest locates every key's newest on-flash version: the run a
+	// newest-first search of levels would find, kept current by each
+	// install so a read needs no search.
+	newest []loc
 
 	// durable manifest: the run set and WAL floor recovery starts from.
 	durableRuns  []*run
@@ -160,11 +162,7 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		unit:     int64(dev.FTL().UnitSize()),
 		memLimit: cfg.MemtableEntries,
-		// A filling WAL half also seals the memtable, so a half of sector
-		// records caps the hint when MemtableEntries is set very large.
-		memHint: int(min(int64(cfg.MemtableEntries), cfg.JournalHalfBytes/sector)),
 	}
-	en.mem = make(map[int64]*walRec, en.memHint)
 	// Space layout: two WAL halves, two manifest slots, then the run area.
 	en.manifestStart = 2 * cfg.JournalHalfBytes
 	en.manifestSlot = 256 << 10
@@ -185,6 +183,8 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 	if 3*basePayload > en.runArea.len {
 		return nil, fmt.Errorf("lsm: run area %d too small for %d key bytes (need 3x headroom)", en.runArea.len, basePayload)
 	}
+	en.mem, en.imm = newMemtable(cfg.Keys), newMemtable(cfg.Keys)
+	en.newest = make([]loc, cfg.Keys)
 
 	header := int64(core.InlineHeaderBytes)
 	if cfg.Strategy.SectorAligned() {
@@ -245,6 +245,8 @@ func (en *Engine) Load() {
 		}
 		en.writeRunSequential(p, r, ssd.AreaData)
 		en.levels[baseLevel] = append(en.levels[baseLevel], r)
+		en.index(r)
+		en.installed()
 		en.st.RunsCreated++
 		en.publishManifest(p, 0)
 	})
@@ -346,9 +348,9 @@ func (en *Engine) writeRunSequential(p *sim.Proc, r *run, area ssd.Area) {
 // query paths (the op machine; see core.Ops)
 
 // Get executes a read: active memtable, then the sealed (flushing)
-// memtable — both host memory — then runs newest-first. The host-resident
-// run index knows which run holds the key, so exactly one device read is
-// charged for an on-flash hit.
+// memtable — both host memory — then flash. The newest-version index
+// (newest) holds the location of the key's newest on-flash version, so an
+// on-flash hit costs one load and exactly one device read.
 func (en *Engine) Get(q *core.Query) bool {
 	if q.Stage == 0 {
 		if en.Gate(q) {
@@ -358,13 +360,13 @@ func (en *Engine) Get(q *core.Query) bool {
 		if en.inMemory(key) {
 			return true
 		}
-		r, i := en.findNewest(key)
-		if r == nil {
+		l := en.newest[key]
+		if l.off == 0 {
 			return true
 		}
 		// A run's offsets are fixed when it is planned, so reading them
 		// before the host overhead elapses reads what after would.
-		q.Await(en.Device().ReadAfter(core.HostIOOverhead, r.offs[i], int64(r.sizes[i])))
+		q.Await(en.Device().ReadAfter(core.HostIOOverhead, l.off, int64(l.size)))
 		q.Stage = 1
 	}
 	return !en.WaitRelease(q)
@@ -373,26 +375,7 @@ func (en *Engine) Get(q *core.Query) bool {
 // inMemory reports whether key's newest version is in the active or the
 // sealed memtable.
 func (en *Engine) inMemory(key int64) bool {
-	if _, ok := en.mem[key]; ok {
-		return true
-	}
-	_, ok := en.imm[key]
-	return ok
-}
-
-// findNewest locates the newest on-flash version of key: level 0 runs in
-// reverse creation order, then down the hierarchy — upper levels shadow
-// lower ones, the standard LSM read invariant.
-func (en *Engine) findNewest(key int64) (*run, int) {
-	for level := 0; level < maxLevels; level++ {
-		rs := en.levels[level]
-		for i := len(rs) - 1; i >= 0; i-- {
-			if j, ok := rs[i].find(key); ok {
-				return rs[i], j
-			}
-		}
-	}
-	return nil, 0
+	return en.mem.cells[key] != nil || en.imm.cells[key] != nil
 }
 
 // Update executes a write: log to the WAL (write-ahead), install in the
@@ -413,10 +396,10 @@ func (en *Engine) Update(q *core.Query) bool {
 	*log = append(*log, rec)
 	commit := en.w.Queue(size)
 	en.w.StartCommit()
-	en.mem[key] = rec
+	en.mem.put(rec)
 	en.cfg.Injector.Hit(inject.SiteWALAppend)
 	if !en.CheckpointRunning() &&
-		(len(en.mem) >= en.memLimit || en.w.UsedFrac() > en.cfg.JournalSoftFrac) {
+		(en.mem.len() >= en.memLimit || en.w.UsedFrac() > en.cfg.JournalSoftFrac) {
 		en.TriggerCheckpoint()
 	}
 	q.Stage = 1
@@ -469,8 +452,8 @@ func (en *Engine) Scan(q *core.Query) bool {
 			if en.inMemory(k) {
 				continue
 			}
-			if r, i := en.findNewest(k); r != nil && r.level < baseLevel {
-				q.Await(en.Device().Read(r.offs[i], int64(r.sizes[i])))
+			if l := en.newest[k]; l.off != 0 && l.level < baseLevel {
+				q.Await(en.Device().Read(l.off, int64(l.size)))
 			}
 		}
 		q.Stage = 2
@@ -487,25 +470,26 @@ func (en *Engine) Scan(q *core.Query) bool {
 // epoch.
 func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 	// Seal: the active memtable becomes immutable (still readable), new
-	// writes go to a fresh memtable and the rotated WAL half, whose
-	// record log the previous epoch emptied. When the cut returns every
-	// sealed record is durable, so the flushed run holds only committed
-	// versions — recovery equivalence depends on this.
-	en.imm = en.mem
-	en.mem = make(map[int64]*walRec, en.memHint)
+	// writes go to the spare, which the previous epoch emptied, and the
+	// rotated WAL half, whose record log it emptied too. When the cut
+	// returns every sealed record is durable, so the flushed run holds
+	// only committed versions — recovery equivalence depends on this.
+	en.mem, en.imm = en.imm, en.mem
 	maxSeq := en.walSeq
 	half, used := en.w.Cut(p, &en.walLogs[en.w.Active()^1])
 
 	sealedLogs := len(en.walLogs[half])
-	en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(len(en.imm)),
+	en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(en.imm.len()),
 		fmt.Sprintf("entries=%d used=%dKB", sealedLogs, used>>10))
 	if sealedLogs > 0 {
-		en.Metrics().NoteLiveRatio(float64(len(en.imm)) / float64(sealedLogs))
+		en.Metrics().NoteLiveRatio(float64(en.imm.len()) / float64(sealedLogs))
 	}
 
-	if len(en.imm) > 0 {
+	if en.imm.len() > 0 {
 		r := en.flushRun(p)
 		en.levels[0] = append(en.levels[0], r)
+		en.index(r)
+		en.installed()
 		en.st.Flushes++
 		en.st.FlushedEntries += uint64(len(r.keys))
 		en.st.FlushedBytes += uint64(r.payload)
@@ -516,7 +500,7 @@ func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 			p.Wait(en.Device().Deallocate(en.w.HalfStart(half), roundUp(used, en.unit)))
 		}
 	}
-	en.imm = nil
+	en.imm.clear()
 	// The manifest floor now covers every sealed record (none were logged
 	// if nothing was flushed): empty the half's log for its next turn.
 	clear(en.walLogs[half])
@@ -526,11 +510,15 @@ func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 // flushRun materializes the sealed memtable as a level-0 run using the
 // configured checkpoint strategy for the data transfer.
 func (en *Engine) flushRun(p *sim.Proc) *run {
-	entries := make([]runEntry, 0, len(en.imm))
-	for k, rec := range en.imm {
-		entries = append(entries, runEntry{key: k, version: rec.version, size: rec.payload})
+	// Keys are distinct (one memtable cell each), so sorting them fixes
+	// the run's layout.
+	keys := en.imm.keys
+	slices.Sort(keys)
+	entries := make([]runEntry, len(keys))
+	for j, k := range keys {
+		rec := en.imm.cells[k]
+		entries[j] = runEntry{key: k, version: rec.version, size: rec.payload}
 	}
-	sortEntries(entries)
 
 	// Back-pressure: wait for a running compaction (or force one) when the
 	// run area cannot take the new extent.
@@ -561,14 +549,14 @@ func (en *Engine) flushRun(p *sim.Proc) *run {
 		// FTL, exactly the ISC-C/Check-In distinction of the journal engine.
 		reqs := make([]ssd.RemapEntry, len(entries))
 		for j, e := range entries {
-			reqs[j] = ssd.RemapEntry{Src: en.imm[e.key].off, Dst: r.offs[j], Len: roundUp(int64(e.size), sector)}
+			reqs[j] = ssd.RemapEntry{Src: en.imm.cells[e.key].off, Dst: r.offs[j], Len: roundUp(int64(e.size), sector)}
 		}
 		en.Remap(p, reqs)
 	default:
 		// ISC-A / ISC-B copy each record device-side from its WAL location
 		pairs := make([]ssd.CoWPair, len(entries))
 		for j, e := range entries {
-			rec := en.imm[e.key]
+			rec := en.imm.cells[e.key]
 			pairs[j] = ssd.CoWPair{Src: rec.off, Dst: r.offs[j], Len: int64(rec.payload)}
 		}
 		en.CoW(p, pairs)

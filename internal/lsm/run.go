@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -25,9 +24,12 @@ type extent struct {
 // run is one immutable sorted run on flash: entries in key order, each in a
 // sector-aligned slot inside the run's extent. The metadata (keys, versions,
 // sizes, per-entry offsets) stays host-resident — the in-memory index a real
-// engine would rebuild from the run's footer — so reads know exactly which
-// run holds a key without probing the device. Runs never mutate after
-// construction, which lets snapshots and forks share them by reference.
+// engine would rebuild from the run's footer. A point read does not search
+// it: the engine's newest-version index (Engine.newest), updated from this
+// metadata when the run is installed, holds the slot of every key's newest
+// version. Compaction merges, Scan's bottom-run ranges and recovery read
+// the metadata itself. Runs never mutate after construction, which lets
+// snapshots and forks share them by reference.
 type run struct {
 	id    uint64
 	level int
@@ -46,12 +48,6 @@ type runEntry struct {
 	key     int64
 	version int64
 	size    int
-}
-
-// sortEntries orders entries by key. Keys are distinct (one memtable cell
-// per key), so the order is total and the layout deterministic.
-func sortEntries(entries []runEntry) {
-	slices.SortFunc(entries, func(a, b runEntry) int { return cmp.Compare(a.key, b.key) })
 }
 
 // planRun lays entries (must be sorted by key) out from base and returns

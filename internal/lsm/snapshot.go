@@ -10,11 +10,11 @@ import (
 // CopyFrom makes en's mutable state a deep copy of src's, an LSM engine
 // built from the same Config shape: the base's state, the level hierarchy
 // and durable run set, the manifest, the WAL with the memtable, the
-// counters and the allocator's free list. Runs are immutable after
-// construction, so en shares them with src — a copy can never observe a
-// mutation because none happen. The active WAL half's records are copied
-// and the memtable relinked to the copies; the other half holds only
-// records the manifest floor covers.
+// counters, the allocator's free list and the newest-version index. Runs
+// are immutable after construction, so en shares them with src — a copy can
+// never observe a mutation because none happen. The active WAL half's
+// records are copied and the memtable relinked to the copies, key by key in
+// src's order; the other half holds only records the manifest floor covers.
 //
 // src must be quiescent: no flush epoch (so no sealed memtable), no WAL
 // activity in flight (see core.Base.CopyBase), no compaction, and every
@@ -35,13 +35,11 @@ func (en *Engine) CopyFrom(src core.Host) error {
 		recs[i] = *rec
 		idxOf[rec] = i
 	}
-	mem := make(map[int64]*walRec, en.memHint)
-	for k, rec := range s.mem {
-		i, ok := idxOf[rec]
-		if !ok {
+	for _, k := range s.mem.keys {
+		rec := s.mem.cells[k]
+		if _, ok := idxOf[rec]; !ok {
 			return fmt.Errorf("lsm: snapshot: memtable cell for key %d holds WAL record %d, not in the active half's log", k, rec.seq)
 		}
-		mem[k] = &recs[i]
 	}
 	if err := en.CopyBase(&s.Base); err != nil {
 		return err
@@ -62,7 +60,12 @@ func (en *Engine) CopyFrom(src core.Host) error {
 		(*active)[i] = &recs[i]
 	}
 	en.w.CopyFrom(s.w, active)
-	en.mem, en.imm = mem, nil
+	en.mem.clear()
+	en.imm.clear()
+	for _, k := range s.mem.keys {
+		en.mem.put(&recs[idxOf[s.mem.cells[k]]])
+	}
+	copy(en.newest, s.newest)
 
 	en.st = s.st
 	en.alloc.free = slices.Clone(s.alloc.free)

@@ -10,6 +10,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/checkin-kv/checkin/internal/sim"
 )
@@ -98,12 +99,38 @@ func NewZipfian(n int64, theta float64) *Zipfian {
 		panic(fmt.Sprintf("workload: zipfian theta %v out of (0,1)", theta))
 	}
 	z := &Zipfian{keys: n, theta: theta}
-	z.zetaN = zeta(n, theta)
+	z.zetaN = memoZeta(n, theta)
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetaN)
 	z.rank1 = 1 + math.Pow(0.5, theta)
 	return z
+}
+
+// zetaMemo caches zeta(n, θ), an O(n) sum of powers that every client
+// generator of every run over one key space would otherwise repeat.
+// Runners build generators on concurrent goroutines, hence the mutex.
+var zetaMemo = struct {
+	sync.Mutex
+	sums map[zetaArgs]float64
+}{sums: make(map[zetaArgs]float64)}
+
+type zetaArgs struct {
+	n     int64
+	theta float64
+}
+
+// memoZeta returns zeta(n, theta), computing each (n, theta) once.
+func memoZeta(n int64, theta float64) float64 {
+	zetaMemo.Lock()
+	defer zetaMemo.Unlock()
+	a := zetaArgs{n, theta}
+	if v, ok := zetaMemo.sums[a]; ok {
+		return v
+	}
+	v := zeta(n, theta)
+	zetaMemo.sums[a] = v
+	return v
 }
 
 func zeta(n int64, theta float64) float64 {

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -170,6 +171,35 @@ func TestZetaMatchesDirectSum(t *testing.T) {
 	want := 1 + 0.5 + 1.0/3 + 0.25
 	if math.Abs(got-want) > 1e-6 {
 		t.Errorf("zeta(4) = %v, want %v", got, want)
+	}
+}
+
+// TestMemoZetaMatchesDirectSum: the memoised sum equals the direct one bit
+// for bit, on first use and from the cache, with generators built on
+// concurrent goroutines as the runner builds them.
+func TestMemoZetaMatchesDirectSum(t *testing.T) {
+	cases := []struct {
+		n     int64
+		theta float64
+	}{{1, DefaultTheta}, {1000, DefaultTheta}, {20_000, DefaultTheta}, {20_000, 0.5}, {4321, 0.8}}
+	for _, c := range cases {
+		want := math.Float64bits(zeta(c.n, c.theta))
+		var wg sync.WaitGroup
+		got := make([]uint64, 4)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = math.Float64bits(NewZipfian(c.n, c.theta).zetaN)
+			}()
+		}
+		wg.Wait()
+		got = append(got, math.Float64bits(memoZeta(c.n, c.theta)))
+		for i, g := range got {
+			if g != want {
+				t.Errorf("zeta(%d, %v) call %d = %x, direct sum %x", c.n, c.theta, i, g, want)
+			}
+		}
 	}
 }
 
