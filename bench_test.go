@@ -2,9 +2,12 @@ package checkin_test
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 
+	"github.com/checkin-kv/checkin"
 	"github.com/checkin-kv/checkin/internal/harness"
 )
 
@@ -91,6 +94,33 @@ func BenchmarkParallelSuite(b *testing.B) {
 					if len(table.Rows) == 0 {
 						b.Fatalf("%s produced no rows", id)
 					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshotFork measures one Snapshot.Fork: a stack cloned layer by
+// layer from a loaded template. The stacks are TestForkCopiesEveryField's
+// (journal over the dram and dftl maps, journal with heavy NAND faults,
+// LSM) and the per-shard stack of the sharded benchmark workload (the
+// default stack on 40 blocks per plane with 8 MB journal halves, 1,500
+// keys per shard), whose open pays one fork per shard.
+func BenchmarkSnapshotFork(b *testing.B) {
+	stacks := copyTemplates(b)
+	shard := checkin.DefaultConfig()
+	shard.BlocksPerPlane = 40
+	shard.JournalHalfMB = 8
+	shard.Keys = 1500
+	stacks["shard"] = shard
+	for _, name := range slices.Sorted(maps.Keys(stacks)) {
+		cfg := stacks[name]
+		b.Run(name, func(b *testing.B) {
+			snap := captureSnapshot(b, cfg)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := snap.Fork(cfg); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

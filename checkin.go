@@ -300,7 +300,7 @@ type DB struct {
 	tracer *trace.Tracer
 
 	// restPoint is the kernel state at the post-Load quiescent instant —
-	// the anchor forks restore. Nil before Load.
+	// the state forks start their kernel from. Nil before Load.
 	restPoint *sim.EngineState
 	// template is set by Snapshot: forks read the DB from then on, so
 	// Load and Run refuse it.
@@ -459,7 +459,7 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("checkin: %w", err)
 	}
 
-	host, err := newHostEngine(eng, device, cfg, tracer)
+	host, err := newHostEngine(eng, device, cfg, tracer, nil)
 	if err != nil {
 		return nil, fmt.Errorf("checkin: %w", err)
 	}

@@ -17,8 +17,10 @@ type HostEngine = core.Host
 func EngineNames() []string { return []string{"journal", "lsm"} }
 
 // newHostEngine builds the engine cfg.Engine names over an already-built
-// device stack from the resolved cfg; resolve has checked the name.
-func newHostEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trace.Tracer) (HostEngine, error) {
+// device stack from the resolved cfg; resolve has checked the name. With a
+// template tmpl it clones tmpl instead (a fork), keeping cfg's run-phase
+// settings; tmpl must be an engine of the same kind.
+func newHostEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trace.Tracer, tmpl HostEngine) (HostEngine, error) {
 	h := core.HostConfig{
 		Strategy:             cfg.Strategy,
 		Keys:                 cfg.Keys,
@@ -32,7 +34,15 @@ func newHostEngine(eng *sim.Engine, device *ssd.Device, cfg Config, tracer *trac
 		Seed:                 cfg.Seed,
 	}
 	if cfg.Engine == "lsm" {
-		return lsm.New(eng, device, lsm.Config{HostConfig: h, MemtableEntries: cfg.MemtableEntries, Policy: cfg.Compaction})
+		lcfg := lsm.Config{HostConfig: h, MemtableEntries: cfg.MemtableEntries, Policy: cfg.Compaction}
+		if tmpl != nil {
+			return lsm.Fork(eng, device, lcfg, tmpl)
+		}
+		return lsm.New(eng, device, lcfg)
 	}
-	return core.NewEngine(eng, device, core.Config{HostConfig: h, CompressRatio: cfg.CompressRatio})
+	jcfg := core.Config{HostConfig: h, CompressRatio: cfg.CompressRatio}
+	if tmpl != nil {
+		return core.ForkEngine(eng, device, jcfg, tmpl)
+	}
+	return core.NewEngine(eng, device, jcfg)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/ssd"
@@ -269,33 +270,35 @@ func (b *Base) TriggerCheckpoint() *sim.Future {
 }
 
 // ---------------------------------------------------------------------------
-// state copy
+// fork
 
-// CopyBase makes b's version truth, epoch count and remap totals a copy of
-// src's, with idle epochs. b keeps its kernel, device, configuration,
-// host, log and epoch work, and its metrics: Run installs a fresh
-// collector. It fails unless src is quiescent — no client parked, no
-// epoch running (so no closed query gate) and nothing pending, in flight
-// or being cut in its log — since otherwise parked queries and live
-// process stacks reference the state and the copy would be unsound. src
-// is only read.
-func (b *Base) CopyBase(src *Base) error {
+// ForkBase returns a copy of src, the base of host, an engine of src's
+// kind on eng and dev that writes through log with the given epoch work
+// (see NewBase): src's version truth, epoch count and remap totals, with
+// idle epochs and a fresh metrics collector. It starts from a copy of
+// src's struct, so a field added to the base is copied by default. It
+// fails unless src is quiescent — no client parked, no epoch running (so
+// no closed query gate) and nothing pending, in flight or being cut in its
+// log — since otherwise parked queries and live process stacks reference
+// the state and the copy would be unsound. eng must be a fork of src's
+// kernel, which carries the lane NewBase registered. src is only read.
+func ForkBase(src *Base, eng *sim.Engine, dev *ssd.Device, cfg HostConfig, host Host, log Log,
+	work func(p *sim.Proc, start sim.VTime), then func()) (Base, error) {
 	switch {
 	case src.parked > 0:
-		return fmt.Errorf("core: snapshot with %d closed-loop clients parked", src.parked)
+		return Base{}, fmt.Errorf("core: snapshot with %d closed-loop clients parked", src.parked)
 	case src.running:
-		return fmt.Errorf("core: snapshot during a %s", src.epochName)
+		return Base{}, fmt.Errorf("core: snapshot during a %s", src.epochName)
 	case !src.log.Quiet():
-		return fmt.Errorf("core: snapshot with log activity in flight")
-	case len(src.version) != len(b.version):
-		return fmt.Errorf("core: copy of %d keys into an engine with %d", len(src.version), len(b.version))
+		return Base{}, fmt.Errorf("core: snapshot with log activity in flight")
+	case int64(len(src.version)) != cfg.Keys:
+		return Base{}, fmt.Errorf("core: fork of %d keys into an engine with %d", len(src.version), cfg.Keys)
 	}
-	own := *b
-	*b = *src
-	b.eng, b.dev, b.cfg, b.host, b.log, b.work, b.then = own.eng, own.dev, own.cfg, own.host, own.log, own.work, own.then
-	b.metrics = own.metrics
-	b.version = append(own.version[:0], src.version...)
+	b := *src
+	b.eng, b.dev, b.cfg, b.host, b.log, b.work, b.then = eng, dev, cfg, host, log, work, then
+	b.metrics = NewMetrics()
+	b.version = slices.Clone(src.version)
 	// The last epoch's futures have completed; idle epochs hold none.
 	b.done, b.gateOpen = nil, nil
-	return nil
+	return b, nil
 }

@@ -14,8 +14,9 @@ import (
 // only way the closed-loop driver (Base.Run), the sharded open-loop front
 // end, the crash-injection instrument and the verification oracles speak
 // to one, so the engines are interchangeable and directly comparable on
-// identical inputs. Base implements all of it but Get, Update, Scan, Load,
-// Recovery and CopyFrom.
+// identical inputs. Base implements all of it but Get, Update, Scan, Load
+// and Recovery. An engine is forked from a quiescent one of its kind by
+// its package's fork constructor (ForkEngine, lsm.Fork), not through Host.
 type Host interface {
 	Ops
 
@@ -57,11 +58,6 @@ type Host interface {
 	// at this instant recovers next to the durable and in-memory version
 	// truth, plus the device reads of the recovery scan.
 	Recovery() *RecoveryReport
-
-	// CopyFrom makes the engine's mutable state a deep copy of src's, a
-	// quiescent engine of the same kind and shape; it rejects any other
-	// engine, and only reads src (snapshot-and-fork).
-	CopyFrom(src Host) error
 }
 
 // RunSpec describes one measured workload phase.

@@ -146,11 +146,7 @@ func NewEngine(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		layout: layout,
 		ckpted: make([]int64, cfg.Keys),
 	}
-	header := int64(InlineHeaderBytes)
-	if cfg.Strategy.SectorAligned() {
-		header = 0 // Check-In keeps log descriptors in the JMT, not inline
-	}
-	en.jr = newJournal(eng, dev, layout, cfg.Strategy.SectorAligned(), header, cfg.CompressRatio)
+	en.jr = newJournal(eng, dev, layout, cfg.Strategy.SectorAligned(), cfg.Strategy.LogHeader(), cfg.CompressRatio)
 	en.jr.cfg.Tracer = cfg.Tracer
 	en.jr.cfg.Injector = cfg.Injector
 	en.Base = NewBase(eng, dev, cfg.HostConfig, en, en.jr, "checkpoint", en.checkpoint, nil)

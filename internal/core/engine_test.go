@@ -520,7 +520,7 @@ func TestDeleteMixInWorkload(t *testing.T) {
 }
 
 // TestFailLeavesClientsParked: a run that Fail ends leaves its clients
-// parked mid-query; Parked counts them and a copy (the engine half of a
+// parked mid-query; Parked counts them and a fork (the engine half of a
 // snapshot fork) refuses the store with an error naming them.
 func TestFailLeavesClientsParked(t *testing.T) {
 	e, en := newTestEngine(t, StrategyCheckIn, nil)
@@ -534,11 +534,7 @@ func TestFailLeavesClientsParked(t *testing.T) {
 	if en.Parked() != spec.Threads {
 		t.Fatalf("%d clients parked after Fail, want %d", en.Parked(), spec.Threads)
 	}
-	c, err := NewEngine(e, en.Device(), en.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CopyFrom(en); err == nil || !strings.Contains(err.Error(), "parked") {
+	if _, err := ForkEngine(e, en.Device(), en.cfg, en); err == nil || !strings.Contains(err.Error(), "parked") {
 		t.Fatalf("copy of a store with parked clients: err %v, want a refusal naming them", err)
 	}
 }

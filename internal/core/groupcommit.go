@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
@@ -299,14 +300,20 @@ func (g *GroupCommit[R]) Quiet() bool {
 	return !g.commitInFlight && !g.cutting && !g.hasPending()
 }
 
-// CopyFrom makes g's placement, counters and durable versions a copy of
-// src's, over log, g's own copy of the active half's records. g keeps its
-// kernel, device, format, configuration, commit hook and spare future. src
-// must be Quiet, so nothing is pending or in flight; it is only read.
-func (g *GroupCommit[R]) CopyFrom(src *GroupCommit[R], log *[]R) {
-	own := *g
+// ForkGroupCommit returns a copy of src on eng and dev, laid out by format,
+// over log, the forking engine's copy of the active half's records: src's
+// placement, counters and durable versions, with no commit hook. It starts
+// from a copy of src's struct, so a field added to the log is copied by
+// default. src must be Quiet, so nothing is pending or in flight; it is
+// only read.
+func ForkGroupCommit[R LogRecord](eng *sim.Engine, dev *ssd.Device, format LogFormat[R], log *[]R, src *GroupCommit[R]) *GroupCommit[R] {
+	g := new(GroupCommit[R])
 	*g = *src
-	g.eng, g.dev, g.format, g.cfg, g.onCommit = own.eng, own.dev, own.format, own.cfg, own.onCommit
-	g.log, g.spare = log, own.spare
-	g.durable = append(own.durable[:0], src.durable...)
+	g.eng, g.dev, g.format, g.log, g.onCommit = eng, dev, format, log, nil
+	if src.spare != nil {
+		// A completed batch future's content is dead; any future serves.
+		g.spare = new(sim.Future)
+	}
+	g.durable = slices.Clone(src.durable)
+	return g
 }

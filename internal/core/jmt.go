@@ -119,18 +119,26 @@ func (t *JMT) reset() {
 	t.live = 0
 }
 
-// clone returns a deep copy of the table. The index holds log positions,
-// not entry pointers, so it copies as is and keeps naming the copies.
+// clone returns a deep copy of the table, including the entry objects a
+// reset left past the log's length, so the copy's appends reuse them as
+// t's would (see newEntry). The index holds log positions, not entry
+// pointers, so it copies as is and keeps naming the copies.
 func (t *JMT) clone() *JMT {
+	all := t.entries[:cap(t.entries)]
+	n := 0 // entry objects: a prefix of all
+	for n < len(all) && all[n] != nil {
+		n++
+	}
 	out := &JMT{
-		entries: make([]*jmtEntry, len(t.entries)),
+		entries: make([]*jmtEntry, len(t.entries), cap(t.entries)),
 		latest:  slices.Clone(t.latest),
 		live:    t.live,
 	}
-	copies := make([]jmtEntry, len(t.entries))
-	for i, e := range t.entries {
+	copies := make([]jmtEntry, n)
+	reuse := out.entries[:n]
+	for i, e := range all[:n] {
 		copies[i] = *e
-		out.entries[i] = &copies[i]
+		reuse[i] = &copies[i]
 	}
 	return out
 }

@@ -67,6 +67,15 @@ func (s Strategy) UsesRemap() bool { return s == StrategyISCC || s == StrategyCh
 // format.
 func (s Strategy) SectorAligned() bool { return s == StrategyCheckIn }
 
+// LogHeader returns the inline header bytes of each log record: the
+// aligned format keeps log descriptors host-side, in the JMT, instead.
+func (s Strategy) LogHeader() int64 {
+	if s.SectorAligned() {
+		return 0
+	}
+	return InlineHeaderBytes
+}
+
 // DefaultMappingUnit returns the FTL mapping unit the configuration runs
 // with when not overridden: conventional SSDs map 4 KB pages; the remapping
 // designs use sub-page (host-sector) mapping.

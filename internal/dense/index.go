@@ -10,6 +10,8 @@
 // stack carries its own indexes and a sharded run holds several stacks.
 package dense
 
+import "slices"
+
 // ChunkSize is the number of keys one chunk covers.
 const ChunkSize = 1 << chunkBits
 
@@ -83,34 +85,25 @@ func (x *Index) Clear(k int64) {
 // Len returns the number of keys present.
 func (x *Index) Len() int { return x.n }
 
-// Reset removes every key. Only allocated chunks are touched: they are
-// zeroed and kept on the spare list for reuse.
-func (x *Index) Reset() {
-	for c, ch := range x.chunks {
-		if ch != nil {
-			clear(ch)
-			x.chunks[c] = nil
-			x.counts[c] = 0
-			x.spare = append(x.spare, ch)
-		}
-	}
-	x.n = 0
+// Clone returns a deep copy of x, spare chunks and capacities included, so
+// the copy allocates exactly when x would. x is only read.
+func (x *Index) Clone() Index {
+	counts := append(make([]int32, 0, cap(x.counts)), x.counts...)
+	return Index{chunks: cloneChunks(x.chunks), counts: counts, spare: cloneChunks(x.spare), n: x.n}
 }
 
-// CopyFrom makes x a deep copy of src. Only the chunks src holds are
-// copied; x's own chunks are zeroed and kept as spares, so a chunk src
-// leaves empty is never allocated or touched. src is only read.
-func (x *Index) CopyFrom(src *Index) {
-	x.Reset()
-	x.chunks = append(x.chunks[:0], make([][]int32, len(src.chunks))...)
-	for c, ch := range src.chunks {
+// cloneChunks deep-copies a chunk list; nil chunks stay nil.
+func cloneChunks(chunks [][]int32) [][]int32 {
+	if chunks == nil {
+		return nil
+	}
+	out := make([][]int32, len(chunks), cap(chunks))
+	for i, ch := range chunks {
 		if ch != nil {
-			x.chunks[c] = x.takeChunk()
-			copy(x.chunks[c], ch)
+			out[i] = slices.Clone(ch)
 		}
 	}
-	x.counts = append(x.counts[:0], src.counts...)
-	x.n = src.n
+	return out
 }
 
 // Range calls fn for every present key in ascending key order. fn must not

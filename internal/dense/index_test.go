@@ -1,13 +1,16 @@
 package dense
 
 import (
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"testing"
 )
 
-// TestIndexOracle checks Set / Clear / Get / Range / Reset against a map,
+// TestIndexOracle checks Set / Clear / Get / Range / Clone against a map,
 // with keys clustered in a few chunks so chunks empty out and are reused.
+// Now and then the run continues on a clone, and the index it was cloned
+// from must keep its keys however the clone changes.
 func TestIndexOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	var x Index
@@ -23,8 +26,16 @@ func TestIndexOracle(t *testing.T) {
 			x.Clear(k)
 			delete(ref, k)
 		default:
-			x.Reset()
-			clear(ref)
+			prev, want := x, maps.Clone(ref)
+			x = prev.Clone()
+			x.Set(k, 1+rng.Int32N(100))
+			x.Clear(k)
+			for pk, pv := range want {
+				if got := prev.Get(pk); got != pv {
+					t.Fatalf("step %d: the cloned index's Get(%d) = %d after its clone changed, want %d", step, pk, got, pv)
+				}
+			}
+			delete(ref, k)
 		}
 		if got := x.Get(k); got != ref[k] {
 			t.Fatalf("step %d: Get(%d) = %d, want %d", step, k, got, ref[k])
@@ -69,8 +80,14 @@ func TestIndexChunksFollowLiveKeys(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("refilling an emptied chunk allocates %.2f/op, want 0", n)
 	}
-	x.Reset()
-	if x.Chunks() != 0 || x.Len() != 0 || x.Get(10*ChunkSize+1) != 0 {
-		t.Fatal("Reset left keys or chunks behind")
+	c := x.Clone()
+	if c.Chunks() != 1 || c.Len() != 1 || c.Get(10*ChunkSize+1) != 2 {
+		t.Fatal("a clone holds other keys or chunks than its source")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c.Set(3*ChunkSize, 7)
+		c.Clear(3 * ChunkSize)
+	}); n != 0 {
+		t.Fatalf("a clone refilling its emptied chunk allocates %.2f/op, want 0: the spare did not carry over", n)
 	}
 }

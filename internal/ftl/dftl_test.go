@@ -85,7 +85,7 @@ func settleCMT(e *sim.Engine, f *FTL) {
 // GC. The FTL must keep every dftl invariant (CMT/LRU/directory coherence,
 // full-sweep stored-vs-live agreement), survive a lossless SPOR rebuild of
 // the translation directory, and keep doing all of the above after
-// CopyFrom carries the whole dftl state into a fresh instance.
+// Fork carries the whole dftl state into a new instance.
 func TestMappingOracle(t *testing.T) {
 	for _, pol := range []GCPolicy{GCGreedy, GCCostBenefit, GCFIFO} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -113,14 +113,11 @@ func TestMappingOracle(t *testing.T) {
 					t.Fatalf("SPOR lost durable state: %s", rep)
 				}
 
-				// Copy: the fresh instance must hold the identical
+				// Fork: the new instance must hold the identical
 				// CMT, directory and flash-resident copies, and keep the
 				// oracle quiet for the rest of the workload.
-				f2, err := New(e, arr, cfg)
+				f2, err := Fork(e, arr, f)
 				if err != nil {
-					t.Fatal(err)
-				}
-				if err := f2.CopyFrom(f); err != nil {
 					t.Fatal(err)
 				}
 				f2.EnableMapOracle()

@@ -164,9 +164,9 @@ func TestCleanFirstEvictionReducesFlushes(t *testing.T) {
 // TestCMTAxesSnapshotDeterminism proves the CMT paths are snapshot-safe at
 // every axis setting, including the mixed ones Config.CMTBasic cannot
 // express: a workload run straight through and the same workload resumed
-// on a fresh FTL copied from it mid-run must end in the same CMT, LRU
-// order, stats and live map, with the mapping oracle armed. The axes
-// travel with the copy, as they follow a forked stack's Config.
+// on an FTL forked from it mid-run must end in the same CMT, LRU order,
+// stats and live map, with the mapping oracle armed. The axes travel with
+// the fork, as they follow a forked stack's Config.
 func TestCMTAxesSnapshotDeterminism(t *testing.T) {
 	combos := []struct {
 		name string
@@ -189,14 +189,11 @@ func TestCMTAxesSnapshotDeterminism(t *testing.T) {
 					oracleWorkload(t, e, f, &rng, 768)
 					settleCMT(e, f)
 					if fork {
-						fresh, err := New(e, arr, cfg)
+						fork, err := Fork(e, arr, f)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if err := fresh.CopyFrom(f); err != nil {
-							t.Fatal(err)
-						}
-						f = fresh
+						f = fork
 						f.EnableMapOracle()
 					}
 					oracleWorkload(t, e, f, &rng, 768)

@@ -131,32 +131,17 @@ func BenchmarkGCHeavyWriteOnly(b *testing.B) {
 	for _, pol := range []GCPolicy{GCGreedy, GCCostBenefit, GCFIFO} {
 		b.Run(pol.String(), func(b *testing.B) {
 			s := newGCHeavyState(b, pol)
-			engState := s.eng.State()
-			arr, err := nand.New(s.eng, s.f.Array().Geometry(), s.f.Array().Timing())
-			if err != nil {
-				b.Fatal(err)
-			}
-			pristine, err := New(s.eng, arr, s.f.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := arr.CopyFrom(s.f.Array()); err != nil {
-				b.Fatal(err)
-			}
-			if err := pristine.CopyFrom(s.f); err != nil {
-				b.Fatal(err)
-			}
+			pristine, at := s.f, s.eng.State()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s.eng.Restore(engState)
-				if err := s.f.Array().CopyFrom(arr); err != nil {
+				s.eng = pristine.eng.Fork(at)
+				f, err := Fork(s.eng, nand.Fork(s.eng, pristine.Array()), pristine)
+				if err != nil {
 					b.Fatal(err)
 				}
-				if err := s.f.CopyFrom(pristine); err != nil {
-					b.Fatal(err)
-				}
+				s.f = f
 				s.rng = 0x9e3779b97f4a7c15
 				b.StartTimer()
 				s.run(100_000)

@@ -131,21 +131,19 @@ func aliasedSlots(r *recoveryLog) []int64 {
 	return sids
 }
 
-// TestRestoreRebuildsAliasIndex pins the alias table's copy: copying a
-// saved FTL onto one whose own remaps left alias entries behind must clear
-// every stale index and set exactly the saved log's slots. The explicit
-// slot lists pin it without relying on the checker; the tail plants a
-// dangling index and expects CheckInvariants to reject it.
+// TestRestoreRebuildsAliasIndex pins the alias table's fork: a fork of a
+// saved FTL must hold exactly the saved log's alias slots, whatever the
+// live FTL remapped since, and a fork of an alias-free FTL none at all (no
+// index chunk either). The explicit slot lists pin it without relying on
+// the checker; the tail plants a dangling index and expects
+// CheckInvariants to reject it.
 func TestRestoreRebuildsAliasIndex(t *testing.T) {
 	const dataOff = 65536
 	e, f := newSmall(t, smallCfg())
-	save := func() *FTL {
+	save := func(src *FTL) *FTL {
 		t.Helper()
-		saved, err := New(e, f.array, f.cfg)
+		saved, err := Fork(e, src.array, src)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := saved.CopyFrom(f); err != nil {
 			t.Fatal(err)
 		}
 		return saved
@@ -153,25 +151,23 @@ func TestRestoreRebuildsAliasIndex(t *testing.T) {
 	f.Write(0, 8192, TagHostJournal, StreamJournal)
 	f.Sync(StreamJournal, TagHostJournal)
 	e.Run()
-	clean := save() // no remaps yet: an empty alias log
+	clean := save(f) // no remaps yet: an empty alias log
 	f.Remap(0, dataOff, 4096)
 	e.Run()
-	aliased := save() // the first 4 KB's slots carry aliases
+	aliased := save(f) // the first 4 KB's slots carry aliases
 	want := aliasedSlots(f.rlog)
 	if len(want) == 0 {
 		t.Fatal("remap set no alias entries")
 	}
 
-	// Stale entries on a restore target: remap a different extent, so the
-	// live table holds slots the aliased snapshot does not.
+	// The live FTL moves on: remap a different extent, so it holds slots
+	// the aliased snapshot does not.
 	f.Remap(4096, dataOff+4096, 4096)
 	e.Run()
 	if len(aliasedSlots(f.rlog)) <= len(want) {
 		t.Fatal("second remap set no further alias entries")
 	}
-	if err := f.CopyFrom(aliased); err != nil {
-		t.Fatal(err)
-	}
+	f = save(aliased)
 	if got := aliasedSlots(f.rlog); !slices.Equal(got, want) {
 		t.Fatalf("restored alias slots %v, want exactly %v", got, want)
 	}
@@ -179,11 +175,9 @@ func TestRestoreRebuildsAliasIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := f.CopyFrom(clean); err != nil {
-		t.Fatal(err)
-	}
+	f = save(clean)
 	if got := aliasedSlots(f.rlog); len(got) != 0 || f.rlog.aliases.len() != 0 || f.rlog.aliases.idx.Chunks() != 0 {
-		t.Fatalf("copy of an alias-free FTL left slots %v, %d indexed, %d chunks",
+		t.Fatalf("fork of an alias-free FTL holds slots %v, %d indexed, %d chunks",
 			got, f.rlog.aliases.len(), f.rlog.aliases.idx.Chunks())
 	}
 	if err := f.CheckInvariants(); err != nil {

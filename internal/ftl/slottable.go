@@ -1,10 +1,6 @@
 package ftl
 
-import (
-	"slices"
-
-	"github.com/checkin-kv/checkin/internal/dense"
-)
+import "github.com/checkin-kv/checkin/internal/dense"
 
 // slotTable maps a slot id to a short slice of T: the shared-slot reverse
 // mappings (revOverflow) and the recovery log's remap alias records. Almost
@@ -71,15 +67,15 @@ func (t *slotTable[T]) each(fn func(sid int64, s []T)) {
 	t.idx.Range(func(sid int64, i int32) { fn(sid, t.pool[i-1]) })
 }
 
-// copyFrom makes t a deep copy of src. t's index reuses its own chunks
-// and touches only those src holds (see dense.Index.CopyFrom).
-func (t *slotTable[T]) copyFrom(src *slotTable[T]) {
-	t.idx.CopyFrom(&src.idx)
-	t.pool = t.pool[:0]
-	for _, s := range src.pool {
-		t.pool = append(t.pool, slices.Clone(s))
+// clone returns a deep copy of t in which the pool, the free list and every
+// pooled slice keep their capacity, so the copy grows and reuses its free
+// list exactly when t would.
+func (t *slotTable[T]) clone() slotTable[T] {
+	c := slotTable[T]{idx: t.idx.Clone(), pool: make([][]T, len(t.pool), cap(t.pool)), free: cloneReserve(t.free)}
+	for i, s := range t.pool {
+		c.pool[i] = cloneReserve(s)
 	}
-	t.free = append(t.free[:0], src.free...)
+	return c
 }
 
 // check reports every disagreement between the index and the pool: a set

@@ -60,9 +60,9 @@ func sameAsRef(t *slotTable[int64], ref map[int64][]int64) error {
 
 // TestSlotTableOracle drives one slot table through random add / truncate /
 // drop / save / restore sequences over slots spread across several chunks,
-// against a map reference. A save copies the table into another; restores
-// copy it back both into the live table, whose chunks the restored content
-// partly leaves empty, and into a fresh one.
+// against a map reference. A save clones the table; a restore replaces the
+// live table by a clone of the saved one, and the saved table must stay as
+// it was saved however its clones are edited later.
 func TestSlotTableOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	var tab slotTable[int64]
@@ -94,22 +94,22 @@ func TestSlotTableOracle(t *testing.T) {
 			tab.drop(sid)
 			delete(ref, sid)
 		case op < 95:
-			saved.copyFrom(&tab)
+			saved = tab.clone()
 			savedRef = map[int64][]int64{}
 			for k, v := range ref {
 				savedRef[k] = slices.Clone(v)
 			}
 		case savedRef != nil && op < 98:
-			tab.copyFrom(&saved)
+			tab = saved.clone()
 			ref = map[int64][]int64{}
 			for k, v := range savedRef {
 				ref[k] = slices.Clone(v)
 			}
 		case savedRef != nil:
-			var fresh slotTable[int64]
-			fresh.copyFrom(&saved)
-			if err := sameAsRef(&fresh, savedRef); err != nil {
-				t.Fatalf("step %d: restore into a fresh table: %v", step, err)
+			// The saved table itself must be untouched by its clones'
+			// later edits.
+			if err := sameAsRef(&saved, savedRef); err != nil {
+				t.Fatalf("step %d: saved table after its clones ran: %v", step, err)
 			}
 		}
 		if err := sameAsRef(&tab, ref); err != nil {

@@ -3,93 +3,111 @@ package ftl
 import (
 	"fmt"
 	"slices"
+
+	"github.com/checkin-kv/checkin/internal/nand"
+	"github.com/checkin-kv/checkin/internal/sim"
 )
 
-// CopyFrom makes f's mutable state a deep copy of src's: the mapping with
-// reference counts and both slot tables, block lifecycle and free pool, the
-// per-stream write frontiers (including buffered partial-page slots — a
-// stream tail can legitimately sit in the controller buffer across a
-// quiescent point), the map-metadata cost model, the DFTL map, the recovery
-// log and the counters. f must have been built from the same Config over an
-// array of the same geometry; it keeps its kernel, array, test hooks and
-// per-call scratch. src must be quiescent — no collection in flight, every
-// program complete, no translation-page writeback or checkpoint-cut batch
-// open — and is only read, so any number of copies may run concurrently.
-func (f *FTL) CopyFrom(src *FTL) error {
+// Fork returns a new FTL on eng over array (a fork of src's array) whose
+// state is a deep copy of src's: the mapping with reference counts and both
+// slot tables, block lifecycle and free pool, the per-stream write
+// frontiers (including buffered partial-page slots — a stream tail can
+// legitimately sit in the controller buffer across a quiescent point), the
+// map-metadata cost model, the DFTL map, the recovery log and the counters.
+// It starts from a copy of src's struct, so a field added to the FTL is
+// copied by default, then gives every table, per-call scratch included,
+// its own storage of the same capacity, copied rather than built and
+// overwritten, and sets only its wiring and its test hooks (disarmed). src
+// must be quiescent — no collection in flight, every program complete, no
+// translation-page writeback or checkpoint-cut batch open — and is only
+// read, so any number of forks may run concurrently.
+func Fork(eng *sim.Engine, array *nand.Array, src *FTL) (*FTL, error) {
 	switch {
-	case f.cfg != src.cfg || f.array.Geometry() != src.array.Geometry():
-		return fmt.Errorf("ftl: copy between FTLs of different configuration or geometry")
+	case array.Geometry() != src.array.Geometry():
+		return nil, fmt.Errorf("ftl: fork over an array of different geometry")
 	case src.gcDepth != 0:
-		return fmt.Errorf("ftl: snapshot during garbage collection (depth %d)", src.gcDepth)
+		return nil, fmt.Errorf("ftl: snapshot during garbage collection (depth %d)", src.gcDepth)
 	case src.fm.flushing:
-		return fmt.Errorf("ftl: snapshot during translation-page writeback")
+		return nil, fmt.Errorf("ftl: snapshot during translation-page writeback")
 	case src.fm.batch:
-		return fmt.Errorf("ftl: snapshot inside a checkpoint-cut remap batch")
+		return nil, fmt.Errorf("ftl: snapshot inside a checkpoint-cut remap batch")
 	}
 	for s, l := range src.programs {
 		if !src.eng.Passed(l.latest.at, l.latest.seq) {
-			return fmt.Errorf("ftl: snapshot with incomplete program on stream %d (FTL not quiescent)", s)
+			return nil, fmt.Errorf("ftl: snapshot with incomplete program on stream %d (FTL not quiescent)", s)
 		}
 	}
-	own := *f
+	f := new(FTL)
 	*f = *src
-	f.eng, f.array = own.eng, own.array
-	f.lunsBuf, f.epoch, f.pageEpoch, f.pageCount, f.pageOrder = own.lunsBuf, own.epoch, own.pageEpoch, own.pageCount, own.pageOrder
-	f.fm.oracle, f.fm.evictOracle, f.fm.enforced = own.fm.oracle, own.fm.evictOracle, own.fm.enforced
+	f.eng, f.array = eng, array
+	f.lunsBuf = cloneReserve(src.lunsBuf)
+	f.pageEpoch = cloneReserve(src.pageEpoch)
+	f.pageCount = cloneReserve(src.pageCount)
+	f.pageOrder = cloneReserve(src.pageOrder)
 
-	f.l2p = append(own.l2p[:0], src.l2p...)
-	f.refcnt = append(own.refcnt[:0], src.refcnt...)
-	f.rev = append(own.rev[:0], src.rev...)
-	f.revOverflow = own.revOverflow
-	f.revOverflow.copyFrom(&src.revOverflow)
+	f.l2p = cloneReserve(src.l2p)
+	f.refcnt = cloneReserve(src.refcnt)
+	f.rev = cloneReserve(src.rev)
+	f.revOverflow = src.revOverflow.clone()
 
-	f.state = append(own.state[:0], src.state...)
-	f.validCount = append(own.validCount[:0], src.validCount...)
-	f.written = append(own.written[:0], src.written...)
-	f.closedSeq = append(own.closedSeq[:0], src.closedSeq...)
+	f.state = cloneReserve(src.state)
+	f.validCount = cloneReserve(src.validCount)
+	f.written = cloneReserve(src.written)
+	f.closedSeq = cloneReserve(src.closedSeq)
 	f.freeByDie = cloneLists(src.freeByDie)
 	f.spareByDie = cloneLists(src.spareByDie)
-	f.pendingRetire = slices.Clone(src.pendingRetire)
-	f.pendingReclaim = slices.Clone(src.pendingReclaim)
-	f.pendingMark = append(own.pendingMark[:0], src.pendingMark...)
+	f.pendingRetire = cloneReserve(src.pendingRetire)
+	f.pendingReclaim = cloneReserve(src.pendingReclaim)
+	f.pendingMark = cloneReserve(src.pendingMark)
 	for s := range f.fronts {
-		f.fronts[s] = slices.Clone(src.fronts[s])
+		f.fronts[s] = slices.Clone(src.fronts[s]) // fixed length: one frontier per open block
 		for i := range f.fronts[s] {
-			f.fronts[s][i].fillLSNs = slices.Clone(src.fronts[s][i].fillLSNs)
+			f.fronts[s][i].fillLSNs = cloneReserve(src.fronts[s][i].fillLSNs)
 		}
 	}
 
 	fm, sfm := &f.fm, &src.fm
-	fm.cached = append(own.fm.cached[:0], sfm.cached...)
-	fm.dirty = append(own.fm.dirty[:0], sfm.dirty...)
+	fm.oracle, fm.evictOracle, fm.enforced = false, nil, nil
+	fm.cached = cloneReserve(sfm.cached)
+	fm.dirty = cloneReserve(sfm.dirty)
 	// The LRU arrays carry the run nodes' ids past the luns', so their
-	// length follows the run pool.
-	fm.lruNext = append(own.fm.lruNext[:0], sfm.lruNext...)
-	fm.lruPrev = append(own.fm.lruPrev[:0], sfm.lruPrev...)
-	fm.runs = append(own.fm.runs[:0], sfm.runs...)
-	fm.runBits = append(own.fm.runBits[:0], sfm.runBits...)
-	fm.tpRuns = append(own.fm.tpRuns[:0], sfm.tpRuns...)
-	fm.stored = append(own.fm.stored[:0], sfm.stored...)
-	fm.gtd = append(own.fm.gtd[:0], sfm.gtd...)
-	fm.tpOwner = append(own.fm.tpOwner[:0], sfm.tpOwner...)
-	fm.dirtyByTP = append(own.fm.dirtyByTP[:0], sfm.dirtyByTP...)
-	fm.tpEpoch = append(own.fm.tpEpoch[:0], sfm.tpEpoch...)
+	// length follows the run pool; their capacity reserves the ids the
+	// pool may still grow into, as every table's capacity is kept.
+	fm.lruNext = cloneReserve(sfm.lruNext)
+	fm.lruPrev = cloneReserve(sfm.lruPrev)
+	fm.runs = cloneReserve(sfm.runs)
+	fm.runBits = cloneReserve(sfm.runBits)
+	fm.tpRuns = cloneReserve(sfm.tpRuns)
+	fm.stored = cloneReserve(sfm.stored)
+	fm.gtd = cloneReserve(sfm.gtd)
+	fm.tpOwner = cloneReserve(sfm.tpOwner)
+	fm.dirtyByTP = cloneReserve(sfm.dirtyByTP)
+	fm.tpEpoch = cloneReserve(sfm.tpEpoch)
 
-	r, ownLog := own.rlog, *own.rlog
-	*r = *src.rlog
-	r.oob = append(ownLog.oob[:0], src.rlog.oob...)
-	r.aliases = ownLog.aliases
-	r.aliases.copyFrom(&src.rlog.aliases)
-	r.trims = slices.Clone(src.rlog.trims)
-	r.tp = append(ownLog.tp[:0], src.rlog.tp...)
-	f.rlog = r
-	return nil
+	r := *src.rlog
+	r.oob = cloneReserve(src.rlog.oob)
+	r.aliases = src.rlog.aliases.clone()
+	r.trims = cloneReserve(src.rlog.trims)
+	r.tp = cloneReserve(src.rlog.tp)
+	f.rlog = &r
+	return f, nil
 }
 
 func cloneLists(src [][]int) [][]int {
-	out := make([][]int, len(src))
+	out := make([][]int, len(src), cap(src))
 	for i, l := range src {
-		out[i] = slices.Clone(l)
+		out[i] = cloneReserve(l)
 	}
 	return out
+}
+
+// cloneReserve is slices.Clone keeping s's spare capacity, so the copy
+// grows exactly when s would and appends into a reserve never reallocate.
+// Like Clone, it copies instead of zeroing: the spare part's content is
+// dead, and is copied as is, so T must hold no pointers.
+func cloneReserve[T any](s []T) []T {
+	if s == nil {
+		return nil
+	}
+	return append([]T(nil), s[:cap(s)]...)[:len(s)]
 }

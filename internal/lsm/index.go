@@ -78,6 +78,12 @@ func (m *memtable) put(rec *walRec) {
 // len returns the number of distinct keys set.
 func (m *memtable) len() int { return len(m.keys) }
 
+// fork returns a memtable with m's key list and no cells set, for a fork
+// to relink to its own records. The key list keeps m's capacity.
+func (m *memtable) fork() memtable {
+	return memtable{cells: make([]*walRec, len(m.cells)), keys: append(make([]int64, 0, cap(m.keys)), m.keys...)}
+}
+
 // clear empties the memtable key by key, keeping its storage for reuse.
 func (m *memtable) clear() {
 	for _, k := range m.keys {

@@ -68,7 +68,7 @@ func drain(e *sim.Engine, en *Engine) {
 
 // TestNewestIndexMatchesSearch is the differential oracle for the
 // newest-version index: after every install — the load's base run, each
-// flush and each compaction — and after every CopyFrom, every key's entry
+// flush and each compaction — and after every fork, every key's entry
 // must equal what a newest-first search of the runs finds. It covers both
 // policies, all five strategies and three seeds, and per case a forced
 // major compaction, a compaction whose output newRuns splits over a

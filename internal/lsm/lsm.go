@@ -186,11 +186,7 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 	en.mem, en.imm = newMemtable(cfg.Keys), newMemtable(cfg.Keys)
 	en.newest = make([]loc, cfg.Keys)
 
-	header := int64(core.InlineHeaderBytes)
-	if cfg.Strategy.SectorAligned() {
-		header = 0
-	}
-	en.w = core.NewGroupCommit(eng, dev, walFormat{aligned: cfg.Strategy.SectorAligned(), header: header},
+	en.w = core.NewGroupCommit(eng, dev, walFormat{aligned: cfg.Strategy.SectorAligned(), header: cfg.Strategy.LogHeader()},
 		&en.walLogs[0], core.LogConfig{
 			Keys:       cfg.Keys,
 			HalfBytes:  cfg.JournalHalfBytes,

@@ -250,14 +250,10 @@ func TestWALBackpressureTriggersFlush(t *testing.T) {
 	}
 }
 
-// copyEngine copies en into a fresh engine over the same device: the
-// engine half of a snapshot fork.
+// copyEngine forks en into a new engine over the same device: the engine
+// half of a snapshot fork.
 func copyEngine(en *Engine) (*Engine, error) {
-	c, err := New(en.Sim(), en.Device(), en.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return c, c.CopyFrom(en)
+	return Fork(en.Sim(), en.Device(), en.cfg, en)
 }
 
 func TestSnapshotRestoreRoundtrip(t *testing.T) {
@@ -286,7 +282,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 		}
 		p.Wait(en.TriggerCheckpoint())
 	})
-	if err := en.CopyFrom(s); err != nil {
+	if en, err = copyEngine(s); err != nil {
 		t.Fatal(err)
 	}
 	after := en.Recovery().Recovered

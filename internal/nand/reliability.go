@@ -67,7 +67,7 @@ func (c ReliabilityConfig) Validate() error {
 const maxRetrySteps = 8
 
 // relModel is the sampling state. It carries its own splitmix64 PRNG rather
-// than *sim.RNG so the stream position is a single uint64 that CopyFrom
+// than *sim.RNG so the stream position is a single uint64 that Fork
 // copies exactly — forked runs replay the identical fault schedule.
 type relModel struct {
 	cfg ReliabilityConfig

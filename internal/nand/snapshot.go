@@ -1,21 +1,19 @@
 package nand
 
 import (
-	"fmt"
 	"slices"
+
+	"github.com/checkin-kv/checkin/internal/sim"
 )
 
-// CopyFrom makes a's mutable state — per-block lifecycle, die/channel busy
-// horizons, counters and the fault model's PRNG position — a deep copy of
-// src's. Both arrays must share geometry and timing; a keeps its kernel.
-// The array has no in-flight continuations of its own (an operation books
-// its busy horizons at issue and returns its completion instant), so src
-// may be copied at any instant. src is only read.
-func (a *Array) CopyFrom(src *Array) error {
-	if a.geo != src.geo || a.tim != src.tim {
-		return fmt.Errorf("nand: copy between arrays of different geometry or timing")
-	}
-	eng := a.eng
+// Fork returns a new array on eng whose state — per-block lifecycle,
+// die/channel busy horizons, counters and the fault model's PRNG position
+// — is a deep copy of src's, with src's geometry and timing. The array has
+// no in-flight continuations of its own (an operation books its busy
+// horizons at issue and returns its completion instant), so src may be
+// forked at any instant. src is only read.
+func Fork(eng *sim.Engine, src *Array) *Array {
+	a := new(Array)
 	*a = *src
 	a.eng = eng
 	a.dies = slices.Clone(src.dies)
@@ -25,5 +23,5 @@ func (a *Array) CopyFrom(src *Array) error {
 		rel := *src.rel
 		a.rel = &rel
 	}
-	return nil
+	return a
 }

@@ -34,7 +34,7 @@ type laneOracle struct {
 	horizon []VTime // per explicit lane: the instant of its last in-order event
 
 	pending               []stamp // reference: events queued in the kernel
-	log                   []stamp // dispatch order since the last Restore
+	log                   []stamp // dispatch order since the last check
 	fired                 int
 	budget                int // events the generator may still create
 	fallbacks, lanePushes int
@@ -208,8 +208,9 @@ func (o *laneOracle) checkLog() {
 // TestLaneDispatchOracle checks on seeded random mixes that the lanes
 // change no dispatch: whichever container an event waits in, every
 // dispatch is the (at, seq)-least pending event, as with a single heap.
-// Midway, a Restore discards queued events in the heap and every lane,
-// rewinds the clock, and the lanes serve the rewound timeline in order.
+// Midway, the oracle moves to a fork of an earlier state taken while events
+// wait in the heap and every lane: the fork starts with none of them, at
+// the rewound clock, and its lanes serve the rewound timeline in order.
 func TestLaneDispatchOracle(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -224,7 +225,7 @@ func TestLaneDispatchOracle(t *testing.T) {
 			o.run(false)
 			o.checkLog()
 
-			// Restore with events queued in the heap and in every lane.
+			// Fork with events queued in the heap and in every lane.
 			o.spawn(30)
 			for k, l := range o.lanes {
 				o.expect(e.now + VTime(50+k))
@@ -237,13 +238,14 @@ func TestLaneDispatchOracle(t *testing.T) {
 				}
 			}
 			if queued < 3 || len(e.events) == 0 {
-				t.Fatalf("restore point holds events in %d lanes and %d in the heap: no test of emptying", queued, len(e.events))
+				t.Fatalf("fork point holds events in %d lanes and %d in the heap: no test of leaving them", queued, len(e.events))
 			}
-			e.Restore(st)
+			o.e = e.Fork(st)
+			e = o.e
 			o.pending = o.pending[:0]
 			clear(o.horizon)
 			if e.Pending() != 0 {
-				t.Fatalf("Restore left %d events queued", e.Pending())
+				t.Fatalf("the fork holds %d events", e.Pending())
 			}
 			o.budget = 4000
 			o.expect(e.now)

@@ -44,7 +44,7 @@
 // does. Every container is thus sorted by (at, seq), a strict total order,
 // and RunUntil dispatches the least of the heap head and the lane heads:
 // exactly the sequence a single heap would dispatch. Lanes change what an
-// event costs, never when it runs. Restore empties them.
+// event costs, never when it runs. A fork starts with them empty.
 package sim
 
 import (
@@ -202,11 +202,6 @@ func (l *lane) pop() event {
 
 // back is the newest pending event; the lane must not be empty.
 func (l *lane) back() *event { return &l.ring[(l.head+l.n-1)&(len(l.ring)-1)] }
-
-func (l *lane) clear() {
-	clear(l.ring)
-	l.head, l.n = 0, 0
-}
 
 // A Lane names one of an engine's explicit event lanes (see NewLane).
 type Lane int
@@ -461,47 +456,50 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// EngineState is the restorable kernel state: the virtual clock, the event
-// sequence counter (same-time tie-break order) and the executed-event count.
-// Queued events are deliberately NOT part of the state — closures cannot be
-// copied — so State is only meaningful at a quiescent point where the queue
-// holds nothing the caller cannot deterministically re-create (see
-// Engine.Restore).
+// EngineState is the kernel state a fork starts from: the virtual clock,
+// the event sequence counter (same-time tie-break order) and the
+// executed-event count. Queued events are deliberately NOT part of the
+// state — closures cannot be copied — so State is only meaningful at a
+// quiescent point where the queue holds nothing the caller cannot
+// deterministically re-create (see Engine.Fork).
 type EngineState struct {
 	Now      VTime
 	Seq      uint64
 	Executed uint64
 }
 
-// State captures the kernel counters for a later Restore.
+// State captures the kernel counters for a later Fork.
 func (e *Engine) State() EngineState {
 	return EngineState{Now: e.now, Seq: e.seq, Executed: e.executed}
 }
 
-// Restore rewinds (or fast-forwards) the engine to a previously captured
-// state, discarding every queued event, in the heap and in every lane. The caller owns re-creating whatever
-// periodic events belong at the restored instant; because the sequence
-// counter is restored too, re-created events draw the same tie-break numbers
-// they had on the original timeline, keeping same-time ordering identical.
-// Restoring with live processes panics: their coroutine stacks reference the
-// discarded timeline and cannot be rewound.
-func (e *Engine) Restore(s EngineState) {
-	if e.liveProcs != 0 {
-		panic(fmt.Sprintf("sim: Restore with %d live processes", e.liveProcs))
+// Fork returns a new engine at state s with e's lanes registered, in e's
+// order and empty, so lane handles taken on e (NewLane) name the same
+// lanes on the fork. Nothing is queued on the fork and no process lives on
+// it (e's stay on e): the caller re-creates whatever periodic events belong
+// at s. Because the sequence counter is s's too, re-created events draw the
+// tie-break numbers they had on the original timeline, keeping same-time
+// ordering identical. The fork reserves what e's queues and waiter-list
+// pool have grown to, so it allocates exactly when e would. e is only
+// read, so any number of forks may be taken from it concurrently.
+func (e *Engine) Fork(s EngineState) *Engine {
+	f := &Engine{
+		events:      make(eventHeap, 0, cap(e.events)),
+		lanes:       make([]lane, len(e.lanes)),
+		waiterLists: make([]*[]Handler, len(e.waiterLists), cap(e.waiterLists)),
 	}
-	for i := range e.events {
-		e.events[i] = event{} // release handlers for GC
+	for i, l := range e.lanes {
+		f.lanes[i] = lane{ring: make([]event, len(l.ring)), timer: l.timer, delay: l.delay}
 	}
-	e.events = e.events[:0]
-	for i := range e.lanes {
-		e.lanes[i].clear() // lanes stay registered
+	for i, l := range e.waiterLists {
+		wl := make([]Handler, 0, cap(*l))
+		f.waiterLists[i] = &wl
 	}
-	e.now = s.Now
-	e.seq = s.Seq
-	e.cur = s.Seq
-	e.tail = 0
-	e.executed = s.Executed
-	e.stopped = false
+	if e.completed != nil {
+		CompletedFuture(f)
+	}
+	f.now, f.seq, f.cur, f.executed = s.Now, s.Seq, s.Seq, s.Executed
+	return f
 }
 
 // A Proc is a cooperative simulated process. All its methods must be called

@@ -583,7 +583,7 @@ func TestProcWaitCompletedFutureKeepsTime(t *testing.T) {
 	}
 }
 
-func TestEngineStateRestore(t *testing.T) {
+func TestEngineStateFork(t *testing.T) {
 	e := NewEngine()
 	var fired []int
 	e.Schedule(10, func() { fired = append(fired, 1) })
@@ -594,32 +594,32 @@ func TestEngineStateRestore(t *testing.T) {
 		t.Fatalf("State() = %+v, want Now=20 Executed=2", st)
 	}
 
-	// Move the engine forward, then restore: the queued event must be
-	// dropped and clock/seq/executed must rewind exactly.
+	// Move the engine forward, then fork the captured state: the queued
+	// event must stay behind and clock/seq/executed must rewind exactly.
 	e.Schedule(5, func() { fired = append(fired, 3) })
 	e.Run()
-	e.Schedule(100, func() { t.Error("queued event survived Restore") })
-	e.Restore(st)
-	if e.Now() != 20 || e.Executed() != 2 || e.Pending() != 0 {
-		t.Fatalf("after Restore: now=%v executed=%d pending=%d", e.Now(), e.Executed(), e.Pending())
+	e.Schedule(100, func() { t.Error("queued event ran on the fork") })
+	f := e.Fork(st)
+	if f.Now() != 20 || f.Executed() != 2 || f.Pending() != 0 {
+		t.Fatalf("fork: now=%v executed=%d pending=%d", f.Now(), f.Executed(), f.Pending())
 	}
 
-	// The restored engine must schedule and run normally from the restored
-	// clock.
-	e.Schedule(10, func() { fired = append(fired, 4) })
-	e.Run()
-	if e.Now() != 30 {
-		t.Errorf("post-restore Now() = %v, want 30", e.Now())
+	// The fork must schedule and run normally from the captured clock.
+	f.Schedule(10, func() { fired = append(fired, 4) })
+	f.Run()
+	if f.Now() != 30 {
+		t.Errorf("fork Now() = %v, want 30", f.Now())
 	}
 	if len(fired) != 4 || fired[3] != 4 {
 		t.Errorf("fired = %v, want [1 2 3 4]", fired)
 	}
 }
 
-func TestEngineRestoreSeqContinuity(t *testing.T) {
+func TestEngineForkSeqContinuity(t *testing.T) {
 	// Two engines: one runs straight through, the other detours and is
-	// restored. Same-time events scheduled after the restore must interleave
-	// identically — i.e. Restore rewinds the sequence counter too.
+	// forked from the state before the detour. Same-time events scheduled
+	// after the fork must interleave identically — i.e. Fork rewinds the
+	// sequence counter too.
 	run := func(detour bool) []int {
 		e := NewEngine()
 		e.Schedule(10, func() {})
@@ -629,7 +629,7 @@ func TestEngineRestoreSeqContinuity(t *testing.T) {
 			e.Schedule(1, func() {})
 			e.Schedule(2, func() {})
 			e.Run()
-			e.Restore(st)
+			e = e.Fork(st)
 		}
 		var order []int
 		for i := 0; i < 4; i++ {
@@ -645,22 +645,33 @@ func TestEngineRestoreSeqContinuity(t *testing.T) {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("same-time ordering diverged after Restore: %v vs %v", a, b)
+			t.Fatalf("same-time ordering diverged after Fork: %v vs %v", a, b)
 		}
 	}
 }
 
-func TestEngineRestoreLiveProcPanics(t *testing.T) {
+func TestEngineForkLeavesProcsBehind(t *testing.T) {
+	// A fork taken while a process sleeps on the engine starts with no
+	// live process and nothing queued; the process finishes on its own
+	// engine.
 	e := NewEngine()
 	st := e.State()
-	e.Go("stuck", func(p *Proc) {
+	woke := false
+	e.Go("sleeper", func(p *Proc) {
 		p.Sleep(1000)
+		woke = true
 	})
 	e.RunUntil(10)
-	defer func() {
-		if recover() == nil {
-			t.Error("Restore with a live process did not panic")
-		}
-	}()
-	e.Restore(st)
+	f := e.Fork(st)
+	if f.LiveProcs() != 0 || f.Pending() != 0 {
+		t.Fatalf("fork holds %d live processes and %d events, want none", f.LiveProcs(), f.Pending())
+	}
+	f.Run()
+	if woke {
+		t.Fatal("the source's process ran on the fork")
+	}
+	e.Run()
+	if !woke || e.LiveProcs() != 0 {
+		t.Fatalf("source process woke=%v, %d live after its run", woke, e.LiveProcs())
+	}
 }

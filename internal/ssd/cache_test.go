@@ -125,7 +125,7 @@ func sameCache(c *unitCache, ref *refLRU) error {
 // lookups, inserts and invalidations of byte ranges — hot ranges straddling
 // index-chunk boundaries plus uniform traffic over the whole logical space —
 // against the map-backed reference LRU. Every so often the run continues on
-// a fresh device copied from the current one.
+// a fork of the current device.
 func TestUnitCacheOracle(t *testing.T) {
 	const capUnits = 48
 	d := cacheDevice(t, capUnits)
@@ -169,8 +169,8 @@ func TestUnitCacheOracle(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		if step%2500 == 2499 {
-			fork := cacheDevice(t, capUnits)
-			if err := fork.CopyFrom(d); err != nil {
+			fork, err := Fork(d.eng, d.f, d)
+			if err != nil {
 				t.Fatal(err)
 			}
 			d = fork

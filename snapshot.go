@@ -10,14 +10,19 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+
+	"github.com/checkin-kv/checkin/internal/ftl"
+	"github.com/checkin-kv/checkin/internal/nand"
+	"github.com/checkin-kv/checkin/internal/sim"
+	"github.com/checkin-kv/checkin/internal/ssd"
 )
 
 // Snapshot is a loaded template DB frozen at its post-Load rest point. Fork
-// opens a fresh DB and copies every layer's mutable state — NAND array,
-// FTL, controller, storage engine — and the kernel clock from the
-// template, skipping the load phase entirely: the snapshot-and-fork
-// analogue of the checkpoint-restore methodology the paper uses to
-// sidestep gem5/SimpleSSD warm-up.
+// builds a new DB whose every layer — kernel, NAND array, FTL, controller,
+// storage engine — is cloned straight from the template's, skipping the
+// load phase entirely: the snapshot-and-fork analogue of the
+// checkpoint-restore methodology the paper uses to sidestep gem5/SimpleSSD
+// warm-up.
 //
 // A fork only reads the template, and the template refuses Load and Run,
 // so one Snapshot can be forked concurrently from any number of
@@ -39,7 +44,7 @@ var errTemplate = errors.New("checkin: the DB is a snapshot template; fork it in
 // must not be called. Tracing and fault injection thread live references
 // through every layer, so DBs opened with TraceCapacity > 0 or an Injector
 // cannot be snapshotted. Each layer's own quiescence is checked when a
-// fork copies it.
+// fork clones it.
 func (db *DB) Snapshot() (*Snapshot, error) {
 	switch {
 	case db.cfg.Injector != nil:
@@ -70,13 +75,13 @@ func (s *Snapshot) Config() Config { return s.db.cfg }
 // snapshot can substitute for.
 func (s *Snapshot) LoadFingerprint() uint64 { return s.loadFP }
 
-// Fork opens a fresh DB under cfg and copies the template's state into it
-// in place of running the load phase. cfg must describe the same load phase
-// as the template (LoadFingerprint must match); run-phase fields — Seed,
-// Strategy-independent checkpoint knobs and so on — are free to differ,
-// which is what lets one preconditioned template serve a whole sweep. The
-// returned DB is indistinguishable from one that executed Load itself:
-// clock, event order and all layer state match exactly.
+// Fork returns a DB under cfg whose every layer is cloned from the
+// template's in place of running the load phase. cfg must describe the
+// same load phase as the template (LoadFingerprint must match); run-phase
+// fields — Seed, Strategy-independent checkpoint knobs and so on — are free
+// to differ, which is what lets one preconditioned template serve a whole
+// sweep. The returned DB is indistinguishable from one that executed Load
+// itself: clock, event order and all layer state match exactly.
 func (s *Snapshot) Fork(cfg Config) (*DB, error) {
 	lfp, ok := LoadFingerprint(cfg)
 	if !ok {
@@ -85,31 +90,36 @@ func (s *Snapshot) Fork(cfg Config) (*DB, error) {
 	if lfp != s.loadFP {
 		return nil, fmt.Errorf("checkin: fork config load fingerprint %016x does not match snapshot %016x", lfp, s.loadFP)
 	}
-	db, err := Open(cfg)
+	cfg, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
-	t := s.db
-	// Kernel first: clears the constructor's deallocator tick so the layer
-	// copies schedule onto the template's timeline. The device copy then
-	// re-arms the tick, drawing the same sequence number the direct path's
-	// re-arm drew after its post-Load drain.
-	rp := *t.restPoint
-	db.eng.Restore(rp)
-	db.restPoint = &rp
-	if err := db.device.FTL().Array().CopyFrom(t.device.FTL().Array()); err != nil {
+	return s.db.clone(cfg, *s.db.restPoint)
+}
+
+// clone builds a DB under cfg, a resolved configuration with t's load
+// phase, whose layers are clones of t's, each built once from its template
+// layer: a kernel at state at with t's lanes registered, then the NAND
+// array, the FTL, the controller (which arms its deallocator tick at at,
+// drawing the sequence number the direct path's post-Load re-arm drew) and
+// the host engine, which takes its run-phase settings from cfg. Each layer
+// refuses a template that is not quiescent. t is only read.
+func (t *DB) clone(cfg Config, at sim.EngineState) (*DB, error) {
+	eng := t.eng.Fork(at)
+	array := nand.Fork(eng, t.device.FTL().Array())
+	translation, err := ftl.Fork(eng, array, t.device.FTL())
+	if err != nil {
 		return nil, err
 	}
-	if err := db.device.FTL().CopyFrom(t.device.FTL()); err != nil {
+	device, err := ssd.Fork(eng, translation, t.device)
+	if err != nil {
 		return nil, err
 	}
-	if err := db.device.CopyFrom(t.device); err != nil {
+	host, err := newHostEngine(eng, device, cfg, nil, t.host)
+	if err != nil {
 		return nil, err
 	}
-	if err := db.host.CopyFrom(t.host); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return &DB{cfg: cfg, eng: eng, device: device, host: host, restPoint: &at}, nil
 }
 
 // LoadFingerprint identifies the load phase cfg runs: Fingerprint's hash

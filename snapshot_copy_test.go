@@ -10,50 +10,43 @@ import (
 	"github.com/checkin-kv/checkin"
 )
 
-// copyAllowed names every layer field a copy may leave different from its
-// source, keyed "<package>.<type>.<field>" (generic type arguments dropped).
-// Each entry is one of three kinds:
-//   - wiring: the copy's own references to its kernel, its neighbouring
+// copyAllowed names every layer field a fork may leave different from its
+// template, keyed "<package>.<type>.<field>" (generic type arguments
+// dropped). A fork starts from a struct copy of each template layer and
+// clones every table, so all that may differ is what the fork sets:
+//   - wiring: the fork's own references to its kernel, its neighbouring
 //     layers, its configuration or its callbacks;
-//   - scratch: per-call buffers and reuse pools, whose content is dead
+//   - scratch: per-call records and reuse pools, whose content is dead
 //     between operations;
-//   - derived: state the copy rebuilds for its own timeline.
+//   - derived: state the fork rebuilds for its own timeline.
 //
 // Everything else must be copied: TestForkCopiesEveryField fails on a new
 // field that is neither copied nor named here.
 var copyAllowed = map[string]struct{ kind, why string }{
 	"nand.Array.eng": {"wiring", "the array's own kernel"},
 
-	"ftl.FTL.eng":       {"wiring", "the FTL's own kernel"},
-	"ftl.FTL.array":     {"wiring", "the FTL's own array, copied as a layer of its own"},
-	"ftl.FTL.lunsBuf":   {"scratch", "lunsOf's result buffer, rewritten by every call"},
-	"ftl.FTL.epoch":     {"scratch", "page-grouping epoch: each call takes a fresh one above every stamp in pageEpoch"},
-	"ftl.FTL.pageEpoch": {"scratch", "page-grouping stamps, meaningful only within one call"},
-	"ftl.FTL.pageCount": {"scratch", "page-grouping counts, meaningful only within one call"},
-	"ftl.FTL.pageOrder": {"scratch", "page-grouping order, meaningful only within one call"},
+	"ftl.FTL.eng":   {"wiring", "the FTL's own kernel"},
+	"ftl.FTL.array": {"wiring", "the FTL's own array, forked as a layer of its own"},
 
 	"ssd.Device.eng":   {"wiring", "the controller's own kernel"},
-	"ssd.Device.f":     {"wiring", "the controller's own FTL, copied as a layer of its own"},
-	"ssd.Device.queue": {"wiring", "command-slot semaphore on the controller's own kernel; the source's must be idle"},
-	"ssd.Device.front": {"wiring", "front-end event lane on the controller's own kernel; Restore empties it"},
-	"ssd.Device.free":  {"scratch", "pool of finished command records"},
+	"ssd.Device.f":     {"wiring", "the controller's own FTL, forked as a layer of its own"},
+	"ssd.Device.queue": {"wiring", "command-slot semaphore on the controller's own kernel; the template's must be idle"},
+	"ssd.Device.free":  {"scratch", "pool of command records ready for reuse: the fork holds as many fresh ones"},
 	"ssd.Device.deallocArmed": {"derived",
-		"deallocator tick scheduling: the copy arms a tick on its own kernel"},
+		"deallocator tick scheduling: the fork arms a tick on its own kernel"},
 	"ssd.Device.deallocPaused": {"derived",
-		"deallocator tick scheduling: the copy arms a tick on its own kernel"},
-
-	"dense.Index.spare": {"scratch", "zeroed chunks kept for reuse"},
+		"deallocator tick scheduling: the fork arms a tick on its own kernel"},
 
 	"core.Base.eng":     {"wiring", "the engine's own kernel"},
-	"core.Base.dev":     {"wiring", "the engine's own device, copied as a layer of its own"},
-	"core.Base.cfg":     {"wiring", "the engine's own configuration; run-phase fields may differ from the source's"},
+	"core.Base.dev":     {"wiring", "the engine's own device, forked as a layer of its own"},
+	"core.Base.cfg":     {"wiring", "the engine's own configuration; run-phase fields may differ from the template's"},
 	"core.Base.host":    {"wiring", "the engine embedding the base"},
 	"core.Base.log":     {"wiring", "the engine's own write-ahead log, compared through the engine"},
 	"core.Base.work":    {"wiring", "epoch work bound to the engine"},
 	"core.Base.then":    {"wiring", "post-epoch hook bound to the engine"},
 	"core.Base.metrics": {"scratch", "per-run collector: Run installs a fresh one"},
 	"core.Base.done": {"derived",
-		"completion future of the last epoch, complete whenever the base is idle: an idle copy holds none"},
+		"completion future of the last epoch, complete whenever the base is idle: an idle fork holds none"},
 
 	"core.GroupCommit.eng":      {"wiring", "the log's own kernel"},
 	"core.GroupCommit.dev":      {"wiring", "the log's own device"},
@@ -61,13 +54,11 @@ var copyAllowed = map[string]struct{ kind, why string }{
 	"core.GroupCommit.onCommit": {"wiring", "the owner's commit hook"},
 	"core.GroupCommit.spare":    {"scratch", "a completed batch future kept for the next batch"},
 
-	"core.Engine.cfg":    {"wiring", "the engine's own configuration; run-phase fields may differ from the source's"},
-	"core.journal.spare": {"scratch", "a retired JMT kept for reuse by the next cut"},
+	"core.Engine.cfg": {"wiring", "the engine's own configuration; run-phase fields may differ from the template's"},
 
-	"lsm.Engine.cfg":     {"wiring", "the engine's own configuration; run-phase fields may differ from the source's"},
-	"lsm.Engine.recSlab": {"scratch", "allocation slab for new WAL records"},
+	"lsm.Engine.cfg": {"wiring", "the engine's own configuration; run-phase fields may differ from the template's"},
 	"lsm.Engine.compactDone": {"derived",
-		"completion future of the last compaction, complete whenever none runs: an idle copy holds none"},
+		"completion future of the last compaction, complete whenever none runs: an idle fork holds none"},
 }
 
 // sharedImmutable names the types whose objects a copy may share with its
@@ -79,7 +70,7 @@ var sharedImmutable = map[string]string{
 // copyTemplates are the stacks TestForkCopiesEveryField copies: both
 // mapping-table models, a device degraded by the NAND fault model, and the
 // LSM engine.
-func copyTemplates(t *testing.T) map[string]checkin.Config {
+func copyTemplates(t testing.TB) map[string]checkin.Config {
 	heavy, err := checkin.ParseErrorProfile("heavy")
 	if err != nil {
 		t.Fatal(err)
@@ -96,13 +87,15 @@ func copyTemplates(t *testing.T) map[string]checkin.Config {
 	}
 }
 
-// TestForkCopiesEveryField checks by reflection that a copy holds every
+// TestForkCopiesEveryField checks by reflection that a fork holds every
 // field of every layer — NAND array, FTL, controller, host engine — equal to
-// its source's, except the fields copyAllowed names, and that nothing it
-// holds shares a backing array, map or pointer with the source. Two sources
-// per stack: the post-Load template a fork copies, and a stack stopped
-// after a run, whose journal, memtable, slot tables and caches hold the
-// state a rest-point copy never sees.
+// its template's, except the fields copyAllowed names, that nothing it
+// holds shares a backing array, map or pointer with the template, and that
+// every slice keeps at least the template's capacity (a reserve such as the
+// DFTL LRU arrays' run-node ids must survive the clone). Two templates per
+// stack: the post-Load snapshot Fork clones, and a stack stopped after a
+// run, cloned through the same entry (CloneDB), whose journal, memtable,
+// slot tables and caches hold the state a rest-point fork never sees.
 func TestForkCopiesEveryField(t *testing.T) {
 	for name, a := range copyAllowed {
 		if (a.kind != "wiring" && a.kind != "scratch" && a.kind != "derived") || a.why == "" {
@@ -137,20 +130,8 @@ func TestForkCopiesEveryField(t *testing.T) {
 			}
 			src.Device().PauseDeallocator()
 			src.Sim().Run()
-			dst, err := checkin.Open(cfg)
+			dst, err := checkin.CloneDB(src)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.Device().FTL().Array().CopyFrom(src.Device().FTL().Array()); err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.Device().FTL().CopyFrom(src.Device().FTL()); err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.Device().CopyFrom(src.Device()); err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.Host().CopyFrom(src.Host()); err != nil {
 				t.Fatal(err)
 			}
 			compareLayers(t, "after run", seen, dst, src)
@@ -240,6 +221,10 @@ func (c *fieldCmp) value(path string, cp, src reflect.Value) {
 		if cp.Cap() > 0 && src.Cap() > 0 && cp.Pointer() == src.Pointer() {
 			c.errorf(path, "copy shares its backing array with the source")
 			return
+		}
+		if cp.Cap() < src.Cap() {
+			// A dropped reserve reallocates where the source would not.
+			c.errorf(path, "copy has capacity %d, source %d", cp.Cap(), src.Cap())
 		}
 		for i := range cp.Len() {
 			c.value(fmt.Sprintf("%s[%d]", path, i), cp.Index(i), src.Index(i))

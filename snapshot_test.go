@@ -66,7 +66,7 @@ func forkedRun(t *testing.T, snap *checkin.Snapshot, cfg checkin.Config, spec ch
 	return runSignature(db, m)
 }
 
-func captureSnapshot(t *testing.T, cfg checkin.Config) *checkin.Snapshot {
+func captureSnapshot(t testing.TB, cfg checkin.Config) *checkin.Snapshot {
 	t.Helper()
 	db, err := checkin.Open(cfg)
 	if err != nil {
