@@ -406,7 +406,6 @@ func Open(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkin: %w", err)
 	}
-	array.MaxPE = uint32(cfg.MaxPECycles)
 	if cfg.errorModelEnabled() {
 		rcfg := nand.ReliabilityConfig{
 			ReadRetryRate:     cfg.ReadRetryRate,
@@ -486,7 +485,9 @@ func (db *DB) Load() error {
 	if db.template {
 		return errTemplate
 	}
-	db.host.Load()
+	if err := db.host.Load(); err != nil {
+		return err
+	}
 	db.device.PauseDeallocator()
 	db.eng.Run()
 	rp := db.eng.State()
@@ -523,12 +524,6 @@ func (db *DB) Device() *ssd.Device { return db.device }
 
 // Sim exposes the simulation kernel.
 func (db *DB) Sim() *sim.Engine { return db.eng }
-
-// Lifetime returns the projected flash lifetime per the paper's Equation
-// (1), using total simulated time as Top. Compare across configurations.
-func (db *DB) Lifetime() float64 {
-	return db.device.FTL().Array().Lifetime(db.eng.Now())
-}
 
 // FlashEnergyMJ returns cumulative flash energy in millijoules — the
 // energy side of the paper's write-amplification motivation.

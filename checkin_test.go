@@ -301,7 +301,8 @@ func TestJournalStatsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Load()
-	if _, err := db.Run(checkin.RunSpec{Threads: 4, TotalQueries: 4_000, Mix: checkin.WorkloadWO, Zipfian: false}); err != nil {
+	m, err := db.Run(checkin.RunSpec{Threads: 4, TotalQueries: 4_000, Mix: checkin.WorkloadWO, Zipfian: false})
+	if err != nil {
 		t.Fatal(err)
 	}
 	js := db.JournalStats()
@@ -311,7 +312,7 @@ func TestJournalStatsExposed(t *testing.T) {
 	if js.SpaceOverhead() < 1 {
 		t.Errorf("aligned journaling overhead %v < 1", js.SpaceOverhead())
 	}
-	if db.Lifetime() <= 0 {
+	if cfg := db.Config(); m.Lifetime(cfg.MaxPECycles, cfg.PagesPerBlock) <= 0 {
 		t.Error("lifetime projection not positive")
 	}
 }

@@ -147,7 +147,8 @@ func main() {
 			h.RetiredBlocks, h.SparesLeft, h.ReadOnly)
 	}
 	fmt.Printf("journal space overhead %.3f\n", m.JournalSpaceOverhead())
-	fmt.Printf("lifetime projection    %.0f (PEC*Top/BEC)\n", db.Lifetime())
+	rc := db.Config()
+	fmt.Printf("lifetime projection    %.0f (PECmax / window BEC)\n", m.Lifetime(rc.MaxPECycles, rc.PagesPerBlock))
 	fmt.Printf("wall time              %.2fs\n", time.Since(start).Seconds())
 
 	if *timeline != "" && m.Timeline != nil {

@@ -91,7 +91,9 @@ func renderRunOn(t *testing.T, db *checkin.DB, spec checkin.RunSpec) string {
 	var sb strings.Builder
 	sb.WriteString(m.Summary())
 	fmt.Fprintf(&sb, "journal=%+v\n", db.JournalStats())
-	fmt.Fprintf(&sb, "lifetime=%v energy=%v\n", db.Lifetime(), db.FlashEnergyMJ())
+	cfg := db.Config()
+	fmt.Fprintf(&sb, "now=%v lifetime=%v energy=%v\n", db.Sim().Now(),
+		m.Lifetime(cfg.MaxPECycles, cfg.PagesPerBlock), db.FlashEnergyMJ())
 	fmt.Fprintf(&sb, "recovery=%+v\n", *db.SimulateRecovery())
 	fmt.Fprintf(&sb, "spor=%+v\n", *db.SimulateSPOR())
 	fmt.Fprintf(&sb, "health=%+v\n", db.Health())

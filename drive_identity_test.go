@@ -15,8 +15,9 @@ import (
 // procRun replays spec.Trace on db exactly as Base.Run does, but with each
 // client a simulated process looping over core.Apply — the driver the
 // closed-loop clients used before they became kernel handlers. Its
-// clients start, park and wake where Run's do, and it steps the kernel
-// with Run's deadlines, so the two must leave identical stores behind.
+// clients start, park and wake where Run's do, and its last client stops
+// the kernel by Run's rule (Engine.StopWhenIdle), so the two must leave
+// identical stores behind.
 func procRun(t *testing.T, db *checkin.DB, spec checkin.RunSpec) *checkin.Metrics {
 	t.Helper()
 	h, eng, dev := db.Host(), db.Sim(), db.Device()
@@ -39,6 +40,7 @@ func procRun(t *testing.T, db *checkin.DB, spec checkin.RunSpec) *checkin.Metric
 			}
 			if clientsLeft--; clientsLeft == 0 {
 				end, done = p.Now(), true
+				eng.StopWhenIdle()
 			}
 		})
 	}
@@ -54,14 +56,12 @@ func procRun(t *testing.T, db *checkin.DB, spec checkin.RunSpec) *checkin.Metric
 		eng.Schedule(interval, tick)
 	}
 	eng.Schedule(interval, tick)
-	for !done && h.Err() == nil {
-		eng.RunUntil(eng.Now() + 50*sim.Millisecond)
-	}
-	for guard := 0; eng.LiveProcs() > 0 && h.Err() == nil && guard < 1_000_000; guard++ {
-		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
-	}
+	eng.Run()
 	if err := h.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if n := eng.LiveProcs(); n > 0 {
+		t.Fatalf("event queue ran dry with %d processes blocked", n)
 	}
 	m.EndWindow(dev, h.JournalStats(), end)
 	return m

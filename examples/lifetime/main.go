@@ -31,7 +31,7 @@ func run(w io.Writer, queries, keys int64) error {
 	fmt.Fprintf(w, "%-9s %10s %10s %10s %10s %12s %9s\n",
 		"strategy", "programs", "redundant", "gc", "reclaims", "rel.lifetime", "kqps")
 
-	var basePrograms float64
+	var baseLife float64
 	for _, s := range checkin.Strategies {
 		cfg := checkin.DefaultConfig()
 		cfg.Strategy = s
@@ -55,18 +55,15 @@ func run(w io.Writer, queries, keys int64) error {
 			return err
 		}
 
-		programs := float64(m.FlashPrograms())
+		// Equation (1) over the run; equal work, so ratios compare.
+		rc := db.Config()
+		life := m.Lifetime(rc.MaxPECycles, rc.PagesPerBlock)
 		if s == checkin.StrategyBaseline {
-			basePrograms = programs
-		}
-		// Equal work, so lifetime ∝ 1/(blocks erased) ∝ 1/programs.
-		rel := 0.0
-		if programs > 0 {
-			rel = basePrograms / programs
+			baseLife = life
 		}
 		fmt.Fprintf(w, "%-9v %10d %10d %10d %10d %11.2fx %9.1f\n",
 			s, m.FlashPrograms(), m.RedundantWrites(), m.GCCount(), m.Reclaims(),
-			rel, m.ThroughputQPS()/1e3)
+			life/baseLife, m.ThroughputQPS()/1e3)
 	}
 
 	fmt.Fprintln(w, "\nEvery flash program eventually costs a P/E cycle. Check-In's remap")

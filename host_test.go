@@ -36,13 +36,9 @@ func hostTestDB(t *testing.T, engine string) *checkin.DB {
 // runProc runs fn as a simulated process on db's kernel to completion.
 func runProc(db *checkin.DB, fn func(p *sim.Proc)) {
 	e := db.Sim()
-	done := false
-	e.Go("test", func(p *sim.Proc) {
-		fn(p)
-		done = true
-	})
-	for !done {
-		e.RunUntil(e.Now() + 10*sim.Millisecond)
+	e.Go("test", fn)
+	if err := e.RunToIdle(); err != nil {
+		panic(err)
 	}
 }
 

@@ -269,13 +269,19 @@ func Validate(db *checkin.DB, model *Model) error {
 	return nil
 }
 
-// replay runs the recorded trace to completion.
+// replay runs the recorded trace, then leaves the device idle for 50 ms: a
+// run ends at its last event, and for the remap strategies the trace fires
+// gc-migrate only in the deallocator's idle-window GC. The idle step keeps
+// that site in the census and in the armed runs, which replay through here.
 func replay(db *checkin.DB, tr *checkin.Trace, opts Options) error {
 	_, err := db.Run(checkin.RunSpec{
 		Threads:      opts.Threads,
 		TotalQueries: int64(len(tr.Ops)),
 		Trace:        tr,
 	})
+	if err == nil {
+		db.Sim().RunUntil(db.Sim().Now() + 50*sim.Millisecond)
+	}
 	return err
 }
 
@@ -501,7 +507,6 @@ func EpochSignatures(strategy checkin.Strategy, seed int64, tr *checkin.Trace, o
 
 	var sigs [][]int64
 	var fail error
-	done := false
 	eng.Go("equivalence-driver", func(p *sim.Proc) {
 		for i, op := range tr.Ops {
 			core.Apply(host, p, op)
@@ -521,10 +526,9 @@ func EpochSignatures(strategy checkin.Strategy, seed int64, tr *checkin.Trace, o
 				sigs = append(sigs, sig)
 			}
 		}
-		done = true
 	})
-	for !done && fail == nil {
-		eng.RunUntil(eng.Now() + 50*sim.Millisecond)
+	if err := eng.RunToIdle(); err != nil {
+		return nil, fmt.Errorf("equivalence driver: %w", err)
 	}
 	if fail != nil {
 		return nil, fail

@@ -101,7 +101,7 @@ func (b *Base) Fail(err error) {
 func (b *Base) Err() error { return b.err }
 
 // Parked returns the number of Run's closed-loop clients that have not
-// finished. Once a run has returned it is nonzero only if Fail ended it.
+// finished. Once a run has returned it is nonzero only if the run failed.
 func (b *Base) Parked() int { return b.parked }
 
 // Device exposes the underlying device.
@@ -130,23 +130,20 @@ func (b *Base) SetCommitHook(fn func(key, version int64)) { b.log.SetCommitHook(
 // explicit durability epochs (the cross-engine equivalence oracle).
 func (b *Base) Sync(p *sim.Proc) { b.log.Sync(p) }
 
-// RunLoad runs fill as the load process to completion, then sets every key
-// to version 1, in memory and durably. The load phase is excluded from
-// metrics (a run's window opens at its start).
-func (b *Base) RunLoad(fill func(p *sim.Proc)) {
-	done := false
-	b.eng.Go("load", func(p *sim.Proc) {
-		fill(p)
-		done = true
-	})
-	for !done {
-		b.eng.RunUntil(b.eng.Now() + 100*sim.Millisecond)
+// RunLoad runs fill as the load process up to its last event, then sets
+// every key to version 1, in memory and durably. The load phase is excluded
+// from metrics (a run's window opens at its start).
+func (b *Base) RunLoad(fill func(p *sim.Proc)) error {
+	b.eng.Go("load", fill)
+	if err := b.eng.RunToIdle(); err != nil {
+		return fmt.Errorf("core: load: %w", err)
 	}
 	durable := b.log.Durable()
 	for k := range b.version {
 		b.version[k] = 1
 		durable[k] = 1
 	}
+	return nil
 }
 
 // The op stages below are shared by both engines' op machines (see Ops).

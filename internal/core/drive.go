@@ -37,7 +37,7 @@ type Host interface {
 	Sync(p *sim.Proc)
 
 	// Load bulk-populates every record (the YCSB load phase).
-	Load()
+	Load() error
 	// Run executes a measured workload phase.
 	Run(spec RunSpec) (*Metrics, error)
 	// Err is the error that ended the store's runs (see Base.Fail), or
@@ -106,7 +106,9 @@ func (rs RunSpec) Validate(keys int64) error {
 
 // Run executes a closed-loop workload to completion and returns its
 // metrics: spec.Threads clients, an optional timeline sampler and the
-// periodic checkpoint ticker, then a drain of every straggling epoch. Each
+// periodic checkpoint ticker. The last client ends the run at the phase's
+// last event (Engine.StopWhenIdle): its own finish, or an epoch's later
+// exit; queued timers stay for the next run. Each
 // client is a kernel handler driving its Query through the host's op
 // machine, issuing queries back to back. A fresh collector replaces the
 // live one before the run, so epoch processes record into it; the engine
@@ -196,16 +198,10 @@ func (b *Base) Run(spec RunSpec) (*Metrics, error) {
 	}
 	eng.Schedule(cfg.CheckpointInterval, tick)
 
-	for !r.done && b.err == nil {
-		eng.RunUntil(eng.Now() + 50*sim.Millisecond)
-	}
-	// Drain the in-flight checkpoint and any straggling epoch. A
-	// checkpoint (or LSM flush or compaction) is in progress only while
-	// its own process is live, so the process count covers all of them;
-	// the parked-client count is zero once the clients are done, and
-	// stays above zero only when Fail ended the run.
-	for guard := 0; eng.LiveProcs()+b.parked > 0 && b.err == nil && guard < 1_000_000; guard++ {
-		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
+	eng.Run()
+	if b.err == nil && eng.LiveProcs()+b.parked > 0 {
+		b.err = fmt.Errorf("core: event queue ran dry with %d processes and %d clients blocked",
+			eng.LiveProcs(), b.parked)
 	}
 	if b.err != nil {
 		return nil, b.err
@@ -257,6 +253,7 @@ func (c *client) Fire() {
 			if b.parked--; b.parked == 0 {
 				r.end = b.eng.Now()
 				r.done = true
+				b.eng.StopWhenIdle()
 			}
 			return
 		}

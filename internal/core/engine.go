@@ -159,9 +159,9 @@ func NewEngine(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 // Load bulk-populates the data area with every record at version 1 using
 // large sequential writes, the standard YCSB load phase. It must run before
 // queries.
-func (en *Engine) Load() {
+func (en *Engine) Load() error {
 	const chunk = 1 << 20
-	en.RunLoad(func(p *sim.Proc) {
+	return en.RunLoad(func(p *sim.Proc) {
 		// Back-pressure via periodic flushes: a write's future only
 		// completes once its page programs, which for sub-page mapping
 		// units may require the flush that closes the partial tail page.
@@ -177,10 +177,10 @@ func (en *Engine) Load() {
 			}
 		}
 		waitRelease(p, en.dev, en.dev.Flush(ssd.AreaData))
+		for k := range en.ckpted {
+			en.ckpted[k] = 1
+		}
 	})
-	for k := range en.ckpted {
-		en.ckpted[k] = 1
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -398,6 +398,22 @@ func TestMetricsStreamingNoAllocs(t *testing.T) {
 	}
 }
 
+// TestMetricsLifetime pins Equation (1) over the measured window: PECmax
+// divided by the blocks the window's programs consume, programs before the
+// window excluded, and 0 for a window that programmed nothing.
+func TestMetricsLifetime(t *testing.T) {
+	m := NewMetrics()
+	m.startNand.Programs = 500
+	m.EndNand.Programs = 500 + 640 // 10 blocks of 64 pages
+	if got := m.Lifetime(3000, 64); got != 300 {
+		t.Errorf("Lifetime = %v, want 3000 / 10 = 300", got)
+	}
+	m.EndNand.Programs = 500
+	if got := m.Lifetime(3000, 64); got != 0 {
+		t.Errorf("Lifetime with no window programs = %v, want 0", got)
+	}
+}
+
 func TestTimelineBoundedOnLongRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long sampled run in -short mode")

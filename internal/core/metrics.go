@@ -220,6 +220,18 @@ func (m *Metrics) FlashAmplification() float64 {
 	return float64(m.FlashProgramBytes()+m.FlashReadBytes()) / float64(m.WriteQueryPayload)
 }
 
+// Lifetime is the paper's Equation (1), PECmax × Top / BEC, over the
+// measured window, for runs of equal work (one Top): PECmax ÷ BEC, BEC the
+// blocks the window's programs consume, as every programmed page costs an
+// erase sooner or later. Compare it as a ratio; 0 if nothing was programmed.
+func (m *Metrics) Lifetime(maxPE, pagesPerBlock int) float64 {
+	bec := float64(m.FlashPrograms()) / float64(pagesPerBlock)
+	if bec == 0 {
+		return 0
+	}
+	return float64(maxPE) / bec
+}
+
 // JournalSpaceOverhead returns stored/payload for the run's journal window.
 func (m *Metrics) JournalSpaceOverhead() float64 {
 	d := JournalStats{

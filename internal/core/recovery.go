@@ -78,21 +78,18 @@ func (r *RecoveryReport) ScanLog(start, halfBytes int64) {
 	}
 }
 
-// TimeRecovery issues rep's scan reads on dev one after another and sets
-// rep.RecoveryTime to the virtual time they take.
+// TimeRecovery issues rep's scan reads on dev one after another, up to
+// the last one's completion, and sets rep.RecoveryTime to the time taken.
+// The scan stops the kernel itself rather than by Engine.StopWhenIdle: a
+// store whose run failed keeps the failing epoch parked for good.
 func TimeRecovery(eng *sim.Engine, dev *ssd.Device, rep *RecoveryReport) {
 	start := eng.Now()
-	done := false
-	var finished sim.VTime
 	eng.Go("recovery", func(p *sim.Proc) {
 		for _, rd := range rep.Reads {
 			p.Wait(dev.Read(rd.Off, rd.Len))
 		}
-		finished = p.Now()
-		done = true
+		eng.Stop()
 	})
-	for !done {
-		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
-	}
-	rep.RecoveryTime = finished - start
+	eng.Run()
+	rep.RecoveryTime = eng.Now() - start
 }

@@ -297,9 +297,9 @@ func Fig8b(o Opts) (*Table, error) {
 	return t, nil
 }
 
-// Lifetime evaluates Equation (1): block lifetime = PECmax x Top / BEC
-// (paper: Check-In extends lifetime ~3.86x over baseline, ~1.81x over
-// ISC-C). Top is the measured window and BEC the erases within it.
+// Lifetime evaluates Equation (1) (Metrics.Lifetime) on equal work per
+// strategy (paper: Check-In extends lifetime ~3.86x over baseline, ~1.81x
+// over ISC-C).
 func Lifetime(o Opts) (*Table, error) {
 	o = o.withDefaults()
 	jobs := make([]runner.Job, 0, len(fig8Strategies))
@@ -325,16 +325,7 @@ func Lifetime(o Opts) (*Table, error) {
 	for i, s := range fig8Strategies {
 		db, m := rs[i].DB, rs[i].Metrics
 		cfg := db.Config()
-		// In steady state every programmed page eventually costs an
-		// erase, so programs/pagesPerBlock is the effective block erase
-		// count for the (identical) workload — robust to whether the
-		// collector ran inside the window. Top is the same nominal
-		// service period for every configuration, so lifetime compares
-		// as PECmax/BEC.
-		life := 0.0
-		if bec := float64(m.FlashPrograms()) / float64(cfg.PagesPerBlock); bec > 0 {
-			life = float64(cfg.MaxPECycles) / bec
-		}
+		life := m.Lifetime(cfg.MaxPECycles, cfg.PagesPerBlock)
 		if s == checkin.StrategyBaseline {
 			baseLife = life
 		}

@@ -229,12 +229,12 @@ func (en *Engine) Levels() []int {
 // sorted base run with large sequential writes, then a manifest publish.
 // Mirrors the journal engine's load discipline (back-pressure via periodic
 // flushes; excluded from metrics).
-func (en *Engine) Load() {
+func (en *Engine) Load() error {
 	entries := make([]runEntry, en.cfg.Keys)
 	for k := int64(0); k < en.cfg.Keys; k++ {
 		entries[k] = runEntry{key: k, version: 1, size: en.cfg.Sizer.SizeOf(k)}
 	}
-	en.RunLoad(func(p *sim.Proc) {
+	return en.RunLoad(func(p *sim.Proc) {
 		r, ok := en.newRun(baseLevel, entries)
 		if !ok {
 			panic("lsm: base run does not fit the empty run area") // New checks 3x headroom

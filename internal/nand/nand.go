@@ -169,10 +169,6 @@ type Array struct {
 
 	stats Stats
 	rel   *relModel // nil unless EnableReliability installed nonzero rates
-
-	// MaxPE is the endurance rating used by the lifetime equation; 0 means
-	// "unspecified" and lifetime reports are skipped.
-	MaxPE uint32
 }
 
 // New constructs an Array. Blocks start in the pristine (erased) state so
@@ -376,15 +372,4 @@ func (a *Array) EnergyNJ() uint64 {
 	return a.stats.Reads*a.tim.ReadEnergyNJ +
 		a.stats.Programs*a.tim.ProgramEnergyNJ +
 		a.stats.Erases*a.tim.EraseEnergyNJ
-}
-
-// Lifetime computes the paper's Equation (1): the projected block lifetime
-// PECmax × Top / BEC, using the array-wide total erase count as BEC and the
-// total elapsed operation time Top. Returns 0 when no erases have occurred
-// or MaxPE is unset; callers compare ratios between configurations.
-func (a *Array) Lifetime(top sim.VTime) float64 {
-	if a.stats.Erases == 0 || a.MaxPE == 0 {
-		return 0
-	}
-	return float64(a.MaxPE) * top.Seconds() / float64(a.stats.Erases)
 }

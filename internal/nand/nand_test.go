@@ -245,10 +245,9 @@ func TestIdleDetection(t *testing.T) {
 	}
 }
 
-func TestEraseCountsAndLifetime(t *testing.T) {
+func TestEraseCounts(t *testing.T) {
 	e := sim.NewEngine()
 	a := newTestArray(t, e)
-	a.MaxPE = 3000
 	for i := 0; i < 10; i++ {
 		a.EraseBlock(0)
 	}
@@ -260,18 +259,7 @@ func TestEraseCountsAndLifetime(t *testing.T) {
 	if a.MaxEraseCount() != 10 {
 		t.Errorf("MaxEraseCount = %d, want 10", a.MaxEraseCount())
 	}
-	lt := a.Lifetime(100 * sim.Second)
-	want := 3000.0 * 100 / 11
-	if lt < want*0.999 || lt > want*1.001 {
-		t.Errorf("Lifetime = %v, want %v", lt, want)
-	}
-	b := newTestArray(t, sim.NewEngine())
-	if b.Lifetime(time100()) != 0 {
-		t.Error("lifetime with no erases should be 0")
-	}
 }
-
-func time100() sim.VTime { return 100 * sim.Second }
 
 func TestAddrRangeChecks(t *testing.T) {
 	e := sim.NewEngine()

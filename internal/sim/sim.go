@@ -209,10 +209,11 @@ type Lane int
 // Engine is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; create one with NewEngine.
 type Engine struct {
-	now     VTime
-	events  eventHeap
-	seq     uint64
-	stopped bool
+	now      VTime
+	events   eventHeap
+	seq      uint64
+	stopped  bool
+	stopIdle bool // armed by StopWhenIdle
 
 	// lanes hold the events whose instants arrive in order, beside the heap
 	// (see the package comment under "Event lanes"). lanes[0] is the
@@ -317,9 +318,7 @@ func (e *Engine) Now() VTime { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // LiveProcs returns the number of processes that have started but not
-// finished. After a run completes it should normally be zero; a non-zero
-// value indicates a process blocked forever (e.g. on a Future that was never
-// completed).
+// finished.
 func (e *Engine) LiveProcs() int { return e.liveProcs }
 
 // Schedule runs fn after delay units of virtual time.
@@ -389,8 +388,31 @@ func (e *Engine) Extend(t VTime) {
 	}
 }
 
-// Stop makes Run return after the currently executing event.
+// Stop makes Run return after the currently executing event, or, called
+// between runs, the next run return at once.
 func (e *Engine) Stop() { e.stopped = true }
+
+// StopWhenIdle ends a phase at its own last event: the run stops after the
+// current event if no process is live, else after the last live process's
+// exit. Queued events, such as a self-re-arming tick, wait for the next run.
+func (e *Engine) StopWhenIdle() {
+	if e.liveProcs == 0 {
+		e.Stop()
+		return
+	}
+	e.stopIdle = true
+}
+
+// RunToIdle runs until no process is live (StopWhenIdle, then Run); it
+// fails if the queue runs dry first, with a process still blocked.
+func (e *Engine) RunToIdle() error {
+	e.StopWhenIdle()
+	e.Run()
+	if e.liveProcs > 0 {
+		return fmt.Errorf("sim: event queue ran dry with %d processes blocked", e.liveProcs)
+	}
+	return nil
+}
 
 // Run executes events until none remain or Stop is called. Unless stopped,
 // it then advances the clock to the latest Extend instant.
@@ -403,7 +425,6 @@ func (e *Engine) Run() {
 // deadline stay queued. After Stop the clock stays at the stopping event:
 // advancing it could pass an event still queued before the deadline.
 func (e *Engine) RunUntil(deadline VTime) {
-	e.stopped = false
 	for !e.stopped {
 		// Select the (at, seq)-least pending event across the heap and
 		// the lane heads — exactly the order a single heap would
@@ -436,6 +457,7 @@ func (e *Engine) RunUntil(deadline VTime) {
 		ev.h.Fire()
 	}
 	if e.stopped {
+		e.stopped = false
 		return
 	}
 	if deadline == maxVTime {
@@ -556,7 +578,10 @@ func (e *Engine) Go(name string, fn func(p *Proc)) {
 			p.yield = yield
 			defer p.wrapPanic()
 			fn(p)
-			e.liveProcs--
+			if e.liveProcs--; e.liveProcs == 0 && e.stopIdle {
+				e.stopIdle = false
+				e.Stop()
+			}
 		})
 		p.Fire()
 	})

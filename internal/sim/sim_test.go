@@ -134,6 +134,46 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestStopWhenIdle: a phase ends at its last process's exit even though a
+// self-re-arming tick keeps the queue non-empty; the tick stays queued for
+// the next run. Armed with no process live, the rule stops the run at
+// once, and a queue that runs dry under a blocked process fails RunToIdle.
+func TestStopWhenIdle(t *testing.T) {
+	e := NewEngine()
+	var tick func()
+	tick = func() { e.Schedule(10, tick) }
+	e.Schedule(10, tick)
+	for _, d := range []VTime{25, 47} {
+		e.Go("worker", func(p *Proc) { p.Sleep(d) })
+	}
+	if err := e.RunToIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 47 || e.Pending() != 1 {
+		t.Fatalf("phase ended at %v with %d events queued, want 47ns and the tick", e.Now(), e.Pending())
+	}
+
+	// From an event with no process live: stop after that event.
+	e.At(53, func() { e.StopWhenIdle() })
+	e.Run()
+	if e.Now() != 53 {
+		t.Fatalf("StopWhenIdle with no process live stopped at %v, want 53ns", e.Now())
+	}
+
+	// Between runs with no process live: the next run returns at once.
+	before := e.Executed()
+	if err := e.RunToIdle(); err != nil || e.Executed() != before || e.Now() != 53 {
+		t.Fatalf("RunToIdle with nothing live: err %v, %d events run, clock %v",
+			err, e.Executed()-before, e.Now())
+	}
+
+	d := NewEngine()
+	d.Go("blocked", func(p *Proc) { p.Wait(NewFuture(d)) })
+	if err := d.RunToIdle(); err == nil {
+		t.Fatal("RunToIdle returned nil with a process blocked on a dry queue")
+	}
+}
+
 // TestPassedTracksDispatchPosition checks Passed against the dispatch
 // order: inside an event, reservations ordered before it are passed and
 // later ones are not; a run that drains to its deadline passes everything

@@ -638,10 +638,6 @@ func (d *Device) ResumeDeallocator() {
 	}
 }
 
-// StopConditionless deallocator note: the periodic event keeps the engine's
-// queue non-empty forever; simulations therefore run with RunUntil (or pause
-// the deallocator first and Run to a full drain).
-
 // ---------------------------------------------------------------------------
 // DRAM data cache (unit-granular LRU)
 

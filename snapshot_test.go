@@ -35,8 +35,10 @@ func snapTestSpec() checkin.RunSpec {
 // digest, durable versions, journal stats and device state — byte-equal
 // signatures mean the simulations were indistinguishable.
 func runSignature(db *checkin.DB, m *checkin.Metrics) string {
-	return fmt.Sprintf("%s\n%v\n%+v\nlifetime=%v energy=%v",
-		m.Summary(), db.DurableVersions(), db.JournalStats(), db.Lifetime(), db.FlashEnergyMJ())
+	cfg := db.Config()
+	return fmt.Sprintf("%s\n%v\n%+v\nnow=%v lifetime=%v energy=%v",
+		m.Summary(), db.DurableVersions(), db.JournalStats(), db.Sim().Now(),
+		m.Lifetime(cfg.MaxPECycles, cfg.PagesPerBlock), db.FlashEnergyMJ())
 }
 
 func directRun(t *testing.T, cfg checkin.Config, spec checkin.RunSpec) string {
