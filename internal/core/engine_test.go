@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/checkin-kv/checkin/internal/nand"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/stats"
 	"github.com/checkin-kv/checkin/internal/workload"
@@ -411,6 +412,19 @@ func TestMetricsLifetime(t *testing.T) {
 	m.EndNand.Programs = 500
 	if got := m.Lifetime(3000, 64); got != 0 {
 		t.Errorf("Lifetime with no window programs = %v, want 0", got)
+	}
+}
+
+// TestMetricsFlashEnergy checks that the window's energy counts only the
+// window's operations: what the array did before BeginWindow stays out.
+func TestMetricsFlashEnergy(t *testing.T) {
+	m := NewMetrics()
+	m.startNand = nand.Stats{Reads: 1000, Programs: 500, Erases: 40}
+	m.EndNand = nand.Stats{Reads: 1000 + 20, Programs: 500 + 10, Erases: 40 + 2}
+	tim := nand.Timing{}.WithDefaultEnergy()
+	want := float64(20*tim.ReadEnergyNJ+10*tim.ProgramEnergyNJ+2*tim.EraseEnergyNJ) / 1e6
+	if got := m.FlashEnergyMJ(tim); got != want {
+		t.Errorf("FlashEnergyMJ = %v mJ, want %v", got, want)
 	}
 }
 

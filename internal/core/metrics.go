@@ -171,6 +171,12 @@ func (m *Metrics) FlashReads() uint64 { return m.EndNand.Reads - m.startNand.Rea
 // FlashErases returns block erases during the run.
 func (m *Metrics) FlashErases() uint64 { return m.EndNand.Erases - m.startNand.Erases }
 
+// FlashEnergyMJ returns the window's flash energy in millijoules: its
+// reads, programs and erases at tim's per-operation energies.
+func (m *Metrics) FlashEnergyMJ(tim nand.Timing) float64 {
+	return float64(tim.EnergyNJ(m.FlashReads(), m.FlashPrograms(), m.FlashErases())) / 1e6
+}
+
 // FlashProgramBytes returns bytes programmed during the run.
 func (m *Metrics) FlashProgramBytes() uint64 {
 	return m.EndNand.BytesProgrammed - m.startNand.BytesProgrammed

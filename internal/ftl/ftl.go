@@ -485,7 +485,9 @@ func New(eng *sim.Engine, array *nand.Array, cfg Config) (*FTL, error) {
 		f.partial[s] = -1
 	}
 
-	f.rlog = newRecoveryLog(totalSlots)
+	slotsPerBlock := int64(f.pagesPerBlk * f.slotsPerPage)
+	f.revOverflow = newSlotTable[int64](f.totalBlocks, slotsPerBlock)
+	f.rlog = newRecoveryLog(f.totalBlocks, slotsPerBlock)
 	if cfg.FlashMap {
 		if err := f.initFlashMap(); err != nil {
 			return nil, err

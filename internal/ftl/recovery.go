@@ -40,8 +40,11 @@ type recoveryLog struct {
 	tp      []int64 // pid → tvpn of the live translation page it holds (-1)
 }
 
-func newRecoveryLog(totalSlots int64) *recoveryLog {
-	return &recoveryLog{oob: make([]oobRecord, totalSlots)}
+func newRecoveryLog(blocks int, slotsPerBlock int64) *recoveryLog {
+	return &recoveryLog{
+		oob:     make([]oobRecord, int64(blocks)*slotsPerBlock),
+		aliases: newSlotTable[oobRecord](blocks, slotsPerBlock),
+	}
 }
 
 func (r *recoveryLog) next() uint64 {
@@ -68,11 +71,10 @@ func (r *recoveryLog) noteTrim(first, last int64) {
 	r.trims = append(r.trims, trimExtent{first: first, last: last, seq: r.next()})
 }
 
+// noteErase drops the records of the erased block whose slots start at base.
 func (r *recoveryLog) noteErase(base, slots int64) {
 	clear(r.oob[base : base+slots])
-	for s := base; s < base+slots; s++ {
-		r.dropAliases(s)
-	}
+	r.aliases.dropBlock(base)
 }
 
 // preserveCopy rewrites newSid's records to carry the sequence numbers of

@@ -119,12 +119,12 @@ func TestSPORRandomTraffic(t *testing.T) {
 	}
 }
 
-// aliasedSlots lists the slots with an alias index set, ascending, probing
-// every slot rather than trusting the index's own iteration.
+// aliasedSlots lists the slots with alias records, ascending, probing every
+// slot rather than trusting the table's own iteration.
 func aliasedSlots(r *recoveryLog) []int64 {
 	var sids []int64
 	for sid := int64(0); sid < int64(len(r.oob)); sid++ {
-		if r.aliases.idx.Get(sid) != 0 {
+		if r.aliases.get(sid) != nil {
 			sids = append(sids, sid)
 		}
 	}
@@ -176,16 +176,16 @@ func TestRestoreRebuildsAliasIndex(t *testing.T) {
 	}
 
 	f = save(clean)
-	if got := aliasedSlots(f.rlog); len(got) != 0 || f.rlog.aliases.len() != 0 || f.rlog.aliases.idx.Chunks() != 0 {
-		t.Fatalf("fork of an alias-free FTL holds slots %v, %d indexed, %d chunks",
-			got, f.rlog.aliases.len(), f.rlog.aliases.idx.Chunks())
+	if got := aliasedSlots(f.rlog); len(got) != 0 || f.rlog.aliases.len() != 0 || f.rlog.aliases.chunkCount() != 0 {
+		t.Fatalf("fork of an alias-free FTL holds slots %v, %d with records, %d chunks",
+			got, f.rlog.aliases.len(), f.rlog.aliases.chunkCount())
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The checker itself catches an index naming no pooled slice.
-	f.rlog.aliases.idx.Set(0, int32(len(f.rlog.aliases.pool)+1))
+	// The checker itself catches an overflow index naming no pooled slice.
+	f.rlog.aliases.ovIdx.Set(0, int32(len(f.rlog.aliases.pool)+1))
 	if err := f.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a dangling alias index")
 	}

@@ -53,7 +53,7 @@ func Compare(o Opts) (*Table, error) {
 			d(m.RedundantWrites()),
 			d(m.FlashPrograms()),
 			f1(float64(m.MeanCheckpointTime())/1e6),
-			f1(db.FlashEnergyMJ()))
+			f1(m.FlashEnergyMJ(db.Device().FTL().Array().Timing())))
 	}
 	t.Notes = append(t.Notes,
 		"every configuration served the exact same operation stream (recorded trace replay)")

@@ -329,7 +329,7 @@ func Lifetime(o Opts) (*Table, error) {
 		if s == checkin.StrategyBaseline {
 			baseLife = life
 		}
-		t.AddRow(s.String(), d(m.FlashPrograms()), f1(db.FlashEnergyMJ()), f0(life), ratio(life/nonzero(baseLife)))
+		t.AddRow(s.String(), d(m.FlashPrograms()), f1(m.FlashEnergyMJ(db.Device().FTL().Array().Timing())), f0(life), ratio(life/nonzero(baseLife)))
 	}
 	t.Notes = append(t.Notes, "paper: Check-In ~3.86x baseline, ~1.81x ISC-C")
 	return t, nil

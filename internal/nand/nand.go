@@ -369,7 +369,11 @@ func (a *Array) checkAddr(block, page int) {
 // EnergyNJ returns the cumulative flash energy consumed so far in
 // nanojoules (reads + programs + erases at the configured per-op costs).
 func (a *Array) EnergyNJ() uint64 {
-	return a.stats.Reads*a.tim.ReadEnergyNJ +
-		a.stats.Programs*a.tim.ProgramEnergyNJ +
-		a.stats.Erases*a.tim.EraseEnergyNJ
+	return a.tim.EnergyNJ(a.stats.Reads, a.stats.Programs, a.stats.Erases)
+}
+
+// EnergyNJ returns the energy in nanojoules of the given operation counts
+// at t's per-operation costs.
+func (t Timing) EnergyNJ(reads, programs, erases uint64) uint64 {
+	return reads*t.ReadEnergyNJ + programs*t.ProgramEnergyNJ + erases*t.EraseEnergyNJ
 }

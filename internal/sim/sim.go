@@ -403,6 +403,15 @@ func (e *Engine) StopWhenIdle() {
 	e.stopIdle = true
 }
 
+// Stalled reports whether the phase StopWhenIdle armed can no longer end:
+// a process is still live but no event is queued, so nothing is left to
+// wake it. A source that re-arms itself forever (the SSD deallocator) asks
+// after its own work and stops re-arming when it holds, so the queue runs
+// dry and the phase fails (RunToIdle's error) instead of spinning.
+func (e *Engine) Stalled() bool {
+	return e.stopIdle && e.liveProcs > 0 && e.Pending() == 0
+}
+
 // RunToIdle runs until no process is live (StopWhenIdle, then Run); it
 // fails if the queue runs dry first, with a process still blocked.
 func (e *Engine) RunToIdle() error {

@@ -174,6 +174,41 @@ func TestStopWhenIdle(t *testing.T) {
 	}
 }
 
+// TestStalledEndsPerpetualTick checks the stall rule: a tick that re-arms
+// forever unless the kernel is stalled lets a phase with a blocked process
+// fail at the first tick with nothing else queued, and never cuts short a
+// phase whose process still has an event to wait for.
+func TestStalledEndsPerpetualTick(t *testing.T) {
+	e := NewEngine()
+	ticks := 0
+	var tick func()
+	tick = func() {
+		if ticks++; !e.Stalled() {
+			e.Schedule(10, tick)
+		}
+	}
+	e.Schedule(10, tick)
+	e.Go("worker", func(p *Proc) { p.Sleep(35) })
+	if e.Stalled() {
+		t.Fatal("Stalled outside a phase")
+	}
+	if err := e.RunToIdle(); err != nil || e.Now() != 35 || e.Pending() != 1 {
+		t.Fatalf("phase with a sleeping process: err %v at %v with %d queued, want nil at 35ns with the tick", err, e.Now(), e.Pending())
+	}
+	release := NewFuture(e)
+	e.Go("blocked", func(p *Proc) { p.Wait(release) })
+	e.Go("sleeper", func(p *Proc) { p.Sleep(100) })
+	err := e.RunToIdle()
+	if err == nil || e.LiveProcs() != 1 {
+		t.Fatalf("RunToIdle with a blocked process: err %v, %d live, want a ran-dry error and 1 live", err, e.LiveProcs())
+	}
+	// the sleeper kept the phase alive until 135ns; the tick at 140ns
+	// found nothing else queued
+	if e.Now() != 140 || ticks != 14 {
+		t.Fatalf("stalled phase ended at %v after %d ticks, want 140ns after 14", e.Now(), ticks)
+	}
+}
+
 // TestPassedTracksDispatchPosition checks Passed against the dispatch
 // order: inside an event, reservations ordered before it are passed and
 // later ones are not; a run that drains to its deadline passes everything

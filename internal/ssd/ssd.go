@@ -598,7 +598,10 @@ func (d *Device) armDeallocator() {
 // deallocTick is one deallocator wake-up: run background reclamation work if
 // warranted, then re-arm. While paused the tick disarms itself instead — it
 // must not advance any device state, so that a paused drain reaches a state
-// a fork can copy and reproduce exactly.
+// a fork can copy and reproduce exactly. It also disarms once the kernel is
+// stalled (sim.Engine.Stalled): a phase waits on a blocked process and
+// nothing but this tick is left to run, so re-arming would spin forever
+// where the phase should fail with the queue run dry.
 func (d *Device) deallocTick() {
 	if d.deallocPaused {
 		d.deallocArmed = false
@@ -619,6 +622,10 @@ func (d *Device) deallocTick() {
 		d.stats.BackgroundGCs += uint64(n)
 	case d.f.Array().AllDiesIdleAt(now):
 		d.f.MaybeWearLevel()
+	}
+	if d.eng.Stalled() {
+		d.deallocArmed = false
+		return
 	}
 	d.armDeallocator()
 }

@@ -139,15 +139,14 @@ func TestPhaseEndsAtLastEvent(t *testing.T) {
 		})
 
 		t.Run(engine+"/blocked-process", func(t *testing.T) {
-			// A process that never finishes: once the deallocator is
-			// paused the queue runs dry, and the phase fails instead of
-			// ending.
+			// A process that never finishes: the deallocator stops
+			// re-arming once nothing else is queued, so the queue runs
+			// dry and the phase fails instead of spinning.
 			db := openPhaseDB(t, engine)
 			if err := db.Load(); err != nil {
 				t.Fatal(err)
 			}
 			eng := db.Sim()
-			db.Device().PauseDeallocator()
 			eng.Go("blocked", func(p *sim.Proc) { p.Wait(sim.NewFuture(eng)) })
 			_, err := db.Run(spec)
 			if err == nil || !strings.Contains(err.Error(), "ran dry") {
@@ -181,7 +180,6 @@ func TestPhaseEndsAtLastEvent(t *testing.T) {
 			}
 
 			db = openPhaseDB(t, engine)
-			db.Device().PauseDeallocator()
 			eng = db.Sim()
 			eng.Go("blocked", func(p *sim.Proc) { p.Wait(sim.NewFuture(eng)) })
 			if err := db.Load(); err == nil || !strings.Contains(err.Error(), "ran dry") {
