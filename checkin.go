@@ -107,7 +107,8 @@ func MixedRecords(label string, sizes, weights []int) Sizer {
 
 // RecordWorkload generates a reusable operation trace: replaying the same
 // trace against different configurations (RunSpec.Trace) compares them on
-// byte-identical inputs.
+// byte-identical inputs. Each op takes 16 bytes; an invalid mix, or a sizer
+// giving any key a size outside [1, math.MaxInt32], is an error.
 func RecordWorkload(keys int64, sizer Sizer, mix Mix, zipfian bool, n int, seed int64) (*Trace, error) {
 	var dist workload.Distribution
 	if zipfian {

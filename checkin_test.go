@@ -8,6 +8,7 @@ import (
 
 	checkin "github.com/checkin-kv/checkin"
 	"github.com/checkin-kv/checkin/internal/trace"
+	"github.com/checkin-kv/checkin/internal/workload"
 )
 
 func smallConfig(s checkin.Strategy) checkin.Config {
@@ -87,18 +88,67 @@ func TestOpenRejectsUnknownFTLMap(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnreplayableTrace: an empty trace and a trace whose keys
-// run past Config.Keys are errors from Run on both engines, returned
-// before any simulated client starts, not panics inside one.
+// TestRunRejectsUnreplayableTrace: a trace Run cannot replay is an error
+// from Run on both engines, returned before any simulated client starts
+// (the clock does not move), not a panic inside one, a hang or a corrupted
+// result: an empty trace, a key past Config.Keys, an unknown kind, a size
+// below 1, and a write larger than the log ever admits — one 8 MiB half
+// holds no 8, 9 or 17 MiB record, which would trigger checkpoints forever.
+// Each bad op sits in the middle of a replayable trace. Every Run is bounded
+// by a deadline, so a hang fails the test instead of stalling the suite. A
+// 4 MiB write, which a half does hold, still replays.
 func TestRunRejectsUnreplayableTrace(t *testing.T) {
+	const keys = 2000
 	wide, err := checkin.RecordWorkload(50_000, checkin.FixedRecords(512), checkin.WorkloadA, true, 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range checkin.EngineNames() {
+	with := func(op workload.Op) *checkin.Trace {
+		tr, err := checkin.RecordWorkload(keys, checkin.FixedRecords(512), checkin.WorkloadA, true, 1000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Ops[500] = op
+		return tr
+	}
+	update := func(size int32) workload.Op { return workload.Op{Kind: workload.OpUpdate, Key: 7, Size: size} }
+	bad := []struct {
+		name  string
+		trace *checkin.Trace
+	}{
+		{"empty", &checkin.Trace{}},
+		{"wide", wide},
+		{"unknown-kind", with(workload.Op{Kind: 9, Key: 7, Size: 512})},
+		{"zero-size-read", with(workload.Op{Kind: workload.OpRead, Key: 7})},
+		{"negative-size", with(update(-100))},
+		{"half-write", with(update(8 << 20))},
+		{"9MiB-write", with(update(9 << 20))},
+		{"17MiB-rmw", with(workload.Op{Kind: workload.OpReadModifyWrite, Key: 7, Size: 17 << 20})},
+	}
+	// run replays tr on db, failing the test if Run has not returned in
+	// time; the stuck Run's goroutine is then left behind.
+	run := func(db *checkin.DB, tr *checkin.Trace) (*checkin.Metrics, bool, error) {
+		type result struct {
+			m   *checkin.Metrics
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			m, err := db.Run(checkin.RunSpec{Threads: 4, TotalQueries: 1000, Trace: tr})
+			done <- result{m, err}
+		}()
+		select {
+		case r := <-done:
+			return r.m, true, r.err
+		case <-time.After(10 * time.Second):
+			return nil, false, nil
+		}
+	}
+	open := func(t *testing.T, engine string) *checkin.DB {
 		cfg := smallConfig(checkin.StrategyCheckIn)
 		cfg.Engine = engine
-		cfg.Keys = 2000
+		cfg.Keys = keys
+		cfg.JournalHalfMB = 8
 		db, err := checkin.Open(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -106,15 +156,37 @@ func TestRunRejectsUnreplayableTrace(t *testing.T) {
 		if err := db.Load(); err != nil {
 			t.Fatal(err)
 		}
-		for name, trace := range map[string]*checkin.Trace{"empty": {}, "wide": wide} {
-			spec := checkin.RunSpec{Threads: 4, TotalQueries: 1000, Trace: trace}
-			if _, err := db.Run(spec); err == nil || !strings.Contains(err.Error(), "trace") {
-				t.Errorf("%s/%s trace: Run returned %v, want a trace error", engine, name, err)
+		return db
+	}
+	for _, engine := range checkin.EngineNames() {
+		for _, c := range bad {
+			t.Run(engine+"/"+c.name, func(t *testing.T) {
+				db := open(t, engine)
+				before := db.Sim().Now()
+				_, ok, err := run(db, c.trace)
+				if !ok {
+					t.Fatal("Run did not return within the deadline")
+				}
+				if err == nil || !strings.Contains(err.Error(), "trace") {
+					t.Errorf("Run returned %v, want a trace error", err)
+				}
+				if now := db.Sim().Now(); now != before {
+					t.Errorf("the rejected Run moved the clock from %v to %v", before, now)
+				}
+				if n := db.Sim().LiveProcs(); n != 0 {
+					t.Errorf("%d processes left after the rejected run", n)
+				}
+			})
+		}
+		t.Run(engine+"/4MiB-write", func(t *testing.T) {
+			m, ok, err := run(open(t, engine), with(update(4<<20)))
+			if !ok || err != nil {
+				t.Fatalf("Run returned %v (in time: %v)", err, ok)
 			}
-		}
-		if n := db.Sim().LiveProcs(); n != 0 {
-			t.Errorf("%s: %d processes left after the rejected runs", engine, n)
-		}
+			if m.Queries != 1000 {
+				t.Errorf("%d queries finished, want 1000", m.Queries)
+			}
+		})
 	}
 }
 

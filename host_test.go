@@ -54,7 +54,7 @@ func TestScanClampsAtKeySpaceEnd(t *testing.T) {
 			keys := db.Config().Keys
 			for _, c := range []struct {
 				key     int64
-				n       int
+				n       uint16
 				records uint64
 			}{
 				{keys - 3, 50, 3},

@@ -16,6 +16,7 @@ type Log interface {
 	SetCommitHook(fn func(key, version int64))
 	Sync(p *sim.Proc)
 	WouldOverflow(payload int) bool
+	Fits(payload int) bool
 	Durable() []int64
 	Quiet() bool
 }
@@ -189,7 +190,7 @@ func (b *Base) AdmitScan(q *Query) (parked bool) {
 	op := &q.Op
 	op.ScanLen = max(op.ScanLen, 1)
 	op.Key = min(op.Key, b.cfg.Keys-1)
-	op.ScanLen = int(min(int64(op.ScanLen), b.cfg.Keys-op.Key))
+	op.ScanLen = uint16(min(int64(op.ScanLen), b.cfg.Keys-op.Key))
 	return false
 }
 

@@ -81,8 +81,13 @@ type RunSpec struct {
 }
 
 // Validate reports a descriptive error for specs unusable on a store of
-// keys records: a replayed trace must be non-empty and stay inside them.
-func (rs RunSpec) Validate(keys int64) error {
+// keys records whose log can ever admit a write of n bytes only if fits(n).
+// A replayed trace must be non-empty, and each op must be one Run can
+// finish: a known kind, a size of at least 1 byte, a key inside the
+// records, and, for a write, a payload the log fits (a larger one would
+// trigger checkpoints forever). A scan length cannot be negative: the
+// field is unsigned.
+func (rs RunSpec) Validate(keys int64, fits func(payload int) bool) error {
 	if rs.Threads < 1 {
 		return fmt.Errorf("core: Threads %d must be >= 1", rs.Threads)
 	}
@@ -97,8 +102,15 @@ func (rs RunSpec) Validate(keys int64) error {
 		return fmt.Errorf("core: empty trace")
 	}
 	for i, op := range rs.Trace.Ops {
-		if op.Key < 0 || op.Key >= keys {
+		switch {
+		case op.Kind > workload.OpDelete:
+			return fmt.Errorf("core: trace op %d has unknown kind %v", i, op.Kind)
+		case op.Size < 1:
+			return fmt.Errorf("core: trace op %d has size %d, below 1 byte", i, op.Size)
+		case op.Key < 0 || op.Key >= keys:
 			return fmt.Errorf("core: trace op %d has key %d outside the %d records", i, op.Key, keys)
+		case op.Kind != workload.OpRead && op.Kind != workload.OpScan && !fits(payload(op)):
+			return fmt.Errorf("core: trace op %d writes %d bytes, more than the log can ever admit", i, payload(op))
 		}
 	}
 	return nil
@@ -120,7 +132,7 @@ func (b *Base) Run(spec RunSpec) (*Metrics, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if err := spec.Validate(cfg.Keys); err != nil {
+	if err := spec.Validate(cfg.Keys, b.log.Fits); err != nil {
 		return nil, err
 	}
 	m := NewMetrics()

@@ -10,7 +10,7 @@ import (
 )
 
 // update and get run one Update or Get of key through Apply from p.
-func update(h Ops, p *sim.Proc, key int64, size int) {
+func update(h Ops, p *sim.Proc, key int64, size int32) {
 	Apply(h, p, workload.Op{Kind: workload.OpUpdate, Key: key, Size: size})
 }
 

@@ -137,6 +137,12 @@ func (g *GroupCommit[R]) WouldOverflow(payload int) bool {
 	return g.head+g.pendBytes+g.format.Reserve(payload)+g.cfg.Slack > g.cfg.HalfBytes
 }
 
+// Fits reports whether a record of payload bytes fits an empty half: for
+// a larger one WouldOverflow holds forever, however many cuts free a half.
+func (g *GroupCommit[R]) Fits(payload int) bool {
+	return g.format.Reserve(payload)+g.cfg.Slack <= g.cfg.HalfBytes
+}
+
 // Stats returns a snapshot of the log's counters.
 func (g *GroupCommit[R]) Stats() JournalStats { return g.stats }
 

@@ -185,23 +185,35 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestRunSpecValidate(t *testing.T) {
+	fits := func(payload int) bool { return payload <= 4096 }
 	good := RunSpec{Threads: 4, TotalQueries: 100, Mix: workload.WorkloadA}
-	if err := good.Validate(10); err != nil {
+	if err := good.Validate(10, fits); err != nil {
 		t.Fatalf("good spec rejected: %v", err)
 	}
-	replay := &workload.Trace{Ops: []workload.Op{{Kind: workload.OpRead, Key: 9}}}
-	if err := (RunSpec{Threads: 1, TotalQueries: 1, Trace: replay}).Validate(10); err != nil {
+	replay := &workload.Trace{Ops: []workload.Op{
+		{Kind: workload.OpRead, Key: 9, Size: 1 << 20},
+		{Kind: workload.OpUpdate, Key: 0, Size: 4096},
+		{Kind: workload.OpDelete, Key: 1, Size: 1 << 20}, // logs a tombstone
+		{Kind: workload.OpScan, Key: 2, Size: 1, ScanLen: workload.MaxScanLen},
+	}}
+	if err := (RunSpec{Threads: 1, TotalQueries: 1, Trace: replay}).Validate(10, fits); err != nil {
 		t.Fatalf("in-range trace rejected: %v", err)
 	}
+	trace := func(op workload.Op) *workload.Trace { return &workload.Trace{Ops: []workload.Op{op}} }
 	bad := []RunSpec{
 		{Threads: 0, TotalQueries: 100, Mix: workload.WorkloadA},
 		{Threads: 1, TotalQueries: 0, Mix: workload.WorkloadA},
 		{Threads: 1, TotalQueries: 10, Mix: workload.Mix{ReadPct: 10}},
 		{Threads: 1, TotalQueries: 10, Trace: &workload.Trace{}},
-		{Threads: 1, TotalQueries: 10, Trace: &workload.Trace{Ops: []workload.Op{{Kind: workload.OpRead, Key: 10}}}},
+		{Threads: 1, TotalQueries: 10, Trace: trace(workload.Op{Kind: workload.OpRead, Key: 10, Size: 1})},
+		{Threads: 1, TotalQueries: 10, Trace: trace(workload.Op{Kind: workload.OpDelete + 1, Key: 1, Size: 1})},
+		{Threads: 1, TotalQueries: 10, Trace: trace(workload.Op{Kind: workload.OpRead, Key: 1})},
+		{Threads: 1, TotalQueries: 10, Trace: trace(workload.Op{Kind: workload.OpUpdate, Key: 1, Size: -100})},
+		{Threads: 1, TotalQueries: 10, Trace: trace(workload.Op{Kind: workload.OpReadModifyWrite, Key: 1, Size: 4097})},
+		{Threads: 1, TotalQueries: 10, Trace: trace(workload.Op{Kind: workload.OpInsert, Key: 1, Size: 4097})},
 	}
 	for i, rs := range bad {
-		if err := rs.Validate(10); err == nil {
+		if err := rs.Validate(10, fits); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}

@@ -66,13 +66,17 @@ func (q *Query) Begin(op workload.Op) {
 	q.Op, q.Stage, q.part, q.admitting = op, 0, 0, false
 }
 
-// Size is the payload an Update of q logs: the op's size, or a tombstone's
-// for a Delete, which rides the same write-ahead and checkpoint paths.
-func (q *Query) Size() int {
-	if q.Op.Kind == workload.OpDelete {
+// Size is the payload an Update of q logs (see payload).
+func (q *Query) Size() int { return payload(q.Op) }
+
+// payload is the bytes an Update of op logs: the op's size, or a
+// tombstone's for a Delete, which rides the same write-ahead and checkpoint
+// paths.
+func payload(op workload.Op) int {
+	if op.Kind == workload.OpDelete {
 		return tombstoneBytes
 	}
-	return q.Op.Size
+	return int(op.Size)
 }
 
 // step runs q's operation on h from where it parked and reports whether it

@@ -506,6 +506,6 @@ func TestFailEndsRun(t *testing.T) {
 }
 
 // update runs one Update of key through core.Apply from p.
-func update(h core.Ops, p *sim.Proc, key int64, size int) {
+func update(h core.Ops, p *sim.Proc, key int64, size int32) {
 	core.Apply(h, p, workload.Op{Kind: workload.OpUpdate, Key: key, Size: size})
 }

@@ -167,6 +167,12 @@ func NewOpenLoop(cfg ArrivalConfig, seed int64) (*OpenLoop, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Sizer == nil {
+		cfg.Sizer = FixedSizer{Size: 1024}
+	}
+	if err := checkSizer(cfg.Sizer, cfg.TotalKeys()); err != nil {
+		return nil, err
+	}
 	g := &OpenLoop{cfg: cfg, rng: sim.NewRNG(seed).Split("open-loop")}
 	g.peak = cfg.RatePerSec * (1 + cfg.DiurnalAmp)
 	if cfg.Flash != nil {
@@ -175,9 +181,6 @@ func NewOpenLoop(cfg ArrivalConfig, seed int64) (*OpenLoop, error) {
 	g.clients = cfg.Clients
 	if g.clients == 0 {
 		g.clients = 1_000_000
-	}
-	if g.cfg.Sizer == nil {
-		g.cfg.Sizer = FixedSizer{Size: 1024}
 	}
 	var base int64
 	for _, t := range cfg.Tenants {
@@ -251,7 +254,7 @@ func (g *OpenLoop) pickTenant() int {
 
 func (g *OpenLoop) buildOp(tenant int, local int64) Op {
 	key := g.bases[tenant] + local
-	op := Op{Key: key, Size: g.cfg.Sizer.SizeOf(key)}
+	op := Op{Key: key, Size: int32(g.cfg.Sizer.SizeOf(key))}
 	op.Kind, op.ScanLen = g.cfg.Tenants[tenant].Mix.Pick(g.rng)
 	return op
 }

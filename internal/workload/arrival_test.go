@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"github.com/checkin-kv/checkin/internal/sim"
@@ -210,5 +212,33 @@ func TestArrivalConfigValidate(t *testing.T) {
 	c.Flash.HotKeys = 1 << 40
 	if err := c.Validate(); err == nil {
 		t.Error("hot set larger than the tenant namespace validated")
+	}
+}
+
+// TestArrivalStreamPinned: every field of 20k arrivals from a three-tenant
+// stream (zipfian and uniform namespaces, scans, a flash crowd, mixed
+// record sizes) matches a digest recorded before Op was narrowed to 16
+// bytes.
+func TestArrivalStreamPinned(t *testing.T) {
+	cfg := poissonCfg(200_000,
+		TenantSpec{Name: "a", Weight: 3, Keys: 5_000, Mix: WorkloadA, Zipfian: true},
+		TenantSpec{Name: "b", Weight: 1, Keys: 2_000, Mix: WorkloadWO},
+		TenantSpec{Name: "e", Weight: 2, Keys: 3_000, Mix: WorkloadE, Zipfian: true, Theta: 0.8},
+	)
+	cfg.Flash = &FlashCrowd{At: 20 * sim.Millisecond, Duration: 10 * sim.Millisecond,
+		RateMult: 3, Tenant: 1, HotKeys: 16, HotFrac: 0.8}
+	cfg.Sizer = PatternP1
+	g, err := NewOpenLoop(cfg, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for i := 0; i < 20_000; i++ {
+		a := g.Next()
+		fmt.Fprintf(h, "%d,%d,%d,%d,%d,%d,%d;", a.At, a.Tenant, a.Client,
+			uint8(a.Op.Kind), a.Op.Key, a.Op.Size, a.Op.ScanLen)
+	}
+	if sum := h.Sum64(); sum != 0xa5d4d71d30366779 {
+		t.Errorf("arrival digest %#x, want 0xa5d4d71d30366779", sum)
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"cmp"
 	"testing"
 
 	"github.com/checkin-kv/checkin/internal/sim"
@@ -126,22 +127,25 @@ func FuzzArrival(f *testing.F) {
 }
 
 // FuzzMixValidate checks the mix validator and the generator built on top
-// of it agree: a mix Validate accepts must be non-negative and sum to
-// exactly 100, and every operation generated under it must carry a valid
-// kind for its percentages and a positive scan length on scans.
+// of it agree: a mix Validate accepts must be non-negative, sum to exactly
+// 100 and have a scan length an Op holds, and every operation generated
+// under it must carry a valid kind for its percentages and, on scans, the
+// mix's scan length (50 when it is 0).
 func FuzzMixValidate(f *testing.F) {
 	f.Add(50, 50, 0, 0, 0, 0, int64(1))
 	f.Add(25, 60, 10, 0, 5, 0, int64(2))
 	f.Add(95, 0, 0, 5, 0, -3, int64(3))
 	f.Add(0, 0, 0, 100, 0, 7, int64(4))
+	f.Add(0, 0, 0, 100, 0, MaxScanLen+1, int64(5))
 	f.Fuzz(func(t *testing.T, read, update, rmw, scan, del, scanLen int, seed int64) {
 		m := Mix{ReadPct: read, UpdatePct: update, RMWPct: rmw, ScanPct: scan,
 			DeletePct: del, ScanLen: scanLen}
 		err := m.Validate()
 		sum := read + update + rmw + scan + del
-		valid := read >= 0 && update >= 0 && rmw >= 0 && scan >= 0 && del >= 0 && sum == 100
+		valid := read >= 0 && update >= 0 && rmw >= 0 && scan >= 0 && del >= 0 && sum == 100 &&
+			scanLen >= 0 && scanLen <= MaxScanLen
 		if (err == nil) != valid {
-			t.Fatalf("Validate() = %v for mix %+v (non-negative=%v sum=%d)", err, m, valid, sum)
+			t.Fatalf("Validate() = %v for mix %+v (valid=%v sum=%d)", err, m, valid, sum)
 		}
 		if err != nil {
 			return
@@ -173,8 +177,8 @@ func FuzzMixValidate(f *testing.F) {
 				if scan == 0 {
 					t.Fatalf("op %d: scan generated with ScanPct 0", i)
 				}
-				if op.ScanLen <= 0 {
-					t.Fatalf("op %d: scan length %d not positive", i, op.ScanLen)
+				if want := cmp.Or(scanLen, 50); int(op.ScanLen) != want {
+					t.Fatalf("op %d: scan length %d, want %d", i, op.ScanLen, want)
 				}
 			case OpDelete:
 				if del == 0 {

@@ -48,19 +48,27 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one generated operation.
+// Op is one generated operation, 16 bytes: recorded traces, arrival
+// streams and every query in flight hold one per operation. Generators
+// refuse a record size or scan length its fields cannot hold (see
+// checkSizer and Mix.Validate) rather than truncate it.
 type Op struct {
-	Kind OpKind
 	Key  int64
-	Size int // value size in bytes (reads carry the record's size too)
+	Size int32 // value size in bytes (reads carry the record's size too)
 	// ScanLen is the record count of a scan (OpScan only).
-	ScanLen int
+	ScanLen uint16
+	Kind    OpKind
 }
+
+// MaxScanLen is the longest scan an Op can carry.
+const MaxScanLen = math.MaxUint16
 
 // Distribution selects keys.
 type Distribution interface {
-	// Next returns a key in [0, Keys).
+	// Next returns a key in [0, KeySpace()).
 	Next(rng *sim.RNG) int64
+	// KeySpace returns the number of keys Next draws from.
+	KeySpace() int64
 	// Name returns the distribution's display name.
 	Name() string
 }
@@ -70,6 +78,9 @@ type Uniform struct{ Keys int64 }
 
 // Next returns a uniformly distributed key.
 func (u Uniform) Next(rng *sim.RNG) int64 { return rng.Int63n(u.Keys) }
+
+// KeySpace returns u.Keys.
+func (u Uniform) KeySpace() int64 { return u.Keys }
 
 // Name returns "uniform".
 func (u Uniform) Name() string { return "uniform" }
@@ -160,6 +171,9 @@ func (z *Zipfian) Next(rng *sim.RNG) int64 {
 	return scramble(rank) % z.keys
 }
 
+// KeySpace returns the number of keys z draws from.
+func (z *Zipfian) KeySpace() int64 { return z.keys }
+
 // Name returns "zipfian".
 func (z *Zipfian) Name() string { return "zipfian" }
 
@@ -235,6 +249,36 @@ func (m *MixSizer) SizeOf(key int64) int {
 // Name returns the mix label.
 func (m *MixSizer) Name() string { return m.label }
 
+// checkSizer reports an error unless s gives every one of keys records a
+// size an Op can hold, in [1, math.MaxInt32] bytes. FixedSizer and MixSizer
+// are checked by the sizes they declare; any other sizer is asked for every
+// key.
+func checkSizer(s Sizer, keys int64) error {
+	check := func(size int) error {
+		if size < 1 || size > math.MaxInt32 {
+			return fmt.Errorf("workload: sizer %s gives a record of %d bytes, outside [1, %d]", s.Name(), size, math.MaxInt32)
+		}
+		return nil
+	}
+	switch s := s.(type) {
+	case FixedSizer:
+		return check(s.Size)
+	case *MixSizer:
+		for _, size := range s.sizes {
+			if err := check(size); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for k := range keys {
+		if err := check(s.SizeOf(k)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // The four record-size patterns of the paper's Figure 13(b): random mixes
 // of record sizes from 128 to 4096 bytes with different emphases.
 var (
@@ -256,11 +300,14 @@ type Mix struct {
 	ScanLen int
 }
 
-// Validate checks the mix sums to 100.
+// Validate checks the mix sums to 100 and its scan length fits an Op.
 func (m Mix) Validate() error {
 	if m.ReadPct < 0 || m.UpdatePct < 0 || m.RMWPct < 0 || m.ScanPct < 0 || m.DeletePct < 0 ||
 		m.ReadPct+m.UpdatePct+m.RMWPct+m.ScanPct+m.DeletePct != 100 {
 		return fmt.Errorf("workload: mix %+v must be non-negative and sum to 100", m)
+	}
+	if m.ScanLen < 0 || m.ScanLen > MaxScanLen {
+		return fmt.Errorf("workload: mix scan length %d outside [0, %d]", m.ScanLen, MaxScanLen)
 	}
 	return nil
 }
@@ -309,13 +356,16 @@ func NewGenerator(dist Distribution, sizer Sizer, mix Mix, rng *sim.RNG) (*Gener
 	if err := mix.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkSizer(sizer, dist.KeySpace()); err != nil {
+		return nil, err
+	}
 	return &Generator{dist: dist, sizer: sizer, mix: mix, rng: rng}, nil
 }
 
 // Next returns the next operation.
 func (g *Generator) Next() Op {
 	key := g.dist.Next(g.rng)
-	op := Op{Key: key, Size: g.sizer.SizeOf(key)}
+	op := Op{Key: key, Size: int32(g.sizer.SizeOf(key))}
 	op.Kind, op.ScanLen = g.mix.Pick(g.rng)
 	return op
 }
@@ -323,8 +373,8 @@ func (g *Generator) Next() Op {
 // Pick draws an operation kind (and scan length, for scans) from the mix
 // with one uniform draw — the kind-selection step shared by Generator and
 // the open-loop arrival layer. Draw order matters for reproducibility:
-// exactly one rng consumption per call.
-func (m Mix) Pick(rng *sim.RNG) (OpKind, int) {
+// exactly one rng consumption per call. The mix must validate.
+func (m Mix) Pick(rng *sim.RNG) (OpKind, uint16) {
 	r := rng.Intn(100)
 	switch {
 	case r < m.ReadPct:
@@ -334,22 +384,25 @@ func (m Mix) Pick(rng *sim.RNG) (OpKind, int) {
 	case r < m.ReadPct+m.UpdatePct+m.RMWPct:
 		return OpReadModifyWrite, 0
 	case r < m.ReadPct+m.UpdatePct+m.RMWPct+m.ScanPct:
-		n := m.ScanLen
-		if n <= 0 {
-			n = 50 // YCSB-E's average scan length
+		if m.ScanLen == 0 {
+			return OpScan, 50 // YCSB-E's average scan length
 		}
-		return OpScan, n
+		return OpScan, uint16(m.ScanLen)
 	default:
 		return OpDelete, 0
 	}
 }
 
 // LoadOps returns the insert sequence that populates every key once, in key
-// order — the load phase that precedes a YCSB run.
+// order — the load phase that precedes a YCSB run. It panics if sizer fails
+// checkSizer.
 func LoadOps(keys int64, sizer Sizer) []Op {
+	if err := checkSizer(sizer, keys); err != nil {
+		panic(err)
+	}
 	ops := make([]Op, keys)
-	for k := int64(0); k < keys; k++ {
-		ops[k] = Op{Kind: OpInsert, Key: k, Size: sizer.SizeOf(k)}
+	for k := range keys {
+		ops[k] = Op{Kind: OpInsert, Key: k, Size: int32(sizer.SizeOf(k))}
 	}
 	return ops
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/checkin-kv/checkin/internal/sim"
 )
@@ -275,10 +276,16 @@ func TestMixValidate(t *testing.T) {
 			t.Errorf("paper mix %+v rejected: %v", m, err)
 		}
 	}
+	if err := (Mix{ScanPct: 100, ScanLen: MaxScanLen}).Validate(); err != nil {
+		t.Errorf("longest scan rejected: %v", err)
+	}
 	bad := []Mix{
 		{ReadPct: 50, UpdatePct: 40},
 		{ReadPct: -10, UpdatePct: 110},
 		{ReadPct: 120, UpdatePct: -20},
+		{ScanPct: 100, ScanLen: -1},
+		{ScanPct: 100, ScanLen: MaxScanLen + 1},
+		{ReadPct: 100, ScanLen: 1 << 20}, // a scan length is checked even without scans
 	}
 	for _, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -364,5 +371,67 @@ func TestScrambleNonNegativeProperty(t *testing.T) {
 	}, &quick.Config{MaxCount: 1000})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOpIs16Bytes: an Op is 16 bytes, so every recorded trace, arrival and
+// query in flight holds 16 bytes per operation.
+func TestOpIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 16 {
+		t.Fatalf("Op is %d bytes, want 16", n)
+	}
+}
+
+// keySizer gives key 3 size bad and every other key 512 bytes: a sizer
+// checkSizer can only judge by asking it for every key.
+type keySizer struct{ bad int }
+
+func (s keySizer) SizeOf(key int64) int {
+	if key == 3 {
+		return s.bad
+	}
+	return 512
+}
+func (keySizer) Name() string { return "key-sizer" }
+
+// TestSizerBounds: a record size outside [1, math.MaxInt32] is an error
+// from NewGenerator and NewOpenLoop, whether the sizer declares its sizes
+// (FixedSizer, MixSizer) or must be asked for every key; LoadOps panics on
+// one. The bounds themselves are accepted.
+func TestSizerBounds(t *testing.T) {
+	const keys = 10
+	for _, c := range []struct {
+		sizer Sizer
+		ok    bool
+	}{
+		{FixedSizer{Size: 1}, true},
+		{FixedSizer{Size: math.MaxInt32}, true},
+		{FixedSizer{Size: 0}, false},
+		{FixedSizer{Size: math.MaxInt32 + 1}, false},
+		{NewMixSizer("m", []int{1, math.MaxInt32}, []int{1, 1}), true},
+		{NewMixSizer("m", []int{512, 0}, []int{1, 1}), false},
+		{NewMixSizer("m", []int{math.MaxInt32 + 1, 512}, []int{1, 1}), false},
+		{keySizer{bad: 1}, true},
+		{keySizer{bad: -1}, false},
+		{keySizer{bad: math.MaxInt32 + 1}, false},
+	} {
+		_, err := NewGenerator(Uniform{Keys: keys}, c.sizer, WorkloadA, sim.NewRNG(1))
+		if c.ok != (err == nil) {
+			t.Errorf("NewGenerator with %s %+v: err %v, want ok=%v", c.sizer.Name(), c.sizer, err, c.ok)
+		}
+		cfg := poissonCfg(1000, TenantSpec{Name: "t", Weight: 1, Keys: keys, Mix: WorkloadA})
+		cfg.Sizer = c.sizer
+		_, err = NewOpenLoop(cfg, 1)
+		if c.ok != (err == nil) {
+			t.Errorf("NewOpenLoop with %s %+v: err %v, want ok=%v", c.sizer.Name(), c.sizer, err, c.ok)
+		}
+		func() {
+			defer func() {
+				if p := recover(); c.ok != (p == nil) {
+					t.Errorf("LoadOps with %s %+v: panic %v, want ok=%v", c.sizer.Name(), c.sizer, p, c.ok)
+				}
+			}()
+			LoadOps(keys, c.sizer)
+		}()
 	}
 }

@@ -28,7 +28,9 @@ import (
 // so one Snapshot can be forked concurrently from any number of
 // goroutines.
 type Snapshot struct {
-	db     *DB
+	db *DB
+	// load is the template's load phase and loadFP its fingerprint.
+	load   loadPhase
 	loadFP uint64
 }
 
@@ -60,12 +62,13 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	if n := db.eng.LiveProcs() + db.host.Parked(); n != 0 {
 		return nil, fmt.Errorf("checkin: snapshot with %d live simulated processes or parked clients", n)
 	}
-	lfp, ok := LoadFingerprint(db.cfg)
+	load := loadPhaseOf(db.cfg) // resolved by Open
+	lfp, ok := load.fingerprint()
 	if !ok {
 		return nil, fmt.Errorf("checkin: configuration is not snapshottable")
 	}
 	db.template = true
-	return &Snapshot{db: db, loadFP: lfp}, nil
+	return &Snapshot{db: db, load: load, loadFP: lfp}, nil
 }
 
 // Config returns the resolved configuration the snapshot was captured from.
@@ -82,17 +85,23 @@ func (s *Snapshot) LoadFingerprint() uint64 { return s.loadFP }
 // to differ, which is what lets one preconditioned template serve a whole
 // sweep. The returned DB is indistinguishable from one that executed Load
 // itself: clock, event order and all layer state match exactly.
+//
+// A cfg whose load phase equals the template's value for value (a job's
+// config after its template lookup hashed it, or a shard's) forks without
+// hashing it again; any other is checked by its load fingerprint.
 func (s *Snapshot) Fork(cfg Config) (*DB, error) {
-	lfp, ok := LoadFingerprint(cfg)
+	cfg, ok := fingerprintable(cfg)
 	if !ok {
 		return nil, fmt.Errorf("checkin: configuration is not snapshottable (injector or tracing enabled)")
 	}
-	if lfp != s.loadFP {
-		return nil, fmt.Errorf("checkin: fork config load fingerprint %016x does not match snapshot %016x", lfp, s.loadFP)
-	}
-	cfg, err := resolve(cfg)
-	if err != nil {
-		return nil, err
+	if load := loadPhaseOf(cfg); !reflect.DeepEqual(load, s.load) {
+		lfp, ok := load.fingerprint()
+		if !ok {
+			return nil, fmt.Errorf("checkin: configuration is not snapshottable")
+		}
+		if lfp != s.loadFP {
+			return nil, fmt.Errorf("checkin: fork config load fingerprint %016x does not match snapshot %016x", lfp, s.loadFP)
+		}
 	}
 	return s.db.clone(cfg, *s.db.restPoint)
 }
@@ -134,11 +143,26 @@ func LoadFingerprint(cfg Config) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	// Remapping strategies align slots to the sub-page unit, which shapes
-	// the loaded layout; the rest of the strategy only steers the run.
+	return loadPhaseOf(cfg).fingerprint()
+}
+
+// loadPhase is what of a resolved configuration shapes its load phase.
+type loadPhase struct {
+	cfg Config // with clearRunPhase applied
+	// remap is set for remapping strategies, which align slots to the
+	// sub-page unit and so shape the loaded layout; the rest of the
+	// strategy only steers the run.
+	remap bool
+}
+
+func loadPhaseOf(cfg Config) loadPhase {
 	remap := cfg.Strategy.UsesRemap()
 	clearRunPhase(&cfg)
-	return HashValues("load", cfg.Keys, cfg, remap)
+	return loadPhase{cfg: cfg, remap: remap}
+}
+
+func (l loadPhase) fingerprint() (uint64, bool) {
+	return HashValues("load", l.cfg.Keys, l.cfg, l.remap)
 }
 
 // clearRunPhase zeroes the fields that steer only the run phase. The load

@@ -2,6 +2,7 @@ package checkin_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -278,6 +279,56 @@ func TestSnapshotGates(t *testing.T) {
 	full2, _ := checkin.Fingerprint(seeded)
 	if full1 == full2 {
 		t.Error("Seed did not change the full fingerprint")
+	}
+}
+
+// TestSnapshotForkSizerIdentity: Fork accepts a config whose record sizer is
+// a distinct value equal to the template's — and the forked run matches a
+// direct load — and refuses one whose sizer maps any key to another size.
+// A sizer of another type with the template sizer's name and sizes is not
+// equal by value; Fork accepts it by its load fingerprint.
+func TestSnapshotForkSizerIdentity(t *testing.T) {
+	mix := func(sizes, weights []int) checkin.Sizer { return checkin.MixedRecords("mix", sizes, weights) }
+	cfg := snapTestConfig(checkin.StrategyCheckIn)
+	cfg.Records = mix([]int{256, 512, 1024}, []int{1, 2, 1})
+	snap := captureSnapshot(t, cfg)
+
+	equal := cfg
+	equal.Records = mix([]int{256, 512, 1024}, []int{1, 2, 1})
+	equal.Seed = 99
+	db, err := snap.Fork(equal)
+	if err != nil {
+		t.Fatalf("fork with an equal, distinct sizer refused: %v", err)
+	}
+	m, err := db.Run(snapTestSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := runSignature(db, m), directRun(t, equal, snapTestSpec()); got != want {
+		t.Errorf("fork with an equal sizer diverged from a direct load:\n%s\nvs\n%s", got, want)
+	}
+	for name, sizer := range map[string]checkin.Sizer{
+		"sizes":   mix([]int{256, 512, 2048}, []int{1, 2, 1}),
+		"weights": mix([]int{256, 512, 1024}, []int{1, 1, 1}),
+		"fixed":   checkin.FixedRecords(512),
+	} {
+		other := cfg
+		other.Records = sizer
+		if _, err := snap.Fork(other); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+			t.Errorf("fork with a different sizer (%s): err %v, want a fingerprint mismatch", name, err)
+		}
+	}
+
+	fixed := snapTestConfig(checkin.StrategyCheckIn)
+	fsnap := captureSnapshot(t, fixed)
+	alike := fixed
+	alike.Records = checkin.MixedRecords(fixed.Records.Name(), []int{512}, []int{1})
+	if _, err := fsnap.Fork(alike); err != nil {
+		t.Errorf("fork with a sizer of another type giving the same sizes refused: %v", err)
+	}
+	alike.Records = checkin.MixedRecords(fixed.Records.Name(), []int{1024}, []int{1})
+	if _, err := fsnap.Fork(alike); err == nil {
+		t.Error("fork with a same-named sizer giving other sizes succeeded")
 	}
 }
 
