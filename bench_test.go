@@ -34,7 +34,7 @@ func runExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		table, err := exp.Run(benchOpts())
+		table, _, err := harness.Run(exp, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkParallelSuite(b *testing.B) {
 					}
 					o := benchOpts()
 					o.Parallelism = bc.par
-					table, err := exp.Run(o)
+					table, _, err := harness.Run(exp, o)
 					if err != nil {
 						b.Fatal(err)
 					}

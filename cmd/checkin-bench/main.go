@@ -92,7 +92,7 @@ func main() {
 		for _, sd := range seedList {
 			opts := harness.Opts{Scale: *scale, Threads: ths, Seed: sd, Parallelism: *parallel, Snapshots: *snapshot, Timing: *timing, Config: base, Shards: *shards, Tenants: *tenants, Arrival: *arrival, CkSched: *cksched}
 			start := time.Now()
-			table, err := exp.Run(opts)
+			table, _, err := harness.Run(exp, opts)
 			if err != nil {
 				fatal(fmt.Errorf("%s failed: %w", exp.ID, err))
 			}

@@ -422,8 +422,9 @@ func TestMetricsFlashEnergy(t *testing.T) {
 	m.startNand = nand.Stats{Reads: 1000, Programs: 500, Erases: 40}
 	m.EndNand = nand.Stats{Reads: 1000 + 20, Programs: 500 + 10, Erases: 40 + 2}
 	tim := nand.Timing{}.WithDefaultEnergy()
+	m.timing = tim
 	want := float64(20*tim.ReadEnergyNJ+10*tim.ProgramEnergyNJ+2*tim.EraseEnergyNJ) / 1e6
-	if got := m.FlashEnergyMJ(tim); got != want {
+	if got := m.FlashEnergyMJ(); got != want {
 		t.Errorf("FlashEnergyMJ = %v mJ, want %v", got, want)
 	}
 }

@@ -56,6 +56,8 @@ type Metrics struct {
 	startFtl  ftl.Stats
 	startNand nand.Stats
 	startTime sim.VTime
+	// timing prices the window's flash operations (FlashEnergyMJ).
+	timing nand.Timing
 
 	EndDev  ssd.Stats
 	EndFtl  ftl.Stats
@@ -76,6 +78,7 @@ func (m *Metrics) BeginWindow(dev *ssd.Device, jr JournalStats, now sim.VTime) {
 	m.startDev = dev.Stats()
 	m.startFtl = dev.FTL().Stats()
 	m.startNand = dev.FTL().Array().Stats()
+	m.timing = dev.FTL().Array().Timing()
 	m.JournalStart = jr
 	m.startTime = now
 }
@@ -172,9 +175,9 @@ func (m *Metrics) FlashReads() uint64 { return m.EndNand.Reads - m.startNand.Rea
 func (m *Metrics) FlashErases() uint64 { return m.EndNand.Erases - m.startNand.Erases }
 
 // FlashEnergyMJ returns the window's flash energy in millijoules: its
-// reads, programs and erases at tim's per-operation energies.
-func (m *Metrics) FlashEnergyMJ(tim nand.Timing) float64 {
-	return float64(tim.EnergyNJ(m.FlashReads(), m.FlashPrograms(), m.FlashErases())) / 1e6
+// reads, programs and erases at the array's per-operation energies.
+func (m *Metrics) FlashEnergyMJ() float64 {
+	return float64(m.timing.EnergyNJ(m.FlashReads(), m.FlashPrograms(), m.FlashErases())) / 1e6
 }
 
 // FlashProgramBytes returns bytes programmed during the run.

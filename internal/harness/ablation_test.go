@@ -15,7 +15,7 @@ func TestAblationVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation run in -short mode")
 	}
-	tab, err := Ablation(tinyOpts())
+	tab, err := runID(t, "ablation", tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestSnapshotBenchSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := exp.Run(o); err != nil {
+			if _, _, err := Run(exp, o); err != nil {
 				t.Fatalf("%s, snapshots %s: %v", id, mode, err)
 			}
 		}

@@ -54,7 +54,7 @@ func checkGolden(t *testing.T, path string, ids []string, opts Opts) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, err := exp.Run(opts)
+		tab, _, err := Run(exp, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

@@ -182,36 +182,120 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-n)
 }
 
-// Experiment is a registered paper artifact generator.
+// Experiment is a registered paper artifact generator. It declares its
+// run points as cells and renders its table from their Metrics; Run drives
+// both.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Opts) (*Table, error)
+	// Cells declares the runs (nil for an experiment that runs none
+	// through the runner).
+	Cells func(Opts) ([]Cell, error)
+	// Render builds the table from the cells, their Metrics filled in.
+	Render func(Opts, []Cell) (*Table, error)
+	// keepDB keeps each cell's post-run DB for Render (and turns off the
+	// run memo, whose shared results carry no DB).
+	keepDB bool
+}
+
+// Role says what a cell's row claims.
+type Role int
+
+const (
+	// Point is one point of a sweep.
+	Point Role = iota
+	// Reference is a row that lever rows are compared with.
+	Reference
+	// Lever is a row that changes one design lever of its Ref cell.
+	Lever
+)
+
+// Cell is one run point of an experiment: a config, a measured workload
+// and what its row claims. Run fills Metrics (and DB under keepDB).
+type Cell struct {
+	Name   string
+	Config checkin.Config
+	Spec   checkin.RunSpec
+	Role   Role
+	// Ref names a Lever cell's Reference cell.
+	Ref string
+	// Ckpt marks a cell whose claim depends on checkpoints completing
+	// inside its measured window.
+	Ckpt bool
+
+	Metrics *checkin.Metrics
+	DB      *checkin.DB
 }
 
 // Experiments lists every regenerable artifact in paper order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"table1", "Simulated machine configuration", Table1},
-		{"fig3a", "I/O and flash-operation amplification due to checkpointing", Fig3a},
-		{"fig3b", "Normalized checkpointing time vs thread count (baseline)", Fig3b},
-		{"fig3c", "Query latency during checkpointing vs average (baseline)", Fig3c},
-		{"fig8a", "Redundant writes vs checkpoint interval", Fig8a},
-		{"fig8b", "GC invocations vs write-query count", Fig8b},
-		{"lifetime", "Flash lifetime projection (Equation 1)", Lifetime},
-		{"fig9", "Tail latency (99.9th / 99.99th percentile)", Fig9},
-		{"fig10", "Checkpointing time vs thread count (locked)", Fig10},
-		{"fig11a", "Average query throughput vs threads (workloads A/F/WO)", Fig11a},
-		{"fig11b", "Average query latency vs threads (workloads A/F/WO)", Fig11b},
-		{"fig12", "Sensitivity to checkpoint interval (baseline vs Check-In)", Fig12},
-		{"fig13a", "Query throughput vs mapping unit size", Fig13a},
-		{"fig13b", "Space overhead of Check-In vs ISC-C (record-size patterns)", Fig13b},
-		{"shardsched", "Cross-shard checkpoint scheduling under multi-tenant open-loop traffic", ShardSched},
-		{"compaction", "Check-In vs host-side checkpointing under LSM compaction traffic", Compaction},
-		{"ablation", "Design-decision ablations beyond the paper's figures", Ablation},
-		{"compare", "Strict trace-replay comparison across all five configurations", Compare},
-		{"recovery", "Crash recovery and sudden-power-off recovery per configuration", Recovery},
+		{ID: "table1", Title: "Simulated machine configuration", Render: renderTable1},
+		{ID: "fig3a", Title: "I/O and flash-operation amplification due to checkpointing", Cells: fig3aCells, Render: renderFig3a},
+		{ID: "fig3b", Title: "Normalized checkpointing time vs thread count (baseline)", Cells: fig3bCells, Render: renderFig3b},
+		{ID: "fig3c", Title: "Query latency during checkpointing vs average (baseline)", Cells: fig3cCells, Render: renderFig3c},
+		{ID: "fig8a", Title: "Redundant writes vs checkpoint interval", Cells: fig8aCells, Render: renderFig8a},
+		{ID: "fig8b", Title: "GC invocations vs write-query count", Cells: fig8bCells, Render: renderFig8b},
+		{ID: "lifetime", Title: "Flash lifetime projection (Equation 1)", Cells: lifetimeCells, Render: renderLifetime},
+		{ID: "fig9", Title: "Tail latency (99.9th / 99.99th percentile)", Cells: fig9Cells, Render: renderFig9},
+		{ID: "fig10", Title: "Checkpointing time vs thread count (locked)", Cells: fig10Cells, Render: renderFig10},
+		{ID: "fig11a", Title: "Average query throughput vs threads (workloads A/F/WO)", Cells: fig11Cells, Render: renderFig11a},
+		{ID: "fig11b", Title: "Average query latency vs threads (workloads A/F/WO)", Cells: fig11Cells, Render: renderFig11b},
+		{ID: "fig12", Title: "Sensitivity to checkpoint interval (baseline vs Check-In)", Cells: fig12Cells, Render: renderFig12},
+		{ID: "fig13a", Title: "Query throughput vs mapping unit size", Cells: fig13aCells, Render: renderFig13a},
+		{ID: "fig13b", Title: "Space overhead of Check-In vs ISC-C (record-size patterns)", Cells: fig13bCells, Render: renderFig13b},
+		{ID: "shardsched", Title: "Cross-shard checkpoint scheduling under multi-tenant open-loop traffic", Render: renderShardSched},
+		{ID: "compaction", Title: "Check-In vs host-side checkpointing under LSM compaction traffic", Cells: compactionCells, Render: renderCompaction, keepDB: true},
+		{ID: "ablation", Title: "Design-decision ablations beyond the paper's figures", Cells: ablationCells, Render: renderAblation},
+		{ID: "compare", Title: "Strict trace-replay comparison across all five configurations", Cells: compareCells, Render: renderCompare},
+		{ID: "recovery", Title: "Crash recovery and sudden-power-off recovery per configuration", Cells: recoveryCells, Render: renderRecovery, keepDB: true},
 	}
+}
+
+// Run regenerates one experiment: it applies the Opts defaults, runs every
+// cell in one batch on the worker pool, fills in each cell's Metrics and
+// renders the table. It returns the table and the cells.
+//
+// Runs go through the full acceleration stack unless Opts.Snapshots ==
+// "off": load-phase snapshot forking plus whole-run memoization, so
+// identical (config, spec) cells shared between experiments — fig11a and
+// fig11b declare the same sweep — simulate once per process. Results come
+// back in submission order and any failed run aborts the experiment.
+func Run(exp Experiment, o Opts) (*Table, []Cell, error) {
+	o = o.withDefaults()
+	var cells []Cell
+	if exp.Cells != nil {
+		var err error
+		if cells, err = exp.Cells(o); err != nil {
+			return nil, nil, err
+		}
+		jobs := make([]runner.Job, len(cells))
+		for i, c := range cells {
+			jobs[i] = runner.Job{Name: c.Name, Config: c.Config, Spec: c.Spec}
+		}
+		rs, err := runner.RunAllWith(jobs, runner.Options{
+			Parallelism: o.Parallelism,
+			Snapshots:   o.snapshotsOn(),
+			Memo:        o.snapshotsOn() && !exp.keepDB,
+		})
+		if o.Timing {
+			recordTimings(rs)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		for i := range cells {
+			cells[i].Metrics = rs[i].Metrics
+			if exp.keepDB {
+				cells[i].DB = rs[i].DB
+			}
+		}
+	}
+	t, err := exp.Render(o, cells)
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, cells, nil
 }
 
 // Lookup finds an experiment by ID.
@@ -242,42 +326,6 @@ func baseConfig(o Opts, s checkin.Strategy) checkin.Config {
 	return cfg
 }
 
-// runJobs executes an experiment's independent run points on the worker
-// pool. Results come back in submission order, so assembly loops can index
-// them positionally; any failed run aborts the whole experiment.
-//
-// Runs go through the full acceleration stack unless Opts.Snapshots ==
-// "off": load-phase snapshot forking plus whole-run memoization, so
-// identical (config, spec) points shared between experiments — e.g. fig11a
-// and fig11b render the same underlying sweep — simulate once per process.
-// Memoized results carry a nil DB; experiments that inspect the post-run DB
-// must use runJobsKeepDB.
-func runJobs(o Opts, jobs []runner.Job) ([]runner.Result, error) {
-	rs, err := runner.RunAllWith(jobs, runner.Options{
-		Parallelism: o.Parallelism,
-		Snapshots:   o.snapshotsOn(),
-		Memo:        o.snapshotsOn(),
-	})
-	if o.Timing {
-		recordTimings(rs)
-	}
-	return rs, err
-}
-
-// runJobsKeepDB is runJobs without memoization: every result keeps its DB
-// for post-run inspection (recovery simulation, energy and lifetime
-// accounting). Snapshot forking still applies.
-func runJobsKeepDB(o Opts, jobs []runner.Job) ([]runner.Result, error) {
-	rs, err := runner.RunAllWith(jobs, runner.Options{
-		Parallelism: o.Parallelism,
-		Snapshots:   o.snapshotsOn(),
-	})
-	if o.Timing {
-		recordTimings(rs)
-	}
-	return rs, err
-}
-
 // CellTiming is the wall-clock breakdown of one experiment cell (one
 // simulation run), in the order cells were submitted to the worker pool.
 type CellTiming struct {
@@ -287,10 +335,8 @@ type CellTiming struct {
 	Memoized bool
 }
 
-// cellTimings buffers breakdowns across runJobs calls; an experiment may
-// issue several sweeps, and sweeps may run on concurrent workers — results
-// are appended per completed sweep in submission order, so drains are
-// deterministic.
+// cellTimings buffers breakdowns across Run calls; results are appended per
+// completed batch in submission order, so drains are deterministic.
 var cellTimings struct {
 	mu   sync.Mutex
 	rows []CellTiming

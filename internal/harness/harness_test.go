@@ -10,6 +10,17 @@ func tinyOpts() Opts {
 	return Opts{Scale: 0.05, Threads: []int{4, 8}, Seed: 1}
 }
 
+// runID runs the registered experiment id under o and returns its table.
+func runID(t testing.TB, id string, o Opts) (*Table, error) {
+	t.Helper()
+	exp, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, _, err := Run(exp, o)
+	return tab, err
+}
+
 func TestExperimentsRegistryComplete(t *testing.T) {
 	// Every table and figure of the paper's evaluation must be present.
 	want := []string{"table1", "fig3a", "fig3b", "fig3c", "fig8a", "fig8b",
@@ -23,7 +34,7 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 		if exps[i].ID != id {
 			t.Errorf("experiment %d = %s, want %s", i, exps[i].ID, id)
 		}
-		if exps[i].Title == "" || exps[i].Run == nil {
+		if exps[i].Title == "" || exps[i].Render == nil {
 			t.Errorf("experiment %s missing title or runner", id)
 		}
 	}
@@ -97,7 +108,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 	for _, exp := range Experiments() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
-			tab, err := exp.Run(tinyOpts())
+			tab, _, err := Run(exp, tinyOpts())
 			if err != nil {
 				t.Fatalf("%s: %v", exp.ID, err)
 			}
@@ -137,7 +148,7 @@ func TestParallelDeterminism(t *testing.T) {
 			render := func(par int) string {
 				o := tinyOpts()
 				o.Parallelism = par
-				tab, err := exp.Run(o)
+				tab, _, err := Run(exp, o)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}
@@ -161,7 +172,7 @@ func TestFig9OrderingAtModestScale(t *testing.T) {
 		t.Skip("expensive ordering check in -short mode")
 	}
 	o := Opts{Scale: 0.3, Threads: []int{4, 32}, Seed: 1}
-	tab, err := Fig9(o)
+	tab, err := runID(t, "fig9", o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,10 @@
 package harness
 
 import (
-	"fmt"
+	"path"
 
 	checkin "github.com/checkin-kv/checkin"
 	"github.com/checkin-kv/checkin/internal/lsm"
-	"github.com/checkin-kv/checkin/internal/runner"
 )
 
 // lsmMemtableEntries bounds the memtable for the compaction experiment,
@@ -27,73 +26,53 @@ func lsmMemtableEntries(traceOps int) int {
 // lsmPolicies are the compaction policies the experiment sweeps.
 var lsmPolicies = []string{"leveled", "tiered"}
 
-// Compaction compares Check-In against the host-side checkpoint strategies
-// when the storage engine is an LSM tree: every memtable flush is a
-// checkpoint epoch (Baseline writes the run from the host; ISC-A/B copy WAL
-// records device-side; ISC-C/Check-In remap WAL extents onto the run), and
-// background compaction competes with queries for the same flash. One
-// recorded write-only trace drives every cell — the journal engine rides
-// along as the reference row — so the table isolates what the engine
-// architecture and the checkpoint mechanism each cost under identical
-// inputs.
-func Compaction(o Opts) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{ID: "compaction",
-		Title: "Check-In vs host-side checkpointing under LSM compaction traffic (write-only, zipfian)",
-		Columns: []string{"engine", "strategy", "kqps", "mean µs", "ckpt ms",
-			"redundant", "programs", "flushes", "compactions", "merge MB"}}
-
+// compactionCells compares Check-In against the host-side checkpoint
+// strategies when the storage engine is an LSM tree: every memtable flush
+// is a checkpoint epoch (Baseline writes the run from the host; ISC-A/B
+// copy WAL records device-side; ISC-C/Check-In remap WAL extents onto the
+// run), and background compaction competes with queries for the same
+// flash. One recorded write-only trace drives every cell — the journal
+// engine rides along as the reference row — so the table isolates what the
+// engine architecture and the checkpoint mechanism each cost under
+// identical inputs.
+func compactionCells(o Opts) ([]Cell, error) {
 	cfg0 := baseConfig(o, checkin.StrategyCheckIn)
 	trace, err := recordWorkload(cfg0.Keys, cfg0.Records, checkin.WorkloadWO,
 		true, int(o.queries(40_000)), o.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	type cell struct {
-		engine string // "journal" or "lsm/<policy>"
-		policy string
-		s      checkin.Strategy
-	}
-	cells := []cell{{engine: "journal", s: checkin.StrategyCheckIn}}
+	sp := checkin.RunSpec{Threads: o.maxThreads(), TotalQueries: int64(len(trace.Ops)), Trace: trace}
+	cells := []Cell{{Name: "compaction/journal/Check-In", Config: cfg0, Spec: sp, Ckpt: true}}
 	for _, policy := range lsmPolicies {
-		for _, s := range checkin.Strategies {
-			cells = append(cells, cell{engine: "lsm/" + policy, policy: policy, s: s})
-		}
+		cells = append(cells, strategyCells("compaction/lsm/"+policy+"/%v", checkin.Strategies,
+			func(s checkin.Strategy) checkin.Config {
+				cfg := baseConfig(o, s)
+				cfg.Engine = "lsm"
+				cfg.Compaction = policy
+				cfg.MemtableEntries = lsmMemtableEntries(len(trace.Ops))
+				return cfg
+			}, sp)...)
 	}
+	return cells, nil
+}
 
-	jobs := make([]runner.Job, 0, len(cells))
+func renderCompaction(_ Opts, cells []Cell) (*Table, error) {
+	t := &Table{ID: "compaction",
+		Title: "Check-In vs host-side checkpointing under LSM compaction traffic (write-only, zipfian)",
+		Columns: []string{"engine", "strategy", "kqps", "mean µs", "ckpt ms",
+			"redundant", "programs", "flushes", "compactions", "merge MB"}}
 	for _, c := range cells {
-		cfg := baseConfig(o, c.s)
-		if c.policy != "" {
-			cfg.Engine = "lsm"
-			cfg.Compaction = c.policy
-			cfg.MemtableEntries = lsmMemtableEntries(len(trace.Ops))
-		}
-		jobs = append(jobs, runner.Job{
-			Name:   fmt.Sprintf("compaction/%s/%s", c.engine, c.s),
-			Config: cfg,
-			Spec: checkin.RunSpec{
-				Threads:      o.maxThreads(),
-				TotalQueries: int64(len(trace.Ops)),
-				Trace:        trace,
-			},
-		})
-	}
-	rs, err := runJobsKeepDB(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range cells {
-		db, m := rs[i].DB, rs[i].Metrics
+		m := c.Metrics
 		flushes, compactions, mergeMB := "-", "-", "-"
-		if le, ok := db.Host().(*lsm.Engine); ok {
+		if le, ok := c.DB.Host().(*lsm.Engine); ok {
 			st := le.Stats()
 			flushes = d(st.Flushes)
 			compactions = d(st.Compactions)
 			mergeMB = f1(float64(st.CompactionRead+st.CompactionWrite) / (1 << 20))
 		}
-		t.AddRow(c.engine, c.s.String(),
+		// the engine label is the cell name's middle: journal or lsm/<policy>
+		t.AddRow(path.Dir(c.Name[len("compaction/"):]), c.Config.Strategy.String(),
 			f1(m.ThroughputQPS()/1e3),
 			f1(float64(m.MeanLatency())/1e3),
 			f1(float64(m.MeanCheckpointTime())/1e6),

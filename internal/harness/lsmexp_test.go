@@ -19,7 +19,7 @@ func TestCompactionTableShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run in -short mode")
 	}
-	tab, err := Compaction(tinyOpts())
+	tab, err := runID(t, "compaction", tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLSMBenchSmoke(t *testing.T) {
 	}
 	o := Opts{Scale: 0.5, Threads: []int{64}, Seed: 1}
 	start := time.Now()
-	tab, err := Compaction(o)
+	tab, err := runID(t, "compaction", o)
 	if err != nil {
 		t.Fatal(err)
 	}

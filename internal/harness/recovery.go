@@ -1,51 +1,34 @@
 package harness
 
 import (
-	"time"
-
 	checkin "github.com/checkin-kv/checkin"
-	"github.com/checkin-kv/checkin/internal/runner"
 )
 
-// Recovery measures crash-recovery behaviour per configuration (Section
-// III-G): how much journal a crash leaves to replay, how long the engine
-// recovery scan takes, and the device's own sudden-power-off recovery
-// (OOB mapping-table rebuild) time — which must reconstruct the mapping
-// with zero mismatches.
-func Recovery(o Opts) (*Table, error) {
-	o = o.withDefaults()
+// recoveryCells measures crash-recovery behaviour per configuration
+// (Section III-G): how much journal a crash leaves to replay, how long the
+// engine recovery scan takes, and the device's own sudden-power-off
+// recovery (OOB mapping-table rebuild) time — which must reconstruct the
+// mapping with zero mismatches.
+func recoveryCells(o Opts) ([]Cell, error) {
+	return strategyCells("recovery/%v", checkin.Strategies,
+		func(s checkin.Strategy) checkin.Config { return baseConfig(o, s) },
+		spec(o, 40_000, checkin.WorkloadWO, true)), nil
+}
+
+func renderRecovery(_ Opts, cells []Cell) (*Table, error) {
 	t := &Table{ID: "recovery", Title: "Crash recovery and device SPOR",
 		Columns: []string{"strategy", "logs replayed", "journal KB read", "engine recovery", "SPOR scan", "SPOR mismatches"}}
-	jobs := make([]runner.Job, 0, len(checkin.Strategies))
-	for _, s := range checkin.Strategies {
-		cfg := baseConfig(o, s)
-		cfg.CheckpointInterval = 300 * time.Millisecond
-		jobs = append(jobs, runner.Job{
-			Name:   "recovery/" + s.String(),
-			Config: cfg,
-			Spec: checkin.RunSpec{
-				Threads:      o.maxThreads(),
-				TotalQueries: o.queries(40_000),
-				Mix:          checkin.WorkloadWO,
-				Zipfian:      true,
-			},
-		})
-	}
-	rs, err := runJobsKeepDB(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	// recovery/SPOR simulation mutates each run's private DB, so it stays in
-	// the sequential assembly phase — the note ordering is part of the
-	// byte-identical output contract
-	for i, s := range checkin.Strategies {
-		db := rs[i].DB
-		rep := db.SimulateRecovery()
+	// recovery/SPOR simulation mutates each cell's private DB, so it runs
+	// here in cell order — the note ordering is part of the byte-identical
+	// output contract
+	for _, c := range cells {
+		s := c.Config.Strategy
+		rep := c.DB.SimulateRecovery()
 		// validate before reporting: recovery must equal the durable state
 		if rep.Diverged() > 0 {
 			t.Notes = append(t.Notes, s.String()+": RECOVERY MISMATCH (bug)")
 		}
-		spor := db.SimulateSPOR()
+		spor := c.DB.SimulateSPOR()
 		t.AddRow(s.String(),
 			d(uint64(rep.ReplayedLogs)),
 			d(uint64(rep.JournalBytesRead/1024)),

@@ -49,7 +49,7 @@ func TestRecoveryTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery run in -short mode")
 	}
-	tab, err := Recovery(tinyOpts())
+	tab, err := runID(t, "recovery", tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRecoveryTableWithErrors(t *testing.T) {
 	}
 	o := tinyOpts()
 	o.Config = light.Apply(checkin.DefaultConfig())
-	tab, err := Recovery(o)
+	tab, err := runID(t, "recovery", o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,16 +10,7 @@ import (
 	"github.com/checkin-kv/checkin/internal/sim"
 )
 
-// shardStrategies is the full five-configuration sweep of the paper.
-var shardStrategies = []checkin.Strategy{
-	checkin.StrategyBaseline,
-	checkin.StrategyISCA,
-	checkin.StrategyISCB,
-	checkin.StrategyISCC,
-	checkin.StrategyCheckIn,
-}
-
-// ShardSched is the multi-device scale-out experiment: every checkpointing
+// renderShardSched is the multi-device scale-out experiment: every checkpointing
 // strategy under every cross-shard checkpoint scheduling policy, driven by
 // heavily-skewed multi-tenant open-loop traffic with per-tenant admission
 // control. Rows are per (strategy, policy, tenant); the quantities to
@@ -27,8 +18,9 @@ var shardStrategies = []checkin.Strategy{
 // synchronized cuts stack every device's checkpoint traffic, staggering
 // spreads it, and the globally consistent cut buys its frontier with a
 // dequeue stall the tails pay for.
-func ShardSched(o Opts) (*Table, error) {
-	o = o.withDefaults()
+// It runs no cells: shard.Report has no per-shard Metrics, so the
+// experiment drives shard.Open itself.
+func renderShardSched(o Opts, _ []Cell) (*Table, error) {
 	shards := cmp.Or(o.Shards, shard.DefaultShards)
 	tenants := cmp.Or(o.Tenants, shard.DefaultTenantCount)
 	if tenants < 1 {
@@ -53,7 +45,7 @@ func ShardSched(o Opts) (*Table, error) {
 			"p50 µs", "p99 µs", "p99.9 µs", "slo ms", "miss %"},
 	}
 	us := func(v sim.VTime) string { return fmt.Sprintf("%.0f", float64(v)/1000) }
-	for _, strat := range shardStrategies {
+	for _, strat := range checkin.Strategies {
 		for _, sched := range scheds {
 			cfg := baseConfig(o, strat)
 			// Open-loop traffic spans ops/rate of virtual time (~267ms at

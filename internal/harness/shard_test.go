@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	checkin "github.com/checkin-kv/checkin"
 	"github.com/checkin-kv/checkin/internal/shard"
 )
 
@@ -12,11 +13,11 @@ import (
 // x tenant, honors the CkSched restriction, and reproduces byte-identically.
 func TestShardSchedTable(t *testing.T) {
 	o := Opts{Scale: 0.02, Seed: 1, Shards: 2, Tenants: 2, CkSched: "sync"}
-	tbl, err := ShardSched(o)
+	tbl, err := runID(t, "shardsched", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(shardStrategies) * 1 * o.Tenants; len(tbl.Rows) != want {
+	if want := len(checkin.Strategies) * 1 * o.Tenants; len(tbl.Rows) != want {
 		t.Fatalf("got %d rows, want %d", len(tbl.Rows), want)
 	}
 	for _, row := range tbl.Rows {
@@ -26,7 +27,7 @@ func TestShardSchedTable(t *testing.T) {
 	}
 	var a, b strings.Builder
 	tbl.Render(&a)
-	tbl2, err := ShardSched(o)
+	tbl2, err := runID(t, "shardsched", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +40,13 @@ func TestShardSchedTable(t *testing.T) {
 // TestShardSchedBadSpecs: invalid arrival and policy specs surface as
 // errors, not panics.
 func TestShardSchedBadSpecs(t *testing.T) {
-	if _, err := ShardSched(Opts{Scale: 0.02, Arrival: "bursty:1000"}); err == nil {
+	if _, err := runID(t, "shardsched", Opts{Scale: 0.02, Arrival: "bursty:1000"}); err == nil {
 		t.Error("bad arrival spec accepted")
 	}
-	if _, err := ShardSched(Opts{Scale: 0.02, CkSched: "roundrobin"}); err == nil {
+	if _, err := runID(t, "shardsched", Opts{Scale: 0.02, CkSched: "roundrobin"}); err == nil {
 		t.Error("bad cksched accepted")
 	}
-	if _, err := ShardSched(Opts{Scale: 0.02, Tenants: -1}); err == nil {
+	if _, err := runID(t, "shardsched", Opts{Scale: 0.02, Tenants: -1}); err == nil {
 		t.Error("negative tenant count accepted")
 	}
 }
@@ -56,7 +57,7 @@ func TestShardSchedBadSpecs(t *testing.T) {
 func TestShardSchedDefaults(t *testing.T) {
 	render := func(o Opts) (*Table, string) {
 		t.Helper()
-		tbl, err := ShardSched(o)
+		tbl, err := runID(t, "shardsched", o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestShardSchedDefaults(t *testing.T) {
 	if zeroOut != namedOut {
 		t.Errorf("zero settings differ from the named defaults:\n--- zero\n%s\n--- named\n%s", zeroOut, namedOut)
 	}
-	if want := len(shardStrategies) * shard.DefaultTenantCount; len(zero.Rows) != want {
+	if want := len(checkin.Strategies) * shard.DefaultTenantCount; len(zero.Rows) != want {
 		t.Errorf("got %d rows, want %d", len(zero.Rows), want)
 	}
 	want := fmt.Sprintf("%d shards x %d tenants, arrival %s,", shard.DefaultShards, shard.DefaultTenantCount, shard.DefaultArrival)

@@ -43,7 +43,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 				o.Snapshots = mode
 				o.Config = checkin.DefaultConfig()
 				o.Config.Engine = tc.engine
-				tab, err := exp.Run(o)
+				tab, _, err := Run(exp, o)
 				if err != nil {
 					t.Fatalf("snapshots %s: %v", mode, err)
 				}
