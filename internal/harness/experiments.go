@@ -81,6 +81,13 @@ func (c *Cell) leverOn(ref string) string {
 	return ref
 }
 
+// ckpts renders a cell's checkpoint evidence: the checkpoints completed in
+// its window and their duty cycle (checkpoint time over the window).
+func ckpts(c Cell) string {
+	m := c.Metrics
+	return fmt.Sprintf("%d/%.1f%%", m.Checkpoints(), 100*float64(m.CkptDur.Sum())/nonzero(float64(m.Elapsed)))
+}
+
 // strategyCells declares one cell per strategy, in order, from one config
 // and spec: the first strategy is the Reference, the rest are Levers on it.
 func strategyCells(name string, ss []checkin.Strategy, cfg func(checkin.Strategy) checkin.Config, sp checkin.RunSpec) []Cell {
@@ -141,7 +148,8 @@ func fig3bCells(o Opts) ([]Cell, error) {
 
 func renderFig3b(o Opts, cells []Cell) (*Table, error) {
 	t := &Table{ID: "fig3b", Title: "Normalized checkpointing time vs threads (baseline)",
-		Columns: []string{"threads", "uniform", "zipfian", "uniform ms", "zipfian ms"}}
+		Columns: []string{"threads", "uniform", "zipfian", "uniform ms", "zipfian ms",
+			"uniform ckpts/duty", "zipfian ckpts/duty"}}
 	ms := func(c Cell) float64 { return float64(c.Metrics.MeanCheckpointTime()) / 1e6 }
 	norm := func(v, base float64) float64 {
 		if base > 0 {
@@ -152,7 +160,8 @@ func renderFig3b(o Opts, cells []Cell) (*Table, error) {
 	uni, zipf := cells[:len(o.Threads)], cells[len(o.Threads):]
 	for i, th := range o.Threads {
 		u, z := ms(uni[i]), ms(zipf[i])
-		t.AddRow(d(uint64(th)), f2(norm(u, ms(uni[0]))), f2(norm(z, ms(zipf[0]))), f1(u), f1(z))
+		t.AddRow(d(uint64(th)), f2(norm(u, ms(uni[0]))), f2(norm(z, ms(zipf[0]))), f1(u), f1(z),
+			ckpts(uni[i]), ckpts(zipf[i]))
 	}
 	t.Notes = append(t.Notes,
 		"paper: checkpointing time grows with threads; the uniform slope exceeds zipfian at high thread counts (latest-version ratio ~5x higher)")
@@ -209,7 +218,8 @@ func fig8aCells(o Opts) ([]Cell, error) {
 
 func renderFig8a(_ Opts, cells []Cell) (*Table, error) {
 	t := &Table{ID: "fig8a", Title: "Redundant writes vs checkpoint interval",
-		Columns: []string{"interval", "Baseline", "ISC-C", "Check-In", "CI/Base", "CI/ISC-C"}}
+		Columns: []string{"interval", "Baseline", "ISC-C", "Check-In", "CI/Base", "CI/ISC-C",
+			"Base ckpts/duty", "ISC-C ckpts/duty", "CI ckpts/duty"}}
 	var sumBase, sumISCC, sumCI float64
 	for row := range slices.Chunk(cells, len(fig8Strategies)) {
 		b, c, ci := row[0].Metrics.RedundantWrites(), row[1].Metrics.RedundantWrites(), row[2].Metrics.RedundantWrites()
@@ -224,7 +234,8 @@ func renderFig8a(_ Opts, cells []Cell) (*Table, error) {
 			rb = f2(float64(ci) / float64(b))
 			rc = f2(float64(ci) / float64(c))
 		}
-		t.AddRow(row[0].Config.CheckpointInterval.String(), d(b), d(c), d(ci), rb, rc)
+		t.AddRow(row[0].Config.CheckpointInterval.String(), d(b), d(c), d(ci), rb, rc,
+			ckpts(row[0]), ckpts(row[1]), ckpts(row[2]))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("measured mean reduction: %.1f%% vs baseline, %.1f%% vs ISC-C (paper: 94.3%% / 45.6%%)",
@@ -318,13 +329,14 @@ func fig9Cells(o Opts) ([]Cell, error) {
 
 func renderFig9(_ Opts, cells []Cell) (*Table, error) {
 	t := &Table{ID: "fig9", Title: "Tail latency, workload A",
-		Columns: []string{"strategy", "dist", "p99 (µs)", "p99.9 (µs)", "p99.99 (µs)"}}
+		Columns: []string{"strategy", "dist", "p99 (µs)", "p99.9 (µs)", "p99.99 (µs)", "ckpts/duty"}}
 	for _, c := range cells {
 		m := c.Metrics
 		t.AddRow(c.Config.Strategy.String(), distName(c.Spec.Zipfian),
 			f1(float64(m.AllLat.Percentile(99))/1e3),
 			f1(float64(m.AllLat.Percentile(99.9))/1e3),
-			f1(float64(m.AllLat.Percentile(99.99))/1e3))
+			f1(float64(m.AllLat.Percentile(99.99))/1e3),
+			ckpts(c))
 	}
 	for row := range slices.Chunk(cells, len(checkin.Strategies)) {
 		p999 := func(s checkin.Strategy) float64 {
@@ -337,12 +349,28 @@ func renderFig9(_ Opts, cells []Cell) (*Table, error) {
 	return t, nil
 }
 
-// threadColumns heads one column per swept thread count.
+// threadColumns heads one value column per swept thread count, then one
+// checkpoint-evidence column per thread count.
 func threadColumns(o Opts, first []string, unit string) []string {
 	for _, th := range o.Threads {
 		first = append(first, fmt.Sprintf("%dT (%s)", th, unit))
 	}
+	for _, th := range o.Threads {
+		first = append(first, fmt.Sprintf("%dT ckpts/duty", th))
+	}
 	return first
+}
+
+// threadRow renders one row of a thread-swept table: the labels, val of
+// each cell, then each cell's checkpoint evidence.
+func threadRow(labels []string, row []Cell, val func(*checkin.Metrics) float64) []string {
+	for _, c := range row {
+		labels = append(labels, f1(val(c.Metrics)))
+	}
+	for _, c := range row {
+		labels = append(labels, ckpts(c))
+	}
+	return labels
 }
 
 // fig10Cells declares Figure 10: pure checkpointing time (query admission
@@ -369,11 +397,8 @@ func renderFig10(o Opts, cells []Cell) (*Table, error) {
 	t := &Table{ID: "fig10", Title: "Checkpointing time vs threads (locked)",
 		Columns: threadColumns(o, []string{"strategy"}, "ms")}
 	for row := range slices.Chunk(cells, len(o.Threads)) {
-		r := []string{row[0].Config.Strategy.String()}
-		for _, c := range row {
-			r = append(r, f1(float64(c.Metrics.MeanCheckpointTime())/1e6))
-		}
-		t.AddRow(r...)
+		t.AddRow(threadRow([]string{row[0].Config.Strategy.String()}, row,
+			func(m *checkin.Metrics) float64 { return float64(m.MeanCheckpointTime()) / 1e6 })...)
 	}
 	t.Notes = append(t.Notes,
 		"paper: in-storage checkpointing keeps checkpoint time nearly flat as threads grow; baseline grows steeply")
@@ -417,11 +442,7 @@ func renderFig11(o Opts, cells []Cell, t *Table, unit string, val func(*checkin.
 	t.Columns = threadColumns(o, []string{"workload", "strategy"}, unit)
 	for row := range slices.Chunk(cells, len(o.Threads)) {
 		mx := slices.IndexFunc(fig11Mixes, func(mx fig11Mix) bool { return mx.mix == row[0].Spec.Mix })
-		r := []string{fig11Mixes[mx].name, row[0].Config.Strategy.String()}
-		for _, c := range row {
-			r = append(r, f1(val(c.Metrics)))
-		}
-		t.AddRow(r...)
+		t.AddRow(threadRow([]string{fig11Mixes[mx].name, row[0].Config.Strategy.String()}, row, val)...)
 	}
 	return t
 }
@@ -467,11 +488,13 @@ func fig12Cells(o Opts) ([]Cell, error) {
 
 func renderFig12(_ Opts, cells []Cell) (*Table, error) {
 	t := &Table{ID: "fig12", Title: "Checkpoint-interval sensitivity (workload A, zipfian)",
-		Columns: []string{"interval", "Base kqps", "CI kqps", "Base µs", "CI µs"}}
+		Columns: []string{"interval", "Base kqps", "CI kqps", "Base µs", "CI µs",
+			"Base ckpts/duty", "CI ckpts/duty"}}
 	for row := range slices.Chunk(cells, len(fig12Strategies)) {
 		b, ci := row[0].Metrics, row[1].Metrics
 		t.AddRow(row[0].Config.CheckpointInterval.String(), f1(b.ThroughputQPS()/1e3), f1(ci.ThroughputQPS()/1e3),
-			f1(float64(b.MeanLatency())/1e3), f1(float64(ci.MeanLatency())/1e3))
+			f1(float64(b.MeanLatency())/1e3), f1(float64(ci.MeanLatency())/1e3),
+			ckpts(row[0]), ckpts(row[1]))
 	}
 	t.Notes = append(t.Notes,
 		"paper: baseline throughput rises / latency falls with longer intervals; Check-In stays steady throughout")
