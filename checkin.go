@@ -203,10 +203,6 @@ type Config struct {
 	// larger than the mapping unit (1.0 = alignment only, no shrink).
 	CompressRatio float64
 
-	// DeferGC overrides the strategy default for the deallocator's
-	// deferred-GC behaviour (ablation knob; nil = strategy default).
-	DeferGC *bool
-
 	// TraceCapacity enables structured event tracing (checkpoints, journal
 	// commits, GC victims, wear-level moves) with a bounded ring of this
 	// many events. 0 disables tracing.
@@ -310,7 +306,7 @@ type DB struct {
 
 // resolve returns cfg as a DB runs it: every zero field replaced by its
 // default, the values derived from other fields (mapping unit, CMT bound,
-// flush threshold, spare pool, deferred GC) settled, and every value
+// flush threshold, spare pool) settled, and every value
 // checked. It is the only place a Config default lives: Open builds each
 // layer's config from the resolved fields plus the layer's own constants.
 // Open, LoadFingerprint and Fingerprint all go through it, so a zero field
@@ -348,12 +344,6 @@ func resolve(cfg Config) (Config, error) {
 	case cfg.SpareBlocksPerDie == 0:
 		cfg.SpareBlocksPerDie = 2
 	}
-	deferGC := cfg.Strategy == StrategyCheckIn
-	if cfg.DeferGC != nil {
-		deferGC = *cfg.DeferGC
-	}
-	cfg.DeferGC = &deferGC
-
 	if _, ok := gcPolicies[cfg.GCPolicy]; !ok {
 		return cfg, fmt.Errorf("checkin: unknown GCPolicy %q (want greedy, cost-benefit or fifo)", cfg.GCPolicy)
 	}
@@ -433,7 +423,6 @@ func Open(cfg Config) (*DB, error) {
 	fcfg.OverProvision = cfg.OverProvision
 	fcfg.MapCacheBytes = int64(cfg.MapCacheMB) << 20
 	fcfg.Parallelism = min(geo.TotalDies(), 8)
-	fcfg.DeferGC = *cfg.DeferGC
 	fcfg.GCPolicy = gcPolicies[cfg.GCPolicy]
 	fcfg.FlashMap = cfg.FTLMap != "dram"
 	fcfg.CMTEntries = cfg.CMTEntries

@@ -389,15 +389,6 @@ func TestJournalStatsExposed(t *testing.T) {
 	}
 }
 
-func TestDeferGCOverride(t *testing.T) {
-	no := false
-	cfg := smallConfig(checkin.StrategyCheckIn)
-	cfg.DeferGC = &no
-	if _, err := checkin.Open(cfg); err != nil {
-		t.Fatalf("DeferGC override rejected: %v", err)
-	}
-}
-
 func TestMixReexports(t *testing.T) {
 	if checkin.WorkloadA.ReadPct != 50 || checkin.WorkloadA.UpdatePct != 50 {
 		t.Error("WorkloadA wrong")

@@ -43,7 +43,7 @@ func TestPrintConfig(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	for _, want := range []string{"MappingUnit 512", "GCPolicy greedy", "Records default-small", "DeferGC true"} {
+	for _, want := range []string{"MappingUnit 512", "GCPolicy greedy", "Records default-small"} {
 		if !strings.Contains(strings.Join(strings.Fields(out), " "), want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}

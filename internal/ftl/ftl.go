@@ -134,11 +134,6 @@ type Config struct {
 	// page size / 8 bytes per entry).
 	MetaFlushEntries int
 
-	// DeferGC makes journal-area reclamation wait for background GC
-	// (Check-In's deallocator behaviour) instead of counting on the
-	// foreground path.
-	DeferGC bool
-
 	// WearDeltaThreshold enables static wear leveling: when the spread
 	// between the most- and least-erased blocks reaches this many P/E
 	// cycles, the coldest block is migrated so its cells rejoin the
@@ -1189,13 +1184,7 @@ func (f *FTL) maybeForegroundGC() {
 	if f.gcDepth > 0 {
 		return
 	}
-	low := f.cfg.GCLowWater
-	if f.cfg.DeferGC {
-		// Check-In defers reclamation to idle windows; keep a smaller
-		// emergency reserve for the foreground path.
-		low = max(2, low/2)
-	}
-	if f.freeCount >= low {
+	if f.freeCount >= f.cfg.GCLowWater {
 		return
 	}
 	f.gcDepth++

@@ -456,9 +456,7 @@ func TestGCPreservesSharedMappings(t *testing.T) {
 }
 
 func TestBackgroundGC(t *testing.T) {
-	cfg := smallCfg()
-	cfg.DeferGC = true
-	e, f := newSmall(t, cfg)
+	e, f := newSmall(t, smallCfg())
 	// Write a journal region then trim it: blocks become fully invalid.
 	for i := 0; i < 4; i++ {
 		f.Write(int64(i)*16384, 16384, TagHostJournal, StreamJournal)

@@ -9,7 +9,6 @@ import (
 //
 //   - remap vs copy vs host copy (the strategy ladder),
 //   - sector alignment on/off at fixed remapping (Check-In vs ISC-C),
-//   - the deallocator's deferred GC on/off for Check-In,
 //   - device data cache on/off (checkpoint reads from DRAM vs flash),
 //   - the FTL's GC victim policy for Check-In.
 //
@@ -25,11 +24,6 @@ func ablationCells(o Opts) ([]Cell, error) {
 		{"ISC-B (device copy)", base, func(c *checkin.Config) { c.Strategy = checkin.StrategyISCB }},
 		{"ISC-C (remap, unaligned)", ci, func(c *checkin.Config) { c.Strategy = checkin.StrategyISCC }},
 		{ci, "", func(c *checkin.Config) { c.Strategy = checkin.StrategyCheckIn }},
-		{"Check-In, DeferGC off", ci, func(c *checkin.Config) {
-			no := false
-			c.Strategy = checkin.StrategyCheckIn
-			c.DeferGC = &no
-		}},
 		{"Check-In, no data cache", ci, func(c *checkin.Config) {
 			c.Strategy = checkin.StrategyCheckIn
 			c.DataCacheMB = 1 // the smallest cache Config accepts ≈ "off"

@@ -24,7 +24,6 @@ func TestAblationVariants(t *testing.T) {
 		"ISC-B (device copy)",
 		"ISC-C (remap, unaligned)",
 		"Check-In (remap, aligned)",
-		"Check-In, DeferGC off",
 		"Check-In, no data cache",
 		"Baseline, no data cache",
 		"Check-In, GC cost-benefit",
@@ -58,7 +57,7 @@ func TestAblationVariants(t *testing.T) {
 		}
 	}
 	// Every variant is an independent configuration; identical throughput on
-	// all nine rows would mean the levers are not actually being applied.
+	// all eight rows would mean the levers are not actually being applied.
 	distinct := map[string]bool{}
 	for _, row := range tab.Rows {
 		distinct[strings.Join(row[1:], "|")] = true

@@ -47,12 +47,11 @@ var fewCheckpoints = []string{
 }
 
 // idleLevers lists the lever cells whose Metrics equal their reference
-// cell's on every field at claimsOpts today. No GC-policy or DeferGC
-// decision lands in the ablation's window, and ISC-A and ISC-B equal
-// Baseline wherever no checkpoint lands.
+// cell's on every field at claimsOpts today. No GC-policy decision lands
+// in the ablation's window, and ISC-A and ISC-B equal Baseline wherever
+// no checkpoint lands.
 var idleLevers = []string{
-	"ablation/Check-In, DeferGC off", "ablation/Check-In, GC cost-benefit",
-	"ablation/Check-In, GC fifo",
+	"ablation/Check-In, GC cost-benefit", "ablation/Check-In, GC fifo",
 	"fig11/ISC-A/A/32T", "fig11/ISC-A/A/4T", "fig11/ISC-A/F/32T",
 	"fig11/ISC-A/F/4T", "fig11/ISC-B/A/32T", "fig11/ISC-B/A/4T",
 	"fig11/ISC-B/F/32T", "fig11/ISC-B/F/4T",
