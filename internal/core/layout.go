@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/checkin-kv/checkin/internal/workload"
 )
@@ -65,7 +66,19 @@ func (s Strategy) UsesRemap() bool { return s == StrategyISCC || s == StrategyCh
 
 // SectorAligned reports whether the journal uses Algorithm 2's aligned
 // format.
-func (s Strategy) SectorAligned() bool { return s == StrategyCheckIn }
+func (s Strategy) SectorAligned() bool { return s == StrategyCheckIn && !conventionalLogs.Load() }
+
+// conventionalLogs puts every strategy on the conventional log format.
+var conventionalLogs atomic.Bool
+
+// ForceConventionalLogs makes stacks built from now on log in the
+// conventional format under every strategy, until the returned func
+// restores the default. No Config field or flag reaches it: tests use it
+// to hold the log format equal across strategies.
+func ForceConventionalLogs() (restore func()) {
+	conventionalLogs.Store(true)
+	return func() { conventionalLogs.Store(false) }
+}
 
 // LogHeader returns the inline header bytes of each log record: the
 // aligned format keeps log descriptors host-side, in the JMT, instead.
