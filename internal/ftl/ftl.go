@@ -691,7 +691,9 @@ func (f *FTL) mapLookupCost(lookups int) sim.VTime {
 		return 0
 	}
 	missProb := 1 - float64(f.cfg.MapCacheBytes)/float64(tableBytes)
-	f.mapMissAccum += missProb * float64(lookups)
+	// float64(…) rounds the product: no architecture may fuse the
+	// multiply-add, so results are bit-identical on every GOARCH
+	f.mapMissAccum += float64(missProb * float64(lookups))
 	var delay sim.VTime
 	for f.mapMissAccum >= 1 {
 		f.mapMissAccum--

@@ -90,7 +90,9 @@ func (m *relModel) float() float64 {
 
 // wear returns the rate multiplier for block b.
 func (m *relModel) wear(ec uint32) float64 {
-	return 1 + m.cfg.WearFactor*float64(ec)
+	// float64(…) rounds the product: no architecture may fuse the
+	// multiply-add, so results are bit-identical on every GOARCH
+	return 1 + float64(m.cfg.WearFactor*float64(ec))
 }
 
 // EnableReliability installs the fault model. A config with all rates zero
@@ -122,12 +124,13 @@ func (a *Array) SampleRead(block int) (steps int, uncorrectable bool) {
 	}
 	w := m.wear(a.blocks[block].eraseCount)
 	r := m.float()
-	pu := m.cfg.UncorrectableRate * w
+	// float64(…) rounds each product, so pu+… below cannot fuse
+	pu := float64(m.cfg.UncorrectableRate * w)
 	if r < pu {
 		a.stats.UncorrectableReads++
 		return 0, true
 	}
-	if r < pu+m.cfg.ReadRetryRate*w {
+	if r < pu+float64(m.cfg.ReadRetryRate*w) {
 		steps = 1
 		for steps < maxRetrySteps && m.float() < m.cfg.RetryEscalation {
 			steps++

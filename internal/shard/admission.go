@@ -33,7 +33,9 @@ func newTokenBucket(ratePerSec, burst float64) *tokenBucket {
 // admit spends a token at arrival time at (non-decreasing across calls) and
 // reports whether the op is admitted; a dry bucket sheds it.
 func (b *tokenBucket) admit(at sim.VTime) bool {
-	b.tokens += float64(at-b.last) * b.ratePerNS
+	// float64(…) rounds the product: no architecture may fuse the
+	// multiply-add, so results are bit-identical on every GOARCH
+	b.tokens += float64(float64(at-b.last) * b.ratePerNS)
 	if b.tokens > b.burst {
 		b.tokens = b.burst
 	}

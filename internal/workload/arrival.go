@@ -204,7 +204,9 @@ func NewOpenLoop(cfg ArrivalConfig, seed int64) (*OpenLoop, error) {
 func (g *OpenLoop) rateAt(t sim.VTime) float64 {
 	r := g.cfg.RatePerSec
 	if g.cfg.Process == "diurnal" {
-		r *= 1 + g.cfg.DiurnalAmp*math.Sin(2*math.Pi*float64(t)/float64(g.cfg.DiurnalPeriod))
+		// float64(…) rounds the product: no architecture may fuse the
+		// multiply-add, so results are bit-identical on every GOARCH
+		r *= 1 + float64(g.cfg.DiurnalAmp*math.Sin(2*math.Pi*float64(t)/float64(g.cfg.DiurnalPeriod)))
 	}
 	if f := g.cfg.Flash; f != nil && t >= f.At && t < f.At+f.Duration {
 		r *= f.RateMult

@@ -163,7 +163,9 @@ func (z *Zipfian) Next(rng *sim.RNG) int64 {
 	case uz < z.rank1:
 		rank = 1
 	default:
-		rank = int64(float64(z.keys) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+		// float64(…) rounds the product: no architecture may fuse the
+		// multiply-add, so results are bit-identical on every GOARCH
+		rank = int64(float64(z.keys) * math.Pow(float64(z.eta*u)-z.eta+1, z.alpha))
 	}
 	if rank >= z.keys {
 		rank = z.keys - 1
