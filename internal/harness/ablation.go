@@ -12,8 +12,10 @@ import (
 //   - device data cache on/off (checkpoint reads from DRAM vs flash),
 //   - the FTL's GC victim policy for Check-In.
 //
-// Baseline and Check-In are the reference rows; every other row is a lever
-// on one of them.
+// The small device wraps the free-block pool within the run, so GC runs in
+// the window; at today's windows no GC-policy decision changes a number,
+// and TestNoVacuousCells lists those rows. Baseline and Check-In are the
+// reference rows; every other row is a lever on one of them.
 func ablationCells(o Opts) ([]Cell, error) {
 	const base, ci = "Baseline (host copy)", "Check-In (remap, aligned)"
 	variants := []struct {
