@@ -344,6 +344,11 @@ func resolve(cfg Config) (Config, error) {
 	case cfg.SpareBlocksPerDie == 0:
 		cfg.SpareBlocksPerDie = 2
 	}
+	// The FTL stores slot and logical-unit addresses in 32 bits: refuse a
+	// device past that before any layer allocates a table for it.
+	if err := ftl.CheckAddressable(cfg.geometry(), cfg.MappingUnit, cfg.OverProvision); err != nil {
+		return cfg, fmt.Errorf("checkin: %w", err)
+	}
 	if _, ok := gcPolicies[cfg.GCPolicy]; !ok {
 		return cfg, fmt.Errorf("checkin: unknown GCPolicy %q (want greedy, cost-benefit or fifo)", cfg.GCPolicy)
 	}
@@ -359,6 +364,19 @@ func resolve(cfg Config) (Config, error) {
 		return cfg, fmt.Errorf("checkin: unknown Compaction %q (want leveled or tiered)", cfg.Compaction)
 	}
 	return cfg, nil
+}
+
+// geometry is the flash array cfg describes: one package per channel.
+func (c Config) geometry() nand.Geometry {
+	return nand.Geometry{
+		Channels:           c.Channels,
+		PackagesPerChannel: 1,
+		DiesPerPackage:     c.DiesPerChannel,
+		PlanesPerDie:       c.PlanesPerDie,
+		BlocksPerPlane:     c.BlocksPerPlane,
+		PagesPerBlock:      c.PagesPerBlock,
+		PageSize:           c.PageSizeBytes,
+	}
 }
 
 // gcPolicies maps Config.GCPolicy names to the FTL's victim policies.
@@ -377,15 +395,7 @@ func Open(cfg Config) (*DB, error) {
 
 	eng := sim.NewEngine()
 
-	geo := nand.Geometry{
-		Channels:           cfg.Channels,
-		PackagesPerChannel: 1,
-		DiesPerPackage:     cfg.DiesPerChannel,
-		PlanesPerDie:       cfg.PlanesPerDie,
-		BlocksPerPlane:     cfg.BlocksPerPlane,
-		PagesPerBlock:      cfg.PagesPerBlock,
-		PageSize:           cfg.PageSizeBytes,
-	}
+	geo := cfg.geometry()
 	tim := nand.Timing{
 		ReadPage:    sim.VTime(cfg.ReadLatency.Nanoseconds()),
 		ProgramPage: sim.VTime(cfg.ProgramLatency.Nanoseconds()),

@@ -2,6 +2,7 @@ package checkin_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +85,40 @@ func TestOpenRejectsUnknownFTLMap(t *testing.T) {
 	for _, model := range []string{"dram", " dftl ", "dftl-basic"} {
 		if !strings.Contains(err.Error(), model) {
 			t.Errorf("Open error %q does not list %q", err, model)
+		}
+	}
+}
+
+// TestOpenRejectsPast32BitGeometry: the FTL stores slot and logical-unit
+// addresses in 32 bits, so a device past math.MaxInt32 slots or logical
+// units is an error from Open, found by arithmetic before any layer
+// allocates: not a panic, a wrapped address or an out-of-memory crash.
+// With 4 channels × 2 dies × 2 planes, 64 pages of 4 KiB and 512 B units a
+// block holds 512 slots: 2^18 blocks per plane make 2^31 slots, one past
+// the bound, of which the default 12% over-provisioning leaves 1.92e9
+// logical units; 293,602 blocks per plane leave 2,147,488,914 logical
+// units, the first plane size past the bound (293,601 leave 2,147,481,600).
+func TestOpenRejectsPast32BitGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		want   string
+		blocks int
+	}{
+		{"slots", 1 << 18},
+		{"logical units", 293_602},
+	} {
+		cfg := smallConfig(checkin.StrategyCheckIn)
+		cfg.Channels, cfg.DiesPerChannel, cfg.PlanesPerDie = 4, 2, 2
+		cfg.BlocksPerPlane, cfg.PagesPerBlock, cfg.PageSizeBytes = tc.blocks, 64, 4096
+		cfg.MappingUnit = 512
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := checkin.Open(cfg)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%d blocks per plane: Open returned %v, want an error naming the %s", tc.blocks, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%d blocks per plane: Open allocated %d bytes before refusing, want no tables (at most 1 MiB)", tc.blocks, grew)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func TestLunsOfScratchAliasing(t *testing.T) {
 	f.Remap(0, dst, 2*unit)
 	e.Run()
 
-	sidShared := f.l2p[0]
+	sidShared := int64(f.l2p[0])
 	if sidShared < 0 || f.refcnt[sidShared] < 2 {
 		t.Fatalf("setup failed: slot %d refcnt %d, want shared", sidShared, f.refcnt[sidShared])
 	}
@@ -63,7 +63,7 @@ func TestLunsOfScratchAliasing(t *testing.T) {
 	e.Run()
 	var moved int64 = -1
 	for l := range wantLuns {
-		sid := f.l2p[l]
+		sid := int64(f.l2p[l])
 		if sid < 0 {
 			t.Fatalf("GC migration lost lun %d", l)
 		}

@@ -26,7 +26,7 @@ type cmtState struct {
 	lru           []int32
 	cached, dirty []uint64
 	stats         Stats
-	l2p           []int64
+	l2p           []int32
 }
 
 func captureCMT(f *FTL) cmtState {

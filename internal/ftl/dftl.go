@@ -106,8 +106,9 @@ type flashMap struct {
 	tpRuns    []int32
 
 	// stored[lun] is the entry's value as held by the flash-resident
-	// translation page (-1 before the first flush covering it).
-	stored []int64
+	// translation page (-1 before the first flush covering it), 32 bits
+	// wide like the live map it copies.
+	stored []int32
 	// gtd[tvpn] is the physical page id of the live translation page, -1 if
 	// the tvpn has never been flushed. tpOwner is its exact inverse.
 	gtd     []int64
@@ -395,7 +396,7 @@ func (f *FTL) initFlashMap() error {
 		fm.runStride += 2 // an unaligned page straddles one more word
 	}
 	fm.runFree = -1
-	fm.stored = make([]int64, f.totalUnits)
+	fm.stored = make([]int32, f.totalUnits)
 	for i := range fm.stored {
 		fm.stored[i] = -1
 	}
@@ -419,7 +420,7 @@ func (f *FTL) initFlashMap() error {
 	if fm.basic {
 		fm.fill, fm.cleanWindow, fm.cutBatch = false, 1, false
 	}
-	f.rlog.tp = make([]int64, totalPages)
+	f.rlog.tp = make([]int32, totalPages)
 	for i := range f.rlog.tp {
 		f.rlog.tp[i] = -1
 	}
@@ -1130,7 +1131,7 @@ func (f *FTL) fmCheckInvariants(report func(format string, args ...any)) {
 		if fm.gtd[tvpn] != int64(pid) {
 			report("tpOwner[%d] = tvpn %d but gtd points at %d", pid, tvpn, fm.gtd[tvpn])
 		}
-		if f.rlog.tp[pid] != tvpn {
+		if int64(f.rlog.tp[pid]) != tvpn {
 			report("pid %d translation recovery record %d, want tvpn %d", pid, f.rlog.tp[pid], tvpn)
 		}
 	}

@@ -14,6 +14,7 @@ package ftl
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/nand"
@@ -212,6 +213,55 @@ func (c Config) Validate(pageSize int) error {
 	return nil
 }
 
+// MaxAddresses bounds both the slot count and the logical-unit count of a
+// device: the address tables store 32-bit entries, with -1 for none.
+const MaxAddresses = math.MaxInt32
+
+// CheckAddressable reports an error when geometry geo, mapped in unit-byte
+// units with the given over-provisioning, holds more slots or logical units
+// than MaxAddresses. It is overflow-safe arithmetic and allocates nothing,
+// so a caller can refuse a geometry before building any layer. A unit that
+// does not divide the page is left to Validate.
+func CheckAddressable(geo nand.Geometry, unit int, overProvision float64) error {
+	if err := geo.Validate(); err != nil {
+		return err
+	}
+	if unit <= 0 {
+		return fmt.Errorf("ftl: UnitSize %d must be positive", unit)
+	}
+	pages, ok := boundedProduct(MaxAddresses, geo.Channels, geo.PackagesPerChannel, geo.DiesPerPackage,
+		geo.PlanesPerDie, geo.BlocksPerPlane, geo.PagesPerBlock)
+	if ok {
+		// As New derives it: the raw capacity shrunk by the
+		// over-provisioning, in whole units.
+		units := float64(pages) * float64(geo.PageSize) / (1 + overProvision) / float64(unit)
+		if units >= MaxAddresses+1 {
+			return fmt.Errorf("ftl: geometry holds more than %d logical units of %d B, the most 32-bit addresses reach", MaxAddresses, unit)
+		}
+		_, ok = boundedProduct(MaxAddresses, int(pages), geo.PageSize/unit)
+	}
+	if !ok {
+		return fmt.Errorf("ftl: geometry holds more than %d slots of %d B, the most 32-bit addresses reach", MaxAddresses, unit)
+	}
+	return nil
+}
+
+// boundedProduct multiplies the non-negative factors xs, reporting false as
+// soon as the product exceeds bound.
+func boundedProduct(bound int64, xs ...int) (int64, bool) {
+	p := int64(1)
+	for _, x := range xs {
+		if x == 0 {
+			return 0, true
+		}
+		if int64(x) > bound/p {
+			return 0, false
+		}
+		p *= int64(x)
+	}
+	return p, true
+}
+
 // Stats aggregates FTL-level counters. Flash op totals live in nand.Stats;
 // these split them by cause.
 type Stats struct {
@@ -328,15 +378,18 @@ type FTL struct {
 	logicalBytes int64
 	totalUnits   int64
 
-	// map: logical unit number → physical slot id (-1 unmapped)
-	l2p []int64
+	// map: logical unit number → physical slot id (-1 unmapped). The
+	// address tables hold 32-bit entries, as a controller's would: New
+	// refuses a geometry past MaxAddresses slots or logical units, and every
+	// signature keeps int64.
+	l2p []int32
 	// per-slot reference count (shared mappings after remap)
 	refcnt []uint8
 	// primary reverse mapping slot → logical unit (-1 free/dead)
-	rev []int64
+	rev []int32
 	// extra reverse mappings for slots with refcnt > 1 (transient between
 	// checkpoint remap and journal trim)
-	revOverflow slotTable[int64]
+	revOverflow slotTable[int32]
 
 	state      []blockState
 	validCount []int32
@@ -413,6 +466,9 @@ func New(eng *sim.Engine, array *nand.Array, cfg Config) (*FTL, error) {
 	if err := cfg.Validate(geo.PageSize); err != nil {
 		return nil, err
 	}
+	if err := CheckAddressable(geo, cfg.UnitSize, cfg.OverProvision); err != nil {
+		return nil, err
+	}
 	f := &FTL{
 		cfg:          cfg,
 		eng:          eng,
@@ -428,12 +484,12 @@ func New(eng *sim.Engine, array *nand.Array, cfg Config) (*FTL, error) {
 	f.totalUnits = f.logicalBytes / int64(f.unit)
 
 	totalSlots := int64(geo.TotalPages()) * int64(f.slotsPerPage)
-	f.l2p = make([]int64, f.totalUnits)
+	f.l2p = make([]int32, f.totalUnits)
 	for i := range f.l2p {
 		f.l2p[i] = -1
 	}
 	f.refcnt = make([]uint8, totalSlots)
-	f.rev = make([]int64, totalSlots)
+	f.rev = make([]int32, totalSlots)
 	for i := range f.rev {
 		f.rev[i] = -1
 	}
@@ -481,7 +537,7 @@ func New(eng *sim.Engine, array *nand.Array, cfg Config) (*FTL, error) {
 	}
 
 	slotsPerBlock := int64(f.pagesPerBlk * f.slotsPerPage)
-	f.revOverflow = newSlotTable[int64](f.totalBlocks, slotsPerBlock)
+	f.revOverflow = newSlotTable[int32](f.totalBlocks, slotsPerBlock)
 	f.rlog = newRecoveryLog(f.totalBlocks, slotsPerBlock)
 	if cfg.FlashMap {
 		if err := f.initFlashMap(); err != nil {
@@ -544,9 +600,9 @@ func (f *FTL) checkRange(off, n int64) {
 // bindSlot points lun at sid (first reference).
 func (f *FTL) bindSlot(lun, sid int64) {
 	f.unmap(lun)
-	f.l2p[lun] = sid
+	f.l2p[lun] = int32(sid)
 	f.refcnt[sid] = 1
-	f.rev[sid] = lun
+	f.rev[sid] = int32(lun)
 	blk := f.slotBlock(sid)
 	f.validCount[blk]++
 	f.noteMapDirty(1)
@@ -558,7 +614,7 @@ func (f *FTL) bindSlot(lun, sid int64) {
 // shareSlot adds lun as an additional reference to sid (checkpoint remap).
 func (f *FTL) shareSlot(lun, sid int64) {
 	f.unmap(lun)
-	f.l2p[lun] = sid
+	f.l2p[lun] = int32(sid)
 	if f.refcnt[sid] == 0 {
 		panic("ftl: sharing a dead slot")
 	}
@@ -569,7 +625,7 @@ func (f *FTL) shareSlot(lun, sid int64) {
 		panic("ftl: slot reference count overflow")
 	}
 	f.refcnt[sid]++
-	f.revOverflow.add(sid, lun)
+	f.revOverflow.add(sid, int32(lun))
 	f.rlog.noteAlias(sid, lun)
 	f.noteMapDirty(1)
 	if f.fm.enabled {
@@ -580,7 +636,7 @@ func (f *FTL) shareSlot(lun, sid int64) {
 // unmap drops lun's reference, invalidating its slot when the last
 // reference disappears.
 func (f *FTL) unmap(lun int64) {
-	sid := f.l2p[lun]
+	sid := int64(f.l2p[lun])
 	if sid < 0 {
 		return
 	}
@@ -606,14 +662,14 @@ func (f *FTL) dropRef(sid, lun int64) {
 	}
 	f.refcnt[sid] = rc - 1
 	ov := f.revOverflow.get(sid)
-	if f.rev[sid] == lun {
+	if int64(f.rev[sid]) == lun {
 		// promote the last overflow entry to primary
 		f.rev[sid] = ov[len(ov)-1]
 		f.revOverflow.truncate(sid, len(ov)-1)
 		return
 	}
 	for i, l := range ov {
-		if l == lun {
+		if int64(l) == lun {
 			ov[i] = ov[len(ov)-1]
 			f.revOverflow.truncate(sid, len(ov)-1)
 			return
@@ -628,8 +684,10 @@ func (f *FTL) lunsOf(sid int64) []int64 {
 	if f.refcnt[sid] == 0 {
 		return nil
 	}
-	out := append(f.lunsBuf[:0], f.rev[sid])
-	out = append(out, f.revOverflow.get(sid)...)
+	out := append(f.lunsBuf[:0], int64(f.rev[sid]))
+	for _, l := range f.revOverflow.get(sid) {
+		out = append(out, int64(l))
+	}
 	f.lunsBuf = out
 	return out
 }
@@ -924,7 +982,7 @@ func (f *FTL) WriteInto(off, n int64, tag Tag, s Stream, fan *sim.FanIn) {
 		unitEnd := unitStart + int64(f.unit)
 		covStart, covEnd := off, off+n
 		full := covStart <= unitStart && covEnd >= unitEnd
-		if old := f.l2p[lun]; !full && old >= 0 && !f.isBuffered(old) {
+		if old := int64(f.l2p[lun]); !full && old >= 0 && !f.isBuffered(old) {
 			// partial overwrite of live data: read-modify-write
 			f.stats.HostRMWReads++
 			f.stats.ReadsByTag[tag]++
@@ -975,7 +1033,7 @@ func (f *FTL) ReadInto(off, n int64, fan *sim.FanIn) {
 	f.epoch++
 	order := f.pageOrder[:0]
 	for lun := first; lun <= last; lun++ {
-		sid := f.l2p[lun]
+		sid := int64(f.l2p[lun])
 		if sid < 0 || f.isBuffered(sid) {
 			continue // unmapped (zero-fill) or still in the page buffer
 		}
@@ -1023,7 +1081,7 @@ func (f *FTL) Trim(off, n int64) {
 // trimUnmap is unmap without per-unit metadata accounting (Trim records a
 // single extent instead).
 func (f *FTL) trimUnmap(lun int64) {
-	sid := f.l2p[lun]
+	sid := int64(f.l2p[lun])
 	if sid < 0 {
 		return
 	}
@@ -1086,7 +1144,7 @@ func (f *FTL) RemapCached(src, dst, n int64, srcInBuffer bool) (RemapResult, *si
 		aligned := srcOff%int64(f.unit) == 0 && span == int64(f.unit)
 		if aligned {
 			srcLun := srcOff / int64(f.unit)
-			sid := f.l2p[srcLun]
+			sid := int64(f.l2p[srcLun])
 			if sid < 0 {
 				res.Skipped++
 				continue
@@ -1103,13 +1161,13 @@ func (f *FTL) RemapCached(src, dst, n int64, srcInBuffer bool) (RemapResult, *si
 		sFirst := srcOff / int64(f.unit)
 		sLast := (srcOff + span - 1) / int64(f.unit)
 		for l := sFirst; l <= sLast && !srcInBuffer; l++ {
-			if sid := f.l2p[l]; sid >= 0 && !f.isBuffered(sid) {
+			if sid := int64(f.l2p[l]); sid >= 0 && !f.isBuffered(sid) {
 				f.stats.ReadsByTag[TagCheckpoint]++
 				f.readFlash(f.slotBlock(sid), f.slotPage(sid), f.unit, &fan)
 			}
 		}
 		if span < int64(f.unit) {
-			if old := f.l2p[dstLun]; old >= 0 && !f.isBuffered(old) {
+			if old := int64(f.l2p[dstLun]); old >= 0 && !f.isBuffered(old) {
 				f.stats.ReadsByTag[TagCheckpoint]++
 				f.readFlash(f.slotBlock(old), f.slotPage(old), f.unit, &fan)
 			}
@@ -1160,7 +1218,7 @@ func (f *FTL) CopyCached(src, dst, n int64, tag Tag, srcInBuffer bool) *sim.Futu
 	}
 	f.epoch++
 	for l := sFirst; l <= sLast && !srcInBuffer; l++ {
-		if sid := f.l2p[l]; sid >= 0 && !f.isBuffered(sid) {
+		if sid := int64(f.l2p[l]); sid >= 0 && !f.isBuffered(sid) {
 			pid := sid / int64(f.slotsPerPage)
 			if f.pageEpoch[pid] != f.epoch {
 				f.pageEpoch[pid] = f.epoch

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -62,7 +63,8 @@ func newSmall(t *testing.T, cfg Config) (*sim.Engine, *FTL) {
 func checkInvariants(t *testing.T, f *FTL) {
 	t.Helper()
 	refs := make(map[int64]int)
-	for lun, sid := range f.l2p {
+	for lun, l2p := range f.l2p {
+		sid := int64(l2p)
 		if sid < 0 {
 			continue
 		}
@@ -123,6 +125,45 @@ func TestConfigValidate(t *testing.T) {
 		mut(&c)
 		if err := c.Validate(4096); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestCheckAddressable pins the 32-bit bound at its edge: MaxAddresses
+// slots and logical units pass, one more of either fails, and factors whose
+// product wraps int64 fail instead of wrapping. It only does arithmetic; no
+// geometry here is ever built.
+func TestCheckAddressable(t *testing.T) {
+	// One die with one plane; one page per block, so blocks count pages.
+	geo := func(blocks, pageSize int) nand.Geometry {
+		return nand.Geometry{Channels: 1, PackagesPerChannel: 1, DiesPerPackage: 1, PlanesPerDie: 1,
+			BlocksPerPlane: blocks, PagesPerBlock: 1, PageSize: pageSize}
+	}
+	huge := geo(1<<62, 512)
+	huge.PagesPerBlock = 1 << 62
+	for _, tc := range []struct {
+		name string
+		geo  nand.Geometry
+		unit int
+		op   float64
+		want string // "" accepts
+	}{
+		{"at the bound", geo(MaxAddresses, 512), 512, 0, ""},
+		{"one slot past", geo(1<<30, 1024), 512, 0.12, "slots"},
+		{"one unit past", geo(1<<30, 1024), 512, 0, "logical units"},
+		// Only an over-provisioning Validate refuses gives more logical
+		// units than slots.
+		{"units past, slots within", geo(1<<30, 512), 512, -0.5, "logical units"},
+		{"product wraps int64", huge, 512, 0.12, "slots"},
+		// No slot fits the page: Validate refuses the unit, not the bound.
+		{"unit past the page", geo(1<<30, 1024), 2048, 0.12, ""},
+	} {
+		err := CheckAddressable(tc.geo, tc.unit, tc.op)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want an error naming the %s", tc.name, err, tc.want)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func (f *FTL) CheckInvariants() error {
 	}
 
 	// 1 & 2: walk the map and the reference sets in both directions.
-	refs := make(map[int64]int64) // slot id → live references seen via l2p
+	refs := make([]int32, len(f.refcnt)) // slot id → live references seen via l2p
 	for lun, sid := range f.l2p {
 		if sid < 0 {
 			continue
@@ -50,9 +50,9 @@ func (f *FTL) CheckInvariants() error {
 			report("lun %d maps to dead slot %d (refcnt 0)", lun, sid)
 			continue
 		}
-		found := f.rev[sid] == int64(lun)
-		for _, l := range f.revOverflow.get(sid) {
-			if l == int64(lun) {
+		found := f.rev[sid] == int32(lun)
+		for _, l := range f.revOverflow.get(int64(sid)) {
+			if l == int32(lun) {
 				if found {
 					report("lun %d appears twice in slot %d's reverse mappings", lun, sid)
 				}
@@ -64,7 +64,7 @@ func (f *FTL) CheckInvariants() error {
 		}
 		refs[sid]++
 	}
-	f.revOverflow.each(func(sid int64, ov []int64) {
+	f.revOverflow.each(func(sid int64, ov []int32) {
 		if f.refcnt[sid] < 2 {
 			report("slot %d has %d overflow reverse mappings but refcnt %d", sid, len(ov), f.refcnt[sid])
 		}
@@ -91,7 +91,7 @@ func (f *FTL) CheckInvariants() error {
 			if n := refs[sid]; int(n) != rc {
 				report("slot %d refcnt %d but %d logical units map to it", sid, rc, n)
 			}
-			if primary := f.rev[sid]; primary < 0 || f.l2p[primary] != sid {
+			if primary := f.rev[sid]; primary < 0 || int64(f.l2p[primary]) != sid {
 				report("slot %d primary reverse mapping %d does not map back", sid, f.rev[sid])
 			}
 		}

@@ -15,7 +15,9 @@ import (
 // off, the FTL reconstructs the whole mapping table by scanning OOB areas
 // in physical order and replaying alias/trim records in sequence order.
 
-// oobRecord is what a slot's OOB area holds for recovery.
+// oobRecord is one binding record: a logical unit and its sequence number.
+// The alias log holds them whole; a slot's own OOB record is split across
+// recoveryLog.oobLun and oobSeq.
 type oobRecord struct {
 	lun int64
 	seq uint64
@@ -32,17 +34,25 @@ type trimExtent struct {
 // page's OOB additionally records the tvpn it holds (tp, indexed by physical
 // page id; allocated only when the flash map is on), which is what rebuilds
 // the global translation directory after a sudden power-off.
+//
+// A slot's OOB record is split into two arrays, 12 B per slot instead of a
+// padded 16 B struct: the lun fits 32 bits like every address table, while
+// the sequence number stays 64-bit, since preserveCopy carries old sequence
+// numbers forward and they can neither wrap nor be renumbered cheaply.
 type recoveryLog struct {
 	seq     uint64
-	oob     []oobRecord          // indexed by slot id; seq 0 = never written
+	oobLun  []int32              // slot id → logical unit of its OOB record
+	oobSeq  []uint64             // slot id → sequence number; 0 = never written
 	aliases slotTable[oobRecord] // slot id → alias bindings from remaps
 	trims   []trimExtent
-	tp      []int64 // pid → tvpn of the live translation page it holds (-1)
+	tp      []int32 // pid → tvpn of the live translation page it holds (-1)
 }
 
 func newRecoveryLog(blocks int, slotsPerBlock int64) *recoveryLog {
+	slots := int64(blocks) * slotsPerBlock
 	return &recoveryLog{
-		oob:     make([]oobRecord, int64(blocks)*slotsPerBlock),
+		oobLun:  make([]int32, slots),
+		oobSeq:  make([]uint64, slots),
 		aliases: newSlotTable[oobRecord](blocks, slotsPerBlock),
 	}
 }
@@ -59,7 +69,7 @@ func (r *recoveryLog) aliasesOf(sid int64) []oobRecord { return r.aliases.get(si
 func (r *recoveryLog) dropAliases(sid int64) { r.aliases.drop(sid) }
 
 func (r *recoveryLog) noteWrite(sid, lun int64) {
-	r.oob[sid] = oobRecord{lun: lun, seq: r.next()}
+	r.oobLun[sid], r.oobSeq[sid] = int32(lun), r.next()
 	r.dropAliases(sid)
 }
 
@@ -73,7 +83,8 @@ func (r *recoveryLog) noteTrim(first, last int64) {
 
 // noteErase drops the records of the erased block whose slots start at base.
 func (r *recoveryLog) noteErase(base, slots int64) {
-	clear(r.oob[base : base+slots])
+	clear(r.oobLun[base : base+slots])
+	clear(r.oobSeq[base : base+slots])
 	r.aliases.dropBlock(base)
 }
 
@@ -91,8 +102,8 @@ func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
 	oldAliases := r.aliasesOf(oldSid)
 	seqOf := func(lun int64) uint64 {
 		var best uint64
-		if rec := r.oob[oldSid]; rec.seq != 0 && rec.lun == lun {
-			best = rec.seq
+		if seq := r.oobSeq[oldSid]; seq != 0 && int64(r.oobLun[oldSid]) == lun {
+			best = seq
 		}
 		for _, a := range oldAliases {
 			if a.lun == lun && a.seq > best {
@@ -101,9 +112,9 @@ func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
 		}
 		return best
 	}
-	if rec := r.oob[newSid]; rec.seq != 0 {
-		if s := seqOf(rec.lun); s != 0 {
-			r.oob[newSid] = oobRecord{lun: rec.lun, seq: s}
+	if r.oobSeq[newSid] != 0 {
+		if s := seqOf(int64(r.oobLun[newSid])); s != 0 {
+			r.oobSeq[newSid] = s
 		}
 	}
 	newAliases := r.aliasesOf(newSid)
@@ -120,14 +131,14 @@ func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
 // ruined page's OOB must not be scanned as live (a retired block is listed
 // in the bad-block table, which SPOR excludes).
 func (r *recoveryLog) clearSlot(sid int64) {
-	r.oob[sid] = oobRecord{}
+	r.oobLun[sid], r.oobSeq[sid] = 0, 0
 	r.dropAliases(sid)
 }
 
 // noteTransWrite records that physical page pid now holds the live
 // translation page for tvpn (dftl mode only; tp is nil in dram mode).
 func (r *recoveryLog) noteTransWrite(pid int64, tvpn int) {
-	r.tp[pid] = int64(tvpn)
+	r.tp[pid] = int32(tvpn)
 }
 
 // clearTransPage drops a translation page's OOB record when it is
@@ -195,15 +206,15 @@ func (f *FTL) SimulateSPOR() *SPORReport {
 func (f *FTL) VerifySPOR() *SPORReport {
 	rep := &SPORReport{}
 
-	// 1. Rebuild candidate bindings: latest OOB record per logical unit.
-	type binding struct {
-		sid int64
-		seq uint64
-	}
-	rebuilt := make(map[int64]binding)
+	// 1. Rebuild candidate bindings: the latest OOB record per logical unit,
+	// kept in dense per-lun scratch. Every record's sequence number is at
+	// least 1, so seq 0 marks a unit with no binding; on equal sequence
+	// numbers the record scanned first keeps the unit.
+	sids := make([]int32, f.totalUnits)
+	seqs := make([]uint64, f.totalUnits)
 	bind := func(lun, sid int64, seq uint64) {
-		if b, ok := rebuilt[lun]; !ok || seq > b.seq {
-			rebuilt[lun] = binding{sid: sid, seq: seq}
+		if seq > seqs[lun] {
+			sids[lun], seqs[lun] = int32(sid), seq
 		}
 	}
 	slotsPerBlock := int64(f.pagesPerBlk) * int64(f.slotsPerPage)
@@ -219,8 +230,8 @@ func (f *FTL) VerifySPOR() *SPORReport {
 			if f.slotPage(sid) >= programmed {
 				break
 			}
-			if rec := f.rlog.oob[sid]; rec.seq != 0 {
-				bind(rec.lun, sid, rec.seq)
+			if seq := f.rlog.oobSeq[sid]; seq != 0 {
+				bind(int64(f.rlog.oobLun[sid]), sid, seq)
 			}
 			for _, rec := range f.rlog.aliasesOf(sid) {
 				bind(rec.lun, sid, rec.seq)
@@ -233,20 +244,25 @@ func (f *FTL) VerifySPOR() *SPORReport {
 	for _, tr := range f.rlog.trims {
 		rep.TrimsReplayed++
 		for lun := tr.first; lun <= tr.last; lun++ {
-			if b, ok := rebuilt[lun]; ok && b.seq < tr.seq {
-				delete(rebuilt, lun)
+			if seqs[lun] < tr.seq {
+				seqs[lun] = 0
 			}
 		}
 	}
 
 	// 3. Compare against the live table. A live mapping whose slot is still
 	// staged in the volatile write buffer is expected to vanish on power
-	// loss; count it as VolatileLost rather than a protocol failure.
+	// loss; count it as VolatileLost rather than a protocol failure. A
+	// rebuilt binding for an unmapped unit counts twice: once as a differing
+	// entry and once as a binding the live table lacks.
 	for lun, sid := range f.l2p {
-		want := sid
-		got := int64(-1)
-		if b, ok := rebuilt[int64(lun)]; ok {
-			got = b.sid
+		want, got := int64(sid), int64(-1)
+		if seqs[lun] != 0 {
+			got = int64(sids[lun])
+			rep.BoundUnits++
+			if want < 0 {
+				rep.Mismatches++
+			}
 		}
 		if want != got {
 			if want >= 0 && f.isBuffered(want) {
@@ -256,12 +272,6 @@ func (f *FTL) VerifySPOR() *SPORReport {
 			}
 		}
 	}
-	for lun := range rebuilt {
-		if f.l2p[lun] < 0 {
-			rep.Mismatches++
-		}
-	}
-	rep.BoundUnits = int64(len(rebuilt))
 
 	// 4. dftl mode: rebuild the global translation directory from the
 	// translation-page OOB records and compare it against the live GTD. Each

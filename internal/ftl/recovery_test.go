@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -74,6 +76,187 @@ func TestSPORAfterRemapAndTrim(t *testing.T) {
 	}
 }
 
+// TestSPORMutations plants one fault at a time in the recovery log of a
+// device whose rebuild is exact and checks that VerifySPOR reports exactly
+// the mismatches the fault causes, so a rebuild that bound nothing, or
+// skipped aliases or trims, fails here. The device holds journal units 0-7
+// (two pages), units 0-3 remapped to data units 64-67, units 4-7 trimmed,
+// then data units 16-19 written: 12 bound units, 4 alias bindings, 1 trim.
+// A binding the live table lacks counts twice: once as a unit whose rebuilt
+// entry differs from the live one and once as a rebuilt unit the live
+// table leaves unmapped.
+func TestSPORMutations(t *testing.T) {
+	const unit, dataLun = 512, 64
+	e, f := newSmall(t, smallCfg())
+	f.Write(0, 8*unit, TagHostJournal, StreamJournal)
+	f.Sync(StreamJournal, TagHostJournal)
+	e.Run()
+	f.Remap(0, dataLun*unit, 4*unit)
+	f.Trim(4*unit, 4*unit)
+	f.Write(16*unit, 4*unit, TagHostData, StreamData)
+	f.Sync(StreamData, TagHostData)
+	e.Run()
+	clean := SPORReport{ScannedPages: 3, BoundUnits: 12, AliasBindings: 4, TrimsReplayed: 1}
+	if rep := *f.VerifySPOR(); rep != clean {
+		t.Fatalf("unplanted device: %+v, want %+v", rep, clean)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		plant func(f *FTL)
+		want  SPORReport
+	}{{
+		// Unit 16's OOB names unit 17, whose own record is newer: unit 16
+		// loses its only binding, unit 17 keeps its own.
+		name:  "wrong OOB lun, named unit newer",
+		plant: func(f *FTL) { f.rlog.oobLun[f.l2p[16]] = 17 },
+		want:  SPORReport{ScannedPages: 3, BoundUnits: 11, AliasBindings: 4, TrimsReplayed: 1, Mismatches: 1},
+	}, {
+		// Unit 16's OOB names never-written unit 300: unit 16 is lost and
+		// unit 300 gains a binding the live table lacks.
+		name:  "wrong OOB lun, named unit unmapped",
+		plant: func(f *FTL) { f.rlog.oobLun[f.l2p[16]] = 300 },
+		want:  SPORReport{ScannedPages: 3, BoundUnits: 12, AliasBindings: 4, TrimsReplayed: 1, Mismatches: 3},
+	}, {
+		// Data unit 64 loses its alias record: nothing rebinds it.
+		name:  "dropped alias record",
+		plant: func(f *FTL) { f.rlog.dropAliases(int64(f.l2p[dataLun])) },
+		want:  SPORReport{ScannedPages: 3, BoundUnits: 11, AliasBindings: 3, TrimsReplayed: 1, Mismatches: 1},
+	}, {
+		// Without the trim, journal units 4-7 rebind to their old slots.
+		name:  "dropped trim extent",
+		plant: func(f *FTL) { f.rlog.trims = f.rlog.trims[:0] },
+		want:  SPORReport{ScannedPages: 3, BoundUnits: 16, AliasBindings: 4, Mismatches: 8},
+	}} {
+		g, err := Fork(e, f.array, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.plant(g)
+		if rep := *g.VerifySPOR(); rep != tc.want {
+			t.Errorf("%s: %+v, want %+v", tc.name, rep, tc.want)
+		}
+	}
+}
+
+// sporMapRebuild is the rebuild VerifySPOR made before its per-unit
+// scratch slices: candidate bindings in a map keyed by logical unit. It
+// covers the data mapping only (no translation directory).
+func sporMapRebuild(f *FTL) SPORReport {
+	var rep SPORReport
+	type binding struct {
+		sid int64
+		seq uint64
+	}
+	rebuilt := map[int64]binding{}
+	bind := func(lun, sid int64, seq uint64) {
+		if b, ok := rebuilt[lun]; !ok || seq > b.seq {
+			rebuilt[lun] = binding{sid: sid, seq: seq}
+		}
+	}
+	slotsPerBlock := int64(f.pagesPerBlk * f.slotsPerPage)
+	for b := 0; b < f.totalBlocks; b++ {
+		programmed := f.array.ProgrammedPages(b)
+		rep.ScannedPages += programmed
+		base := f.slotID(b, 0, 0)
+		for sid := base; sid < base+slotsPerBlock && f.slotPage(sid) < programmed; sid++ {
+			if seq := f.rlog.oobSeq[sid]; seq != 0 {
+				bind(int64(f.rlog.oobLun[sid]), sid, seq)
+			}
+			for _, rec := range f.rlog.aliasesOf(sid) {
+				bind(rec.lun, sid, rec.seq)
+				rep.AliasBindings++
+			}
+		}
+	}
+	for _, tr := range f.rlog.trims {
+		rep.TrimsReplayed++
+		for lun := tr.first; lun <= tr.last; lun++ {
+			if b, ok := rebuilt[lun]; ok && b.seq < tr.seq {
+				delete(rebuilt, lun)
+			}
+		}
+	}
+	for lun, sid := range f.l2p {
+		got := int64(-1)
+		if b, ok := rebuilt[int64(lun)]; ok {
+			got = b.sid
+		}
+		if want := int64(sid); want != got {
+			if want >= 0 && f.isBuffered(want) {
+				rep.VolatileLost++
+			} else {
+				rep.Mismatches++
+			}
+		}
+	}
+	for lun := range rebuilt {
+		if f.l2p[lun] < 0 {
+			rep.Mismatches++
+		}
+	}
+	rep.BoundUnits = int64(len(rebuilt))
+	return rep
+}
+
+// TestVerifySPORMatchesMapRebuild drives random writes, remaps, trims and
+// GC, leaving some slots staged, then plants random recovery-log faults, and
+// checks after each step that VerifySPOR's report equals the map-based
+// rebuild's field for field, faults and volatile losses included.
+func TestVerifySPORMatchesMapRebuild(t *testing.T) {
+	const unit = 512
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 42))
+		e, f := newSmall(t, smallCfg())
+		units := f.LogicalBytes() / unit
+		compare := func(step string) {
+			t.Helper()
+			if got, want := *f.VerifySPOR(), sporMapRebuild(f); got != want {
+				t.Fatalf("seed %d, %s: dense rebuild %+v, map rebuild %+v", seed, step, got, want)
+			}
+		}
+		for step := 0; step < 600; step++ {
+			lun := rng.Int64N(units - 8)
+			switch op := rng.IntN(20); {
+			case op < 14:
+				f.Write(lun*unit, unit*(1+rng.Int64N(3)), TagHostData, StreamData)
+			case op < 17:
+				// Source in the lower half, destination in the upper: a
+				// remap onto its own source is not a checkpoint.
+				half := units / 2
+				f.Remap((lun%(half-4))*unit, (half+rng.Int64N(half-8))*unit, unit*(1+rng.Int64N(4)))
+			case op < 19:
+				f.Trim(lun*unit, unit*(1+rng.Int64N(4)))
+			default:
+				f.Sync(StreamData, TagHostData)
+			}
+			e.Run()
+			compare(fmt.Sprintf("step %d", step))
+		}
+		if f.Stats().GCInvocations == 0 || f.Stats().Remaps == 0 {
+			t.Fatalf("seed %d: run missed a path: %d collections, %d remaps", seed, f.Stats().GCInvocations, f.Stats().Remaps)
+		}
+		for fault := 0; fault < 20; fault++ {
+			sid := rng.Int64N(int64(len(f.rlog.oobSeq)))
+			switch rng.IntN(3) {
+			case 0:
+				f.rlog.oobLun[sid] = int32(rng.Int64N(units))
+			case 1:
+				f.rlog.dropAliases(sid)
+			default:
+				if n := len(f.rlog.trims); n > 0 {
+					i := rng.IntN(n)
+					f.rlog.trims = append(f.rlog.trims[:i], f.rlog.trims[i+1:]...)
+				}
+			}
+			compare(fmt.Sprintf("fault %d", fault))
+		}
+		if f.VerifySPOR().Mismatches == 0 {
+			t.Fatalf("seed %d: twenty planted faults left the rebuild exact", seed)
+		}
+	}
+}
+
 func TestSPORAfterGC(t *testing.T) {
 	e, f := newSmall(t, smallCfg())
 	for i := 0; i < 100; i++ {
@@ -123,7 +306,7 @@ func TestSPORRandomTraffic(t *testing.T) {
 // slot rather than trusting the table's own iteration.
 func aliasedSlots(r *recoveryLog) []int64 {
 	var sids []int64
-	for sid := int64(0); sid < int64(len(r.oob)); sid++ {
+	for sid := int64(0); sid < int64(len(r.oobSeq)); sid++ {
 		if r.aliases.get(sid) != nil {
 			sids = append(sids, sid)
 		}

@@ -121,7 +121,10 @@ func (f *FTL) handleProgramFail(s Stream, idx int, inflight bool) {
 			// Bound slot: move every logical reference. luns is built by
 			// hand — not via lunsOf — because a caller (the GC migrate pass)
 			// may hold the shared scratch buffer across this call.
-			luns := append([]int64{f.rev[oldSid]}, f.revOverflow.get(oldSid)...)
+			luns := []int64{int64(f.rev[oldSid])}
+			for _, l := range f.revOverflow.get(oldSid) {
+				luns = append(luns, int64(l))
+			}
 			for _, lun := range luns {
 				f.l2p[lun] = -1
 			}

@@ -228,13 +228,57 @@ func TestSlotTableFootprint(t *testing.T) {
 	runtime.KeepAlive(&tab)
 }
 
+// TestFTLTableFootprint pins the width of the FTL's address tables at the
+// benchmark geometry (4 channels × 2 dies × 2 planes × 40 blocks × 64
+// pages of 4 KiB, 512 B units: 327,680 slots): the forward map, the
+// reverse map, the split OOB record and, under dftl, the flash-resident
+// map copy and the translation pages' OOB tvpn. Stored in 32 bits with a
+// 64-bit OOB sequence number they cost 19.6 B per slot under dram and
+// 23.6 B under dftl; one table back at 64 bits breaks the budget.
+func TestFTLTableFootprint(t *testing.T) {
+	geo := nand.Geometry{Channels: 4, PackagesPerChannel: 1, DiesPerPackage: 2, PlanesPerDie: 2,
+		BlocksPerPlane: 40, PagesPerBlock: 64, PageSize: 4096}
+	for _, tc := range []struct {
+		name     string
+		flashMap bool
+		budget   float64 // B per slot
+	}{{"dram", false, 20}, {"dftl", true, 24}} {
+		cfg := DefaultConfig()
+		cfg.UnitSize, cfg.OverProvision, cfg.Parallelism = 512, 0.12, 8
+		cfg.MetaFlushEntries, cfg.FlashMap, cfg.CMTEntries = 512, tc.flashMap, 32768
+		e := sim.NewEngine()
+		arr, err := nand.New(e, geo, fastTim())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := New(e, arr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := tableBytes(f.l2p) + tableBytes(f.rev) + tableBytes(f.rlog.oobLun) + tableBytes(f.rlog.oobSeq) +
+			tableBytes(f.fm.stored) + tableBytes(f.rlog.tp)
+		slots := len(f.refcnt)
+		perSlot := float64(bytes) / float64(slots)
+		t.Logf("%s: %d B of address tables over %d slots, %.2f B per slot", tc.name, bytes, slots, perSlot)
+		if slots != 327_680 || perSlot > tc.budget {
+			t.Errorf("%s: %.2f B per slot over %d slots, want at most %.0f over 327680", tc.name, perSlot, slots, tc.budget)
+		}
+	}
+}
+
+// tableBytes is the heap a table holds: its capacity times its element size.
+func tableBytes[T any](s []T) int64 {
+	var zero T
+	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
+}
+
 // overflowRef derives the reverse-overflow reference from the forward map
 // alone: slot → the logical units mapping to it other than its primary.
-func overflowRef(f *FTL) map[int64][]int64 {
-	ref := map[int64][]int64{}
+func overflowRef(f *FTL) map[int64][]int32 {
+	ref := map[int64][]int32{}
 	for lun, sid := range f.l2p {
-		if sid >= 0 && f.rev[sid] != int64(lun) {
-			ref[sid] = append(ref[sid], int64(lun))
+		if sid >= 0 && f.rev[sid] != int32(lun) {
+			ref[int64(sid)] = append(ref[int64(sid)], int32(lun))
 		}
 	}
 	return ref

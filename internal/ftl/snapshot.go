@@ -85,7 +85,8 @@ func Fork(eng *sim.Engine, array *nand.Array, src *FTL) (*FTL, error) {
 	fm.tpEpoch = cloneReserve(sfm.tpEpoch)
 
 	r := *src.rlog
-	r.oob = cloneReserve(src.rlog.oob)
+	r.oobLun = cloneReserve(src.rlog.oobLun)
+	r.oobSeq = cloneReserve(src.rlog.oobSeq)
 	r.aliases = src.rlog.aliases.clone()
 	r.trims = cloneReserve(src.rlog.trims)
 	r.tp = cloneReserve(src.rlog.tp)
