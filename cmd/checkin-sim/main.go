@@ -11,6 +11,11 @@
 //	checkin-sim -crashpoints -strategy=Check-In -seed=3 -site=journal-commit -hit=17
 //	checkin-sim -strategy Check-In -errors heavy
 //	checkin-sim -crashpoints -strategy=Check-In -seed=2 -site=read-retry -hit=5 -errors=heavy
+//	checkin-sim -crashpoints -strategy=Check-In -seed=2 -engine=lsm -ftlmap=dftl -errors=heavy
+//
+// -crashpoints takes any combination of -engine, -compaction, -ftlmap and
+// -errors: the crash schedule is derived from those four values alone, so
+// a repro line printed by the tests replays the run that failed.
 package main
 
 import (
@@ -74,7 +79,8 @@ func main() {
 	}
 	if *crashpoints {
 		refuseUnhonoured("-crashpoints", crashpointFlags)
-		runCrashpoints(s, *stack.Seed, *site, *hit, *stack.Errors, *stack.FTLMap, *stack.Engine, *compaction)
+		runCrashpoints(s, *stack.Seed, *site, *hit, check.Stack{
+			Engine: *stack.Engine, Compaction: *compaction, FTLMap: *stack.FTLMap, Errors: *stack.Errors})
 		return
 	}
 	// Settings both the single-stack and the sharded mode honour.
@@ -201,16 +207,15 @@ func main() {
 }
 
 // runCrashpoints drives the internal/check differential harness from the
-// CLI. With -site/-hit it reproduces exactly one armed crash — the mode a
-// failing test's repro line invokes. Without them it runs the full matrix
-// for the strategy and seed: a census of every injection site the workload
-// reaches, then sampled armed crashes at each, validating host recovery,
-// device SPOR, and FTL invariants at every crash instant.
-func runCrashpoints(s checkin.Strategy, seed int64, siteName string, hit int, errProfile, ftlmap, engine, compaction string) {
-	opts, err := check.ReproOptions(errProfile, ftlmap, engine, compaction)
-	if err != nil {
-		fatal(err)
-	}
+// CLI on the stack's crash schedule (check.Stack.Schedule), the one the
+// tests run. With -site/-hit it reproduces exactly one armed crash — the
+// mode a failing test's repro line invokes. Without them it runs the full
+// matrix for the strategy and seed: a census of every injection site the
+// workload reaches, then sampled armed crashes at each site the stack arms,
+// validating host recovery, device SPOR, and FTL invariants at every crash
+// instant.
+func runCrashpoints(s checkin.Strategy, seed int64, siteName string, hit int, stack check.Stack) {
+	opts := stack.Schedule()
 	tr, err := check.NewTrace(opts, seed)
 	if err != nil {
 		fatal(err)
@@ -237,7 +242,7 @@ func runCrashpoints(s checkin.Strategy, seed int64, siteName string, hit int, er
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("crash-point census (strategy=%s seed=%d):\n", s, seed)
+	fmt.Printf("crash-point census (strategy=%s seed=%d stack=%s):\n", s, seed, opts.Stack)
 	for _, st := range inject.Sites() {
 		fmt.Printf("  %-15s %6d hits\n", st, census.RunHits[st])
 	}

@@ -7,6 +7,10 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	checkin "github.com/checkin-kv/checkin"
+	"github.com/checkin-kv/checkin/internal/check"
+	"github.com/checkin-kv/checkin/internal/inject"
 )
 
 // TestMain runs the command itself when re-executed by runSim.
@@ -65,6 +69,25 @@ func TestCrashpointsRefusesUnhonouredFlags(t *testing.T) {
 		"-site=journal-commit", "-hit=1", "-errors=off", "-ftlmap=dram", "-engine=journal", "-compaction=leveled")
 	if code != 0 || !strings.HasSuffix(strings.TrimSpace(out), ": ok") {
 		t.Errorf("honoured flags: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+}
+
+// TestCrashpointsReplaysReproLine: the repro line of a crash run on a
+// stack that sets all four stack flags replays under -crashpoints and ends
+// exactly as the run did.
+func TestCrashpointsReplaysReproLine(t *testing.T) {
+	opts := check.Stack{Engine: "lsm", Compaction: "tiered", FTLMap: "dftl-basic", Errors: "heavy"}.Schedule()
+	tr, err := check.NewTrace(opts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := check.RunCrash(checkin.StrategyISCC, 3, inject.SiteTransFlush, 2, tr, opts)
+	if !want.Fired || want.Err != nil {
+		t.Fatalf("crash run: %s", want)
+	}
+	code, out, errOut := runSim(t, strings.Fields(want.Repro())[1:]...)
+	if code != 0 || strings.TrimSpace(out) != want.String() {
+		t.Errorf("%s: exit %d, stdout %q, stderr %q; want %q", want.Repro(), code, out, errOut, want.String())
 	}
 }
 

@@ -4,37 +4,34 @@
 // *correct* — equal recovered state after a crash at any instrumented
 // point — and only differ in cost.
 //
-// The pieces:
-//
-//   - Model: a plain in-memory map of per-key committed versions, updated
-//     from the journal's commit hook the instant a group commit becomes
-//     durable. At any moment it is the ground truth for what recovery must
-//     reproduce (the "committed prefix" of the operation stream).
-//
+//   - Model: per-key committed versions, fed by the engine's commit hook
+//     the instant a group commit becomes durable: the ground truth for what
+//     recovery must reproduce (the "committed prefix" of the op stream).
+//   - Stack: the engine, compaction policy, mapping table and error
+//     profile a repro line names; Stack.Schedule derives the whole crash
+//     schedule from it.
 //   - Census: a run with a counting-only injector records how many times
-//     each inject.Site fires on a given (strategy, seed, trace). The
-//     simulation is deterministic, so the census is a complete schedule of
-//     crashable instants.
-//
-//   - CrashMatrix: for every site the census saw, re-run the same trace
+//     each inject.Site fires on a (strategy, seed, trace). The simulation
+//     is deterministic, so the census is a complete schedule of crashable
+//     instants.
+//   - CrashMatrix: for every armed site the census saw, re-run the trace
 //     with the injector armed to crash at chosen hits. At the crash instant
 //     (deferred to an immediate scheduler slot so mid-event call chains
-//     have restored their invariants) the harness validates:
+//     have restored their invariants) Validate checks that host recovery
+//     equals the model's committed versions exactly, that the device's
+//     SPOR rebuild (ftl.VerifySPOR) loses no durable state (volatile
+//     write-buffer loss is reported separately and is legal), and that the
+//     FTL invariants (ftl.CheckInvariants) hold.
 //
-//     1. host recovery — HostEngine.Recovery() (checkpoint + committed
-//     journal replay) equals the model's committed versions, exactly;
-//     2. device SPOR — ftl.VerifySPOR() rebuilds the mapping table from
-//     OOB records with zero mismatches (volatile write-buffer loss is
-//     reported separately and is legal);
-//     3. FTL invariants — ftl.CheckInvariants() (refcount consistency,
-//     LSN→slot bijection, valid-page and free-pool accounting).
-//
-// Every failure carries (strategy, seed, site, hit): re-arming the same
-// injector on the same seed reproduces it exactly.
+// Every failure carries (strategy, seed, stack, site, hit): re-arming the
+// same injector on the same seed reproduces it exactly.
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	checkin "github.com/checkin-kv/checkin"
@@ -76,87 +73,148 @@ func (m *Model) Commit(key, version int64) {
 // not mutate).
 func (m *Model) Committed() []int64 { return m.committed }
 
-// Options scales the verification workload. The zero value is unusable;
-// start from DefaultOptions.
+// Stack names one simulated stack by the four values a repro line carries
+// in checkin-sim's -engine, -compaction, -ftlmap and -errors flags. An empty
+// field means the flag's default: journal, leveled, dram, off. The journal
+// engine ignores the compaction policy.
+type Stack struct {
+	Engine, Compaction, FTLMap, Errors string
+}
+
+// norm fills in the defaults, so stacks that run alike compare equal. Error
+// profile names match in any case, as checkin.ParseErrorProfile reads them.
+func (s Stack) norm() Stack {
+	s = Stack{cmp.Or(s.Engine, "journal"), cmp.Or(s.Compaction, "leveled"), cmp.Or(s.FTLMap, "dram"), cmp.Or(strings.ToLower(s.Errors), "off")}
+	if s.Engine != "lsm" {
+		s.Compaction = "leveled"
+	}
+	return s
+}
+
+// String names the stack engine[-policy]/ftlmap/errors, such as
+// lsm-tiered/dftl/heavy.
+func (s Stack) String() string {
+	s = s.norm()
+	if s.Engine == "lsm" {
+		s.Engine += "-" + s.Compaction
+	}
+	return s.Engine + "/" + s.FTLMap + "/" + s.Errors
+}
+
+// Options is one stack's crash schedule: the verification workload, the
+// layer bounds that make its crash points fire at verification scale, the
+// sites CrashMatrix arms (in site order) and the coverage every census must
+// show. Build it with Stack.Schedule: the tests and checkin-sim
+// -crashpoints both do, so a repro line, which names the stack, replays the
+// schedule that failed.
 type Options struct {
-	Keys    int64
-	Ops     int
-	Threads int
-	// CrashesPerSite bounds how many distinct hits of each site are
-	// crash-tested per (strategy, seed).
-	CrashesPerSite int
-	// Errors names a checkin.ErrorProfile applied to every build ("" or
-	// "off" = perfect flash). With a profile on, the NAND fault model runs
-	// under the same deterministic schedule in the census and every armed
-	// run, so crash points and flash faults compose: a crash can land in
-	// the middle of a read-retry ladder or a bad-block migration.
-	Errors string
-	// FTLMap selects the mapping-table model for every build ("" = dram).
-	// Under "dftl" and "dftl-basic" the translation-page sites fire and the
-	// differential mapping oracle arms, so a crash can land mid-writeback or
-	// mid-translation-GC with the CMT coherence sweep validating the instant.
-	FTLMap string
-	// CMTEntries bounds the dftl CMT (0 = derive from MapCacheMB). The
-	// matrix pins it small so capacity evictions actually happen at
-	// verification scale.
-	CMTEntries int
-	// Engine selects the host backend for every build ("" = journal).
-	// Under "lsm" the WAL/memtable/compaction sites fire and recovery is
-	// manifest + WAL-tail replay instead of checkpoint + journal replay —
-	// the same oracle validates both.
-	Engine string
-	// Compaction and MemtableEntries forward the LSM shape (ignored by the
-	// journal engine). The LSM matrix pins the memtable small so flush and
-	// compaction happen many times within one verification trace.
-	Compaction      string
-	MemtableEntries int
+	Stack
+	Keys         int64
+	Ops, Threads int
+	Sites        []inject.Site
+	Must         Coverage
+	// CrashesPerSite bounds the hits of each site crash-tested per
+	// (strategy, seed). CMTEntries and MemtableEntries bound a
+	// flash-resident map's CMT and the LSM memtable (0: the layer default).
+	CrashesPerSite, CMTEntries, MemtableEntries int
 }
 
-// DefaultOptions is sized so one (strategy, seed) matrix — census plus all
-// armed runs — completes in well under a second of wall clock while still
-// driving group commits, checkpoints on both the periodic and soft
-// triggers, journal deallocation, foreground/background GC, metadata
-// flushes and wear leveling.
-func DefaultOptions() Options {
-	return Options{Keys: 1500, Ops: 3000, Threads: 4, CrashesPerSite: 2,
-		Engine: "journal", Compaction: "leveled"}
+// Coverage is what a census must show. Every lists the sites every census
+// hits; Remap and Copy add those every census of a remap strategy (ISC-C,
+// Check-In) or of a copy strategy (ISC-A, ISC-B) hits. Some lists the sites
+// at least one census of a table row hits; Never those no census hits.
+type Coverage struct {
+	Every, Remap, Copy, Some, Never []inject.Site
 }
 
-// DFTLCMTEntries pins the dftl verification builds' CMT bound at two
-// translation pages' worth of entries (the minimum at the 4 KB page size):
-// small enough that the workload forces capacity evictions — including
-// dirty-tail evictions that write the victim's translation page back — so
-// the trans-evict site fires. The checkin-sim -crashpoints CLI uses the
-// same value, keeping repro lines faithful.
-const DFTLCMTEntries = 1024
-
-// DFTLOptions is the dftl crash-matrix schedule: DefaultOptions with the
-// flash-resident mapping table of model ftlmap ("dftl" or "dftl-basic") on,
-// the CMT bound pinned, and a longer trace so translation-block churn builds
-// enough GC pressure that the trans-gc site fires. Tests and the checkin-sim
-// -crashpoints CLI must both use it so (seed, site, hit, -ftlmap) repro
-// lines replay identically.
-func DFTLOptions(ftlmap string) Options {
-	o := DefaultOptions()
-	o.Ops = 9000
-	o.FTLMap = ftlmap
-	o.CMTEntries = DFTLCMTEntries
-	return o
+// union returns c with d's sites added.
+func (c Coverage) union(d Coverage) Coverage {
+	return Coverage{union(c.Every, d.Every), union(c.Remap, d.Remap), union(c.Copy, d.Copy),
+		union(c.Some, d.Some), union(c.Never, d.Never)}
 }
 
-// LSMOptions is the LSM-backend crash-matrix schedule: DefaultOptions with
-// the lsm engine selected, a longer trace, and a small memtable bound so
-// the run crosses many flush epochs and several compactions — enough that
-// every LSM site (wal-append, wal-commit, mem-flush, compact-install,
-// manifest-publish) fires. Tests and the checkin-sim -crashpoints CLI must
-// both use it so (seed, site, hit, -engine=lsm) repro lines replay
-// identically. policy selects the compaction policy under test.
-func LSMOptions(policy string) Options {
-	o := DefaultOptions()
-	o.Ops = 6000
-	o.Engine = "lsm"
-	o.Compaction = policy
-	o.MemtableEntries = 256
+// union returns the sites of a and b, in site order.
+func union(a, b []inject.Site) []inject.Site {
+	out := slices.Concat(a, b)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// axis is what one value of a stack axis adds to the schedule. Schedule
+// folds in the axis of each of the stack's values: the longest trace, the
+// largest bounds, and the union of the armed sites and of the coverage.
+type axis struct {
+	ops, cmt, memtable int
+	// arm lists the sites crash-tested under this value; a stack that no
+	// value narrows arms every site.
+	arm  []inject.Site
+	must Coverage
+}
+
+// flashMap is the axis of a flash-resident mapping table (dftl,
+// dftl-basic): a CMT of two translation pages' entries (the minimum at 4 KB
+// pages), which the remap strategies' 512-byte units overflow, so victims
+// are written back (trans-evict); a longer trace for translation-block
+// churn; the three translation-page sites armed, plus three core sites.
+// trans-gc needs GC to dig into a block still holding live translation
+// pages, which only NAND faults bring about at this scale; the FTL layer
+// covers it (TestTransGCCrashConsistency in internal/ftl).
+var flashMap = axis{ops: 9000, cmt: 1024,
+	arm: []inject.Site{inject.SiteTransFlush, inject.SiteTransEvict, inject.SiteTransGC,
+		inject.SiteJournalCommit, inject.SiteCheckpointApply, inject.SiteGCMigrate},
+	must: Coverage{Every: []inject.Site{inject.SiteTransFlush}, Remap: []inject.Site{inject.SiteTransEvict}}}
+
+// faultSites are the crash points the heavy error profile arms: the four fault
+// sites (mid retry ladder, program-failure restage, erase-failure
+// retirement, bad-block migration) plus two core sites.
+var faultSites = []inject.Site{inject.SiteReadRetry, inject.SiteProgramFail, inject.SiteEraseFail,
+	inject.SiteBadBlockRetire, inject.SiteJournalCommit, inject.SiteCheckpointApply}
+
+// common is the axis every stack folds in. The wear-level site is covered
+// at the FTL layer (TestWearLevelCrashConsistency in internal/ftl): the
+// full-stack workload rarely reaches an idle window.
+var common = axis{ops: 3000, must: Coverage{
+	Every: []inject.Site{inject.SiteDeallocate, inject.SiteGCMigrate},
+	Remap: []inject.Site{inject.SiteCheckpointRemap}, Copy: []inject.Site{inject.SiteCheckpointCopy}}}
+
+// axes holds the axis of every value a Stack field takes; the compaction
+// policies add nothing. Erase failures depend on how often a strategy
+// erases at all (ISC-C and Check-In rarely do at this scale), so they are
+// asserted per row.
+var axes = map[string]axis{
+	"journal": {must: Coverage{
+		Every: []inject.Site{inject.SiteJournalAppend, inject.SiteJournalCommit, inject.SiteCheckpointCut, inject.SiteCheckpointApply},
+		Never: []inject.Site{inject.SiteWALAppend, inject.SiteWALCommit, inject.SiteMemFlush, inject.SiteCompactInstall, inject.SiteManifestPublish}}},
+	// The LSM's small memtable and longer trace cross many flush epochs
+	// and several compactions.
+	"lsm": {ops: 6000, memtable: 256, arm: inject.Sites(), must: Coverage{
+		Every: []inject.Site{inject.SiteWALAppend, inject.SiteWALCommit, inject.SiteMemFlush, inject.SiteCompactInstall, inject.SiteManifestPublish},
+		Never: []inject.Site{inject.SiteJournalAppend, inject.SiteJournalCommit, inject.SiteCheckpointCut, inject.SiteCheckpointApply}}},
+	"dram": {must: Coverage{Every: []inject.Site{inject.SiteMetaFlush},
+		Never: []inject.Site{inject.SiteTransFlush, inject.SiteTransEvict, inject.SiteTransGC}}},
+	"dftl":       flashMap,
+	"dftl-basic": flashMap,
+	"off": {must: Coverage{
+		Never: []inject.Site{inject.SiteReadRetry, inject.SiteProgramFail, inject.SiteEraseFail, inject.SiteBadBlockRetire}}},
+	"heavy": {arm: faultSites, must: Coverage{
+		Every: []inject.Site{inject.SiteReadRetry, inject.SiteProgramFail, inject.SiteBadBlockRetire},
+		Some:  []inject.Site{inject.SiteEraseFail}}},
+}
+
+// Schedule derives the stack's crash schedule. One (strategy, seed) of it,
+// census plus every armed run, takes well under a second of wall clock
+// while driving group commits, checkpoints on both triggers, deallocation,
+// GC, and whatever each of the stack's values adds.
+func (s Stack) Schedule() Options {
+	o := Options{Stack: s.norm(), Keys: 1500, Threads: 4, CrashesPerSite: 2}
+	for _, a := range []axis{common, axes[o.Engine], axes[o.Compaction], axes[o.FTLMap], axes[o.Errors]} {
+		o.Ops, o.CMTEntries, o.MemtableEntries = max(o.Ops, a.ops), max(o.CMTEntries, a.cmt), max(o.MemtableEntries, a.memtable)
+		o.Sites = union(o.Sites, a.arm)
+		o.Must = o.Must.union(a.must)
+	}
+	if o.Sites == nil {
+		o.Sites = inject.Sites()
+	}
 	return o
 }
 
@@ -187,24 +245,15 @@ func Build(strategy checkin.Strategy, seed int64, opts Options, inj *inject.Inje
 	cfg := checkin.DefaultConfig()
 	cfg.Strategy = strategy
 	cfg.Seed = seed
-	cfg.Channels = 2
-	cfg.DiesPerChannel = 2
-	cfg.PlanesPerDie = 1
-	cfg.BlocksPerPlane = 32
-	cfg.PagesPerBlock = 32
-	cfg.PageSizeBytes = 4096
-	cfg.Keys = opts.Keys
-	cfg.Records = sizer()
-	cfg.JournalHalfMB = 1
+	cfg.Channels, cfg.DiesPerChannel, cfg.PlanesPerDie = 2, 2, 1
+	cfg.BlocksPerPlane, cfg.PagesPerBlock, cfg.PageSizeBytes = 32, 32, 4096
+	cfg.Keys, cfg.Records = opts.Keys, sizer()
+	cfg.JournalHalfMB, cfg.DataCacheMB = 1, 1
 	cfg.CheckpointInterval = 25 * time.Millisecond
-	cfg.DataCacheMB = 1
 	cfg.WearDeltaThreshold = 3
 	cfg.Injector = inj
-	cfg.FTLMap = opts.FTLMap
-	cfg.CMTEntries = opts.CMTEntries
-	cfg.Engine = opts.Engine
-	cfg.Compaction = opts.Compaction
-	cfg.MemtableEntries = opts.MemtableEntries
+	cfg.Engine, cfg.Compaction, cfg.MemtableEntries = opts.Engine, opts.Compaction, opts.MemtableEntries
+	cfg.FTLMap, cfg.CMTEntries = opts.FTLMap, opts.CMTEntries
 	flashMap := opts.FTLMap == "dftl" || opts.FTLMap == "dftl-basic"
 	if flashMap {
 		// Tighter free-space margin so GC pressure stays high with the
@@ -220,7 +269,7 @@ func Build(strategy checkin.Strategy, seed int64, opts Options, inj *inject.Inje
 			cfg.MetaFlushEntries = 64
 		}
 	}
-	if opts.Errors != "" {
+	if opts.Errors != "off" {
 		profile, err := checkin.ParseErrorProfile(opts.Errors)
 		if err != nil {
 			return nil, nil, err
@@ -263,10 +312,7 @@ func Validate(db *checkin.DB, model *Model) error {
 	if rep := db.Device().FTL().VerifySPOR(); rep.Mismatches != 0 {
 		return fmt.Errorf("device SPOR rebuild lost durable state: %s", rep)
 	}
-	if err := db.Device().FTL().CheckInvariants(); err != nil {
-		return err
-	}
-	return nil
+	return db.Device().FTL().CheckInvariants()
 }
 
 // replay runs the recorded trace, then leaves the device idle for 50 ms: a
@@ -321,58 +367,28 @@ func RunCensus(strategy checkin.Strategy, seed int64, tr *checkin.Trace, opts Op
 type CrashResult struct {
 	Strategy checkin.Strategy
 	Seed     int64
+	Stack    Stack
 	Site     inject.Site
-	Hit      int    // 1-based hit index within the measured run
-	Errors   string // error profile the run was built with ("" = off)
-	FTLMap   string // mapping-table model the run was built with ("" = dram)
-	Engine   string // host backend the run was built with ("" = journal)
-	Policy   string // LSM compaction policy ("" = n/a or leveled default)
+	Hit      int // 1-based hit index within the measured run
 	Fired    bool
 	Err      error
 }
 
-// Repro renders the one-command reproduction line.
+// Repro renders the one-command reproduction line; stack flags appear
+// only where they differ from checkin-sim's defaults.
 func (r CrashResult) Repro() string {
 	line := fmt.Sprintf("checkin-sim -crashpoints -strategy=%s -seed=%d -site=%s -hit=%d",
 		r.Strategy, r.Seed, r.Site, r.Hit)
-	if r.Errors != "" {
-		line += fmt.Sprintf(" -errors=%s", r.Errors)
-	}
-	if r.FTLMap != "" && r.FTLMap != "dram" {
-		line += fmt.Sprintf(" -ftlmap=%s", r.FTLMap)
-	}
-	if r.Engine != "" && r.Engine != "journal" {
-		line += fmt.Sprintf(" -engine=%s", r.Engine)
-		if r.Policy != "" && r.Policy != "leveled" {
-			line += fmt.Sprintf(" -compaction=%s", r.Policy)
+	s, def := r.Stack.norm(), Stack{}.norm()
+	for _, f := range []struct{ flag, v, def string }{
+		{"errors", s.Errors, def.Errors}, {"ftlmap", s.FTLMap, def.FTLMap},
+		{"engine", s.Engine, def.Engine}, {"compaction", s.Compaction, def.Compaction},
+	} {
+		if f.v != f.def {
+			line += fmt.Sprintf(" -%s=%s", f.flag, f.v)
 		}
 	}
 	return line
-}
-
-// ReproOptions returns the schedule a repro line's -errors, -ftlmap,
-// -engine and -compaction values select ("" means the flag is absent):
-// the Options of the matrix test that printed the line. checkin-sim
-// -crashpoints builds its runs from it, so a line replays the build that
-// failed.
-func ReproOptions(errors, ftlmap, engine, compaction string) (Options, error) {
-	opts := DefaultOptions()
-	dram := ftlmap == "" || ftlmap == "dram"
-	switch {
-	case engine == "lsm":
-		if !dram {
-			return Options{}, fmt.Errorf("-engine=lsm -crashpoints does not take -ftlmap=%s", ftlmap)
-		}
-		opts = LSMOptions(compaction)
-	case !dram:
-		opts = DFTLOptions(ftlmap)
-	}
-	// Open checks the names; the journal engine ignores the policy.
-	opts.Engine, opts.Compaction = engine, compaction
-	if errors != "off" {
-		opts.Errors = errors
-	}
-	return opts, nil
 }
 
 func (r CrashResult) String() string {
@@ -383,7 +399,7 @@ func (r CrashResult) String() string {
 	case r.Err != nil:
 		status = "FAIL: " + r.Err.Error()
 	}
-	return fmt.Sprintf("(seed=%d, site=%s#%d, strategy=%s): %s", r.Seed, r.Site, r.Hit, r.Strategy, status)
+	return fmt.Sprintf("(seed=%d, site=%s#%d, strategy=%s, stack=%s): %s", r.Seed, r.Site, r.Hit, r.Strategy, r.Stack, status)
 }
 
 // RunCrash replays the trace with a crash armed at the hit-th firing of
@@ -391,9 +407,7 @@ func (r CrashResult) String() string {
 // validation runs; the simulation then continues to completion so the
 // armed run's hit counting stays comparable to the census.
 func RunCrash(strategy checkin.Strategy, seed int64, site inject.Site, hit int, tr *checkin.Trace, opts Options) CrashResult {
-	res := CrashResult{Strategy: strategy, Seed: seed, Site: site, Hit: hit,
-		Errors: opts.Errors, FTLMap: opts.FTLMap, Engine: opts.Engine,
-		Policy: opts.Compaction}
+	res := CrashResult{Strategy: strategy, Seed: seed, Stack: opts.Stack, Site: site, Hit: hit}
 	inj := inject.New()
 	db, model, err := Build(strategy, seed, opts, inj)
 	if err != nil {
@@ -419,29 +433,17 @@ func RunCrash(strategy checkin.Strategy, seed int64, site inject.Site, hit int, 
 }
 
 // CrashMatrix runs the full schedule for one (strategy, seed): a census,
-// then up to CrashesPerSite armed runs per site that fired, sampling hits
-// evenly across each site's schedule (first, middle, last...). The census
-// is returned so callers can assert site coverage.
+// then up to CrashesPerSite armed runs per armed site that fired, sampling
+// hits evenly across each site's schedule (first, middle, last...). The
+// census is returned so callers can assert site coverage.
 func CrashMatrix(strategy checkin.Strategy, seed int64, tr *checkin.Trace, opts Options) ([]CrashResult, *Census, error) {
-	return CrashMatrixSites(strategy, seed, tr, opts, inject.Sites())
-}
-
-// CrashMatrixSites is CrashMatrix restricted to a subset of sites. The
-// error matrix uses it to arm only the NAND fault sites (plus a couple of
-// core sites, proving composition) without re-testing every crash point the
-// zero-rate matrix already covers.
-func CrashMatrixSites(strategy checkin.Strategy, seed int64, tr *checkin.Trace, opts Options, sites []inject.Site) ([]CrashResult, *Census, error) {
 	census, _, _, err := RunCensus(strategy, seed, tr, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	var results []CrashResult
-	for _, site := range sites {
-		n := census.RunHits[site]
-		if n == 0 {
-			continue
-		}
-		for _, hit := range sampleHits(n, opts.CrashesPerSite) {
+	for _, site := range opts.Sites {
+		for _, hit := range sampleHits(census.RunHits[site], opts.CrashesPerSite) {
 			results = append(results, RunCrash(strategy, seed, site, hit, tr, opts))
 		}
 	}
@@ -451,51 +453,38 @@ func CrashMatrixSites(strategy checkin.Strategy, seed int64, tr *checkin.Trace, 
 // sampleHits picks up to k distinct 1-based hit indexes spread over [1, n]:
 // always the first and last firing, with the rest evenly between.
 func sampleHits(n, k int) []int {
-	if k < 1 {
-		k = 1
-	}
-	if n <= k {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i + 1
-		}
-		return out
-	}
-	if k == 1 {
-		return []int{(n + 1) / 2}
-	}
-	out := make([]int, 0, k)
-	seen := make(map[int]bool)
-	for i := 0; i < k; i++ {
-		h := 1 + i*(n-1)/(k-1)
-		if !seen[h] {
-			seen[h] = true
+	k = max(k, 1)
+	out := make([]int, 0, min(n, k))
+	switch {
+	case n <= k:
+		for h := 1; h <= n; h++ {
 			out = append(out, h)
+		}
+	case k == 1:
+		out = append(out, (n+1)/2)
+	default: // n > k: steps of at least one, so the hits are distinct
+		for i := range k {
+			out = append(out, 1+i*(n-1)/(k-1))
 		}
 	}
 	return out
 }
 
-// FinalVersions replays the trace crash-free and returns the final
-// in-memory per-key versions — the cross-strategy equivalence signature
-// (every strategy must produce the identical vector for one trace).
-func FinalVersions(strategy checkin.Strategy, seed int64, tr *checkin.Trace, opts Options) ([]int64, error) {
-	_, _, db, err := RunCensus(strategy, seed, tr, opts)
-	if err != nil {
-		return nil, err
-	}
-	return db.Host().Recovery().InMemory, nil
+// Epoch is what a crash reconstructs at one checkpoint epoch: the
+// recovered-version vector, and the payload bytes logged so far.
+type Epoch struct {
+	Recovered []int64
+	Logged    uint64
 }
 
 // EpochSignatures is the cross-backend differential driver: one client
 // applies the trace sequentially through the HostEngine interface, and
 // every epochEvery operations it syncs, cuts a checkpoint epoch, and
-// captures the recovered-version vector (what a crash at that instant
-// reconstructs). Two backends fed the same trace must produce identical
-// signature sequences — same committed prefix at every epoch — regardless
-// of how differently they lay the data out. The final state is also fully
-// validated against the reference model.
-func EpochSignatures(strategy checkin.Strategy, seed int64, tr *checkin.Trace, opts Options, epochEvery int) ([][]int64, error) {
+// captures the Epoch. Two backends fed the same trace must produce
+// identical sequences — same committed prefix and same logged bytes at
+// every epoch — regardless of how differently they lay the data out. The
+// final state is also fully validated against the reference model.
+func EpochSignatures(strategy checkin.Strategy, seed int64, tr *checkin.Trace, opts Options, epochEvery int) ([]Epoch, error) {
 	db, model, err := Build(strategy, seed, opts, inject.New())
 	if err != nil {
 		return nil, err
@@ -505,7 +494,7 @@ func EpochSignatures(strategy checkin.Strategy, seed int64, tr *checkin.Trace, o
 	host := db.Host()
 	eng := db.Sim()
 
-	var sigs [][]int64
+	var epochs []Epoch
 	var fail error
 	eng.Go("equivalence-driver", func(p *sim.Proc) {
 		for i, op := range tr.Ops {
@@ -519,11 +508,11 @@ func EpochSignatures(strategy checkin.Strategy, seed int64, tr *checkin.Trace, o
 				for k := range sig {
 					if sig[k] != model.Committed()[k] {
 						fail = fmt.Errorf("epoch %d: recovered[%d]=%d, model committed %d",
-							len(sigs), k, sig[k], model.Committed()[k])
+							len(epochs), k, sig[k], model.Committed()[k])
 						return
 					}
 				}
-				sigs = append(sigs, sig)
+				epochs = append(epochs, Epoch{sig, host.JournalStats().PayloadBytes})
 			}
 		}
 	})
@@ -536,5 +525,5 @@ func EpochSignatures(strategy checkin.Strategy, seed int64, tr *checkin.Trace, o
 	if err := Validate(db, model); err != nil {
 		return nil, fmt.Errorf("final validation: %w", err)
 	}
-	return sigs, nil
+	return epochs, nil
 }

@@ -3,190 +3,242 @@ package check
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	checkin "github.com/checkin-kv/checkin"
 	"github.com/checkin-kv/checkin/internal/inject"
 )
 
-// matrixSeeds are the seeds the CI crash matrix covers (acceptance
-// criterion: every fired site × all five strategies × ≥ 3 seeds).
-var matrixSeeds = []int64{1, 2, 3}
+const (
+	baseline = checkin.StrategyBaseline
+	iscA     = checkin.StrategyISCA
+	iscB     = checkin.StrategyISCB
+	iscC     = checkin.StrategyISCC
+	checkIn  = checkin.StrategyCheckIn
+)
 
-// TestCrashMatrix is the differential crash-consistency net: for every
-// strategy and seed, census the injection schedule, then crash at sampled
-// hits of every site that fired and assert (1) host recovery equals the
-// reference model's committed prefix, (2) the device SPOR rebuild loses no
-// durable state, (3) the FTL invariants hold. Any failure prints a
-// (seed, site, strategy) line that reproduces it in one command.
-func TestCrashMatrix(t *testing.T) {
-	opts := DefaultOptions()
-	for _, seed := range matrixSeeds {
-		tr, err := NewTrace(opts, seed)
-		if err != nil {
-			t.Fatal(err)
+var (
+	// matrixSeeds are the seeds a full row covers: every fired site × all
+	// five strategies × ≥ 3 seeds.
+	matrixSeeds = []int64{1, 2, 3}
+	lsmLeveled  = Stack{Engine: "lsm"}
+	lsmTiered   = Stack{Engine: "lsm", Compaction: "tiered"}
+)
+
+// row is one line of the crash table: a stack crashed under strategies ×
+// seeds. test names the test that runs the row and label prefixes its
+// subtests, so each cell keeps the name it had in the single-axis matrix
+// that first ran it.
+type row struct {
+	test, label string
+	stack       Stack
+	strategies  []checkin.Strategy
+	seeds       []int64
+}
+
+// crashTable is every crash cell of the package. With the combined rows at
+// its end, every pair of values of two axes — engine and compaction policy,
+// mapping table, error profile — meets in some row (TestCrashTable).
+var crashTable = []row{
+	{"TestCrashMatrix", "", Stack{}, checkin.Strategies, matrixSeeds},
+	{"TestErrorMatrix", "", Stack{Errors: "heavy"}, checkin.Strategies, matrixSeeds},
+	{"TestDFTLCrashMatrix", "", Stack{FTLMap: "dftl"}, checkin.Strategies, matrixSeeds},
+	// The basic layer's paths (demanded-entry insert, strict-LRU eviction,
+	// no cut batch) on the two remap strategies.
+	{"TestDFTLCrashMatrix", "dftl-basic", Stack{FTLMap: "dftl-basic"}, []checkin.Strategy{checkIn, iscC}, matrixSeeds[:1]},
+	// Baseline and Check-In crash on every seed; ISC-A, ISC-B and ISC-C on
+	// one each, a different one per strategy.
+	{"TestLSMCrashMatrix", "leveled", lsmLeveled, []checkin.Strategy{baseline, checkIn}, matrixSeeds},
+	{"TestLSMCrashMatrix", "leveled", lsmLeveled, []checkin.Strategy{iscA}, []int64{2}},
+	{"TestLSMCrashMatrix", "leveled", lsmLeveled, []checkin.Strategy{iscB}, []int64{3}},
+	{"TestLSMCrashMatrix", "leveled", lsmLeveled, []checkin.Strategy{iscC}, []int64{1}},
+	{"TestLSMCrashMatrix", "tiered", lsmTiered, []checkin.Strategy{baseline, checkIn}, matrixSeeds},
+	{"TestLSMCrashMatrix", "tiered", lsmTiered, []checkin.Strategy{iscA}, []int64{2}},
+	{"TestLSMCrashMatrix", "tiered", lsmTiered, []checkin.Strategy{iscB}, []int64{3}},
+	{"TestLSMCrashMatrix", "tiered", lsmTiered, []checkin.Strategy{iscC}, []int64{1}},
+	// Combined stacks: the LSM over a flash-resident map, with and without
+	// NAND faults. checkin-sim -crashpoints runs the other strategies.
+	{"TestCrashMatrix", "lsm-leveled/dftl/heavy", Stack{"lsm", "", "dftl", "heavy"}, []checkin.Strategy{iscC, checkIn}, []int64{2}},
+	{"TestCrashMatrix", "lsm-leveled/dftl-basic/off", Stack{"lsm", "", "dftl-basic", ""}, []checkin.Strategy{baseline, iscA}, []int64{1}},
+	{"TestCrashMatrix", "lsm-tiered/dftl/off", Stack{"lsm", "tiered", "dftl", ""}, []checkin.Strategy{iscB, checkIn}, []int64{3}},
+	{"TestCrashMatrix", "lsm-tiered/dftl-basic/heavy", Stack{"lsm", "tiered", "dftl-basic", "heavy"}, []checkin.Strategy{baseline, iscC}, []int64{3}},
+}
+
+// TestCrashMatrix, TestErrorMatrix, TestDFTLCrashMatrix and
+// TestLSMCrashMatrix run the crash table's rows, each its own.
+func TestCrashMatrix(t *testing.T)     { runTable(t) }
+func TestErrorMatrix(t *testing.T)     { runTable(t) }
+func TestDFTLCrashMatrix(t *testing.T) { runTable(t) }
+func TestLSMCrashMatrix(t *testing.T)  { runTable(t) }
+
+// runTable runs the crash table's rows that belong to t's test, a labelled
+// row under a subtest of its label. Each (strategy, seed) cell, in parallel
+// with the others, censuses the trace, crashes at sampled hits of every
+// armed site that fired, and asserts (1) host recovery equals the reference
+// model's committed prefix, (2) the device SPOR rebuild loses no durable
+// state, (3) the FTL invariants hold, and the census shows the stack's
+// coverage. Any failure prints a line that reproduces it in one command.
+func runTable(t *testing.T) {
+	var labels []string
+	for _, r := range crashTable {
+		if r.test == t.Name() && r.label != "" && !slices.Contains(labels, r.label) {
+			labels = append(labels, r.label)
 		}
-		for _, s := range checkin.Strategies {
-			s, seed, tr := s, seed, tr
-			t.Run(fmt.Sprintf("%s/seed%d", s, seed), func(t *testing.T) {
-				results, census, err := CrashMatrix(s, seed, tr, opts)
-				if err != nil {
-					t.Fatal(err)
+	}
+	runRows(t, t.Name(), "")
+	for _, label := range labels {
+		t.Run(label, func(lt *testing.T) {
+			lt.Parallel()
+			runRows(lt, t.Name(), label)
+		})
+	}
+}
+
+// runRows runs the cells of test's rows labelled label as subtests of t.
+func runRows(t *testing.T, test, label string) {
+	var mu sync.Mutex
+	for _, r := range crashTable {
+		if r.test != test || r.label != label {
+			continue
+		}
+		opts := r.stack.Schedule()
+		var rowHits [inject.NumSites]int
+		t.Cleanup(func() { // after every cell of the row
+			for _, site := range opts.Must.Some {
+				if rowHits[site] == 0 {
+					t.Errorf("%s never hit site %s across %v × seeds %v — crash coverage lost", r.stack, site, r.strategies, r.seeds)
 				}
-				if len(results) == 0 {
-					t.Fatal("matrix produced no crash runs")
-				}
-				for _, r := range results {
-					if !r.Fired {
-						t.Errorf("%s — armed crash never fired (census drifted?)", r)
+			}
+		})
+		for _, seed := range r.seeds {
+			for _, s := range r.strategies {
+				t.Run(fmt.Sprintf("%s/seed%d", s, seed), func(t *testing.T) {
+					t.Parallel()
+					results, census, err := CrashMatrix(s, seed, trace(t, opts, seed), opts)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if r.Err != nil {
-						t.Errorf("%s\n  reproduce: %s", r, r.Repro())
+					if len(results) == 0 {
+						t.Fatal("matrix produced no crash runs")
 					}
-				}
-				assertCoverage(t, s, census)
-			})
+					for _, r := range results {
+						if !r.Fired {
+							t.Errorf("%s — armed crash never fired (census drifted?)", r)
+						}
+						if r.Err != nil {
+							t.Errorf("%s\n  reproduce: %s", r, r.Repro())
+						}
+					}
+					checkCoverage(t, s, opts.Must, census)
+					mu.Lock()
+					defer mu.Unlock()
+					for site, n := range census.RunHits {
+						rowHits[site] += n
+					}
+				})
+			}
 		}
 	}
 }
 
-// assertCoverage pins down which sites each strategy must exercise, so a
-// refactor that silently stops hitting a crash point fails loudly. The
-// wear-level site is covered at the FTL layer (TestWearLevelCrashConsistency
-// in internal/ftl): the full-stack workload rarely reaches an idle window.
-func assertCoverage(t *testing.T, s checkin.Strategy, c *Census) {
+// checkCoverage asserts that a census of strategy s hits every site c
+// wants of it and none c forbids, so a change that silently stops (or
+// starts) reaching a crash point fails loudly.
+func checkCoverage(t *testing.T, s checkin.Strategy, c Coverage, census *Census) {
 	t.Helper()
-	want := []inject.Site{
-		inject.SiteJournalAppend,
-		inject.SiteJournalCommit,
-		inject.SiteCheckpointCut,
-		inject.SiteCheckpointApply,
-		inject.SiteDeallocate,
-		inject.SiteMetaFlush,
-		inject.SiteGCMigrate,
+	every := c.Every
+	switch {
+	case s.UsesRemap():
+		every = union(every, c.Remap)
+	case s.Offloaded():
+		every = union(every, c.Copy)
 	}
-	switch s {
-	case checkin.StrategyISCA, checkin.StrategyISCB:
-		want = append(want, inject.SiteCheckpointCopy)
-	case checkin.StrategyISCC, checkin.StrategyCheckIn:
-		want = append(want, inject.SiteCheckpointRemap)
+	for _, site := range every {
+		if census.RunHits[site] == 0 {
+			t.Errorf("%s never hit site %s — crash coverage lost", s, site)
+		}
 	}
-	for _, site := range want {
-		if c.RunHits[site] == 0 {
-			t.Errorf("strategy %s never hit site %s — crash coverage lost", s, site)
+	for _, site := range c.Never {
+		if n := census.RunHits[site]; n != 0 {
+			t.Errorf("%s hit site %s %d times, which this stack must never reach", s, site, n)
 		}
 	}
 }
 
-// errorMatrixSites are the crash points the error matrix arms: the four
-// NAND fault sites themselves (a crash in the middle of a retry ladder, a
-// program-failure restage, an erase-failure retirement, a bad-block
-// migration) plus two core sites proving the ordinary crash points still
-// hold with the fault model running underneath. The remaining sites are
-// covered by the zero-rate TestCrashMatrix.
-var errorMatrixSites = []inject.Site{
-	inject.SiteReadRetry,
-	inject.SiteProgramFail,
-	inject.SiteEraseFail,
-	inject.SiteBadBlockRetire,
-	inject.SiteJournalCommit,
-	inject.SiteCheckpointApply,
-}
+// traces memoizes recorded traces: table cells, equivalence tests and the
+// fuzzer revisit them, and recording is the expensive part.
+var traces sync.Map // [3]int64{keys, ops, seed} -> *checkin.Trace
 
-// TestErrorMatrix is the differential error matrix (the NAND-fault analogue
-// of TestCrashMatrix): every strategy × seed runs the trace under the
-// "heavy" error profile — read retries, uncorrectable reads, program and
-// erase failures, block retirements, read-only degradation — and (1) the
-// crash-free census run must pass full validation, (2) a crash armed at
-// sampled hits of every error-matrix site must leave host recovery, the
-// SPOR rebuild and the FTL invariants intact. Failures print a
-// (seed, site, hit, -errors) line that reproduces in one command.
-func TestErrorMatrix(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Errors = "heavy"
-	agg := make(map[checkin.Strategy]*Census)
-	for _, seed := range matrixSeeds {
-		tr, err := NewTrace(opts, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range checkin.Strategies {
-			s, seed, tr := s, seed, tr
-			if agg[s] == nil {
-				agg[s] = &Census{}
-			}
-			t.Run(fmt.Sprintf("%s/seed%d", s, seed), func(t *testing.T) {
-				results, census, err := CrashMatrixSites(s, seed, tr, opts, errorMatrixSites)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for site, n := range census.RunHits {
-					agg[s].RunHits[site] += n
-				}
-				for _, r := range results {
-					if !r.Fired {
-						t.Errorf("%s — armed crash never fired (census drifted?)", r)
-					}
-					if r.Err != nil {
-						t.Errorf("%s\n  reproduce: %s", r, r.Repro())
-					}
-				}
-			})
-		}
+func trace(t testing.TB, opts Options, seed int64) *checkin.Trace {
+	key := [3]int64{opts.Keys, int64(opts.Ops), seed}
+	if tr, ok := traces.Load(key); ok {
+		return tr.(*checkin.Trace)
 	}
-	// Coverage: the read, program and retirement fault paths must fire for
-	// every strategy (across its three seeds). Erase failures depend on how
-	// often a strategy erases at all — ISC-C and Check-In legitimately erase
-	// rarely at this scale — so they are asserted globally.
-	eraseFails := 0
-	for _, s := range checkin.Strategies {
-		c := agg[s]
-		for _, site := range []inject.Site{inject.SiteReadRetry, inject.SiteProgramFail, inject.SiteBadBlockRetire} {
-			if c.RunHits[site] == 0 {
-				t.Errorf("strategy %s never hit fault site %s across %v — error coverage lost", s, site, matrixSeeds)
-			}
-		}
-		eraseFails += c.RunHits[inject.SiteEraseFail]
-	}
-	if eraseFails == 0 {
-		t.Errorf("no strategy hit %s across %v — error coverage lost", inject.SiteEraseFail, matrixSeeds)
-	}
-}
-
-// TestStrategyEquivalence replays one byte-identical YCSB-A trace on all
-// five configurations and asserts they converge to the identical final
-// key/value state — the cross-strategy differential check (semantic drift
-// between strategies, not just crash bugs).
-func TestStrategyEquivalence(t *testing.T) {
-	opts := DefaultOptions()
-	tr, err := checkin.RecordWorkload(opts.Keys, sizer(), checkin.WorkloadA, true, opts.Ops, 7)
+	tr, err := NewTrace(opts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref []int64
-	var refStrategy checkin.Strategy
-	for _, s := range checkin.Strategies {
-		got, err := FinalVersions(s, 7, tr, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
+	cached, _ := traces.LoadOrStore(key, tr)
+	return cached.(*checkin.Trace)
+}
+
+// tableStacks lists the crash table's stacks once each, in table order.
+func tableStacks() []Stack {
+	var out []Stack
+	for _, r := range crashTable {
+		if !slices.Contains(out, r.stack) {
+			out = append(out, r.stack)
 		}
-		if ref == nil {
-			ref, refStrategy = got, s
-			continue
-		}
-		if !reflect.DeepEqual(ref, got) {
-			diffs := 0
-			first := ""
-			for k := range ref {
-				if ref[k] != got[k] {
-					if diffs == 0 {
-						first = fmt.Sprintf("key %d: %s=v%d, %s=v%d", k, refStrategy, ref[k], s, got[k])
-					}
-					diffs++
-				}
+	}
+	return out
+}
+
+// productStacks is engine × compaction × ftlmap × errors (off, heavy): the
+// 18 stacks CI's full-product step crashes through checkin-sim.
+func productStacks() []Stack {
+	var out []Stack
+	for _, eng := range []Stack{{}, lsmLeveled, lsmTiered} {
+		for _, m := range []string{"dram", "dftl", "dftl-basic"} {
+			for _, e := range []string{"off", "heavy"} {
+				out = append(out, Stack{eng.Engine, eng.Compaction, m, e})
 			}
-			t.Errorf("%s diverges from %s at %d keys (first: %s)", s, refStrategy, diffs, first)
+		}
+	}
+	return out
+}
+
+// TestCrashTable pins the table's shape: the 65 cells of the four
+// single-axis matrices plus the 8 of the combined rows, every row run by
+// one of the four matrix tests, and every pair of values of two axes
+// meeting in some row.
+func TestCrashTable(t *testing.T) {
+	tests := map[string]bool{"TestCrashMatrix": true, "TestErrorMatrix": true, "TestDFTLCrashMatrix": true, "TestLSMCrashMatrix": true}
+	met := map[[2]string]bool{}
+	pairs := func(st Stack) [][2]string {
+		v := strings.Split(st.String(), "/")
+		return [][2]string{{v[0], v[1]}, {v[0], v[2]}, {v[1], v[2]}}
+	}
+	cells := 0
+	for _, r := range crashTable {
+		if !tests[r.test] {
+			t.Errorf("row %s names test %q, which does not run it", r.stack, r.test)
+		}
+		cells += len(r.strategies) * len(r.seeds)
+		for _, p := range pairs(r.stack) {
+			met[p] = true
+		}
+	}
+	if cells != 65+8 {
+		t.Errorf("crash table has %d cells, want 73", cells)
+	}
+	for _, st := range productStacks() {
+		for _, p := range pairs(st) {
+			if !met[p] {
+				t.Errorf("no row of the crash table runs %s with %s", p[0], p[1])
+			}
 		}
 	}
 }
@@ -195,11 +247,8 @@ func TestStrategyEquivalence(t *testing.T) {
 // run itself must pass the full validation (it does, inside RunCensus) and
 // the model must agree with the engine's own durable-version accounting.
 func TestCrashFreeValidationAllStrategies(t *testing.T) {
-	opts := DefaultOptions()
-	tr, err := NewTrace(opts, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := Stack{}.Schedule()
+	tr := trace(t, opts, 5)
 	for _, s := range checkin.Strategies {
 		_, model, db, err := RunCensus(s, 5, tr, opts)
 		if err != nil {
@@ -242,26 +291,35 @@ func TestSampleHits(t *testing.T) {
 		{7, 1, []int{4}},
 	}
 	for _, c := range cases {
-		got := sampleHits(c.n, c.k)
-		if len(got) != len(c.want) {
+		if got := sampleHits(c.n, c.k); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("sampleHits(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("sampleHits(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
-				break
-			}
 		}
 	}
 }
 
+// TestCrashResultRepro pins the repro line, which carries a stack flag only
+// where it differs from checkin-sim's default, and reads the line of a
+// result on every stack of the product back: its flags must select the
+// strategy, seed, site, hit and schedule the run used.
 func TestCrashResultRepro(t *testing.T) {
-	r := CrashResult{Strategy: checkin.StrategyCheckIn, Seed: 3, Site: inject.SiteJournalCommit, Hit: 17}
-	repro := r.Repro()
-	for _, part := range []string{"-crashpoints", "-strategy=Check-In", "-seed=3", "-site=journal-commit", "-hit=17"} {
-		if !strings.Contains(repro, part) {
-			t.Errorf("repro line %q missing %q", repro, part)
+	for st, want := range map[Stack]string{
+		{}: "checkin-sim -crashpoints -strategy=ISC-C -seed=3 -site=trans-evict -hit=17",
+		{"lsm", "tiered", "dftl-basic", "heavy"}: "checkin-sim -crashpoints -strategy=ISC-C -seed=3 -site=trans-evict -hit=17" +
+			" -errors=heavy -ftlmap=dftl-basic -engine=lsm -compaction=tiered",
+		{"journal", "tiered", "dram", "OFF"}: "checkin-sim -crashpoints -strategy=ISC-C -seed=3 -site=trans-evict -hit=17",
+	} {
+		r := CrashResult{Strategy: iscC, Seed: 3, Stack: st, Site: inject.SiteTransEvict, Hit: 17}
+		if got := r.Repro(); got != want {
+			t.Errorf("repro line of %s:\n got %s\nwant %s", st, got, want)
+		}
+	}
+	for _, st := range productStacks() {
+		r := CrashResult{Strategy: checkIn, Seed: 2, Stack: st, Site: inject.SiteWALCommit, Hit: 3}
+		got := parseRepro(t, r.Repro())
+		if got.Strategy != r.Strategy || got.Seed != r.Seed || got.Site != r.Site || got.Hit != r.Hit ||
+			!reflect.DeepEqual(got.Stack.Schedule(), st.Schedule()) {
+			t.Errorf("repro line %q reads back as %+v, schedule %+v; the run used %+v, schedule %+v",
+				r.Repro(), got, got.Stack.Schedule(), r, st.Schedule())
 		}
 	}
 }

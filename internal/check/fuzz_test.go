@@ -1,65 +1,117 @@
 package check
 
 import (
-	"sync"
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	checkin "github.com/checkin-kv/checkin"
 	"github.com/checkin-kv/checkin/internal/inject"
 )
 
-// fuzzOptions is smaller than DefaultOptions so each fuzz execution stays
-// in the low tens of milliseconds; the workload still crosses group
-// commits, checkpoints and journal deallocation.
-func fuzzOptions() Options {
-	return Options{Keys: 400, Ops: 700, Threads: 2, CrashesPerSite: 1}
-}
-
-// fuzzTraces memoizes the recorded trace per seed: the fuzzer revisits
-// seeds constantly and trace recording is the expensive part.
-var fuzzTraces sync.Map // int64 -> *checkin.Trace
-
-func fuzzTrace(t *testing.T, seed int64) *checkin.Trace {
-	if tr, ok := fuzzTraces.Load(seed); ok {
-		return tr.(*checkin.Trace)
-	}
-	tr, err := NewTrace(fuzzOptions(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fuzzTraces.Store(seed, tr)
-	return tr
-}
-
-// FuzzJournalRecovery lets the fuzzer steer the crash schedule directly:
-// it picks (seed, strategy, site, hit) and the harness crashes at that
-// instant, then asserts host recovery equals the reference model, the
-// device SPOR rebuild is lossless, and the FTL invariants hold. Unlike
-// the deterministic matrix (which samples a few hits per site), the
-// fuzzer walks arbitrary hit offsets and seed/strategy corners. A chosen
-// hit past the site's schedule simply never fires — that is not a
-// failure, the run still validates crash-free at the end via RunCrash's
-// replay path.
-func FuzzJournalRecovery(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(inject.SiteJournalCommit), uint8(3))
-	f.Add(int64(2), uint8(0), uint8(inject.SiteJournalAppend), uint8(40))
-	f.Add(int64(3), uint8(3), uint8(inject.SiteCheckpointRemap), uint8(1))
-	f.Add(int64(5), uint8(1), uint8(inject.SiteCheckpointCopy), uint8(2))
-	f.Add(int64(7), uint8(2), uint8(inject.SiteDeallocate), uint8(5))
-	f.Add(int64(11), uint8(4), uint8(inject.SiteMetaFlush), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, strategyB, siteB, hitB uint8) {
-		if seed < 0 {
-			seed = -seed
-		}
-		seed = seed%64 + 1 // bound the trace cache
-		strategy := checkin.Strategies[int(strategyB)%len(checkin.Strategies)]
-		site := inject.Site(int(siteB) % int(inject.NumSites))
-		hit := int(hitB)%200 + 1
-		opts := fuzzOptions()
-		tr := fuzzTrace(t, seed)
-		res := RunCrash(strategy, seed, site, hit, tr, opts)
-		if res.Err != nil {
+// FuzzRecovery lets the fuzzer steer the crash schedule directly: it picks
+// (seed, strategy, stack, site, hit) over the crash table's stacks and
+// their schedules, the harness crashes at that instant, and recovery must
+// equal the reference model with the SPOR rebuild lossless and the FTL
+// invariants intact. Unlike the table, which samples a few hits per site,
+// the fuzzer walks arbitrary hit offsets and seed, strategy and stack
+// corners. A hit past the site's schedule never fires; the run still
+// validates crash-free at the end. Seeds are folded into 1–16 to bound the
+// trace cache. Because the schedule is the table's, a failure's repro line
+// replays the same run under checkin-sim -crashpoints.
+func FuzzRecovery(f *testing.F) {
+	// Stack indexes follow tableStacks: 0 journal/dram/off, 1 .../heavy,
+	// 2 journal/dftl/off, 4 lsm-leveled/dram/off, 5 lsm-tiered/dram/off,
+	// 6 lsm-leveled/dftl/heavy, 9 lsm-tiered/dftl-basic/heavy.
+	f.Add(int64(1), uint8(4), uint8(0), uint8(inject.SiteJournalCommit), uint8(3))
+	f.Add(int64(2), uint8(0), uint8(0), uint8(inject.SiteJournalAppend), uint8(40))
+	f.Add(int64(3), uint8(3), uint8(0), uint8(inject.SiteCheckpointRemap), uint8(1))
+	f.Add(int64(5), uint8(1), uint8(0), uint8(inject.SiteCheckpointCopy), uint8(2))
+	f.Add(int64(7), uint8(2), uint8(0), uint8(inject.SiteDeallocate), uint8(5))
+	f.Add(int64(11), uint8(4), uint8(0), uint8(inject.SiteMetaFlush), uint8(1))
+	f.Add(int64(1), uint8(4), uint8(4), uint8(inject.SiteWALCommit), uint8(3))
+	f.Add(int64(2), uint8(0), uint8(4), uint8(inject.SiteMemFlush), uint8(2))
+	f.Add(int64(3), uint8(4), uint8(5), uint8(inject.SiteCompactInstall), uint8(1))
+	f.Add(int64(5), uint8(3), uint8(4), uint8(inject.SiteManifestPublish), uint8(4))
+	f.Add(int64(7), uint8(1), uint8(5), uint8(inject.SiteWALAppend), uint8(60))
+	f.Add(int64(1), uint8(0), uint8(1), uint8(inject.SiteProgramFail), uint8(1))
+	f.Add(int64(1), uint8(2), uint8(2), uint8(inject.SiteTransFlush), uint8(2))
+	f.Add(int64(2), uint8(4), uint8(6), uint8(inject.SiteTransGC), uint8(1))
+	f.Add(int64(3), uint8(3), uint8(9), uint8(inject.SiteReadRetry), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, strategyB, stackB, siteB, hitB uint8) {
+		if res := fuzzCrash(t, seed, strategyB, stackB, siteB, hitB); res.Err != nil {
 			t.Fatalf("%s\n  reproduce: %s", res, res.Repro())
 		}
 	})
+}
+
+// fuzzCrash runs FuzzRecovery's crash for one input.
+func fuzzCrash(t *testing.T, seed int64, strategyB, stackB, siteB, hitB uint8) CrashResult {
+	stacks := tableStacks()
+	seed = int64(uint64(seed-1)%16) + 1
+	strategy := checkin.Strategies[int(strategyB)%len(checkin.Strategies)]
+	opts := stacks[int(stackB)%len(stacks)].Schedule()
+	site := inject.Site(int(siteB) % int(inject.NumSites))
+	return RunCrash(strategy, seed, site, int(hitB)%200+1, trace(t, opts, seed), opts)
+}
+
+// TestFuzzReproReplays: a fuzz result's repro line, run the way checkin-sim
+// -crashpoints runs it (the line's stack selects the schedule and the
+// trace), ends exactly as the fuzzed run did.
+func TestFuzzReproReplays(t *testing.T) {
+	want := fuzzCrash(t, 2, 4, 6, uint8(inject.SiteTransGC), 0)
+	if !want.Fired || want.Err != nil {
+		t.Fatalf("fuzzed run: %s", want)
+	}
+	line := want.Repro()
+	r := parseRepro(t, line)
+	opts := r.Stack.Schedule()
+	tr, err := NewTrace(opts, r.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := RunCrash(r.Strategy, r.Seed, r.Site, r.Hit, tr, opts); got.String() != want.String() || got.Repro() != line {
+		t.Errorf("replay of %q ended %s, want %s", line, got, want)
+	}
+}
+
+// parseRepro reads a repro line back as checkin-sim's flags do: each
+// -name=value sets one field, and an absent stack flag leaves its field
+// empty, which Stack reads as the flag's default.
+func parseRepro(t *testing.T, line string) CrashResult {
+	t.Helper()
+	args, ok := strings.CutPrefix(line, "checkin-sim -crashpoints ")
+	if !ok {
+		t.Fatalf("repro line %q does not run checkin-sim -crashpoints", line)
+	}
+	var r CrashResult
+	for _, arg := range strings.Fields(args) {
+		var err error
+		name, v, _ := strings.Cut(strings.TrimPrefix(arg, "-"), "=")
+		switch name {
+		case "strategy":
+			r.Strategy, err = checkin.ParseStrategy(v)
+		case "seed":
+			r.Seed, err = strconv.ParseInt(v, 10, 64)
+		case "site":
+			r.Site, err = inject.ParseSite(v)
+		case "hit":
+			r.Hit, err = strconv.Atoi(v)
+		case "engine":
+			r.Stack.Engine = v
+		case "compaction":
+			r.Stack.Compaction = v
+		case "ftlmap":
+			r.Stack.FTLMap = v
+		case "errors":
+			r.Stack.Errors = v
+		default:
+			err = fmt.Errorf("unknown flag %s", arg)
+		}
+		if err != nil {
+			t.Fatalf("repro line %q: %v", line, err)
+		}
+	}
+	return r
 }

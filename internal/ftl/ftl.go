@@ -1098,7 +1098,7 @@ func (f *FTL) trimUnmap(lun int64) {
 type RemapResult struct {
 	Remapped int // units checkpointed by pure mapping update
 	RMWs     int // units that needed read-merge-write
-	Skipped  int // units whose source was unmapped
+	Skipped  int // units whose source was unmapped or is the unit itself
 }
 
 // Remap makes [dst, dst+n) reference the same physical slots as
@@ -1145,7 +1145,10 @@ func (f *FTL) RemapCached(src, dst, n int64, srcInBuffer bool) (RemapResult, *si
 		if aligned {
 			srcLun := srcOff / int64(f.unit)
 			sid := int64(f.l2p[srcLun])
-			if sid < 0 {
+			if sid < 0 || srcLun == dstLun {
+				// Nothing to share, or the unit already holds its source:
+				// sharing a unit's only slot with itself would unmap it
+				// first and kill the slot.
 				res.Skipped++
 				continue
 			}

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -594,13 +595,14 @@ func TestWriteZeroBytes(t *testing.T) {
 
 func TestRandomTrafficInvariants(t *testing.T) {
 	// Property: after arbitrary interleaved writes/trims/remaps the
-	// mapping invariants hold and GC never loses a mapping.
+	// mapping invariants hold and GC never loses a mapping. A remap onto
+	// its own source leaves the units as they are.
 	err := quick.Check(func(ops []uint16) bool {
 		e, f := newSmall(t, smallCfg())
 		units := f.LogicalBytes() / 512
 		for _, op := range ops {
 			lun := int64(op) % (units - 8)
-			switch op % 4 {
+			switch op % 5 {
 			case 0, 1:
 				f.Write(lun*512, 512*int64(1+op%4), TagHostData, StreamData)
 			case 2:
@@ -608,6 +610,14 @@ func TestRandomTrafficInvariants(t *testing.T) {
 			case 3:
 				dst := (lun + 4) % (units - 4)
 				f.Remap(lun*512, dst*512, 512)
+			case 4:
+				before := slices.Clone(f.l2p[lun : lun+4])
+				if res, _ := f.Remap(lun*512, lun*512, 512*int64(1+op%4)); res.Remapped != 0 {
+					t.Errorf("Remap(x, x, n) remapped %d units", res.Remapped)
+				}
+				if !slices.Equal(f.l2p[lun:lun+4], before) {
+					t.Errorf("Remap(x, x, n) moved unit %d's mapping: %v, was %v", lun, f.l2p[lun:lun+4], before)
+				}
 			}
 			e.Run()
 		}

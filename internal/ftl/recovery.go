@@ -250,19 +250,16 @@ func (f *FTL) VerifySPOR() *SPORReport {
 		}
 	}
 
-	// 3. Compare against the live table. A live mapping whose slot is still
-	// staged in the volatile write buffer is expected to vanish on power
-	// loss; count it as VolatileLost rather than a protocol failure. A
-	// rebuilt binding for an unmapped unit counts twice: once as a differing
-	// entry and once as a binding the live table lacks.
+	// 3. Compare against the live table, one count per unit whose rebuilt
+	// entry differs from the live one (a rebuilt binding for an unmapped
+	// unit included). A live mapping whose slot is still staged in the
+	// volatile write buffer is expected to vanish on power loss; count it as
+	// VolatileLost rather than a protocol failure.
 	for lun, sid := range f.l2p {
 		want, got := int64(sid), int64(-1)
 		if seqs[lun] != 0 {
 			got = int64(sids[lun])
 			rep.BoundUnits++
-			if want < 0 {
-				rep.Mismatches++
-			}
 		}
 		if want != got {
 			if want >= 0 && f.isBuffered(want) {

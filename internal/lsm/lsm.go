@@ -140,6 +140,10 @@ type Engine struct {
 	// install so a read needs no search.
 	newest []loc
 
+	// recSize is every key's record size: a write logs at most that many
+	// bytes, as the journal engine's slot bounds it.
+	recSize []int32
+
 	// durable manifest: the run set and WAL floor recovery starts from.
 	durableRuns  []*run
 	durableFloor int64
@@ -177,8 +181,11 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 	// The base run (every key at version 1) must fit with room for flush
 	// runs and a compaction's transient output.
 	var basePayload int64
-	for k := int64(0); k < cfg.Keys; k++ {
-		basePayload += roundUp(int64(cfg.Sizer.SizeOf(k)), sector)
+	en.recSize = make([]int32, cfg.Keys)
+	for k := range cfg.Keys {
+		size := cfg.Sizer.SizeOf(k)
+		en.recSize[k] = int32(size)
+		basePayload += roundUp(int64(size), sector)
 	}
 	if 3*basePayload > en.runArea.len {
 		return nil, fmt.Errorf("lsm: run area %d too small for %d key bytes (need 3x headroom)", en.runArea.len, basePayload)
@@ -231,8 +238,8 @@ func (en *Engine) Levels() []int {
 // flushes; excluded from metrics).
 func (en *Engine) Load() error {
 	entries := make([]runEntry, en.cfg.Keys)
-	for k := int64(0); k < en.cfg.Keys; k++ {
-		entries[k] = runEntry{key: k, version: 1, size: en.cfg.Sizer.SizeOf(k)}
+	for k, size := range en.recSize {
+		entries[k] = runEntry{key: int64(k), version: 1, size: int(size)}
 	}
 	return en.RunLoad(func(p *sim.Proc) {
 		r, ok := en.newRun(baseLevel, entries)
@@ -375,7 +382,8 @@ func (en *Engine) inMemory(key int64) bool {
 }
 
 // Update executes a write: log to the WAL (write-ahead), install in the
-// memtable, and wait for the group commit.
+// memtable, and wait for the group commit. Like the journal engine, it logs
+// at most the key's record size.
 func (en *Engine) Update(q *core.Query) bool {
 	if q.Stage != 0 {
 		return true // woken by the commit
@@ -384,7 +392,8 @@ func (en *Engine) Update(q *core.Query) bool {
 	if parked || !ok {
 		return !parked
 	}
-	key, size := q.Op.Key, q.Size()
+	key := q.Op.Key
+	size := min(q.Size(), int(en.recSize[key]))
 	en.walSeq++
 	rec := en.newRec()
 	*rec = walRec{seq: en.walSeq, key: key, version: v, payload: size}

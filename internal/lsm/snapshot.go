@@ -64,6 +64,7 @@ func Fork(eng *sim.Engine, dev *ssd.Device, cfg Config, src core.Host) (*Engine,
 	}
 	en.durableRuns = append(make([]*run, 0, cap(s.durableRuns)), s.durableRuns...)
 	en.newest = slices.Clone(s.newest)
+	en.recSize = slices.Clone(s.recSize)
 
 	for h, l := range s.walLogs {
 		en.walLogs[h] = make([]*walRec, 0, cap(l))
