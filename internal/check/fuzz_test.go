@@ -10,45 +10,67 @@ import (
 	"github.com/checkin-kv/checkin/internal/inject"
 )
 
-// FuzzRecovery lets the fuzzer steer the crash schedule directly: it picks
-// (seed, strategy, stack, site, hit) over the crash table's stacks and
-// their schedules, the harness crashes at that instant, and recovery must
-// equal the reference model with the SPOR rebuild lossless and the FTL
-// invariants intact. Unlike the table, which samples a few hits per site,
-// the fuzzer walks arbitrary hit offsets and seed, strategy and stack
-// corners. A hit past the site's schedule never fires; the run still
-// validates crash-free at the end. Seeds are folded into 1–16 to bound the
-// trace cache. Because the schedule is the table's, a failure's repro line
-// replays the same run under checkin-sim -crashpoints.
-func FuzzRecovery(f *testing.F) {
-	// Stack indexes follow tableStacks: 0 journal/dram/off, 1 .../heavy,
-	// 2 journal/dftl/off, 4 lsm-leveled/dram/off, 5 lsm-tiered/dram/off,
-	// 6 lsm-leveled/dftl/heavy, 9 lsm-tiered/dftl-basic/heavy.
+// FuzzJournalRecovery and FuzzLSMRecovery let the fuzzer steer the crash
+// schedule directly: each picks (seed, strategy, stack, site, hit) over the
+// crash table's stacks of its engine and their schedules, the harness
+// crashes at that instant, and recovery must equal the reference model with
+// the SPOR rebuild lossless and the FTL invariants intact. Unlike the
+// table, which samples a few hits per site, the fuzzers walk arbitrary hit
+// offsets and seed, strategy and stack corners. A hit past the site's
+// schedule never fires; the run still validates crash-free at the end.
+// Seeds are folded into 1–16 to bound the trace cache. Because the
+// schedule is the table's, a failure's repro line replays the same run
+// under checkin-sim -crashpoints.
+func FuzzJournalRecovery(f *testing.F) {
+	// Stack indexes follow engineStacks("journal"): 0 dram/off, 1 dram/heavy,
+	// 2 dftl/off, 3 dftl-basic/off.
 	f.Add(int64(1), uint8(4), uint8(0), uint8(inject.SiteJournalCommit), uint8(3))
 	f.Add(int64(2), uint8(0), uint8(0), uint8(inject.SiteJournalAppend), uint8(40))
 	f.Add(int64(3), uint8(3), uint8(0), uint8(inject.SiteCheckpointRemap), uint8(1))
 	f.Add(int64(5), uint8(1), uint8(0), uint8(inject.SiteCheckpointCopy), uint8(2))
 	f.Add(int64(7), uint8(2), uint8(0), uint8(inject.SiteDeallocate), uint8(5))
 	f.Add(int64(11), uint8(4), uint8(0), uint8(inject.SiteMetaFlush), uint8(1))
-	f.Add(int64(1), uint8(4), uint8(4), uint8(inject.SiteWALCommit), uint8(3))
-	f.Add(int64(2), uint8(0), uint8(4), uint8(inject.SiteMemFlush), uint8(2))
-	f.Add(int64(3), uint8(4), uint8(5), uint8(inject.SiteCompactInstall), uint8(1))
-	f.Add(int64(5), uint8(3), uint8(4), uint8(inject.SiteManifestPublish), uint8(4))
-	f.Add(int64(7), uint8(1), uint8(5), uint8(inject.SiteWALAppend), uint8(60))
 	f.Add(int64(1), uint8(0), uint8(1), uint8(inject.SiteProgramFail), uint8(1))
 	f.Add(int64(1), uint8(2), uint8(2), uint8(inject.SiteTransFlush), uint8(2))
-	f.Add(int64(2), uint8(4), uint8(6), uint8(inject.SiteTransGC), uint8(1))
-	f.Add(int64(3), uint8(3), uint8(9), uint8(inject.SiteReadRetry), uint8(5))
-	f.Fuzz(func(t *testing.T, seed int64, strategyB, stackB, siteB, hitB uint8) {
-		if res := fuzzCrash(t, seed, strategyB, stackB, siteB, hitB); res.Err != nil {
-			t.Fatalf("%s\n  reproduce: %s", res, res.Repro())
-		}
-	})
+	f.Fuzz(fuzzRecovery(engineStacks("journal")))
 }
 
-// fuzzCrash runs FuzzRecovery's crash for one input.
-func fuzzCrash(t *testing.T, seed int64, strategyB, stackB, siteB, hitB uint8) CrashResult {
-	stacks := tableStacks()
+func FuzzLSMRecovery(f *testing.F) {
+	// Stack indexes follow engineStacks("lsm"): 0 leveled/dram/off,
+	// 1 tiered/dram/off, 2 leveled/dftl/heavy, 5 tiered/dftl-basic/heavy.
+	f.Add(int64(1), uint8(4), uint8(0), uint8(inject.SiteWALCommit), uint8(3))
+	f.Add(int64(2), uint8(0), uint8(0), uint8(inject.SiteMemFlush), uint8(2))
+	f.Add(int64(3), uint8(4), uint8(1), uint8(inject.SiteCompactInstall), uint8(1))
+	f.Add(int64(5), uint8(3), uint8(0), uint8(inject.SiteManifestPublish), uint8(4))
+	f.Add(int64(7), uint8(1), uint8(1), uint8(inject.SiteWALAppend), uint8(60))
+	f.Add(int64(2), uint8(4), uint8(2), uint8(inject.SiteTransGC), uint8(1))
+	f.Add(int64(3), uint8(3), uint8(5), uint8(inject.SiteReadRetry), uint8(5))
+	f.Fuzz(fuzzRecovery(engineStacks("lsm")))
+}
+
+// fuzzRecovery is the fuzz body over stacks: a crash that leaves recovery
+// wrong fails with its repro line.
+func fuzzRecovery(stacks []Stack) func(*testing.T, int64, uint8, uint8, uint8, uint8) {
+	return func(t *testing.T, seed int64, strategyB, stackB, siteB, hitB uint8) {
+		if res := fuzzCrash(t, stacks, seed, strategyB, stackB, siteB, hitB); res.Err != nil {
+			t.Fatalf("%s\n  reproduce: %s", res, res.Repro())
+		}
+	}
+}
+
+// engineStacks lists the crash table's stacks on engine, in table order.
+func engineStacks(engine string) []Stack {
+	var out []Stack
+	for _, st := range tableStacks() {
+		if st.norm().Engine == engine {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+// fuzzCrash runs a fuzzer's crash for one input over stacks.
+func fuzzCrash(t *testing.T, stacks []Stack, seed int64, strategyB, stackB, siteB, hitB uint8) CrashResult {
 	seed = int64(uint64(seed-1)%16) + 1
 	strategy := checkin.Strategies[int(strategyB)%len(checkin.Strategies)]
 	opts := stacks[int(stackB)%len(stacks)].Schedule()
@@ -56,15 +78,19 @@ func fuzzCrash(t *testing.T, seed int64, strategyB, stackB, siteB, hitB uint8) C
 	return RunCrash(strategy, seed, site, int(hitB)%200+1, trace(t, opts, seed), opts)
 }
 
-// TestFuzzReproReplays: a fuzz result's repro line, run the way checkin-sim
-// -crashpoints runs it (the line's stack selects the schedule and the
-// trace), ends exactly as the fuzzed run did.
-func TestFuzzReproReplays(t *testing.T) {
-	want := fuzzCrash(t, 2, 4, 6, uint8(inject.SiteTransGC), 0)
+// TestDFTLReproLine: a fuzz result's repro line on a flash-map stack
+// carries the stack's flags and, run the way checkin-sim -crashpoints runs
+// it (the line's stack selects the schedule and the trace), ends exactly as
+// the fuzzed run did.
+func TestDFTLReproLine(t *testing.T) {
+	want := fuzzCrash(t, engineStacks("lsm"), 2, 4, 2, uint8(inject.SiteTransGC), 0)
 	if !want.Fired || want.Err != nil {
 		t.Fatalf("fuzzed run: %s", want)
 	}
 	line := want.Repro()
+	if !strings.Contains(line, "-ftlmap=dftl") || !strings.Contains(line, "-site=trans-gc") {
+		t.Errorf("repro line %q missing -ftlmap/-site", line)
+	}
 	r := parseRepro(t, line)
 	opts := r.Stack.Schedule()
 	tr, err := NewTrace(opts, r.Seed)
