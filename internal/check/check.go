@@ -36,6 +36,7 @@ import (
 
 	checkin "github.com/checkin-kv/checkin"
 	"github.com/checkin-kv/checkin/internal/core"
+	"github.com/checkin-kv/checkin/internal/ftl"
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/workload"
@@ -117,6 +118,10 @@ type Options struct {
 	// (strategy, seed). CMTEntries and MemtableEntries bound a
 	// flash-resident map's CMT and the LSM memtable (0: the layer default).
 	CrashesPerSite, CMTEntries, MemtableEntries int
+	// FaultSpares raises the spare-block reserve per die under an error
+	// profile to this many, added on top of the working blocks (0 or
+	// fewer than the profile reserves: the profile's reserve).
+	FaultSpares int
 }
 
 // Coverage is what a census must show. Every lists the sites every census
@@ -145,6 +150,9 @@ func union(a, b []inject.Site) []inject.Site {
 // largest bounds, and the union of the armed sites and of the coverage.
 type axis struct {
 	ops, cmt, memtable int
+	// faultSpares is the spare-block reserve per die this value needs to
+	// stay writable through the trace under an error profile.
+	faultSpares int
 	// arm lists the sites crash-tested under this value; a stack that no
 	// value narrows arms every site.
 	arm  []inject.Site
@@ -156,10 +164,17 @@ type axis struct {
 // pages), which the remap strategies' 512-byte units overflow, so victims
 // are written back (trans-evict); a longer trace for translation-block
 // churn; the three translation-page sites armed, plus three core sites.
+// Under the heavy profile the longer trace on Build's smaller flash-map
+// geometry retires more blocks than the profile's four spares per die, and
+// the device would end the trace read-only. Faults get twenty, added on top
+// of the working blocks: at 8, 12 and 16 spares 70, 15 and 1 of the 210
+// censuses of the six heavy flash-map stacks (five strategies, seeds 1-7)
+// still ended read-only, at 20 none did, the least of them with 16 spares
+// left.
 // trans-gc needs GC to dig into a block still holding live translation
 // pages, which only NAND faults bring about at this scale; the FTL layer
 // covers it (TestTransGCCrashConsistency in internal/ftl).
-var flashMap = axis{ops: 9000, cmt: 1024,
+var flashMap = axis{ops: 9000, cmt: 1024, faultSpares: 20,
 	arm: []inject.Site{inject.SiteTransFlush, inject.SiteTransEvict, inject.SiteTransGC,
 		inject.SiteJournalCommit, inject.SiteCheckpointApply, inject.SiteGCMigrate},
 	must: Coverage{Every: []inject.Site{inject.SiteTransFlush}, Remap: []inject.Site{inject.SiteTransEvict}}}
@@ -209,6 +224,9 @@ func (s Stack) Schedule() Options {
 	o := Options{Stack: s.norm(), Keys: 1500, Threads: 4, CrashesPerSite: 2}
 	for _, a := range []axis{common, axes[o.Engine], axes[o.Compaction], axes[o.FTLMap], axes[o.Errors]} {
 		o.Ops, o.CMTEntries, o.MemtableEntries = max(o.Ops, a.ops), max(o.CMTEntries, a.cmt), max(o.MemtableEntries, a.memtable)
+		if o.Errors != "off" {
+			o.FaultSpares = max(o.FaultSpares, a.faultSpares)
+		}
 		o.Sites = union(o.Sites, a.arm)
 		o.Must = o.Must.union(a.must)
 	}
@@ -275,6 +293,13 @@ func Build(strategy checkin.Strategy, seed int64, opts Options, inj *inject.Inje
 			return nil, nil, err
 		}
 		cfg = profile.Apply(cfg)
+		if extra := opts.FaultSpares - cfg.SpareBlocksPerDie; extra > 0 {
+			// The extra spares come on top of the working blocks, so the
+			// free-space margin, and with it the GC pressure, stays the
+			// geometry's.
+			cfg.SpareBlocksPerDie = opts.FaultSpares
+			cfg.BlocksPerPlane += (extra + cfg.PlanesPerDie - 1) / cfg.PlanesPerDie
+		}
 	}
 	db, err := checkin.Open(cfg)
 	if err != nil {
@@ -336,6 +361,8 @@ func replay(db *checkin.DB, tr *checkin.Trace, opts Options) error {
 // excluded — crashes are only armed after Load).
 type Census struct {
 	RunHits [inject.NumSites]int
+	// Health is the device's at the end of the run.
+	Health ftl.Health
 }
 
 // RunCensus replays the trace under a counting-only injector. The final
@@ -353,7 +380,7 @@ func RunCensus(strategy checkin.Strategy, seed int64, tr *checkin.Trace, opts Op
 	if err := replay(db, tr, opts); err != nil {
 		return nil, nil, nil, err
 	}
-	c := &Census{}
+	c := &Census{Health: db.Health()}
 	for i, n := range inj.Counts() {
 		c.RunHits[i] = n - loadHits[i]
 	}

@@ -133,6 +133,9 @@ func runRows(t *testing.T, test, label string) {
 						}
 					}
 					checkCoverage(t, s, opts.Must, census)
+					if census.Health.ReadOnly {
+						t.Errorf("%s ended its census read-only (%+v): late crash points test a store that rejects writes", r.stack, census.Health)
+					}
 					mu.Lock()
 					defer mu.Unlock()
 					for site, n := range census.RunHits {

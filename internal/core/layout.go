@@ -114,7 +114,8 @@ const hostSector = 512
 
 // Layout carves the device's logical space into the double-buffered journal
 // area, a small checkpoint-metadata region, and the data area holding one
-// slot per record.
+// slot per record. It is immutable after NewLayout, so forked engines share
+// their template's.
 type Layout struct {
 	JournalHalfBytes int64
 	MetaStart        int64

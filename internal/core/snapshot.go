@@ -11,7 +11,8 @@ import (
 // ForkEngine returns a journal engine on eng over dev (forks of src's
 // kernel and device) whose state is a deep copy of src's, a quiescent
 // journal engine of the same shape (same Keys; the layout is a pure
-// function of configuration): the base's version truth and epoch count,
+// function of configuration, immutable, and shared with src): the base's
+// version truth and epoch count,
 // the checkpointed versions, the journal's log state and deep clones of
 // the active and spare JMTs. It starts from a copy of src's struct, so a
 // field added to the engine is copied by default. The fork runs under cfg:
@@ -30,8 +31,7 @@ func ForkEngine(eng *sim.Engine, dev *ssd.Device, cfg Config, src Host) (*Engine
 	en := new(Engine)
 	*en = *s
 	en.cfg = cfg
-	en.layout = s.layout.clone()
-	en.jr = s.jr.fork(eng, dev, en.layout, cfg)
+	en.jr = s.jr.fork(eng, dev, cfg)
 	base, err := ForkBase(&s.Base, eng, dev, cfg.HostConfig, en, en.jr, en.checkpoint, nil)
 	if err != nil {
 		return nil, err
@@ -41,12 +41,11 @@ func ForkEngine(eng *sim.Engine, dev *ssd.Device, cfg Config, src Host) (*Engine
 	return en, nil
 }
 
-// fork returns a copy of j over layout, on eng and dev, in the format cfg's
-// strategy selects.
-func (j *journal) fork(eng *sim.Engine, dev *ssd.Device, layout *Layout, cfg Config) *journal {
+// fork returns a copy of j, sharing its immutable layout, on eng and dev,
+// in the format cfg's strategy selects.
+func (j *journal) fork(eng *sim.Engine, dev *ssd.Device, cfg Config) *journal {
 	c := new(journal)
 	*c = *j
-	c.layout = layout
 	c.aligned, c.header, c.compress = cfg.Strategy.SectorAligned(), cfg.Strategy.LogHeader(), cfg.CompressRatio
 	c.jmt = j.jmt.clone()
 	if j.spare != nil {
@@ -54,12 +53,4 @@ func (j *journal) fork(eng *sim.Engine, dev *ssd.Device, layout *Layout, cfg Con
 	}
 	c.GroupCommit = ForkGroupCommit(eng, dev, c, &c.jmt.entries, j.GroupCommit)
 	return c
-}
-
-// clone returns a deep copy of l.
-func (l *Layout) clone() *Layout {
-	c := *l
-	c.recOff = slices.Clone(l.recOff)
-	c.recSize = slices.Clone(l.recSize)
-	return &c
 }

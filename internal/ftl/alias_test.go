@@ -28,9 +28,9 @@ func TestLunsOfScratchAliasing(t *testing.T) {
 	f.Remap(0, dst, 2*unit)
 	e.Run()
 
-	sidShared := int64(f.l2p[0])
-	if sidShared < 0 || f.refcnt[sidShared] < 2 {
-		t.Fatalf("setup failed: slot %d refcnt %d, want shared", sidShared, f.refcnt[sidShared])
+	sidShared := int64(f.l2p.at(0))
+	if sidShared < 0 || f.refcnt.at(sidShared) < 2 {
+		t.Fatalf("setup failed: slot %d refcnt %d, want shared", sidShared, f.refcnt.at(sidShared))
 	}
 
 	// (a) The migration loop's invariant: the nested calls it performs
@@ -63,7 +63,7 @@ func TestLunsOfScratchAliasing(t *testing.T) {
 	e.Run()
 	var moved int64 = -1
 	for l := range wantLuns {
-		sid := int64(f.l2p[l])
+		sid := int64(f.l2p.at(l))
 		if sid < 0 {
 			t.Fatalf("GC migration lost lun %d", l)
 		}
@@ -73,8 +73,8 @@ func TestLunsOfScratchAliasing(t *testing.T) {
 			t.Fatalf("GC migration broke sharing: lun %d at slot %d, expected %d", l, sid, moved)
 		}
 	}
-	if int(f.refcnt[moved]) != len(wantLuns) {
-		t.Fatalf("migrated slot refcnt %d, want %d", f.refcnt[moved], len(wantLuns))
+	if int(f.refcnt.at(moved)) != len(wantLuns) {
+		t.Fatalf("migrated slot refcnt %d, want %d", f.refcnt.at(moved), len(wantLuns))
 	}
 	checkInvariants(t, f)
 	if err := f.CheckInvariants(); err != nil {

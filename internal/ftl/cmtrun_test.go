@@ -35,7 +35,7 @@ func captureCMT(f *FTL) cmtState {
 		cached: slices.Clone(f.fm.cached),
 		dirty:  slices.Clone(f.fm.dirty),
 		stats:  f.stats,
-		l2p:    slices.Clone(f.l2p),
+		l2p:    entries(&f.l2p),
 	}
 }
 

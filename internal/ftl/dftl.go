@@ -108,7 +108,7 @@ type flashMap struct {
 	// stored[lun] is the entry's value as held by the flash-resident
 	// translation page (-1 before the first flush covering it), 32 bits
 	// wide like the live map it copies.
-	stored []int32
+	stored chunkTable[int32]
 	// gtd[tvpn] is the physical page id of the live translation page, -1 if
 	// the tvpn has never been flushed. tpOwner is its exact inverse.
 	gtd     []int64
@@ -396,10 +396,7 @@ func (f *FTL) initFlashMap() error {
 		fm.runStride += 2 // an unaligned page straddles one more word
 	}
 	fm.runFree = -1
-	fm.stored = make([]int32, f.totalUnits)
-	for i := range fm.stored {
-		fm.stored[i] = -1
-	}
+	fm.stored = newChunkTable[int32](f.totalUnits, -1)
 	fm.gtd = make([]int64, fm.numTPs)
 	for i := range fm.gtd {
 		fm.gtd[i] = -1
@@ -420,10 +417,7 @@ func (f *FTL) initFlashMap() error {
 	if fm.basic {
 		fm.fill, fm.cleanWindow, fm.cutBatch = false, 1, false
 	}
-	f.rlog.tp = make([]int32, totalPages)
-	for i := range f.rlog.tp {
-		f.rlog.tp[i] = -1
-	}
+	f.rlog.tp = newChunkTable[int32](totalPages, -1)
 	return nil
 }
 
@@ -605,9 +599,9 @@ func (f *FTL) fmAccessRange(first, last int64, fan *sim.FanIn) {
 				f.readFlash(f.pidBlock(pid), f.pidPage(pid), f.array.Geometry().PageSize, fan)
 			}
 		}
-		if fm.oracle && fm.stored[lun] != f.l2p[lun] {
+		if fm.oracle && fm.stored.at(lun) != f.l2p.at(lun) {
 			panic(fmt.Sprintf("ftl: flash map diverged at lun %d: flash-resident entry %d, live map %d (uncached entries must match their flash copy)",
-				lun, fm.stored[lun], f.l2p[lun]))
+				lun, fm.stored.at(lun), f.l2p.at(lun)))
 		}
 		if fm.fill && pid >= 0 {
 			f.fillTP(tvpn, lun)
@@ -880,7 +874,7 @@ func (f *FTL) flushTP(tvpn int, site inject.Site) {
 			fm.dirty[lun>>6] &^= 1 << (uint64(lun) & 63)
 			fm.dirtyCount--
 			fm.dirtyByTP[tvpn]--
-			fm.stored[lun] = f.l2p[lun]
+			fm.stored.set(lun, f.l2p.at(lun))
 		}
 	}
 	f.stats.TransFlushes++
@@ -982,9 +976,9 @@ func (f *FTL) fmCheckInvariants(report func(format string, args ...any)) {
 				report("lun %d dirty but not CMT-resident", lun)
 			}
 		}
-		if !d && fm.stored[lun] != f.l2p[lun] {
+		if !d && fm.stored.at(lun) != f.l2p.at(lun) {
 			report("flash map incoherent at lun %d: stored %d live %d (entry not dirty)",
-				lun, fm.stored[lun], f.l2p[lun])
+				lun, fm.stored.at(lun), f.l2p.at(lun))
 		}
 		if !c && (fm.lruNext[lun] != -1 || fm.lruPrev[lun] != -1) {
 			report("uncached lun %d keeps LRU links (%d, %d)", lun, fm.lruNext[lun], fm.lruPrev[lun])
@@ -1122,8 +1116,8 @@ func (f *FTL) fmCheckInvariants(report func(format string, args ...any)) {
 	owners := 0
 	for pid, tvpn := range fm.tpOwner {
 		if tvpn < 0 {
-			if f.rlog.tp[pid] != -1 {
-				report("pid %d has stale translation recovery record %d", pid, f.rlog.tp[pid])
+			if f.rlog.tp.at(int64(pid)) != -1 {
+				report("pid %d has stale translation recovery record %d", pid, f.rlog.tp.at(int64(pid)))
 			}
 			continue
 		}
@@ -1131,8 +1125,8 @@ func (f *FTL) fmCheckInvariants(report func(format string, args ...any)) {
 		if fm.gtd[tvpn] != int64(pid) {
 			report("tpOwner[%d] = tvpn %d but gtd points at %d", pid, tvpn, fm.gtd[tvpn])
 		}
-		if int64(f.rlog.tp[pid]) != tvpn {
-			report("pid %d translation recovery record %d, want tvpn %d", pid, f.rlog.tp[pid], tvpn)
+		if int64(f.rlog.tp.at(int64(pid))) != tvpn {
+			report("pid %d translation recovery record %d, want tvpn %d", pid, f.rlog.tp.at(int64(pid)), tvpn)
 		}
 	}
 	live := 0

@@ -381,12 +381,12 @@ type FTL struct {
 	// map: logical unit number → physical slot id (-1 unmapped). The
 	// address tables hold 32-bit entries, as a controller's would: New
 	// refuses a geometry past MaxAddresses slots or logical units, and every
-	// signature keeps int64.
-	l2p []int32
+	// signature keeps int64. Forks share them chunk by chunk (chunkTable).
+	l2p chunkTable[int32]
 	// per-slot reference count (shared mappings after remap)
-	refcnt []uint8
+	refcnt chunkTable[uint8]
 	// primary reverse mapping slot → logical unit (-1 free/dead)
-	rev []int32
+	rev chunkTable[int32]
 	// extra reverse mappings for slots with refcnt > 1 (transient between
 	// checkpoint remap and journal trim)
 	revOverflow slotTable[int32]
@@ -484,15 +484,9 @@ func New(eng *sim.Engine, array *nand.Array, cfg Config) (*FTL, error) {
 	f.totalUnits = f.logicalBytes / int64(f.unit)
 
 	totalSlots := int64(geo.TotalPages()) * int64(f.slotsPerPage)
-	f.l2p = make([]int32, f.totalUnits)
-	for i := range f.l2p {
-		f.l2p[i] = -1
-	}
-	f.refcnt = make([]uint8, totalSlots)
-	f.rev = make([]int32, totalSlots)
-	for i := range f.rev {
-		f.rev[i] = -1
-	}
+	f.l2p = newChunkTable[int32](f.totalUnits, -1)
+	f.refcnt = newChunkTable[uint8](totalSlots, 0)
+	f.rev = newChunkTable[int32](totalSlots, -1)
 	f.state = make([]blockState, f.totalBlocks)
 	f.validCount = make([]int32, f.totalBlocks)
 	f.written = make([]int32, f.totalBlocks)
@@ -600,9 +594,9 @@ func (f *FTL) checkRange(off, n int64) {
 // bindSlot points lun at sid (first reference).
 func (f *FTL) bindSlot(lun, sid int64) {
 	f.unmap(lun)
-	f.l2p[lun] = int32(sid)
-	f.refcnt[sid] = 1
-	f.rev[sid] = int32(lun)
+	f.l2p.set(lun, int32(sid))
+	f.refcnt.set(sid, 1)
+	f.rev.set(sid, int32(lun))
 	blk := f.slotBlock(sid)
 	f.validCount[blk]++
 	f.noteMapDirty(1)
@@ -614,17 +608,18 @@ func (f *FTL) bindSlot(lun, sid int64) {
 // shareSlot adds lun as an additional reference to sid (checkpoint remap).
 func (f *FTL) shareSlot(lun, sid int64) {
 	f.unmap(lun)
-	f.l2p[lun] = int32(sid)
-	if f.refcnt[sid] == 0 {
+	f.l2p.set(lun, int32(sid))
+	rc := f.refcnt.ref(sid)
+	if *rc == 0 {
 		panic("ftl: sharing a dead slot")
 	}
-	if f.refcnt[sid] == ^uint8(0) {
+	if *rc == ^uint8(0) {
 		// cannot happen in the checkpoint protocol (a slot is shared by
 		// at most journal+data references), but a silent wrap would
 		// corrupt validity accounting — fail loudly instead
 		panic("ftl: slot reference count overflow")
 	}
-	f.refcnt[sid]++
+	*rc++
 	f.revOverflow.add(sid, int32(lun))
 	f.rlog.noteAlias(sid, lun)
 	f.noteMapDirty(1)
@@ -636,35 +631,35 @@ func (f *FTL) shareSlot(lun, sid int64) {
 // unmap drops lun's reference, invalidating its slot when the last
 // reference disappears.
 func (f *FTL) unmap(lun int64) {
-	sid := int64(f.l2p[lun])
+	sid := int64(f.l2p.at(lun))
 	if sid < 0 {
 		return
 	}
-	f.l2p[lun] = -1
+	f.l2p.set(lun, -1)
 	f.dropRef(sid, lun)
 	f.noteMapDirty(1)
 }
 
 func (f *FTL) dropRef(sid, lun int64) {
-	rc := f.refcnt[sid]
-	if rc == 0 {
+	rc := f.refcnt.ref(sid)
+	if *rc == 0 {
 		panic("ftl: dropping reference on dead slot")
 	}
-	if rc == 1 {
+	if *rc == 1 {
 		// no overflow lookup needed: refcnt == 1 + len(overflow) for live
 		// slots (checked by CheckInvariants), so a last-reference slot has
 		// no overflow entry to delete
-		f.refcnt[sid] = 0
-		f.rev[sid] = -1
+		*rc = 0
+		f.rev.set(sid, -1)
 		blk := f.slotBlock(sid)
 		f.validCount[blk]--
 		return
 	}
-	f.refcnt[sid] = rc - 1
+	*rc--
 	ov := f.revOverflow.get(sid)
-	if int64(f.rev[sid]) == lun {
+	if int64(f.rev.at(sid)) == lun {
 		// promote the last overflow entry to primary
-		f.rev[sid] = ov[len(ov)-1]
+		f.rev.set(sid, ov[len(ov)-1])
 		f.revOverflow.truncate(sid, len(ov)-1)
 		return
 	}
@@ -681,10 +676,10 @@ func (f *FTL) dropRef(sid, lun int64) {
 // scratch buffer reused across calls (valid until the next lunsOf call);
 // callers needing a stable copy must clone it.
 func (f *FTL) lunsOf(sid int64) []int64 {
-	if f.refcnt[sid] == 0 {
+	if f.refcnt.at(sid) == 0 {
 		return nil
 	}
-	out := append(f.lunsBuf[:0], int64(f.rev[sid]))
+	out := append(f.lunsBuf[:0], int64(f.rev.at(sid)))
 	for _, l := range f.revOverflow.get(sid) {
 		out = append(out, int64(l))
 	}
@@ -982,7 +977,7 @@ func (f *FTL) WriteInto(off, n int64, tag Tag, s Stream, fan *sim.FanIn) {
 		unitEnd := unitStart + int64(f.unit)
 		covStart, covEnd := off, off+n
 		full := covStart <= unitStart && covEnd >= unitEnd
-		if old := int64(f.l2p[lun]); !full && old >= 0 && !f.isBuffered(old) {
+		if old := int64(f.l2p.at(lun)); !full && old >= 0 && !f.isBuffered(old) {
 			// partial overwrite of live data: read-modify-write
 			f.stats.HostRMWReads++
 			f.stats.ReadsByTag[tag]++
@@ -1033,7 +1028,7 @@ func (f *FTL) ReadInto(off, n int64, fan *sim.FanIn) {
 	f.epoch++
 	order := f.pageOrder[:0]
 	for lun := first; lun <= last; lun++ {
-		sid := int64(f.l2p[lun])
+		sid := int64(f.l2p.at(lun))
 		if sid < 0 || f.isBuffered(sid) {
 			continue // unmapped (zero-fill) or still in the page buffer
 		}
@@ -1066,7 +1061,7 @@ func (f *FTL) Trim(off, n int64) {
 	first := off / int64(f.unit)
 	last := (off + n - 1) / int64(f.unit)
 	for lun := first; lun <= last; lun++ {
-		if f.l2p[lun] >= 0 {
+		if f.l2p.at(lun) >= 0 {
 			f.trimUnmap(lun)
 			f.stats.TrimmedUnits++
 		}
@@ -1081,11 +1076,11 @@ func (f *FTL) Trim(off, n int64) {
 // trimUnmap is unmap without per-unit metadata accounting (Trim records a
 // single extent instead).
 func (f *FTL) trimUnmap(lun int64) {
-	sid := int64(f.l2p[lun])
+	sid := int64(f.l2p.at(lun))
 	if sid < 0 {
 		return
 	}
-	f.l2p[lun] = -1
+	f.l2p.set(lun, -1)
 	f.dropRef(sid, lun)
 	if f.fm.enabled {
 		// Each cleared entry must persist individually through the CMT (the
@@ -1144,7 +1139,7 @@ func (f *FTL) RemapCached(src, dst, n int64, srcInBuffer bool) (RemapResult, *si
 		aligned := srcOff%int64(f.unit) == 0 && span == int64(f.unit)
 		if aligned {
 			srcLun := srcOff / int64(f.unit)
-			sid := int64(f.l2p[srcLun])
+			sid := int64(f.l2p.at(srcLun))
 			if sid < 0 || srcLun == dstLun {
 				// Nothing to share, or the unit already holds its source:
 				// sharing a unit's only slot with itself would unmap it
@@ -1164,13 +1159,13 @@ func (f *FTL) RemapCached(src, dst, n int64, srcInBuffer bool) (RemapResult, *si
 		sFirst := srcOff / int64(f.unit)
 		sLast := (srcOff + span - 1) / int64(f.unit)
 		for l := sFirst; l <= sLast && !srcInBuffer; l++ {
-			if sid := int64(f.l2p[l]); sid >= 0 && !f.isBuffered(sid) {
+			if sid := int64(f.l2p.at(l)); sid >= 0 && !f.isBuffered(sid) {
 				f.stats.ReadsByTag[TagCheckpoint]++
 				f.readFlash(f.slotBlock(sid), f.slotPage(sid), f.unit, &fan)
 			}
 		}
 		if span < int64(f.unit) {
-			if old := int64(f.l2p[dstLun]); old >= 0 && !f.isBuffered(old) {
+			if old := int64(f.l2p.at(dstLun)); old >= 0 && !f.isBuffered(old) {
 				f.stats.ReadsByTag[TagCheckpoint]++
 				f.readFlash(f.slotBlock(old), f.slotPage(old), f.unit, &fan)
 			}
@@ -1221,7 +1216,7 @@ func (f *FTL) CopyCached(src, dst, n int64, tag Tag, srcInBuffer bool) *sim.Futu
 	}
 	f.epoch++
 	for l := sFirst; l <= sLast && !srcInBuffer; l++ {
-		if sid := int64(f.l2p[l]); sid >= 0 && !f.isBuffered(sid) {
+		if sid := int64(f.l2p.at(l)); sid >= 0 && !f.isBuffered(sid) {
 			pid := sid / int64(f.slotsPerPage)
 			if f.pageEpoch[pid] != f.epoch {
 				f.pageEpoch[pid] = f.epoch
@@ -1362,7 +1357,7 @@ func (f *FTL) migrateLive(b int) {
 	lastPage := -1
 	for s := 0; s < slotsPerBlock; s++ {
 		sid := base + int64(s)
-		if f.refcnt[sid] == 0 {
+		if f.refcnt.at(sid) == 0 {
 			continue
 		}
 		if p := f.slotPage(sid); p != lastPage {
@@ -1375,20 +1370,20 @@ func (f *FTL) migrateLive(b int) {
 	// every logical reference (shared slots keep their sharing)
 	for s := 0; s < slotsPerBlock; s++ {
 		sid := base + int64(s)
-		if f.refcnt[sid] == 0 {
+		if f.refcnt.at(sid) == 0 {
 			continue
 		}
 		luns := f.lunsOf(sid)
 		// detach the old slot entirely before rebinding
 		for _, lun := range luns {
-			f.l2p[lun] = -1
+			f.l2p.set(lun, -1)
 			f.noteMapDirty(1)
 		}
-		if f.refcnt[sid] > 1 {
+		if f.refcnt.at(sid) > 1 {
 			f.revOverflow.drop(sid)
 		}
-		f.refcnt[sid] = 0
-		f.rev[sid] = -1
+		f.refcnt.set(sid, 0)
+		f.rev.set(sid, -1)
 		f.validCount[b]--
 
 		newSid := f.appendSlot(StreamGC, luns[0], TagGC)

@@ -64,13 +64,13 @@ func newSmall(t *testing.T, cfg Config) (*sim.Engine, *FTL) {
 func checkInvariants(t *testing.T, f *FTL) {
 	t.Helper()
 	refs := make(map[int64]int)
-	for lun, l2p := range f.l2p {
+	for lun, l2p := range f.l2p.all() {
 		sid := int64(l2p)
 		if sid < 0 {
 			continue
 		}
 		refs[sid]++
-		if f.refcnt[sid] == 0 {
+		if f.refcnt.at(sid) == 0 {
 			t.Fatalf("lun %d maps to dead slot %d", lun, sid)
 		}
 		found := false
@@ -85,8 +85,8 @@ func checkInvariants(t *testing.T, f *FTL) {
 		}
 	}
 	valid := make([]int32, f.totalBlocks)
-	for sid := range f.refcnt {
-		rc := int(f.refcnt[sid])
+	for sid, rc := range f.refcnt.all() {
+		rc := int(rc)
 		if rc == 0 {
 			continue
 		}
@@ -359,18 +359,18 @@ func TestRemapAligned(t *testing.T) {
 	checkInvariants(t, f)
 
 	// Source and destination share physical slots until the journal trim.
-	sid := f.l2p[0]
-	if sid < 0 || f.l2p[dataOff/512] != sid {
+	sid := int64(f.l2p.at(0))
+	if sid < 0 || int64(f.l2p.at(dataOff/512)) != sid {
 		t.Fatal("src and dst do not share a slot")
 	}
-	if f.refcnt[sid] != 2 {
-		t.Errorf("shared slot refcnt = %d, want 2", f.refcnt[sid])
+	if f.refcnt.at(sid) != 2 {
+		t.Errorf("shared slot refcnt = %d, want 2", f.refcnt.at(sid))
 	}
 	f.Trim(0, 2048)
-	if f.refcnt[sid] != 1 {
-		t.Errorf("after trim refcnt = %d, want 1", f.refcnt[sid])
+	if f.refcnt.at(sid) != 1 {
+		t.Errorf("after trim refcnt = %d, want 1", f.refcnt.at(sid))
 	}
-	if f.l2p[dataOff/512] != sid {
+	if int64(f.l2p.at(dataOff/512)) != sid {
 		t.Error("trim of source broke destination mapping")
 	}
 	checkInvariants(t, f)
@@ -472,7 +472,7 @@ func TestGCReclaimsInvalidBlocks(t *testing.T) {
 	checkInvariants(t, f)
 	// The live region must still be fully mapped.
 	for lun := int64(0); lun < 16; lun++ {
-		if f.l2p[lun] < 0 {
+		if f.l2p.at(lun) < 0 {
 			t.Fatalf("lun %d lost its mapping across GC", lun)
 		}
 	}
@@ -492,7 +492,7 @@ func TestGCPreservesSharedMappings(t *testing.T) {
 	}
 	checkInvariants(t, f)
 	// Shared pair must still point at a common slot.
-	if f.l2p[0] < 0 || f.l2p[0] != f.l2p[dataOff/512] {
+	if f.l2p.at(0) < 0 || f.l2p.at(0) != f.l2p.at(dataOff/512) {
 		t.Error("GC broke the shared journal/data mapping")
 	}
 }
@@ -611,12 +611,12 @@ func TestRandomTrafficInvariants(t *testing.T) {
 				dst := (lun + 4) % (units - 4)
 				f.Remap(lun*512, dst*512, 512)
 			case 4:
-				before := slices.Clone(f.l2p[lun : lun+4])
+				before := entries(&f.l2p)[lun : lun+4]
 				if res, _ := f.Remap(lun*512, lun*512, 512*int64(1+op%4)); res.Remapped != 0 {
 					t.Errorf("Remap(x, x, n) remapped %d units", res.Remapped)
 				}
-				if !slices.Equal(f.l2p[lun:lun+4], before) {
-					t.Errorf("Remap(x, x, n) moved unit %d's mapping: %v, was %v", lun, f.l2p[lun:lun+4], before)
+				if after := entries(&f.l2p)[lun : lun+4]; !slices.Equal(after, before) {
+					t.Errorf("Remap(x, x, n) moved unit %d's mapping: %v, was %v", lun, after, before)
 				}
 			}
 			e.Run()

@@ -126,7 +126,11 @@ func (s *gcHeavyState) run(writes int) {
 // Every iteration forks from the same pristine preconditioned snapshot
 // (engine clock, NAND array, FTL, RNG): without the reset, iteration i+1
 // continued from iteration i's aged device and advanced RNG, so per-op cost
-// drifted with b.N and -count runs were not comparing the same work.
+// drifted with b.N and -count runs were not comparing the same work. The
+// fork's address tables are copied whole before the timer starts
+// (ownTables), so the timed run prices the same device as a built one: a
+// fork shares its tables and would otherwise copy each chunk on its first
+// write, a cost of forking, not of the write path.
 func BenchmarkGCHeavyWriteOnly(b *testing.B) {
 	for _, pol := range []GCPolicy{GCGreedy, GCCostBenefit, GCFIFO} {
 		b.Run(pol.String(), func(b *testing.B) {
@@ -141,6 +145,7 @@ func BenchmarkGCHeavyWriteOnly(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				ownTables(f)
 				s.f = f
 				s.rng = 0x9e3779b97f4a7c15
 				b.StartTimer()

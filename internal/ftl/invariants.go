@@ -41,16 +41,16 @@ func (f *FTL) CheckInvariants() error {
 	}
 
 	// 1 & 2: walk the map and the reference sets in both directions.
-	refs := make([]int32, len(f.refcnt)) // slot id → live references seen via l2p
-	for lun, sid := range f.l2p {
+	refs := make([]int32, f.refcnt.len()) // slot id → live references seen via l2p
+	for lun, sid := range f.l2p.all() {
 		if sid < 0 {
 			continue
 		}
-		if f.refcnt[sid] == 0 {
+		if f.refcnt.at(int64(sid)) == 0 {
 			report("lun %d maps to dead slot %d (refcnt 0)", lun, sid)
 			continue
 		}
-		found := f.rev[sid] == int32(lun)
+		found := f.rev.at(int64(sid)) == int32(lun)
 		for _, l := range f.revOverflow.get(int64(sid)) {
 			if l == int32(lun) {
 				if found {
@@ -65,8 +65,8 @@ func (f *FTL) CheckInvariants() error {
 		refs[sid]++
 	}
 	f.revOverflow.each(func(sid int64, ov []int32) {
-		if f.refcnt[sid] < 2 {
-			report("slot %d has %d overflow reverse mappings but refcnt %d", sid, len(ov), f.refcnt[sid])
+		if f.refcnt.at(sid) < 2 {
+			report("slot %d has %d overflow reverse mappings but refcnt %d", sid, len(ov), f.refcnt.at(sid))
 		}
 	})
 
@@ -77,10 +77,10 @@ func (f *FTL) CheckInvariants() error {
 		live := int32(0)
 		for s := 0; s < slotsPerBlock; s++ {
 			sid := base + int64(s)
-			rc := int(f.refcnt[sid])
+			rc := int(f.refcnt.at(sid))
 			if rc == 0 {
-				if f.rev[sid] != -1 {
-					report("dead slot %d keeps reverse mapping %d", sid, f.rev[sid])
+				if f.rev.at(sid) != -1 {
+					report("dead slot %d keeps reverse mapping %d", sid, f.rev.at(sid))
 				}
 				continue
 			}
@@ -91,8 +91,8 @@ func (f *FTL) CheckInvariants() error {
 			if n := refs[sid]; int(n) != rc {
 				report("slot %d refcnt %d but %d logical units map to it", sid, rc, n)
 			}
-			if primary := f.rev[sid]; primary < 0 || int64(f.l2p[primary]) != sid {
-				report("slot %d primary reverse mapping %d does not map back", sid, f.rev[sid])
+			if primary := f.rev.at(sid); primary < 0 || int64(f.l2p.at(int64(primary))) != sid {
+				report("slot %d primary reverse mapping %d does not map back", sid, f.rev.at(sid))
 			}
 		}
 		// dftl mode: a live translation page contributes a whole page's worth

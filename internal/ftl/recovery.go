@@ -41,18 +41,18 @@ type trimExtent struct {
 // numbers forward and they can neither wrap nor be renumbered cheaply.
 type recoveryLog struct {
 	seq     uint64
-	oobLun  []int32              // slot id → logical unit of its OOB record
-	oobSeq  []uint64             // slot id → sequence number; 0 = never written
+	oobLun  chunkTable[int32]    // slot id → logical unit of its OOB record
+	oobSeq  chunkTable[uint64]   // slot id → sequence number; 0 = never written
 	aliases slotTable[oobRecord] // slot id → alias bindings from remaps
 	trims   []trimExtent
-	tp      []int32 // pid → tvpn of the live translation page it holds (-1)
+	tp      chunkTable[int32] // pid → tvpn of the live translation page it holds (-1)
 }
 
 func newRecoveryLog(blocks int, slotsPerBlock int64) *recoveryLog {
 	slots := int64(blocks) * slotsPerBlock
 	return &recoveryLog{
-		oobLun:  make([]int32, slots),
-		oobSeq:  make([]uint64, slots),
+		oobLun:  newChunkTable[int32](slots, 0),
+		oobSeq:  newChunkTable[uint64](slots, 0),
 		aliases: newSlotTable[oobRecord](blocks, slotsPerBlock),
 	}
 }
@@ -69,7 +69,8 @@ func (r *recoveryLog) aliasesOf(sid int64) []oobRecord { return r.aliases.get(si
 func (r *recoveryLog) dropAliases(sid int64) { r.aliases.drop(sid) }
 
 func (r *recoveryLog) noteWrite(sid, lun int64) {
-	r.oobLun[sid], r.oobSeq[sid] = int32(lun), r.next()
+	r.oobLun.set(sid, int32(lun))
+	r.oobSeq.set(sid, r.next())
 	r.dropAliases(sid)
 }
 
@@ -83,8 +84,8 @@ func (r *recoveryLog) noteTrim(first, last int64) {
 
 // noteErase drops the records of the erased block whose slots start at base.
 func (r *recoveryLog) noteErase(base, slots int64) {
-	clear(r.oobLun[base : base+slots])
-	clear(r.oobSeq[base : base+slots])
+	r.oobLun.fill(base, base+slots, 0)
+	r.oobSeq.fill(base, base+slots, 0)
 	r.aliases.dropBlock(base)
 }
 
@@ -102,7 +103,7 @@ func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
 	oldAliases := r.aliasesOf(oldSid)
 	seqOf := func(lun int64) uint64 {
 		var best uint64
-		if seq := r.oobSeq[oldSid]; seq != 0 && int64(r.oobLun[oldSid]) == lun {
+		if seq := r.oobSeq.at(oldSid); seq != 0 && int64(r.oobLun.at(oldSid)) == lun {
 			best = seq
 		}
 		for _, a := range oldAliases {
@@ -112,9 +113,9 @@ func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
 		}
 		return best
 	}
-	if r.oobSeq[newSid] != 0 {
-		if s := seqOf(int64(r.oobLun[newSid])); s != 0 {
-			r.oobSeq[newSid] = s
+	if r.oobSeq.at(newSid) != 0 {
+		if s := seqOf(int64(r.oobLun.at(newSid))); s != 0 {
+			r.oobSeq.set(newSid, s)
 		}
 	}
 	newAliases := r.aliasesOf(newSid)
@@ -131,20 +132,21 @@ func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
 // ruined page's OOB must not be scanned as live (a retired block is listed
 // in the bad-block table, which SPOR excludes).
 func (r *recoveryLog) clearSlot(sid int64) {
-	r.oobLun[sid], r.oobSeq[sid] = 0, 0
+	r.oobLun.set(sid, 0)
+	r.oobSeq.set(sid, 0)
 	r.dropAliases(sid)
 }
 
 // noteTransWrite records that physical page pid now holds the live
 // translation page for tvpn (dftl mode only; tp is nil in dram mode).
 func (r *recoveryLog) noteTransWrite(pid int64, tvpn int) {
-	r.tp[pid] = int32(tvpn)
+	r.tp.set(pid, int32(tvpn))
 }
 
 // clearTransPage drops a translation page's OOB record when it is
 // invalidated (superseded by a rewrite, migrated by GC, or erased).
 func (r *recoveryLog) clearTransPage(pid int64) {
-	r.tp[pid] = -1
+	r.tp.set(pid, -1)
 }
 
 // SPORReport describes a simulated sudden-power-off recovery.
@@ -230,8 +232,8 @@ func (f *FTL) VerifySPOR() *SPORReport {
 			if f.slotPage(sid) >= programmed {
 				break
 			}
-			if seq := f.rlog.oobSeq[sid]; seq != 0 {
-				bind(int64(f.rlog.oobLun[sid]), sid, seq)
+			if seq := f.rlog.oobSeq.at(sid); seq != 0 {
+				bind(int64(f.rlog.oobLun.at(sid)), sid, seq)
 			}
 			for _, rec := range f.rlog.aliasesOf(sid) {
 				bind(rec.lun, sid, rec.seq)
@@ -255,7 +257,7 @@ func (f *FTL) VerifySPOR() *SPORReport {
 	// unit included). A live mapping whose slot is still staged in the
 	// volatile write buffer is expected to vanish on power loss; count it as
 	// VolatileLost rather than a protocol failure.
-	for lun, sid := range f.l2p {
+	for lun, sid := range f.l2p.all() {
 		want, got := int64(sid), int64(-1)
 		if seqs[lun] != 0 {
 			got = int64(sids[lun])
@@ -281,7 +283,7 @@ func (f *FTL) VerifySPOR() *SPORReport {
 		for i := range gtd {
 			gtd[i] = -1
 		}
-		for pid, tv := range f.rlog.tp {
+		for pid, tv := range f.rlog.tp.all() {
 			if tv < 0 {
 				continue
 			}

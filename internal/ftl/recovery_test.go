@@ -107,18 +107,18 @@ func TestSPORMutations(t *testing.T) {
 		// Unit 16's OOB names unit 17, whose own record is newer: unit 16
 		// loses its only binding, unit 17 keeps its own.
 		name:  "wrong OOB lun, named unit newer",
-		plant: func(f *FTL) { f.rlog.oobLun[f.l2p[16]] = 17 },
+		plant: func(f *FTL) { f.rlog.oobLun.set(int64(f.l2p.at(16)), 17) },
 		want:  SPORReport{ScannedPages: 3, BoundUnits: 11, AliasBindings: 4, TrimsReplayed: 1, Mismatches: 1},
 	}, {
 		// Unit 16's OOB names never-written unit 300: unit 16 is lost and
 		// unit 300 gains a binding the live table lacks.
 		name:  "wrong OOB lun, named unit unmapped",
-		plant: func(f *FTL) { f.rlog.oobLun[f.l2p[16]] = 300 },
+		plant: func(f *FTL) { f.rlog.oobLun.set(int64(f.l2p.at(16)), 300) },
 		want:  SPORReport{ScannedPages: 3, BoundUnits: 12, AliasBindings: 4, TrimsReplayed: 1, Mismatches: 2},
 	}, {
 		// Data unit 64 loses its alias record: nothing rebinds it.
 		name:  "dropped alias record",
-		plant: func(f *FTL) { f.rlog.dropAliases(int64(f.l2p[dataLun])) },
+		plant: func(f *FTL) { f.rlog.dropAliases(int64(f.l2p.at(dataLun))) },
 		want:  SPORReport{ScannedPages: 3, BoundUnits: 11, AliasBindings: 3, TrimsReplayed: 1, Mismatches: 1},
 	}, {
 		// Without the trim, journal units 4-7 rebind to their old slots.
@@ -159,8 +159,8 @@ func sporMapRebuild(f *FTL) SPORReport {
 		rep.ScannedPages += programmed
 		base := f.slotID(b, 0, 0)
 		for sid := base; sid < base+slotsPerBlock && f.slotPage(sid) < programmed; sid++ {
-			if seq := f.rlog.oobSeq[sid]; seq != 0 {
-				bind(int64(f.rlog.oobLun[sid]), sid, seq)
+			if seq := f.rlog.oobSeq.at(sid); seq != 0 {
+				bind(int64(f.rlog.oobLun.at(sid)), sid, seq)
 			}
 			for _, rec := range f.rlog.aliasesOf(sid) {
 				bind(rec.lun, sid, rec.seq)
@@ -176,7 +176,7 @@ func sporMapRebuild(f *FTL) SPORReport {
 			}
 		}
 	}
-	for lun, sid := range f.l2p {
+	for lun, sid := range f.l2p.all() {
 		got := int64(-1)
 		if b, ok := rebuilt[int64(lun)]; ok {
 			got = b.sid
@@ -231,10 +231,10 @@ func TestVerifySPORMatchesMapRebuild(t *testing.T) {
 			t.Fatalf("seed %d: run missed a path: %d collections, %d remaps", seed, f.Stats().GCInvocations, f.Stats().Remaps)
 		}
 		for fault := 0; fault < 20; fault++ {
-			sid := rng.Int64N(int64(len(f.rlog.oobSeq)))
+			sid := rng.Int64N(f.rlog.oobSeq.len())
 			switch rng.IntN(3) {
 			case 0:
-				f.rlog.oobLun[sid] = int32(rng.Int64N(units))
+				f.rlog.oobLun.set(sid, int32(rng.Int64N(units)))
 			case 1:
 				f.rlog.dropAliases(sid)
 			default:
@@ -300,7 +300,7 @@ func TestSPORRandomTraffic(t *testing.T) {
 // slot rather than trusting the table's own iteration.
 func aliasedSlots(r *recoveryLog) []int64 {
 	var sids []int64
-	for sid := int64(0); sid < int64(len(r.oobSeq)); sid++ {
+	for sid := int64(0); sid < r.oobSeq.len(); sid++ {
 		if r.aliases.get(sid) != nil {
 			sids = append(sids, sid)
 		}

@@ -115,24 +115,24 @@ func (f *FTL) handleProgramFail(s Stream, idx int, inflight bool) {
 		oldSid := f.slotID(old, oldPage, i)
 		newSid := fr.relocBase + int64(i)
 		f.written[nb]++
-		rc := f.refcnt[oldSid]
+		rc := f.refcnt.at(oldSid)
 		switch {
 		case rc > 0:
 			// Bound slot: move every logical reference. luns is built by
 			// hand — not via lunsOf — because a caller (the GC migrate pass)
 			// may hold the shared scratch buffer across this call.
-			luns := []int64{int64(f.rev[oldSid])}
+			luns := []int64{int64(f.rev.at(oldSid))}
 			for _, l := range f.revOverflow.get(oldSid) {
 				luns = append(luns, int64(l))
 			}
 			for _, lun := range luns {
-				f.l2p[lun] = -1
+				f.l2p.set(lun, -1)
 			}
 			if rc > 1 {
 				f.revOverflow.drop(oldSid)
 			}
-			f.refcnt[oldSid] = 0
-			f.rev[oldSid] = -1
+			f.refcnt.set(oldSid, 0)
+			f.rev.set(oldSid, -1)
 			f.validCount[old]--
 			f.noteMapDirty(len(luns))
 			f.rlog.clearSlot(oldSid)

@@ -233,8 +233,9 @@ func TestSlotTableFootprint(t *testing.T) {
 // pages of 4 KiB, 512 B units: 327,680 slots): the forward map, the
 // reverse map, the split OOB record and, under dftl, the flash-resident
 // map copy and the translation pages' OOB tvpn. Stored in 32 bits with a
-// 64-bit OOB sequence number they cost 19.6 B per slot under dram and
-// 23.6 B under dftl; one table back at 64 bits breaks the budget.
+// 64-bit OOB sequence number, chunk directories and last-chunk padding
+// included, they cost 19.7 B per slot under dram and 23.8 B under dftl;
+// one table back at 64 bits breaks the budget.
 func TestFTLTableFootprint(t *testing.T) {
 	geo := nand.Geometry{Channels: 4, PackagesPerChannel: 1, DiesPerPackage: 2, PlanesPerDie: 2,
 		BlocksPerPlane: 40, PagesPerBlock: 64, PageSize: 4096}
@@ -255,9 +256,9 @@ func TestFTLTableFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bytes := tableBytes(f.l2p) + tableBytes(f.rev) + tableBytes(f.rlog.oobLun) + tableBytes(f.rlog.oobSeq) +
-			tableBytes(f.fm.stored) + tableBytes(f.rlog.tp)
-		slots := len(f.refcnt)
+		bytes := tableBytes(&f.l2p) + tableBytes(&f.rev) + tableBytes(&f.rlog.oobLun) + tableBytes(&f.rlog.oobSeq) +
+			tableBytes(&f.fm.stored) + tableBytes(&f.rlog.tp)
+		slots := f.refcnt.len()
 		perSlot := float64(bytes) / float64(slots)
 		t.Logf("%s: %d B of address tables over %d slots, %.2f B per slot", tc.name, bytes, slots, perSlot)
 		if slots != 327_680 || perSlot > tc.budget {
@@ -266,18 +267,21 @@ func TestFTLTableFootprint(t *testing.T) {
 	}
 }
 
-// tableBytes is the heap a table holds: its capacity times its element size.
-func tableBytes[T any](s []T) int64 {
-	var zero T
-	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
+// tableBytes is the heap a table holds: its chunks, padding included, and
+// its directory.
+func tableBytes[T tableEntry](t *chunkTable[T]) int64 {
+	var chunk [chunkSpan]T
+	var ref []T
+	var own bool
+	return int64(t.chunks()) * int64(unsafe.Sizeof(chunk)+unsafe.Sizeof(ref)+unsafe.Sizeof(own))
 }
 
 // overflowRef derives the reverse-overflow reference from the forward map
 // alone: slot → the logical units mapping to it other than its primary.
 func overflowRef(f *FTL) map[int64][]int32 {
 	ref := map[int64][]int32{}
-	for lun, sid := range f.l2p {
-		if sid >= 0 && f.rev[sid] != int32(lun) {
+	for lun, sid := range f.l2p.all() {
+		if sid >= 0 && f.rev.at(int64(sid)) != int32(lun) {
 			ref[int64(sid)] = append(ref[int64(sid)], int32(lun))
 		}
 	}

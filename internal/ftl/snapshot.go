@@ -9,18 +9,22 @@ import (
 )
 
 // Fork returns a new FTL on eng over array (a fork of src's array) whose
-// state is a deep copy of src's: the mapping with reference counts and both
-// slot tables, block lifecycle and free pool, the per-stream write
-// frontiers (including buffered partial-page slots — a stream tail can
-// legitimately sit in the controller buffer across a quiescent point), the
-// map-metadata cost model, the DFTL map, the recovery log and the counters.
-// It starts from a copy of src's struct, so a field added to the FTL is
-// copied by default, then gives every table, per-call scratch included,
-// its own storage of the same capacity, copied rather than built and
-// overwritten, and sets only its wiring and its test hooks (disarmed). src
-// must be quiescent — no collection in flight, every program complete, no
-// translation-page writeback or checkpoint-cut batch open — and is only
-// read, so any number of forks may run concurrently.
+// state equals src's: the mapping with reference counts and both slot
+// tables, block lifecycle and free pool, the per-stream write frontiers
+// (including buffered partial-page slots — a stream tail can legitimately
+// sit in the controller buffer across a quiescent point), the map-metadata
+// cost model, the DFTL map, the recovery log and the counters. It starts
+// from a copy of src's struct, so a field added to the FTL is copied by
+// default. The address tables (chunkTable: l2p, refcnt, rev, the OOB
+// records, the DFTL map copy and translation-page OOB) share src's chunks,
+// which each side copies on its first write to them; every other table,
+// per-call scratch included, gets its own storage of the same capacity,
+// copied rather than built and overwritten. Fork sets only the wiring and
+// the test hooks (disarmed). src must be quiescent — no collection in
+// flight, every program complete, no translation-page writeback or
+// checkpoint-cut batch open. Fork gives up src's ownership of its table
+// chunks if src still holds any (see Share); after that it only reads src,
+// so once src is shared any number of forks may run concurrently.
 func Fork(eng *sim.Engine, array *nand.Array, src *FTL) (*FTL, error) {
 	switch {
 	case array.Geometry() != src.array.Geometry():
@@ -45,9 +49,10 @@ func Fork(eng *sim.Engine, array *nand.Array, src *FTL) (*FTL, error) {
 	f.pageCount = cloneReserve(src.pageCount)
 	f.pageOrder = cloneReserve(src.pageOrder)
 
-	f.l2p = cloneReserve(src.l2p)
-	f.refcnt = cloneReserve(src.refcnt)
-	f.rev = cloneReserve(src.rev)
+	src.Share()
+	f.l2p = src.l2p.fork()
+	f.refcnt = src.refcnt.fork()
+	f.rev = src.rev.fork()
 	f.revOverflow = src.revOverflow.clone()
 
 	f.state = cloneReserve(src.state)
@@ -78,20 +83,65 @@ func Fork(eng *sim.Engine, array *nand.Array, src *FTL) (*FTL, error) {
 	fm.runs = cloneReserve(sfm.runs)
 	fm.runBits = cloneReserve(sfm.runBits)
 	fm.tpRuns = cloneReserve(sfm.tpRuns)
-	fm.stored = cloneReserve(sfm.stored)
+	fm.stored = sfm.stored.fork()
 	fm.gtd = cloneReserve(sfm.gtd)
 	fm.tpOwner = cloneReserve(sfm.tpOwner)
 	fm.dirtyByTP = cloneReserve(sfm.dirtyByTP)
 	fm.tpEpoch = cloneReserve(sfm.tpEpoch)
 
 	r := *src.rlog
-	r.oobLun = cloneReserve(src.rlog.oobLun)
-	r.oobSeq = cloneReserve(src.rlog.oobSeq)
+	r.oobLun = src.rlog.oobLun.fork()
+	r.oobSeq = src.rlog.oobSeq.fork()
 	r.aliases = src.rlog.aliases.clone()
 	r.trims = cloneReserve(src.rlog.trims)
-	r.tp = cloneReserve(src.rlog.tp)
+	r.tp = src.rlog.tp.fork()
 	f.rlog = &r
 	return f, nil
+}
+
+// Share gives up f's ownership of its address-table chunks, so forks may
+// share them: f copies each chunk on its next write to it. A stack that
+// forks will be taken from concurrently (a snapshot template) is shared
+// once, before the first fork; Fork shares an unshared src itself, which
+// is the only write a fork makes to its source.
+func (f *FTL) Share() {
+	for _, t := range f.tables() {
+		t.share()
+	}
+}
+
+// TableChunks counts an FTL's address-table chunks.
+type TableChunks struct {
+	Total int // chunks in the tables' directories
+	// Owned counts the chunks the FTL writes in place: those it built, or
+	// copied on a write since it was last shared or forked. OwnedBytes is
+	// their size.
+	Owned      int
+	OwnedBytes int64
+}
+
+// TableChunks returns f's address-table chunk counts.
+func (f *FTL) TableChunks() TableChunks {
+	var c TableChunks
+	for _, t := range f.tables() {
+		c.Total += t.chunks()
+		c.Owned += t.ownedChunks()
+		c.OwnedBytes += int64(t.ownedChunks()) * t.chunkBytes()
+	}
+	return c
+}
+
+// table is what Share and TableChunks need of a chunkTable.
+type table interface {
+	share()
+	chunks() int
+	ownedChunks() int
+	chunkBytes() int64
+}
+
+// tables lists f's address tables.
+func (f *FTL) tables() []table {
+	return []table{&f.l2p, &f.refcnt, &f.rev, &f.fm.stored, &f.rlog.oobLun, &f.rlog.oobSeq, &f.rlog.tp}
 }
 
 func cloneLists(src [][]int) [][]int {

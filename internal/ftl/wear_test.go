@@ -55,7 +55,7 @@ func TestWearLevelBoundsSpread(t *testing.T) {
 		checkInvariants(t, f)
 		// Cold data must still be mapped correctly after any moves.
 		for lun := int64(65536 / 512); lun < (65536+32768)/512; lun++ {
-			if f.l2p[lun] < 0 {
+			if f.l2p.at(lun) < 0 {
 				t.Fatal("wear leveling lost a cold mapping")
 			}
 		}
@@ -113,7 +113,7 @@ func TestGCPoliciesReclaim(t *testing.T) {
 			}
 			checkInvariants(t, f)
 			for lun := int64(0); lun < 16; lun++ {
-				if f.l2p[lun] < 0 {
+				if f.l2p.at(lun) < 0 {
 					t.Fatalf("lun %d lost under %v", lun, pol)
 				}
 			}

@@ -96,6 +96,30 @@ func TestDeviceCommandAllocs(t *testing.T) {
 	}
 }
 
+// TestIdleTickAllocs: an idle device's deallocator ticks allocate
+// nothing. Each tick re-arms itself through the kernel; a tick handler
+// built per arm (a method value) would cost one heap object every
+// DeallocatorPeriod of virtual time.
+func TestIdleTickAllocs(t *testing.T) {
+	e, d := testDevice(t, func(c *Config) { c.DeallocatorPeriod = 10 * sim.Millisecond })
+	d.Write(0, 4096, AreaData)
+	d.Flush(AreaData)
+	e.RunUntil(e.Now() + 4*d.cfg.DeallocatorPeriod) // drain, warm the queue
+	ticks := 0
+	if n := mallocs(func() {
+		for range 100 {
+			before := e.Executed()
+			e.RunUntil(e.Now() + d.cfg.DeallocatorPeriod)
+			ticks += int(e.Executed() - before)
+		}
+	}); n != 0 {
+		t.Errorf("100 idle deallocator periods allocate %d objects, want 0", n)
+	}
+	if ticks < 100 {
+		t.Fatalf("100 idle periods ran %d events, want a tick each", ticks)
+	}
+}
+
 // mallocs reports the heap objects one call of f allocates, counted as
 // testing.AllocsPerRun counts them but without its warm-up call, so f may
 // consume state set up just before it.

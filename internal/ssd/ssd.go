@@ -589,11 +589,20 @@ func (d *Device) startDeallocator() {
 	d.armDeallocator()
 }
 
-// armDeallocator schedules the next deallocator tick.
+// armDeallocator schedules the next deallocator tick. The device is the
+// tick's handler (deallocTicker), so arming allocates nothing where a method
+// value would escape to the heap once per tick; AtHandler draws the same
+// sequence number Schedule would.
 func (d *Device) armDeallocator() {
 	d.deallocArmed = true
-	d.eng.Schedule(d.cfg.DeallocatorPeriod, d.deallocTick)
+	d.eng.AtHandler(d.eng.Now()+d.cfg.DeallocatorPeriod, (*deallocTicker)(d))
 }
+
+// deallocTicker is the device as the kernel handler of its deallocator tick.
+type deallocTicker Device
+
+// Fire runs one deallocator tick.
+func (t *deallocTicker) Fire() { (*Device)(t).deallocTick() }
 
 // deallocTick is one deallocator wake-up: run background reclamation work if
 // warranted, then re-arm. While paused the tick disarms itself instead — it

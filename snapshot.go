@@ -67,6 +67,10 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	if !ok {
 		return nil, fmt.Errorf("checkin: configuration is not snapshottable")
 	}
+	// Forks share the FTL's address-table chunks copy-on-write; giving up
+	// the template's ownership here, before any fork, leaves forks only
+	// reading the template.
+	db.device.FTL().Share()
 	db.template = true
 	return &Snapshot{db: db, load: load, loadFP: lfp}, nil
 }

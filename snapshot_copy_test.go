@@ -13,7 +13,8 @@ import (
 // copyAllowed names every layer field a fork may leave different from its
 // template, keyed "<package>.<type>.<field>" (generic type arguments
 // dropped). A fork starts from a struct copy of each template layer and
-// clones every table, so all that may differ is what the fork sets:
+// clones or shares copy-on-write every table, so all that may differ is
+// what the fork sets:
 //   - wiring: the fork's own references to its kernel, its neighbouring
 //     layers, its configuration or its callbacks;
 //   - scratch: per-call records and reuse pools, whose content is dead
@@ -64,7 +65,16 @@ var copyAllowed = map[string]struct{ kind, why string }{
 // sharedImmutable names the types whose objects a copy may share with its
 // source: they never change after construction.
 var sharedImmutable = map[string]string{
-	"lsm.run": "runs never mutate after construction",
+	"lsm.run":     "runs never mutate after construction",
+	"core.Layout": "the record layout never changes after NewLayout",
+}
+
+// copyOnWrite names the types through which a copy may share storage with
+// its source: an FTL address table, whose chunk c (dir[c]) the table writes
+// in place only while it owns it (own[c]). A chunk both sides hold must be
+// owned by neither, so each copies it before its first write.
+var copyOnWrite = map[string]string{
+	"ftl.chunkTable": "address-table chunks are copied on a table's first write to them",
 }
 
 // copyTemplates are the stacks TestForkCopiesEveryField copies: both
@@ -90,7 +100,9 @@ func copyTemplates(t testing.TB) map[string]checkin.Config {
 // TestForkCopiesEveryField checks by reflection that a fork holds every
 // field of every layer — NAND array, FTL, controller, host engine — equal to
 // its template's, except the fields copyAllowed names, that nothing it
-// holds shares a backing array, map or pointer with the template, and that
+// holds shares a backing array, map or pointer with the template except an
+// immutable object (sharedImmutable) or a copy-on-write chunk neither side
+// owns (copyOnWrite), and that
 // every slice keeps at least the template's capacity (a reserve such as the
 // DFTL LRU arrays' run-node ids must survive the clone). Two templates per
 // stack: the post-Load snapshot Fork clones, and a stack stopped after a
@@ -275,6 +287,10 @@ func (c *fieldCmp) value(path string, cp, src reflect.Value) {
 		c.value(path, cp.Elem(), src.Elem())
 	case reflect.Struct:
 		typ := typeName(cp.Type())
+		if _, ok := copyOnWrite[typ]; ok {
+			c.chunkTable(path, cp, src)
+			return
+		}
 		for i := range cp.NumField() {
 			field := cp.Type().Field(i).Name
 			if _, ok := copyAllowed[typ+"."+field]; ok {
@@ -286,6 +302,36 @@ func (c *fieldCmp) value(path string, cp, src reflect.Value) {
 	default: // func, chan, unsafe pointer: no value to compare
 		if !cp.IsNil() || !src.IsNil() {
 			c.errorf(path, "%s field cannot be compared: copy it as nil or name it in copyAllowed", cp.Kind())
+		}
+	}
+}
+
+// chunkTable compares a copy-on-write table field by field, except that a
+// chunk the copy and its source share is compared by the own bits: neither
+// may own it.
+func (c *fieldCmp) chunkTable(path string, cp, src reflect.Value) {
+	c.t.Helper()
+	cdir, sdir := cp.FieldByName("dir"), src.FieldByName("dir")
+	cown, sown := cp.FieldByName("own"), src.FieldByName("own")
+	if cdir.Len() != sdir.Len() || cown.Len() != cdir.Len() || sown.Len() != sdir.Len() {
+		c.errorf(path, "copy has %d chunks (%d own bits), source %d (%d)", cdir.Len(), cown.Len(), sdir.Len(), sown.Len())
+		return
+	}
+	for i := range cdir.Len() {
+		if cdir.Index(i).Pointer() == sdir.Index(i).Pointer() && (cown.Index(i).Bool() || sown.Index(i).Bool()) {
+			c.errorf(fmt.Sprintf("%s.dir[%d]", path, i), "copy and source share a chunk that one of them writes in place")
+		}
+	}
+	for i := range cp.NumField() {
+		switch name := cp.Type().Field(i).Name; name {
+		case "dir":
+			for j := range cdir.Len() {
+				if cdir.Index(j).Pointer() != sdir.Index(j).Pointer() {
+					c.value(fmt.Sprintf("%s.dir[%d]", path, j), cdir.Index(j), sdir.Index(j))
+				}
+			}
+		default:
+			c.value(path+"."+name, cp.Field(i), src.Field(i))
 		}
 	}
 }
