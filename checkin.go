@@ -230,9 +230,11 @@ type Config struct {
 	EraseFailRate     float64 // P(block erase fails → retirement)
 	WearErrorFactor   float64 // rate growth per erase cycle (wear-out)
 
-	// SpareBlocksPerDie reserves replacement blocks for grown bad blocks.
-	// 0 → 2 when the error model is enabled; without it no block goes bad,
-	// so any value resolves to 0 (no spare pool).
+	// SpareBlocksPerDie reserves replacement blocks for grown bad blocks,
+	// taken from each die's working blocks. 0 → 2 when the error model is
+	// enabled; without it no block goes bad, so any value resolves to 0
+	// (no spare pool). Open refuses a reserve that leaves the FTL too few
+	// working blocks (ftl.Config.CheckSpareReserve).
 	SpareBlocksPerDie int
 
 	// CommandTimeout, when nonzero, charges a fixed 1 ms backoff on any
@@ -357,6 +359,11 @@ func resolve(cfg Config) (Config, error) {
 	default:
 		return cfg, fmt.Errorf("checkin: unknown FTLMap %q (want dram, dftl or dftl-basic)", cfg.FTLMap)
 	}
+	// Spare blocks come out of the working blocks: refuse a reserve that
+	// leaves the FTL too few to run on.
+	if err := cfg.ftlConfig().CheckSpareReserve(cfg.geometry()); err != nil {
+		return cfg, fmt.Errorf("checkin: %w", err)
+	}
 	if !slices.Contains(EngineNames(), cfg.Engine) {
 		return cfg, fmt.Errorf("checkin: unknown Engine %q (registered: %s)", cfg.Engine, strings.Join(EngineNames(), ", "))
 	}
@@ -377,6 +384,24 @@ func (c Config) geometry() nand.Geometry {
 		PagesPerBlock:      c.PagesPerBlock,
 		PageSize:           c.PageSizeBytes,
 	}
+}
+
+// ftlConfig is the FTL configuration c runs with, its tracer aside.
+func (c Config) ftlConfig() ftl.Config {
+	f := ftl.DefaultConfig()
+	f.UnitSize = c.MappingUnit
+	f.OverProvision = c.OverProvision
+	f.MapCacheBytes = int64(c.MapCacheMB) << 20
+	f.Parallelism = min(c.geometry().TotalDies(), 8)
+	f.GCPolicy = gcPolicies[c.GCPolicy]
+	f.FlashMap = c.FTLMap != "dram"
+	f.CMTEntries = c.CMTEntries
+	f.CMTBasic = c.FTLMap == "dftl-basic"
+	f.MetaFlushEntries = c.MetaFlushEntries
+	f.Injector = c.Injector
+	f.WearDeltaThreshold = c.WearDeltaThreshold
+	f.SpareBlocksPerDie = c.SpareBlocksPerDie
+	return f
 }
 
 // gcPolicies maps Config.GCPolicy names to the FTL's victim policies.
@@ -428,20 +453,8 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.TraceCapacity > 0 {
 		tracer = trace.New(cfg.TraceCapacity)
 	}
-	fcfg := ftl.DefaultConfig()
-	fcfg.UnitSize = cfg.MappingUnit
-	fcfg.OverProvision = cfg.OverProvision
-	fcfg.MapCacheBytes = int64(cfg.MapCacheMB) << 20
-	fcfg.Parallelism = min(geo.TotalDies(), 8)
-	fcfg.GCPolicy = gcPolicies[cfg.GCPolicy]
-	fcfg.FlashMap = cfg.FTLMap != "dram"
-	fcfg.CMTEntries = cfg.CMTEntries
-	fcfg.CMTBasic = cfg.FTLMap == "dftl-basic"
-	fcfg.MetaFlushEntries = cfg.MetaFlushEntries
+	fcfg := cfg.ftlConfig()
 	fcfg.Tracer = tracer
-	fcfg.Injector = cfg.Injector
-	fcfg.WearDeltaThreshold = cfg.WearDeltaThreshold
-	fcfg.SpareBlocksPerDie = cfg.SpareBlocksPerDie
 	translation, err := ftl.New(eng, array, fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("checkin: %w", err)

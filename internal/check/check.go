@@ -260,6 +260,33 @@ func NewTrace(opts Options, seed int64) (*checkin.Trace, error) {
 // hook. The flash geometry is small enough (16 MB raw) that the trace
 // forces garbage collection and metadata flushes.
 func Build(strategy checkin.Strategy, seed int64, opts Options, inj *inject.Injector) (*checkin.DB, *Model, error) {
+	cfg, err := buildConfig(strategy, seed, opts, inj)
+	if err != nil {
+		return nil, nil, err
+	}
+	return open(cfg)
+}
+
+// open opens cfg as Build does: with the mapping oracle armed under a
+// flash-resident map, and a fresh Model on the commit hook.
+func open(cfg checkin.Config) (*checkin.DB, *Model, error) {
+	db, err := checkin.Open(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.FTLMap == "dftl" || cfg.FTLMap == "dftl-basic" {
+		// Every verification build runs with the differential mapping
+		// oracle armed: a coherence divergence panics at the faulting
+		// access instead of surfacing as a downstream validation diff.
+		db.Device().FTL().EnableMapOracle()
+	}
+	model := NewModel(cfg.Keys)
+	db.Host().SetCommitHook(model.Commit)
+	return db, model, nil
+}
+
+// buildConfig is the configuration Build opens.
+func buildConfig(strategy checkin.Strategy, seed int64, opts Options, inj *inject.Injector) (checkin.Config, error) {
 	cfg := checkin.DefaultConfig()
 	cfg.Strategy = strategy
 	cfg.Seed = seed
@@ -290,7 +317,7 @@ func Build(strategy checkin.Strategy, seed int64, opts Options, inj *inject.Inje
 	if opts.Errors != "off" {
 		profile, err := checkin.ParseErrorProfile(opts.Errors)
 		if err != nil {
-			return nil, nil, err
+			return cfg, err
 		}
 		cfg = profile.Apply(cfg)
 		if extra := opts.FaultSpares - cfg.SpareBlocksPerDie; extra > 0 {
@@ -301,19 +328,7 @@ func Build(strategy checkin.Strategy, seed int64, opts Options, inj *inject.Inje
 			cfg.BlocksPerPlane += (extra + cfg.PlanesPerDie - 1) / cfg.PlanesPerDie
 		}
 	}
-	db, err := checkin.Open(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if flashMap {
-		// Every verification build runs with the differential mapping
-		// oracle armed: a coherence divergence panics at the faulting
-		// access instead of surfacing as a downstream validation diff.
-		db.Device().FTL().EnableMapOracle()
-	}
-	model := NewModel(opts.Keys)
-	db.Host().SetCommitHook(model.Commit)
-	return db, model, nil
+	return cfg, nil
 }
 
 // Validate performs the three crash-point checks against db's current

@@ -27,9 +27,9 @@ type Log interface {
 // checkpoint epochs — the journal engine's checkpoint, the LSM engine's
 // memtable flush — which run one at a time and close the query gate while
 // LockDuringCheckpoint holds. The journal Engine and lsm.Engine embed it,
-// which gives them Device, Sim, Metrics, JournalStats, RemapTotals,
-// SetCommitHook, Sync, Run, the checkpoint controls of Host and the op
-// stages their op machines share.
+// which gives them Device, Sim, Metrics, JournalStats, SetCommitHook,
+// Sync, Run, the checkpoint controls of Host and the op stages their op
+// machines share.
 type Base struct {
 	eng *sim.Engine
 	dev *ssd.Device
@@ -41,8 +41,7 @@ type Base struct {
 	// version is the in-memory (newest) version of each key.
 	version []int64
 
-	remapTotals ssd.RemapStats
-	metrics     *Metrics
+	metrics *Metrics
 
 	// epochName names an epoch's simulated process; work is one epoch's
 	// engine-specific part, given the epoch's start, whose duration the
@@ -80,7 +79,6 @@ func NewBase(eng *sim.Engine, dev *ssd.Device, cfg HostConfig, host Host, log Lo
 		host:      host,
 		log:       log,
 		version:   make([]int64, cfg.Keys),
-		metrics:   NewMetrics(),
 		epochName: epochName,
 		work:      work,
 		then:      then,
@@ -111,14 +109,20 @@ func (b *Base) Device() *ssd.Device { return b.dev }
 // Sim exposes the simulation kernel.
 func (b *Base) Sim() *sim.Engine { return b.eng }
 
-// Metrics exposes the live metrics collector.
-func (b *Base) Metrics() *Metrics { return b.metrics }
+// Metrics returns the live collector: the one the next measured window
+// opens on, or the window now open, and the one epochs record their
+// durations into. It is allocated on first use. A collector whose window
+// has closed belongs to the run that returned it and is never written
+// again, so once that happens the next call allocates a fresh one.
+func (b *Base) Metrics() *Metrics {
+	if b.metrics == nil || b.metrics.closed {
+		b.metrics = NewMetrics()
+	}
+	return b.metrics
+}
 
 // JournalStats returns the write-ahead log's counters.
 func (b *Base) JournalStats() JournalStats { return b.log.Stats() }
-
-// RemapTotals returns accumulated remap results across checkpoint epochs.
-func (b *Base) RemapTotals() ssd.RemapStats { return b.remapTotals }
 
 // SetCommitHook installs fn to observe every logged (key, version) the
 // instant its group commit becomes durable, before the waiting client
@@ -164,7 +168,7 @@ func (b *Base) AdmitWrite(q *Query) (version int64, ok, parked bool) {
 			return 0, false, true
 		}
 		if b.dev.ReadOnly() {
-			b.metrics.RejectedWrites++
+			b.Metrics().RejectedWrites++
 			return 0, false, false
 		}
 		q.admitting = true
@@ -251,7 +255,7 @@ func (b *Base) TriggerCheckpoint() *sim.Future {
 	b.eng.Go(b.epochName, func(p *sim.Proc) {
 		start := p.Now()
 		b.work(p, start)
-		b.metrics.NoteCheckpoint(p.Now() - start)
+		b.Metrics().NoteCheckpoint(p.Now() - start)
 		b.cfg.Tracer.Emit(p.Now(), trace.KindCheckpointEnd, int64(p.Now()-start), "")
 		b.running = false
 		b.epoch++
@@ -272,14 +276,15 @@ func (b *Base) TriggerCheckpoint() *sim.Future {
 
 // ForkBase returns a copy of src, the base of host, an engine of src's
 // kind on eng and dev that writes through log with the given epoch work
-// (see NewBase): src's version truth, epoch count and remap totals, with
-// idle epochs and a fresh metrics collector. It starts from a copy of
-// src's struct, so a field added to the base is copied by default. It
-// fails unless src is quiescent — no client parked, no epoch running (so
-// no closed query gate) and nothing pending, in flight or being cut in its
-// log — since otherwise parked queries and live process stacks reference
-// the state and the copy would be unsound. eng must be a fork of src's
-// kernel, which carries the lane NewBase registered. src is only read.
+// (see NewBase): src's version truth and epoch count, with idle epochs
+// and no metrics collector yet (Metrics allocates one on first use). It
+// starts from a copy of src's struct, so a field added to the base is
+// copied by default. It fails unless src is quiescent — no client parked,
+// no epoch running (so no closed query gate) and nothing pending, in
+// flight or being cut in its log — since otherwise parked queries and live
+// process stacks reference the state and the copy would be unsound. eng
+// must be a fork of src's kernel, which carries the lane NewBase
+// registered. src is only read.
 func ForkBase(src *Base, eng *sim.Engine, dev *ssd.Device, cfg HostConfig, host Host, log Log,
 	work func(p *sim.Proc, start sim.VTime), then func()) (Base, error) {
 	switch {
@@ -294,7 +299,7 @@ func ForkBase(src *Base, eng *sim.Engine, dev *ssd.Device, cfg HostConfig, host 
 	}
 	b := *src
 	b.eng, b.dev, b.cfg, b.host, b.log, b.work, b.then = eng, dev, cfg, host, log, work, then
-	b.metrics = NewMetrics()
+	b.metrics = nil
 	b.version = slices.Clone(src.version)
 	// The last epoch's futures have completed; idle epochs hold none.
 	b.done, b.gateOpen = nil, nil

@@ -166,12 +166,11 @@ func cowBatched(p *sim.Proc, dev *ssd.Device, pairs []ssd.CoWPair) {
 }
 
 // Remap is ISC-C and Check-In: the requests ride in checkpoint-request
-// commands of ckptCmdBatch entries and the FTL checkpoints by remapping,
-// adding each command's outcome to RemapTotals. Whether entries remap
-// purely or degrade to read-merge-writes depends on how the log laid the
-// records out.
+// commands of ckptCmdBatch entries and the FTL checkpoints by remapping.
+// Whether entries remap purely or degrade to read-merge-writes depends on
+// how the log laid the records out; the FTL's Stats count both.
 func (b *Base) Remap(p *sim.Proc, reqs []ssd.RemapEntry) {
-	dev, totals := b.dev, &b.remapTotals
+	dev := b.dev
 	// The cut brackets tell the FTL's translation-metadata layer to defer
 	// dirty writeback across the remap burst and settle it once, densest
 	// page first, when the burst has drained (dftl mode; no-op otherwise).
@@ -179,12 +178,7 @@ func (b *Base) Remap(p *sim.Proc, reqs []ssd.RemapEntry) {
 	var prev *sim.Future
 	for i := 0; i < len(reqs); i += ckptCmdBatch {
 		p.Sleep(HostIOOverhead)
-		res, fut := dev.CheckpointRequest(reqs[i:min(i+ckptCmdBatch, len(reqs))])
-		fut.OnComplete(func() {
-			totals.Remapped += res.Remapped
-			totals.RMWs += res.RMWs
-			totals.Skipped += res.Skipped
-		})
+		fut := dev.CheckpointRequest(reqs[i:min(i+ckptCmdBatch, len(reqs))])
 		// keep at most two checkpoint commands in flight (see cowBatched)
 		if prev != nil {
 			p.Wait(prev)

@@ -47,7 +47,8 @@ type Host interface {
 	// outside an event each waits on a kernel event, its start or its
 	// query's wake-up. A fork refuses a store with any.
 	Parked() int
-	// Metrics exposes the last run's live collector.
+	// Metrics returns the live collector (see Base.Metrics): a measured
+	// window opens on it, and epochs record into it.
 	Metrics() *Metrics
 
 	// SetCommitHook observes every (key, version) the instant it becomes
@@ -122,9 +123,10 @@ func (rs RunSpec) Validate(keys int64, fits func(payload int) bool) error {
 // last event (Engine.StopWhenIdle): its own finish, or an epoch's later
 // exit; queued timers stay for the next run. Each
 // client is a kernel handler driving its Query through the host's op
-// machine, issuing queries back to back. A fresh collector replaces the
-// live one before the run, so epoch processes record into it; the engine
-// may be Run multiple times and the metrics cover only the last run. Both
+// machine, issuing queries back to back. The run's window opens on the
+// live collector (see Base.Metrics), so epoch processes record into it,
+// and closes when the run ends; the engine may be Run multiple times, and
+// each run returns a collector of its own covering only that run. Both
 // engines run workloads through this one driver, so they measure
 // identically.
 func (b *Base) Run(spec RunSpec) (*Metrics, error) {
@@ -135,8 +137,7 @@ func (b *Base) Run(spec RunSpec) (*Metrics, error) {
 	if err := spec.Validate(cfg.Keys, b.log.Fits); err != nil {
 		return nil, err
 	}
-	m := NewMetrics()
-	b.metrics = m
+	m := b.Metrics()
 	m.BeginWindow(dev, b.JournalStats(), eng.Now())
 
 	var dist workload.Distribution = workload.Uniform{Keys: cfg.Keys}

@@ -304,7 +304,6 @@ func (en *Engine) checkpoint(p *sim.Proc, start sim.VTime) {
 	snap := en.jr.CutForCheckpoint(p)
 	en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(snap.jmt.Live()),
 		fmt.Sprintf("entries=%d used=%dKB", snap.jmt.Len(), snap.used>>10))
-	en.metrics.NoteLiveRatio(snap.jmt.LiveRatio())
 	if snap.jmt.Live() > 0 {
 		en.checkpointData(p, snap)
 		// apply: the data area now holds the checkpointed versions

@@ -140,36 +140,37 @@ func TestCheckpointByStrategyFlashBehavior(t *testing.T) {
 	}
 }
 
-func TestCheckInRemapSharing(t *testing.T) {
-	e, en := newTestEngine(t, StrategyCheckIn, nil)
+// remapDelta runs 100 512-byte updates and a checkpoint on a loaded
+// engine of strategy s and returns the units the FTL remapped purely and
+// by read-merge-write meanwhile.
+func remapDelta(t *testing.T, s Strategy) (remaps, rmws uint64) {
+	e, en := newTestEngine(t, s, nil)
 	en.Load()
+	pre := en.dev.FTL().Stats()
 	runProc(e, func(p *sim.Proc) {
 		for i := int64(0); i < 100; i++ {
 			update(en, p, i, 512)
 		}
 		p.Wait(en.TriggerCheckpoint())
 	})
-	rt := en.RemapTotals()
-	if rt.Remapped == 0 {
-		t.Fatalf("no pure remaps recorded: %+v", rt)
+	post := en.dev.FTL().Stats()
+	return post.Remaps - pre.Remaps, post.RemapRMWs - pre.RemapRMWs
+}
+
+func TestCheckInRemapSharing(t *testing.T) {
+	remaps, rmws := remapDelta(t, StrategyCheckIn)
+	if remaps == 0 {
+		t.Fatalf("no pure remaps recorded: %d remaps, %d RMWs", remaps, rmws)
 	}
-	if rt.RMWs > rt.Remapped/10 {
-		t.Errorf("aligned 512B records should remap purely: %+v", rt)
+	if rmws > remaps/10 {
+		t.Errorf("aligned 512B records should remap purely: %d remaps, %d RMWs", remaps, rmws)
 	}
 }
 
 func TestISCCUnalignedRemapRMWs(t *testing.T) {
-	e, en := newTestEngine(t, StrategyISCC, nil)
-	en.Load()
-	runProc(e, func(p *sim.Proc) {
-		for i := int64(0); i < 100; i++ {
-			update(en, p, i, 512)
-		}
-		p.Wait(en.TriggerCheckpoint())
-	})
-	rt := en.RemapTotals()
-	if rt.RMWs == 0 {
-		t.Fatalf("ISC-C with header-offset logs should RMW: %+v", rt)
+	remaps, rmws := remapDelta(t, StrategyISCC)
+	if rmws == 0 {
+		t.Fatalf("ISC-C with header-offset logs should RMW: %d remaps, %d RMWs", remaps, rmws)
 	}
 }
 
@@ -367,20 +368,52 @@ func TestJournalBackpressureTriggersCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRunReturnsItsOwnCollector: a run's window opens on the base's
+// collector, and a collector a run has returned is never written again: a
+// checkpoint after the run records into a fresh collector, which the next
+// run then opens its window on.
+func TestRunReturnsItsOwnCollector(t *testing.T) {
+	e, en := newTestEngine(t, StrategyCheckIn, nil)
+	en.Load()
+	live := en.Metrics()
+	spec := RunSpec{Threads: 4, TotalQueries: 2000, Mix: workload.WorkloadA}
+	m1, err := en.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m1 != live {
+		t.Error("Run allocated a collector although the base's had opened no window")
+	}
+	before := *m1
+	runProc(e, func(p *sim.Proc) { p.Wait(en.TriggerCheckpoint()) })
+	if *m1 != before {
+		t.Error("a checkpoint after the run wrote into the collector the run returned")
+	}
+	if en.Metrics().Checkpoints() != 1 {
+		t.Errorf("the live collector holds %d checkpoints, want the one after the run", en.Metrics().Checkpoints())
+	}
+	live = en.Metrics()
+	m2, err := en.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2 != live || m2 == m1 || *m1 != before {
+		t.Error("the second run did not open its window on the live collector alone")
+	}
+	if m2.Queries != 2000 {
+		t.Errorf("second run counted %d queries, want 2000", m2.Queries)
+	}
+}
+
 func TestMeanHelpers(t *testing.T) {
 	m := NewMetrics()
-	if m.MeanCheckpointTime() != 0 || m.MeanLiveRatio() != 0 {
-		t.Error("empty metrics means should be 0")
+	if m.MeanCheckpointTime() != 0 {
+		t.Error("empty metrics mean should be 0")
 	}
 	m.NoteCheckpoint(10 * sim.Millisecond)
 	m.NoteCheckpoint(30 * sim.Millisecond)
 	if m.MeanCheckpointTime() != 20*sim.Millisecond {
 		t.Errorf("MeanCheckpointTime = %v", m.MeanCheckpointTime())
-	}
-	m.NoteLiveRatio(0.4)
-	m.NoteLiveRatio(0.6)
-	if r := m.MeanLiveRatio(); r < 0.499 || r > 0.501 {
-		t.Errorf("MeanLiveRatio = %v", r)
 	}
 	if m.MaxCheckpointTime() != 30*sim.Millisecond {
 		t.Errorf("MaxCheckpointTime = %v", m.MaxCheckpointTime())
@@ -388,14 +421,13 @@ func TestMeanHelpers(t *testing.T) {
 }
 
 func TestMetricsStreamingNoAllocs(t *testing.T) {
-	// Checkpoint and live-ratio accounting is O(1): arbitrarily long runs
-	// must not grow the metrics. (These used to append to unbounded slices.)
+	// Checkpoint accounting is O(1): arbitrarily long runs must not grow
+	// the metrics.
 	m := NewMetrics()
 	if a := testing.AllocsPerRun(200, func() {
 		m.NoteCheckpoint(3 * sim.Millisecond)
-		m.NoteLiveRatio(0.25)
 	}); a != 0 {
-		t.Errorf("NoteCheckpoint/NoteLiveRatio allocate %v per call, want 0", a)
+		t.Errorf("NoteCheckpoint allocates %v per call, want 0", a)
 	}
 }
 
@@ -472,13 +504,10 @@ func TestTimelineSampling(t *testing.T) {
 	if m.Timeline == nil || m.Timeline.Len() == 0 {
 		t.Fatal("timeline not sampled")
 	}
-	s, err := m.Timeline.Series("kqps")
-	if err != nil {
-		t.Fatal(err)
-	}
 	sum := 0.0
-	for _, y := range s.Y {
-		sum += y
+	for i := range m.Timeline.Len() {
+		_, vals := m.Timeline.At(i) // kqps is the first series
+		sum += vals[0]
 	}
 	if sum <= 0 {
 		t.Error("timeline recorded no throughput")

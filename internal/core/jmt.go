@@ -162,12 +162,3 @@ func (t *JMT) Len() int { return len(t.entries) }
 
 // Live returns the number of latest-version entries.
 func (t *JMT) Live() int { return t.live }
-
-// LiveRatio returns live/total — the fraction the paper relates to the
-// uniform-vs-Zipfian checkpointing cost difference.
-func (t *JMT) LiveRatio() float64 {
-	if len(t.entries) == 0 {
-		return 0
-	}
-	return float64(t.live) / float64(len(t.entries))
-}

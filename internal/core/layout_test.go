@@ -140,14 +140,8 @@ func TestJMTFlagTransitions(t *testing.T) {
 	if jmt.Len() != 3 || jmt.Live() != 2 {
 		t.Errorf("Len=%d Live=%d, want 3/2", jmt.Len(), jmt.Live())
 	}
-	if r := jmt.LiveRatio(); r < 0.66 || r > 0.67 {
-		t.Errorf("LiveRatio = %v, want 2/3", r)
-	}
 	if jmt.Latest(12345) != nil {
 		t.Error("missing key returned an entry")
-	}
-	if NewJMT().LiveRatio() != 0 {
-		t.Error("empty table LiveRatio should be 0")
 	}
 }
 

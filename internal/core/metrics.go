@@ -39,12 +39,6 @@ type Metrics struct {
 	// bit-identical — the same integer sum over the same count.
 	CkptDur stats.Histogram
 
-	// Live-ratio samples stream into an exact running sum/count (the mean
-	// folds additions in the same order the old slice-walk did, so the
-	// reported value is bit-identical).
-	LiveRatioSum   float64
-	LiveRatioCount uint64
-
 	// RejectedWrites counts write queries refused because the device
 	// degraded to read-only mode (NAND spare pool exhausted).
 	RejectedWrites uint64
@@ -65,16 +59,22 @@ type Metrics struct {
 
 	JournalStart JournalStats
 	JournalEnd   JournalStats
+
+	// closed is set by EndWindow: the collector belongs to the window it
+	// measured and is never written again (see Base.Metrics).
+	closed bool
 }
 
 // NewMetrics returns an empty collector. Every host engine fills one through
 // the window and note methods, so all backends report in one format.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// BeginWindow snapshots device, FTL and flash counters at the start of a
-// measured run. jr carries the journaling-layer counters at the same
-// instant (an LSM backend reports its WAL counters through the same shape).
+// BeginWindow opens a measured window: it drops whatever the collector
+// recorded before and snapshots device, FTL and flash counters. jr carries
+// the journaling-layer counters at the same instant (an LSM backend
+// reports its WAL counters through the same shape).
 func (m *Metrics) BeginWindow(dev *ssd.Device, jr JournalStats, now sim.VTime) {
+	*m = Metrics{}
 	m.startDev = dev.Stats()
 	m.startFtl = dev.FTL().Stats()
 	m.startNand = dev.FTL().Array().Stats()
@@ -83,8 +83,10 @@ func (m *Metrics) BeginWindow(dev *ssd.Device, jr JournalStats, now sim.VTime) {
 	m.startTime = now
 }
 
-// EndWindow closes the measured window opened by BeginWindow.
+// EndWindow closes the measured window opened by BeginWindow; endTime is
+// the window's last completion.
 func (m *Metrics) EndWindow(dev *ssd.Device, jr JournalStats, endTime sim.VTime) {
+	m.closed = true
 	m.EndDev = dev.Stats()
 	m.EndFtl = dev.FTL().Stats()
 	m.EndNand = dev.FTL().Array().Stats()
@@ -118,12 +120,6 @@ func (m *Metrics) NoteQuery(op workload.Op, lat sim.VTime, duringCkpt bool) {
 // NoteCheckpoint records one finished checkpoint's duration.
 func (m *Metrics) NoteCheckpoint(d sim.VTime) { m.CkptDur.Record(uint64(d)) }
 
-// NoteLiveRatio records a live-entry ratio sample at a checkpoint.
-func (m *Metrics) NoteLiveRatio(r float64) {
-	m.LiveRatioSum += r
-	m.LiveRatioCount++
-}
-
 // Checkpoints returns the number of completed checkpoints.
 func (m *Metrics) Checkpoints() int { return int(m.CkptDur.Count()) }
 
@@ -137,14 +133,6 @@ func (m *Metrics) MeanCheckpointTime() sim.VTime {
 
 // MaxCheckpointTime returns the longest checkpoint duration.
 func (m *Metrics) MaxCheckpointTime() sim.VTime { return sim.VTime(m.CkptDur.Max()) }
-
-// MeanLiveRatio returns the average latest/total JMT ratio at checkpoints.
-func (m *Metrics) MeanLiveRatio() float64 {
-	if m.LiveRatioCount == 0 {
-		return 0
-	}
-	return m.LiveRatioSum / float64(m.LiveRatioCount)
-}
 
 // ThroughputQPS returns queries per simulated second.
 func (m *Metrics) ThroughputQPS() float64 {

@@ -246,6 +246,31 @@ func CheckAddressable(geo nand.Geometry, unit int, overProvision float64) error 
 	return nil
 }
 
+// CheckSpareReserve reports an error when geometry geo cannot hold c's
+// spare reserve beside the working blocks the FTL needs. The FTL keeps
+// blocks free or open at all times: the GC high-water mark and one open
+// block per write frontier (Parallelism per stream). A die's working
+// blocks, those its spares leave, must number at least twice its share of
+// them, so that as many again can hold the closed blocks GC picks victims
+// from. Spares taken beyond that leave GC nothing to reclaim into once
+// faults retire blocks, and the FTL runs out of free blocks (a panic in
+// allocBlock) instead of degrading to read-only. New does not check it: a
+// caller that bounds the data it writes may run a smaller working set.
+func (c Config) CheckSpareReserve(geo nand.Geometry) error {
+	dies := geo.TotalDies()
+	streams := int(numStreams)
+	if !c.FlashMap {
+		streams-- // StreamTrans never opens a block
+	}
+	held := c.GCHighWater + streams*min(c.Parallelism, dies)
+	most := geo.BlocksPerDie() - 2*((held+dies-1)/dies)
+	if c.SpareBlocksPerDie > most {
+		return fmt.Errorf("ftl: %d spare blocks per die leave too few working blocks: a die of %d blocks holds at most %d beside twice its share of the %d blocks the GC high-water mark and the open frontiers keep over %d dies",
+			c.SpareBlocksPerDie, geo.BlocksPerDie(), max(most, 0), held, dies)
+	}
+	return nil
+}
+
 // boundedProduct multiplies the non-negative factors xs, reporting false as
 // soon as the product exceeds bound.
 func boundedProduct(bound int64, xs ...int) (int64, bool) {

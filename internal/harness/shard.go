@@ -18,8 +18,10 @@ import (
 // synchronized cuts stack every device's checkpoint traffic, staggering
 // spreads it, and the globally consistent cut buys its frontier with a
 // dequeue stall the tails pay for.
-// It runs no cells: shard.Report has no per-shard Metrics, so the
-// experiment drives shard.Open itself.
+// It runs no cells: a cell is one stack's Config plus a closed-loop
+// RunSpec, while this experiment drives N stacks under open-loop arrivals,
+// so it calls shard.Open itself (each report row still carries its
+// shard's core.Metrics).
 func renderShardSched(o Opts, _ []Cell) (*Table, error) {
 	shards := cmp.Or(o.Shards, shard.DefaultShards)
 	tenants := cmp.Or(o.Tenants, shard.DefaultTenantCount)

@@ -486,9 +486,6 @@ func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 	sealedLogs := len(en.walLogs[half])
 	en.cfg.Tracer.Emit(start, trace.KindCheckpointBegin, int64(en.imm.len()),
 		fmt.Sprintf("entries=%d used=%dKB", sealedLogs, used>>10))
-	if sealedLogs > 0 {
-		en.Metrics().NoteLiveRatio(float64(en.imm.len()) / float64(sealedLogs))
-	}
 
 	if en.imm.len() > 0 {
 		r := en.flushRun(p)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	checkin "github.com/checkin-kv/checkin"
+	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/workload"
 )
 
@@ -74,22 +75,21 @@ func TestShardBenchSmoke(t *testing.T) {
 	tenants := make([]map[string]any, 0, len(rep.Tenants))
 	for _, tr := range rep.Tenants {
 		tenants = append(tenants, map[string]any{
-			"tenant":    tr.Name,
-			"offered":   tr.Offered,
-			"shed":      tr.Shed,
-			"done":      tr.Done,
-			"mean":      tr.Mean.String(),
-			"p50":       tr.P50.String(),
-			"p99":       tr.P99.String(),
-			"p99_9":     tr.P999.String(),
-			"slo":       tr.SLO.String(),
-			"miss_pct":  round3(tr.SLOMissPct),
-			"read_p99":  tr.ReadP99.String(),
-			"write_p99": tr.WriteP99.String(),
+			"tenant":   tr.Name,
+			"offered":  tr.Offered,
+			"shed":     tr.Shed,
+			"done":     tr.Done,
+			"mean":     tr.Mean.String(),
+			"p50":      tr.P50.String(),
+			"p99":      tr.P99.String(),
+			"p99_9":    tr.P999.String(),
+			"slo":      tr.SLO.String(),
+			"miss_pct": round3(tr.SLOMissPct),
 		})
 	}
 	shardRows := make([]map[string]any, 0, len(rep.ShardRows))
 	for _, sr := range rep.ShardRows {
+		m := sr.Metrics
 		shardRows = append(shardRows, map[string]any{
 			"shard":       sr.ID,
 			"done":        sr.Done,
@@ -97,6 +97,8 @@ func TestShardBenchSmoke(t *testing.T) {
 			"checkpoints": sr.Checkpoints,
 			"mean_ckpt":   sr.MeanCkpt.String(),
 			"last_done":   sr.LastDone.String(),
+			"read_p99_9":  sim.VTime(m.ReadLat.Percentile(99.9)).String(),
+			"write_p99_9": sim.VTime(m.WriteLat.Percentile(99.9)).String(),
 		})
 	}
 	report := map[string]any{

@@ -11,7 +11,7 @@ import (
 )
 
 // shardRunner drives one engine+SSD stack as an event domain. Everything it
-// touches — its DB's private sim.Engine, its queue, its histograms — is
+// touches — its DB's private sim.Engine, its queue, its collector — is
 // owned by this shard alone; the coordinator writes the staged arrival
 // slice and cut schedule strictly before a window runs and reads the
 // accounting strictly after, so a window's execution shares no mutable
@@ -38,9 +38,11 @@ type shardRunner struct {
 	arr    []workload.Arrival
 	arrIdx int
 
+	// m is the shard's measured window, opened on its stack's collector:
+	// every completion is one NoteQuery, so m.Queries counts the ops done.
+	m        *core.Metrics
 	tenants  []tenantAcct
 	queued   uint64
-	done     uint64
 	qPeak    int
 	lastDone sim.VTime // completion offset of the latest finished op
 
@@ -51,17 +53,18 @@ type shardRunner struct {
 type pendingOp struct {
 	at     sim.VTime // absolute arrival time on this shard's clock
 	tenant int32
-	op     workload.Op // Key is shard-local
+	// epoch is the low half of the host's checkpoint epoch at arrival; it
+	// fills the padding before op, so the record stays 32 bytes.
+	epoch uint32
+	op    workload.Op // Key is shard-local
 }
 
-// tenantAcct is one shard's streaming accounting for one tenant. Histograms
-// are O(1) sketches; merging across shards in shard order at report time is
-// the only cross-shard stats operation.
+// tenantAcct is one shard's streaming accounting for one tenant, which the
+// SLO table reads. The histogram is an O(1) sketch; merging across shards
+// in shard order at report time is the only cross-shard stats operation.
 type tenantAcct struct {
-	done     uint64
-	readLat  stats.Histogram
-	writeLat stats.Histogram
-	allLat   stats.Histogram
+	done   uint64
+	allLat stats.Histogram
 }
 
 func newShardRunner(id int, db *checkin.DB, tenants int, workers int) *shardRunner {
@@ -73,6 +76,8 @@ func newShardRunner(id int, db *checkin.DB, tenants int, workers int) *shardRunn
 		tenants: make([]tenantAcct, tenants),
 	}
 	s.base = s.eng.Now()
+	s.m = s.en.Metrics()
+	s.m.BeginWindow(s.en.Device(), s.en.JournalStats(), s.base)
 	s.sem = sim.NewSemaphore(s.eng, 0)
 	// A fixed worker pool (rather than one query per op) bounds the shard's
 	// concurrency toward its device — the front-end's max in-flight
@@ -154,17 +159,14 @@ func (s *shardRunner) finish(po pendingOp) {
 	now := s.eng.Now()
 	// Open-loop latency: completion minus *arrival*, so queueing delay —
 	// the thing overload and checkpoint stalls actually cost a client —
-	// is part of every sample.
-	lat := uint64(now - po.at)
+	// is part of every sample. The op overlapped a checkpoint over the same
+	// interval: one runs now, or one started or ended since it arrived.
+	lat := now - po.at
+	during := s.en.CheckpointRunning() || uint32(s.en.CheckpointEpoch()) != po.epoch
+	s.m.NoteQuery(po.op, lat, during)
 	ta := &s.tenants[po.tenant]
 	ta.done++
-	ta.allLat.Record(lat)
-	if po.op.Kind == workload.OpRead || po.op.Kind == workload.OpScan {
-		ta.readLat.Record(lat)
-	} else {
-		ta.writeLat.Record(lat)
-	}
-	s.done++
+	ta.allLat.Record(uint64(lat))
 	if off := now - s.base; off > s.lastDone {
 		s.lastDone = off
 	}
@@ -195,7 +197,8 @@ func (s *shardRunner) pace() {
 	for s.arrIdx < len(s.arr) && s.base+s.arr[s.arrIdx].At <= now {
 		a := s.arr[s.arrIdx]
 		s.arrIdx++
-		s.queue = append(s.queue, pendingOp{at: s.base + a.At, tenant: a.Tenant, op: a.Op})
+		s.queue = append(s.queue, pendingOp{at: s.base + a.At, tenant: a.Tenant,
+			epoch: uint32(s.en.CheckpointEpoch()), op: a.Op})
 		s.queued++
 		if backlog := len(s.queue) - s.head; backlog > s.qPeak {
 			s.qPeak = backlog
@@ -259,5 +262,5 @@ func (s *shardRunner) run(deadline sim.VTime) {
 // idle reports whether the shard has fully drained: no queued or in-flight
 // ops and no checkpoint in progress.
 func (s *shardRunner) idle() bool {
-	return s.done == s.queued && !s.en.CheckpointRunning()
+	return s.m.Queries == s.queued && !s.en.CheckpointRunning()
 }

@@ -110,8 +110,8 @@ func TestGlobalPauseDispatchOrder(t *testing.T) {
 	var sb strings.Builder
 	for i, d := range logs {
 		sb.WriteString(d.out.String())
-		if n := uint64(strings.Count(d.out.String(), "\n")); n != d.s.done {
-			t.Fatalf("shard %d: logged %d dequeues, finished %d ops", i, n, d.s.done)
+		if n := uint64(strings.Count(d.out.String(), "\n")); n != d.s.m.Queries {
+			t.Fatalf("shard %d: logged %d dequeues, finished %d ops", i, n, d.s.m.Queries)
 		}
 		if rep.ShardRows[i].Checkpoints < 2 {
 			t.Fatalf("shard %d paused for %d cuts, want several", i, rep.ShardRows[i].Checkpoints)

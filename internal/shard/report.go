@@ -6,29 +6,31 @@ import (
 	"strings"
 	"time"
 
+	"github.com/checkin-kv/checkin/internal/core"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/stats"
 )
 
 // TenantReport is one tenant's end-to-end accounting, merged across shards.
 type TenantReport struct {
-	Name     string
-	Offered  uint64 // arrivals generated
-	Shed     uint64 // rejected by admission control
-	Done     uint64 // completed ops
-	Mean     sim.VTime
-	P50      sim.VTime
-	P99      sim.VTime
-	P999     sim.VTime
-	ReadP99  sim.VTime
-	WriteP99 sim.VTime
+	Name    string
+	Offered uint64 // arrivals generated
+	Shed    uint64 // rejected by admission control
+	Done    uint64 // completed ops
+	Mean    sim.VTime
+	P50     sim.VTime
+	P99     sim.VTime
+	P999    sim.VTime
 	// SLO accounting: target latency and the fraction of completed ops
 	// that exceeded it (0 when no target is configured).
 	SLO        sim.VTime
 	SLOMissPct float64
 }
 
-// ShardReport is one shard's view — the imbalance row.
+// ShardReport is one shard's view — the imbalance row. Done, Checkpoints
+// and MeanCkpt are read from Metrics, the shard's measured window: every
+// completed op (its latency from arrival, split by kind and by checkpoint
+// overlap), every checkpoint and the device, FTL and flash deltas.
 type ShardReport struct {
 	ID          int
 	Done        uint64
@@ -36,6 +38,7 @@ type ShardReport struct {
 	Checkpoints int
 	MeanCkpt    sim.VTime
 	LastDone    sim.VTime // completion offset of the shard's final op
+	Metrics     *core.Metrics
 	// Wall-clock phases (observational; excluded from Render so rendered
 	// reports stay byte-comparable across machines and parallelism).
 	LoadWall time.Duration
@@ -81,28 +84,24 @@ func (s *ShardedDB) report(wall time.Duration) *Report {
 		LoadWall:    s.tmplWall,
 	}
 	for ti, t := range s.cfg.Arrival.Tenants {
-		var all, rd, wr stats.Histogram
+		var all stats.Histogram
 		var done uint64
 		for _, r := range s.shards {
 			ta := &r.tenants[ti]
 			done += ta.done
 			all.Merge(&ta.allLat)
-			rd.Merge(&ta.readLat)
-			wr.Merge(&ta.writeLat)
 		}
 		ps := all.Percentiles(50, 99, 99.9)
 		tr := TenantReport{
-			Name:     t.Name,
-			Offered:  s.offered[ti],
-			Shed:     s.shed[ti],
-			Done:     done,
-			Mean:     sim.VTime(all.Mean()),
-			P50:      sim.VTime(ps[0]),
-			P99:      sim.VTime(ps[1]),
-			P999:     sim.VTime(ps[2]),
-			ReadP99:  sim.VTime(rd.Percentile(99)),
-			WriteP99: sim.VTime(wr.Percentile(99)),
-			SLO:      t.SLO,
+			Name:    t.Name,
+			Offered: s.offered[ti],
+			Shed:    s.shed[ti],
+			Done:    done,
+			Mean:    sim.VTime(all.Mean()),
+			P50:     sim.VTime(ps[0]),
+			P99:     sim.VTime(ps[1]),
+			P999:    sim.VTime(ps[2]),
+			SLO:     t.SLO,
 		}
 		if t.SLO > 0 && done > 0 {
 			tr.SLOMissPct = 100 * float64(all.CountAbove(uint64(t.SLO))) / float64(done)
@@ -114,14 +113,14 @@ func (s *ShardedDB) report(wall time.Duration) *Report {
 	}
 	rep.Admitted = rep.Offered - rep.Shed
 	for _, r := range s.shards {
-		m := r.en.Metrics()
 		sr := ShardReport{
 			ID:          r.id,
-			Done:        r.done,
+			Done:        r.m.Queries,
 			PeakQueue:   r.qPeak,
-			Checkpoints: m.Checkpoints(),
-			MeanCkpt:    m.MeanCheckpointTime(),
+			Checkpoints: r.m.Checkpoints(),
+			MeanCkpt:    r.m.MeanCheckpointTime(),
 			LastDone:    r.lastDone,
+			Metrics:     r.m,
 			LoadWall:    r.loadWall,
 			RunWall:     r.runWall,
 		}

@@ -323,6 +323,10 @@ func (s *ShardedDB) run(win sim.VTime) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, r := range s.shards {
+		// Each shard's window ends at its last completion.
+		r.m.EndWindow(r.en.Device(), r.en.JournalStats(), r.base+r.lastDone)
+	}
 	return s.report(time.Since(wallStart)), nil
 }
 
@@ -444,14 +448,14 @@ func (s *ShardedDB) execute(windows <-chan *window) error {
 			for _, r := range s.shards {
 				if !r.idle() {
 					idle = false
-					if r.done != r.queued && r.sem.Waiting() == s.cfg.Workers {
+					if r.m.Queries != r.queued && r.sem.Waiting() == s.cfg.Workers {
 						// Every worker parked on the semaphore holds no op,
 						// so ops still outstanding once the stream has ended
 						// can never complete — a driver bug; fail loudly
 						// instead of spinning windows. (The event queue
 						// never empties: the device's deallocator re-arms.)
 						return fmt.Errorf("shard %d stalled with %d ops outstanding",
-							r.id, r.queued-r.done)
+							r.id, r.queued-r.m.Queries)
 					}
 				}
 			}

@@ -8,10 +8,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	checkin "github.com/checkin-kv/checkin"
 	"github.com/checkin-kv/checkin/internal/lsm"
 	"github.com/checkin-kv/checkin/internal/sim"
+	"github.com/checkin-kv/checkin/internal/stats"
 	"github.com/checkin-kv/checkin/internal/workload"
 )
 
@@ -244,6 +246,72 @@ func TestShardedLSMEngine(t *testing.T) {
 		if seq, par := withProcs(1, render), withProcs(4, render); seq != par {
 			t.Fatalf("%s: sequential and parallel outputs differ:\n--- GOMAXPROCS=1 ---\n%s\n--- GOMAXPROCS=4 ---\n%s", sched, seq, par)
 		}
+	}
+}
+
+// TestShardedMetricsMatchReport: each shard's report row reads the one
+// record of its run, the core.Metrics window on its stack's collector,
+// and that record agrees with the driver's own per-tenant accounting.
+// Per shard, on both engines under every policy: every completion is one
+// query, split into reads and writes; every checkpoint is one duration
+// sample with the row's mean; the window saw device work and ends at the
+// shard's last completion; and some queries overlapped a checkpoint.
+// Across shards, the merged latency histogram equals the merged tenant
+// histograms bucket for bucket, so both record the same samples.
+func TestShardedMetricsMatchReport(t *testing.T) {
+	for _, engine := range []string{"journal", "lsm"} {
+		for _, sched := range Scheds() {
+			cfg := testConfig(2, sched)
+			cfg.Base.Engine = engine
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", engine, sched, err)
+			}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", engine, sched, err)
+			}
+			var all, tenants stats.Histogram
+			for i, sr := range rep.ShardRows {
+				m, r := sr.Metrics, s.shards[i]
+				name := fmt.Sprintf("%s/%s shard %d", engine, sched, sr.ID)
+				var tenantDone uint64
+				for ti := range r.tenants {
+					tenantDone += r.tenants[ti].done
+					tenants.Merge(&r.tenants[ti].allLat)
+				}
+				all.Merge(&m.AllLat)
+				switch {
+				case sr.Done == 0 || m.Queries != sr.Done || tenantDone != sr.Done:
+					t.Errorf("%s: Queries %d, Done %d, tenants done %d", name, m.Queries, sr.Done, tenantDone)
+				case m.ReadLat.Count()+m.WriteLat.Count() != sr.Done:
+					t.Errorf("%s: %d reads + %d writes, Done %d", name, m.ReadLat.Count(), m.WriteLat.Count(), sr.Done)
+				case sr.Checkpoints == 0 || m.CkptDur.Count() != uint64(sr.Checkpoints):
+					t.Errorf("%s: %d checkpoint samples, Checkpoints %d", name, m.CkptDur.Count(), sr.Checkpoints)
+				case m.MeanCheckpointTime() != sr.MeanCkpt:
+					t.Errorf("%s: mean checkpoint %v, MeanCkpt %v", name, m.MeanCheckpointTime(), sr.MeanCkpt)
+				case m.HostWriteBytes() == 0 || m.FlashPrograms() == 0 || m.FlashReads() == 0:
+					t.Errorf("%s: device deltas host writes %d, programs %d, flash reads %d",
+						name, m.HostWriteBytes(), m.FlashPrograms(), m.FlashReads())
+				case m.Elapsed != sr.LastDone:
+					t.Errorf("%s: window %v, last completion %v", name, m.Elapsed, sr.LastDone)
+				case m.ReadLatCkpt.Count()+m.WriteLatCkpt.Count() == 0:
+					t.Errorf("%s: no query overlapped any of %d checkpoints", name, sr.Checkpoints)
+				}
+			}
+			if all != tenants {
+				t.Errorf("%s/%s: merged shard AllLat (%d samples) differs from the merged tenant histograms (%d)",
+					engine, sched, all.Count(), tenants.Count())
+			}
+		}
+	}
+}
+
+// TestPendingOpIs32Bytes: the arrival's checkpoint epoch rides in the
+// padding of a queued op, which stays half a cache line.
+func TestPendingOpIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(pendingOp{}); n != 32 {
+		t.Fatalf("pendingOp is %d bytes, want 32", n)
 	}
 }
 

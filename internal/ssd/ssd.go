@@ -308,7 +308,6 @@ type command struct {
 	off, dst, n int64 // Read/Write/Deallocate range; CoW source, destination, length
 	pairs       []CoWPair
 	entries     []RemapEntry
-	remap       RemapStats
 }
 
 // command returns a record holding proto's kind and arguments, recycled
@@ -459,10 +458,7 @@ func (c *command) backEnd() *sim.Future {
 			}
 			cached := d.cacheLookup(e.Src, e.Len) == 0
 			d.cacheInvalidate(e.Dst, e.Len)
-			r, f := d.f.RemapCached(e.Src, e.Dst, e.Len, cached)
-			c.remap.Remapped += r.Remapped
-			c.remap.RMWs += r.RMWs
-			c.remap.Skipped += r.Skipped
+			_, f := d.f.RemapCached(e.Src, e.Dst, e.Len, cached)
 			if !f.Done() {
 				futs = append(futs, f)
 			}
@@ -540,20 +536,13 @@ func (d *Device) MultiCoW(pairs []CoWPair) *sim.Future {
 	}))
 }
 
-// RemapStats aggregates what a checkpoint-request command did.
-type RemapStats struct {
-	Remapped int
-	RMWs     int
-	Skipped  int
-}
-
 // CheckpointRequest executes the paper's checkpoint command: the JMT
 // metadata rides in the command payload; the checkpoint manager walks it
 // (Algorithm 1), skipping OLD entries and remapping the rest. Aligned
 // entries are pure mapping updates; unaligned ones degrade to in-device
-// read-merge-writes. The returned future completes when the checkpoint is
-// durable; the stats fill in when the device starts executing the command.
-func (d *Device) CheckpointRequest(entries []RemapEntry) (*RemapStats, *sim.Future) {
+// read-merge-writes, which the FTL counts (ftl.Stats Remaps, RemapRMWs).
+// The returned future completes when the checkpoint is durable.
+func (d *Device) CheckpointRequest(entries []RemapEntry) *sim.Future {
 	live := 0
 	for _, e := range entries {
 		if !e.Old {
@@ -561,13 +550,12 @@ func (d *Device) CheckpointRequest(entries []RemapEntry) (*RemapStats, *sim.Futu
 		}
 	}
 	d.stats.RemapEntries += uint64(live)
-	cmd := d.command(command{
+	return d.submit(d.command(command{
 		kind:    cmdCheckpoint,
 		bytes:   len(entries) * 25,
 		cpu:     sim.VTime(live) * d.cfg.CPUPerRemapEntry,
 		entries: entries,
-	})
-	return &cmd.remap, d.submit(cmd)
+	}))
 }
 
 // BeginCheckpointCut / EndCheckpointCut bracket one checkpoint's remap burst

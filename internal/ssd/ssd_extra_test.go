@@ -73,7 +73,7 @@ func TestCheckpointRequestUsesCacheForRMW(t *testing.T) {
 	e.Run()
 	preReads := d.FTL().Array().Stats().Reads
 	// Unaligned source forces RMW, but the source sits in the DRAM cache.
-	_, cf := d.CheckpointRequest([]RemapEntry{{Src: 100, Dst: 131072, Len: 1024}})
+	cf := d.CheckpointRequest([]RemapEntry{{Src: 100, Dst: 131072, Len: 1024}})
 	e.Run()
 	if !cf.Done() {
 		t.Fatal("checkpoint request never completed")

@@ -250,7 +250,8 @@ func TestCheckpointRequestRemapsAligned(t *testing.T) {
 	d.Write(0, 4096, AreaJournal)
 	e.Run()
 	prePrograms := d.FTL().Array().Stats().Programs
-	res, cf := d.CheckpointRequest([]RemapEntry{
+	pre := d.FTL().Stats()
+	cf := d.CheckpointRequest([]RemapEntry{
 		{Src: 0, Dst: 65536, Len: 2048},
 		{Src: 2048, Dst: 65536 + 2048, Len: 2048},
 		{Src: 0, Dst: 131072, Len: 2048, Old: true}, // superseded: skipped
@@ -259,8 +260,9 @@ func TestCheckpointRequestRemapsAligned(t *testing.T) {
 	if !cf.Done() {
 		t.Fatal("checkpoint request never completed")
 	}
-	if res.Remapped != 8 || res.RMWs != 0 {
-		t.Errorf("RemapStats = %+v, want 8 remapped units", *res)
+	post := d.FTL().Stats()
+	if remaps, rmws := post.Remaps-pre.Remaps, post.RemapRMWs-pre.RemapRMWs; remaps != 8 || rmws != 0 {
+		t.Errorf("%d units remapped, %d by RMW; want 8 remapped units", remaps, rmws)
 	}
 	if got := d.FTL().Array().Stats().Programs - prePrograms; got != 0 {
 		t.Errorf("aligned checkpoint programmed %d pages, want 0", got)
@@ -274,14 +276,15 @@ func TestCheckpointRequestUnalignedRMWs(t *testing.T) {
 	e, d := testDevice(t, nil)
 	d.Write(0, 4096, AreaJournal)
 	e.Run()
-	res, cf := d.CheckpointRequest([]RemapEntry{
+	pre := d.FTL().Stats()
+	cf := d.CheckpointRequest([]RemapEntry{
 		{Src: 100, Dst: 65536, Len: 1024}, // unaligned source
 	})
 	e.Run()
 	if !cf.Done() {
 		t.Fatal("checkpoint request never completed")
 	}
-	if res.RMWs == 0 {
+	if d.FTL().Stats().RemapRMWs == pre.RemapRMWs {
 		t.Error("unaligned entry did not RMW")
 	}
 	// RMW residue stages until the post-checkpoint flush barrier.

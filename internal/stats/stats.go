@@ -1,15 +1,12 @@
 // Package stats provides the measurement primitives used across the
 // Check-In reproduction: log-bucketed latency histograms with accurate tail
-// percentiles (p99.9 / p99.99 are headline numbers in the paper), plain
-// counters with named registries, and time series for figure output.
+// percentiles (p99.9 / p99.99 are headline numbers in the paper), and a
+// bounded timeline of periodic samples for throughput-over-time output.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 )
 
 // Histogram is a log-bucketed histogram of non-negative integer samples
@@ -165,8 +162,7 @@ func (h *Histogram) CountAbove(threshold uint64) uint64 {
 
 // Percentiles returns Percentile(p) for every p in ps in a single pass over
 // the buckets; ps must be non-decreasing. Each element is exactly what the
-// corresponding individual Percentile call would return — Summarize uses
-// this to extract its five tail points with one scan instead of five.
+// corresponding individual Percentile call would return.
 func (h *Histogram) Percentiles(ps ...float64) []uint64 {
 	out := make([]uint64, len(ps))
 	if h.total == 0 {
@@ -257,117 +253,3 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Reset discards all samples.
 func (h *Histogram) Reset() { *h = Histogram{} }
-
-// Summary is a compact snapshot of a histogram's headline statistics.
-type Summary struct {
-	Count uint64
-	Mean  float64
-	Min   uint64
-	P50   uint64
-	P90   uint64
-	P99   uint64
-	P999  uint64
-	P9999 uint64
-	Max   uint64
-}
-
-// Summarize extracts a Summary with one bucket scan.
-func (h *Histogram) Summarize() Summary {
-	pct := h.Percentiles(50, 90, 99, 99.9, 99.99)
-	return Summary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		Min:   h.Min(),
-		P50:   pct[0],
-		P90:   pct[1],
-		P99:   pct[2],
-		P999:  pct[3],
-		P9999: pct[4],
-		Max:   h.Max(),
-	}
-}
-
-// Counters is a registry of named monotonic counters. The zero value is
-// ready to use.
-type Counters struct {
-	m map[string]uint64
-}
-
-// Add increments counter name by delta.
-func (c *Counters) Add(name string, delta uint64) {
-	if c.m == nil {
-		c.m = make(map[string]uint64)
-	}
-	c.m[name] += delta
-}
-
-// Inc increments counter name by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
-// Get returns the value of counter name (0 if never touched).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
-
-// Names returns all counter names in sorted order.
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for n := range c.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Merge adds all counters from o into c.
-func (c *Counters) Merge(o *Counters) {
-	for n, v := range o.m {
-		c.Add(n, v)
-	}
-}
-
-// String renders the counters one per line, sorted by name.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for _, n := range c.Names() {
-		fmt.Fprintf(&b, "%-32s %d\n", n, c.m[n])
-	}
-	return b.String()
-}
-
-// Series is an ordered sequence of (x, y) points forming one line of a
-// figure (e.g. checkpointing time vs thread count for one configuration).
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Append adds a point.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
-// YAt returns the y value for the given x, and whether it exists.
-func (s *Series) YAt(x float64) (float64, bool) {
-	for i, xv := range s.X {
-		if xv == x {
-			return s.Y[i], true
-		}
-	}
-	return 0, false
-}
-
-// Normalize divides every y by the y at the given x (useful for the paper's
-// "normalized" figures). It is a no-op if that point is missing or zero.
-func (s *Series) Normalize(atX float64) {
-	base, ok := s.YAt(atX)
-	if !ok || base == 0 {
-		return
-	}
-	for i := range s.Y {
-		s.Y[i] /= base
-	}
-}

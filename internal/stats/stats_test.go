@@ -176,89 +176,6 @@ func TestHistogramNeverUnderestimatesUpperBound(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	var h Histogram
-	for i := uint64(1); i <= 10000; i++ {
-		h.Record(i)
-	}
-	s := h.Summarize()
-	if s.Count != 10000 {
-		t.Errorf("Count = %d", s.Count)
-	}
-	checks := []struct {
-		name  string
-		got   uint64
-		exact float64
-	}{
-		{"P50", s.P50, 5000}, {"P90", s.P90, 9000}, {"P99", s.P99, 9900},
-		{"P999", s.P999, 9990}, {"P9999", s.P9999, 9999},
-	}
-	for _, c := range checks {
-		if float64(c.got) < c.exact || float64(c.got) > c.exact*1.04 {
-			t.Errorf("%s = %d, want ~%.0f", c.name, c.got, c.exact)
-		}
-	}
-	if s.Min != 1 || s.Max != 10000 {
-		t.Errorf("Min/Max = %d/%d", s.Min, s.Max)
-	}
-}
-
-func TestCounters(t *testing.T) {
-	var c Counters
-	c.Inc("flash.reads")
-	c.Add("flash.reads", 9)
-	c.Add("flash.programs", 4)
-	if c.Get("flash.reads") != 10 || c.Get("flash.programs") != 4 {
-		t.Errorf("counters wrong: %v %v", c.Get("flash.reads"), c.Get("flash.programs"))
-	}
-	if c.Get("missing") != 0 {
-		t.Error("missing counter not zero")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "flash.programs" || names[1] != "flash.reads" {
-		t.Errorf("Names = %v", names)
-	}
-	var d Counters
-	d.Add("flash.reads", 5)
-	d.Add("gc.count", 2)
-	c.Merge(&d)
-	if c.Get("flash.reads") != 15 || c.Get("gc.count") != 2 {
-		t.Error("merge failed")
-	}
-	if s := c.String(); s == "" {
-		t.Error("String empty")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Name = "baseline"
-	s.Append(4, 100)
-	s.Append(8, 220)
-	s.Append(16, 460)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if y, ok := s.YAt(8); !ok || y != 220 {
-		t.Errorf("YAt(8) = %v,%v", y, ok)
-	}
-	if _, ok := s.YAt(99); ok {
-		t.Error("YAt(99) should be missing")
-	}
-	s.Normalize(4)
-	if s.Y[0] != 1 || s.Y[1] != 2.2 || s.Y[2] != 4.6 {
-		t.Errorf("normalized Y = %v", s.Y)
-	}
-	// Normalizing by a missing or zero point is a no-op.
-	before := append([]float64(nil), s.Y...)
-	s.Normalize(1234)
-	for i := range before {
-		if s.Y[i] != before[i] {
-			t.Error("Normalize by missing x mutated series")
-		}
-	}
-}
-
 func TestBucketRoundTrip(t *testing.T) {
 	// Property: every value falls inside [bucketLow, bucketHigh] of its
 	// own bucket.

@@ -109,13 +109,6 @@ func TestTimelinePartialBucketVisible(t *testing.T) {
 	if at != 100 || v[0] != 9.5 {
 		t.Errorf("partial row = (%d, %v), want (100, [9.5])", at, v)
 	}
-	s, err := tl.Series("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 || s.Y[2] != 9.5 {
-		t.Errorf("series sees %d rows, tail %v", s.Len(), s.Y)
-	}
 }
 
 func TestTimelineFootprintBounded(t *testing.T) {

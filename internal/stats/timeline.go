@@ -149,20 +149,6 @@ func (t *Timeline) At(i int) (uint64, []float64) {
 	return t.accAt, vals
 }
 
-// Series extracts one named series as (x=seconds, y=value) points.
-func (t *Timeline) Series(name string) (*Series, error) {
-	idx, ok := t.index[name]
-	if !ok {
-		return nil, fmt.Errorf("stats: timeline has no series %q", name)
-	}
-	s := &Series{Name: name}
-	for i, n := 0, t.Len(); i < n; i++ {
-		atNS, vals := t.At(i)
-		s.Append(float64(atNS)/1e9, vals[idx])
-	}
-	return s, nil
-}
-
 // WriteCSV emits the timeline as CSV with a time_s column first.
 func (t *Timeline) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "time_s,%s\n", strings.Join(t.names, ",")); err != nil {
@@ -185,22 +171,24 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 // Sparkline renders one series as a compact unicode sparkline (reporting
 // aid for terminal output).
 func (t *Timeline) Sparkline(name string, width int) (string, error) {
-	s, err := t.Series(name)
-	if err != nil {
-		return "", err
+	idx, ok := t.index[name]
+	if !ok {
+		return "", fmt.Errorf("stats: timeline has no series %q", name)
 	}
-	if s.Len() == 0 {
+	n := t.Len()
+	if n == 0 {
 		return "", nil
 	}
-	if width <= 0 || width > s.Len() {
-		width = s.Len()
+	if width <= 0 || width > n {
+		width = n
 	}
 	// bucket-average down to width points
 	buckets := make([]float64, width)
 	counts := make([]int, width)
-	for i := 0; i < s.Len(); i++ {
-		b := i * width / s.Len()
-		buckets[b] += s.Y[i]
+	for i := 0; i < n; i++ {
+		_, vals := t.At(i)
+		b := i * width / n
+		buckets[b] += vals[idx]
 		counts[b]++
 	}
 	min, max := 0.0, 0.0

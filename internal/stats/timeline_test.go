@@ -17,15 +17,8 @@ func TestTimelineSampleAndSeries(t *testing.T) {
 	if at != 1e9 || vals[0] != 120 || vals[1] != 1 {
 		t.Errorf("At(1) = %d %v", at, vals)
 	}
-	s, err := tl.Series("qps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 || s.X[1] != 1.0 || s.Y[2] != 90 {
-		t.Errorf("series = %+v", s)
-	}
-	if _, err := tl.Series("missing"); err == nil {
-		t.Error("missing series accepted")
+	if at, vals := tl.At(2); at != 2e9 || vals[0] != 90 {
+		t.Errorf("At(2) = %d %v", at, vals)
 	}
 	if names := tl.Names(); len(names) != 2 || names[0] != "qps" {
 		t.Errorf("Names = %v", names)
