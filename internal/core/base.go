@@ -57,6 +57,14 @@ type Base struct {
 	gateClosed bool
 	gateOpen   *sim.Future
 
+	// The checkpoint transfers' reused buffers (see Remap), allocated by
+	// the first transfer that needs them: two commands' requests each, and
+	// a window of in-flight command futures (ISC-A's CoW commands,
+	// Baseline's journal reads). Their content is dead between epochs.
+	remapBuf []ssd.RemapEntry
+	cowBuf   []ssd.CoWPair
+	window   []*sim.Future
+
 	// parked counts Run's clients that have not finished (see Parked).
 	parked int
 
@@ -277,7 +285,8 @@ func (b *Base) TriggerCheckpoint() *sim.Future {
 // ForkBase returns a copy of src, the base of host, an engine of src's
 // kind on eng and dev that writes through log with the given epoch work
 // (see NewBase): src's version truth and epoch count, with idle epochs
-// and no metrics collector yet (Metrics allocates one on first use). It
+// and no metrics collector yet (Metrics allocates one on first use), and
+// checkpoint buffers of its own, as many as src has. It
 // starts from a copy of src's struct, so a field added to the base is
 // copied by default. It fails unless src is quiescent — no client parked,
 // no epoch running (so no closed query gate) and nothing pending, in
@@ -301,7 +310,25 @@ func ForkBase(src *Base, eng *sim.Engine, dev *ssd.Device, cfg HostConfig, host 
 	b.eng, b.dev, b.cfg, b.host, b.log, b.work, b.then = eng, dev, cfg, host, log, work, then
 	b.metrics = nil
 	b.version = slices.Clone(src.version)
+	b.remapBuf, b.cowBuf, b.window = reserve(src.remapBuf), reserve(src.cowBuf), reserve(src.window)
 	// The last epoch's futures have completed; idle epochs hold none.
 	b.done, b.gateOpen = nil, nil
 	return b, nil
+}
+
+// scratch returns the first n elements of *buf, first allocating n for it
+// if it holds fewer.
+func scratch[T any](buf *[]T, n int) []T {
+	if len(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// reserve returns a fresh scratch buffer as long as buf, or nil for none.
+func reserve[T any](buf []T) []T {
+	if buf == nil {
+		return nil
+	}
+	return make([]T, len(buf))
 }

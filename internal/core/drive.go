@@ -140,34 +140,37 @@ func (b *Base) Run(spec RunSpec) (*Metrics, error) {
 	m := b.Metrics()
 	m.BeginWindow(dev, b.JournalStats(), eng.Now())
 
-	var dist workload.Distribution = workload.Uniform{Keys: cfg.Keys}
-	if spec.Zipfian {
-		dist = workload.NewZipfian(cfg.Keys, workload.DefaultTheta)
-	}
-
 	r := &clientRun{b: b, m: m, remaining: spec.TotalQueries}
 	// Under trace replay all clients pull from one shared replayer — the
-	// single-worker simulation makes this race-free and deterministic.
-	if spec.Trace != nil {
+	// single-worker simulation makes this race-free and deterministic —
+	// and none builds a generator.
+	var dist workload.Distribution
+	switch {
+	case spec.Trace != nil:
 		r.replay = workload.NewReplayer(spec.Trace)
 		if n := int64(len(spec.Trace.Ops)); spec.TotalQueries > n {
 			r.remaining = n
 		}
+	case spec.Zipfian:
+		dist = workload.NewZipfian(cfg.Keys, workload.DefaultTheta)
+	default:
+		dist = workload.Uniform{Keys: cfg.Keys}
 	}
 
 	rng := sim.NewRNG(cfg.Seed)
 	clients := make([]client, spec.Threads)
 	for t := range clients {
-		mix := spec.Mix
-		if r.replay != nil {
-			mix = workload.WorkloadA // unused under replay, must validate
-		}
-		gen, err := workload.NewGenerator(dist, cfg.Sizer, mix, rng.Split(fmt.Sprintf("client-%d", t)))
-		if err != nil {
-			return nil, err
-		}
 		c := &clients[t]
-		c.run, c.gen = r, gen
+		c.run = r
+		if r.replay == nil {
+			// Split leaves rng as it was, so the streams do not depend on
+			// whether other clients drew theirs.
+			gen, err := workload.NewGenerator(dist, cfg.Sizer, spec.Mix, rng.Split(fmt.Sprintf("client-%d", t)))
+			if err != nil {
+				return nil, err
+			}
+			c.gen = gen
+		}
 		b.parked++
 		eng.AtHandler(eng.Now(), c)
 	}

@@ -1092,10 +1092,21 @@ func (f *FTL) Trim(off, n int64) {
 		}
 	}
 	// A trim persists as one extent record, not one map entry per unit.
-	f.rlog.noteTrim(first, last)
+	f.rlog.noteTrim(first, last, f.unmapped)
 	f.noteMapDirty(1)
 	f.maybeForegroundGC()
 	f.DrainFaults()
+}
+
+// unmapped reports whether every unit in [lo, hi] is unmapped (true for
+// an empty range).
+func (f *FTL) unmapped(lo, hi int64) bool {
+	for lun := lo; lun <= hi; lun++ {
+		if f.l2p.at(lun) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // trimUnmap is unmap without per-unit metadata accounting (Trim records a

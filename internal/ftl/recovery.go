@@ -78,7 +78,37 @@ func (r *recoveryLog) noteAlias(sid, lun int64) {
 	r.aliases.add(sid, oobRecord{lun: lun, seq: r.next()})
 }
 
-func (r *recoveryLog) noteTrim(first, last int64) {
+// noteTrim records the trim of units [first, last], which the caller has
+// just unmapped. Replay zeroes every binding older than the newest extent
+// covering its unit, and the new extent is the newest, so two rules keep
+// the replay exact while the log shrinks:
+//   - an earlier extent the new one covers zeroes nothing the new one
+//     does not: it is dropped;
+//   - an earlier extent that overlaps or touches the new one, and whose
+//     units outside it are all unmapped, is merged into it. An unmapped
+//     unit was last trimmed after its last binding, so replay zeroes its
+//     bindings either way; a later binding is newer than the merged
+//     extent.
+//
+// A journal half trims from its start at every checkpoint, and the units
+// past its latest length stay unmapped, so each half keeps one extent
+// however many checkpoints run.
+func (r *recoveryLog) noteTrim(first, last int64, unmapped func(lo, hi int64) bool) {
+	for merged := true; merged; {
+		merged = false
+		keep := r.trims[:0]
+		for _, t := range r.trims {
+			switch {
+			case t.first >= first && t.last <= last:
+			case t.first <= last+1 && t.last >= first-1 && unmapped(t.first, first-1) && unmapped(last+1, t.last):
+				first, last = min(first, t.first), max(last, t.last)
+				merged = true
+			default:
+				keep = append(keep, t)
+			}
+		}
+		r.trims = keep
+	}
 	r.trims = append(r.trims, trimExtent{first: first, last: last, seq: r.next()})
 }
 

@@ -45,8 +45,11 @@ func Fork(eng *sim.Engine, array *nand.Array, src *FTL) (*FTL, error) {
 	*f = *src
 	f.eng, f.array = eng, array
 	f.lunsBuf = cloneReserve(src.lunsBuf)
-	f.pageEpoch = cloneReserve(src.pageEpoch)
-	f.pageCount = cloneReserve(src.pageCount)
+	// The page-grouping stamps order one ReadInto or CopyCached call only,
+	// and each call advances the epoch counter, which the fork keeps,
+	// before it stamps: zeroed stamps read as unseen, as src's do.
+	f.pageEpoch = make([]uint64, len(src.pageEpoch), cap(src.pageEpoch))
+	f.pageCount = make([]int32, len(src.pageCount), cap(src.pageCount))
 	f.pageOrder = cloneReserve(src.pageOrder)
 
 	src.Share()

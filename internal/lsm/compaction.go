@@ -181,18 +181,19 @@ func (en *Engine) startCompaction(force bool) bool {
 }
 
 // mergeRuns k-way merges the inputs' sorted key slices into one sorted
-// entry list holding the newest version of every key. Each step takes the
-// smallest head key across the inputs; the input holding it at the highest
-// version supplies the entry, the earliest such input on a version tie, and
-// every input at that key advances. The output is presized to the summed
-// input length, so a merge makes two allocations: the output and the
-// per-input cursors.
-func mergeRuns(inputs []*run) []runEntry {
+// entry list holding the newest version of every key, appended to out[:0].
+// Each step takes the smallest head key across the inputs; the input
+// holding it at the highest version supplies the entry, the earliest such
+// input on a version tie, and every input at that key advances. The output
+// is grown to the summed input length first, so a merge makes at most two
+// allocations: the output, unless out has the room, and the per-input
+// cursors.
+func mergeRuns(out []runEntry, inputs []*run) []runEntry {
 	total := 0
 	for _, r := range inputs {
 		total += len(r.keys)
 	}
-	out := make([]runEntry, 0, total)
+	out = slices.Grow(out[:0], total)
 	pos := make([]int, len(inputs))
 	for {
 		best := -1
@@ -245,10 +246,10 @@ func (en *Engine) executeCompaction(p *sim.Proc, job *compactionJob) {
 	}
 	p.WaitAll(futs)
 
-	entries := mergeRuns(job.inputs)
-	outs, ok := en.newRuns(job.outLevel, entries)
+	en.merged = mergeRuns(en.merged, job.inputs)
+	outs, ok := en.newRuns(job.outLevel, en.merged)
 	if !ok {
-		en.exhausted(p, "during compaction", entriesBytes(entries))
+		en.exhausted(p, "during compaction", entriesBytes(en.merged))
 	}
 	for _, out := range outs {
 		en.writeRunSequential(p, out, ssd.AreaData)

@@ -122,7 +122,8 @@ type Engine struct {
 
 	// w is the write-ahead log; walLogs[h] holds the records logged to WAL
 	// half h since it last became active, and walSeq numbers them. New
-	// records are cut from recSlab.
+	// records reuse the ones past a log's length, or are cut from recSlab
+	// (see newRec).
 	w       *core.GroupCommit[*walRec]
 	walLogs [2][]*walRec
 	walSeq  int64
@@ -152,6 +153,9 @@ type Engine struct {
 	compacting  bool
 	compactDone *sim.Future
 	director    *director
+	// merged is the merge output of the running compaction, reused by the
+	// next (one compaction runs at a time).
+	merged []runEntry
 
 	st Stats
 }
@@ -258,13 +262,28 @@ func (en *Engine) Load() error {
 // newRun allocates one extent for entries and plans the run's layout; ok
 // is false when no free extent holds it.
 func (en *Engine) newRun(level int, entries []runEntry) (*run, bool) {
-	need := roundUp(entriesBytes(entries), en.extAlign())
+	r, ok := en.takeRun(level, len(entries), entriesBytes(entries))
+	if ok {
+		off := r.ext.off
+		for _, e := range entries {
+			off = r.add(e.key, e.version, e.size, off)
+		}
+	}
+	return r, ok
+}
+
+// takeRun allocates one extent for a run of n entries taking need
+// laid-out bytes, and returns the run without its entries, which the
+// caller adds from the extent's start; ok is false when no free extent
+// holds it.
+func (en *Engine) takeRun(level, n int, need int64) (*run, bool) {
+	need = roundUp(need, en.extAlign())
 	off, ok := en.alloc.take(need)
 	if !ok {
 		return nil, false
 	}
 	en.nextRunID++
-	r, _ := planRun(en.nextRunID, level, entries, off)
+	r := makeRun(en.nextRunID, level, n)
 	r.ext = extent{off: off, len: need}
 	return r, true
 }
@@ -414,10 +433,18 @@ func (en *Engine) Update(q *core.Query) bool {
 // recSlabLen is how many WAL records one slab allocation holds.
 const recSlabLen = 256
 
-// newRec cuts the next WAL record from the slab, allocating a fresh slab
-// when the current one is used up. A slab stays live while any of its
-// records is in a WAL log or a memtable.
+// newRec returns a record for the next entry of the active half's log:
+// the one a flush left at that position when there is one (see flush),
+// else the next one cut from the slab, allocating a fresh slab when the
+// current one is used up. A log that has held as many records before thus
+// appends without allocating. The caller overwrites the whole record.
 func (en *Engine) newRec() *walRec {
+	log := en.walLogs[en.w.Active()]
+	if n := len(log); n < cap(log) {
+		if rec := log[:n+1][n]; rec != nil {
+			return rec
+		}
+	}
 	if len(en.recSlab) == 0 {
 		en.recSlab = make([]walRec, recSlabLen)
 	}
@@ -505,7 +532,8 @@ func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 	en.imm.clear()
 	// The manifest floor now covers every sealed record (none were logged
 	// if nothing was flushed): empty the half's log for its next turn.
-	clear(en.walLogs[half])
+	// Nothing references its records any more, so they stay past the
+	// log's length for newRec to hand out again.
 	en.walLogs[half] = en.walLogs[half][:0]
 }
 
@@ -516,15 +544,13 @@ func (en *Engine) flushRun(p *sim.Proc) *run {
 	// the run's layout.
 	keys := en.imm.keys
 	slices.Sort(keys)
-	entries := make([]runEntry, len(keys))
-	for j, k := range keys {
-		rec := en.imm.cells[k]
-		entries[j] = runEntry{key: k, version: rec.version, size: rec.payload}
+	var need int64
+	for _, k := range keys {
+		need += roundUp(int64(en.imm.cells[k].payload), sector)
 	}
 
 	// Back-pressure: wait for a running compaction (or force one) when the
 	// run area cannot take the new extent.
-	need := entriesBytes(entries)
 	for !en.allocatable(need) {
 		if en.compacting {
 			p.Wait(en.compactDone)
@@ -535,9 +561,14 @@ func (en *Engine) flushRun(p *sim.Proc) *run {
 		}
 		p.Wait(en.compactDone)
 	}
-	r, ok := en.newRun(0, entries)
+	r, ok := en.takeRun(0, len(keys), need)
 	if !ok {
 		en.exhausted(p, "during a flush", need)
+	}
+	off := r.ext.off
+	for _, k := range keys {
+		rec := en.imm.cells[k]
+		off = r.add(k, rec.version, rec.payload, off)
 	}
 
 	switch s := en.cfg.Strategy; {
@@ -549,22 +580,32 @@ func (en *Engine) flushRun(p *sim.Proc) *run {
 		// sector-aligned WAL format the source extents remap cleanly; the
 		// dense conventional format degrades to read-merge-writes in the
 		// FTL, exactly the ISC-C/Check-In distinction of the journal engine.
-		reqs := make([]ssd.RemapEntry, len(entries))
-		for j, e := range entries {
-			reqs[j] = ssd.RemapEntry{Src: en.imm.cells[e.key].off, Dst: r.offs[j], Len: roundUp(int64(e.size), sector)}
-		}
-		en.Remap(p, reqs)
+		en.Remap(p, flushSource(r, en.imm.cells, func(rec *walRec, dst int64) ssd.RemapEntry {
+			return ssd.RemapEntry{Src: rec.off, Dst: dst, Len: roundUp(int64(rec.payload), sector)}
+		}))
 	default:
 		// ISC-A / ISC-B copy each record device-side from its WAL location
-		pairs := make([]ssd.CoWPair, len(entries))
-		for j, e := range entries {
-			rec := en.imm.cells[e.key]
-			pairs[j] = ssd.CoWPair{Src: rec.off, Dst: r.offs[j], Len: int64(rec.payload)}
-		}
-		en.CoW(p, pairs)
+		en.CoW(p, flushSource(r, en.imm.cells, func(rec *walRec, dst int64) ssd.CoWPair {
+			return ssd.CoWPair{Src: rec.off, Dst: dst, Len: int64(rec.payload)}
+		}))
 	}
 	en.cfg.Injector.Hit(inject.SiteMemFlush)
 	return r
+}
+
+// flushSource streams a flush's transfer requests (see core.Base.Remap) in
+// the run's key order: req builds each from the key's sealed WAL record,
+// cells[key], and its slot in r.
+func flushSource[T any](r *run, cells []*walRec, req func(rec *walRec, dst int64) T) func([]T) int {
+	j := 0
+	return func(buf []T) int {
+		n := min(len(buf), len(r.keys)-j)
+		for i := range n {
+			buf[i] = req(cells[r.keys[j+i]], r.offs[j+i])
+		}
+		j += n
+		return n
+	}
 }
 
 // publishManifest writes and flushes the alternate manifest slot, then

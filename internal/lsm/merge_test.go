@@ -86,7 +86,7 @@ func runsFromBytes(data []byte) []*run {
 
 func checkMerge(t *testing.T, inputs []*run) {
 	t.Helper()
-	got, want := mergeRuns(inputs), foldRuns(inputs)
+	got, want := mergeRuns(nil, inputs), foldRuns(inputs)
 	if !slices.Equal(got, want) {
 		t.Fatalf("mergeRuns differs from the fold over %d inputs:\n got  %v\n want %v", len(inputs), got, want)
 	}
@@ -155,7 +155,7 @@ func BenchmarkMergeRuns(b *testing.B) {
 	inputs := baseShape(rand.New(rand.NewPCG(24, 2)), 4, 4096, 50_000)
 	b.ReportAllocs()
 	for b.Loop() {
-		mergeSink = mergeRuns(inputs)
+		mergeSink = mergeRuns(nil, inputs)
 	}
 }
 

@@ -50,27 +50,28 @@ type runEntry struct {
 	size    int
 }
 
-// planRun lays entries (must be sorted by key) out from base and returns
-// the run's metadata plus the extent length consumed (unaligned).
-func planRun(id uint64, level int, entries []runEntry, base int64) (*run, int64) {
-	r := &run{
+// makeRun returns a run with no entries and room for n.
+func makeRun(id uint64, level, n int) *run {
+	return &run{
 		id:    id,
 		level: level,
-		keys:  make([]int64, len(entries)),
-		vers:  make([]int64, len(entries)),
-		sizes: make([]int32, len(entries)),
-		offs:  make([]int64, len(entries)),
+		keys:  make([]int64, 0, n),
+		vers:  make([]int64, 0, n),
+		sizes: make([]int32, 0, n),
+		offs:  make([]int64, 0, n),
 	}
-	var off int64
-	for i, e := range entries {
-		r.keys[i] = e.key
-		r.vers[i] = e.version
-		r.sizes[i] = int32(e.size)
-		r.offs[i] = base + off
-		r.payload += int64(e.size)
-		off += roundUp(int64(e.size), sector)
-	}
-	return r, off
+}
+
+// add appends key's version of size bytes in the slot at off, where the
+// run's last slot ends, and returns where the new slot ends. Keys are
+// added in ascending order.
+func (r *run) add(key, version int64, size int, off int64) int64 {
+	r.keys = append(r.keys, key)
+	r.vers = append(r.vers, version)
+	r.sizes = append(r.sizes, int32(size))
+	r.offs = append(r.offs, off)
+	r.payload += int64(size)
+	return off + roundUp(int64(size), sector)
 }
 
 // find returns the index of key in the run, or ok=false when the run does

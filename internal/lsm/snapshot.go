@@ -16,9 +16,10 @@ import (
 // list and the newest-version index. It starts from a copy of src's
 // struct, so a field added to the engine is copied by default. Runs are
 // immutable after construction, so the fork shares them with src — it can
-// never observe a mutation because none happen. The active WAL half's
-// records are copied and the memtable relinked to the copies, key by key
-// in src's order; the other half is empty outside a flush epoch. The fork
+// never observe a mutation because none happen. Both WAL halves' records
+// are copied, the ones kept for reuse included, and the memtable relinked
+// to the copies, key by key in src's order; the other half's log is empty
+// outside a flush epoch. The fork
 // runs under cfg: the run-phase settings (memtable bound, compaction
 // policy, seed, strategy knobs) and the WAL format the strategy selects
 // are its own.
@@ -67,21 +68,18 @@ func Fork(eng *sim.Engine, dev *ssd.Device, cfg Config, src core.Host) (*Engine,
 	en.recSize = slices.Clone(s.recSize)
 
 	for h, l := range s.walLogs {
-		en.walLogs[h] = make([]*walRec, 0, cap(l))
-	}
-	active := &en.walLogs[s.w.Active()]
-	recs := make([]walRec, len(log))
-	for i, rec := range log {
-		recs[i] = *rec
-		*active = append(*active, &recs[i])
+		en.walLogs[h] = cloneLog(l)
 	}
 	en.recSlab = slices.Clone(s.recSlab)
 	en.mem, en.imm = s.mem.fork(), s.imm.fork()
+	active := en.walLogs[s.w.Active()]
 	for _, k := range s.mem.keys {
-		en.mem.cells[k] = &recs[idxOf[s.mem.cells[k]]]
+		en.mem.cells[k] = active[idxOf[s.mem.cells[k]]]
 	}
+	// merge scratch: content dead between compactions, room kept
+	en.merged = make([]runEntry, 0, cap(s.merged))
 
-	en.w = core.ForkGroupCommit(eng, dev, walFormat{aligned: cfg.Strategy.SectorAligned(), header: cfg.Strategy.LogHeader()}, active, s.w)
+	en.w = core.ForkGroupCommit(eng, dev, walFormat{aligned: cfg.Strategy.SectorAligned(), header: cfg.Strategy.LogHeader()}, &en.walLogs[s.w.Active()], s.w)
 	base, err := core.ForkBase(&s.Base, eng, dev, cfg.HostConfig, en, en.w, en.flush, en.maybeCompact)
 	if err != nil {
 		return nil, err
@@ -89,4 +87,23 @@ func Fork(eng *sim.Engine, dev *ssd.Device, cfg Config, src core.Host) (*Engine,
 	en.Base = base
 	en.compactDone = nil
 	return en, nil
+}
+
+// cloneLog returns a copy of a WAL half's log with its capacity: copies of
+// its records, and of the records a flush left past its length, so the
+// copy's appends reuse them as log's would (see newRec). Those form a
+// prefix of the space past the length, as in a JMT (see JMT.clone).
+func cloneLog(log []*walRec) []*walRec {
+	all := log[:cap(log)]
+	n := 0 // records: a prefix of all
+	for n < len(all) && all[n] != nil {
+		n++
+	}
+	out := make([]*walRec, len(log), cap(log))
+	recs := make([]walRec, n)
+	for i, rec := range all[:n] {
+		recs[i] = *rec
+		out[:n][i] = &recs[i]
+	}
+	return out
 }

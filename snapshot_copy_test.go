@@ -28,6 +28,9 @@ var copyAllowed = map[string]struct{ kind, why string }{
 
 	"ftl.FTL.eng":   {"wiring", "the FTL's own kernel"},
 	"ftl.FTL.array": {"wiring", "the FTL's own array, forked as a layer of its own"},
+	"ftl.FTL.pageEpoch": {"scratch",
+		"page-grouping stamps of one read or copy call: the fork's start zeroed, older than its epoch counter"},
+	"ftl.FTL.pageCount": {"scratch", "page-grouping counts of one read or copy call, reset as each page is stamped"},
 
 	"ssd.Device.eng":   {"wiring", "the controller's own kernel"},
 	"ssd.Device.f":     {"wiring", "the controller's own FTL, forked as a layer of its own"},
@@ -38,14 +41,17 @@ var copyAllowed = map[string]struct{ kind, why string }{
 	"ssd.Device.deallocPaused": {"derived",
 		"deallocator tick scheduling: the fork arms a tick on its own kernel"},
 
-	"core.Base.eng":     {"wiring", "the engine's own kernel"},
-	"core.Base.dev":     {"wiring", "the engine's own device, forked as a layer of its own"},
-	"core.Base.cfg":     {"wiring", "the engine's own configuration; run-phase fields may differ from the template's"},
-	"core.Base.host":    {"wiring", "the engine embedding the base"},
-	"core.Base.log":     {"wiring", "the engine's own write-ahead log, compared through the engine"},
-	"core.Base.work":    {"wiring", "epoch work bound to the engine"},
-	"core.Base.then":    {"wiring", "post-epoch hook bound to the engine"},
-	"core.Base.metrics": {"scratch", "per-run collector: Run installs a fresh one"},
+	"core.Base.eng":      {"wiring", "the engine's own kernel"},
+	"core.Base.dev":      {"wiring", "the engine's own device, forked as a layer of its own"},
+	"core.Base.cfg":      {"wiring", "the engine's own configuration; run-phase fields may differ from the template's"},
+	"core.Base.host":     {"wiring", "the engine embedding the base"},
+	"core.Base.log":      {"wiring", "the engine's own write-ahead log, compared through the engine"},
+	"core.Base.work":     {"wiring", "epoch work bound to the engine"},
+	"core.Base.then":     {"wiring", "post-epoch hook bound to the engine"},
+	"core.Base.metrics":  {"scratch", "per-run collector: Run installs a fresh one"},
+	"core.Base.remapBuf": {"scratch", "checkpoint-request buffers, refilled by every remap transfer"},
+	"core.Base.cowBuf":   {"scratch", "CoW pair buffers, refilled by every copy transfer"},
+	"core.Base.window":   {"scratch", "in-flight futures of one checkpoint window, cleared once it drains"},
 	"core.Base.done": {"derived",
 		"completion future of the last epoch, complete whenever the base is idle: an idle fork holds none"},
 
@@ -58,6 +64,8 @@ var copyAllowed = map[string]struct{ kind, why string }{
 	"core.Engine.cfg": {"wiring", "the engine's own configuration; run-phase fields may differ from the template's"},
 
 	"lsm.Engine.cfg": {"wiring", "the engine's own configuration; run-phase fields may differ from the template's"},
+	"lsm.Engine.merged": {"scratch",
+		"merge output of the last compaction, rewritten by the next: the fork reserves its capacity"},
 	"lsm.Engine.compactDone": {"derived",
 		"completion future of the last compaction, complete whenever none runs: an idle fork holds none"},
 }
