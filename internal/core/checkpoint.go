@@ -89,14 +89,14 @@ func (en *Engine) baselineCheckpoint(p *sim.Proc, snap ckptSnapshot) {
 		reads = reads[:n]
 		pass = span
 		p.Pace(n, HostIOOverhead, read)
-		waitRelease(p, en.dev, reads...)
+		WaitDevice(p, en.dev, reads...)
 		clear(reads)
 		// ... then write the latest data back to the data area. Waiting
 		// on the flush (not the write futures) avoids stalling on
 		// partially filled pages under sub-page mapping units.
 		pass = span
 		p.Pace(n, HostIOOverhead, write)
-		waitRelease(p, en.dev, en.dev.Flush(ssd.AreaCheckpoint))
+		WaitDevice(p, en.dev, en.dev.Flush(ssd.AreaCheckpoint))
 	}
 	// metadata describing the new checkpoint, then make it all durable
 	metaLen := roundUp(int64(snap.jmt.Live())*32, hostSector)
@@ -106,12 +106,14 @@ func (en *Engine) baselineCheckpoint(p *sim.Proc, snap ckptSnapshot) {
 	if metaLen > 0 {
 		en.dev.Release(en.dev.Write(en.layout.MetaStart, metaLen, ssd.AreaData))
 	}
-	waitRelease(p, en.dev, en.dev.Flush(ssd.AreaData))
+	WaitDevice(p, en.dev, en.dev.Flush(ssd.AreaData))
 }
 
-// waitRelease waits for device command futures, then hands them back to
-// dev for reuse.
-func waitRelease(p *sim.Proc, dev *ssd.Device, fs ...*sim.Future) {
+// WaitDevice waits for device command futures, then hands them back to
+// dev for reuse. Both engines wait on every command they do not release
+// at once through it, so no command record is left to the garbage
+// collector.
+func WaitDevice(p *sim.Proc, dev *ssd.Device, fs ...*sim.Future) {
 	p.WaitAll(fs)
 	for _, f := range fs {
 		dev.Release(f)
@@ -208,10 +210,10 @@ func (b *Base) cowEach(p *sim.Proc, next func([]ssd.CoWPair) int) {
 	for n := next(chunk); n > 0; n = next(chunk) {
 		futs = futs[:n]
 		p.Pace(n, HostIOOverhead, cow)
-		waitRelease(p, dev, futs...)
+		WaitDevice(p, dev, futs...)
 		clear(futs)
 	}
-	waitRelease(p, dev, dev.Flush(ssd.AreaData))
+	WaitDevice(p, dev, dev.Flush(ssd.AreaData))
 }
 
 // cowBatched is ISC-B: the pairs ride in multi-CoW commands of
@@ -236,14 +238,14 @@ func (b *Base) cowBatched(p *sim.Proc, next func([]ssd.CoWPair) int) {
 		cur := dev.MultiCoW(buf[:n])
 		tapPairs(buf[:n])
 		if prev != nil {
-			p.Wait(prev)
+			WaitDevice(p, dev, prev)
 		}
 		prev = cur
 	}
 	if prev != nil {
-		p.Wait(prev)
+		WaitDevice(p, dev, prev)
 	}
-	p.Wait(dev.Flush(ssd.AreaData))
+	WaitDevice(p, dev, dev.Flush(ssd.AreaData))
 }
 
 // tapPairs passes one multi-CoW command to CheckpointTap, when set.
@@ -284,17 +286,17 @@ func (b *Base) Remap(p *sim.Proc, next func(buf []ssd.RemapEntry) int) {
 		tap("remap", buf[:n])
 		// keep at most two checkpoint commands in flight (see cowBatched)
 		if prev != nil {
-			p.Wait(prev)
+			WaitDevice(p, dev, prev)
 		}
 		prev = fut
 	}
 	if prev != nil {
-		p.Wait(prev)
+		WaitDevice(p, dev, prev)
 	}
 	// Every remap command has been serviced: settle the deferred translation
 	// writeback before the durability barrier below, so the flush covers the
 	// translation pages too.
 	dev.EndCheckpointCut()
 	// durability barrier: any read-merge-write residue must hit flash
-	p.Wait(dev.Flush(ssd.AreaCheckpoint))
+	WaitDevice(p, dev, dev.Flush(ssd.AreaCheckpoint))
 }

@@ -241,5 +241,55 @@ func TestCheckpointEpochAllocs(t *testing.T) {
 	}
 }
 
+// TestEpochsReturnCommandRecords: a warm checkpoint epoch on every
+// strategy, and a recovery scan after it, hand every device command they
+// issue back to the device, so its command-record pool holds as many
+// records afterwards as before and none is left to the garbage collector.
+// The pool is first primed with more records than an epoch keeps in
+// flight, so a record an epoch keeps shows as a shortfall.
+func TestEpochsReturnCommandRecords(t *testing.T) {
+	const n = 2000
+	for _, s := range Strategies {
+		t.Run(s.String(), func(t *testing.T) {
+			e, en := newTestEngine(t, s, func(c *Config) { c.Keys = n })
+			if err := en.Load(); err != nil {
+				t.Fatal(err)
+			}
+			dev := en.Device()
+			// logPrimed logs every key, then primes the pool with more
+			// records than any strategy keeps in flight: Baseline a
+			// window of reads, then one of writes.
+			logPrimed := func() int {
+				runProc(e, func(p *sim.Proc) {
+					for k := range int64(n) {
+						update(en, p, k, 512)
+					}
+					en.Sync(p)
+					prime := make([]*sim.Future, 4*ckptReadWindow)
+					for i := range prime {
+						prime[i] = dev.Read(0, hostSector)
+					}
+					WaitDevice(p, dev, prime...)
+				})
+				return dev.PooledCommands()
+			}
+			for epoch := range 2 {
+				before := logPrimed()
+				runProc(e, func(p *sim.Proc) { p.Wait(en.TriggerCheckpoint()) })
+				e.RunUntil(e.Now() + sim.Second) // let released commands finish
+				if after := dev.PooledCommands(); epoch > 0 && after != before {
+					t.Errorf("warm checkpoint epoch: %d pooled command records before, %d after", before, after)
+				}
+			}
+			before := logPrimed()
+			rep := en.Recovery()
+			TimeRecovery(e, dev, rep)
+			if after := dev.PooledCommands(); len(rep.Reads) < 2 || after != before {
+				t.Errorf("recovery scan of %d reads: %d pooled command records before, %d after", len(rep.Reads), before, after)
+			}
+		})
+	}
+}
+
 // String names a recorded command in failure messages.
 func (c ckptCmd) String() string { return fmt.Sprintf("%s%v", c.kind, c.reqs) }

@@ -173,10 +173,10 @@ func (en *Engine) Load() error {
 			}
 			en.dev.Release(en.dev.Write(off, n, ssd.AreaData))
 			if issued++; issued%16 == 0 {
-				waitRelease(p, en.dev, en.dev.Flush(ssd.AreaData))
+				WaitDevice(p, en.dev, en.dev.Flush(ssd.AreaData))
 			}
 		}
-		waitRelease(p, en.dev, en.dev.Flush(ssd.AreaData))
+		WaitDevice(p, en.dev, en.dev.Flush(ssd.AreaData))
 		for k := range en.ckpted {
 			en.ckpted[k] = 1
 		}
@@ -316,7 +316,7 @@ func (en *Engine) checkpoint(p *sim.Proc, start sim.VTime) {
 		// the journal half is no longer needed: deallocate it
 		if snap.used > 0 {
 			trimLen := roundUp(snap.used, int64(en.dev.FTL().UnitSize()))
-			p.Wait(en.dev.Deallocate(en.layout.JournalStart(snap.half), trimLen))
+			WaitDevice(p, en.dev, en.dev.Deallocate(en.layout.JournalStart(snap.half), trimLen))
 		}
 	}
 	en.ckptSnapshot = nil

@@ -86,7 +86,7 @@ func TimeRecovery(eng *sim.Engine, dev *ssd.Device, rep *RecoveryReport) {
 	start := eng.Now()
 	eng.Go("recovery", func(p *sim.Proc) {
 		for _, rd := range rep.Reads {
-			p.Wait(dev.Read(rd.Off, rd.Len))
+			WaitDevice(p, dev, dev.Read(rd.Off, rd.Len))
 		}
 		eng.Stop()
 	})

@@ -184,16 +184,17 @@ func (en *Engine) startCompaction(force bool) bool {
 // entry list holding the newest version of every key, appended to out[:0].
 // Each step takes the smallest head key across the inputs; the input
 // holding it at the highest version supplies the entry, the earliest such
-// input on a version tie, and every input at that key advances. The output
-// is grown to the summed input length first, so a merge makes at most two
-// allocations: the output, unless out has the room, and the per-input
-// cursors.
-func mergeRuns(out []runEntry, inputs []*run) []runEntry {
+// input on a version tie, and every input at that key advances. The inputs
+// hold at most keys distinct keys, so the output is first grown to the
+// summed input length or keys, whichever is less, and a merge makes at
+// most two allocations: the output, unless out has the room, and the
+// per-input cursors. An out grown to keys entries never grows again.
+func mergeRuns(out []runEntry, inputs []*run, keys int64) []runEntry {
 	total := 0
 	for _, r := range inputs {
 		total += len(r.keys)
 	}
-	out = slices.Grow(out[:0], total)
+	out = slices.Grow(out[:0], int(min(int64(total), keys)))
 	pos := make([]int, len(inputs))
 	for {
 		best := -1
@@ -229,7 +230,8 @@ func (en *Engine) executeCompaction(p *sim.Proc, job *compactionJob) {
 	const window = 8
 
 	// read every input run sequentially (windowed to model queue depth)
-	var futs []*sim.Future
+	dev := en.Device()
+	futs := make([]*sim.Future, 0, window)
 	var readBytes int64
 	for _, r := range job.inputs {
 		total := r.dataBytes()
@@ -237,16 +239,16 @@ func (en *Engine) executeCompaction(p *sim.Proc, job *compactionJob) {
 		for off := int64(0); off < total; off += chunk {
 			n := min(int64(chunk), total-off)
 			p.Sleep(core.HostIOOverhead)
-			futs = append(futs, en.Device().Read(r.offs[0]+off, n))
+			futs = append(futs, dev.Read(r.offs[0]+off, n))
 			if len(futs) >= window {
-				p.WaitAll(futs)
+				core.WaitDevice(p, dev, futs...)
 				futs = futs[:0]
 			}
 		}
 	}
-	p.WaitAll(futs)
+	core.WaitDevice(p, dev, futs...)
 
-	en.merged = mergeRuns(en.merged, job.inputs)
+	en.merged = mergeRuns(en.merged, job.inputs, en.cfg.Keys)
 	outs, ok := en.newRuns(job.outLevel, en.merged)
 	if !ok {
 		en.exhausted(p, "during compaction", entriesBytes(en.merged))
@@ -275,10 +277,13 @@ func (en *Engine) executeCompaction(p *sim.Proc, job *compactionJob) {
 	en.installed()
 	en.publishManifest(p, -1)
 
+	// The publish dropped the inputs from the durable set: once each is
+	// trimmed, its metadata is spare.
 	for _, r := range job.inputs {
-		p.Wait(en.Device().Deallocate(r.ext.off, r.ext.len))
+		core.WaitDevice(p, dev, dev.Deallocate(r.ext.off, r.ext.len))
 		en.alloc.release(r.ext)
 		en.st.RunsDeleted++
+		en.recycle(r)
 	}
 }
 

@@ -156,6 +156,9 @@ type Engine struct {
 	// merged is the merge output of the running compaction, reused by the
 	// next (one compaction runs at a time).
 	merged []runEntry
+	// spare holds deleted runs whose metadata a new run refills (see
+	// recycle and takeRun), in the order they were deleted.
+	spare []*run
 
 	st Stats
 }
@@ -241,14 +244,18 @@ func (en *Engine) Levels() []int {
 // Mirrors the journal engine's load discipline (back-pressure via periodic
 // flushes; excluded from metrics).
 func (en *Engine) Load() error {
-	entries := make([]runEntry, en.cfg.Keys)
-	for k, size := range en.recSize {
-		entries[k] = runEntry{key: int64(k), version: 1, size: int(size)}
-	}
 	return en.RunLoad(func(p *sim.Proc) {
-		r, ok := en.newRun(baseLevel, entries)
+		var need int64
+		for _, size := range en.recSize {
+			need += roundUp(int64(size), sector)
+		}
+		r, ok := en.takeRun(baseLevel, len(en.recSize), need)
 		if !ok {
 			panic("lsm: base run does not fit the empty run area") // New checks 3x headroom
+		}
+		off := r.ext.off
+		for k, size := range en.recSize {
+			off = r.add(int64(k), 1, int(size), off)
 		}
 		en.writeRunSequential(p, r, ssd.AreaData)
 		en.levels[baseLevel] = append(en.levels[baseLevel], r)
@@ -275,7 +282,7 @@ func (en *Engine) newRun(level int, entries []runEntry) (*run, bool) {
 // takeRun allocates one extent for a run of n entries taking need
 // laid-out bytes, and returns the run without its entries, which the
 // caller adds from the extent's start; ok is false when no free extent
-// holds it.
+// holds it. The run's metadata comes from refill.
 func (en *Engine) takeRun(level, n int, need int64) (*run, bool) {
 	need = roundUp(need, en.extAlign())
 	off, ok := en.alloc.take(need)
@@ -283,9 +290,50 @@ func (en *Engine) takeRun(level, n int, need int64) (*run, bool) {
 		return nil, false
 	}
 	en.nextRunID++
-	r := makeRun(en.nextRunID, level, n)
-	r.ext = extent{off: off, len: need}
+	r := en.refill(n)
+	r.id, r.level, r.ext = en.nextRunID, level, extent{off: off, len: need}
 	return r, true
+}
+
+// refill returns an empty run with room for n entries: the smallest spare
+// that has it, the earliest deleted on a tie. When no spare has, the runs
+// have outgrown the spares (a level's run grows a little with each
+// compaction into it): the largest spare goes to the garbage collector,
+// so outgrown spares do not pile up, and the new run gets room for a
+// quarter more entries, at most Keys, which the next few outputs of the
+// same size class then refill.
+func (en *Engine) refill(n int) *run {
+	best, largest := -1, -1
+	for i, r := range en.spare {
+		c := cap(r.keys)
+		if c >= n && (best < 0 || c < cap(en.spare[best].keys)) {
+			best = i
+		}
+		if largest < 0 || c > cap(en.spare[largest].keys) {
+			largest = i
+		}
+	}
+	if best >= 0 {
+		r := en.spare[best]
+		en.spare = slices.Delete(en.spare, best, best+1)
+		return r
+	}
+	if largest >= 0 {
+		en.spare = slices.Delete(en.spare, largest, largest+1)
+	}
+	return makeRun(max(n, min(n+n/4, int(en.cfg.Keys))))
+}
+
+// recycle hands a deleted run's metadata to the spares for takeRun to
+// refill, unless a fork shares the run. The caller has dropped r from
+// every level and a later manifest publish from the durable set, so
+// nothing reads it any more.
+func (en *Engine) recycle(r *run) {
+	if r.shared {
+		return
+	}
+	*r = run{keys: r.keys[:0], vers: r.vers[:0], sizes: r.sizes[:0], offs: r.offs[:0]}
+	en.spare = append(en.spare, r)
 }
 
 // newRuns is newRun for a compaction's output, which may not fit one
@@ -350,6 +398,7 @@ func (en *Engine) allocatable(n int64) bool {
 // engines are built around.
 func (en *Engine) writeRunSequential(p *sim.Proc, r *run, area ssd.Area) {
 	const chunk = 256 << 10
+	dev := en.Device()
 	total := r.ext.len
 	issued := 0
 	for off := int64(0); off < total; off += chunk {
@@ -358,12 +407,12 @@ func (en *Engine) writeRunSequential(p *sim.Proc, r *run, area ssd.Area) {
 			n = total - off
 		}
 		p.Sleep(core.HostIOOverhead)
-		en.Device().Write(r.ext.off+off, n, area)
+		dev.Release(dev.Write(r.ext.off+off, n, area))
 		if issued++; issued%16 == 0 {
-			p.Wait(en.Device().Flush(area))
+			core.WaitDevice(p, dev, dev.Flush(area))
 		}
 	}
-	p.Wait(en.Device().Flush(area))
+	core.WaitDevice(p, dev, dev.Flush(area))
 }
 
 // ---------------------------------------------------------------------------
@@ -526,7 +575,7 @@ func (en *Engine) flush(p *sim.Proc, start sim.VTime) {
 		en.publishManifest(p, maxSeq)
 		// the sealed WAL half is fully superseded: deallocate it
 		if used > 0 {
-			p.Wait(en.Device().Deallocate(en.w.HalfStart(half), roundUp(used, en.unit)))
+			core.WaitDevice(p, en.Device(), en.Device().Deallocate(en.w.HalfStart(half), roundUp(used, en.unit)))
 		}
 	}
 	en.imm.clear()
@@ -623,8 +672,9 @@ func (en *Engine) publishManifest(p *sim.Proc, floor int64) {
 		n = en.manifestSlot
 	}
 	p.Sleep(core.HostIOOverhead)
-	en.Device().Write(en.manifestStart+slot*en.manifestSlot, n, ssd.AreaData)
-	p.Wait(en.Device().Flush(ssd.AreaData))
+	dev := en.Device()
+	dev.Release(dev.Write(en.manifestStart+slot*en.manifestSlot, n, ssd.AreaData))
+	core.WaitDevice(p, dev, dev.Flush(ssd.AreaData))
 	// Durable from this instant: snapshot the run set and advance the floor.
 	dr := make([]*run, 0, runs)
 	for _, l := range en.levels {

@@ -86,7 +86,10 @@ func runsFromBytes(data []byte) []*run {
 
 func checkMerge(t *testing.T, inputs []*run) {
 	t.Helper()
-	got, want := mergeRuns(nil, inputs), foldRuns(inputs)
+	// The fold's length is the inputs' distinct key count: the tightest
+	// bound a caller may pass.
+	want := foldRuns(inputs)
+	got := mergeRuns(nil, inputs, int64(len(want)))
 	if !slices.Equal(got, want) {
 		t.Fatalf("mergeRuns differs from the fold over %d inputs:\n got  %v\n want %v", len(inputs), got, want)
 	}
@@ -155,7 +158,7 @@ func BenchmarkMergeRuns(b *testing.B) {
 	inputs := baseShape(rand.New(rand.NewPCG(24, 2)), 4, 4096, 50_000)
 	b.ReportAllocs()
 	for b.Loop() {
-		mergeSink = mergeRuns(nil, inputs)
+		mergeSink = mergeRuns(nil, inputs, 50_000)
 	}
 }
 

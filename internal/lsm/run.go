@@ -21,15 +21,21 @@ type extent struct {
 	off, len int64
 }
 
-// run is one immutable sorted run on flash: entries in key order, each in a
+// run is one sorted run on flash: entries in key order, each in a
 // sector-aligned slot inside the run's extent. The metadata (keys, versions,
 // sizes, per-entry offsets) stays host-resident — the in-memory index a real
 // engine would rebuild from the run's footer. A point read does not search
 // it: the engine's newest-version index (Engine.newest), updated from this
 // metadata when the run is installed, holds the slot of every key's newest
 // version. Compaction merges, Scan's bottom-run ranges and recovery read
-// the metadata itself. Runs never mutate after construction, which lets
-// snapshots and forks share them by reference.
+// the metadata itself.
+//
+// A run never changes while a level, the durable set or a fork holds it.
+// Its life: planned (takeRun fills it in place), installed in a level,
+// made durable by a manifest publish, deleted by the compaction that
+// merged it once a later publish has dropped it from the durable set, and
+// then refilled by a later takeRun unless a fork shares it (see
+// Engine.recycle).
 type run struct {
 	id    uint64
 	level int
@@ -41,6 +47,10 @@ type run struct {
 	offs  []int64 // absolute device offset per entry
 
 	payload int64 // raw value bytes (stats)
+
+	// shared marks a run a fork may hold (see Engine.Share): neither the
+	// fork nor its source refills it once deleted.
+	shared bool
 }
 
 // runEntry is the builder's input: one key's newest version.
@@ -51,10 +61,8 @@ type runEntry struct {
 }
 
 // makeRun returns a run with no entries and room for n.
-func makeRun(id uint64, level, n int) *run {
+func makeRun(n int) *run {
 	return &run{
-		id:    id,
-		level: level,
 		keys:  make([]int64, 0, n),
 		vers:  make([]int64, 0, n),
 		sizes: make([]int32, 0, n),

@@ -14,9 +14,12 @@ import (
 // shape: the base's state, the level hierarchy and durable run set, the
 // manifest, the WAL with the memtable, the counters, the allocator's free
 // list and the newest-version index. It starts from a copy of src's
-// struct, so a field added to the engine is copied by default. Runs are
-// immutable after construction, so the fork shares them with src — it can
-// never observe a mutation because none happen. Both WAL halves' records
+// struct, so a field added to the engine is copied by default. The fork
+// holds src's runs by reference: a run never changes while a level, the
+// durable set or a fork holds it, and Fork shares src (see Share), so
+// neither side refills a run the other holds once it deletes it. The
+// fork's spares are runs of its own with src's spares' capacities, so it
+// refills where src would. Both WAL halves' records
 // are copied, the ones kept for reuse included, and the memtable relinked
 // to the copies, key by key in src's order; the other half's log is empty
 // outside a flush epoch. The fork
@@ -27,7 +30,8 @@ import (
 // src must be an LSM engine and quiescent: no flush epoch (so no sealed
 // memtable), no WAL activity in flight (see core.ForkBase), no compaction,
 // and every memtable cell's record in the active half's log — a cell
-// holding any other record could not be relinked. src is only read.
+// holding any other record could not be relinked. src is only read, once
+// shared.
 func Fork(eng *sim.Engine, dev *ssd.Device, cfg Config, src core.Host) (*Engine, error) {
 	s, ok := src.(*Engine)
 	if !ok {
@@ -64,6 +68,10 @@ func Fork(eng *sim.Engine, dev *ssd.Device, cfg Config, src core.Host) (*Engine,
 		en.levels[i] = append(make([]*run, 0, cap(l)), l...)
 	}
 	en.durableRuns = append(make([]*run, 0, cap(s.durableRuns)), s.durableRuns...)
+	en.spare = make([]*run, len(s.spare), cap(s.spare))
+	for i, r := range s.spare {
+		en.spare[i] = makeRun(cap(r.keys))
+	}
 	en.newest = slices.Clone(s.newest)
 	en.recSize = slices.Clone(s.recSize)
 
@@ -86,7 +94,31 @@ func Fork(eng *sim.Engine, dev *ssd.Device, cfg Config, src core.Host) (*Engine,
 	}
 	en.Base = base
 	en.compactDone = nil
+	// Both now hold src's runs; a refused fork leaves src as it was.
+	s.Share()
 	return en, nil
+}
+
+// Share marks every run en holds shared, so that neither en nor a fork of
+// it refills a run the other may still hold (see recycle): the runs of its
+// levels and of its durable set, which at a rest point are the same. A
+// stack forked from several goroutines at once (a snapshot template) is
+// shared once, before the first fork; Fork shares an unshared src itself,
+// which is the only write a fork makes to its source.
+func (en *Engine) Share() {
+	for _, l := range en.levels {
+		share(l)
+	}
+	share(en.durableRuns)
+}
+
+// share marks rs shared, writing only runs that are not yet.
+func share(rs []*run) {
+	for _, r := range rs {
+		if !r.shared {
+			r.shared = true
+		}
+	}
 }
 
 // cloneLog returns a copy of a WAL half's log with its capacity: copies of

@@ -364,6 +364,11 @@ func (d *Device) Release(f *sim.Future) {
 	}
 }
 
+// PooledCommands returns how many command records wait in the free list
+// for reuse. A holder that releases every command it issues leaves the
+// list as long as it found it once those commands have finished.
+func (d *Device) PooledCommands() int { return len(d.free) }
+
 // Fire advances the command one stage; see the stage constants.
 func (c *command) Fire() {
 	d := c.d

@@ -12,6 +12,7 @@ import (
 	"strconv"
 
 	"github.com/checkin-kv/checkin/internal/ftl"
+	"github.com/checkin-kv/checkin/internal/lsm"
 	"github.com/checkin-kv/checkin/internal/nand"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/ssd"
@@ -67,10 +68,13 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	if !ok {
 		return nil, fmt.Errorf("checkin: configuration is not snapshottable")
 	}
-	// Forks share the FTL's address-table chunks copy-on-write; giving up
-	// the template's ownership here, before any fork, leaves forks only
-	// reading the template.
+	// Forks share the FTL's address-table chunks copy-on-write and the LSM
+	// engine's runs; giving up the template's ownership here, before any
+	// fork, leaves forks only reading the template.
 	db.device.FTL().Share()
+	if en, ok := db.host.(*lsm.Engine); ok {
+		en.Share()
+	}
 	db.template = true
 	return &Snapshot{db: db, load: load, loadFP: lfp}, nil
 }

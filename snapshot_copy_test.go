@@ -71,9 +71,9 @@ var copyAllowed = map[string]struct{ kind, why string }{
 }
 
 // sharedImmutable names the types whose objects a copy may share with its
-// source: they never change after construction.
+// source: they never change while both hold them.
 var sharedImmutable = map[string]string{
-	"lsm.run":     "runs never mutate after construction",
+	"lsm.run":     "a run never changes while a level, the durable set or a fork holds it",
 	"core.Layout": "the record layout never changes after NewLayout",
 }
 
@@ -109,7 +109,8 @@ func copyTemplates(t testing.TB) map[string]checkin.Config {
 // field of every layer — NAND array, FTL, controller, host engine — equal to
 // its template's, except the fields copyAllowed names, that nothing it
 // holds shares a backing array, map or pointer with the template except an
-// immutable object (sharedImmutable) or a copy-on-write chunk neither side
+// object neither changes while both hold it (sharedImmutable) or a
+// copy-on-write chunk neither side
 // owns (copyOnWrite), and that
 // every slice keeps at least the template's capacity (a reserve such as the
 // DFTL LRU arrays' run-node ids must survive the clone). Two templates per

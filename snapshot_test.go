@@ -432,9 +432,10 @@ func TestLSMSnapshotForkEquivalence(t *testing.T) {
 }
 
 // TestLSMSnapshotForkIsolation forks one LSM snapshot from many goroutines
-// at once (run under -race): sibling forks share immutable snapshot state
-// only, so every fork must produce the identical signature with no data
-// races across WAL buffers, run payloads or the allocator.
+// at once (run under -race): sibling forks share only snapshot state none
+// of them changes (the template's runs are marked shared, so no fork
+// refills one), so every fork must produce the identical signature with
+// no data races across WAL buffers, run payloads or the allocator.
 func TestLSMSnapshotForkIsolation(t *testing.T) {
 	cfg := lsmSnapConfig("leveled")
 	spec := snapTestSpec()
